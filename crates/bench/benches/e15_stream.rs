@@ -15,8 +15,7 @@
 
 use csqp_expr::parse::parse_condition;
 use csqp_expr::{Value, ValueType};
-use csqp_plan::exec_stream::execute_stream_measured;
-use csqp_plan::{attrs, execute, Plan, StreamConfig};
+use csqp_plan::{attrs, execute, execute_stream_collect, Plan, StreamConfig, StreamRequest};
 use csqp_relation::{Relation, Schema};
 use csqp_source::{CostParams, Source};
 use csqp_ssdl::templates;
@@ -99,8 +98,9 @@ fn measure(n: usize, streaming: bool) -> Measurement {
 
     let run = |do_count: bool| -> (usize, u64, u64) {
         if streaming {
-            let (rel, _, stats) = execute_stream_measured(&plan, &source, &cfg).unwrap();
-            (black_box(rel).len(), stats.peak_resident_tuples, stats.batches)
+            let (rel, run) =
+                execute_stream_collect(&plan, &source, StreamRequest::new(&cfg)).unwrap();
+            (black_box(rel).len(), run.stats.peak_resident_tuples, run.stats.batches)
         } else {
             let rel = execute(&plan, &source).unwrap();
             let len = black_box(rel).len();

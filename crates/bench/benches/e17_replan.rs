@@ -25,7 +25,7 @@
 //!
 //! Run with `cargo bench -p csqp-bench --bench e17_replan`.
 
-use csqp_core::mediator::{AdaptiveConfig, CardKind, Mediator};
+use csqp_core::mediator::{AdaptiveConfig, CardKind, Mediator, StreamOptions};
 use csqp_core::types::TargetQuery;
 use csqp_expr::{Value, ValueType};
 use csqp_plan::StreamConfig;
@@ -212,11 +212,11 @@ fn main() {
         let cfg = StreamConfig::serial();
         let acfg = AdaptiveConfig { stream: cfg.clone(), ..Default::default() };
         results.push(timed("no_drift", "streaming", || {
-            let out = med.run_streamed(&q, &cfg).unwrap();
+            let out = med.run_stream(&q, StreamOptions::plain(&cfg), None).unwrap();
             (out.outcome.rows.len(), out.outcome.meter.tuples_shipped, 0)
         }));
         results.push(timed("no_drift", "adaptive", || {
-            let out = med.run_adaptive(&q, &acfg).unwrap();
+            let out = med.run_stream(&q, StreamOptions::Adaptive(&acfg), None).unwrap();
             assert_eq!(out.splices, 0, "the exact-estimate leg must not splice");
             (out.outcome.rows.len(), out.outcome.meter.tuples_shipped, out.splices)
         }));
@@ -232,11 +232,11 @@ fn main() {
         let cfg = StreamConfig::serial();
         let acfg = AdaptiveConfig { stream: cfg.clone(), ..Default::default() };
         results.push(timed("no_drift_scan", "streaming", || {
-            let out = med.run_streamed(&q, &cfg).unwrap();
+            let out = med.run_stream(&q, StreamOptions::plain(&cfg), None).unwrap();
             (out.outcome.rows.len(), out.outcome.meter.tuples_shipped, 0)
         }));
         results.push(timed("no_drift_scan", "adaptive", || {
-            let out = med.run_adaptive(&q, &acfg).unwrap();
+            let out = med.run_stream(&q, StreamOptions::Adaptive(&acfg), None).unwrap();
             assert_eq!(out.splices, 0, "the exact-estimate leg must not splice");
             (out.outcome.rows.len(), out.outcome.meter.tuples_shipped, out.splices)
         }));
@@ -251,13 +251,13 @@ fn main() {
         let plain_src = drifty_source();
         let plain = Mediator::new(plain_src).with_cardinality(card);
         results.push(timed("drift", "non_adaptive", || {
-            let out = plain.run_streamed(&q, &cfg).unwrap();
+            let out = plain.run_stream(&q, StreamOptions::plain(&cfg), None).unwrap();
             (out.outcome.rows.len(), out.outcome.meter.tuples_shipped, 0)
         }));
         let adaptive_src = drifty_source();
         let adaptive = Mediator::new(adaptive_src).with_cardinality(card);
         results.push(timed("drift", "adaptive", || {
-            let out = adaptive.run_adaptive(&q, &acfg).unwrap();
+            let out = adaptive.run_stream(&q, StreamOptions::Adaptive(&acfg), None).unwrap();
             (out.outcome.rows.len(), out.outcome.meter.tuples_shipped, out.splices)
         }));
     }

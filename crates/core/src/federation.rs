@@ -14,8 +14,8 @@ use crate::types::{PlanError, PlannedQuery, TargetQuery};
 use csqp_obs::{names, FlightRecorder, Obs, PlanEvent, QueryFlight};
 use csqp_plan::exec::{execute_measured, ExecError, RetryPolicy};
 use csqp_plan::exec_stream::{
-    execute_stream_adaptive_traced, execute_stream_measured_traced, plan_condition,
-    ReplanController, ReplanProbe, SpliceAction, StreamConfig, StreamStats,
+    execute_stream_collect, plan_condition, ReplanController, ReplanProbe, Retry, SpliceAction,
+    StreamConfig, StreamMode, StreamRequest, StreamStats,
 };
 use csqp_plan::AttrSet;
 use csqp_source::{Meter, ResilienceMeter, Source};
@@ -322,8 +322,8 @@ impl Federation {
     /// Cost tap: both cost signals are kept in integral millis so they ride
     /// the counter machinery (and its windowed deltas) unchanged.
     fn tap_costs(&self, member: &str, est_cost: f64, observed_cost: f64) {
-        self.tap_add(names::MEMBER_EST_COST_MILLI_PREFIX, member, to_milli(est_cost));
-        self.tap_add(names::MEMBER_OBS_COST_MILLI_PREFIX, member, to_milli(observed_cost));
+        self.tap_add(names::MEMBER_EST_COST_MILLI_PREFIX, member, names::to_milli(est_cost));
+        self.tap_add(names::MEMBER_OBS_COST_MILLI_PREFIX, member, names::to_milli(observed_cost));
     }
 
     /// A point-in-time snapshot of every metric this federation recorded.
@@ -713,12 +713,11 @@ impl Federation {
         cfg: &StreamConfig,
     ) -> Result<(FederatedPlan, RunOutcome, StreamStats), MediatorError> {
         let fp = self.plan(query)?;
-        let (rows, meter, stats) = execute_stream_measured_traced(
-            &fp.planned.plan,
-            &fp.source,
-            cfg,
-            Some(&self.obs.tracer),
-        )?;
+        let before = fp.source.meter();
+        let request = StreamRequest { tracer: Some(&self.obs.tracer), ..StreamRequest::new(cfg) };
+        let (rows, run) = execute_stream_collect(&fp.planned.plan, &fp.source, request)?;
+        let stats = run.stats;
+        let meter = fp.source.meter().since(&before);
         let measured_cost = meter.cost(fp.source.cost_params());
         meter.record_into(&self.obs.metrics);
         stats.record_into(&self.obs.metrics);
@@ -967,9 +966,6 @@ impl Federation {
     /// are deduplicated away, so the answer matches a fault-free run.
     /// Unlike [`Federation::run_resilient`], work done before the fault is
     /// not thrown away and the failed member's whole plan is not re-run.
-    ///
-    /// With the `adaptive` (or `stream`) feature off this degrades to
-    /// resilient streaming on the primary member only (splices stay 0).
     pub fn run_adaptive(
         &self,
         query: &TargetQuery,
@@ -1025,18 +1021,16 @@ impl Federation {
             gates,
             splices: 0,
         };
-        let result = execute_stream_adaptive_traced(
-            &primary.plan,
-            primary_member,
-            Some(policy),
-            &mut resilience,
-            cfg,
-            &mut ctl,
-            Some(&self.obs.tracer),
-        );
+        let request = StreamRequest {
+            config: cfg,
+            retry: Some(Retry { policy, meter: &mut resilience }),
+            mode: StreamMode::Adaptive(&mut ctl),
+            tracer: Some(&self.obs.tracer),
+        };
+        let result = execute_stream_collect(&primary.plan, primary_member, request);
         let serving_idx = ctl.current;
         let (rows, stats, splices) = match result {
-            Ok(ok) => ok,
+            Ok((rows, run)) => (rows, run.stats, run.splices),
             Err(e) => {
                 // The controller already opened breakers and traced every
                 // member that died; nobody was left to splice to.
@@ -1060,12 +1054,7 @@ impl Federation {
         let mut meter = Meter::default();
         let mut measured_cost = 0.0;
         for (i, m) in self.members.iter().enumerate() {
-            let after = m.meter();
-            let delta = Meter {
-                queries: after.queries - before[i].queries,
-                tuples_shipped: after.tuples_shipped - before[i].tuples_shipped,
-                rejected: after.rejected - before[i].rejected,
-            };
+            let delta = m.meter().since(&before[i]);
             measured_cost += delta.cost(m.cost_params());
             meter.queries += delta.queries;
             meter.tuples_shipped += delta.tuples_shipped;
@@ -1105,15 +1094,6 @@ impl Federation {
             stats,
             splices,
         })
-    }
-}
-
-/// Cost-to-counter conversion for the `member.*_cost_milli.*` taps.
-fn to_milli(cost: f64) -> u64 {
-    if cost.is_finite() && cost > 0.0 {
-        (cost * 1000.0).round() as u64
-    } else {
-        0
     }
 }
 
@@ -1618,7 +1598,6 @@ mod tests {
         assert_eq!(run.run.trace.last().unwrap(), &("car_dealer".to_string(), MemberEvent::Served));
     }
 
-    #[cfg(all(feature = "stream", feature = "adaptive"))]
     #[test]
     fn mid_stream_outage_splices_to_the_dump() {
         use csqp_source::FaultProfile;
@@ -1659,15 +1638,16 @@ mod tests {
         // The dealer's breaker opened (threshold 1) and the gauges agree.
         let states = f.breaker_states();
         assert_eq!(states.iter().find(|(n, _)| n == "car_dealer").unwrap().1, BreakerHealth::Open);
-        let snap = f.metrics_snapshot();
-        assert_eq!(snap.counter(names::REPLAN_BREAKER_TRIGGERS), 1);
-        assert_eq!(snap.counter(names::REPLAN_SPLICES), run.splices);
-        assert_eq!(snap.counter(names::BREAKER_OPENED), 1);
+        if f.obs().enabled() {
+            let snap = f.metrics_snapshot();
+            assert_eq!(snap.counter(names::REPLAN_BREAKER_TRIGGERS), 1);
+            assert_eq!(snap.counter(names::REPLAN_SPLICES), run.splices);
+            assert_eq!(snap.counter(names::BREAKER_OPENED), 1);
+        }
         // A mid-stream splice counts as a failover in the resilience meter.
         assert!(run.run.resilience.failovers >= run.splices);
     }
 
-    #[cfg(all(feature = "stream", feature = "adaptive"))]
     #[test]
     fn adaptive_with_no_splice_target_reports_exec_error() {
         use csqp_source::FaultProfile;

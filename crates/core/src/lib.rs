@@ -64,8 +64,8 @@ pub use genmodular::{plan_modular, plan_modular_recorded, GenModularConfig};
 pub use ipg::IpgConfig;
 pub use join::{JoinConfig, JoinMediator, JoinOutcome, JoinQuery, JoinStrategy};
 pub use mediator::{
-    AdaptiveConfig, AdaptiveOutcome, AnalyzedStreamOutcome, CardKind, Mediator, ResilientOutcome,
-    RunOutcome, Scheme, StreamedOutcome,
+    AdaptiveConfig, CardKind, Mediator, ResilientOutcome, RunOutcome, Scheme, StreamInput,
+    StreamOptions, StreamOutcome,
 };
 pub use plancache::{CacheDecision, CacheStats, PlanCache};
 pub use types::{PlanError, PlannedQuery, PlannerReport, RankedPlan, TargetQuery};

@@ -20,10 +20,8 @@ use csqp_plan::analyze::{execute_analyzed, PlanAnalysis};
 use csqp_plan::cost::{Cardinality, OracleCard, StatsCard, UniformCard};
 use csqp_plan::exec::{execute_measured, execute_resilient, ExecError, RetryPolicy};
 use csqp_plan::exec_stream::{
-    execute_stream_adaptive_each_traced, execute_stream_adaptive_traced,
-    execute_stream_analyzed_traced, execute_stream_each_traced, execute_stream_measured_traced,
-    execute_stream_resilient_traced, ReplanController, ReplanProbe, SpliceAction, StreamConfig,
-    StreamStats,
+    execute_stream, execute_stream_collect, ReplanController, ReplanProbe, Retry, SpliceAction,
+    StreamConfig, StreamMode, StreamRequest, StreamStats,
 };
 use csqp_plan::model::CostModel;
 use csqp_plan::AttrSet;
@@ -110,41 +108,114 @@ pub struct RunOutcome {
     pub measured_cost: f64,
 }
 
-/// The outcome of a streaming run ([`Mediator::run_streamed`] and
-/// friends): the plain outcome plus the pipeline's batch/memory stats.
+/// What [`Mediator::run_stream`] executes: a target query to plan first,
+/// or a plan prepared earlier (a rebound [`PlanCache`] hit goes straight to
+/// the engine without touching the planner).
+// Built and consumed once per run; boxing the plan would cost the served
+// path an allocation per query.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
-pub struct StreamedOutcome {
-    /// The plan-and-execute outcome. For [`Mediator::run_streamed_each`]
-    /// `rows` holds only what the sink did not consume — an empty relation
-    /// when the sink accepted every batch.
-    pub outcome: RunOutcome,
-    /// Batch count, peak pipeline-resident tuples, overlap ticks.
-    pub stats: StreamStats,
+pub enum StreamInput<'a> {
+    /// Plan this query, then stream the chosen plan.
+    Query(&'a TargetQuery),
+    /// Stream this plan as is.
+    Prepared(PlannedQuery),
 }
 
-/// The outcome of an analyzed streaming run
-/// ([`Mediator::run_streamed_analyzed`]).
-#[derive(Debug)]
-pub struct AnalyzedStreamOutcome {
-    /// The plan-and-execute outcome.
-    pub outcome: RunOutcome,
-    /// Per-source-query observations, pre-order over the plan tree
-    /// (leaves the run never opened are absent — early termination).
-    pub analysis: PlanAnalysis,
-    /// Batch/memory stats for the `EXPLAIN ANALYZE` streaming footer.
-    pub stats: StreamStats,
-}
-
-impl AnalyzedStreamOutcome {
-    /// Renders `EXPLAIN ANALYZE` with the streaming footer (batches and
-    /// peak resident tuples).
-    pub fn explain(&self) -> String {
-        csqp_plan::exec_stream::explain_analyze_streamed(
-            &self.outcome.planned.plan,
-            &self.analysis,
-            &self.stats,
-        )
+impl<'a> From<&'a TargetQuery> for StreamInput<'a> {
+    fn from(query: &'a TargetQuery) -> Self {
+        StreamInput::Query(query)
     }
+}
+
+impl From<PlannedQuery> for StreamInput<'_> {
+    fn from(planned: PlannedQuery) -> Self {
+        StreamInput::Prepared(planned)
+    }
+}
+
+/// How [`Mediator::run_stream`] executes — the mode is this value, not the
+/// method called. The variants exclude each other: analysis slots index
+/// the *original* plan's leaves, which an adaptive splice would invalidate.
+#[derive(Debug, Clone, Copy)]
+pub enum StreamOptions<'a> {
+    /// The plain pipeline under bounded memory, honoring
+    /// [`StreamConfig::limit`] for early termination.
+    Plain {
+        /// Batch size, row limit, overlap.
+        stream: &'a StreamConfig,
+        /// Per-batch retries (a mid-stream fault repeats only the failed
+        /// round-trip). `None` means any leaf fault is terminal.
+        policy: Option<&'a RetryPolicy>,
+    },
+    /// Streaming twin of [`Mediator::run_analyzed`]: per-source-query
+    /// estimated-vs-observed observation next to the pipeline's stats,
+    /// rendered by [`csqp_plan::exec_stream::explain_analyze_streamed`].
+    Analyzed(&'a StreamConfig),
+    /// Mid-query adaptive re-planning: after every emitted batch a drift
+    /// detector compares each source query's observed cardinality against
+    /// its estimate, and when one exits the `[est/f, est·f]` band the
+    /// pipeline pauses at the batch boundary, MCSC re-runs over the
+    /// *residual* condition with estimates floored at the observed counts,
+    /// and a structurally different winner is spliced in. Cross-segment
+    /// deduplication keeps the answer set-identical to a plain run.
+    Adaptive(&'a AdaptiveConfig),
+}
+
+impl<'a> StreamOptions<'a> {
+    /// The plain pipeline without retries.
+    pub fn plain(stream: &'a StreamConfig) -> Self {
+        StreamOptions::Plain { stream, policy: None }
+    }
+
+    fn stream(&self) -> &'a StreamConfig {
+        match *self {
+            StreamOptions::Plain { stream, .. } | StreamOptions::Analyzed(stream) => stream,
+            StreamOptions::Adaptive(cfg) => &cfg.stream,
+        }
+    }
+
+    fn policy(&self) -> Option<&'a RetryPolicy> {
+        match *self {
+            StreamOptions::Plain { policy, .. } => policy,
+            StreamOptions::Analyzed(_) => None,
+            StreamOptions::Adaptive(cfg) => cfg.policy.as_ref(),
+        }
+    }
+
+    fn span_label(&self) -> &'static str {
+        match self {
+            StreamOptions::Plain { policy: None, .. } => "execute (streamed)",
+            StreamOptions::Plain { policy: Some(_), .. } => "execute (streamed, resilient)",
+            StreamOptions::Analyzed(_) => "execute (streamed, analyzed)",
+            StreamOptions::Adaptive(_) => "execute (adaptive)",
+        }
+    }
+}
+
+/// The outcome of [`Mediator::run_stream`].
+#[derive(Debug)]
+pub struct StreamOutcome {
+    /// The plan-and-execute outcome. With a sink, `rows` is empty (the sink
+    /// consumed the answer); `meter`/`measured_cost` cover the whole run.
+    /// On adaptive runs `planned` holds the *original* chosen plan; when
+    /// splices fired, the served pipeline diverged from it mid-flight (see
+    /// the flight record's `[replan]` events).
+    pub outcome: RunOutcome,
+    /// Batch count, peak pipeline-resident tuples and overlap ticks,
+    /// accumulated across every pipeline segment.
+    pub stats: StreamStats,
+    /// Retry/fault metrics accumulated across the run.
+    pub resilience: ResilienceMeter,
+    /// How many re-planned sub-plans were spliced into the pipeline.
+    pub splices: u64,
+    /// How many times the drift detector fired (a trigger re-plans, but
+    /// only splices when the re-planned residual structurally differs).
+    pub drift_triggers: u64,
+    /// Per-source-query observations of an analyzed run, pre-order over
+    /// the plan tree (leaves the run never opened are absent — early
+    /// termination).
+    pub analysis: Option<PlanAnalysis>,
 }
 
 /// The outcome of an analyzed run ([`Mediator::run_analyzed`]): the plain
@@ -158,7 +229,7 @@ pub struct AnalyzedOutcome {
     pub analysis: PlanAnalysis,
 }
 
-/// Knobs for an adaptive run ([`Mediator::run_adaptive`]).
+/// Knobs for an adaptive run ([`StreamOptions::Adaptive`]).
 #[derive(Debug, Clone)]
 pub struct AdaptiveConfig {
     /// Streaming knobs (batch size, limit). Adaptive runs are forced
@@ -188,26 +259,6 @@ impl Default for AdaptiveConfig {
     }
 }
 
-/// The outcome of an adaptive run ([`Mediator::run_adaptive`]).
-#[derive(Debug)]
-pub struct AdaptiveOutcome {
-    /// The plan-and-execute outcome. `planned` holds the *original*
-    /// chosen plan; when splices fired, the served pipeline diverged from
-    /// it mid-flight (see the flight record's `[replan]` events). For
-    /// [`Mediator::run_adaptive_each`] `rows` is empty (the sink consumed
-    /// the answer).
-    pub outcome: RunOutcome,
-    /// Batch/memory stats accumulated across every pipeline segment.
-    pub stats: StreamStats,
-    /// Retry/fault metrics accumulated across the run.
-    pub resilience: ResilienceMeter,
-    /// How many re-planned sub-plans were spliced into the pipeline.
-    pub splices: u64,
-    /// How many times the drift detector fired (a trigger re-plans, but
-    /// only splices when the re-planned residual structurally differs).
-    pub drift_triggers: u64,
-}
-
 /// The drift-triggered [`ReplanController`]: watches per-leaf observed
 /// cardinality against the planner's estimates at every batch boundary,
 /// and when a subquery exits the drift band, re-runs the planner over the
@@ -234,10 +285,10 @@ struct DriftController<'a> {
 }
 
 impl<'a> DriftController<'a> {
-    fn new(med: &'a Mediator, query: &TargetQuery, cfg: &AdaptiveConfig) -> Self {
+    fn new(med: &'a Mediator, attrs: AttrSet, cfg: &AdaptiveConfig) -> Self {
         DriftController {
             med,
-            attrs: query.attrs.clone(),
+            attrs,
             drift_factor: cfg.drift_factor.max(1.0),
             max_splices: cfg.max_splices,
             floors: BTreeMap::new(),
@@ -833,204 +884,6 @@ impl Mediator {
         });
     }
 
-    /// Plans and executes a target query on the streaming engine: batches
-    /// pull through the pipeline under bounded memory, accumulate into the
-    /// answer relation, and the run's [`StreamStats`] land in the `exec.*`
-    /// metrics. Honors [`StreamConfig::limit`] for early termination.
-    pub fn run_streamed(
-        &self,
-        query: &TargetQuery,
-        cfg: &StreamConfig,
-    ) -> Result<StreamedOutcome, MediatorError> {
-        let planned = self.plan(query)?;
-        let span = self.obs.tracer.span("execute (streamed)");
-        let (rows, meter, stats) = execute_stream_measured_traced(
-            &planned.plan,
-            &self.source,
-            cfg,
-            Some(&self.obs.tracer),
-        )?;
-        let measured_cost = meter.cost(self.source.cost_params());
-        self.record_run(&planned, &rows, &meter, measured_cost);
-        self.record_stream(&stats);
-        span.close();
-        Ok(StreamedOutcome { outcome: RunOutcome { planned, rows, meter, measured_cost }, stats })
-    }
-
-    /// Plans and streams a target query, handing each deduplicated answer
-    /// batch to `sink` as it is produced (return `false` to stop early) —
-    /// the incremental entry point `csqp serve` uses for chunked responses.
-    /// The returned outcome's `rows` is empty (the sink consumed the
-    /// answer); `meter`/`measured_cost`/`stats` cover the whole run.
-    pub fn run_streamed_each(
-        &self,
-        query: &TargetQuery,
-        cfg: &StreamConfig,
-        sink: &mut dyn FnMut(TupleBatch) -> bool,
-    ) -> Result<StreamedOutcome, MediatorError> {
-        let planned = self.plan(query)?;
-        self.run_streamed_each_planned(planned, cfg, sink)
-    }
-
-    /// [`Mediator::run_streamed_each`] with planning already done — the
-    /// executor for prepared plans served out of a
-    /// [`PlanCache`]: the rebound plan goes straight to
-    /// the streaming engine without touching the planner.
-    pub fn run_streamed_each_planned(
-        &self,
-        planned: PlannedQuery,
-        cfg: &StreamConfig,
-        sink: &mut dyn FnMut(TupleBatch) -> bool,
-    ) -> Result<StreamedOutcome, MediatorError> {
-        let span = self.obs.tracer.span("execute (streamed)");
-        let before = self.source.meter();
-        let mut emitted = 0u64;
-        let mut schema = None;
-        let (_, stats) = execute_stream_each_traced(
-            &planned.plan,
-            &self.source,
-            cfg,
-            Some(&self.obs.tracer),
-            &mut |b| {
-                emitted += b.len() as u64;
-                schema.get_or_insert_with(|| b.schema().clone());
-                sink(b)
-            },
-        )?;
-        let after = self.source.meter();
-        let meter = Meter {
-            queries: after.queries - before.queries,
-            tuples_shipped: after.tuples_shipped - before.tuples_shipped,
-            rejected: after.rejected - before.rejected,
-        };
-        let measured_cost = meter.cost(self.source.cost_params());
-        let rows = Relation::empty(match schema {
-            Some(s) => s,
-            None => {
-                let attrs: Vec<&str> =
-                    planned.plan.output_attrs().iter().map(String::as_str).collect();
-                self.source
-                    .relation()
-                    .schema()
-                    .project(&attrs)
-                    .map_err(|e| MediatorError::Exec(ExecError::Schema(e.to_string())))?
-            }
-        });
-        self.obs.tracer.event_with(|| format!("streamed {emitted} rows to sink"));
-        self.record_run(&planned, &rows, &meter, measured_cost);
-        self.record_stream(&stats);
-        span.close();
-        Ok(StreamedOutcome { outcome: RunOutcome { planned, rows, meter, measured_cost }, stats })
-    }
-
-    /// Streaming twin of [`Mediator::run_resilient`]: per-batch retries
-    /// (a mid-stream fault repeats only the failed round-trip), then
-    /// failover to the next-cheapest ranked alternative when a plan still
-    /// dies mid-stream.
-    pub fn run_streamed_resilient(
-        &self,
-        query: &TargetQuery,
-        policy: &RetryPolicy,
-        cfg: &StreamConfig,
-    ) -> Result<(StreamedOutcome, ResilienceMeter), MediatorError> {
-        let planned = self.plan(query)?;
-        let span = self.obs.tracer.span("execute (streamed, resilient)");
-        let mut resilience = ResilienceMeter::default();
-        let mut failures: Vec<(usize, ExecError)> = Vec::new();
-        let alternatives = planned.alternatives.iter().map(|a| &a.plan);
-        let mut win = None;
-        for (rank, plan) in std::iter::once(&planned.plan).chain(alternatives).enumerate() {
-            if rank > 0 {
-                resilience.failovers += 1;
-            }
-            match execute_stream_resilient_traced(
-                plan,
-                &self.source,
-                policy,
-                &mut resilience,
-                cfg,
-                Some(&self.obs.tracer),
-            ) {
-                Ok((rows, meter, stats)) => {
-                    win = Some((rank, rows, meter, stats));
-                    break;
-                }
-                Err(e @ (ExecError::Unresolved | ExecError::Malformed(_))) => {
-                    failures.push((rank, e));
-                    break;
-                }
-                Err(e) => failures.push((rank, e)),
-            }
-        }
-        resilience.record_into(&self.obs.metrics);
-        for (rank, err) in &failures {
-            self.flight
-                .note_latest(|| PlanEvent::Failover { rank: *rank, detail: err.to_string() });
-        }
-        match win {
-            Some((rank, rows, meter, stats)) => {
-                let measured_cost = meter.cost(self.source.cost_params());
-                self.record_run(&planned, &rows, &meter, measured_cost);
-                self.record_stream(&stats);
-                if rank > 0 {
-                    self.flight.note_latest(|| PlanEvent::Note {
-                        text: format!("served by ranked alternative #{rank}"),
-                    });
-                }
-                span.close();
-                Ok((
-                    StreamedOutcome {
-                        outcome: RunOutcome { planned, rows, meter, measured_cost },
-                        stats,
-                    },
-                    resilience,
-                ))
-            }
-            None => {
-                let (_, last) = failures.pop().expect("at least the primary plan was tried");
-                self.obs.tracer.event_with(|| format!("every plan died: {last}"));
-                span.close();
-                Err(MediatorError::Exec(last))
-            }
-        }
-    }
-
-    /// Streaming twin of [`Mediator::run_analyzed`]: per-source-query
-    /// estimated-vs-observed observation plus the pipeline's batch/memory
-    /// stats, rendered by [`AnalyzedStreamOutcome::explain`] as `EXPLAIN
-    /// ANALYZE` with a streaming footer.
-    pub fn run_streamed_analyzed(
-        &self,
-        query: &TargetQuery,
-        cfg: &StreamConfig,
-    ) -> Result<AnalyzedStreamOutcome, MediatorError> {
-        let planned = self.plan(query)?;
-        let span = self.obs.tracer.span("execute (streamed, analyzed)");
-        let (rows, meter, analysis, stats) = self.with_card(|card| {
-            execute_stream_analyzed_traced(
-                &planned.plan,
-                &self.source,
-                self.active_model(),
-                card,
-                cfg,
-                Some(&self.obs.tracer),
-            )
-        })?;
-        let measured_cost = meter.cost(self.source.cost_params());
-        self.record_run(&planned, &rows, &meter, measured_cost);
-        self.record_stream(&stats);
-        analysis.record_into(&self.obs.metrics);
-        for w in analysis.drift_warnings() {
-            self.obs.tracer.event_with(|| w.clone());
-        }
-        span.close();
-        Ok(AnalyzedStreamOutcome {
-            outcome: RunOutcome { planned, rows, meter, measured_cost },
-            analysis,
-            stats,
-        })
-    }
-
     /// Re-plans a (residual) query with cardinality estimates floored at
     /// the observed per-condition counts in `floors`. Used mid-flight by
     /// the adaptive controllers; the planner's search runs disarmed (no
@@ -1092,155 +945,139 @@ impl Mediator {
         }
     }
 
-    /// Plans and executes on the streaming engine with mid-query adaptive
-    /// re-planning: after every emitted batch a drift detector compares
-    /// each source query's observed cardinality against its estimate, and
-    /// when one exits the `[est/f, est·f]` band the pipeline pauses at the
-    /// batch boundary, MCSC re-runs over the *residual* condition with
-    /// estimates floored at the observed counts, and a structurally
-    /// different winner is spliced in. Cross-segment deduplication keeps
-    /// the answer set-identical to a non-adaptive run; with the `adaptive`
-    /// feature off this delegates to plain streaming (splices always 0).
-    pub fn run_adaptive(
+    /// The streaming entry point: plans `input` (unless it already is a
+    /// prepared plan) and runs it on the streaming engine the way `options`
+    /// says. With a `sink`, each deduplicated answer batch goes to it as it
+    /// is produced (return `false` to stop early) — how `csqp serve`
+    /// streams chunked responses — and the outcome's `rows` stays empty;
+    /// without one the answer accumulates into `rows`. The run's
+    /// [`StreamStats`] land in the `exec.*` metrics either way.
+    pub fn run_stream<'q>(
         &self,
-        query: &TargetQuery,
-        cfg: &AdaptiveConfig,
-    ) -> Result<AdaptiveOutcome, MediatorError> {
-        let planned = self.plan(query)?;
-        let span = self.obs.tracer.span("execute (adaptive)");
+        input: impl Into<StreamInput<'q>>,
+        options: StreamOptions<'_>,
+        sink: Option<&mut dyn FnMut(TupleBatch) -> bool>,
+    ) -> Result<StreamOutcome, MediatorError> {
+        let planned = match input.into() {
+            StreamInput::Query(query) => {
+                let planned = self.plan(query)?;
+                // The drift controller re-plans residuals for the plan's
+                // own output attributes; they are the query's.
+                debug_assert_eq!(planned.plan.output_attrs(), &query.attrs);
+                planned
+            }
+            StreamInput::Prepared(planned) => planned,
+        };
+        let _span = self.obs.tracer.span(options.span_label());
         let before = self.source.meter();
         let mut resilience = ResilienceMeter::default();
-        let mut ctl = DriftController::new(self, query, cfg);
-        let result = execute_stream_adaptive_traced(
-            &planned.plan,
-            &self.source,
-            cfg.policy.as_ref(),
-            &mut resilience,
-            &cfg.stream,
-            &mut ctl,
-            Some(&self.obs.tracer),
-        );
-        let drift_triggers = ctl.drift_triggers;
-        resilience.record_into(&self.obs.metrics);
-        let (rows, stats, splices) = match result {
+        let mut drift = match options {
+            StreamOptions::Adaptive(cfg) => {
+                Some(DriftController::new(self, planned.plan.output_attrs().clone(), cfg))
+            }
+            _ => None,
+        };
+        let adaptive = drift.is_some();
+        let retry = options.policy().map(|policy| Retry { policy, meter: &mut resilience });
+        let result = self.with_card(|card| {
+            let mode = match (&mut drift, options) {
+                (Some(ctl), _) => StreamMode::Adaptive(ctl),
+                (None, StreamOptions::Analyzed(_)) => {
+                    StreamMode::Analyzed { model: self.active_model(), card }
+                }
+                (None, _) => StreamMode::Plain,
+            };
+            let request = StreamRequest {
+                config: options.stream(),
+                retry,
+                mode,
+                tracer: Some(&self.obs.tracer),
+            };
+            match sink {
+                Some(sink) => execute_stream(&planned.plan, &self.source, request, sink)
+                    .map(|run| (None, run)),
+                None => execute_stream_collect(&planned.plan, &self.source, request)
+                    .map(|(rows, run)| (Some(rows), run)),
+            }
+        });
+        let drift_triggers = drift.map_or(0, |ctl| ctl.drift_triggers);
+        if adaptive || options.policy().is_some() {
+            // Resilience events always reach the registry — a failed run
+            // is exactly when the retry counters matter most.
+            resilience.record_into(&self.obs.metrics);
+        }
+        let (rows, run) = match result {
             Ok(ok) => ok,
             Err(e) => {
-                self.obs.tracer.event_with(|| format!("adaptive run died: {e}"));
-                span.close();
+                if adaptive {
+                    self.obs.tracer.event_with(|| format!("adaptive run died: {e}"));
+                }
                 return Err(MediatorError::Exec(e));
             }
         };
-        let after = self.source.meter();
-        let meter = Meter {
-            queries: after.queries - before.queries,
-            tuples_shipped: after.tuples_shipped - before.tuples_shipped,
-            rejected: after.rejected - before.rejected,
-        };
+        let meter = self.source.meter().since(&before);
         let measured_cost = meter.cost(self.source.cost_params());
+        let rows = match rows {
+            Some(rows) => rows,
+            None => {
+                self.obs.tracer.event_with(|| format!("streamed {} rows to sink", run.emitted));
+                Relation::empty(run.schema)
+            }
+        };
         self.record_run(&planned, &rows, &meter, measured_cost);
-        self.record_stream(&stats);
-        self.record_calibration(&meter, measured_cost);
-        if splices > 0 {
-            self.obs.tracer.event_with(|| {
-                format!("adaptive: {splices} splice(s) from {drift_triggers} drift trigger(s)")
-            });
+        self.record_stream(&run.stats);
+        if let Some(analysis) = &run.analysis {
+            analysis.record_into(&self.obs.metrics);
+            for w in analysis.drift_warnings() {
+                self.obs.tracer.event_with(|| w.clone());
+            }
         }
-        span.close();
-        Ok(AdaptiveOutcome {
+        if adaptive {
+            self.record_calibration(&meter, measured_cost);
+            if run.splices > 0 {
+                self.obs.tracer.event_with(|| {
+                    format!(
+                        "adaptive: {} splice(s) from {drift_triggers} drift trigger(s)",
+                        run.splices
+                    )
+                });
+            }
+        }
+        Ok(StreamOutcome {
             outcome: RunOutcome { planned, rows, meter, measured_cost },
-            stats,
+            stats: run.stats,
             resilience,
-            splices,
+            splices: run.splices,
             drift_triggers,
+            analysis: run.analysis,
         })
     }
 
-    /// Sink-driven twin of [`Mediator::run_adaptive`]: each deduplicated
-    /// answer batch goes to `sink` as it is produced (return `false` to
-    /// stop early) — the adaptive entry point `csqp serve` streams chunked
-    /// responses through. The returned outcome's `rows` is empty.
-    pub fn run_adaptive_each(
+    /// Frozen for the `benchmark/` package, which the next
+    /// `benchmark`-archetype PR moves onto [`Mediator::run_stream`]:
+    /// forwards to it with [`StreamOptions::plain`] and a sink.
+    pub fn run_streamed_each_planned(
         &self,
-        query: &TargetQuery,
-        cfg: &AdaptiveConfig,
+        planned: PlannedQuery,
+        cfg: &StreamConfig,
         sink: &mut dyn FnMut(TupleBatch) -> bool,
-    ) -> Result<AdaptiveOutcome, MediatorError> {
-        let planned = self.plan(query)?;
-        self.run_adaptive_each_planned(query, planned, cfg, sink)
+    ) -> Result<StreamOutcome, MediatorError> {
+        self.run_stream(planned, StreamOptions::plain(cfg), Some(sink))
     }
 
-    /// [`Mediator::run_adaptive_each`] with planning already done — the
-    /// executor for prepared plans served out of a
-    /// [`PlanCache`]. `query` is still needed: the drift
-    /// controller re-plans the *residual* condition when a splice fires.
+    /// Frozen for the `benchmark/` package, which the next
+    /// `benchmark`-archetype PR moves onto [`Mediator::run_stream`]:
+    /// forwards to it with [`StreamOptions::Adaptive`] and a sink. The
+    /// residual re-plans project the plan's own output attributes, so
+    /// `_query` goes unread.
     pub fn run_adaptive_each_planned(
         &self,
-        query: &TargetQuery,
+        _query: &TargetQuery,
         planned: PlannedQuery,
         cfg: &AdaptiveConfig,
         sink: &mut dyn FnMut(TupleBatch) -> bool,
-    ) -> Result<AdaptiveOutcome, MediatorError> {
-        let span = self.obs.tracer.span("execute (adaptive)");
-        let before = self.source.meter();
-        let mut resilience = ResilienceMeter::default();
-        let mut ctl = DriftController::new(self, query, cfg);
-        let mut emitted = 0u64;
-        let mut schema = None;
-        let result = execute_stream_adaptive_each_traced(
-            &planned.plan,
-            &self.source,
-            cfg.policy.as_ref(),
-            &mut resilience,
-            &cfg.stream,
-            &mut ctl,
-            Some(&self.obs.tracer),
-            &mut |b| {
-                emitted += b.len() as u64;
-                schema.get_or_insert_with(|| b.schema().clone());
-                sink(b)
-            },
-        );
-        let drift_triggers = ctl.drift_triggers;
-        resilience.record_into(&self.obs.metrics);
-        let (_, stats, splices) = match result {
-            Ok(ok) => ok,
-            Err(e) => {
-                self.obs.tracer.event_with(|| format!("adaptive run died: {e}"));
-                span.close();
-                return Err(MediatorError::Exec(e));
-            }
-        };
-        let after = self.source.meter();
-        let meter = Meter {
-            queries: after.queries - before.queries,
-            tuples_shipped: after.tuples_shipped - before.tuples_shipped,
-            rejected: after.rejected - before.rejected,
-        };
-        let measured_cost = meter.cost(self.source.cost_params());
-        let rows = Relation::empty(match schema {
-            Some(s) => s,
-            None => {
-                let attrs: Vec<&str> =
-                    planned.plan.output_attrs().iter().map(String::as_str).collect();
-                self.source
-                    .relation()
-                    .schema()
-                    .project(&attrs)
-                    .map_err(|e| MediatorError::Exec(ExecError::Schema(e.to_string())))?
-            }
-        });
-        self.obs.tracer.event_with(|| format!("streamed {emitted} rows to sink"));
-        self.record_run(&planned, &rows, &meter, measured_cost);
-        self.record_stream(&stats);
-        self.record_calibration(&meter, measured_cost);
-        span.close();
-        Ok(AdaptiveOutcome {
-            outcome: RunOutcome { planned, rows, meter, measured_cost },
-            stats,
-            resilience,
-            splices,
-            drift_triggers,
-        })
+    ) -> Result<StreamOutcome, MediatorError> {
+        self.run_stream(planned, StreamOptions::Adaptive(cfg), Some(sink))
     }
 
     /// Plans a query and captures a [`QueryProfile`] of the planning work:
@@ -1617,14 +1454,17 @@ mod tests {
         let q = TargetQuery::parse(EX11, &["isbn", "author", "title"]).unwrap();
         let plain = Mediator::new(source.clone()).run(&q).unwrap();
         let m = Mediator::new(source);
-        let streamed = m.run_streamed(&q, &StreamConfig::serial()).unwrap();
+        let streamed =
+            m.run_stream(&q, StreamOptions::plain(&StreamConfig::serial()), None).unwrap();
         assert_eq!(streamed.outcome.rows, plain.rows, "streaming is a pure execution change");
         assert_eq!(streamed.outcome.meter, plain.meter, "identical transfer");
         assert_eq!(streamed.outcome.measured_cost, plain.measured_cost);
+        assert_eq!((streamed.splices, streamed.drift_triggers), (0, 0));
+        assert!(streamed.analysis.is_none(), "analysis is opt-in");
+        assert!(streamed.stats.batches > 0);
         let snap = m.metrics_snapshot();
-        if m.obs().enabled() && cfg!(feature = "stream") {
+        if m.obs().enabled() {
             assert_eq!(snap.counter(names::EXEC_BATCHES), streamed.stats.batches);
-            assert!(streamed.stats.batches > 0);
         }
     }
 
@@ -1637,10 +1477,14 @@ mod tests {
         let m = Mediator::new(source);
         let mut got: Vec<csqp_relation::tuple::Tuple> = Vec::new();
         let out = m
-            .run_streamed_each(&q, &StreamConfig::serial(), &mut |b| {
-                got.extend(b.into_tuples());
-                true
-            })
+            .run_stream(
+                &q,
+                StreamOptions::plain(&StreamConfig::serial()),
+                Some(&mut |b| {
+                    got.extend(b.into_tuples());
+                    true
+                }),
+            )
             .unwrap();
         assert!(out.outcome.rows.is_empty(), "the sink consumed the answer");
         assert_eq!(Relation::from_tuples(want.schema().clone(), got), want);
@@ -1658,7 +1502,8 @@ mod tests {
         let full = Mediator::new(source.clone()).run(&q).unwrap().rows;
         assert!(full.len() > 1, "need more than one row for the limit to bite");
         let m = Mediator::new(source);
-        let limited = m.run_streamed(&q, &StreamConfig::serial().with_limit(1)).unwrap();
+        let cfg = StreamConfig::serial().with_limit(1);
+        let limited = m.run_stream(&q, StreamOptions::plain(&cfg), None).unwrap();
         assert_eq!(limited.outcome.rows.len(), 1);
         assert!(full.contains(&limited.outcome.rows.tuples()[0]));
     }
@@ -1677,9 +1522,11 @@ mod tests {
             .unwrap();
         let m = Mediator::new(source);
         let policy = RetryPolicy { max_retries: 20, ..Default::default() };
-        let (out, res) = m.run_streamed_resilient(&q, &policy, &StreamConfig::serial()).unwrap();
+        let options =
+            StreamOptions::Plain { stream: &StreamConfig::serial(), policy: Some(&policy) };
+        let out = m.run_stream(&q, options, None).unwrap();
         assert_eq!(out.outcome.rows, want, "answer exact despite the storm");
-        assert!(res.retries > 0, "seed 4 at p=0.5 injects faults");
+        assert!(out.resilience.retries > 0, "seed 4 at p=0.5 injects faults");
     }
 
     #[test]
@@ -1689,12 +1536,17 @@ mod tests {
         let q = TargetQuery::parse(EX11, &["isbn", "author", "title"]).unwrap();
         let want = Mediator::new(source.clone()).run(&q).unwrap().rows;
         let m = Mediator::new(source).with_cardinality(CardKind::Oracle);
-        let out = m.run_streamed_analyzed(&q, &StreamConfig::serial()).unwrap();
+        let out = m.run_stream(&q, StreamOptions::Analyzed(&StreamConfig::serial()), None).unwrap();
         assert_eq!(out.outcome.rows, want);
-        let text = out.explain();
+        let analysis = out.analysis.expect("an analyzed run reports its analysis");
+        let text = csqp_plan::exec_stream::explain_analyze_streamed(
+            &out.outcome.planned.plan,
+            &analysis,
+            &out.stats,
+        );
         assert!(text.contains("peak resident"), "{text}");
         assert_eq!(
-            out.analysis.subqueries.len(),
+            analysis.subqueries.len(),
             out.outcome.planned.plan.source_queries().len(),
             "no early termination: every source query observed"
         );
@@ -1749,7 +1601,8 @@ mod tests {
         let plain = Mediator::new(source.clone()).run(&q).unwrap();
         // The oracle estimator is exact, so the drift band never trips.
         let m = Mediator::new(source).with_cardinality(CardKind::Oracle);
-        let out = m.run_adaptive(&q, &AdaptiveConfig::default()).unwrap();
+        let out =
+            m.run_stream(&q, StreamOptions::Adaptive(&AdaptiveConfig::default()), None).unwrap();
         assert_eq!(out.outcome.rows, plain.rows, "adaptive execution is answer-preserving");
         assert_eq!(out.splices, 0, "exact estimates leave nothing to re-plan");
         assert_eq!(out.outcome.meter, plain.meter, "no splice: identical transfer");
@@ -1773,25 +1626,21 @@ mod tests {
             stream: StreamConfig::serial().with_batch_size(2),
             ..Default::default()
         };
-        let out = m.run_adaptive(&q, &cfg).unwrap();
+        let out = m.run_stream(&q, StreamOptions::Adaptive(&cfg), None).unwrap();
         assert_eq!(out.outcome.rows, want, "splicing never changes the answer set");
-        if cfg!(all(feature = "stream", feature = "adaptive")) {
-            assert!(out.drift_triggers >= 1, "the a^b leaf exits the [½,2]× band");
-            assert!(out.splices >= 1, "floored re-plan switches to the c form");
-            let snap = m.metrics_snapshot();
-            if m.obs().enabled() {
-                assert_eq!(snap.counter(names::REPLAN_SPLICES), out.splices);
-                assert!(snap.counter(names::REPLAN_DRIFT_TRIGGERS) >= out.drift_triggers);
-                let why = m.explain_why();
-                assert!(why.contains("[replan] drift"), "EXPLAIN WHY renders the splice:\n{why}");
-            }
-        } else {
-            assert_eq!(out.splices, 0, "fallback path never consults the controller");
+        assert!(out.drift_triggers >= 1, "the a^b leaf exits the [½,2]× band");
+        assert!(out.splices >= 1, "floored re-plan switches to the c form");
+        let snap = m.metrics_snapshot();
+        if m.obs().enabled() {
+            assert_eq!(snap.counter(names::REPLAN_SPLICES), out.splices);
+            assert!(snap.counter(names::REPLAN_DRIFT_TRIGGERS) >= out.drift_triggers);
+            let why = m.explain_why();
+            assert!(why.contains("[replan] drift"), "EXPLAIN WHY renders the splice:\n{why}");
         }
         // Determinism: a second identical run takes the same decisions.
         let m2 = Mediator::new(drifty_source())
             .with_cardinality(CardKind::Uniform { atom_selectivity: 0.05 });
-        let out2 = m2.run_adaptive(&q, &cfg).unwrap();
+        let out2 = m2.run_stream(&q, StreamOptions::Adaptive(&cfg), None).unwrap();
         assert_eq!(out2.outcome.rows, want);
         assert_eq!(out2.splices, out.splices);
         assert_eq!(out2.drift_triggers, out.drift_triggers);
@@ -1811,10 +1660,14 @@ mod tests {
         };
         let mut got: Vec<csqp_relation::tuple::Tuple> = Vec::new();
         let out = m
-            .run_adaptive_each(&q, &cfg, &mut |b| {
-                got.extend(b.into_tuples());
-                true
-            })
+            .run_stream(
+                &q,
+                StreamOptions::Adaptive(&cfg),
+                Some(&mut |b| {
+                    got.extend(b.into_tuples());
+                    true
+                }),
+            )
             .unwrap();
         assert!(out.outcome.rows.is_empty(), "the sink consumed the answer");
         assert_eq!(Relation::from_tuples(want.schema().clone(), got), want);
@@ -1833,8 +1686,9 @@ mod tests {
             .with_calibration(cal.clone());
         let q1 = TargetQuery::parse("a = 1 ^ b = 1 ^ c = 1", &["k"]).unwrap();
         let q2 = TargetQuery::parse("c = 1", &["k"]).unwrap();
-        m.run_adaptive(&q1, &AdaptiveConfig::default()).unwrap();
-        m.run_adaptive(&q2, &AdaptiveConfig::default()).unwrap();
+        for q in [&q1, &q2] {
+            m.run_stream(q, StreamOptions::Adaptive(&AdaptiveConfig::default()), None).unwrap();
+        }
         assert_eq!(cal.samples(), 2, "every finished adaptive run feeds the fit");
         let (k1, k2) = cal.fitted().expect("two independent runs pin the constants");
         assert!((k1 - 10.0).abs() < 1e-6, "k1 converged: {k1}");
@@ -1854,8 +1708,6 @@ mod tests {
         let (fp, streamed, stats) = fed.run_streamed(&q, &StreamConfig::serial()).unwrap();
         assert_eq!(streamed.rows, plain.rows, "federation streaming is execution-only");
         assert_eq!(fp.planned.plan, plain.planned.plan, "same chosen member plan");
-        if cfg!(feature = "stream") {
-            assert!(stats.batches > 0);
-        }
+        assert!(stats.batches > 0);
     }
 }

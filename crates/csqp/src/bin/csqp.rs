@@ -12,7 +12,7 @@
 //! `--explain` prints the plan tree and search statistics.
 
 use csqp::core::federation::{CircuitBreakerConfig, Federation, MemberEvent};
-use csqp::core::mediator::{Mediator, MediatorError, Scheme};
+use csqp::core::mediator::{Mediator, MediatorError, Scheme, StreamOptions};
 use csqp::core::types::TargetQuery;
 use csqp::plan::analyze::explain_analyze;
 use csqp::plan::exec::RetryPolicy;
@@ -601,12 +601,14 @@ fn main() -> ExitCode {
         let stream_cfg = args.limit.map(|n| StreamConfig::default().with_limit(n));
         match match (args.explain == ExplainMode::Plan, &stream_cfg) {
             (true, Some(cfg)) => mediator
-                .run_streamed_analyzed(&query, cfg)
-                .map(|a| (a.outcome, Some((a.analysis, Some(a.stats))))),
+                .run_stream(&query, StreamOptions::Analyzed(cfg), None)
+                .map(|s| (s.outcome, s.analysis.map(|a| (a, Some(s.stats))))),
             (true, None) => {
                 mediator.run_analyzed(&query).map(|a| (a.outcome, Some((a.analysis, None))))
             }
-            (false, Some(cfg)) => mediator.run_streamed(&query, cfg).map(|o| (o.outcome, None)),
+            (false, Some(cfg)) => mediator
+                .run_stream(&query, StreamOptions::plain(cfg), None)
+                .map(|s| (s.outcome, None)),
             (false, None) => mediator.run(&query).map(|o| (o, None)),
         } {
             Ok((out, analysis)) => {

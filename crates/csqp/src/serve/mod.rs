@@ -94,7 +94,7 @@ pub struct ServeConfig {
     /// Serve queries through the adaptive executor: mid-query cardinality
     /// drift pauses the pipeline and splices in a re-planned residual
     /// (answers stay set-identical; the trailer reports the splice count).
-    /// On by default; a no-op in builds without the `adaptive` feature.
+    /// On by default; off serves the plain streaming pipeline.
     pub adaptive: bool,
     /// How many worst-latency query profiles the tail-sampling ring keeps
     /// resident for `/profile` post-mortems.

@@ -4,7 +4,7 @@
 
 use super::admission::Admit;
 use super::{Server, SlowQuery};
-use csqp_core::mediator::{AdaptiveConfig, MediatorError};
+use csqp_core::mediator::{AdaptiveConfig, MediatorError, StreamOptions};
 use csqp_core::types::TargetQuery;
 use csqp_obs::{names, AuditRecord, LatencyKey, Obs, QueryProfile};
 use csqp_plan::exec_stream::StreamConfig;
@@ -127,21 +127,16 @@ impl Server {
         // off the estimates; the answer stays set-identical and the splice
         // count lands in the trailer. Either way the *prepared* plan is
         // what executes — the winner's mediator never re-plans up front.
-        let run = if self.cfg.adaptive {
-            let acfg = AdaptiveConfig { stream: cfg, ..Default::default() };
-            self.mediators[winner]
-                .run_adaptive_each_planned(&query, prepared.planned, &acfg, &mut batch_sink)
-                .map(|out| {
-                    let (splices, drift) = (out.splices, out.drift_triggers);
-                    (out.outcome, splices, drift)
-                })
+        let acfg = AdaptiveConfig { stream: cfg, ..Default::default() };
+        let options = if self.cfg.adaptive {
+            StreamOptions::Adaptive(&acfg)
         } else {
-            self.mediators[winner]
-                .run_streamed_each_planned(prepared.planned, &cfg, &mut batch_sink)
-                .map(|out| (out.outcome, 0, 0))
+            StreamOptions::plain(&acfg.stream)
         };
+        let run =
+            self.mediators[winner].run_stream(prepared.planned, options, Some(&mut batch_sink));
         let (out, replans, drift_triggers) = match run {
-            Ok(v) => v,
+            Ok(run) => (run.outcome, run.splices, run.drift_triggers),
             Err(e) => {
                 // The failure is the winner's: tap its error counter, leave
                 // an audit record, and still close the telemetry window.
@@ -187,6 +182,9 @@ impl Server {
             ticks: self.obs.tracer.tick().saturating_sub(tick0),
         };
         let breaker_states = self.federation.breaker_states();
+        // This query's own flight, by id: under several workers the
+        // recorder's latest flight is whichever query planned last.
+        let flight = self.flight.record(flight_id);
         if latency_us >= self.cfg.slow_ms.saturating_mul(1000) {
             self.obs.metrics.inc(names::SERVE_SLOW_QUERIES);
             let mut slow_log = self.slow_log.lock().expect("slow log lock");
@@ -196,7 +194,7 @@ impl Server {
             slow_log.push_back(SlowQuery {
                 latency,
                 query: query.to_string(),
-                why: self.federation.explain_why(),
+                why: csqp_plan::why::explain_why(flight.as_ref()),
             });
         }
         // Cut the query's metrics delta once: the profile keeps it, and the
@@ -224,9 +222,7 @@ impl Server {
                 .collect(),
             cardinalities: Vec::new(),
             spans: self.obs.tracer.spans_from(span_mark),
-            flight: self
-                .flight
-                .record(flight_id)
+            flight: flight
                 .map(|r| r.events.iter().map(|e| e.to_string()).collect())
                 .unwrap_or_default(),
             metrics: delta.clone(),
@@ -241,8 +237,8 @@ impl Server {
                 (names::MEMBER_SPLICES_PREFIX, replans),
                 (names::MEMBER_DRIFT_PREFIX, drift_triggers),
                 (names::BREAKER_OPENED_PREFIX, delta.counter(names::BREAKER_OPENED)),
-                (names::MEMBER_EST_COST_MILLI_PREFIX, to_milli(out.planned.est_cost)),
-                (names::MEMBER_OBS_COST_MILLI_PREFIX, to_milli(out.measured_cost)),
+                (names::MEMBER_EST_COST_MILLI_PREFIX, names::to_milli(out.planned.est_cost)),
+                (names::MEMBER_OBS_COST_MILLI_PREFIX, names::to_milli(out.measured_cost)),
             ] {
                 if v > 0 {
                     self.obs.metrics.add(&format!("{prefix}{member_name}"), v);
@@ -315,11 +311,4 @@ impl Server {
         timeseries.roll(now, ticks, Some(wall_us));
         self.obs.metrics.gauge_set(names::TIMESERIES_WINDOWS, timeseries.len() as f64);
     }
-}
-
-/// Cost units are fractional; the per-member counters keep them as integral
-/// milli-units so the registry stays u64 (same convention as the
-/// federation-side taps).
-fn to_milli(cost: f64) -> u64 {
-    (cost * 1000.0).round() as u64
 }

@@ -152,6 +152,16 @@ pub const MEMBER_EST_COST_MILLI_PREFIX: &str = "member.est_cost_milli.";
 /// Σ observed cost of a member's executions, in cost millis:
 /// `member.observed_cost_milli.<member>`.
 pub const MEMBER_OBS_COST_MILLI_PREFIX: &str = "member.observed_cost_milli.";
+/// Cost-to-counter conversion for the `member.*_cost_milli.*` taps: cost
+/// units are fractional, the counters keep them as integral millis. A
+/// non-finite or negative cost counts as 0.
+pub fn to_milli(cost: f64) -> u64 {
+    if cost.is_finite() && cost > 0.0 {
+        (cost * 1000.0).round() as u64
+    } else {
+        0
+    }
+}
 /// Breaker open transitions per member: `member.breaker_opened.<member>`
 /// (the member-attributed sibling of the aggregate `breaker.opened`; named
 /// under `member.` so its Prometheus family never collides with the

@@ -191,13 +191,7 @@ pub fn execute_analyzed(
     let before = source.meter();
     let mut analysis = PlanAnalysis::default();
     let rows = run(plan, source, model, card, &mut analysis)?;
-    let after = source.meter();
-    let meter = Meter {
-        queries: after.queries - before.queries,
-        tuples_shipped: after.tuples_shipped - before.tuples_shipped,
-        rejected: after.rejected - before.rejected,
-    };
-    Ok((rows, meter, analysis))
+    Ok((rows, source.meter().since(&before), analysis))
 }
 
 /// Re-renders the [`explain`](crate::explain::explain) tree with each

@@ -117,15 +117,7 @@ pub fn execute(plan: &Plan, source: &Source) -> Result<Relation, ExecError> {
 pub fn execute_measured(plan: &Plan, source: &Source) -> Result<(Relation, Meter), ExecError> {
     let before = source.meter();
     let result = execute(plan, source)?;
-    let after = source.meter();
-    Ok((
-        result,
-        Meter {
-            queries: after.queries - before.queries,
-            tuples_shipped: after.tuples_shipped - before.tuples_shipped,
-            rejected: after.rejected - before.rejected,
-        },
-    ))
+    Ok((result, source.meter().since(&before)))
 }
 
 /// Retry/backoff policy for [`execute_resilient`].
@@ -313,15 +305,7 @@ pub fn execute_resilient(
     let outcome = execute_with_ctx(plan, source, &mut ctx);
     res.absorb(&ctx.res);
     let rows = outcome?;
-    let after = source.meter();
-    Ok((
-        rows,
-        Meter {
-            queries: after.queries - before.queries,
-            tuples_shipped: after.tuples_shipped - before.tuples_shipped,
-            rejected: after.rejected - before.rejected,
-        },
-    ))
+    Ok((rows, source.meter().since(&before)))
 }
 
 #[cfg(test)]

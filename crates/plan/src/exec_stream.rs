@@ -18,16 +18,20 @@
 //! - **Early termination** — a row [`StreamConfig::limit`] stops the
 //!   pipeline as soon as enough answer tuples exist; dropped receivers
 //!   unwind producers, and sources stop shipping.
-//! - **Per-batch resilience** — [`execute_stream_resilient`] retries only
+//! - **Per-batch resilience** — a [`Retry`] on the request retries only
 //!   the faulted batch pull (the source stream keeps its scan cursor), so a
 //!   mid-stream fault never re-ships or re-fetches earlier batches.
+//!
+//! There is one entry point, [`execute_stream`]; how a run executes —
+//! retries, per-leaf analysis, adaptive re-planning, tracing — is a
+//! property of its [`StreamRequest`] value, not of which function was
+//! called. [`execute_stream_collect`] is the same run with the sink that
+//! accumulates a [`Relation`].
 //!
 //! The materialized executor remains the differential oracle: a drained
 //! stream returns a set-equal relation and (fault-free) identical meter
 //! deltas; `crates/plan/tests/stream_differential.rs` enforces this over
-//! randomized plans and workloads. With the `stream` feature disabled every
-//! entry point here delegates to the materialized executor behind the same
-//! signatures (whole-relation memory profile, zero new code paths).
+//! randomized plans, workloads and the request-mode matrix.
 
 use crate::analyze::PlanAnalysis;
 use crate::cost::Cardinality;
@@ -35,9 +39,10 @@ use crate::exec::{ExecError, RetryPolicy};
 use crate::model::CostModel;
 use crate::plan::Plan;
 use csqp_expr::CondTree;
+use csqp_relation::schema::Schema;
 use csqp_relation::stream::{TupleBatch, DEFAULT_BATCH_SIZE};
 use csqp_relation::Relation;
-use csqp_source::{Meter, ResilienceMeter, Source};
+use csqp_source::{ResilienceMeter, Source};
 use std::sync::Arc;
 
 /// Knobs for one streaming execution.
@@ -49,8 +54,8 @@ pub struct StreamConfig {
     /// the pipeline.
     pub limit: Option<u64>,
     /// Overlap sibling Intersect/Union children on scoped threads. Only
-    /// effective with the `parallel` feature; forced off on the resilient
-    /// and analyzed paths, which are serial by construction.
+    /// effective with the `parallel` feature; forced off by retries,
+    /// analysis and adaptive re-planning, which are serial by construction.
     pub overlap: bool,
 }
 
@@ -111,10 +116,6 @@ impl StreamStats {
 }
 
 // ---- mid-query adaptive re-planning: controller-facing types ----
-//
-// These types (and the `ReplanController` trait) are compiled in every
-// feature combination so callers can hold controllers unconditionally; the
-// engine only consults them when both `stream` and `adaptive` are on.
 
 /// Progress of one opened source-query leaf, as exposed to a
 /// [`ReplanController`] at batch boundaries and on leaf failure. Leaves are
@@ -251,28 +252,6 @@ pub fn plan_condition(plan: &Plan) -> Option<CondTree> {
     }
 }
 
-/// Truncates a relation to its first `limit` tuples (insertion order) — the
-/// materialized fallback's limit semantics.
-#[cfg(not(feature = "stream"))]
-fn truncate(rel: Relation, limit: Option<u64>) -> Relation {
-    match limit {
-        Some(n) if (rel.len() as u64) > n => {
-            let schema = rel.schema().clone();
-            Relation::from_tuples(schema, rel.into_tuples().into_iter().take(n as usize))
-        }
-        _ => rel,
-    }
-}
-
-fn meter_delta(before: Meter, after: Meter) -> Meter {
-    Meter {
-        queries: after.queries - before.queries,
-        tuples_shipped: after.tuples_shipped - before.tuples_shipped,
-        rejected: after.rejected - before.rejected,
-    }
-}
-
-#[cfg(feature = "stream")]
 mod engine {
     use super::*;
     use crate::analyze::SubQueryObs;
@@ -345,7 +324,6 @@ mod engine {
 
     /// Per-leaf progress shared between the adaptive segment driver and the
     /// pipeline's leaf nodes (filled at leaf open, updated per pull).
-    #[cfg(feature = "adaptive")]
     #[derive(Default)]
     pub(super) struct AdaptiveTrack {
         pub(super) leaves: Vec<LeafProgress>,
@@ -357,7 +335,6 @@ mod engine {
     pub(super) struct Extras<'a, 'b> {
         pub(super) resilient: Option<&'a mut ResilientCtx<'b>>,
         pub(super) analyzed: Option<&'a mut AnalyzedState<'b>>,
-        #[cfg(feature = "adaptive")]
         pub(super) adaptive: Option<&'a mut AdaptiveTrack>,
         /// Span sink for leaf-open and per-batch spans. Overlap producers
         /// always run with `None`: spans are recorded only at sequential
@@ -367,13 +344,7 @@ mod engine {
 
     impl<'a> Extras<'a, '_> {
         pub(super) fn none() -> Extras<'static, 'static> {
-            Extras {
-                resilient: None,
-                analyzed: None,
-                #[cfg(feature = "adaptive")]
-                adaptive: None,
-                tracer: None,
-            }
+            Extras { resilient: None, analyzed: None, adaptive: None, tracer: None }
         }
 
         /// The tracer, when present *and* enabled — callers format span
@@ -505,20 +476,12 @@ mod engine {
             }
         }
 
-        /// Is this operator's output already duplicate-free? (Leaves dedup
-        /// their projection, set operators carry sketches; only a lossy
-        /// Local projection can emit duplicates.)
-        pub(super) fn dedup_free(&self) -> bool {
-            !matches!(self, Node::Local { .. })
-        }
-
         /// Takes this operator's own dedup sketch, when it keeps one
         /// (union and intersect roots). The sketch holds every tuple the
         /// operator has passed, so on an adaptive segment exit it *is* the
         /// segment's emitted set — stealing it costs nothing, where
         /// re-inserting each emitted tuple into a parallel persistent
         /// sketch would have doubled the per-tuple dedup work.
-        #[cfg(feature = "adaptive")]
         pub(super) fn take_sketch(&mut self) -> Option<DedupSketch> {
             match self {
                 Node::Inter { sketch, .. }
@@ -529,7 +492,6 @@ mod engine {
         }
 
         /// For a union root: index of the first child not fully drained.
-        #[cfg(feature = "adaptive")]
         pub(super) fn union_progress(&self) -> Option<usize> {
             match self {
                 Node::UnionSerial { current, .. } | Node::UnionOverlap { current, .. } => {
@@ -567,7 +529,6 @@ mod engine {
                             }
                         }
                     }
-                    #[cfg(feature = "adaptive")]
                     if let Some(track) = &mut extras.adaptive {
                         if let Some(lp) = track.leaves.get_mut(*idx) {
                             match &pulled {
@@ -747,7 +708,6 @@ mod engine {
                         observed_cost: a.model.source_query_cost(cond.as_ref(), attrs.len(), 0.0),
                     });
                 }
-                #[cfg(feature = "adaptive")]
                 if let Some(track) = &mut extras.adaptive {
                     debug_assert_eq!(track.leaves.len(), idx, "leaf open order is pre-order");
                     track.leaves.push(LeafProgress {
@@ -858,88 +818,7 @@ mod engine {
         }
     }
 
-    /// Drives an open pipeline to completion (or to `limit`), applying
-    /// root-level dedup when the root operator can emit duplicates, and
-    /// handing each non-empty answer batch to `sink` (return `false` to
-    /// stop early). Returns rows emitted.
-    pub(super) fn drive(
-        root: &mut Node<'_>,
-        account: &Account,
-        extras: &mut Extras<'_, '_>,
-        limit: Option<u64>,
-        sink: &mut dyn FnMut(TupleBatch) -> bool,
-    ) -> Result<u64, ExecError> {
-        let mut sketch = if root.dedup_free() { None } else { Some(DedupSketch::new()) };
-        let mut emitted = 0u64;
-        let mut batch_no = 0u64;
-        loop {
-            if limit.is_some_and(|l| emitted >= l) {
-                break;
-            }
-            // One span per answer-batch pull, capped so a long drain cannot
-            // balloon the trace — after the cap the pipeline runs unspanned.
-            let batch_span = (batch_no < MAX_BATCH_SPANS)
-                .then(|| extras.live_tracer().map(|t| t.span(&format!("batch {batch_no}"))))
-                .flatten();
-            let pulled = root.next(account, extras);
-            drop(batch_span);
-            batch_no += 1;
-            match pulled? {
-                None => break,
-                Some(b) => {
-                    let n = b.len();
-                    let schema = b.schema().clone();
-                    let mut tuples = b.into_tuples();
-                    if let Some(sk) = &mut sketch {
-                        tuples.retain(|t| sk.insert(t));
-                    }
-                    if let Some(l) = limit {
-                        let remaining = (l - emitted) as usize;
-                        if tuples.len() > remaining {
-                            tuples.truncate(remaining);
-                        }
-                    }
-                    account.release(n);
-                    emitted += tuples.len() as u64;
-                    if !tuples.is_empty() && !sink(TupleBatch::new(schema, tuples)) {
-                        break;
-                    }
-                }
-            }
-        }
-        Ok(emitted)
-    }
-
-    /// Full run: open, drive, account. The single entry the public API
-    /// wraps. `extras` carrying resilience/analysis state forces the serial
-    /// path regardless of `cfg.overlap`.
-    pub(super) fn run(
-        plan: &Plan,
-        source: &Source,
-        cfg: &StreamConfig,
-        extras: &mut Extras<'_, '_>,
-        sink: &mut dyn FnMut(TupleBatch) -> bool,
-    ) -> Result<(u64, StreamStats), ExecError> {
-        let serial_only = extras.resilient.is_some() || extras.analyzed.is_some();
-        let overlap = cfg.overlap && cfg!(feature = "parallel") && !serial_only;
-        let account = Account::default();
-        let mut next_leaf = 0usize;
-        let emitted = if overlap {
-            std::thread::scope(|s| {
-                let mut root = build(plan, source, cfg, Some(s), &account, &mut next_leaf, extras)?;
-                // Dropping `root` on any exit unwinds producers (their
-                // sends fail once the receivers are gone).
-                drive(&mut root, &account, extras, cfg.limit, sink)
-            })?
-        } else {
-            let mut root = build(plan, source, cfg, None, &account, &mut next_leaf, extras)?;
-            drive(&mut root, &account, extras, cfg.limit, sink)?
-        };
-        Ok((emitted, account.stats()))
-    }
-
-    /// How an adaptive pipeline segment ended.
-    #[cfg(feature = "adaptive")]
+    /// How a pipeline segment ended.
     pub(super) enum SegmentEnd {
         /// Drained (or limit hit, or the sink stopped the run).
         Done,
@@ -950,44 +829,63 @@ mod engine {
     /// Hard cap on splices per adaptive run — a backstop against a
     /// controller that keeps re-planning without converging. Once hit the
     /// run stops consulting the controller and drains the current plan.
-    #[cfg(feature = "adaptive")]
     pub(super) const MAX_SPLICES: u64 = 16;
 
-    #[cfg(feature = "adaptive")]
+    /// What a run carries from one pipeline segment to the next.
+    #[derive(Default)]
+    pub(super) struct Carried {
+        /// Every tuple emitted by the segments that already ended, so a
+        /// spliced plan re-covering drained ground emits nothing twice.
+        emitted_sketch: DedupSketch,
+        /// Answer rows handed to the sink so far.
+        pub(super) emitted: u64,
+        /// Stats accumulated over the segments that already ended.
+        pub(super) total: StreamStats,
+        /// The answer schema (the first segment's root schema).
+        pub(super) schema: Option<Arc<Schema>>,
+    }
+
+    /// Opens the pipeline for `plan` and drives it to completion (or to
+    /// the row limit), handing each non-empty, deduplicated answer batch to
+    /// `sink` (return `false` to stop early) and, with a `controller`,
+    /// pausing after every emitted batch to ask it for a splice. `scope`
+    /// selects overlap mode (see [`build`]).
     #[allow(clippy::too_many_arguments)]
-    fn segment_inner(
+    fn drive<'env, 's>(
         plan: &Plan,
-        source: &Source,
+        source: &'env Source,
         cfg: &StreamConfig,
-        account: &Account,
-        controller: &mut dyn ReplanController,
-        allow_splice: bool,
-        emitted_sketch: &mut DedupSketch,
-        emitted: &mut u64,
-        base_batches: u64,
+        scope: Option<&'s Scope<'s, 'env>>,
+        account: &'env Account,
+        mut controller: Option<&mut (dyn ReplanController + '_)>,
+        carried: &mut Carried,
         extras: &mut Extras<'_, '_>,
         sink: &mut dyn FnMut(TupleBatch) -> bool,
     ) -> Result<SegmentEnd, ExecError> {
-        let mut next_leaf = 0usize;
-        let mut root = build(plan, source, cfg, None, account, &mut next_leaf, extras)?;
+        let limit = cfg.limit;
+        // Dropping `root` on any exit unwinds overlap producers (their
+        // sends fail once the receivers are gone).
+        let mut root = build(plan, source, cfg, scope, account, &mut 0, extras)?;
+        carried.schema.get_or_insert_with(|| root.schema().clone());
         // A union/intersect root already dedups everything it emits through
-        // its own sketch, which we steal on any exit that can lead to a
-        // further segment — so while the segment runs, the persistent
-        // sketch is only *consulted* (and only once a splice has actually
-        // happened). Leaf and Local roots have no sketch to steal and pay
-        // the explicit insert: for Local that matches the plain path's
-        // root dedup, for a bare Leaf it is the price of splice-readiness.
-        let self_dedups = matches!(
-            root,
-            Node::Inter { .. } | Node::UnionSerial { .. } | Node::UnionOverlap { .. }
-        );
+        // its own sketch, which is stolen on any exit that can lead to a
+        // further segment — so while the segment runs, the carried sketch
+        // is only *consulted* (and only once a splice has actually
+        // happened). A Local root can emit duplicates and always pays the
+        // explicit insert; a bare Leaf pays it on adaptive runs only — the
+        // price of splice-readiness.
+        let inserts = match root {
+            Node::Local { .. } => true,
+            Node::Leaf { .. } => extras.adaptive.is_some(),
+            Node::Inter { .. } | Node::UnionSerial { .. } | Node::UnionOverlap { .. } => false,
+        };
         let mut batch_no = 0u64;
         loop {
-            if cfg.limit.is_some_and(|l| *emitted >= l) {
+            if limit.is_some_and(|l| carried.emitted >= l) {
                 return Ok(SegmentEnd::Done);
             }
-            // Same capped per-batch spans as `drive` — the adaptive path
-            // must not trace differently from the plain serial path.
+            // One span per answer-batch pull, capped so a long drain cannot
+            // balloon the trace — after the cap the pipeline runs unspanned.
             let batch_span = (batch_no < MAX_BATCH_SPANS)
                 .then(|| extras.live_tracer().map(|t| t.span(&format!("batch {batch_no}"))))
                 .flatten();
@@ -1001,571 +899,284 @@ mod engine {
                     // survive into whatever segment a controller splices
                     // in next, or recovered ground would re-emit.
                     if let Some(s) = root.take_sketch() {
-                        emitted_sketch.absorb(s);
+                        carried.emitted_sketch.absorb(s);
                     }
                     return Err(e);
                 }
             };
-            match pulled {
-                None => return Ok(SegmentEnd::Done),
-                Some(b) => {
-                    let n = b.len();
-                    let schema = b.schema().clone();
-                    let mut tuples = b.into_tuples();
-                    // Keep the emitted set identical to a non-adaptive run
-                    // of the original plan: a spliced plan re-covering
-                    // already-drained ground must emit nothing twice.
-                    if self_dedups {
-                        if !emitted_sketch.is_empty() {
-                            tuples.retain(|t| !emitted_sketch.contains(t));
-                        }
-                    } else {
-                        tuples.retain(|t| emitted_sketch.insert(t));
-                    }
-                    if let Some(l) = cfg.limit {
-                        let remaining = (l - *emitted) as usize;
-                        if tuples.len() > remaining {
-                            tuples.truncate(remaining);
-                        }
-                    }
-                    account.release(n);
-                    *emitted += tuples.len() as u64;
-                    if !tuples.is_empty() && !sink(TupleBatch::new(schema, tuples)) {
-                        return Ok(SegmentEnd::Done);
-                    }
-                    if !allow_splice {
-                        continue;
-                    }
-                    // Pause point: the pipeline is at a batch boundary with
-                    // no borrows in flight — consult the controller.
-                    let progress = root.union_progress();
-                    let track = extras.adaptive.as_deref().expect("adaptive track present");
-                    let probe = ReplanProbe {
-                        plan,
-                        union_progress: progress,
-                        leaves: &track.leaves,
-                        batches: base_batches + account.stats().batches,
-                        emitted: *emitted,
-                    };
-                    if let Some(action) = controller.on_batch(&probe) {
-                        if let Some(s) = root.take_sketch() {
-                            emitted_sketch.absorb(s);
-                        }
-                        return Ok(SegmentEnd::Spliced(action));
-                    }
+            let Some(b) = pulled else { return Ok(SegmentEnd::Done) };
+            let n = b.len();
+            let schema = b.schema().clone();
+            let mut tuples = b.into_tuples();
+            if inserts {
+                tuples.retain(|t| carried.emitted_sketch.insert(t));
+            } else if !carried.emitted_sketch.is_empty() {
+                tuples.retain(|t| !carried.emitted_sketch.contains(t));
+            }
+            if let Some(l) = limit {
+                tuples.truncate((l - carried.emitted) as usize);
+            }
+            account.release(n);
+            carried.emitted += tuples.len() as u64;
+            if !tuples.is_empty() && !sink(TupleBatch::new(schema, tuples)) {
+                return Ok(SegmentEnd::Done);
+            }
+            let Some(controller) = controller.as_deref_mut() else { continue };
+            // Pause point: the pipeline is at a batch boundary with no
+            // borrows in flight — consult the controller.
+            let track = extras.adaptive.as_deref().expect("a controller implies leaf tracking");
+            let probe = ReplanProbe {
+                plan,
+                union_progress: root.union_progress(),
+                leaves: &track.leaves,
+                batches: carried.total.batches + account.stats().batches,
+                emitted: carried.emitted,
+            };
+            if let Some(action) = controller.on_batch(&probe) {
+                if let Some(s) = root.take_sketch() {
+                    carried.emitted_sketch.absorb(s);
                 }
+                return Ok(SegmentEnd::Spliced(action));
             }
         }
     }
 
-    /// Runs one adaptive pipeline segment: build, drive with per-batch
-    /// controller consultation, absorb stats and resilience counters on
-    /// every exit path. Leaf progress lands in `track` so the caller can
-    /// still probe the controller after a terminal leaf error.
-    #[cfg(feature = "adaptive")]
+    /// Runs one pipeline segment: open, drive, and absorb stats and
+    /// resilience counters on every exit path. `retry`, `analyzed` and
+    /// `track` are the run's modes, read once here — the per-batch path
+    /// only sees the [`Extras`] they turn into. Leaf progress lands in
+    /// `track` so the caller can still probe the controller after a
+    /// terminal leaf error.
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn run_segment(
+    pub(super) fn run_segment<'m>(
         plan: &Plan,
         source: &Source,
         cfg: &StreamConfig,
-        policy: Option<&RetryPolicy>,
-        res: &mut ResilienceMeter,
-        controller: &mut dyn ReplanController,
-        allow_splice: bool,
-        emitted_sketch: &mut DedupSketch,
-        emitted: &mut u64,
-        total: &mut StreamStats,
-        track: &mut AdaptiveTrack,
+        overlap: bool,
+        retry: Option<&mut Retry<'m>>,
+        analyzed: Option<&mut AnalyzedState<'m>>,
+        controller: Option<&mut (dyn ReplanController + '_)>,
+        mut track: Option<&mut AdaptiveTrack>,
+        carried: &mut Carried,
         tracer: Option<&csqp_obs::Tracer>,
         sink: &mut dyn FnMut(TupleBatch) -> bool,
     ) -> Result<SegmentEnd, ExecError> {
-        track.leaves.clear();
+        if let Some(t) = track.as_deref_mut() {
+            t.leaves.clear();
+        }
         let account = Account::default();
-        let base_batches = total.batches;
-        let mut ctx = policy.map(ResilientCtx::new);
-        let outcome = {
-            let mut extras =
-                Extras { resilient: ctx.as_mut(), analyzed: None, adaptive: Some(track), tracer };
-            segment_inner(
-                plan,
-                source,
-                cfg,
-                &account,
-                controller,
-                allow_splice,
-                emitted_sketch,
-                emitted,
-                base_batches,
-                &mut extras,
-                sink,
-            )
+        let mut ctx = retry.as_deref().map(|r| ResilientCtx::new(r.policy));
+        let mut extras = Extras { resilient: ctx.as_mut(), analyzed, adaptive: track, tracer };
+        let outcome = if overlap {
+            std::thread::scope(|s| {
+                drive(plan, source, cfg, Some(s), &account, controller, carried, &mut extras, sink)
+            })
+        } else {
+            drive(plan, source, cfg, None, &account, controller, carried, &mut extras, sink)
         };
-        if let Some(c) = &ctx {
-            res.absorb(&c.res);
+        if let (Some(r), Some(c)) = (retry, &ctx) {
+            r.meter.absorb(&c.res);
         }
         let s = account.stats();
-        total.batches += s.batches;
-        total.peak_resident_tuples = total.peak_resident_tuples.max(s.peak_resident_tuples);
-        total.overlap_ticks += s.overlap_ticks;
+        carried.total.batches += s.batches;
+        carried.total.peak_resident_tuples =
+            carried.total.peak_resident_tuples.max(s.peak_resident_tuples);
+        carried.total.overlap_ticks += s.overlap_ticks;
         outcome
     }
 }
 
-/// Fallback schema for empty streaming results: the plan's output attrs
-/// projected out of the source schema (what every leaf batch carries).
-fn output_schema(
-    plan: &Plan,
-    source: &Source,
-) -> Result<std::sync::Arc<csqp_relation::Schema>, ExecError> {
-    let attrs: Vec<&str> = plan.output_attrs().iter().map(String::as_str).collect();
-    source.relation().schema().project(&attrs).map_err(|e| ExecError::Schema(e.to_string()))
+/// Per-batch retries for one run: a mid-stream fault repeats only the
+/// failed round-trip (the source stream keeps its scan cursor), under the
+/// same backoff/deadline policy as
+/// [`execute_resilient`](crate::exec::execute_resilient).
+#[derive(Debug)]
+pub struct Retry<'a> {
+    /// Backoff, retry cap and deadline budget.
+    pub policy: &'a RetryPolicy,
+    /// Retry/fault counters accumulate here, on success and failure alike.
+    pub meter: &'a mut ResilienceMeter,
+}
+
+/// What a streaming run does besides producing the answer. The variants
+/// exclude each other: analysis slots index the *original* plan's leaves,
+/// which a controller's splice would invalidate.
+pub enum StreamMode<'a> {
+    /// Just the answer.
+    Plain,
+    /// Record estimated-vs-observed numbers per source query, like
+    /// [`execute_analyzed`](crate::analyze::execute_analyzed). Source
+    /// queries the run never opened (early termination) are absent from the
+    /// analysis and render as `[not executed]`.
+    Analyzed {
+        /// Prices the estimated and the observed rows.
+        model: &'a dyn CostModel,
+        /// Estimates each source query's rows.
+        card: &'a dyn Cardinality,
+    },
+    /// After every emitted batch (and on terminal leaf failure) the
+    /// controller may pause the pipeline and splice a re-planned residual
+    /// sub-plan — possibly against a different source — into the run. A
+    /// dedup sketch spanning all segments keeps the emitted set identical
+    /// to a non-adaptive run of the original plan.
+    Adaptive(&'a mut dyn ReplanController),
+}
+
+/// One streaming execution, as a value: the public form of the engine's
+/// per-run state. Retries, analysis and adaptive re-planning make a run
+/// serial regardless of [`StreamConfig::overlap`].
+pub struct StreamRequest<'a> {
+    /// Batch size, row limit, overlap.
+    pub config: &'a StreamConfig,
+    /// Per-batch retries; `None` makes any leaf fault terminal (or, on
+    /// adaptive runs, the controller's to recover).
+    pub retry: Option<Retry<'a>>,
+    /// Plain, analyzed or adaptive.
+    pub mode: StreamMode<'a>,
+    /// Records leaf-open and per-batch spans (plus one `segment N` span per
+    /// pipeline segment on adaptive runs) for query profiles. Spans are
+    /// recorded only at sequential program points (overlap producers stay
+    /// unspanned), so traces are deterministic for a given request.
+    pub tracer: Option<&'a csqp_obs::Tracer>,
+}
+
+impl<'a> StreamRequest<'a> {
+    /// A plain run: no retries, no analysis, no controller, no tracer.
+    pub fn new(config: &'a StreamConfig) -> Self {
+        StreamRequest { config, retry: None, mode: StreamMode::Plain, tracer: None }
+    }
+}
+
+/// What one [`execute_stream`] run did.
+#[derive(Debug)]
+pub struct StreamRun {
+    /// Answer rows handed to the sink.
+    pub emitted: u64,
+    /// Batch/memory stats, accumulated across every pipeline segment.
+    pub stats: StreamStats,
+    /// Re-planned sub-plans spliced into the pipeline (0 unless adaptive).
+    pub splices: u64,
+    /// Per-source-query observations of an analyzed run, in plan pre-order.
+    pub analysis: Option<PlanAnalysis>,
+    /// The answer's schema — what every batch carried, known even when the
+    /// answer is empty.
+    pub schema: Arc<Schema>,
 }
 
 /// Streams a concrete plan, handing each answer batch to `sink` as it is
-/// produced (return `false` to stop early). Returns rows emitted plus the
-/// run's [`StreamStats`]. Batches arrive deduplicated — the concatenation
-/// of all sinks' batches is exactly the set the materialized executor
-/// returns (in the same order on serial runs and overlapped runs alike).
-#[cfg(feature = "stream")]
-pub fn execute_stream_each(
-    plan: &Plan,
-    source: &Source,
-    cfg: &StreamConfig,
-    sink: &mut dyn FnMut(csqp_relation::stream::TupleBatch) -> bool,
-) -> Result<(u64, StreamStats), ExecError> {
-    execute_stream_each_traced(plan, source, cfg, None, sink)
-}
-
-/// As [`execute_stream_each`], recording leaf-open and per-batch spans on
-/// `tracer` for query profiles. Spans are recorded only at sequential
-/// program points (overlap producers stay unspanned), so traces are
-/// deterministic for a given configuration.
-#[cfg(feature = "stream")]
-pub fn execute_stream_each_traced(
-    plan: &Plan,
-    source: &Source,
-    cfg: &StreamConfig,
-    tracer: Option<&csqp_obs::Tracer>,
-    sink: &mut dyn FnMut(csqp_relation::stream::TupleBatch) -> bool,
-) -> Result<(u64, StreamStats), ExecError> {
-    let mut extras = engine::Extras::none();
-    extras.tracer = tracer;
-    engine::run(plan, source, cfg, &mut extras, sink)
-}
-
-/// Streams a concrete plan into a [`Relation`] (the root accumulates the
-/// answer; pipeline memory stays bounded by `batch_size × depth`).
-#[cfg(feature = "stream")]
+/// produced (return `false` to stop early). Batches arrive deduplicated —
+/// the concatenation of all sinks' batches is exactly the set the
+/// materialized executor returns (in the same order on serial runs and
+/// overlapped runs alike). The caller meters sources itself (a splice may
+/// involve more than one).
 pub fn execute_stream(
     plan: &Plan,
     source: &Source,
-    cfg: &StreamConfig,
-) -> Result<(Relation, StreamStats), ExecError> {
-    execute_stream_traced(plan, source, cfg, None)
-}
-
-/// [`execute_stream`] with executor spans (see
-/// [`execute_stream_each_traced`]).
-#[cfg(feature = "stream")]
-pub fn execute_stream_traced(
-    plan: &Plan,
-    source: &Source,
-    cfg: &StreamConfig,
-    tracer: Option<&csqp_obs::Tracer>,
-) -> Result<(Relation, StreamStats), ExecError> {
-    let mut acc: Option<Relation> = None;
-    let (_, stats) = execute_stream_each_traced(plan, source, cfg, tracer, &mut |b| {
-        let rel = acc.get_or_insert_with(|| Relation::empty(b.schema().clone()));
-        for t in b.into_tuples() {
-            rel.insert(t);
+    request: StreamRequest<'_>,
+    sink: &mut dyn FnMut(TupleBatch) -> bool,
+) -> Result<StreamRun, ExecError> {
+    let StreamRequest { config, mut retry, mode, tracer } = request;
+    let (mut analyzed, mut controller) = match mode {
+        StreamMode::Plain => (None, None),
+        StreamMode::Analyzed { model, card } => {
+            let slots = vec![None; plan.source_queries().len()];
+            (Some(engine::AnalyzedState { model, card, slots }), None)
         }
-        true
-    })?;
-    let rel = match acc {
-        Some(r) => r,
-        None => Relation::empty(output_schema(plan, source)?),
+        StreamMode::Adaptive(controller) => (None, Some(controller)),
     };
-    Ok((rel, stats))
-}
-
-/// [`execute_stream`] plus the meter delta it caused — the streaming twin
-/// of [`execute_measured`](crate::exec::execute_measured).
-pub fn execute_stream_measured(
-    plan: &Plan,
-    source: &Source,
-    cfg: &StreamConfig,
-) -> Result<(Relation, Meter, StreamStats), ExecError> {
-    execute_stream_measured_traced(plan, source, cfg, None)
-}
-
-/// [`execute_stream_measured`] with executor spans (see
-/// [`execute_stream_each_traced`]).
-pub fn execute_stream_measured_traced(
-    plan: &Plan,
-    source: &Source,
-    cfg: &StreamConfig,
-    tracer: Option<&csqp_obs::Tracer>,
-) -> Result<(Relation, Meter, StreamStats), ExecError> {
-    let before = source.meter();
-    let (rel, stats) = execute_stream_traced(plan, source, cfg, tracer)?;
-    Ok((rel, meter_delta(before, source.meter()), stats))
-}
-
-/// Streams a plan against a possibly-unreliable source with **per-batch**
-/// retries: a mid-stream fault repeats only the failed round-trip (the
-/// source stream keeps its scan cursor), under the same backoff/deadline
-/// policy as [`execute_resilient`](crate::exec::execute_resilient).
-/// Serial by construction (deterministic retry schedule); resilience
-/// metrics accumulate into `res` on success and failure alike.
-#[cfg(feature = "stream")]
-pub fn execute_stream_resilient(
-    plan: &Plan,
-    source: &Source,
-    policy: &RetryPolicy,
-    res: &mut ResilienceMeter,
-    cfg: &StreamConfig,
-) -> Result<(Relation, Meter, StreamStats), ExecError> {
-    execute_stream_resilient_traced(plan, source, policy, res, cfg, None)
-}
-
-/// [`execute_stream_resilient`] with executor spans (see
-/// [`execute_stream_each_traced`]).
-#[cfg(feature = "stream")]
-pub fn execute_stream_resilient_traced(
-    plan: &Plan,
-    source: &Source,
-    policy: &RetryPolicy,
-    res: &mut ResilienceMeter,
-    cfg: &StreamConfig,
-    tracer: Option<&csqp_obs::Tracer>,
-) -> Result<(Relation, Meter, StreamStats), ExecError> {
-    use crate::exec::ResilientCtx;
-    let mut ctx = ResilientCtx::new(policy);
-    let before = source.meter();
-    let mut acc: Option<Relation> = None;
-    let outcome = engine::run(
-        plan,
-        source,
-        cfg,
-        &mut engine::Extras {
-            resilient: Some(&mut ctx),
-            analyzed: None,
-            #[cfg(feature = "adaptive")]
-            adaptive: None,
-            tracer,
-        },
-        &mut |b| {
-            let rel = acc.get_or_insert_with(|| Relation::empty(b.schema().clone()));
-            for t in b.into_tuples() {
-                rel.insert(t);
-            }
-            true
-        },
-    );
-    res.absorb(&ctx.res);
-    let (_, stats) = outcome?;
-    let rel = match acc {
-        Some(r) => r,
-        None => Relation::empty(output_schema(plan, source)?),
-    };
-    Ok((rel, meter_delta(before, source.meter()), stats))
-}
-
-/// Streams a plan while recording estimated-vs-observed numbers per source
-/// query, like [`execute_analyzed`](crate::analyze::execute_analyzed) —
-/// plus the run's [`StreamStats`], so EXPLAIN ANALYZE can report peak
-/// memory alongside cardinality. Serial by construction. Source queries the
-/// run never opened (early termination) are absent from the analysis and
-/// render as `[not executed]`.
-#[cfg(feature = "stream")]
-pub fn execute_stream_analyzed(
-    plan: &Plan,
-    source: &Source,
-    model: &dyn CostModel,
-    card: &dyn Cardinality,
-    cfg: &StreamConfig,
-) -> Result<(Relation, Meter, PlanAnalysis, StreamStats), ExecError> {
-    execute_stream_analyzed_traced(plan, source, model, card, cfg, None)
-}
-
-/// [`execute_stream_analyzed`] with executor spans (see
-/// [`execute_stream_each_traced`]).
-#[cfg(feature = "stream")]
-pub fn execute_stream_analyzed_traced(
-    plan: &Plan,
-    source: &Source,
-    model: &dyn CostModel,
-    card: &dyn Cardinality,
-    cfg: &StreamConfig,
-    tracer: Option<&csqp_obs::Tracer>,
-) -> Result<(Relation, Meter, PlanAnalysis, StreamStats), ExecError> {
-    let mut state =
-        engine::AnalyzedState { model, card, slots: vec![None; plan.source_queries().len()] };
-    let before = source.meter();
-    let mut acc: Option<Relation> = None;
-    let (_, stats) = engine::run(
-        plan,
-        source,
-        cfg,
-        &mut engine::Extras {
-            resilient: None,
-            analyzed: Some(&mut state),
-            #[cfg(feature = "adaptive")]
-            adaptive: None,
-            tracer,
-        },
-        &mut |b| {
-            let rel = acc.get_or_insert_with(|| Relation::empty(b.schema().clone()));
-            for t in b.into_tuples() {
-                rel.insert(t);
-            }
-            true
-        },
-    )?;
-    let rel = match acc {
-        Some(r) => r,
-        None => Relation::empty(output_schema(plan, source)?),
-    };
-    // Executed leaves form a pre-order prefix on the serial path; stop at
-    // the first unopened slot so the renderer's sequential index stays
-    // aligned and tail leaves show as `[not executed]`.
-    let analysis = PlanAnalysis { subqueries: state.slots.into_iter().map_while(|s| s).collect() };
-    Ok((rel, meter_delta(before, source.meter()), analysis, stats))
-}
-
-/// Streams a concrete plan adaptively: after every emitted batch (and on
-/// terminal leaf failure) the `controller` may pause the pipeline and
-/// splice a re-planned residual sub-plan — possibly against a different
-/// source — into the run. A persistent dedup sketch spanning all segments
-/// keeps the emitted set identical to a non-adaptive run of the original
-/// plan. Serial by construction; `policy` adds per-batch retries *before*
-/// a leaf failure reaches the controller. Returns `(rows emitted,
-/// accumulated stats, splices performed)`.
-#[cfg(all(feature = "stream", feature = "adaptive"))]
-pub fn execute_stream_adaptive_each(
-    plan: &Plan,
-    source: &Arc<Source>,
-    policy: Option<&RetryPolicy>,
-    res: &mut ResilienceMeter,
-    cfg: &StreamConfig,
-    controller: &mut dyn ReplanController,
-    sink: &mut dyn FnMut(TupleBatch) -> bool,
-) -> Result<(u64, StreamStats, u64), ExecError> {
-    execute_stream_adaptive_each_traced(plan, source, policy, res, cfg, controller, None, sink)
-}
-
-/// [`execute_stream_adaptive_each`] with executor spans: one `segment N`
-/// span per pipeline segment (a splice starts a new segment) wrapping the
-/// segment's leaf-open and per-batch spans.
-#[cfg(all(feature = "stream", feature = "adaptive"))]
-#[allow(clippy::too_many_arguments)]
-pub fn execute_stream_adaptive_each_traced(
-    plan: &Plan,
-    source: &Arc<Source>,
-    policy: Option<&RetryPolicy>,
-    res: &mut ResilienceMeter,
-    cfg: &StreamConfig,
-    controller: &mut dyn ReplanController,
-    tracer: Option<&csqp_obs::Tracer>,
-    sink: &mut dyn FnMut(TupleBatch) -> bool,
-) -> Result<(u64, StreamStats, u64), ExecError> {
-    use csqp_relation::stream::DedupSketch;
-    let live = tracer.filter(|t| t.is_enabled());
-    let mut cur_plan = plan.clone();
-    let mut cur_source = Arc::clone(source);
-    let mut emitted_sketch = DedupSketch::new();
-    let mut emitted = 0u64;
-    let mut total = StreamStats::default();
-    let mut track = engine::AdaptiveTrack::default();
+    let overlap = config.overlap
+        && cfg!(feature = "parallel")
+        && retry.is_none()
+        && analyzed.is_none()
+        && controller.is_none();
+    let mut track = controller.is_some().then(engine::AdaptiveTrack::default);
+    // One `segment N` span per pipeline segment, on adaptive runs only.
+    let segment_tracer = tracer.filter(|t| track.is_some() && t.is_enabled());
+    let mut carried = engine::Carried::default();
+    let mut spliced: Option<SpliceAction> = None;
     let mut splices = 0u64;
     loop {
+        let (cur_plan, cur_source) = match &spliced {
+            Some(a) => (&a.plan, &*a.source),
+            None => (plan, source),
+        };
         let allow = splices < engine::MAX_SPLICES;
-        let seg_span = live.map(|t| t.span(&format!("segment {splices}")));
+        let seg_span = segment_tracer.map(|t| t.span(&format!("segment {splices}")));
         let seg = engine::run_segment(
-            &cur_plan,
-            &cur_source,
-            cfg,
-            policy,
-            res,
-            controller,
-            allow,
-            &mut emitted_sketch,
-            &mut emitted,
-            &mut total,
-            &mut track,
+            cur_plan,
+            cur_source,
+            config,
+            overlap,
+            retry.as_mut(),
+            analyzed.as_mut(),
+            controller.as_deref_mut().filter(|_| allow),
+            track.as_mut(),
+            &mut carried,
             tracer,
             sink,
         );
         drop(seg_span);
-        match seg {
+        let action = match seg {
             Ok(engine::SegmentEnd::Done) => break,
-            Ok(engine::SegmentEnd::Spliced(a)) => {
-                splices += 1;
-                cur_plan = a.plan;
-                cur_source = a.source;
-            }
+            Ok(engine::SegmentEnd::Spliced(a)) => a,
             Err(e) => {
                 // The segment died on a leaf. Give the controller one look
                 // (progress state survives in `track`); without a splice
                 // the error propagates as it would non-adaptively.
-                let probe = ReplanProbe {
-                    plan: &cur_plan,
-                    union_progress: None,
-                    leaves: &track.leaves,
-                    batches: total.batches,
-                    emitted,
-                };
-                match if allow { controller.on_leaf_error(&probe, &e) } else { None } {
-                    Some(a) => {
-                        splices += 1;
-                        cur_plan = a.plan;
-                        cur_source = a.source;
+                let recovery = match (controller.as_deref_mut(), &track) {
+                    (Some(c), Some(t)) if allow => {
+                        let probe = ReplanProbe {
+                            plan: cur_plan,
+                            union_progress: None,
+                            leaves: &t.leaves,
+                            batches: carried.total.batches,
+                            emitted: carried.emitted,
+                        };
+                        c.on_leaf_error(&probe, &e)
                     }
+                    _ => None,
+                };
+                match recovery {
+                    Some(a) => a,
                     None => return Err(e),
                 }
             }
-        }
+        };
+        splices += 1;
+        spliced = Some(action);
     }
-    Ok((emitted, total, splices))
+    // Executed leaves form a pre-order prefix on the serial path; stop at
+    // the first unopened slot so the renderer's sequential index stays
+    // aligned and tail leaves show as `[not executed]`.
+    let analysis = analyzed
+        .map(|a| PlanAnalysis { subqueries: a.slots.into_iter().map_while(|s| s).collect() });
+    Ok(StreamRun {
+        emitted: carried.emitted,
+        stats: carried.total,
+        splices,
+        analysis,
+        schema: carried.schema.expect("a finished run opened its first segment"),
+    })
 }
 
-/// [`execute_stream_adaptive_each`] accumulated into a [`Relation`]. The
-/// caller meters sources itself (a splice may involve more than one).
-#[cfg(all(feature = "stream", feature = "adaptive"))]
-pub fn execute_stream_adaptive(
+/// [`execute_stream`] with the sink that keeps the answer: every batch
+/// accumulates into a [`Relation`] (pipeline memory stays bounded by
+/// `batch_size × depth`; the accumulated answer is the caller's).
+pub fn execute_stream_collect(
     plan: &Plan,
-    source: &Arc<Source>,
-    policy: Option<&RetryPolicy>,
-    res: &mut ResilienceMeter,
-    cfg: &StreamConfig,
-    controller: &mut dyn ReplanController,
-) -> Result<(Relation, StreamStats, u64), ExecError> {
-    execute_stream_adaptive_traced(plan, source, policy, res, cfg, controller, None)
-}
-
-/// [`execute_stream_adaptive`] with executor spans (see
-/// [`execute_stream_adaptive_each_traced`]).
-#[cfg(all(feature = "stream", feature = "adaptive"))]
-pub fn execute_stream_adaptive_traced(
-    plan: &Plan,
-    source: &Arc<Source>,
-    policy: Option<&RetryPolicy>,
-    res: &mut ResilienceMeter,
-    cfg: &StreamConfig,
-    controller: &mut dyn ReplanController,
-    tracer: Option<&csqp_obs::Tracer>,
-) -> Result<(Relation, StreamStats, u64), ExecError> {
-    let mut acc: Option<Relation> = None;
-    let (_, stats, splices) = execute_stream_adaptive_each_traced(
-        plan,
-        source,
-        policy,
-        res,
-        cfg,
-        controller,
-        tracer,
-        &mut |b| {
-            let rel = acc.get_or_insert_with(|| Relation::empty(b.schema().clone()));
-            for t in b.into_tuples() {
-                rel.insert(t);
-            }
-            true
-        },
-    )?;
-    let rel = match acc {
-        Some(r) => r,
-        None => Relation::empty(output_schema(plan, source)?),
-    };
-    Ok((rel, stats, splices))
-}
-
-/// Adaptive-off (or stream-off) fallback: plain (resilient when `policy`
-/// is given) execution behind the adaptive signature. The controller is
-/// never consulted and the splice count is always 0 — the differential
-/// suite pins this path and the adaptive engine to identical answers.
-#[cfg(not(all(feature = "stream", feature = "adaptive")))]
-pub fn execute_stream_adaptive(
-    plan: &Plan,
-    source: &Arc<Source>,
-    policy: Option<&RetryPolicy>,
-    res: &mut ResilienceMeter,
-    cfg: &StreamConfig,
-    _controller: &mut dyn ReplanController,
-) -> Result<(Relation, StreamStats, u64), ExecError> {
-    match policy {
-        Some(p) => {
-            let (rel, _meter, stats) = execute_stream_resilient(plan, source, p, res, cfg)?;
-            Ok((rel, stats, 0))
+    source: &Source,
+    request: StreamRequest<'_>,
+) -> Result<(Relation, StreamRun), ExecError> {
+    let mut answer: Option<Relation> = None;
+    let run = execute_stream(plan, source, request, &mut |batch| {
+        let rel = answer.get_or_insert_with(|| Relation::empty(batch.schema().clone()));
+        for t in batch.into_tuples() {
+            rel.insert(t);
         }
-        None => {
-            let (rel, stats) = execute_stream(plan, source, cfg)?;
-            Ok((rel, stats, 0))
-        }
-    }
-}
-
-/// Adaptive-off (or stream-off) fallback: the adaptive engine never runs,
-/// so there are no segments to span — the tracer is accepted and ignored.
-#[cfg(not(all(feature = "stream", feature = "adaptive")))]
-pub fn execute_stream_adaptive_traced(
-    plan: &Plan,
-    source: &Arc<Source>,
-    policy: Option<&RetryPolicy>,
-    res: &mut ResilienceMeter,
-    cfg: &StreamConfig,
-    controller: &mut dyn ReplanController,
-    _tracer: Option<&csqp_obs::Tracer>,
-) -> Result<(Relation, StreamStats, u64), ExecError> {
-    execute_stream_adaptive(plan, source, policy, res, cfg, controller)
-}
-
-/// Adaptive-off (or stream-off) fallback for the sink-driven variant:
-/// materializes via [`execute_stream_adaptive`], then replays the answer
-/// to `sink` in `batch_size` chunks.
-#[cfg(not(all(feature = "stream", feature = "adaptive")))]
-pub fn execute_stream_adaptive_each(
-    plan: &Plan,
-    source: &Arc<Source>,
-    policy: Option<&RetryPolicy>,
-    res: &mut ResilienceMeter,
-    cfg: &StreamConfig,
-    controller: &mut dyn ReplanController,
-    sink: &mut dyn FnMut(TupleBatch) -> bool,
-) -> Result<(u64, StreamStats, u64), ExecError> {
-    let (rel, stats, _) = execute_stream_adaptive(plan, source, policy, res, cfg, controller)?;
-    let schema = rel.schema().clone();
-    let mut emitted = 0u64;
-    let mut chunk = Vec::with_capacity(cfg.batch_size);
-    for t in rel.into_tuples() {
-        chunk.push(t);
-        emitted += 1;
-        if chunk.len() == cfg.batch_size {
-            if !sink(TupleBatch::new(schema.clone(), std::mem::take(&mut chunk))) {
-                return Ok((emitted, stats, 0));
-            }
-        }
-    }
-    if !chunk.is_empty() {
-        sink(TupleBatch::new(schema, chunk));
-    }
-    Ok((emitted, stats, 0))
-}
-
-/// Adaptive-off (or stream-off) fallback for the traced sink-driven
-/// variant: the tracer is accepted and ignored.
-#[cfg(not(all(feature = "stream", feature = "adaptive")))]
-#[allow(clippy::too_many_arguments)]
-pub fn execute_stream_adaptive_each_traced(
-    plan: &Plan,
-    source: &Arc<Source>,
-    policy: Option<&RetryPolicy>,
-    res: &mut ResilienceMeter,
-    cfg: &StreamConfig,
-    controller: &mut dyn ReplanController,
-    _tracer: Option<&csqp_obs::Tracer>,
-    sink: &mut dyn FnMut(TupleBatch) -> bool,
-) -> Result<(u64, StreamStats, u64), ExecError> {
-    execute_stream_adaptive_each(plan, source, policy, res, cfg, controller, sink)
+        true
+    })?;
+    let rows = answer.unwrap_or_else(|| Relation::empty(run.schema.clone()));
+    Ok((rows, run))
 }
 
 /// Appends the streaming footer to an
@@ -1584,156 +1195,6 @@ pub fn explain_analyze_streamed(
         stats.batches, stats.peak_resident_tuples
     ));
     out
-}
-
-// ---- stream-feature-off fallbacks: same signatures, materialized engine ----
-
-/// Stream-off fallback: materializes via [`execute`](crate::exec::execute),
-/// then replays the result to `sink` in `batch_size` chunks. `StreamStats`
-/// reports the materialized memory profile (peak = `|result|`).
-#[cfg(not(feature = "stream"))]
-pub fn execute_stream_each(
-    plan: &Plan,
-    source: &Source,
-    cfg: &StreamConfig,
-    sink: &mut dyn FnMut(csqp_relation::stream::TupleBatch) -> bool,
-) -> Result<(u64, StreamStats), ExecError> {
-    use csqp_relation::stream::TupleBatch;
-    let rel = crate::exec::execute(plan, source)?;
-    let stats = StreamStats {
-        batches: (rel.len() as u64).div_ceil(cfg.batch_size as u64),
-        peak_resident_tuples: rel.len() as u64,
-        overlap_ticks: 0,
-    };
-    let schema = rel.schema().clone();
-    let mut emitted = 0u64;
-    let mut chunk = Vec::with_capacity(cfg.batch_size);
-    for t in rel.into_tuples() {
-        if cfg.limit.is_some_and(|l| emitted >= l) {
-            break;
-        }
-        chunk.push(t);
-        emitted += 1;
-        if chunk.len() == cfg.batch_size {
-            if !sink(TupleBatch::new(schema.clone(), std::mem::take(&mut chunk))) {
-                return Ok((emitted, stats));
-            }
-        }
-    }
-    if !chunk.is_empty() {
-        sink(TupleBatch::new(schema, chunk));
-    }
-    Ok((emitted, stats))
-}
-
-/// Stream-off fallback: [`execute`](crate::exec::execute) plus limit
-/// truncation.
-#[cfg(not(feature = "stream"))]
-pub fn execute_stream(
-    plan: &Plan,
-    source: &Source,
-    cfg: &StreamConfig,
-) -> Result<(Relation, StreamStats), ExecError> {
-    let rel = crate::exec::execute(plan, source)?;
-    let stats = StreamStats {
-        batches: (rel.len() as u64).div_ceil(cfg.batch_size as u64),
-        peak_resident_tuples: rel.len() as u64,
-        overlap_ticks: 0,
-    };
-    Ok((truncate(rel, cfg.limit), stats))
-}
-
-/// Stream-off fallback:
-/// [`execute_resilient`](crate::exec::execute_resilient) (whole-query
-/// retries) plus limit truncation.
-#[cfg(not(feature = "stream"))]
-pub fn execute_stream_resilient(
-    plan: &Plan,
-    source: &Source,
-    policy: &RetryPolicy,
-    res: &mut ResilienceMeter,
-    cfg: &StreamConfig,
-) -> Result<(Relation, Meter, StreamStats), ExecError> {
-    let (rel, meter) = crate::exec::execute_resilient(plan, source, policy, res)?;
-    let stats = StreamStats {
-        batches: (rel.len() as u64).div_ceil(cfg.batch_size as u64),
-        peak_resident_tuples: rel.len() as u64,
-        overlap_ticks: 0,
-    };
-    Ok((truncate(rel, cfg.limit), meter, stats))
-}
-
-/// Stream-off fallback:
-/// [`execute_analyzed`](crate::analyze::execute_analyzed) plus limit
-/// truncation.
-#[cfg(not(feature = "stream"))]
-pub fn execute_stream_analyzed(
-    plan: &Plan,
-    source: &Source,
-    model: &dyn CostModel,
-    card: &dyn Cardinality,
-    cfg: &StreamConfig,
-) -> Result<(Relation, Meter, PlanAnalysis, StreamStats), ExecError> {
-    let (rel, meter, analysis) = crate::analyze::execute_analyzed(plan, source, model, card)?;
-    let stats = StreamStats {
-        batches: (rel.len() as u64).div_ceil(cfg.batch_size as u64),
-        peak_resident_tuples: rel.len() as u64,
-        overlap_ticks: 0,
-    };
-    Ok((truncate(rel, cfg.limit), meter, analysis, stats))
-}
-
-// Stream-off fallbacks for the `_traced` variants: the materialized engine
-// has no leaf/batch pipeline to span, so the tracer is accepted and
-// ignored — profiles still carry the planner's spans.
-
-/// Stream-off fallback: as [`execute_stream_each`], tracer ignored.
-#[cfg(not(feature = "stream"))]
-pub fn execute_stream_each_traced(
-    plan: &Plan,
-    source: &Source,
-    cfg: &StreamConfig,
-    _tracer: Option<&csqp_obs::Tracer>,
-    sink: &mut dyn FnMut(csqp_relation::stream::TupleBatch) -> bool,
-) -> Result<(u64, StreamStats), ExecError> {
-    execute_stream_each(plan, source, cfg, sink)
-}
-
-/// Stream-off fallback: as [`execute_stream`], tracer ignored.
-#[cfg(not(feature = "stream"))]
-pub fn execute_stream_traced(
-    plan: &Plan,
-    source: &Source,
-    cfg: &StreamConfig,
-    _tracer: Option<&csqp_obs::Tracer>,
-) -> Result<(Relation, StreamStats), ExecError> {
-    execute_stream(plan, source, cfg)
-}
-
-/// Stream-off fallback: as [`execute_stream_resilient`], tracer ignored.
-#[cfg(not(feature = "stream"))]
-pub fn execute_stream_resilient_traced(
-    plan: &Plan,
-    source: &Source,
-    policy: &RetryPolicy,
-    res: &mut ResilienceMeter,
-    cfg: &StreamConfig,
-    _tracer: Option<&csqp_obs::Tracer>,
-) -> Result<(Relation, Meter, StreamStats), ExecError> {
-    execute_stream_resilient(plan, source, policy, res, cfg)
-}
-
-/// Stream-off fallback: as [`execute_stream_analyzed`], tracer ignored.
-#[cfg(not(feature = "stream"))]
-pub fn execute_stream_analyzed_traced(
-    plan: &Plan,
-    source: &Source,
-    model: &dyn CostModel,
-    card: &dyn Cardinality,
-    cfg: &StreamConfig,
-    _tracer: Option<&csqp_obs::Tracer>,
-) -> Result<(Relation, Meter, PlanAnalysis, StreamStats), ExecError> {
-    execute_stream_analyzed(plan, source, model, card, cfg)
 }
 
 #[cfg(test)]
@@ -1771,6 +1232,24 @@ mod tests {
         )
     }
 
+    /// A plain collected run under `cfg`.
+    fn stream(plan: &Plan, s: &Source, cfg: &StreamConfig) -> Result<Relation, ExecError> {
+        execute_stream_collect(plan, s, StreamRequest::new(cfg)).map(|(rel, _)| rel)
+    }
+
+    /// A collected run with per-batch retries under `policy`.
+    fn stream_resilient(
+        plan: &Plan,
+        s: &Source,
+        policy: &RetryPolicy,
+        res: &mut ResilienceMeter,
+    ) -> Result<Relation, ExecError> {
+        let cfg = StreamConfig::serial();
+        let retry = Some(Retry { policy, meter: res });
+        execute_stream_collect(plan, s, StreamRequest { retry, ..StreamRequest::new(&cfg) })
+            .map(|(rel, _)| rel)
+    }
+
     fn intersect_plan() -> Plan {
         Plan::intersect(vec![
             Plan::source(cond("make = \"BMW\" ^ price < 60000"), attrs(["model"])),
@@ -1788,12 +1267,11 @@ mod tests {
             assert_eq!(want, want_again);
             for cfg in [StreamConfig::serial(), StreamConfig::default()] {
                 s.reset_meter();
-                let (got, meter, stats) = execute_stream_measured(&plan, &s, &cfg).unwrap();
+                let (got, run) =
+                    execute_stream_collect(&plan, &s, StreamRequest::new(&cfg)).unwrap();
                 assert_eq!(got, want, "stream ≡ materialized for {plan}");
-                assert_eq!(meter, want_meter, "meter deltas agree for {plan}");
-                if cfg!(feature = "stream") {
-                    assert!(stats.batches > 0);
-                }
+                assert_eq!(s.meter(), want_meter, "meter deltas agree for {plan}");
+                assert!(run.stats.batches > 0);
             }
         }
     }
@@ -1802,8 +1280,8 @@ mod tests {
     fn serial_order_matches_overlapped_order() {
         let plan = union_plan();
         let s = dealer();
-        let (serial, _) = execute_stream(&plan, &s, &StreamConfig::serial()).unwrap();
-        let (overlapped, _) = execute_stream(&plan, &s, &StreamConfig::default()).unwrap();
+        let serial = stream(&plan, &s, &StreamConfig::serial()).unwrap();
+        let overlapped = stream(&plan, &s, &StreamConfig::default()).unwrap();
         assert_eq!(serial.tuples(), overlapped.tuples(), "overlap must not change emission order");
     }
 
@@ -1811,20 +1289,19 @@ mod tests {
     fn limit_terminates_early_and_bounds_shipping() {
         let plan = union_plan();
         let s = dealer();
-        let (full, _) = execute_stream(&plan, &s, &StreamConfig::serial()).unwrap();
+        let full = stream(&plan, &s, &StreamConfig::serial()).unwrap();
         assert!(full.len() > 4, "need a result bigger than the limit");
         s.reset_meter();
         let cfg = StreamConfig::serial().with_limit(4);
-        let (limited, stats) = execute_stream(&plan, &s, &cfg).unwrap();
+        let (limited, run) = execute_stream_collect(&plan, &s, StreamRequest::new(&cfg)).unwrap();
         assert_eq!(limited.len(), 4);
+        assert_eq!(run.emitted, 4);
         assert_eq!(limited.tuples(), &full.tuples()[..4], "limit keeps the serial prefix");
-        if cfg!(feature = "stream") {
-            assert!(
-                s.meter().tuples_shipped < full.len() as u64,
-                "early termination stopped the source from shipping everything"
-            );
-            assert!(stats.batches > 0);
-        }
+        assert!(
+            s.meter().tuples_shipped < full.len() as u64,
+            "early termination stopped the source from shipping everything"
+        );
+        assert!(run.stats.batches > 0);
     }
 
     #[test]
@@ -1832,7 +1309,7 @@ mod tests {
         let plan = union_plan();
         let s = dealer();
         let cfg = StreamConfig { limit: Some(3), ..Default::default() };
-        let (limited, _) = execute_stream(&plan, &s, &cfg).unwrap();
+        let limited = stream(&plan, &s, &cfg).unwrap();
         assert_eq!(limited.len(), 3);
     }
 
@@ -1841,18 +1318,17 @@ mod tests {
         let plan = union_plan();
         let s = dealer();
         let cfg = StreamConfig { batch_size: 8, limit: None, overlap: false };
-        let (rel, stats) = execute_stream(&plan, &s, &cfg).unwrap();
-        if cfg!(feature = "stream") {
-            // Pipeline depth here is 2 (leaf → union root); generous ×4
-            // slack covers transient double-accounting at operator handoff.
-            assert!(
-                stats.peak_resident_tuples <= (8 * 4 * 2) as u64,
-                "peak {} not bounded by batch × depth (result {})",
-                stats.peak_resident_tuples,
-                rel.len()
-            );
-            assert!(stats.peak_resident_tuples < rel.len() as u64);
-        }
+        let (rel, run) = execute_stream_collect(&plan, &s, StreamRequest::new(&cfg)).unwrap();
+        let stats = run.stats;
+        // Pipeline depth here is 2 (leaf → union root); generous ×4 slack
+        // covers transient double-accounting at operator handoff.
+        assert!(
+            stats.peak_resident_tuples <= (8 * 4 * 2) as u64,
+            "peak {} not bounded by batch × depth (result {})",
+            stats.peak_resident_tuples,
+            rel.len()
+        );
+        assert!(stats.peak_resident_tuples < rel.len() as u64);
     }
 
     #[test]
@@ -1861,12 +1337,14 @@ mod tests {
         let s = dealer();
         let want = execute(&plan, &s).unwrap();
         let mut seen = Vec::new();
-        let (emitted, _) = execute_stream_each(&plan, &s, &StreamConfig::serial(), &mut |b| {
+        let cfg = StreamConfig::serial();
+        let run = execute_stream(&plan, &s, StreamRequest::new(&cfg), &mut |b| {
             seen.extend(b.into_tuples());
             true
         })
         .unwrap();
-        assert_eq!(emitted as usize, seen.len());
+        assert_eq!(run.emitted as usize, seen.len());
+        assert_eq!(run.splices, 0, "no controller, no splices");
         assert_eq!(Relation::from_tuples(want.schema().clone(), seen), want);
     }
 
@@ -1874,7 +1352,7 @@ mod tests {
     fn empty_result_still_has_a_schema() {
         let plan = Plan::source(cond("make = \"BMW\" ^ price < 1"), attrs(["model"]));
         let s = dealer();
-        let (rel, _) = execute_stream(&plan, &s, &StreamConfig::serial()).unwrap();
+        let rel = stream(&plan, &s, &StreamConfig::serial()).unwrap();
         assert!(rel.is_empty());
         assert_eq!(rel.schema().columns.len(), 1);
     }
@@ -1884,7 +1362,7 @@ mod tests {
         let s = dealer();
         for plan in [Plan::Intersect(vec![]), Plan::Union(vec![])] {
             assert!(matches!(
-                execute_stream(&plan, &s, &StreamConfig::serial()),
+                stream(&plan, &s, &StreamConfig::serial()),
                 Err(ExecError::Malformed(_))
             ));
         }
@@ -1892,10 +1370,7 @@ mod tests {
             cond("make = \"BMW\" ^ price < 40000"),
             attrs(["model"]),
         )]);
-        assert!(matches!(
-            execute_stream(&choice, &s, &StreamConfig::serial()),
-            Err(ExecError::Unresolved)
-        ));
+        assert!(matches!(stream(&choice, &s, &StreamConfig::serial()), Err(ExecError::Unresolved)));
     }
 
     #[test]
@@ -1905,21 +1380,17 @@ mod tests {
         let plan = union_plan();
         let policy = RetryPolicy { max_retries: 16, ..Default::default() };
         let mut res = ResilienceMeter::default();
-        let (rows, meter, _) =
-            execute_stream_resilient(&plan, &s, &policy, &mut res, &StreamConfig::serial())
-                .unwrap();
+        let rows = stream_resilient(&plan, &s, &policy, &mut res).unwrap();
         let oracle = dealer();
         let want = execute(&plan, &oracle).unwrap();
         assert_eq!(rows, want, "per-batch retries keep the answer exact");
-        assert_eq!(meter.queries, 3);
+        assert_eq!(s.meter().queries, 3);
         assert_eq!(
-            meter.tuples_shipped,
+            s.meter().tuples_shipped,
             oracle.meter().tuples_shipped,
             "faulted pulls never re-ship tuples"
         );
-        if cfg!(feature = "stream") {
-            assert!(res.retries > 0, "the storm actually hit the stream");
-        }
+        assert!(res.retries > 0, "the storm actually hit the stream");
     }
 
     #[test]
@@ -1927,14 +1398,8 @@ mod tests {
         let s = dealer();
         let plan = nested_plan();
         let mut res = ResilienceMeter::default();
-        let (rows, meter, _) = execute_stream_resilient(
-            &plan,
-            &s,
-            &RetryPolicy::default(),
-            &mut res,
-            &StreamConfig::serial(),
-        )
-        .unwrap();
+        let rows = stream_resilient(&plan, &s, &RetryPolicy::default(), &mut res).unwrap();
+        let meter = s.meter();
         let s2 = dealer();
         let mut res2 = ResilienceMeter::default();
         let (want, want_meter) =
@@ -1953,11 +1418,11 @@ mod tests {
         let plan = Plan::source(cond("make = \"BMW\" ^ price < 40000"), attrs(["model"]));
         let policy = RetryPolicy { max_retries: 2, ..Default::default() };
         let mut res = ResilienceMeter::default();
-        match execute_stream_resilient(&plan, &s, &policy, &mut res, &StreamConfig::serial()) {
+        match stream_resilient(&plan, &s, &policy, &mut res) {
             Err(ExecError::Exhausted { attempts, .. }) => assert_eq!(attempts, 3),
             other => panic!("expected Exhausted, got {other:?}"),
         }
-        assert_eq!(res.retries, 2);
+        assert_eq!(res.retries, 2, "counters reach the caller's meter on failure too");
     }
 
     #[test]
@@ -1966,27 +1431,32 @@ mod tests {
         let s = dealer();
         let model = CostParams::new(50.0, 1.0);
         let card = crate::cost::OracleCard::new(s.relation());
-        let (rel, meter, analysis, stats) =
-            execute_stream_analyzed(&plan, &s, &model, &card, &StreamConfig::serial()).unwrap();
+        let cfg = StreamConfig::serial();
+        let analyzed = || StreamRequest {
+            mode: StreamMode::Analyzed { model: &model, card: &card },
+            ..StreamRequest::new(&cfg)
+        };
+        let (rel, run) = execute_stream_collect(&plan, &s, analyzed()).unwrap();
         let want = execute(&plan, &dealer()).unwrap();
         assert_eq!(rel, want);
+        let analysis = run.analysis.expect("an analyzed run reports its analysis");
         assert_eq!(analysis.subqueries.len(), 3);
-        assert_eq!(analysis.rows_fetched(), meter.tuples_shipped);
-        let text = explain_analyze_streamed(&plan, &analysis, &stats);
+        assert_eq!(analysis.rows_fetched(), s.meter().tuples_shipped);
+        let text = explain_analyze_streamed(&plan, &analysis, &run.stats);
         assert!(text.contains("cost model: estimated"), "{text}");
         assert!(text.contains("peak resident"), "{text}");
         // Deterministic rendering, run to run.
         let s2 = dealer();
-        let (_, _, analysis2, stats2) =
-            execute_stream_analyzed(&plan, &s2, &model, &card, &StreamConfig::serial()).unwrap();
-        assert_eq!(text, explain_analyze_streamed(&plan, &analysis2, &stats2));
+        let (_, run2) = execute_stream_collect(&plan, &s2, analyzed()).unwrap();
+        assert_eq!(text, explain_analyze_streamed(&plan, &run2.analysis.unwrap(), &run2.stats));
     }
 
     #[test]
     fn stats_record_into_metrics() {
         let plan = union_plan();
         let s = dealer();
-        let (_, stats) = execute_stream(&plan, &s, &StreamConfig::serial()).unwrap();
+        let cfg = StreamConfig::serial();
+        let stats = execute_stream_collect(&plan, &s, StreamRequest::new(&cfg)).unwrap().1.stats;
         let reg = csqp_obs::MetricsRegistry::new();
         stats.record_into(&reg);
         let snap = reg.snapshot();

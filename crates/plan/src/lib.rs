@@ -37,13 +37,9 @@ pub use analyze::{execute_analyzed, explain_analyze, PlanAnalysis, SubQueryObs};
 pub use cost::{Cardinality, OracleCard, StatsCard, UniformCard};
 pub use exec::{execute, execute_measured, execute_resilient, ExecError, RetryPolicy};
 pub use exec_stream::{
-    execute_stream, execute_stream_adaptive, execute_stream_adaptive_each,
-    execute_stream_adaptive_each_traced, execute_stream_adaptive_traced, execute_stream_analyzed,
-    execute_stream_analyzed_traced, execute_stream_each, execute_stream_each_traced,
-    execute_stream_measured, execute_stream_measured_traced, execute_stream_resilient,
-    execute_stream_resilient_traced, execute_stream_traced, explain_analyze_streamed,
-    plan_condition, LeafProgress, ReplanController, ReplanProbe, SpliceAction, StreamConfig,
-    StreamStats,
+    execute_stream, execute_stream_collect, explain_analyze_streamed, plan_condition, LeafProgress,
+    ReplanController, ReplanProbe, Retry, SpliceAction, StreamConfig, StreamMode, StreamRequest,
+    StreamRun, StreamStats,
 };
 pub use feasible::is_feasible;
 pub use model::{CostModel, LatencyBandwidthCost};

@@ -6,20 +6,22 @@
 //! [`execute`], leave the source's transfer meter with the same delta on
 //! serial runs, and keep both guarantees when transient faults are
 //! injected mid-stream (per-batch retries must neither lose nor re-ship
-//! tuples). With the `stream` feature off the streaming entry points
-//! delegate to the materialized engine, so these properties hold trivially
-//! — the point of running this suite on the stream-off CI leg is proving
-//! the API surface behaves identically either way.
+//! tuples). [`request_matrix_matches_the_materialized_oracle`] extends the
+//! same promise over every reachable [`StreamRequest`] value.
 
 use csqp_expr::gen::{CondGen, CondGenConfig, GenAttr};
 use csqp_expr::{CondTree, Value, ValueType};
-use csqp_plan::exec::RetryPolicy;
-use csqp_plan::exec_stream::{execute_stream, execute_stream_measured, execute_stream_resilient};
-use csqp_plan::{attrs, execute, execute_measured, Plan, StreamConfig};
+use csqp_plan::exec::{ExecError, RetryPolicy};
+use csqp_plan::exec_stream::{
+    execute_stream_collect, ReplanController, ReplanProbe, Retry, SpliceAction, StreamMode,
+    StreamRequest,
+};
+use csqp_plan::{attrs, execute, execute_measured, OracleCard, Plan, StreamConfig};
 use csqp_relation::{Relation, Schema};
 use csqp_source::{CostParams, FaultProfile, ResilienceMeter, Source};
 use csqp_ssdl::templates;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn gen_attrs() -> Vec<GenAttr> {
     vec![
@@ -100,6 +102,166 @@ fn full_source(seed: u64) -> Source {
     Source::new(Relation::from_rows(schema, rows), desc, CostParams::new(10.0, 1.0))
 }
 
+/// A plain collected run under `cfg`.
+fn stream(plan: &Plan, source: &Source, cfg: &StreamConfig) -> Relation {
+    execute_stream_collect(plan, source, StreamRequest::new(cfg)).unwrap().0
+}
+
+/// The mode column of the request matrix.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mode {
+    Plain,
+    Analyzed,
+    /// A controller that never splices.
+    NeverSplices,
+    /// A controller that splices the residual plan back in, once, at the
+    /// first batch boundary.
+    SplicesOnce,
+}
+
+/// One [`StreamRequest`] of the matrix.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    limit: Option<u64>,
+    batch: usize,
+    /// Transient faults on the source, per-batch retries on the request.
+    faulty: bool,
+    mode: Mode,
+    traced: bool,
+}
+
+/// limit × batch size × retry × mode × tracer. (Analysis together with a
+/// controller is not a [`StreamMode`] value, so the table cannot name it.)
+fn cells() -> Vec<Cell> {
+    let mut out = Vec::new();
+    for limit in [None, Some(3)] {
+        for batch in [1, 7, 64] {
+            for faulty in [false, true] {
+                for mode in [Mode::Plain, Mode::Analyzed, Mode::NeverSplices, Mode::SplicesOnce] {
+                    for traced in [false, true] {
+                        out.push(Cell { limit, batch, faulty, mode, traced });
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Re-splices the not-yet-drained part of the running plan against the
+/// same source — a splice that changes nothing but the segment count.
+struct TestController {
+    source: Arc<Source>,
+    splice: bool,
+}
+
+impl ReplanController for TestController {
+    fn on_batch(&mut self, probe: &ReplanProbe<'_>) -> Option<SpliceAction> {
+        let plan = probe.remaining_plan().filter(|_| std::mem::take(&mut self.splice))?;
+        Some(SpliceAction { plan, source: self.source.clone() })
+    }
+
+    fn on_leaf_error(&mut self, _: &ReplanProbe<'_>, _: &ExecError) -> Option<SpliceAction> {
+        None
+    }
+}
+
+/// Every reachable [`StreamRequest`] against the materialized oracle:
+/// set-equal answers; the serial stream's order and the oracle's meter
+/// delta when nothing splices; `splices == 0` without a controller;
+/// analysis exactly when asked for; spans exactly when traced.
+#[test]
+fn request_matrix_matches_the_materialized_oracle() {
+    let policy = RetryPolicy { max_retries: 32, ..Default::default() };
+    let model = CostParams::new(10.0, 1.0);
+    let mut spliced = 0;
+    for (seed, plan_seed, depth) in [(11, 5, 2), (23, 9, 3), (7, 2, 1), (40, 14, 0)] {
+        let plan = concrete_plan(plan_seed, depth);
+        let oracle = full_source(seed);
+        let (want, want_meter) = execute_measured(&plan, &oracle).unwrap();
+        let order = stream(&plan, &oracle, &StreamConfig::serial());
+        assert_eq!(order, want, "the order reference is the oracle's answer");
+        for cell in cells() {
+            let ctx = format!("plan {plan_seed}/{depth} {cell:?}");
+            let faults =
+                FaultProfile::new(seed).with_transient(if cell.faulty { 0.3 } else { 0.0 });
+            let source = Arc::new(full_source(seed).with_fault_profile(faults));
+            let cfg = StreamConfig { batch_size: cell.batch, limit: cell.limit, overlap: false };
+            let card = OracleCard::new(source.relation());
+            let mut controller =
+                TestController { source: source.clone(), splice: cell.mode == Mode::SplicesOnce };
+            let has_controller = matches!(cell.mode, Mode::NeverSplices | Mode::SplicesOnce);
+            let mut res = ResilienceMeter::default();
+            let tracer = csqp_obs::Tracer::new();
+            let request = StreamRequest {
+                config: &cfg,
+                retry: cell.faulty.then_some(Retry { policy: &policy, meter: &mut res }),
+                mode: match cell.mode {
+                    Mode::Plain => StreamMode::Plain,
+                    Mode::Analyzed => StreamMode::Analyzed { model: &model, card: &card },
+                    Mode::NeverSplices | Mode::SplicesOnce => StreamMode::Adaptive(&mut controller),
+                },
+                tracer: cell.traced.then_some(&tracer),
+            };
+            let (got, run) = execute_stream_collect(&plan, &source, request).expect(&ctx);
+            let n = cell.limit.map_or(want.len(), |l| want.len().min(l as usize));
+            assert_eq!(got.len(), n, "{ctx}");
+            assert_eq!(run.emitted as usize, n, "{ctx}");
+            assert!(got.tuples().iter().all(|t| want.contains(t)), "{ctx}");
+            assert_eq!(run.analysis.is_some(), cell.mode == Mode::Analyzed, "{ctx}");
+            assert!(run.splices <= u64::from(cell.mode == Mode::SplicesOnce), "{ctx}");
+            spliced += run.splices;
+            if run.splices == 0 {
+                assert_eq!(got.tuples(), &order.tuples()[..n], "{ctx}");
+                if cell.limit.is_none() {
+                    assert_eq!(source.meter(), want_meter, "{ctx}");
+                }
+            }
+            if cell.faulty {
+                assert!(res.attempts >= source.meter().queries, "{ctx}");
+            }
+            let spans = tracer.spans();
+            assert!(cell.traced || spans.is_empty(), "{ctx}");
+            if cell.traced && tracer.is_enabled() {
+                assert!(spans.iter().any(|s| s.label == "open leaf 0"), "{ctx}");
+                assert_eq!(spans.iter().any(|s| s.label == "segment 0"), has_controller, "{ctx}");
+            }
+        }
+    }
+    assert!(spliced > 0, "the splices-once column must actually splice");
+}
+
+/// Resilience counters reach the caller's meter on failure as well as on
+/// success, in every mode.
+#[test]
+fn failed_runs_still_report_their_retries() {
+    let plan = concrete_plan(3, 0);
+    let policy = RetryPolicy { max_retries: 2, ..Default::default() };
+    let cfg = StreamConfig::serial();
+    let model = CostParams::new(10.0, 1.0);
+    for mode in 0..3 {
+        let source =
+            Arc::new(full_source(5).with_fault_profile(FaultProfile::new(0).with_transient(1.0)));
+        let card = OracleCard::new(source.relation());
+        let mut controller = TestController { source: source.clone(), splice: false };
+        let mut res = ResilienceMeter::default();
+        let request = StreamRequest {
+            retry: Some(Retry { policy: &policy, meter: &mut res }),
+            mode: match mode {
+                0 => StreamMode::Plain,
+                1 => StreamMode::Analyzed { model: &model, card: &card },
+                _ => StreamMode::Adaptive(&mut controller),
+            },
+            ..StreamRequest::new(&cfg)
+        };
+        match execute_stream_collect(&plan, &source, request) {
+            Err(ExecError::Exhausted { attempts, .. }) => assert_eq!(attempts, 3),
+            other => panic!("mode {mode}: expected Exhausted, got {other:?}"),
+        }
+        assert_eq!(res.retries, 2, "mode {mode}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -118,9 +280,9 @@ proptest! {
         let (want, want_meter) = execute_measured(&plan, &source).unwrap();
         source.reset_meter();
         let cfg = StreamConfig::serial().with_batch_size(batch);
-        let (got, meter, _) = execute_stream_measured(&plan, &source, &cfg).unwrap();
+        let got = stream(&plan, &source, &cfg);
         prop_assert_eq!(&got, &want, "streaming answer diverged");
-        prop_assert_eq!(meter, want_meter, "meter deltas diverged");
+        prop_assert_eq!(source.meter(), want_meter, "meter deltas diverged");
     }
 
     /// Overlapped streaming (the default config under `parallel`) returns
@@ -133,8 +295,8 @@ proptest! {
     ) {
         let plan = concrete_plan(plan_seed, depth);
         let source = full_source(seed);
-        let (serial, _) = execute_stream(&plan, &source, &StreamConfig::serial()).unwrap();
-        let (overlapped, _) = execute_stream(&plan, &source, &StreamConfig::default()).unwrap();
+        let serial = stream(&plan, &source, &StreamConfig::serial());
+        let overlapped = stream(&plan, &source, &StreamConfig::default());
         prop_assert_eq!(serial.tuples(), overlapped.tuples(), "overlap changed the output order");
     }
 
@@ -149,9 +311,8 @@ proptest! {
     ) {
         let plan = concrete_plan(plan_seed, depth);
         let source = full_source(seed);
-        let (full, _) = execute_stream(&plan, &source, &StreamConfig::serial()).unwrap();
-        let (limited, _) =
-            execute_stream(&plan, &source, &StreamConfig::serial().with_limit(limit)).unwrap();
+        let full = stream(&plan, &source, &StreamConfig::serial());
+        let limited = stream(&plan, &source, &StreamConfig::serial().with_limit(limit));
         let n = (limit as usize).min(full.len());
         prop_assert_eq!(limited.len(), n);
         prop_assert_eq!(limited.tuples(), &full.tuples()[..n]);
@@ -178,8 +339,10 @@ proptest! {
         let policy = RetryPolicy { max_retries: 32, ..Default::default() };
         let mut res = ResilienceMeter::default();
         let cfg = StreamConfig::serial().with_batch_size(batch);
-        let (got, meter, _) =
-            execute_stream_resilient(&plan, &faulty, &policy, &mut res, &cfg).unwrap();
+        let retry = Some(Retry { policy: &policy, meter: &mut res });
+        let (got, _) =
+            execute_stream_collect(&plan, &faulty, StreamRequest { retry, ..StreamRequest::new(&cfg) }).unwrap();
+        let meter = faulty.meter();
         prop_assert_eq!(&got, &want, "faults corrupted the streamed answer");
         prop_assert_eq!(
             meter.queries, oracle.meter().queries,

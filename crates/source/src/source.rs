@@ -125,6 +125,16 @@ pub struct Meter {
 }
 
 impl Meter {
+    /// The transfer between an earlier reading `before` of the same meter
+    /// and this one.
+    pub fn since(&self, before: &Meter) -> Meter {
+        Meter {
+            queries: self.queries - before.queries,
+            tuples_shipped: self.tuples_shipped - before.tuples_shipped,
+            rejected: self.rejected - before.rejected,
+        }
+    }
+
     /// Measured cost under the §6.2 model.
     pub fn cost(&self, params: &CostParams) -> f64 {
         self.queries as f64 * params.k1 + self.tuples_shipped as f64 * params.k2

@@ -2,17 +2,15 @@
 //! non-adaptive oracle.
 //!
 //! Over randomized conditions, projections, batch sizes, cardinality
-//! assumptions, and fault seeds, [`Mediator::run_adaptive`] must return
-//! exactly the answer of the plain (materialized) run — mid-query splices
-//! deduplicate against already-emitted tuples, so re-planning can change
-//! the *cost* of a run but never its answer set. When nothing drifts
-//! (zero splices) the adaptive path must also preserve the serial stream's
-//! emission order and transfer-meter delta. With the `adaptive` (or
-//! `stream`) feature off the adaptive entry points delegate to the plain
-//! engines and splices stay 0, so every property here holds trivially —
-//! which is exactly why CI runs this suite on every feature leg.
+//! assumptions, and fault seeds, [`Mediator::run_stream`] under
+//! [`StreamOptions::Adaptive`] must return exactly the answer of the plain
+//! (materialized) run — mid-query splices deduplicate against
+//! already-emitted tuples, so re-planning can change the *cost* of a run
+//! but never its answer set. When nothing drifts (zero splices) the
+//! adaptive path must also preserve the serial stream's emission order and
+//! transfer-meter delta.
 
-use csqp_core::mediator::{AdaptiveConfig, CardKind, Mediator};
+use csqp_core::mediator::{AdaptiveConfig, CardKind, Mediator, StreamOptions};
 use csqp_core::types::TargetQuery;
 use csqp_expr::gen::{CondGen, CondGenConfig, GenAttr};
 use csqp_expr::{CondTree, Value, ValueType};
@@ -121,12 +119,12 @@ proptest! {
         let med = Mediator::new(source).with_cardinality(CardKind::Uniform { atom_selectivity: sel });
         let want = med.run(&q).unwrap();
         let cfg = adaptive_cfg(batch, None);
-        let got = med.run_adaptive(&q, &cfg).unwrap();
+        let got = med.run_stream(&q, StreamOptions::Adaptive(&cfg), None).unwrap();
         prop_assert_eq!(&got.outcome.rows, &want.rows, "adaptive answer diverged (set)");
         prop_assert!(got.splices <= cfg.max_splices, "splice budget exceeded");
         prop_assert!(got.drift_triggers >= got.splices, "every splice needs a trigger");
         if got.splices == 0 {
-            let plain = med.run_streamed(&q, &cfg.stream).unwrap();
+            let plain = med.run_stream(&q, StreamOptions::plain(&cfg.stream), None).unwrap();
             prop_assert_eq!(
                 got.outcome.rows.tuples(), plain.outcome.rows.tuples(),
                 "no-splice adaptive run changed the emission order"
@@ -152,7 +150,7 @@ proptest! {
             .with_cardinality(CardKind::Uniform { atom_selectivity: 0.02 });
         let want = med.run(&q).unwrap();
         let cfg = adaptive_cfg(batch, None);
-        let got = med.run_adaptive(&q, &cfg).unwrap();
+        let got = med.run_stream(&q, StreamOptions::Adaptive(&cfg), None).unwrap();
         prop_assert_eq!(&got.outcome.rows, &want.rows, "inverted-cost adaptive answer diverged");
         prop_assert!(got.splices <= cfg.max_splices);
     }
@@ -179,7 +177,8 @@ proptest! {
         );
         let med = Mediator::new(faulty).with_cardinality(CardKind::Uniform { atom_selectivity: 0.05 });
         let policy = RetryPolicy { max_retries: 32, ..Default::default() };
-        let got = med.run_adaptive(&q, &adaptive_cfg(batch, Some(policy))).unwrap();
+        let cfg = adaptive_cfg(batch, Some(policy));
+        let got = med.run_stream(&q, StreamOptions::Adaptive(&cfg), None).unwrap();
         prop_assert_eq!(&got.outcome.rows, &want.rows, "faults corrupted the adaptive answer");
         if got.splices == 0 {
             prop_assert_eq!(
@@ -207,13 +206,17 @@ proptest! {
         let source = Arc::new(full_source(seed));
         let med = Mediator::new(source).with_cardinality(CardKind::Uniform { atom_selectivity: 0.02 });
         let cfg = adaptive_cfg(batch, None);
-        let accumulated = med.run_adaptive(&q, &cfg).unwrap();
+        let accumulated = med.run_stream(&q, StreamOptions::Adaptive(&cfg), None).unwrap();
         let mut streamed: Vec<String> = Vec::new();
         let each = med
-            .run_adaptive_each(&q, &cfg, &mut |b| {
-                streamed.extend(b.rows().map(|r| r.to_string()));
-                true
-            })
+            .run_stream(
+                &q,
+                StreamOptions::Adaptive(&cfg),
+                Some(&mut |b| {
+                    streamed.extend(b.rows().map(|r| r.to_string()));
+                    true
+                }),
+            )
             .unwrap();
         prop_assert_eq!(each.splices, accumulated.splices, "splice count must be deterministic");
         let mut want: Vec<String> = accumulated.outcome.rows.rows().map(|r| r.to_string()).collect();

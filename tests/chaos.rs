@@ -328,7 +328,6 @@ fn chaos_trace_matches_golden_across_feature_sets() {
     );
 }
 
-#[cfg(all(feature = "stream", feature = "adaptive"))]
 const GOLDEN_REPLAN_PATH: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden_chaos_replan.txt");
 
@@ -336,7 +335,6 @@ const GOLDEN_REPLAN_PATH: &str =
 /// mid-stream (with seeded transient noise on top), mirrored by a
 /// reliable but expensive dump. Breaker threshold 1: the first mid-stream
 /// death opens it.
-#[cfg(all(feature = "stream", feature = "adaptive"))]
 fn replan_federation(seed: u64) -> Federation {
     let data = datagen::cars(3, 400);
     let flaky = Arc::new(
@@ -372,7 +370,6 @@ fn replan_federation(seed: u64) -> Federation {
 /// for the residual rather than the run failing over from scratch. Checks
 /// exactness on every success and that EXPLAIN WHY renders the splice;
 /// returns the trace.
-#[cfg(all(feature = "stream", feature = "adaptive"))]
 fn replan_storm(seed: u64) -> Vec<String> {
     use csqp_plan::exec_stream::StreamConfig;
     let f = replan_federation(seed);
@@ -441,7 +438,6 @@ fn replan_storm(seed: u64) -> Vec<String> {
 /// Mid-pipeline breaker-open recovery: exact answers, at least one splice,
 /// and a per-seed deterministic trace. Seed set overridable with
 /// `CHAOS_REPLAN_SEED=<n>` (the CI chaos matrix runs one seed per job).
-#[cfg(all(feature = "stream", feature = "adaptive"))]
 #[test]
 fn chaos_replan_recovers_mid_stream() {
     let seeds: Vec<u64> = match std::env::var("CHAOS_REPLAN_SEED") {
@@ -456,7 +452,6 @@ fn chaos_replan_recovers_mid_stream() {
 
 /// The replan trace at the golden seed is identical across builds, like
 /// the main chaos golden. Regenerate with `CHAOS_BLESS=1`.
-#[cfg(all(feature = "stream", feature = "adaptive"))]
 #[test]
 fn chaos_replan_trace_matches_golden() {
     let got: String = replan_storm(GOLDEN_SEED).iter().map(|l| format!("{l}\n")).collect();

@@ -6,9 +6,7 @@
 //! query of the same *shape*. The promise pinned here is capability-cache
 //! transparency: for any sequence of feasible queries, executing the
 //! prepared plan returns exactly the rows that planning the query cold
-//! would have returned — hits, misses and rejects alike. The suite runs on
-//! every CI feature leg (streaming off delegates to materialized execution
-//! behind the same entry points), so the parity holds in every build.
+//! would have returned — hits, misses and rejects alike.
 //!
 //! The deterministic tests additionally pin the soundness gate for
 //! const-literal grammars: a cached plan whose winner's grammar hardwires a
@@ -17,7 +15,7 @@
 //! and the query must fall back to a cold plan with correct answers.
 
 use csqp_core::federation::Federation;
-use csqp_core::mediator::Mediator;
+use csqp_core::mediator::{Mediator, StreamOptions};
 use csqp_core::plancache::{CacheDecision, PlanCache};
 use csqp_core::types::{PlannedQuery, TargetQuery};
 use csqp_plan::StreamConfig;
@@ -69,12 +67,16 @@ fn rig(with_cache: bool) -> Rig {
 fn rows_of(rig: &Rig, member: usize, planned: PlannedQuery) -> Vec<String> {
     let mut rows = Vec::new();
     rig.mediators[member]
-        .run_streamed_each_planned(planned, &StreamConfig::default(), &mut |batch| {
-            for row in batch.rows() {
-                rows.push(row.to_string());
-            }
-            true
-        })
+        .run_stream(
+            planned,
+            StreamOptions::plain(&StreamConfig::default()),
+            Some(&mut |batch| {
+                for row in batch.rows() {
+                    rows.push(row.to_string());
+                }
+                true
+            }),
+        )
         .expect("planned execution succeeds");
     rows.sort();
     rows

@@ -1,8 +1,9 @@
 //! The multi-tenant serve front door under concurrency: worker-pool
 //! keep-alive serving, `/shutdown` draining in-flight connections,
 //! per-tenant token-bucket shedding (429), the prepared-plan cache
-//! surfacing in trailers and `/metrics`, and a mixed-tenant hammer whose
-//! audit journal must come out coherent — no lost or duplicated records.
+//! surfacing in trailers and `/metrics`, a mixed-tenant hammer whose audit
+//! journal must come out coherent — no lost or duplicated records — and
+//! slow-log entries that carry their own query's decision trail.
 
 use csqp::serve::{ServeConfig, Server};
 use csqp_relation::datagen;
@@ -307,4 +308,67 @@ fn worker_pool_hammer_keeps_journal_and_counters_coherent() {
         assert_eq!(ids.len() as u64, ok_total, "flight ids are unique across workers");
     }
     let _ = std::fs::remove_file(&journal);
+}
+
+/// Slow-log attribution under concurrency: with every query "slow"
+/// (`slow_ms: 0`) and four clients pushing distinct queries through four
+/// workers, each `/slowlog` entry's `EXPLAIN WHY` trail must narrate the
+/// entry's own query — not whichever query happened to plan last.
+#[test]
+fn slow_log_entries_carry_their_own_decision_trail() {
+    const THREADS: usize = 4;
+    const PER_THREAD: usize = 16;
+    let cfg = ServeConfig {
+        slow_ms: 0,
+        slow_log_capacity: THREADS * PER_THREAD,
+        workers: THREADS,
+        ..ServeConfig::default()
+    };
+    let server = Server::bind_federation(vec![dealer()], cfg).expect("bind an ephemeral port");
+    let addr = server.local_addr().expect("bound address");
+    let obs_on = server.mediator().obs().enabled();
+    let handle = std::thread::spawn(move || server.run());
+
+    let clients: Vec<_> = (0..THREADS)
+        .map(|t| {
+            std::thread::spawn(move || {
+                for round in 0..PER_THREAD {
+                    // Same shape, distinct constants: every query renders
+                    // differently, and the plan cache keeps them quick.
+                    let price = 20000 + 1000 * t + round;
+                    let resp = http_get(
+                        addr,
+                        &format!(
+                            "/query?cond=make%20%3D%20%22BMW%22%20%5E%20price%20%3C%20{price}\
+                             &attrs=model,year&tenant=t{t}"
+                        ),
+                    );
+                    assert!(resp.starts_with("HTTP/1.1 200"), "t{t}/{round}: {resp}");
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("client thread");
+    }
+
+    let slowlog = http_get(addr, "/slowlog");
+    let entries: Vec<&str> = slowlog.split("--- slow query ").skip(1).collect();
+    assert_eq!(entries.len(), THREADS * PER_THREAD, "every query entered the log:\n{slowlog}");
+    for entry in entries {
+        let (header, trail) = entry.split_once('\n').expect("entry header line");
+        let (_, query) = header.split_once("): ").expect("header ends in the query");
+        if obs_on {
+            assert!(
+                trail.contains(&format!("query:  {query}\n")),
+                "slow query `{query}` logged another query's trail:\n{trail}"
+            );
+        } else {
+            assert!(trail.contains("recorder"), "obs-off logs the disabled notice:\n{trail}");
+        }
+    }
+
+    let bye = http_get(addr, "/shutdown");
+    assert!(bye.contains("shutting down"), "{bye}");
+    handle.join().expect("server thread").expect("accept loop exits cleanly");
 }

@@ -13,7 +13,7 @@
 //! the API surface is exercised on every CI feature leg.
 
 use csqp_core::federation::{CircuitBreakerConfig, Federation};
-use csqp_core::mediator::{AdaptiveConfig, Mediator};
+use csqp_core::mediator::{AdaptiveConfig, Mediator, StreamOptions};
 use csqp_core::types::TargetQuery;
 use csqp_expr::ValueType;
 use csqp_obs::span::validate;
@@ -158,10 +158,12 @@ fn adaptive_segment_spans_validate() {
         ..Default::default()
     };
     let query = q("(make = \"BMW\" _ make = \"Audi\") ^ price < 40000", &["model", "year"]);
-    let run = mediator.run_adaptive(&query, &cfg).expect("adaptive run succeeds");
+    let run = mediator
+        .run_stream(&query, StreamOptions::Adaptive(&cfg), None)
+        .expect("adaptive run succeeds");
     let spans = obs.tracer.spans();
     validate(&spans).expect("adaptive spans must be well-formed");
-    #[cfg(all(feature = "obs", feature = "stream", feature = "adaptive"))]
+    #[cfg(feature = "obs")]
     {
         assert!(
             spans.iter().any(|s| s.label.starts_with("segment")),
