@@ -110,6 +110,7 @@ fn finish(
                 est_cost,
                 // The baselines are single-strategy: no losers to keep.
                 alternatives: Vec::new(),
+                flight_id: 0,
                 report: PlannerReport {
                     cts_processed: 1,
                     checks: cache.calls(),

@@ -3,7 +3,7 @@
 //! A federation walking N members re-runs full `Check()`-based planning on
 //! every member for every query — O(N × parse), fatal at thousands of
 //! sources. This module denormalizes each member's compiled
-//! [`CapabilityFacts`](csqp_ssdl::facts::CapabilityFacts) into
+//! [`CapabilityFacts`] into
 //! federation-wide inverted bitset postings over dense member ids, so
 //! "which sources could possibly answer this condition shape?" resolves by
 //! a handful of [`SymSet`] intersections — no grammar is parsed for members

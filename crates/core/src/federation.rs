@@ -5,19 +5,27 @@
 //!
 //! The federation plans the target query against every member and executes
 //! the cheapest feasible plan — capability-sensitivity applied one level up
-//! from [`crate::mediator::Mediator`].
+//! from [`crate::mediator::Mediator`]. It keeps one warm mediator per
+//! member; [`Federation::run_stream`] is the one function that executes,
+//! and how a failing member is recovered from is its
+//! [`FederatedOptions`] value.
 
-use crate::capindex::{CapabilityIndex, IndexDecision};
-use crate::mediator::{execute_with_failover, CardKind, Mediator, MediatorError, RunOutcome};
+use crate::capindex::CapabilityIndex;
+use crate::mediator::{
+    CardKind, Mediator, MediatorError, RunOutcome, Scheme, StreamInput, StreamOptions,
+    StreamOutcome,
+};
 use crate::plancache::{CacheDecision, Lookup, PlanCache};
 use crate::types::{PlanError, PlannedQuery, TargetQuery};
 use csqp_obs::{names, FlightRecorder, Obs, PlanEvent, QueryFlight};
-use csqp_plan::exec::{execute_measured, ExecError, RetryPolicy};
+use csqp_plan::exec::{ExecError, RetryPolicy};
 use csqp_plan::exec_stream::{
-    execute_stream_collect, plan_condition, ReplanController, ReplanProbe, Retry, SpliceAction,
-    StreamConfig, StreamMode, StreamRequest, StreamStats,
+    execute_stream, execute_stream_collect, plan_condition, ReplanController, ReplanProbe, Retry,
+    SpliceAction, StreamConfig, StreamMode, StreamRequest,
 };
 use csqp_plan::AttrSet;
+use csqp_relation::stream::TupleBatch;
+use csqp_relation::Relation;
 use csqp_source::{Meter, ResilienceMeter, Source};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -41,8 +49,9 @@ impl Default for CircuitBreakerConfig {
 }
 
 /// Per-member breaker state. The clock is the federation's own run counter
-/// (one tick per [`Federation::run_resilient`] call) — no wall-clock, so
-/// quarantine windows replay deterministically.
+/// (one tick per [`FederatedOptions::Failover`] or
+/// [`FederatedOptions::Splice`] run) — no wall-clock, so quarantine windows
+/// replay deterministically.
 #[derive(Debug, Default)]
 struct BreakerState {
     consecutive_failures: AtomicU32,
@@ -96,10 +105,15 @@ impl BreakerState {
 #[derive(Debug)]
 pub struct Federation {
     members: Vec<Arc<Source>>,
+    /// One warm mediator per member, in member order, sharing this
+    /// federation's observability handle and flight recorder: it plans the
+    /// member's candidate and streams the member's answers.
+    mediators: Vec<Mediator>,
     breakers: Vec<BreakerState>,
+    scheme: Scheme,
     card: CardKind,
     breaker_cfg: CircuitBreakerConfig,
-    /// Virtual clock: one tick per resilient run.
+    /// Virtual clock: one tick per breaker-gated run.
     clock: AtomicU64,
     obs: Arc<Obs>,
     flight: Arc<FlightRecorder>,
@@ -119,7 +133,7 @@ impl Default for Federation {
 }
 
 /// One entry of a federated failover trace: what happened to a member
-/// during a resilient run, in the order members were considered.
+/// during a breaker-gated run, in the order members were considered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MemberEvent {
     /// Skipped: the circuit breaker is open.
@@ -172,47 +186,87 @@ impl BreakerHealth {
     }
 }
 
+/// Per-member planning verdicts, in member order: the estimated cost of the
+/// member's plan, or why it has none.
+pub type Considered = Vec<(String, Result<f64, PlanError>)>;
+
 /// A member-ordered failover trace (member name, event). A member can
 /// appear twice: once `Probed`, then `Served`/`ExecFailed`.
 pub type FailoverTrace = Vec<(String, MemberEvent)>;
 
-/// The outcome of a resilient federated run.
+/// The outcome of [`Federation::run_stream`].
 #[derive(Debug)]
 pub struct FederatedRun {
-    /// The plan-and-execute outcome on the serving member.
-    pub outcome: RunOutcome,
-    /// Name of the member that served the answer.
+    /// The run on the serving member. `outcome.planned` is that member's
+    /// *primary* plan with its ranked alternatives (the first member's on a
+    /// spliced run); `resilience` is cumulative across every member and
+    /// plan tried (member switches and mid-stream splices count as
+    /// failovers, on top of plan switches). After a splice `outcome.meter`
+    /// and `measured_cost` aggregate over every member that shipped tuples,
+    /// each charged at its own §6.2 constants, and `splices` counts them.
+    pub stream: StreamOutcome,
+    /// Name of the member that served the answer (the last splice target
+    /// when splices fired).
     pub source_name: String,
     /// Rank of the serving plan on that member (0 = its primary plan).
     pub plan_rank: usize,
-    /// Cumulative resilience metrics across every member and plan tried
-    /// (member switches count as failovers, on top of plan switches).
-    pub resilience: ResilienceMeter,
-    /// The failover trace, for explainability and determinism checks.
+    /// The per-member event trace, for explainability and determinism
+    /// checks. Empty under [`FederatedOptions::Winner`]: no member but the
+    /// winner is touched.
     pub trace: FailoverTrace,
+    /// Per-member planning verdicts — empty after a plan-cache hit, where
+    /// no fan-out ran.
+    pub considered: Considered,
+    /// The flight record narrating this query (0 with a disarmed recorder).
+    pub flight_id: u64,
 }
 
-/// The outcome of an adaptive federated run
-/// ([`Federation::run_adaptive`]).
-#[derive(Debug)]
-pub struct FederatedAdaptiveRun {
-    /// The resilient-run outcome. `outcome.planned` is the *primary*
-    /// member's plan; `source_name` names the member that finished the
-    /// stream (the last splice target when splices fired); `outcome.meter`
-    /// and `measured_cost` aggregate over every member that shipped
-    /// tuples, each charged at its own §6.2 constants.
-    pub run: FederatedRun,
-    /// Batch/memory stats accumulated across every pipeline segment.
-    pub stats: StreamStats,
-    /// How many mid-stream member splices the breaker controller made.
-    pub splices: u64,
-}
+/// What [`Federation::run_stream`] executes: a query to plan federation-wide
+/// first, or the winner an earlier [`Federation::prepare`] picked — how
+/// `csqp serve` keeps the cache decision and the flight id in hand before
+/// the first row ships. A prepared winner runs under
+/// [`FederatedOptions::Winner`] only: one member's plan gives failover and
+/// splice nobody to turn to.
+pub type FederatedInput<'a> = StreamInput<'a, PreparedFederated>;
 
-impl FederatedAdaptiveRun {
-    /// The per-member event trace, in the order events happened.
-    pub fn trace(&self) -> &FailoverTrace {
-        &self.run.trace
+impl From<PreparedFederated> for FederatedInput<'_> {
+    fn from(prepared: PreparedFederated) -> Self {
+        StreamInput::Prepared(prepared)
     }
+}
+
+/// What [`Federation::run_stream`] does about a member that fails — the
+/// recovery policy is this value, not the method called. The two recovering
+/// policies leave different recorded traces and both consult and move the
+/// circuit breakers.
+#[derive(Debug, Clone, Copy)]
+pub enum FederatedOptions<'a> {
+    /// The planning winner serves, on its mediator, the way the inner
+    /// options say — or the run fails. Breakers are neither consulted nor
+    /// moved.
+    Winner(StreamOptions<'a>),
+    /// Whole-plan member failover: members are tried cheapest-first; within
+    /// a member round-trips retry per the policy, then its ranked plan
+    /// alternatives run; when it still fails the next-cheapest member
+    /// starts from scratch. A member that fails
+    /// [`CircuitBreakerConfig::failure_threshold`] consecutive runs sits
+    /// `cooldown_ticks` runs out, then gets a half-open probe. Each attempt
+    /// collects — a dead member's partial answer must not leak — so a sink
+    /// receives the answer in one batch once a member has served.
+    Failover(&'a RetryPolicy),
+    /// Mid-stream splice: the cheapest member's plan streams, and when it
+    /// dies *mid-pipeline* (per-round-trip retries exhausted) its breaker
+    /// opens, the paused pipeline's residual condition is re-planned on
+    /// the next-cheapest gated candidate, and that plan is spliced into
+    /// the running stream — already-emitted tuples are deduplicated away,
+    /// so the answer matches a fault-free run, and neither the work done
+    /// before the fault nor the failed member's whole plan is redone.
+    Splice {
+        /// Per-round-trip retries applied before a leaf failure counts.
+        policy: &'a RetryPolicy,
+        /// Batch size and row limit (the run is serial).
+        stream: &'a StreamConfig,
+    },
 }
 
 /// Outcome of [`Federation::prepare`]: the member to execute on, the plan
@@ -226,9 +280,9 @@ pub struct PreparedFederated {
     pub planned: PlannedQuery,
     /// How the prepared-plan cache probe went.
     pub decision: CacheDecision,
-    /// Per-member planning outcomes — empty on a cache hit, where no
+    /// Per-member planning verdicts — empty on a cache hit, where no
     /// fan-out ran.
-    pub considered: Vec<(String, Result<f64, PlanError>)>,
+    pub considered: Considered,
     /// The flight record narrating this prepare (0 with a disarmed
     /// recorder). Captured from the begin handle itself, so it stays
     /// correct when concurrent queries interleave their flights.
@@ -242,9 +296,8 @@ pub struct FederatedPlan {
     pub source: Arc<Source>,
     /// Its plan.
     pub planned: PlannedQuery,
-    /// Per-member outcomes (member name, estimated cost or the error),
-    /// for explainability.
-    pub considered: Vec<(String, Result<f64, PlanError>)>,
+    /// Per-member verdicts, for explainability.
+    pub considered: Considered,
     /// The flight record narrating this plan (0 with a disarmed recorder).
     pub flight_id: u64,
 }
@@ -254,7 +307,9 @@ impl Federation {
     pub fn new() -> Self {
         Federation {
             members: Vec::new(),
+            mediators: Vec::new(),
             breakers: Vec::new(),
+            scheme: Scheme::GenCompact,
             card: CardKind::Stats,
             breaker_cfg: CircuitBreakerConfig::default(),
             clock: AtomicU64::new(0),
@@ -267,13 +322,19 @@ impl Federation {
     }
 
     /// Arms this federation with a flight recorder: every `plan` /
-    /// `run_resilient` call leaves a per-query record of member selection,
-    /// breaker transitions, and failovers, replayable via
-    /// [`Federation::explain_why`]. Events are only recorded in the
-    /// sequential merge sections, so records are identical with the
-    /// `parallel` feature on or off.
+    /// `run_stream` call leaves a per-query record of member selection,
+    /// breaker transitions, failovers and the serving member's stream
+    /// notes, replayable via [`Federation::explain_why`]. Events are only
+    /// recorded at sequential program points, so records are identical
+    /// with the `parallel` feature on or off.
     pub fn with_flight_recorder(mut self, recorder: Arc<FlightRecorder>) -> Self {
-        self.flight = recorder;
+        self.flight = recorder.clone();
+        self.map_mediators(|m| m.with_flight_recorder(recorder.clone()))
+    }
+
+    /// Re-threads a builder setting through the member mediators.
+    fn map_mediators(mut self, f: impl Fn(Mediator) -> Mediator) -> Self {
+        self.mediators = self.mediators.into_iter().map(f).collect();
         self
     }
 
@@ -288,14 +349,14 @@ impl Federation {
         csqp_plan::why::explain_why(self.flight.latest().as_ref())
     }
 
-    /// Shares an observability handle with this federation. Member
-    /// mediators used for the planning fan-out keep private handles — the
-    /// federation flushes their reports into this registry *after* the
-    /// order-preserving merge, so counters and trace stay deterministic
+    /// Shares an observability handle with this federation and its member
+    /// mediators. The planning fan-out records nothing on its own — the
+    /// federation flushes each candidate's report into this registry in the
+    /// order-preserving merge — so counters and trace stay deterministic
     /// with the `parallel` feature on or off.
     pub fn with_obs(mut self, obs: Arc<Obs>) -> Self {
-        self.obs = obs;
-        self
+        self.obs = obs.clone();
+        self.map_mediators(|m| m.with_obs(obs.clone()))
     }
 
     /// The observability handle.
@@ -303,27 +364,15 @@ impl Federation {
         &self.obs
     }
 
-    /// Member-attributed health-tap counter: `<prefix><member>` += 1. The
-    /// suffix-named `member.*` families feed the windowed health scorer
+    /// Member-attributed health-tap counter: `<prefix><member>` += `delta`.
+    /// The suffix-named `member.*` families feed the windowed health scorer
     /// (`csqp_obs::health::signals_from_window`). Gated on the recording
-    /// build so obs-off pays for neither the formatting nor the lock.
-    fn tap(&self, prefix: &str, member: &str) {
-        self.tap_add(prefix, member, 1);
-    }
-
-    /// Like [`Federation::tap`] with an explicit delta; zero deltas are
-    /// skipped so windows only carry members with activity.
-    fn tap_add(&self, prefix: &str, member: &str, delta: u64) {
+    /// build so obs-off pays for neither the formatting nor the lock; zero
+    /// deltas are skipped so windows only carry members with activity.
+    fn tap(&self, prefix: &str, member: &str, delta: u64) {
         if self.obs.enabled() && delta > 0 {
             self.obs.metrics.add(&format!("{prefix}{member}"), delta);
         }
-    }
-
-    /// Cost tap: both cost signals are kept in integral millis so they ride
-    /// the counter machinery (and its windowed deltas) unchanged.
-    fn tap_costs(&self, member: &str, est_cost: f64, observed_cost: f64) {
-        self.tap_add(names::MEMBER_EST_COST_MILLI_PREFIX, member, names::to_milli(est_cost));
-        self.tap_add(names::MEMBER_OBS_COST_MILLI_PREFIX, member, names::to_milli(observed_cost));
     }
 
     /// A point-in-time snapshot of every metric this federation recorded.
@@ -358,8 +407,15 @@ impl Federation {
             .collect()
     }
 
-    /// Adds a member source.
+    /// Adds a member source (and builds its mediator, once).
     pub fn with_member(mut self, source: Arc<Source>) -> Self {
+        self.mediators.push(
+            Mediator::new(source.clone())
+                .with_scheme(self.scheme)
+                .with_cardinality(self.card)
+                .with_obs(self.obs.clone())
+                .with_flight_recorder(self.flight.clone()),
+        );
         self.members.push(source);
         self.breakers.push(BreakerState::default());
         // Membership changed: any compiled index is stale, and cached
@@ -373,9 +429,7 @@ impl Federation {
     /// repeat query *shapes* out of it instead of re-running the planning
     /// fan-out, and every breaker transition or membership change wipes it
     /// (the cached winners were chosen against a world that no longer
-    /// holds). Share the same handle with the member mediators
-    /// ([`Mediator::with_plan_cache`]) so cost-model recalibration wipes
-    /// it too.
+    /// holds).
     pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.plan_cache = Some(cache);
         self
@@ -423,81 +477,32 @@ impl Federation {
         }))
     }
 
-    /// Runs the capability-index pre-filter for one query (when enabled)
-    /// and records the candidate/pruned counters.
-    fn index_decision(&self, query: &TargetQuery) -> Option<IndexDecision> {
-        let idx = self.capability_index()?;
-        let _span = self.obs.tracer.span("capindex select");
-        let decision = idx.candidates(query);
-        self.obs.metrics.add(names::CAPINDEX_CANDIDATES, decision.candidates.len() as u64);
-        self.obs.metrics.add(names::CAPINDEX_PRUNED, decision.pruned as u64);
-        Some(decision)
-    }
-
-    /// Fans full planning out over the members that survive `decision`
-    /// (all members when `decision` is `None`), returning `(member index,
-    /// outcome)` pairs in member order — pruned members are absent, so the
-    /// planning cost and the result size scale with the candidate set, not
-    /// the federation.
-    #[allow(clippy::type_complexity)]
-    fn plan_candidates(
+    /// The planning survey every selection starts from: plans `query` on
+    /// each member the capability index lets through (concurrently under
+    /// the `parallel` feature, recording nothing), then merges in member
+    /// order into the feasible `(member, plan)` list — plans stamped with
+    /// `flight`'s id — and the per-member verdicts. A member the index
+    /// pruned is infeasible with certainty: no planning is spent on it and
+    /// its bookkeeping is aggregated, so the per-query cost scales with the
+    /// candidate set, not the federation. This sequential merge is the only
+    /// place planner counters, member spans and selection events are
+    /// recorded, so the output is identical with `parallel` on or off.
+    fn survey(
         &self,
         query: &TargetQuery,
-        decision: Option<&IndexDecision>,
-    ) -> Vec<(usize, Result<PlannedQuery, PlanError>)> {
-        let work: Vec<usize> = (0..self.members.len())
-            .filter(|&i| decision.is_none_or(|d| d.is_candidate(i)))
-            .collect();
-        let card = self.card;
-        let outcomes = crate::par::par_map(&work, |&i| {
-            Mediator::new(self.members[i].clone()).with_cardinality(card).plan(query)
+        flight: QueryFlight<'_>,
+    ) -> (Vec<(usize, PlannedQuery)>, Considered) {
+        let decision = self.capability_index().map(|idx| {
+            let _span = self.obs.tracer.span("capindex select");
+            idx.candidates(query)
         });
-        work.into_iter().zip(outcomes).collect()
-    }
-
-    /// Selects the cardinality estimator used for every member.
-    pub fn with_cardinality(mut self, card: CardKind) -> Self {
-        self.card = card;
-        self
-    }
-
-    /// Overrides the circuit-breaker policy used by
-    /// [`run_resilient`](Federation::run_resilient).
-    pub fn with_breaker(mut self, cfg: CircuitBreakerConfig) -> Self {
-        self.breaker_cfg = cfg;
-        self
-    }
-
-    /// The member sources.
-    pub fn members(&self) -> &[Arc<Source>] {
-        &self.members
-    }
-
-    /// Plans `query` against every member and picks the cheapest feasible
-    /// plan (estimated cost under each member's own cost constants).
-    ///
-    /// Members are planned concurrently when the `parallel` feature is on
-    /// (each mediator is self-contained — no shared planner state). The
-    /// reduce runs left-to-right over results in member order, keeping the
-    /// earliest member on cost ties, so the choice is identical to the
-    /// sequential loop regardless of thread scheduling.
-    pub fn plan(&self, query: &TargetQuery) -> Result<FederatedPlan, PlanError> {
-        let span = self.obs.tracer.span("federation plan");
-        let flight = self.flight.begin_with(|| (query.to_string(), "Federation".to_string()));
-        let decision = self.index_decision(query);
-        let outcomes = self.plan_candidates(query, decision.as_ref());
-        let mut best: Option<(Arc<Source>, PlannedQuery)> = None;
-        let mut considered = Vec::with_capacity(self.members.len());
-        // Member plans retained for provenance (name, cost, rendered plan);
-        // only captured when a recorder is armed.
-        let mut member_plans: Vec<(String, f64, String)> = Vec::new();
-        // Sequential, member-ordered merge: the only place planner counters
-        // and trace events are recorded, so the output is identical with
-        // the `parallel` feature on or off.
+        let work: Vec<usize> = (0..self.members.len())
+            .filter(|&i| decision.as_ref().is_none_or(|d| d.is_candidate(i)))
+            .collect();
+        let outcomes = crate::par::par_map(&work, |&i| self.mediators[i].plan_quiet(query));
         if let Some(d) = &decision {
-            // Pruned members are aggregated — one metric add, one trace
-            // event, one flight event — so the per-query bookkeeping cost
-            // scales with the candidate set, not the federation.
+            self.obs.metrics.add(names::CAPINDEX_CANDIDATES, d.candidates.len() as u64);
+            self.obs.metrics.add(names::CAPINDEX_PRUNED, d.pruned as u64);
             self.obs.metrics.add(names::FEDERATION_INFEASIBLE, d.pruned as u64);
             self.obs.tracer.event_with(|| {
                 format!(
@@ -513,103 +518,113 @@ impl Federation {
                 pruned: d.pruned,
             });
         }
-        // One pre-rendered query string shared by every pruned member's
-        // `considered` entry (cloning beats re-rendering 10k times).
-        let pruned_query = if decision.as_ref().is_some_and(|d| d.pruned > 0) {
-            query.to_string()
-        } else {
-            String::new()
-        };
-        let mut next = outcomes.into_iter().peekable();
+        let mut feasible = Vec::new();
+        let mut considered = Vec::with_capacity(self.members.len());
+        // One rendered query string shared by every pruned member's verdict
+        // (cloning beats re-rendering 10k times).
+        let mut pruned_query: Option<String> = None;
+        let mut planned = work.into_iter().zip(outcomes).peekable();
         for (idx, member) in self.members.iter().enumerate() {
-            let outcome = if next.peek().is_some_and(|(i, _)| *i == idx) {
-                next.next().expect("peeked entry exists").1
-            } else {
-                // Pruned by the capability index: infeasible with
-                // certainty, no full planning was spent on it.
-                considered.push((
-                    member.name.clone(),
-                    Err(PlanError::NoFeasiblePlan {
-                        query: pruned_query.clone(),
-                        scheme: "CapIndex",
-                    }),
-                ));
+            let name = &member.name;
+            if planned.peek().is_none_or(|(i, _)| *i != idx) {
+                let query = pruned_query.get_or_insert_with(|| query.to_string()).clone();
+                let pruned = PlanError::NoFeasiblePlan { query, scheme: "CapIndex" };
+                considered.push((name.clone(), Err(pruned)));
                 continue;
-            };
-            // One span per *planned* candidate; pruned members keep their
-            // O(1) aggregated bookkeeping above. Guarded so a disabled
+            }
+            // One span per *planned* candidate. Guarded so a disabled
             // tracer skips the label formatting entirely.
             let _member_span = self
                 .obs
                 .tracer
                 .is_enabled()
-                .then(|| self.obs.tracer.span(&format!("member {}", member.name)));
-            match outcome {
-                Ok(planned) => {
-                    planned.report.record_into(&self.obs.metrics);
-                    self.obs.tracer.event_with(|| {
-                        format!("member {}: est cost {:.2}", member.name, planned.est_cost)
-                    });
-                    if flight.active() {
-                        member_plans.push((
-                            member.name.clone(),
-                            planned.est_cost,
-                            planned.plan.to_string(),
-                        ));
-                    }
-                    considered.push((member.name.clone(), Ok(planned.est_cost)));
-                    if best.as_ref().is_none_or(|(_, b)| planned.est_cost < b.est_cost) {
-                        best = Some((member.clone(), planned));
-                    }
+                .then(|| self.obs.tracer.span(&format!("member {name}")));
+            match planned.next().expect("peeked entry exists").1 {
+                Ok(mut p) => {
+                    p.flight_id = flight.id();
+                    p.report.record_into(&self.obs.metrics);
+                    self.obs
+                        .tracer
+                        .event_with(|| format!("member {name}: est cost {:.2}", p.est_cost));
+                    considered.push((name.clone(), Ok(p.est_cost)));
+                    feasible.push((idx, p));
                 }
                 Err(e) => {
                     self.obs.metrics.inc(names::FEDERATION_INFEASIBLE);
-                    self.obs
-                        .tracer
-                        .event_with(|| format!("member {}: infeasible ({e})", member.name));
+                    self.obs.tracer.event_with(|| format!("member {name}: infeasible ({e})"));
                     flight.event_with(|| PlanEvent::Note {
-                        text: format!("member {}: infeasible ({e})", member.name),
+                        text: format!("member {name}: infeasible ({e})"),
                     });
-                    considered.push((member.name.clone(), Err(e)));
+                    considered.push((name.clone(), Err(e)));
                 }
             }
         }
-        if let Some((source, planned)) = &best {
-            self.obs.tracer.event_with(|| {
-                format!("chose {} at est cost {:.2}", source.name, planned.est_cost)
+        (feasible, considered)
+    }
+
+    /// Selects the cardinality estimator used for every member.
+    pub fn with_cardinality(mut self, card: CardKind) -> Self {
+        self.card = card;
+        self.map_mediators(|m| m.with_cardinality(card))
+    }
+
+    /// Selects the planning scheme of every member mediator (GenCompact by
+    /// default): cold planning and mid-query re-plans both run under it.
+    pub fn with_scheme(mut self, scheme: Scheme) -> Self {
+        self.scheme = scheme;
+        self.map_mediators(|m| m.with_scheme(scheme))
+    }
+
+    /// Overrides the circuit-breaker policy of the breaker-gated runs
+    /// ([`FederatedOptions::Failover`], [`FederatedOptions::Splice`]).
+    pub fn with_breaker(mut self, cfg: CircuitBreakerConfig) -> Self {
+        self.breaker_cfg = cfg;
+        self
+    }
+
+    /// The member sources.
+    pub fn members(&self) -> &[Arc<Source>] {
+        &self.members
+    }
+
+    /// Plans `query` against every member and picks the cheapest feasible
+    /// plan (estimated cost under each member's own cost constants). The
+    /// earliest member wins cost ties, so the choice is the sequential
+    /// loop's regardless of thread scheduling.
+    pub fn plan(&self, query: &TargetQuery) -> Result<FederatedPlan, PlanError> {
+        let _span = self.obs.tracer.span("federation plan");
+        let flight = self.flight.begin_with(|| (query.to_string(), "Federation".to_string()));
+        let (mut feasible, considered) = self.survey(query, flight);
+        let best = (0..feasible.len()).min_by(|&a, &b| by_cost(&feasible[a], &feasible[b]));
+        let best = best.ok_or_else(|| PlanError::NoFeasiblePlan {
+            query: query.to_string(),
+            scheme: "Federation",
+        })?;
+        let (winner_idx, planned) = &feasible[best];
+        let winner = &self.members[*winner_idx];
+        self.obs
+            .tracer
+            .event_with(|| format!("chose {} at est cost {:.2}", winner.name, planned.est_cost));
+        flight.event_with(|| PlanEvent::Winner {
+            cost: planned.est_cost,
+            plan: planned.plan.to_string(),
+        });
+        // Every losing member gets an elimination reason: the winner
+        // undercut its estimated cost (earliest member wins ties).
+        for (idx, loser) in feasible.iter().filter(|(idx, _)| idx != winner_idx) {
+            flight.event_with(|| PlanEvent::Eliminated {
+                rule: "cost",
+                cost: loser.est_cost,
+                plan: loser.plan.to_string(),
+                detail: format!(
+                    "member {}: est cost {:.2} vs winner {:.2} on {}",
+                    self.members[*idx].name, loser.est_cost, planned.est_cost, winner.name
+                ),
             });
-            flight.event_with(|| PlanEvent::Winner {
-                cost: planned.est_cost,
-                plan: planned.plan.to_string(),
-            });
-            // Every losing member gets an elimination reason: the winner
-            // undercut its estimated cost (earliest member wins ties).
-            let mut winner_seen = false;
-            for (name, cost, plan) in &member_plans {
-                if !winner_seen && name == &source.name && *cost == planned.est_cost {
-                    winner_seen = true;
-                    continue;
-                }
-                flight.event_with(|| PlanEvent::Eliminated {
-                    rule: "cost",
-                    cost: *cost,
-                    plan: plan.clone(),
-                    detail: format!(
-                        "member {name}: est cost {cost:.2} vs winner {:.2} on {}",
-                        planned.est_cost, source.name
-                    ),
-                });
-            }
         }
-        span.close();
-        match best {
-            Some((source, planned)) => {
-                Ok(FederatedPlan { source, planned, considered, flight_id: flight.id() })
-            }
-            None => {
-                Err(PlanError::NoFeasiblePlan { query: query.to_string(), scheme: "Federation" })
-            }
-        }
+        let (idx, planned) = feasible.swap_remove(best);
+        let source = self.members[idx].clone();
+        Ok(FederatedPlan { source, planned, considered, flight_id: flight.id() })
     }
 
     /// Plans `query`, consulting the prepared-plan cache first (when one
@@ -626,7 +641,7 @@ impl Federation {
         let decision = match &self.plan_cache {
             None => CacheDecision::Bypass,
             Some(cache) => match cache.lookup(query, &self.members) {
-                Lookup::Hit { member, planned } => {
+                Lookup::Hit { member, mut planned } => {
                     self.obs.metrics.inc(names::PLANCACHE_HITS);
                     self.obs.metrics.gauge_set(names::PLANCACHE_ENTRIES, cache.len() as f64);
                     let flight =
@@ -648,6 +663,7 @@ impl Federation {
                         cost: planned.est_cost,
                         plan: planned.plan.to_string(),
                     });
+                    planned.flight_id = flight.id();
                     return Ok(PreparedFederated {
                         member,
                         planned: *planned,
@@ -688,323 +704,277 @@ impl Federation {
         })
     }
 
-    /// Plans and executes on the chosen member. The already-chosen plan is
-    /// executed directly — the query is *not* re-planned.
-    pub fn run(&self, query: &TargetQuery) -> Result<(FederatedPlan, RunOutcome), MediatorError> {
-        let fp = self.plan(query)?;
-        let (rows, meter) = execute_measured(&fp.planned.plan, &fp.source)?;
-        let measured_cost = meter.cost(fp.source.cost_params());
-        meter.record_into(&self.obs.metrics);
-        self.obs.metrics.inc(names::FEDERATION_SERVED);
-        self.tap(names::MEMBER_QUERIES_PREFIX, &fp.source.name);
-        self.tap_costs(&fp.source.name, fp.planned.est_cost, measured_cost);
-        let outcome = RunOutcome { planned: fp.planned.clone(), rows, meter, measured_cost };
-        Ok((fp, outcome))
+    /// Plans and executes on the winning member: [`Federation::run_stream`]
+    /// under [`FederatedOptions::Winner`], collecting, serial.
+    pub fn run(&self, query: &TargetQuery) -> Result<FederatedRun, MediatorError> {
+        let serial = StreamConfig::serial();
+        self.run_stream(query, FederatedOptions::Winner(StreamOptions::plain(&serial)), None)
     }
 
-    /// Plans and executes on the chosen member through the streaming
-    /// engine: the member's answer pulls through a bounded batch pipeline
-    /// (honoring [`StreamConfig::limit`] for early termination) instead of
-    /// materializing at once, and the run's [`StreamStats`] land in the
-    /// `exec.*` metrics.
-    pub fn run_streamed(
+    /// The one function that executes: plans `input` federation-wide
+    /// (unless it already is a prepared winner) and runs it the way
+    /// `options` says. With a `sink`, each deduplicated answer batch goes
+    /// to it (return `false` to stop early) and the outcome's `rows` stays
+    /// empty; without one the answer accumulates into `rows`.
+    ///
+    /// The decision sequence is deterministic: planning fans out
+    /// order-preserving, execution visits members in cost order with the
+    /// member index as tie-break, and the breaker clock counts runs, not
+    /// wall time — the same seed yields the same [`FederatedRun::trace`]
+    /// with the `parallel` feature on or off.
+    pub fn run_stream<'q>(
         &self,
-        query: &TargetQuery,
-        cfg: &StreamConfig,
-    ) -> Result<(FederatedPlan, RunOutcome, StreamStats), MediatorError> {
-        let fp = self.plan(query)?;
-        let before = fp.source.meter();
-        let request = StreamRequest { tracer: Some(&self.obs.tracer), ..StreamRequest::new(cfg) };
-        let (rows, run) = execute_stream_collect(&fp.planned.plan, &fp.source, request)?;
-        let stats = run.stats;
-        let meter = fp.source.meter().since(&before);
-        let measured_cost = meter.cost(fp.source.cost_params());
-        meter.record_into(&self.obs.metrics);
-        stats.record_into(&self.obs.metrics);
-        self.obs.metrics.inc(names::FEDERATION_SERVED);
-        self.tap(names::MEMBER_QUERIES_PREFIX, &fp.source.name);
-        self.tap_costs(&fp.source.name, fp.planned.est_cost, measured_cost);
-        let outcome = RunOutcome { planned: fp.planned.clone(), rows, meter, measured_cost };
-        Ok((fp, outcome, stats))
+        input: impl Into<FederatedInput<'q>>,
+        options: FederatedOptions<'_>,
+        sink: Option<&mut dyn FnMut(TupleBatch) -> bool>,
+    ) -> Result<FederatedRun, MediatorError> {
+        let input = input.into();
+        let (policy, splice) = match options {
+            FederatedOptions::Winner(options) => {
+                let prepared = match input {
+                    StreamInput::Query(query) => self.prepare(query)?,
+                    StreamInput::Prepared(prepared) => prepared,
+                };
+                return self.run_winner(prepared, options, sink);
+            }
+            FederatedOptions::Failover(policy) => (policy, None),
+            FederatedOptions::Splice { policy, stream } => (policy, Some(stream)),
+        };
+        let StreamInput::Query(query) = input else {
+            return Err(MediatorError::Plan(PlanError::MalformedQuery(
+                "member failover and splice rank every member: pass the query".into(),
+            )));
+        };
+        let label = if splice.is_some() { "federation run (adaptive)" } else { "federation run" };
+        let _span = self.obs.tracer.span(label);
+        let (candidates, gated) = self.gated_candidates(query)?;
+        match splice {
+            Some(stream) => self.run_spliced(candidates, gated, policy, stream, sink),
+            None => self.run_failover(candidates, gated, policy, sink),
+        }
     }
 
-    /// Snapshots the breaker gates at tick `now`, fans planning out over
-    /// the capability-index survivors, and merges the results into a
-    /// cheapest-first candidate list (stable: earliest member wins ties).
-    /// Pruned, infeasible and quarantined members are traced and counted
-    /// here — [`Federation::run_resilient`] and
-    /// [`Federation::run_adaptive`] record identical selection events.
-    /// Metrics/trace only from the sequential merge — deterministic across
-    /// the `parallel` feature.
-    #[allow(clippy::type_complexity)]
+    /// [`FederatedOptions::Winner`]: the prepared plan streams on the
+    /// winner's mediator — the query is *not* re-planned — and the answer
+    /// is attributed to the member.
+    fn run_winner(
+        &self,
+        prepared: PreparedFederated,
+        options: StreamOptions<'_>,
+        sink: Option<&mut dyn FnMut(TupleBatch) -> bool>,
+    ) -> Result<FederatedRun, MediatorError> {
+        let PreparedFederated { member, planned, considered, flight_id, .. } = prepared;
+        let name = &self.members[member].name;
+        let stream =
+            self.mediators[member].run_stream(planned, options, sink).inspect_err(|_| {
+                // The failure is the winner's: its health signal.
+                self.tap(names::MEMBER_ERRORS_PREFIX, name, 1);
+            })?;
+        self.served(member, &stream.outcome, stream.resilience.retries, stream.splices);
+        self.tap(names::MEMBER_DRIFT_PREFIX, name, stream.drift_triggers);
+        Ok(FederatedRun {
+            stream,
+            source_name: name.clone(),
+            plan_rank: 0,
+            trace: Vec::new(),
+            considered,
+            flight_id,
+        })
+    }
+
+    /// Books a served answer: the federation counter plus the per-member
+    /// taps the windowed health scorer reads. `retries` and `splices` are
+    /// the ones charged to the serving member.
+    fn served(&self, idx: usize, outcome: &RunOutcome, retries: u64, splices: u64) {
+        self.obs.metrics.inc(names::FEDERATION_SERVED);
+        // Both cost signals are kept in integral millis so they ride the
+        // counter machinery (and its windowed deltas) unchanged.
+        for (prefix, delta) in [
+            (names::MEMBER_QUERIES_PREFIX, 1),
+            (names::MEMBER_RETRIES_PREFIX, retries),
+            (names::MEMBER_SPLICES_PREFIX, splices),
+            (names::MEMBER_EST_COST_MILLI_PREFIX, names::to_milli(outcome.planned.est_cost)),
+            (names::MEMBER_OBS_COST_MILLI_PREFIX, names::to_milli(outcome.measured_cost)),
+        ] {
+            self.tap(prefix, &self.members[idx].name, delta);
+        }
+    }
+
+    /// Books the probe of a cooled-down breaker: candidate `idx` is about
+    /// to run while half-open.
+    fn probe(&self, idx: usize, gated: &mut Gated) {
+        if gated.gates[idx] != BreakerGate::HalfOpen {
+            return;
+        }
+        let name = &self.members[idx].name;
+        self.obs.metrics.inc(names::BREAKER_HALF_OPENED);
+        self.obs.tracer.event_with(|| format!("member {name}: half-open probe"));
+        self.flight.note(gated.flight_id, || PlanEvent::Breaker {
+            member: name.clone(),
+            transition: "half-open",
+        });
+        gated.trace.push((name.clone(), MemberEvent::Probed));
+    }
+
+    /// Books member `idx`'s execution failure: its breaker (which may
+    /// open), the failure counters, the health taps, the trace entry.
+    fn failed(&self, idx: usize, err: &ExecError, gated: &mut Gated) {
+        let name = &self.members[idx].name;
+        if self.breakers[idx].record_failure(gated.now, &self.breaker_cfg) {
+            self.obs.metrics.inc(names::BREAKER_OPENED);
+            self.tap(names::BREAKER_OPENED_PREFIX, name, 1);
+            self.obs.tracer.event_with(|| format!("member {name}: breaker opened"));
+            self.flight.note(gated.flight_id, || PlanEvent::Breaker {
+                member: name.clone(),
+                transition: "opened",
+            });
+            self.plancache_invalidate("breaker opened");
+        }
+        self.obs.metrics.inc(names::FEDERATION_EXEC_FAILED);
+        self.tap(names::MEMBER_ERRORS_PREFIX, name, 1);
+        gated.trace.push((name.clone(), MemberEvent::ExecFailed(err.to_string())));
+    }
+
+    /// Books member `idx`'s success on its breaker, closing it when it was
+    /// open or half-open, and the `Served` trace entry.
+    fn recovered(&self, idx: usize, gated: &mut Gated) {
+        let name = &self.members[idx].name;
+        if self.breakers[idx].record_success() {
+            self.obs.metrics.inc(names::BREAKER_CLOSED);
+            self.flight.note(gated.flight_id, || PlanEvent::Breaker {
+                member: name.clone(),
+                transition: "closed",
+            });
+            self.plancache_invalidate("breaker closed");
+        }
+        gated.trace.push((name.clone(), MemberEvent::Served));
+    }
+
+    /// Opens a breaker-gated run: ticks the breaker clock, snapshots the
+    /// gates, surveys the members, and keeps the non-quarantined feasible
+    /// ones as a cheapest-first candidate list (stable: earliest member
+    /// wins ties; never empty). Infeasible and quarantined members are
+    /// traced and counted here, so both breaker-gated policies record
+    /// identical selection events.
     fn gated_candidates(
         &self,
         query: &TargetQuery,
-        now: u64,
-        flight: QueryFlight<'_>,
-        trace: &mut FailoverTrace,
-    ) -> (Vec<(usize, PlannedQuery)>, Vec<BreakerGate>, bool) {
+    ) -> Result<(Vec<(usize, PlannedQuery)>, Gated), PlanError> {
+        let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
+        let flight = self.flight.begin_with(|| (query.to_string(), "Federation".to_string()));
         // Gate decisions are snapshotted up front so the planning fan-out
         // below cannot interleave with breaker updates.
         let gates: Vec<BreakerGate> = self.breakers.iter().map(|b| b.gate(now)).collect();
-        let decision = self.index_decision(query);
-        let outcomes = self.plan_candidates(query, decision.as_ref());
+        let (mut candidates, considered) = self.survey(query, flight);
+        let mut scheme = "Federation";
+        let mut trace: FailoverTrace = Vec::new();
+        for ((name, verdict), gate) in considered.iter().zip(&gates) {
+            if verdict.is_err() {
+                trace.push((name.clone(), MemberEvent::Infeasible));
+            } else if *gate == BreakerGate::Quarantined {
+                scheme = "Federation (all capable members quarantined)";
+                self.obs.metrics.inc(names::FEDERATION_QUARANTINED);
+                self.tap(names::MEMBER_QUARANTINED_PREFIX, name, 1);
+                self.obs.tracer.event_with(|| format!("member {name}: quarantined (breaker open)"));
+                flight.event_with(|| PlanEvent::Breaker {
+                    member: name.clone(),
+                    transition: "quarantined",
+                });
+                trace.push((name.clone(), MemberEvent::Quarantined));
+            }
+        }
+        candidates.retain(|(idx, _)| gates[*idx] != BreakerGate::Quarantined);
+        if candidates.is_empty() {
+            return Err(PlanError::NoFeasiblePlan { query: query.to_string(), scheme });
+        }
+        candidates.sort_by(by_cost);
+        Ok((candidates, Gated { now, flight_id: flight.id(), gates, trace, considered }))
+    }
 
-        if let Some(d) = &decision {
-            // Aggregated like in `plan`: pruned-member bookkeeping must not
-            // scale with the federation.
-            self.obs.metrics.add(names::FEDERATION_INFEASIBLE, d.pruned as u64);
-            flight.event_with(|| PlanEvent::IndexPrune {
-                total: d.total,
-                candidates: d.candidates.len(),
-                pruned: d.pruned,
+    /// [`FederatedOptions::Failover`] over the gated `candidates`,
+    /// cheapest first.
+    fn run_failover(
+        &self,
+        candidates: Vec<(usize, PlannedQuery)>,
+        mut gated: Gated,
+        policy: &RetryPolicy,
+        sink: Option<&mut dyn FnMut(TupleBatch) -> bool>,
+    ) -> Result<FederatedRun, MediatorError> {
+        let mut resilience = ResilienceMeter::default();
+        let mut last_error = None;
+        for (tried, (idx, planned)) in candidates.into_iter().enumerate() {
+            let name = &self.members[idx].name;
+            self.probe(idx, &mut gated);
+            if tried > 0 {
+                resilience.failovers += 1;
+                self.obs.metrics.inc(names::RESILIENCE_FAILOVERS);
+            }
+            let (mut stream, plan_rank) = match self.mediators[idx].run_ranked(planned, policy) {
+                Ok((stream, plan_rank, _failures)) => (stream, plan_rank),
+                Err((spent, mut failures)) => {
+                    resilience.absorb(&spent);
+                    let (_, err) = failures.pop().expect("at least one plan was tried");
+                    self.failed(idx, &err, &mut gated);
+                    self.tap(names::MEMBER_RETRIES_PREFIX, name, spent.retries);
+                    self.obs
+                        .tracer
+                        .event_with(|| format!("member {name}: execution failed ({err})"));
+                    self.flight.note(gated.flight_id, || PlanEvent::Failover {
+                        rank: idx,
+                        detail: format!("member {name}: {err}"),
+                    });
+                    last_error = Some(err);
+                    continue;
+                }
+            };
+            self.recovered(idx, &mut gated);
+            self.served(idx, &stream.outcome, stream.resilience.retries, 0);
+            self.obs.tracer.event_with(|| {
+                format!(
+                    "member {name}: served (plan rank {plan_rank}, {} rows)",
+                    stream.outcome.rows.len()
+                )
+            });
+            let planned = &stream.outcome.planned;
+            self.flight.note(gated.flight_id, || PlanEvent::Winner {
+                cost: planned.est_cost,
+                plan: planned.plan.to_string(),
+            });
+            self.flight.note(gated.flight_id, || PlanEvent::Note {
+                text: format!("served by member {name} (plan rank {plan_rank})"),
+            });
+            resilience.absorb(&stream.resilience);
+            stream.resilience = resilience;
+            if let Some(sink) = sink {
+                let schema = stream.outcome.rows.schema().clone();
+                let empty = Relation::empty(schema.clone());
+                let rows = std::mem::replace(&mut stream.outcome.rows, empty);
+                sink(TupleBatch::new(schema, rows.into_tuples()));
+            }
+            return Ok(FederatedRun {
+                stream,
+                source_name: name.clone(),
+                plan_rank,
+                trace: gated.trace,
+                considered: gated.considered,
+                flight_id: gated.flight_id,
             });
         }
-        let mut candidates: Vec<(usize, PlannedQuery)> = Vec::new();
-        let mut any_feasible = false;
-        let mut next = outcomes.into_iter().peekable();
-        for (idx, gate) in gates.iter().enumerate() {
-            let outcome = if next.peek().is_some_and(|(i, _)| *i == idx) {
-                next.next().expect("peeked entry exists").1
-            } else {
-                // Pruned by the capability index without planning: the
-                // member is infeasible with certainty, so the trace entry
-                // is identical to a planning failure's.
-                trace.push((self.members[idx].name.clone(), MemberEvent::Infeasible));
-                continue;
-            };
-            // Planned candidates get a span each; pruned members stay O(1).
-            let _member_span = self
-                .obs
-                .tracer
-                .is_enabled()
-                .then(|| self.obs.tracer.span(&format!("member {}", self.members[idx].name)));
-            match outcome {
-                Ok(planned) => {
-                    any_feasible = true;
-                    planned.report.record_into(&self.obs.metrics);
-                    if *gate == BreakerGate::Quarantined {
-                        self.obs.metrics.inc(names::FEDERATION_QUARANTINED);
-                        self.tap(names::MEMBER_QUARANTINED_PREFIX, &self.members[idx].name);
-                        self.obs.tracer.event_with(|| {
-                            format!("member {}: quarantined (breaker open)", self.members[idx].name)
-                        });
-                        flight.event_with(|| PlanEvent::Breaker {
-                            member: self.members[idx].name.clone(),
-                            transition: "quarantined",
-                        });
-                        trace.push((self.members[idx].name.clone(), MemberEvent::Quarantined));
-                    } else {
-                        candidates.push((idx, planned));
-                    }
-                }
-                Err(_) => {
-                    self.obs.metrics.inc(names::FEDERATION_INFEASIBLE);
-                    self.obs
-                        .tracer
-                        .event_with(|| format!("member {}: infeasible", self.members[idx].name));
-                    flight.event_with(|| PlanEvent::Note {
-                        text: format!("member {}: infeasible", self.members[idx].name),
-                    });
-                    trace.push((self.members[idx].name.clone(), MemberEvent::Infeasible));
-                }
-            }
-        }
-        candidates
-            .sort_by(|a, b| a.1.est_cost.partial_cmp(&b.1.est_cost).expect("finite plan costs"));
-        (candidates, gates, any_feasible)
+        Err(MediatorError::Exec(last_error.expect("a non-empty candidate list was tried")))
     }
 
-    /// Plans against every non-quarantined member and executes with full
-    /// resilience: members are tried cheapest-first; within a member the
-    /// mediator-level failover applies (retry/backoff per `policy`, then
-    /// ranked plan alternatives); when a member still fails the federation
-    /// fails over to the next-cheapest member. A member that fails
-    /// [`CircuitBreakerConfig::failure_threshold`] consecutive runs is
-    /// quarantined for `cooldown_ticks` runs, then offered a half-open
-    /// probe.
-    ///
-    /// The whole decision sequence is deterministic: planning fans out via
-    /// [`crate::par::par_map`] (order-preserving), execution visits members
-    /// in a cost-sorted order with member index as tie-break, and the
-    /// breaker clock counts runs, not wall time — the same seed yields the
-    /// same [`FederatedRun::trace`] with the `parallel` feature on or off.
-    pub fn run_resilient(
+    /// [`FederatedOptions::Splice`] over the gated `candidates`: the
+    /// cheapest streams, the rest queue up as splice targets.
+    fn run_spliced(
         &self,
-        query: &TargetQuery,
-        policy: &RetryPolicy,
-    ) -> Result<FederatedRun, MediatorError> {
-        let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let span = self.obs.tracer.span("federation run");
-        let flight = self.flight.begin_with(|| (query.to_string(), "Federation".to_string()));
-        let mut trace: FailoverTrace = Vec::new();
-        let (candidates, gates, any_feasible) =
-            self.gated_candidates(query, now, flight, &mut trace);
-
-        let mut resilience = ResilienceMeter::default();
-        let mut last_error: Option<ExecError> = None;
-        let mut tried_any = false;
-        for (idx, planned) in candidates {
-            let member = &self.members[idx];
-            if gates[idx] == BreakerGate::HalfOpen {
-                self.obs.metrics.inc(names::BREAKER_HALF_OPENED);
-                self.obs.tracer.event_with(|| format!("member {}: half-open probe", member.name));
-                flight.event_with(|| PlanEvent::Breaker {
-                    member: member.name.clone(),
-                    transition: "half-open",
-                });
-                trace.push((member.name.clone(), MemberEvent::Probed));
-            }
-            if tried_any {
-                resilience.failovers += 1;
-            }
-            tried_any = true;
-            let retries_before = resilience.retries;
-            match execute_with_failover(&planned, member, policy, &mut resilience) {
-                Ok((plan_rank, rows, meter, _failures)) => {
-                    if self.breakers[idx].record_success() {
-                        self.obs.metrics.inc(names::BREAKER_CLOSED);
-                        flight.event_with(|| PlanEvent::Breaker {
-                            member: member.name.clone(),
-                            transition: "closed",
-                        });
-                        self.plancache_invalidate("breaker closed");
-                    }
-                    self.obs.metrics.inc(names::FEDERATION_SERVED);
-                    self.tap(names::MEMBER_QUERIES_PREFIX, &member.name);
-                    self.tap_add(
-                        names::MEMBER_RETRIES_PREFIX,
-                        &member.name,
-                        resilience.retries - retries_before,
-                    );
-                    meter.record_into(&self.obs.metrics);
-                    resilience.record_into(&self.obs.metrics);
-                    self.obs.tracer.event_with(|| {
-                        format!(
-                            "member {}: served (plan rank {plan_rank}, {} rows)",
-                            member.name,
-                            rows.len()
-                        )
-                    });
-                    flight.event_with(|| PlanEvent::Winner {
-                        cost: planned.est_cost,
-                        plan: planned.plan.to_string(),
-                    });
-                    flight.event_with(|| PlanEvent::Note {
-                        text: format!("served by member {} (plan rank {plan_rank})", member.name),
-                    });
-                    trace.push((member.name.clone(), MemberEvent::Served));
-                    span.close();
-                    let measured_cost = meter.cost(member.cost_params());
-                    self.tap_costs(&member.name, planned.est_cost, measured_cost);
-                    return Ok(FederatedRun {
-                        outcome: RunOutcome { planned, rows, meter, measured_cost },
-                        source_name: member.name.clone(),
-                        plan_rank,
-                        resilience,
-                        trace,
-                    });
-                }
-                Err(mut failures) => {
-                    if self.breakers[idx].record_failure(now, &self.breaker_cfg) {
-                        self.obs.metrics.inc(names::BREAKER_OPENED);
-                        self.tap(names::BREAKER_OPENED_PREFIX, &member.name);
-                        self.obs
-                            .tracer
-                            .event_with(|| format!("member {}: breaker opened", member.name));
-                        flight.event_with(|| PlanEvent::Breaker {
-                            member: member.name.clone(),
-                            transition: "opened",
-                        });
-                        self.plancache_invalidate("breaker opened");
-                    }
-                    self.obs.metrics.inc(names::FEDERATION_EXEC_FAILED);
-                    self.tap(names::MEMBER_ERRORS_PREFIX, &member.name);
-                    self.tap_add(
-                        names::MEMBER_RETRIES_PREFIX,
-                        &member.name,
-                        resilience.retries - retries_before,
-                    );
-                    let (_, err) = failures.pop().expect("at least one plan was tried");
-                    self.obs
-                        .tracer
-                        .event_with(|| format!("member {}: execution failed ({err})", member.name));
-                    flight.event_with(|| PlanEvent::Failover {
-                        rank: idx,
-                        detail: format!("member {}: {err}", member.name),
-                    });
-                    trace.push((member.name.clone(), MemberEvent::ExecFailed(err.to_string())));
-                    last_error = Some(err);
-                }
-            }
-        }
-
-        // Every candidate failed (or none was tried): the retry/breaker
-        // counters still reach the registry.
-        resilience.record_into(&self.obs.metrics);
-        span.close();
-        match last_error {
-            Some(err) => Err(MediatorError::Exec(err)),
-            // No member was even tried: everything was infeasible or
-            // quarantined.
-            None if any_feasible => Err(MediatorError::Plan(PlanError::NoFeasiblePlan {
-                query: query.to_string(),
-                scheme: "Federation (all capable members quarantined)",
-            })),
-            None => Err(MediatorError::Plan(PlanError::NoFeasiblePlan {
-                query: query.to_string(),
-                scheme: "Federation",
-            })),
-        }
-    }
-
-    /// Streams the cheapest member's plan adaptively: when the serving
-    /// member dies *mid-pipeline* (per-batch retries exhausted), its
-    /// breaker opens, the residual condition of the paused pipeline is
-    /// re-planned on the next-cheapest gated candidate, and that member's
-    /// plan is spliced into the running stream — already-emitted tuples
-    /// are deduplicated away, so the answer matches a fault-free run.
-    /// Unlike [`Federation::run_resilient`], work done before the fault is
-    /// not thrown away and the failed member's whole plan is not re-run.
-    pub fn run_adaptive(
-        &self,
-        query: &TargetQuery,
+        mut candidates: Vec<(usize, PlannedQuery)>,
+        mut gated: Gated,
         policy: &RetryPolicy,
         cfg: &StreamConfig,
-    ) -> Result<FederatedAdaptiveRun, MediatorError> {
-        let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let span = self.obs.tracer.span("federation run (adaptive)");
-        let flight = self.flight.begin_with(|| (query.to_string(), "Federation".to_string()));
-        let mut trace: FailoverTrace = Vec::new();
-        let (mut candidates, gates, any_feasible) =
-            self.gated_candidates(query, now, flight, &mut trace);
-
-        if candidates.is_empty() {
-            span.close();
-            let scheme = if any_feasible {
-                "Federation (all capable members quarantined)"
-            } else {
-                "Federation"
-            };
-            return Err(MediatorError::Plan(PlanError::NoFeasiblePlan {
-                query: query.to_string(),
-                scheme,
-            }));
-        }
+        sink: Option<&mut dyn FnMut(TupleBatch) -> bool>,
+    ) -> Result<FederatedRun, MediatorError> {
         let (primary_idx, primary) = candidates.remove(0);
-        let primary_member = &self.members[primary_idx];
-        if gates[primary_idx] == BreakerGate::HalfOpen {
-            self.obs.metrics.inc(names::BREAKER_HALF_OPENED);
-            self.obs
-                .tracer
-                .event_with(|| format!("member {}: half-open probe", primary_member.name));
-            flight.event_with(|| PlanEvent::Breaker {
-                member: primary_member.name.clone(),
-                transition: "half-open",
-            });
-            trace.push((primary_member.name.clone(), MemberEvent::Probed));
-        }
-
+        self.probe(primary_idx, &mut gated);
         // Transfer is metered per member and summed afterwards — a spliced
         // run legitimately ships tuples from several members, each charged
         // at its own cost constants.
@@ -1012,14 +982,10 @@ impl Federation {
         let mut resilience = ResilienceMeter::default();
         let mut ctl = BreakerSpliceController {
             fed: self,
-            now,
-            flight,
-            queue: candidates.into_iter().collect(),
+            gated: &mut gated,
+            queue: candidates.into(),
             current: primary_idx,
-            attrs: query.attrs.clone(),
-            trace: &mut trace,
-            gates,
-            splices: 0,
+            attrs: primary.plan.output_attrs().clone(),
         };
         let request = StreamRequest {
             config: cfg,
@@ -1027,94 +993,101 @@ impl Federation {
             mode: StreamMode::Adaptive(&mut ctl),
             tracer: Some(&self.obs.tracer),
         };
-        let result = execute_stream_collect(&primary.plan, primary_member, request);
-        let serving_idx = ctl.current;
-        let (rows, stats, splices) = match result {
-            Ok((rows, run)) => (rows, run.stats, run.splices),
-            Err(e) => {
-                // The controller already opened breakers and traced every
-                // member that died; nobody was left to splice to.
-                resilience.record_into(&self.obs.metrics);
-                self.obs.tracer.event_with(|| format!("adaptive run died: {e}"));
-                span.close();
-                return Err(MediatorError::Exec(e));
-            }
+        let source = &self.members[primary_idx];
+        let result = match sink {
+            Some(sink) => execute_stream(&primary.plan, source, request, sink)
+                .map(|run| (Relation::empty(run.schema.clone()), run)),
+            None => execute_stream_collect(&primary.plan, source, request),
         };
-
-        let member = &self.members[serving_idx];
-        if self.breakers[serving_idx].record_success() {
-            self.obs.metrics.inc(names::BREAKER_CLOSED);
-            flight.event_with(|| PlanEvent::Breaker {
-                member: member.name.clone(),
-                transition: "closed",
-            });
-            self.plancache_invalidate("breaker closed");
-        }
-        self.obs.metrics.inc(names::FEDERATION_SERVED);
+        let serving_idx = ctl.current;
+        let (rows, run) = result.map_err(|e| {
+            // The controller already opened breakers and traced every
+            // member that died; nobody was left to splice to.
+            resilience.record_into(&self.obs.metrics);
+            self.obs.tracer.event_with(|| format!("adaptive run died: {e}"));
+            MediatorError::Exec(e)
+        })?;
+        let name = &self.members[serving_idx].name;
+        self.recovered(serving_idx, &mut gated);
         let mut meter = Meter::default();
         let mut measured_cost = 0.0;
-        for (i, m) in self.members.iter().enumerate() {
-            let delta = m.meter().since(&before[i]);
+        for (m, before) in self.members.iter().zip(&before) {
+            let delta = m.meter().since(before);
             measured_cost += delta.cost(m.cost_params());
             meter.queries += delta.queries;
             meter.tuples_shipped += delta.tuples_shipped;
             meter.rejected += delta.rejected;
         }
-        self.tap(names::MEMBER_QUERIES_PREFIX, &member.name);
-        self.tap_costs(&member.name, primary.est_cost, measured_cost);
-        meter.record_into(&self.obs.metrics);
-        stats.record_into(&self.obs.metrics);
-        // A mid-stream member switch is a failover, just a cheaper one.
-        resilience.failovers += splices;
-        resilience.record_into(&self.obs.metrics);
+        let splices = run.splices;
         self.obs.tracer.event_with(|| {
-            format!(
-                "member {}: served adaptively ({} rows, {splices} splice(s))",
-                member.name,
-                rows.len()
-            )
+            format!("member {name}: served adaptively ({} rows, {splices} splice(s))", run.emitted)
         });
-        flight.event_with(|| PlanEvent::Winner {
+        self.flight.note(gated.flight_id, || PlanEvent::Winner {
             cost: primary.est_cost,
             plan: primary.plan.to_string(),
         });
-        flight.event_with(|| PlanEvent::Note {
-            text: format!("served by member {} after {splices} splice(s)", member.name),
+        self.flight.note(gated.flight_id, || PlanEvent::Note {
+            text: format!("served by member {name} after {splices} splice(s)"),
         });
-        trace.push((member.name.clone(), MemberEvent::Served));
-        span.close();
-        Ok(FederatedAdaptiveRun {
-            run: FederatedRun {
-                outcome: RunOutcome { planned: primary, rows, meter, measured_cost },
-                source_name: member.name.clone(),
-                plan_rank: 0,
+        let outcome = RunOutcome { planned: primary, rows, meter, measured_cost };
+        // A breaker splice is charged to the member that died, and after
+        // one the run's retries are mostly that member's too.
+        self.served(serving_idx, &outcome, 0, 0);
+        outcome.meter.record_into(&self.obs.metrics);
+        run.stats.record_into(&self.obs.metrics);
+        // A mid-stream member switch is a failover, just a cheaper one.
+        resilience.failovers += splices;
+        resilience.record_into(&self.obs.metrics);
+        Ok(FederatedRun {
+            stream: StreamOutcome {
+                outcome,
+                stats: run.stats,
                 resilience,
-                trace,
+                splices,
+                drift_triggers: 0,
+                analysis: None,
             },
-            stats,
-            splices,
+            source_name: name.clone(),
+            plan_rank: 0,
+            trace: gated.trace,
+            considered: gated.considered,
+            flight_id: gated.flight_id,
         })
     }
 }
 
+/// Cheapest-first order of `(member, plan)` candidates.
+fn by_cost(a: &(usize, PlannedQuery), b: &(usize, PlannedQuery)) -> std::cmp::Ordering {
+    a.1.est_cost.partial_cmp(&b.1.est_cost).expect("finite plan costs")
+}
+
+/// What a breaker-gated run carries from gating to its last bookkeeping
+/// entry.
+struct Gated {
+    /// This run's tick of the breaker clock.
+    now: u64,
+    /// The run's flight record.
+    flight_id: u64,
+    /// Breaker gates snapshotted before planning, in member order.
+    gates: Vec<BreakerGate>,
+    trace: FailoverTrace,
+    considered: Considered,
+}
+
 /// The breaker-triggered [`ReplanController`] of
-/// [`Federation::run_adaptive`]: on a terminal mid-stream leaf failure it
+/// [`FederatedOptions::Splice`]: on a terminal mid-stream leaf failure it
 /// opens the serving member's breaker, re-plans the pipeline's residual
 /// condition on the next-cheapest gated candidate, and splices that
 /// member in. Batch boundaries are left alone — cardinality drift is the
 /// mediator-level controller's job.
 struct BreakerSpliceController<'a> {
     fed: &'a Federation,
-    now: u64,
-    flight: QueryFlight<'a>,
+    gated: &'a mut Gated,
     /// Remaining gated candidates, cheapest-first.
     queue: VecDeque<(usize, PlannedQuery)>,
     /// Index of the member currently feeding the pipeline.
     current: usize,
     attrs: AttrSet,
-    trace: &'a mut FailoverTrace,
-    gates: Vec<BreakerGate>,
-    splices: u64,
 }
 
 impl ReplanController for BreakerSpliceController<'_> {
@@ -1125,51 +1098,29 @@ impl ReplanController for BreakerSpliceController<'_> {
     fn on_leaf_error(&mut self, probe: &ReplanProbe<'_>, err: &ExecError) -> Option<SpliceAction> {
         let fed = self.fed;
         let failed = &fed.members[self.current];
-        if fed.breakers[self.current].record_failure(self.now, &fed.breaker_cfg) {
-            fed.obs.metrics.inc(names::BREAKER_OPENED);
-            fed.tap(names::BREAKER_OPENED_PREFIX, &failed.name);
-            fed.obs.tracer.event_with(|| format!("member {}: breaker opened", failed.name));
-            self.flight.event_with(|| PlanEvent::Breaker {
-                member: failed.name.clone(),
-                transition: "opened",
-            });
-            fed.plancache_invalidate("breaker opened");
-        }
-        fed.obs.metrics.inc(names::FEDERATION_EXEC_FAILED);
-        fed.tap(names::MEMBER_ERRORS_PREFIX, &failed.name);
+        fed.failed(self.current, err, self.gated);
         fed.obs.metrics.inc(names::REPLAN_TRIGGERED);
         fed.obs.metrics.inc(names::REPLAN_BREAKER_TRIGGERS);
         fed.obs.tracer.event_with(|| format!("member {}: died mid-stream ({err})", failed.name));
-        self.trace.push((failed.name.clone(), MemberEvent::ExecFailed(err.to_string())));
 
         let remaining = probe.remaining_plan()?;
         let residual = plan_condition(&remaining)?;
         while let Some((idx, _)) = self.queue.pop_front() {
             let next = &fed.members[idx];
-            if self.gates[idx] == BreakerGate::HalfOpen {
-                fed.obs.metrics.inc(names::BREAKER_HALF_OPENED);
-                fed.obs.tracer.event_with(|| format!("member {}: half-open probe", next.name));
-                self.flight.event_with(|| PlanEvent::Breaker {
-                    member: next.name.clone(),
-                    transition: "half-open",
-                });
-                self.trace.push((next.name.clone(), MemberEvent::Probed));
-            }
+            fed.probe(idx, self.gated);
             // Re-plan the *residual* on the splice target — its
             // capabilities may shape the cover differently than the dead
             // member's did. The fan-out plan for the full query is not
             // reused: the pipeline only needs what has not been emitted.
             let q = TargetQuery::new(residual.clone(), self.attrs.clone());
-            let planned = Mediator::new(next.clone()).with_cardinality(fed.card).plan(&q);
-            match planned {
+            match fed.mediators[idx].plan_quiet(&q) {
                 Ok(p) => {
                     p.report.record_into(&fed.obs.metrics);
-                    self.splices += 1;
                     fed.obs.metrics.inc(names::REPLAN_SPLICES);
                     // The splice is charged to the member that died — it is
                     // the health signal, not the rescuer.
-                    fed.tap(names::MEMBER_SPLICES_PREFIX, &failed.name);
-                    self.flight.event_with(|| PlanEvent::Replan {
+                    fed.tap(names::MEMBER_SPLICES_PREFIX, &failed.name, 1);
+                    fed.flight.note(self.gated.flight_id, || PlanEvent::Replan {
                         trigger: "breaker-open",
                         detail: format!("member {} died mid-stream: {err}", failed.name),
                         batch: probe.batches,
@@ -1183,7 +1134,8 @@ impl ReplanController for BreakerSpliceController<'_> {
                             next.name, probe.batches, probe.emitted
                         )
                     });
-                    self.trace.push((next.name.clone(), MemberEvent::Spliced(failed.name.clone())));
+                    let spliced = MemberEvent::Spliced(failed.name.clone());
+                    self.gated.trace.push((next.name.clone(), spliced));
                     self.current = idx;
                     return Some(SpliceAction { plan: p.plan, source: next.clone() });
                 }
@@ -1196,10 +1148,10 @@ impl ReplanController for BreakerSpliceController<'_> {
                     fed.obs
                         .tracer
                         .event_with(|| format!("member {}: residual infeasible", next.name));
-                    self.flight.event_with(|| PlanEvent::Note {
+                    fed.flight.note(self.gated.flight_id, || PlanEvent::Note {
                         text: format!("member {}: residual infeasible", next.name),
                     });
-                    self.trace.push((next.name.clone(), MemberEvent::Infeasible));
+                    self.gated.trace.push((next.name.clone(), MemberEvent::Infeasible));
                 }
             }
         }
@@ -1317,14 +1269,14 @@ mod tests {
         let fp = f.plan(&q).unwrap();
         assert_eq!(fp.source.name, "dump");
         // Executing it returns the exact answer.
-        let (fp2, out) = f.run(&q).unwrap();
-        assert_eq!(fp2.source.name, "dump");
+        let run = f.run(&q).unwrap();
+        assert_eq!(run.source_name, "dump");
         let want = csqp_relation::ops::project(
-            &csqp_relation::ops::select(fp2.source.relation(), Some(&q.cond)),
+            &csqp_relation::ops::select(fp.source.relation(), Some(&q.cond)),
             &["make", "model"],
         )
         .unwrap();
-        assert_eq!(out.rows, want);
+        assert_eq!(run.stream.outcome.rows, want);
     }
 
     /// Two mirrors: a cheap member with injected faults and an expensive,
@@ -1366,21 +1318,35 @@ mod tests {
         );
         let policy = RetryPolicy { max_retries: 0, ..Default::default() };
         let q = car_query();
-        let run = f.run_resilient(&q, &policy).unwrap();
+        let run = f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
         assert_eq!(run.source_name, "dump", "failed over to the expensive mirror");
-        assert!(run.resilience.failovers >= 1);
+        assert!(run.stream.resilience.failovers >= 1);
         let want = csqp_relation::ops::project(
             &csqp_relation::ops::select(f.members()[1].relation(), Some(&q.cond)),
             &["model", "year"],
         )
         .unwrap();
-        assert_eq!(run.outcome.rows, want, "the failover answer is exact");
+        assert_eq!(run.stream.outcome.rows, want, "the failover answer is exact");
         // Trace: the dealer failed, then the dump served.
         assert!(run
             .trace
             .iter()
             .any(|(n, e)| n == "car_dealer" && matches!(e, MemberEvent::ExecFailed(_))));
         assert_eq!(run.trace.last().unwrap(), &("dump".to_string(), MemberEvent::Served));
+        // With a sink the dead dealer's attempt leaks nothing: the answer
+        // arrives once, whole, after the dump has served.
+        let mut sunk = Vec::new();
+        let mut sink = |b: TupleBatch| {
+            sunk.extend(b.into_tuples());
+            true
+        };
+        let options = FederatedOptions::Failover(&policy);
+        let run = f.run_stream(&q, options, Some(&mut sink)).unwrap();
+        assert!(run.stream.outcome.rows.is_empty(), "the sink consumed the answer");
+        assert_eq!(Relation::from_tuples(want.schema().clone(), sunk), want);
+        // One prepared winner gives member failover nobody to turn to.
+        let prepared = f.prepare(&q).unwrap();
+        assert!(matches!(f.run_stream(prepared, options, None), Err(MediatorError::Plan(_))));
     }
 
     #[test]
@@ -1400,23 +1366,23 @@ mod tests {
             run.trace.iter().filter(|(n, _)| n == name).map(|(_, e)| e.clone()).collect()
         };
 
-        let r1 = f.run_resilient(&q, &policy).unwrap();
+        let r1 = f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
         assert!(matches!(event_for(&r1, "car_dealer")[..], [MemberEvent::ExecFailed(_)]));
-        let r2 = f.run_resilient(&q, &policy).unwrap();
+        let r2 = f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
         assert!(matches!(event_for(&r2, "car_dealer")[..], [MemberEvent::ExecFailed(_)]));
         for _ in 0..2 {
-            let r = f.run_resilient(&q, &policy).unwrap();
+            let r = f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
             assert_eq!(event_for(&r, "car_dealer"), vec![MemberEvent::Quarantined]);
             assert_eq!(r.source_name, "dump", "quarantine shields the run from the dealer");
         }
-        let r5 = f.run_resilient(&q, &policy).unwrap();
+        let r5 = f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
         assert_eq!(
             event_for(&r5, "car_dealer"),
             vec![MemberEvent::Probed, MemberEvent::Served],
             "half-open probe succeeds"
         );
         assert_eq!(r5.source_name, "car_dealer");
-        let r6 = f.run_resilient(&q, &policy).unwrap();
+        let r6 = f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
         assert_eq!(
             event_for(&r6, "car_dealer"),
             vec![MemberEvent::Served],
@@ -1433,13 +1399,13 @@ mod tests {
         );
         let policy = RetryPolicy { max_retries: 0, ..Default::default() };
         let q = car_query();
-        let r1 = f.run_resilient(&q, &policy).unwrap(); // fails, opens
+        let r1 = f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap(); // fails, opens
         assert!(r1.trace.iter().any(|(_, e)| matches!(e, MemberEvent::ExecFailed(_))));
-        let r2 = f.run_resilient(&q, &policy).unwrap(); // quarantined
+        let r2 = f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap(); // quarantined
         assert!(r2.trace.iter().any(|(_, e)| *e == MemberEvent::Quarantined));
-        let r3 = f.run_resilient(&q, &policy).unwrap(); // probe fails, reopens
+        let r3 = f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap(); // probe fails, reopens
         assert!(r3.trace.iter().any(|(_, e)| *e == MemberEvent::Probed));
-        let r4 = f.run_resilient(&q, &policy).unwrap(); // quarantined again
+        let r4 = f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap(); // quarantined again
         assert!(r4.trace.iter().any(|(_, e)| *e == MemberEvent::Quarantined));
     }
 
@@ -1455,7 +1421,7 @@ mod tests {
         let policy = RetryPolicy { max_retries: 0, ..Default::default() };
         let q = car_query();
         for _ in 0..6 {
-            f.run_resilient(&q, &policy).unwrap();
+            f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
         }
         let snap = f.metrics_snapshot();
         if f.obs().enabled() {
@@ -1474,7 +1440,7 @@ mod tests {
                 CircuitBreakerConfig { failure_threshold: 2, cooldown_ticks: 2 },
             );
             for _ in 0..6 {
-                f2.run_resilient(&q, &policy).unwrap();
+                f2.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
             }
             assert_eq!(f2.obs().tracer.render(), f.obs().tracer.render());
             assert_eq!(f2.metrics_snapshot(), snap);
@@ -1495,7 +1461,7 @@ mod tests {
         };
         let f = Federation::new().with_member(down(1)).with_member(down(2));
         let policy = RetryPolicy { max_retries: 1, ..Default::default() };
-        match f.run_resilient(&car_query(), &policy) {
+        match f.run_stream(&car_query(), FederatedOptions::Failover(&policy), None) {
             Err(MediatorError::Exec(e)) => {
                 assert!(e.to_string().contains("unavailable") || e.to_string().contains("retries"))
             }
@@ -1507,7 +1473,8 @@ mod tests {
     fn run_executes_the_already_chosen_plan() {
         let f = mirrors();
         let q = TargetQuery::parse("make = \"BMW\" ^ price < 40000", &["model", "year"]).unwrap();
-        let (fp, out) = f.run(&q).unwrap();
+        let fp = f.plan(&q).unwrap();
+        let out = f.run(&q).unwrap().stream.outcome;
         // The outcome's plan IS the federated choice — no re-planning.
         assert_eq!(out.planned.plan, fp.planned.plan);
         assert_eq!(out.planned.est_cost, fp.planned.est_cost);
@@ -1560,8 +1527,8 @@ mod tests {
         // Two failed runs trip the dealer's breaker; the gauge follows.
         let policy = RetryPolicy { max_retries: 0, ..Default::default() };
         let q = car_query();
-        f.run_resilient(&q, &policy).unwrap();
-        f.run_resilient(&q, &policy).unwrap();
+        f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
+        f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
         let states = f.breaker_states();
         assert_eq!(states.iter().find(|(n, _)| n == "car_dealer").unwrap().1, BreakerHealth::Open);
         assert_eq!(states.iter().find(|(n, _)| n == "dump").unwrap().1, BreakerHealth::Closed);
@@ -1586,16 +1553,18 @@ mod tests {
         let f = mirrors();
         let q = car_query();
         let policy = RetryPolicy::default();
-        let run = f.run_adaptive(&q, &policy, &StreamConfig::serial()).unwrap();
-        assert_eq!(run.splices, 0, "healthy federation never splices");
-        assert_eq!(run.run.source_name, "car_dealer");
+        let stream = &StreamConfig::serial();
+        let run = f.run_stream(&q, FederatedOptions::Splice { policy: &policy, stream }, None);
+        let run = run.unwrap();
+        assert_eq!(run.stream.splices, 0, "healthy federation never splices");
+        assert_eq!(run.source_name, "car_dealer");
         let want = csqp_relation::ops::project(
             &csqp_relation::ops::select(f.members()[0].relation(), Some(&q.cond)),
             &["model", "year"],
         )
         .unwrap();
-        assert_eq!(run.run.outcome.rows, want);
-        assert_eq!(run.run.trace.last().unwrap(), &("car_dealer".to_string(), MemberEvent::Served));
+        assert_eq!(run.stream.outcome.rows, want);
+        assert_eq!(run.trace.last().unwrap(), &("car_dealer".to_string(), MemberEvent::Served));
     }
 
     #[test]
@@ -1614,24 +1583,28 @@ mod tests {
             &["model", "year"],
         )
         .unwrap();
-        let cfg = StreamConfig { batch_size: 16, ..StreamConfig::serial() };
-        let run = f.run_adaptive(&q, &policy, &cfg).unwrap();
-        assert!(run.splices >= 1, "the breaker-open must splice, not fail over from scratch");
-        assert_eq!(run.run.source_name, "dump", "the dump finishes the stream");
+        let stream = &StreamConfig { batch_size: 16, ..StreamConfig::serial() };
+        let run = f.run_stream(&q, FederatedOptions::Splice { policy: &policy, stream }, None);
+        let run = run.unwrap();
+        assert!(
+            run.stream.splices >= 1,
+            "the breaker-open must splice, not fail over from scratch"
+        );
+        assert_eq!(run.source_name, "dump", "the dump finishes the stream");
         // Despite the mid-stream member switch the answer is exact.
         let want = csqp_relation::ops::project(
             &csqp_relation::ops::select(f.members()[1].relation(), Some(&q.cond)),
             &["model", "year"],
         )
         .unwrap();
-        assert_eq!(run.run.outcome.rows, want);
+        assert_eq!(run.stream.outcome.rows, want);
         // The trace shows the dealer dying and the dump splicing in for it.
         assert!(run
-            .trace()
+            .trace
             .iter()
             .any(|(n, e)| n == "car_dealer" && matches!(e, MemberEvent::ExecFailed(_))));
         assert!(run
-            .trace()
+            .trace
             .iter()
             .any(|(n, e)| n == "dump"
                 && matches!(e, MemberEvent::Spliced(from) if from == "car_dealer")));
@@ -1641,11 +1614,11 @@ mod tests {
         if f.obs().enabled() {
             let snap = f.metrics_snapshot();
             assert_eq!(snap.counter(names::REPLAN_BREAKER_TRIGGERS), 1);
-            assert_eq!(snap.counter(names::REPLAN_SPLICES), run.splices);
+            assert_eq!(snap.counter(names::REPLAN_SPLICES), run.stream.splices);
             assert_eq!(snap.counter(names::BREAKER_OPENED), 1);
         }
         // A mid-stream splice counts as a failover in the resilience meter.
-        assert!(run.run.resilience.failovers >= run.splices);
+        assert!(run.stream.resilience.failovers >= run.stream.splices);
     }
 
     #[test]
@@ -1660,7 +1633,9 @@ mod tests {
         };
         let f = Federation::new().with_member(down(1)).with_member(down(2));
         let policy = RetryPolicy { max_retries: 0, ..Default::default() };
-        match f.run_adaptive(&car_query(), &policy, &StreamConfig::serial()) {
+        let stream = &StreamConfig::serial();
+        match f.run_stream(&car_query(), FederatedOptions::Splice { policy: &policy, stream }, None)
+        {
             Err(MediatorError::Exec(_)) => {}
             other => panic!("expected Exec error, got {other:?}"),
         }

@@ -164,7 +164,7 @@ pub fn plan_modular_traced(
     match crate::types::rank_candidates(candidates) {
         Some((plan, est_cost, alternatives)) => {
             crate::types::record_ranking_events(flight, &provenance, &plan, est_cost);
-            Ok(PlannedQuery { plan, est_cost, report, alternatives })
+            Ok(PlannedQuery { plan, est_cost, report, alternatives, flight_id: 0 })
         }
         None => {
             flight.event_with(|| PlanEvent::Note {

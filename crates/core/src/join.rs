@@ -2,7 +2,8 @@
 //! queries" extension the paper defers to its extended version ("selection
 //! queries … form the building blocks of more complex queries", §1).
 //!
-//! Two strategies, both built from GenCompact-planned selection queries:
+//! Two strategies, both built from selection queries each side's
+//! [`Mediator`] plans (GenCompact) and runs:
 //!
 //! - **Hash join**: plan and execute each side independently, join at the
 //!   mediator.
@@ -17,12 +18,12 @@
 //! queries), with a runtime fallback to hash join if the bind side turns
 //! out to produce more keys than [`JoinConfig::max_bind_values`].
 
-use crate::gencompact::{plan_compact, GenCompactConfig};
-use crate::mediator::MediatorError;
-use crate::types::{PlanError, TargetQuery};
+use crate::gencompact::GenCompactConfig;
+use crate::mediator::{Mediator, MediatorError, StreamOptions};
+use crate::types::{PlanError, PlannedQuery, TargetQuery};
 use csqp_expr::{Atom, CondTree, Value};
-use csqp_plan::cost::StatsCard;
-use csqp_plan::exec::execute_measured;
+use csqp_plan::exec_stream::StreamConfig;
+use csqp_relation::Relation;
 use csqp_source::{Meter, Source};
 use std::collections::HashMap;
 use std::fmt;
@@ -99,22 +100,61 @@ pub struct JoinOutcome {
     pub measured_cost: f64,
 }
 
-/// A mediator joining two capability-limited sources.
+/// A mediator joining two capability-limited sources, each behind its own
+/// selection-query [`Mediator`].
 #[derive(Debug)]
 pub struct JoinMediator {
-    left: Arc<Source>,
-    right: Arc<Source>,
+    left: Mediator,
+    right: Mediator,
     cfg: JoinConfig,
+}
+
+/// One fetched side: its rows and the transfer they caused.
+type Fetch = (Relation, Meter);
+
+/// One side of a join run: its mediator, its selection with the join key
+/// added to the projection, and that selection's plan.
+struct Side<'a> {
+    med: &'a Mediator,
+    query: TargetQuery,
+    key: &'a str,
+    plan: Result<PlannedQuery, PlanError>,
+}
+
+impl<'a> Side<'a> {
+    fn new(med: &'a Mediator, q: &TargetQuery, key: &'a str) -> Self {
+        let query = JoinMediator::keyed(q, key);
+        let plan = med.plan_quiet(&query);
+        Side { med, query, key, plan }
+    }
+
+    /// Estimated rows of the side's selection.
+    fn est_rows(&self) -> f64 {
+        self.med.source().stats().estimate_rows(Some(&self.query.cond))
+    }
+
+    /// Runs the side's own plan.
+    fn fetch(self) -> Result<Fetch, MediatorError> {
+        let serial = StreamConfig::serial();
+        let run = self.med.run_stream(self.plan?, StreamOptions::plain(&serial), None)?;
+        Ok((run.outcome.rows, run.outcome.meter))
+    }
 }
 
 impl JoinMediator {
     /// Builds a join mediator with default configuration.
     pub fn new(left: Arc<Source>, right: Arc<Source>) -> Self {
-        JoinMediator { left, right, cfg: JoinConfig::default() }
+        JoinMediator {
+            left: Mediator::new(left),
+            right: Mediator::new(right),
+            cfg: JoinConfig::default(),
+        }
     }
 
     /// Overrides the configuration.
     pub fn with_config(mut self, cfg: JoinConfig) -> Self {
+        self.left = self.left.with_compact_config(cfg.compact);
+        self.right = self.right.with_compact_config(cfg.compact);
         self.cfg = cfg;
         self
     }
@@ -141,16 +181,14 @@ impl JoinMediator {
         CondTree::and(vec![base.clone(), Self::key_list(key, values)])
     }
 
-    /// Can `source` answer `base ∧ key ∈ {2 probe values}` fetching `attrs`?
-    /// Probes capability with representative constants (grammar acceptance
-    /// depends on types and shape, not the specific values — except for
-    /// literal-constant grammars, which the probe then correctly rejects).
-    fn bind_feasible(&self, source: &Source, q: &TargetQuery, key: &str) -> bool {
-        let keyed = Self::keyed(q, key);
-        let probe_values = self.probe_values(source, key);
-        let cond = Self::bound_condition(&keyed.cond, key, &probe_values);
-        let card = StatsCard::new(source.stats());
-        plan_compact(&TargetQuery::new(cond, keyed.attrs), source, &card, &self.cfg.compact).is_ok()
+    /// Can `side` answer `base ∧ key ∈ {2 probe values}`? Probes capability
+    /// with representative constants (grammar acceptance depends on types
+    /// and shape, not the specific values — except for literal-constant
+    /// grammars, which the probe then correctly rejects).
+    fn bind_feasible(&self, side: &Side<'_>) -> bool {
+        let probe_values = self.probe_values(side.med.source(), side.key);
+        let cond = Self::bound_condition(&side.query.cond, side.key, &probe_values);
+        side.med.plan_quiet(&TargetQuery::new(cond, side.query.attrs.clone())).is_ok()
     }
 
     /// Two representative key constants: real values when statistics carry
@@ -173,30 +211,21 @@ impl JoinMediator {
 
     /// Plans + runs the join.
     pub fn run(&self, q: &JoinQuery) -> Result<JoinOutcome, MediatorError> {
-        let left_q = Self::keyed(&q.left, &q.left_key);
-        let right_q = Self::keyed(&q.right, &q.right_key);
-
-        // Estimated base costs (for strategy choice).
-        let lcard = StatsCard::new(self.left.stats());
-        let rcard = StatsCard::new(self.right.stats());
-        let left_plan = plan_compact(&left_q, &self.left, &lcard, &self.cfg.compact);
-        let right_plan = plan_compact(&right_q, &self.right, &rcard, &self.cfg.compact);
-
-        let left_rows_est = self.left.stats().estimate_rows(Some(&left_q.cond));
-        let right_rows_est = self.right.stats().estimate_rows(Some(&right_q.cond));
-
+        let left = Side::new(&self.left, &q.left, &q.left_key);
+        let right = Side::new(&self.right, &q.right, &q.right_key);
         let strategy = match self.cfg.force {
             Some(s) => s,
             None => {
                 // Prefer binding the side with the smaller estimated result
                 // into the other, when the list capability exists and the
                 // estimate fits the bind cap. Otherwise hash.
+                let (left_rows_est, right_rows_est) = (left.est_rows(), right.est_rows());
                 let bind_r2l = right_rows_est <= self.cfg.max_bind_values as f64
-                    && right_plan.is_ok()
-                    && self.bind_feasible(&self.left, &q.left, &q.left_key);
+                    && right.plan.is_ok()
+                    && self.bind_feasible(&left);
                 let bind_l2r = left_rows_est <= self.cfg.max_bind_values as f64
-                    && left_plan.is_ok()
-                    && self.bind_feasible(&self.right, &q.right, &q.right_key);
+                    && left.plan.is_ok()
+                    && self.bind_feasible(&right);
                 if bind_r2l && (!bind_l2r || right_rows_est <= left_rows_est) {
                     JoinStrategy::BindRightIntoLeft
                 } else if bind_l2r {
@@ -206,59 +235,46 @@ impl JoinMediator {
                 }
             }
         };
-
-        match strategy {
-            JoinStrategy::Hash => {
-                let lp = left_plan.map_err(MediatorError::Plan)?;
-                let rp = right_plan.map_err(MediatorError::Plan)?;
-                let (lrows, lmeter) = execute_measured(&lp.plan, &self.left)?;
-                let (rrows, rmeter) = execute_measured(&rp.plan, &self.right)?;
-                self.finish(q, lrows, rrows, JoinStrategy::Hash, lmeter, rmeter)
-            }
+        let (strategy, left, right) = match strategy {
+            JoinStrategy::Hash => (strategy, left.fetch()?, right.fetch()?),
+            JoinStrategy::BindLeftIntoRight => self.bind_join(strategy, left, right)?,
             JoinStrategy::BindRightIntoLeft => {
-                let rp = right_plan.map_err(MediatorError::Plan)?;
-                let (rrows, rmeter) = execute_measured(&rp.plan, &self.right)?;
-                match self.bound_fetch(&left_q, &q.left_key, &rrows, &q.right_key)? {
-                    Some((lrows, lmeter)) => self.finish(
-                        q,
-                        lrows,
-                        rrows,
-                        JoinStrategy::BindRightIntoLeft,
-                        lmeter,
-                        rmeter,
-                    ),
-                    None => {
-                        // Runtime fallback: too many keys — hash join.
-                        let lp = left_plan.map_err(MediatorError::Plan)?;
-                        let (lrows, lmeter) = execute_measured(&lp.plan, &self.left)?;
-                        self.finish(q, lrows, rrows, JoinStrategy::Hash, lmeter, rmeter)
-                    }
-                }
+                let (strategy, right, left) = self.bind_join(strategy, right, left)?;
+                (strategy, left, right)
             }
-            JoinStrategy::BindLeftIntoRight => {
-                let lp = left_plan.map_err(MediatorError::Plan)?;
-                let (lrows, lmeter) = execute_measured(&lp.plan, &self.left)?;
-                match self.bound_fetch_right(&right_q, &q.right_key, &lrows, &q.left_key)? {
-                    Some((rrows, rmeter)) => self.finish(
-                        q,
-                        lrows,
-                        rrows,
-                        JoinStrategy::BindLeftIntoRight,
-                        lmeter,
-                        rmeter,
-                    ),
-                    None => {
-                        let rp = right_plan.map_err(MediatorError::Plan)?;
-                        let (rrows, rmeter) = execute_measured(&rp.plan, &self.right)?;
-                        self.finish(q, lrows, rrows, JoinStrategy::Hash, lmeter, rmeter)
-                    }
-                }
-            }
+        };
+        self.finish(q, left, right, strategy)
+    }
+
+    /// Fetches `driver` first, then `bound` restricted to the driver's
+    /// distinct join keys; over the bind cap it falls back, at runtime, to
+    /// fetching `bound` whole — a hash join. Returns the strategy executed
+    /// and the two fetches, driver first.
+    fn bind_join(
+        &self,
+        strategy: JoinStrategy,
+        driver: Side<'_>,
+        bound: Side<'_>,
+    ) -> Result<(JoinStrategy, Fetch, Fetch), MediatorError> {
+        let driver_key = driver.key;
+        let driven = driver.fetch()?;
+        let Some(keys) = self.distinct_keys(&driven.0, driver_key) else {
+            return Ok((JoinStrategy::Hash, driven, bound.fetch()?));
+        };
+        if keys.is_empty() {
+            // Empty driver side: empty join, and no query sent for it.
+            let attrs: Vec<&str> = bound.query.attrs.iter().map(String::as_str).collect();
+            let schema = bound.med.source().relation().schema().project(&attrs);
+            let schema = schema.map_err(|e| PlanError::MalformedQuery(e.to_string()))?;
+            return Ok((strategy, driven, (Relation::empty(schema), Meter::default())));
         }
+        let cond = Self::bound_condition(&bound.query.cond, bound.key, &keys);
+        let out = bound.med.run(&TargetQuery::new(cond, bound.query.attrs))?;
+        Ok((strategy, driven, (out.rows, out.meter)))
     }
 
     /// Distinct key values of `rows[key]` (None = over the bind cap).
-    fn distinct_keys(&self, rows: &csqp_relation::Relation, key: &str) -> Option<Vec<Value>> {
+    fn distinct_keys(&self, rows: &Relation, key: &str) -> Option<Vec<Value>> {
         let idx = rows.schema().col_index(key)?;
         let mut seen: Vec<Value> = Vec::new();
         for t in rows.tuples() {
@@ -273,76 +289,13 @@ impl JoinMediator {
         Some(seen)
     }
 
-    fn bound_fetch(
-        &self,
-        left_q: &TargetQuery,
-        left_key: &str,
-        driver_rows: &csqp_relation::Relation,
-        driver_key: &str,
-    ) -> Result<Option<(csqp_relation::Relation, Meter)>, MediatorError> {
-        let Some(keys) = self.distinct_keys(driver_rows, driver_key) else {
-            return Ok(None);
-        };
-        if keys.is_empty() {
-            // Empty driver side: empty join; synthesize an empty result by
-            // selecting nothing.
-            let empty = csqp_relation::Relation::empty(
-                self.left
-                    .relation()
-                    .schema()
-                    .project(&left_q.attrs.iter().map(String::as_str).collect::<Vec<_>>())
-                    .map_err(|e| MediatorError::Plan(PlanError::MalformedQuery(e.to_string())))?,
-            );
-            return Ok(Some((empty, Meter::default())));
-        }
-        let cond = Self::bound_condition(&left_q.cond, left_key, &keys);
-        let card = StatsCard::new(self.left.stats());
-        let bound = TargetQuery::new(cond, left_q.attrs.clone());
-        let plan = plan_compact(&bound, &self.left, &card, &self.cfg.compact)
-            .map_err(MediatorError::Plan)?;
-        let (rows, meter) = execute_measured(&plan.plan, &self.left)?;
-        Ok(Some((rows, meter)))
-    }
-
-    fn bound_fetch_right(
-        &self,
-        right_q: &TargetQuery,
-        right_key: &str,
-        driver_rows: &csqp_relation::Relation,
-        driver_key: &str,
-    ) -> Result<Option<(csqp_relation::Relation, Meter)>, MediatorError> {
-        // Same as bound_fetch, against the right source.
-        let Some(keys) = self.distinct_keys(driver_rows, driver_key) else {
-            return Ok(None);
-        };
-        if keys.is_empty() {
-            let empty = csqp_relation::Relation::empty(
-                self.right
-                    .relation()
-                    .schema()
-                    .project(&right_q.attrs.iter().map(String::as_str).collect::<Vec<_>>())
-                    .map_err(|e| MediatorError::Plan(PlanError::MalformedQuery(e.to_string())))?,
-            );
-            return Ok(Some((empty, Meter::default())));
-        }
-        let cond = Self::bound_condition(&right_q.cond, right_key, &keys);
-        let card = StatsCard::new(self.right.stats());
-        let bound = TargetQuery::new(cond, right_q.attrs.clone());
-        let plan = plan_compact(&bound, &self.right, &card, &self.cfg.compact)
-            .map_err(MediatorError::Plan)?;
-        let (rows, meter) = execute_measured(&plan.plan, &self.right)?;
-        Ok(Some((rows, meter)))
-    }
-
     /// Hash-joins the two fetched sides and assembles the outcome.
     fn finish(
         &self,
         q: &JoinQuery,
-        left_rows: csqp_relation::Relation,
-        right_rows: csqp_relation::Relation,
+        (left_rows, left_meter): Fetch,
+        (right_rows, right_meter): Fetch,
         strategy: JoinStrategy,
-        left_meter: Meter,
-        right_meter: Meter,
     ) -> Result<JoinOutcome, MediatorError> {
         use csqp_relation::{Schema, Tuple};
         let ls = left_rows.schema().clone();
@@ -393,8 +346,8 @@ impl JoinMediator {
                 }
             }
         }
-        let measured_cost =
-            left_meter.cost(self.left.cost_params()) + right_meter.cost(self.right.cost_params());
+        let measured_cost = left_meter.cost(self.left.source().cost_params())
+            + right_meter.cost(self.right.source().cost_params());
         Ok(JoinOutcome { rows: out, strategy, left_meter, right_meter, measured_cost })
     }
 }

@@ -56,8 +56,8 @@ pub mod types;
 pub use calibrate::{CalibratedCard, CalibratingCostModel};
 pub use capindex::{CapabilityIndex, IndexDecision};
 pub use federation::{
-    BreakerHealth, CircuitBreakerConfig, FailoverTrace, FederatedAdaptiveRun, FederatedPlan,
-    FederatedRun, Federation, MemberEvent, PreparedFederated,
+    BreakerHealth, CircuitBreakerConfig, FailoverTrace, FederatedInput, FederatedOptions,
+    FederatedPlan, FederatedRun, Federation, MemberEvent, PreparedFederated,
 };
 pub use gencompact::{plan_compact, plan_compact_recorded, GenCompactConfig};
 pub use genmodular::{plan_modular, plan_modular_recorded, GenModularConfig};

@@ -16,9 +16,9 @@ use crate::types::{PlanError, PlannedQuery, TargetQuery};
 use csqp_obs::{
     names, CardRow, FlightRecorder, LatencyKey, Obs, PlanEvent, QueryFlight, QueryProfile,
 };
-use csqp_plan::analyze::{execute_analyzed, PlanAnalysis};
+use csqp_plan::analyze::PlanAnalysis;
 use csqp_plan::cost::{Cardinality, OracleCard, StatsCard, UniformCard};
-use csqp_plan::exec::{execute_measured, execute_resilient, ExecError, RetryPolicy};
+use csqp_plan::exec::{ExecError, RetryPolicy};
 use csqp_plan::exec_stream::{
     execute_stream, execute_stream_collect, ReplanController, ReplanProbe, Retry, SpliceAction,
     StreamConfig, StreamMode, StreamRequest, StreamStats,
@@ -108,21 +108,23 @@ pub struct RunOutcome {
     pub measured_cost: f64,
 }
 
-/// What [`Mediator::run_stream`] executes: a target query to plan first,
-/// or a plan prepared earlier (a rebound [`PlanCache`] hit goes straight to
-/// the engine without touching the planner).
+/// What a `run_stream` executes: a target query to plan first, or
+/// something prepared earlier — for [`Mediator::run_stream`] a plan (a
+/// rebound [`PlanCache`] hit goes straight to the engine without touching
+/// the planner), for [`crate::Federation::run_stream`] a
+/// [`crate::federation::PreparedFederated`] winner.
 // Built and consumed once per run; boxing the plan would cost the served
 // path an allocation per query.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
-pub enum StreamInput<'a> {
-    /// Plan this query, then stream the chosen plan.
+pub enum StreamInput<'a, P = PlannedQuery> {
+    /// Plan this query, then run what was planned.
     Query(&'a TargetQuery),
-    /// Stream this plan as is.
-    Prepared(PlannedQuery),
+    /// Run this as is.
+    Prepared(P),
 }
 
-impl<'a> From<&'a TargetQuery> for StreamInput<'a> {
+impl<'a, P> From<&'a TargetQuery> for StreamInput<'a, P> {
     fn from(query: &'a TargetQuery) -> Self {
         StreamInput::Query(query)
     }
@@ -148,9 +150,10 @@ pub enum StreamOptions<'a> {
         /// round-trip). `None` means any leaf fault is terminal.
         policy: Option<&'a RetryPolicy>,
     },
-    /// Streaming twin of [`Mediator::run_analyzed`]: per-source-query
-    /// estimated-vs-observed observation next to the pipeline's stats,
-    /// rendered by [`csqp_plan::exec_stream::explain_analyze_streamed`].
+    /// Per-source-query estimated-vs-observed observation next to the
+    /// pipeline's stats, feeding `EXPLAIN ANALYZE`
+    /// ([`csqp_plan::exec_stream::explain_analyze_streamed`]) and the
+    /// cost-model drift warnings.
     Analyzed(&'a StreamConfig),
     /// Mid-query adaptive re-planning: after every emitted batch a drift
     /// detector compares each source query's observed cardinality against
@@ -218,17 +221,6 @@ pub struct StreamOutcome {
     pub analysis: Option<PlanAnalysis>,
 }
 
-/// The outcome of an analyzed run ([`Mediator::run_analyzed`]): the plain
-/// outcome plus the per-source-query estimated-vs-observed record that
-/// feeds `EXPLAIN ANALYZE` and the cost-model drift warnings.
-#[derive(Debug)]
-pub struct AnalyzedOutcome {
-    /// The plan-and-execute outcome.
-    pub outcome: RunOutcome,
-    /// Per-source-query observations, pre-order over the plan tree.
-    pub analysis: PlanAnalysis,
-}
-
 /// Knobs for an adaptive run ([`StreamOptions::Adaptive`]).
 #[derive(Debug, Clone)]
 pub struct AdaptiveConfig {
@@ -266,6 +258,8 @@ impl Default for AdaptiveConfig {
 struct DriftController<'a> {
     med: &'a Mediator,
     attrs: AttrSet,
+    /// The running query's flight record: where splices are narrated.
+    flight_id: u64,
     drift_factor: f64,
     max_splices: u64,
     /// Observed-cardinality floors, monotonically raised — a re-plan can
@@ -285,10 +279,13 @@ struct DriftController<'a> {
 }
 
 impl<'a> DriftController<'a> {
-    fn new(med: &'a Mediator, attrs: AttrSet, cfg: &AdaptiveConfig) -> Self {
+    /// Re-plans residuals for `planned`'s own output attributes (they are
+    /// the query's) and narrates splices on its flight record.
+    fn new(med: &'a Mediator, planned: &PlannedQuery, cfg: &AdaptiveConfig) -> Self {
         DriftController {
             med,
-            attrs,
+            attrs: planned.plan.output_attrs().clone(),
+            flight_id: planned.flight_id,
             drift_factor: cfg.drift_factor.max(1.0),
             max_splices: cfg.max_splices,
             floors: BTreeMap::new(),
@@ -370,7 +367,7 @@ impl ReplanController for DriftController<'_> {
         self.splices += 1;
         med.obs.metrics.inc(names::REPLAN_SPLICES);
         let detail = detail.unwrap_or_else(|| "cardinality drift".to_string());
-        med.flight.note_latest(|| PlanEvent::Replan {
+        med.flight.note(self.flight_id, || PlanEvent::Replan {
             trigger: "drift",
             detail: detail.clone(),
             batch: probe.batches,
@@ -393,7 +390,7 @@ impl ReplanController for DriftController<'_> {
         _err: &ExecError,
     ) -> Option<SpliceAction> {
         // A single-source mediator has nowhere else to send the residual;
-        // member-level recovery lives in `Federation::run_adaptive`.
+        // member-level recovery is `FederatedOptions::Splice`.
         None
     }
 }
@@ -417,41 +414,10 @@ pub struct ResilientOutcome {
 /// candidate tried.
 pub(crate) type FailureTrail = Vec<(usize, ExecError)>;
 
-/// A failover win: the serving rank, its answer and transfer meter, plus
-/// the trail of candidates that failed before it.
-pub(crate) type FailoverWin = (usize, Relation, Meter, FailureTrail);
-
-/// Tries `planned.plan` then each ranked alternative in cost order under
-/// `policy`, accumulating resilience metrics (including one failover per
-/// plan switch) into `res`. Returns the winning rank, its answer, and the
-/// transfer it caused — or the error trail if every candidate failed.
-///
-/// Plan-construction bugs ([`ExecError::Unresolved`]/
-/// [`ExecError::Malformed`]) abort immediately: every sibling plan came
-/// from the same planner, and masking a bug with a fallback would hide it.
-pub(crate) fn execute_with_failover(
-    planned: &PlannedQuery,
-    source: &Source,
-    policy: &RetryPolicy,
-    res: &mut ResilienceMeter,
-) -> Result<FailoverWin, FailureTrail> {
-    let mut failures: FailureTrail = Vec::new();
-    let alternatives = planned.alternatives.iter().map(|a| &a.plan);
-    for (rank, plan) in std::iter::once(&planned.plan).chain(alternatives).enumerate() {
-        if rank > 0 {
-            res.failovers += 1;
-        }
-        match execute_resilient(plan, source, policy, res) {
-            Ok((rows, meter)) => return Ok((rank, rows, meter, failures)),
-            Err(e @ (ExecError::Unresolved | ExecError::Malformed(_))) => {
-                failures.push((rank, e));
-                return Err(failures);
-            }
-            Err(e) => failures.push((rank, e)),
-        }
-    }
-    Err(failures)
-}
+/// A ranked-failover win: the serving plan's run (its `resilience`
+/// cumulative over every plan tried, its `planned` the primary with its
+/// alternatives), the serving rank, and the candidates that died before it.
+pub(crate) type RankedWin = (StreamOutcome, usize, FailureTrail);
 
 /// Execution-stage errors surfaced by [`Mediator::run`].
 #[derive(Debug)]
@@ -674,10 +640,11 @@ impl Mediator {
             .tracer
             .event_with(|| format!("scheme {} on source {}", self.scheme, self.source.name));
         let flight = self.flight.begin_with(|| (query.to_string(), self.scheme.name().to_string()));
-        let planned =
+        let mut planned =
             self.with_card(|card| self.dispatch(query, card, flight, Some(&self.obs.tracer)));
-        match &planned {
+        match &mut planned {
             Ok(p) => {
+                p.flight_id = flight.id();
                 // Flush the planner's deterministic counters into the
                 // registry and leave a replayable summary in the trace
                 // (`elapsed` stays out of both — wall clock is not
@@ -697,6 +664,13 @@ impl Mediator {
         }
         span.close();
         planned
+    }
+
+    /// Plans while recording nothing — no flight record, no span, no trace
+    /// event, no counter. For planning fan-outs, whose sequential merge
+    /// loop must stay the only recorder (it flushes each `report` itself).
+    pub(crate) fn plan_quiet(&self, query: &TargetQuery) -> Result<PlannedQuery, PlanError> {
+        self.with_card(|card| self.dispatch(query, card, QueryFlight::disabled(), None))
     }
 
     fn dispatch(
@@ -748,59 +722,49 @@ impl Mediator {
     }
 
     /// Plans and executes a target query, reporting the answer and the
-    /// transfer it caused.
+    /// transfer it caused: [`Mediator::run_stream`], collecting, serial.
     pub fn run(&self, query: &TargetQuery) -> Result<RunOutcome, MediatorError> {
-        let planned = self.plan(query)?;
-        let span = self.obs.tracer.span("execute");
-        let (rows, meter) = execute_measured(&planned.plan, &self.source)?;
-        let measured_cost = meter.cost(self.source.cost_params());
-        self.record_run(&planned, &rows, &meter, measured_cost);
-        span.close();
-        Ok(RunOutcome { planned, rows, meter, measured_cost })
+        self.run_stream(query, StreamOptions::plain(&StreamConfig::serial()), None)
+            .map(|run| run.outcome)
     }
 
-    /// Records one executed run's transfer and cost into the registry and
-    /// the trace.
-    fn record_run(&self, planned: &PlannedQuery, rows: &Relation, meter: &Meter, cost: f64) {
-        meter.record_into(&self.obs.metrics);
-        self.obs.metrics.gauge_set(names::EXEC_EST_COST, planned.est_cost);
-        self.obs.metrics.gauge_set(names::EXEC_OBSERVED_COST, cost);
+    /// Records one executed run into the registry, the trace and the
+    /// query's flight record: transfer, cost, and the pipeline's stats.
+    /// `exec.overlap_ticks` reaches metrics only (nondeterministic under
+    /// `parallel`); the flight note sticks to the deterministic pair so
+    /// EXPLAIN WHY stays golden-testable.
+    fn record_run(&self, out: &RunOutcome, stats: &StreamStats) {
+        out.meter.record_into(&self.obs.metrics);
+        self.obs.metrics.gauge_set(names::EXEC_EST_COST, out.planned.est_cost);
+        self.obs.metrics.gauge_set(names::EXEC_OBSERVED_COST, out.measured_cost);
         self.obs.tracer.event_with(|| {
             format!(
                 "answered: {} rows, {} source queries, measured cost {:.2} (est {:.2})",
-                rows.len(),
-                meter.queries,
-                cost,
-                planned.est_cost
+                out.rows.len(),
+                out.meter.queries,
+                out.measured_cost,
+                out.planned.est_cost
             )
         });
+        stats.record_into(&self.obs.metrics);
+        let streamed = || {
+            format!(
+                "streamed: {} batches, peak resident {} tuples",
+                stats.batches, stats.peak_resident_tuples
+            )
+        };
+        self.obs.tracer.event_with(streamed);
+        self.flight.note(out.planned.flight_id, || PlanEvent::Note { text: streamed() });
     }
 
-    /// Plans and executes with per-source-query observation: every leaf
-    /// fetch records its observed row count and §6.2 cost next to the
-    /// planner's estimate, feeding `EXPLAIN ANALYZE`
-    /// ([`csqp_plan::analyze::explain_analyze`]) and the cost-model drift
-    /// warnings.
-    pub fn run_analyzed(&self, query: &TargetQuery) -> Result<AnalyzedOutcome, MediatorError> {
-        let planned = self.plan(query)?;
-        let span = self.obs.tracer.span("execute (analyzed)");
-        let (rows, meter, analysis) = self.with_card(|card| {
-            execute_analyzed(&planned.plan, &self.source, self.active_model(), card)
-        })?;
-        let measured_cost = meter.cost(self.source.cost_params());
-        self.record_run(&planned, &rows, &meter, measured_cost);
-        analysis.record_into(&self.obs.metrics);
-        for w in analysis.drift_warnings() {
-            self.obs.tracer.event_with(|| w.clone());
-        }
-        span.close();
-        Ok(AnalyzedOutcome {
-            outcome: RunOutcome { planned, rows, meter, measured_cost },
-            analysis,
-        })
+    /// Plans and executes with per-source-query observation
+    /// ([`StreamOptions::Analyzed`], collecting, serial): the outcome's
+    /// `analysis` is always present.
+    pub fn run_analyzed(&self, query: &TargetQuery) -> Result<StreamOutcome, MediatorError> {
+        self.run_stream(query, StreamOptions::Analyzed(&StreamConfig::serial()), None)
     }
 
-    /// Plans and executes with resilience: source queries retry with
+    /// Plans and executes with resilience: source round-trips retry with
     /// backoff per `policy`, and when the chosen plan still fails the
     /// mediator degrades gracefully to the next-cheapest ranked alternative
     /// instead of erroring. The error of every failed candidate is kept in
@@ -811,77 +775,93 @@ impl Mediator {
         policy: &RetryPolicy,
     ) -> Result<ResilientOutcome, MediatorError> {
         let planned = self.plan(query)?;
-        let span = self.obs.tracer.span("execute (resilient)");
-        let mut resilience = ResilienceMeter::default();
-        let result = execute_with_failover(&planned, &self.source, policy, &mut resilience);
-        // Resilience events always reach the registry — a failed run is
-        // exactly when the retry/breaker counters matter most.
-        resilience.record_into(&self.obs.metrics);
-        match result {
-            Ok((plan_rank, rows, meter, failures)) => {
-                let measured_cost = meter.cost(self.source.cost_params());
-                self.record_run(&planned, &rows, &meter, measured_cost);
-                // Failover is part of the query's story: append it to the
-                // flight record begun at plan time so EXPLAIN WHY shows the
-                // plan that actually served alongside the one that won.
-                for (rank, err) in &failures {
-                    self.flight.note_latest(|| PlanEvent::Failover {
-                        rank: *rank,
-                        detail: err.to_string(),
-                    });
-                }
-                if plan_rank > 0 {
-                    self.flight.note_latest(|| PlanEvent::Note {
-                        text: format!("served by ranked alternative #{plan_rank}"),
-                    });
-                }
-                self.obs.tracer.event_with(|| {
-                    format!(
-                        "served by plan rank {plan_rank} after {} failover(s), {} retries",
-                        resilience.failovers, resilience.retries
-                    )
-                });
-                span.close();
-                Ok(ResilientOutcome {
-                    outcome: RunOutcome { planned, rows, meter, measured_cost },
-                    plan_rank,
-                    resilience,
-                    failures,
-                })
-            }
-            Err(mut failures) => {
-                for (rank, err) in &failures {
-                    self.flight.note_latest(|| PlanEvent::Failover {
-                        rank: *rank,
-                        detail: err.to_string(),
-                    });
-                }
+        match self.run_ranked(planned, policy) {
+            Ok((run, plan_rank, failures)) => Ok(ResilientOutcome {
+                outcome: run.outcome,
+                plan_rank,
+                resilience: run.resilience,
+                failures,
+            }),
+            Err((_, mut failures)) => {
                 let (_, last) = failures.pop().expect("at least the primary plan was tried");
-                self.obs.tracer.event_with(|| format!("every plan died: {last}"));
-                span.close();
                 Err(MediatorError::Exec(last))
             }
         }
     }
 
-    /// Records one streaming run's stats into the registry, the trace, and
-    /// the query's flight record. `exec.overlap_ticks` reaches metrics only
-    /// (nondeterministic under `parallel`); the flight note sticks to the
-    /// deterministic pair so EXPLAIN WHY stays golden-testable.
-    fn record_stream(&self, stats: &StreamStats) {
-        stats.record_into(&self.obs.metrics);
+    /// Ranked-alternative plan failover, shared with the federation's
+    /// member failover: runs `planned.plan`, then each ranked alternative
+    /// in cost order, as collecting serial [`Mediator::run_stream`]s under
+    /// `policy` until one answers (collecting only: rows a dead plan handed
+    /// a sink could not be recalled). The resilience meter is cumulative
+    /// over every plan tried, one failover per switch — also when every
+    /// candidate dies and it comes back with the error trail.
+    ///
+    /// Plan-construction bugs ([`ExecError::Unresolved`]/
+    /// [`ExecError::Malformed`]) abort immediately: every sibling plan came
+    /// from the same planner, and masking a bug with a fallback would hide it.
+    pub(crate) fn run_ranked(
+        &self,
+        planned: PlannedQuery,
+        policy: &RetryPolicy,
+    ) -> Result<RankedWin, (ResilienceMeter, FailureTrail)> {
+        let serial = StreamConfig::serial();
+        let options = StreamOptions::Plain { stream: &serial, policy: Some(policy) };
+        let mut resilience = ResilienceMeter::default();
+        let mut failures: FailureTrail = Vec::new();
+        let mut win = None;
+        let alternatives = planned.alternatives.iter().map(|a| (&a.plan, a.est_cost));
+        let candidates = std::iter::once((&planned.plan, planned.est_cost)).chain(alternatives);
+        for (plan_rank, (plan, est_cost)) in candidates.enumerate() {
+            if plan_rank > 0 {
+                resilience.failovers += 1;
+                self.obs.metrics.inc(names::RESILIENCE_FAILOVERS);
+            }
+            let candidate =
+                PlannedQuery { plan: plan.clone(), est_cost, alternatives: Vec::new(), ..planned };
+            match self.run_planned(candidate, options, None) {
+                Ok(run) => {
+                    resilience.absorb(&run.resilience);
+                    win = Some((run, plan_rank));
+                    break;
+                }
+                Err((e, spent)) => {
+                    resilience.absorb(&spent);
+                    let bug = matches!(e, ExecError::Unresolved | ExecError::Malformed(_));
+                    failures.push((plan_rank, e));
+                    if bug {
+                        break;
+                    }
+                }
+            }
+        }
+        // Failover is part of the query's story: append it to the flight
+        // record begun at plan time so EXPLAIN WHY shows the plan that
+        // served alongside the one that won.
+        for (rank, err) in &failures {
+            self.flight.note(planned.flight_id, || PlanEvent::Failover {
+                rank: *rank,
+                detail: err.to_string(),
+            });
+        }
+        let Some((run, plan_rank)) = win else {
+            let (_, last) = failures.last().expect("at least the primary plan was tried");
+            self.obs.tracer.event_with(|| format!("every plan died: {last}"));
+            return Err((resilience, failures));
+        };
+        if plan_rank > 0 {
+            self.flight.note(planned.flight_id, || PlanEvent::Note {
+                text: format!("served by ranked alternative #{plan_rank}"),
+            });
+        }
         self.obs.tracer.event_with(|| {
             format!(
-                "streamed: {} batches, peak resident {} tuples",
-                stats.batches, stats.peak_resident_tuples
+                "served by plan rank {plan_rank} after {} failover(s), {} retries",
+                resilience.failovers, resilience.retries
             )
         });
-        self.flight.note_latest(|| PlanEvent::Note {
-            text: format!(
-                "streamed: {} batches, peak resident {} tuples",
-                stats.batches, stats.peak_resident_tuples
-            ),
-        });
+        let outcome = RunOutcome { planned, ..run.outcome };
+        Ok((StreamOutcome { outcome, resilience, ..run }, plan_rank, failures))
     }
 
     /// Re-plans a (residual) query with cardinality estimates floored at
@@ -896,15 +876,13 @@ impl Mediator {
         query: &TargetQuery,
         floors: &BTreeMap<Fingerprint, f64>,
     ) -> Option<PlannedQuery> {
-        let off = FlightRecorder::off();
-        let flight = off.begin_with(|| (query.to_string(), self.scheme.name().to_string()));
         // Replans run from sequential pause points (batch boundaries), so
         // their search legitimately nests a `replan` span under the running
         // execute span.
         let _replan_span = self.obs.tracer.span("replan");
         let planned = self.with_card(|card| {
             let cal = CalibratedCard::new(card, floors);
-            self.dispatch(query, &cal, flight, Some(&self.obs.tracer))
+            self.dispatch(query, &cal, QueryFlight::disabled(), Some(&self.obs.tracer))
         });
         match planned {
             Ok(p) => {
@@ -945,8 +923,8 @@ impl Mediator {
         }
     }
 
-    /// The streaming entry point: plans `input` (unless it already is a
-    /// prepared plan) and runs it on the streaming engine the way `options`
+    /// The one function that executes: plans `input` (unless it already
+    /// is a prepared plan) and runs it on the engine the way `options`
     /// says. With a `sink`, each deduplicated answer batch goes to it as it
     /// is produced (return `false` to stop early) — how `csqp serve`
     /// streams chunked responses — and the outcome's `rows` stays empty;
@@ -968,13 +946,26 @@ impl Mediator {
             }
             StreamInput::Prepared(planned) => planned,
         };
+        self.run_planned(planned, options, sink).map_err(|(e, _)| MediatorError::Exec(e))
+    }
+
+    /// The body of [`Mediator::run_stream`] once a plan is in hand. A
+    /// failure carries the retry/fault counters the run spent, which is how
+    /// [`Mediator::run_ranked`] keeps one cumulative account across the
+    /// plans it tries.
+    // Built once per failed run, beside an `Ok` several times its size.
+    #[allow(clippy::result_large_err)]
+    fn run_planned(
+        &self,
+        planned: PlannedQuery,
+        options: StreamOptions<'_>,
+        sink: Option<&mut dyn FnMut(TupleBatch) -> bool>,
+    ) -> Result<StreamOutcome, (ExecError, ResilienceMeter)> {
         let _span = self.obs.tracer.span(options.span_label());
         let before = self.source.meter();
         let mut resilience = ResilienceMeter::default();
         let mut drift = match options {
-            StreamOptions::Adaptive(cfg) => {
-                Some(DriftController::new(self, planned.plan.output_attrs().clone(), cfg))
-            }
+            StreamOptions::Adaptive(cfg) => Some(DriftController::new(self, &planned, cfg)),
             _ => None,
         };
         let adaptive = drift.is_some();
@@ -1012,7 +1003,7 @@ impl Mediator {
                 if adaptive {
                     self.obs.tracer.event_with(|| format!("adaptive run died: {e}"));
                 }
-                return Err(MediatorError::Exec(e));
+                return Err((e, resilience));
             }
         };
         let meter = self.source.meter().since(&before);
@@ -1024,8 +1015,8 @@ impl Mediator {
                 Relation::empty(run.schema)
             }
         };
-        self.record_run(&planned, &rows, &meter, measured_cost);
-        self.record_stream(&run.stats);
+        let outcome = RunOutcome { planned, rows, meter, measured_cost };
+        self.record_run(&outcome, &run.stats);
         if let Some(analysis) = &run.analysis {
             analysis.record_into(&self.obs.metrics);
             for w in analysis.drift_warnings() {
@@ -1033,7 +1024,7 @@ impl Mediator {
             }
         }
         if adaptive {
-            self.record_calibration(&meter, measured_cost);
+            self.record_calibration(&outcome.meter, measured_cost);
             if run.splices > 0 {
                 self.obs.tracer.event_with(|| {
                     format!(
@@ -1044,7 +1035,7 @@ impl Mediator {
             }
         }
         Ok(StreamOutcome {
-            outcome: RunOutcome { planned, rows, meter, measured_cost },
+            outcome,
             stats: run.stats,
             resilience,
             splices: run.splices,
@@ -1089,7 +1080,7 @@ impl Mediator {
     ) -> Result<(PlannedQuery, QueryProfile), PlanError> {
         let capture = self.begin_profile();
         let planned = self.plan(query)?;
-        let mut profile = self.finish_profile(capture, query);
+        let mut profile = self.finish_profile(capture, query, planned.flight_id);
         profile.est_cost = planned.est_cost;
         Ok((planned, profile))
     }
@@ -1101,17 +1092,17 @@ impl Mediator {
     pub fn run_profiled(
         &self,
         query: &TargetQuery,
-    ) -> Result<(AnalyzedOutcome, QueryProfile), MediatorError> {
+    ) -> Result<(StreamOutcome, QueryProfile), MediatorError> {
         let capture = self.begin_profile();
         let outcome = self.run_analyzed(query)?;
-        let mut profile = self.finish_profile(capture, query);
+        let mut profile = self.finish_profile(capture, query, outcome.outcome.planned.flight_id);
         profile.rows = outcome.outcome.rows.len() as u64;
         profile.est_cost = outcome.outcome.planned.est_cost;
         profile.observed_cost = outcome.outcome.measured_cost;
         profile.cardinalities = outcome
             .analysis
-            .subqueries
             .iter()
+            .flat_map(|analysis| &analysis.subqueries)
             .map(|sq| CardRow {
                 label: sq.rendered.clone(),
                 est_rows: sq.est_rows,
@@ -1132,12 +1123,17 @@ impl Mediator {
     }
 
     /// Assembles the profile skeleton for everything recorded since
-    /// `capture`: spans, metrics delta, flight trail, virtual-tick latency.
-    /// The caller fills in outcome-specific fields (rows, costs,
-    /// cardinalities).
-    fn finish_profile(&self, capture: ProfileCapture, query: &TargetQuery) -> QueryProfile {
+    /// `capture`: spans, metrics delta, the trail of flight `flight_id`,
+    /// virtual-tick latency. The caller fills in outcome-specific fields
+    /// (rows, costs, cardinalities).
+    fn finish_profile(
+        &self,
+        capture: ProfileCapture,
+        query: &TargetQuery,
+        flight_id: u64,
+    ) -> QueryProfile {
         self.obs.metrics.inc(names::PROFILE_CAPTURED);
-        let (id, flight) = match self.flight.latest() {
+        let (id, flight) = match self.flight.record(flight_id) {
             Some(rec) => (rec.id, rec.events.iter().map(|e| e.to_string()).collect()),
             None => (0, Vec::new()),
         };
@@ -1402,13 +1398,14 @@ mod tests {
         let m = Mediator::new(source).with_cardinality(CardKind::Oracle);
         let analyzed = m.run_analyzed(&q).unwrap();
         assert_eq!(analyzed.outcome.rows, plain.rows, "analysis is observation-only");
+        let analysis = analyzed.analysis.expect("an analyzed run reports its analysis");
         assert_eq!(
-            analyzed.analysis.subqueries.len(),
+            analysis.subqueries.len(),
             analyzed.outcome.planned.plan.source_queries().len(),
             "one observation per source query"
         );
         // The oracle estimator knows exact sizes, so nothing drifts.
-        assert!(analyzed.analysis.drift_warnings().is_empty());
+        assert!(analysis.drift_warnings().is_empty());
     }
 
     #[test]
@@ -1704,10 +1701,14 @@ mod tests {
             .with_member(catalog.get("bookstore").unwrap().clone())
             .with_member(catalog.get("car_dealer").unwrap().clone());
         let q = TargetQuery::parse(EX11, &["isbn", "author", "title"]).unwrap();
-        let (_, plain) = fed.run(&q).unwrap();
-        let (fp, streamed, stats) = fed.run_streamed(&q, &StreamConfig::serial()).unwrap();
-        assert_eq!(streamed.rows, plain.rows, "federation streaming is execution-only");
-        assert_eq!(fp.planned.plan, plain.planned.plan, "same chosen member plan");
-        assert!(stats.batches > 0);
+        use crate::federation::FederatedOptions;
+        let plain = fed.run(&q).unwrap().stream.outcome;
+        // Overlapped where the build allows it, against `run`'s serial pass.
+        let cfg = StreamConfig::default();
+        let options = FederatedOptions::Winner(StreamOptions::plain(&cfg));
+        let streamed = fed.run_stream(&q, options, None).unwrap().stream;
+        assert_eq!(streamed.outcome.rows, plain.rows, "federation streaming is execution-only");
+        assert_eq!(streamed.outcome.planned.plan, plain.planned.plan, "same chosen member plan");
+        assert!(streamed.stats.batches > 0);
     }
 }

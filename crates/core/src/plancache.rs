@@ -275,6 +275,8 @@ impl PlanCache {
                 est_cost: entry.planned.est_cost,
                 report: entry.planned.report,
                 alternatives,
+                // The caller opens this query's own flight.
+                flight_id: 0,
             }),
         }
     }

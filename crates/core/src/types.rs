@@ -144,6 +144,13 @@ pub struct PlannedQuery {
     /// candidates GenCompact/GenModular already enumerated, kept around so
     /// execution can degrade gracefully when the winner fails at runtime.
     pub alternatives: Vec<RankedPlan>,
+    /// The flight record narrating this query, so whoever executes the plan
+    /// later appends its post-planning notes (stream stats, re-plans,
+    /// failover) to *this* query's record by id. Set by
+    /// [`Mediator::plan`](crate::mediator::Mediator::plan) and
+    /// [`Federation::prepare`](crate::federation::Federation::prepare); 0
+    /// from the bare planner functions and with a disarmed recorder.
+    pub flight_id: u64,
 }
 
 /// Ranked alternatives kept per planned query (beyond the winner).

@@ -11,10 +11,9 @@
 //! With `--scheme` you can compare the baselines the paper criticizes, and
 //! `--explain` prints the plan tree and search statistics.
 
-use csqp::core::federation::{CircuitBreakerConfig, Federation, MemberEvent};
+use csqp::core::federation::{CircuitBreakerConfig, FederatedOptions, Federation, MemberEvent};
 use csqp::core::mediator::{Mediator, MediatorError, Scheme, StreamOptions};
-use csqp::core::types::TargetQuery;
-use csqp::plan::analyze::explain_analyze;
+use csqp::core::types::{PlanError, PlannedQuery, TargetQuery};
 use csqp::plan::exec::RetryPolicy;
 use csqp::plan::exec_stream::{explain_analyze_streamed, StreamConfig};
 use csqp::plan::explain::explain;
@@ -93,9 +92,9 @@ usage: csqp --ssdl <file> --csv <file> --query <condition> --attrs <a,b,c>
   --run      execute the plan and print the rows; with --explain, prints an
              EXPLAIN ANALYZE tree (estimated vs observed rows and cost per
              source query) plus cost-model drift warnings
-  --limit    with --run: stream the execution and stop after <n> answer
-             rows — the pipeline terminates early, so sources stop
-             shipping (not just a display truncation)
+  --limit    with --run: stop after <n> answer rows — the pipeline
+             terminates early, so sources stop shipping (not just a
+             display truncation)
   --explain  print the plan tree and planner statistics; `--explain=why`
              replays the flight recorder instead: the full decision trail
              (PR1/PR2/PR3 prunes, MCSC covers, ranking) and the eliminating
@@ -349,7 +348,7 @@ fn audit_main(argv: &[String]) -> Result<(), String> {
 /// `csqp --chaos <seed>`: a seeded fault storm against a federation of three
 /// unreliable mirrors of the same car data, showing retries, failovers, and
 /// circuit-breaker quarantine. Fully deterministic per seed.
-fn chaos_demo(seed: u64, trace: bool, metrics_json: bool, metrics_prom: bool) -> ExitCode {
+fn chaos_demo(seed: u64, args: &Args) -> ExitCode {
     let data = csqp::relation::datagen::cars(3, 400);
     let dealer = Arc::new(
         Source::new(data.clone(), csqp::ssdl::templates::car_dealer(), CostParams::new(10.0, 1.0))
@@ -392,15 +391,16 @@ fn chaos_demo(seed: u64, trace: bool, metrics_json: bool, metrics_prom: bool) ->
             let attr_refs: Vec<&str> = attrs.to_vec();
             let query = TargetQuery::parse(cond, &attr_refs).expect("demo query parses");
             print!("r{round} {cond}: ");
-            match federation.run_resilient(&query, &policy) {
+            match federation.run_stream(&query, FederatedOptions::Failover(&policy), None) {
                 Ok(run) => {
+                    let resilience = run.stream.resilience;
                     println!(
                         "{} rows from `{}` (attempts {}, retries {}, failovers {})",
-                        run.outcome.rows.len(),
+                        run.stream.outcome.rows.len(),
                         run.source_name,
-                        run.resilience.attempts,
-                        run.resilience.retries,
-                        run.resilience.failovers,
+                        resilience.attempts,
+                        resilience.retries,
+                        resilience.failovers,
                     );
                     for (member, event) in &run.trace {
                         let what = match event {
@@ -415,7 +415,7 @@ fn chaos_demo(seed: u64, trace: bool, metrics_json: bool, metrics_prom: bool) ->
                         };
                         println!("    {member}: {what}");
                     }
-                    total.absorb(&run.resilience);
+                    total.absorb(&resilience);
                 }
                 Err(MediatorError::Plan(e)) => println!("infeasible everywhere: {e}"),
                 Err(MediatorError::Exec(e)) => println!("all members down: {e}"),
@@ -458,16 +458,22 @@ fn chaos_demo(seed: u64, trace: bool, metrics_json: bool, metrics_prom: bool) ->
          {failovers} failovers, {ticks} virtual ticks",
         transients + timeouts + rate_limited + outages,
     );
-    if trace {
+    print_telemetry(args, &obs, &snap);
+    ExitCode::SUCCESS
+}
+
+/// `--trace` and `--metrics`: the deterministic trace on stderr, the
+/// registry snapshot on stdout.
+fn print_telemetry(args: &Args, obs: &Obs, snap: &csqp_obs::MetricsSnapshot) {
+    if args.trace {
         eprint!("{}", obs.tracer.render());
     }
-    if metrics_json {
+    if args.metrics_json {
         println!("{}", snap.to_json());
     }
-    if metrics_prom {
+    if args.metrics_prom {
         print!("{}", snap.to_prometheus());
     }
-    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
@@ -483,7 +489,7 @@ fn main() -> ExitCode {
     };
 
     if let Some(seed) = args.chaos {
-        return chaos_demo(seed, args.trace, args.metrics_json, args.metrics_prom);
+        return chaos_demo(seed, &args);
     }
 
     // Load inputs: each --ssdl/--csv pair becomes one source; two or more
@@ -532,11 +538,6 @@ fn main() -> ExitCode {
         };
     }
 
-    if sources.len() > 1 {
-        return federated_query(&args, sources);
-    }
-    let source = sources.into_iter().next().expect("one --ssdl/--csv pair loaded");
-
     let attr_refs: Vec<&str> = args.attrs.iter().map(String::as_str).collect();
     let query = match TargetQuery::parse(&args.query, &attr_refs) {
         Ok(q) => q,
@@ -545,6 +546,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if sources.len() > 1 {
+        return federated_query(&args, sources, &query);
+    }
+    let source = sources.into_iter().next().expect("one --ssdl/--csv pair loaded");
 
     let obs = Arc::new(Obs::new());
     let mut mediator = Mediator::new(source.clone()).with_scheme(args.scheme).with_obs(obs.clone());
@@ -555,91 +560,46 @@ fn main() -> ExitCode {
         mediator = mediator.with_flight_recorder(Arc::new(FlightRecorder::new()));
     }
 
-    // Each mode plans exactly once (the analyzed run plans internally), so
-    // the metrics snapshot reflects a single planning pass.
-    let status = if args.explain == ExplainMode::Profile {
-        // The query black box: capture the whole plan/run window into one
-        // schema-stable JSON document. `--run` profiles an analyzed
-        // execution; without it the profile covers planning only.
-        if args.run {
-            match mediator.run_profiled(&query) {
-                Ok((analyzed, profile)) => {
-                    print_plan_header(&args, &analyzed.outcome.planned);
-                    println!(
-                        "\n{} rows ({} source queries, {} tuples shipped, measured cost {:.1}):",
-                        analyzed.outcome.rows.len(),
-                        analyzed.outcome.meter.queries,
-                        analyzed.outcome.meter.tuples_shipped,
-                        analyzed.outcome.measured_cost
-                    );
-                    for row in analyzed.outcome.rows.rows() {
-                        println!("  {row}");
-                    }
-                    print!("\nquery profile:\n{}", profile.to_json());
-                    ExitCode::SUCCESS
-                }
-                Err(MediatorError::Plan(e)) => plan_failure(&source, &e),
-                Err(e) => {
-                    eprintln!("execution error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+    // Each mode plans exactly once (a run plans internally), so the metrics
+    // snapshot reflects a single planning pass. `--explain=profile` is the
+    // query black box: it captures the same plan or (analyzed) run window
+    // into one schema-stable JSON document.
+    let profiled = args.explain == ExplainMode::Profile;
+    let status = if args.run {
+        // --limit is a value of the one run, not a different engine: the
+        // pipeline stops as soon as enough answer rows exist.
+        let stream_cfg = StreamConfig { limit: args.limit, ..StreamConfig::serial() };
+        let options = if args.explain == ExplainMode::Plan {
+            StreamOptions::Analyzed(&stream_cfg)
         } else {
-            match mediator.plan_profiled(&query) {
-                Ok((planned, profile)) => {
-                    print_plan_header(&args, &planned);
-                    print!("\nquery profile:\n{}", profile.to_json());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => plan_failure(&source, &e),
-            }
-        }
-    } else if args.run {
-        // --limit switches to the streaming engine: the pipeline stops as
-        // soon as enough answer rows exist. Without it the materialized
-        // executor keeps serving the default path.
-        let stream_cfg = args.limit.map(|n| StreamConfig::default().with_limit(n));
-        match match (args.explain == ExplainMode::Plan, &stream_cfg) {
-            (true, Some(cfg)) => mediator
-                .run_stream(&query, StreamOptions::Analyzed(cfg), None)
-                .map(|s| (s.outcome, s.analysis.map(|a| (a, Some(s.stats))))),
-            (true, None) => {
-                mediator.run_analyzed(&query).map(|a| (a.outcome, Some((a.analysis, None))))
-            }
-            (false, Some(cfg)) => mediator
-                .run_stream(&query, StreamOptions::plain(cfg), None)
-                .map(|s| (s.outcome, None)),
-            (false, None) => mediator.run(&query).map(|o| (o, None)),
-        } {
-            Ok((out, analysis)) => {
+            StreamOptions::plain(&stream_cfg)
+        };
+        let result = if profiled {
+            mediator.run_profiled(&query).map(|(run, profile)| (run, Some(profile)))
+        } else {
+            mediator.run_stream(&query, options, None).map(|run| (run, None))
+        };
+        match result {
+            Ok((run, profile)) => {
+                let out = &run.outcome;
                 print_plan_header(&args, &out.planned);
                 if args.explain == ExplainMode::Why {
                     print!("\n{}", mediator.explain_why());
                 }
-                if let Some((analysis, stats)) = &analysis {
+                if let (ExplainMode::Plan, Some(analysis)) = (args.explain, &run.analysis) {
                     // EXPLAIN ANALYZE: the plan tree re-rendered with
-                    // observed cardinality and cost next to the estimates
-                    // (streamed runs add the batch/peak-memory footer).
-                    let rendered = match stats {
-                        Some(stats) => explain_analyze_streamed(&out.planned.plan, analysis, stats),
-                        None => explain_analyze(&out.planned.plan, analysis),
-                    };
+                    // observed cardinality and cost next to the estimates,
+                    // then the batch/peak-memory footer.
+                    let rendered =
+                        explain_analyze_streamed(&out.planned.plan, analysis, &run.stats);
                     print!("\nexplain analyze:\n{rendered}");
                     for w in analysis.drift_warnings() {
                         eprintln!("warning: {w}");
                     }
                     print_planner_stats(&out.planned);
                 }
-                println!(
-                    "\n{} rows ({} source queries, {} tuples shipped, measured cost {:.1}):",
-                    out.rows.len(),
-                    out.meter.queries,
-                    out.meter.tuples_shipped,
-                    out.measured_cost
-                );
-                for row in out.rows.rows() {
-                    println!("  {row}");
-                }
+                print_rows(out);
+                print_profile(profile);
                 ExitCode::SUCCESS
             }
             Err(MediatorError::Plan(e)) => plan_failure(&source, &e),
@@ -649,8 +609,13 @@ fn main() -> ExitCode {
             }
         }
     } else {
-        match mediator.plan(&query) {
-            Ok(planned) => {
+        let result = if profiled {
+            mediator.plan_profiled(&query).map(|(planned, profile)| (planned, Some(profile)))
+        } else {
+            mediator.plan(&query).map(|planned| (planned, None))
+        };
+        match result {
+            Ok((planned, profile)) => {
                 print_plan_header(&args, &planned);
                 match args.explain {
                     ExplainMode::Plan => {
@@ -658,24 +623,16 @@ fn main() -> ExitCode {
                         print_planner_stats(&planned);
                     }
                     ExplainMode::Why => print!("\n{}", mediator.explain_why()),
-                    // Profile mode takes the dedicated branch above.
                     ExplainMode::Profile | ExplainMode::Off => {}
                 }
+                print_profile(profile);
                 ExitCode::SUCCESS
             }
             Err(e) => plan_failure(&source, &e),
         }
     };
 
-    if args.trace {
-        eprint!("{}", obs.tracer.render());
-    }
-    if args.metrics_json {
-        println!("{}", mediator.metrics_snapshot().to_json());
-    }
-    if args.metrics_prom {
-        print!("{}", mediator.metrics_snapshot().to_prometheus());
-    }
+    print_telemetry(&args, &obs, &mediator.metrics_snapshot());
     status
 }
 
@@ -705,38 +662,24 @@ fn load_source(
 /// One-shot federated query: plans across all sources behind the compiled
 /// capability index, reports the index's prune decision, and (with `--run`)
 /// executes on the winning member.
-fn federated_query(args: &Args, sources: Vec<Arc<Source>>) -> ExitCode {
-    if args.scheme != Scheme::GenCompact {
-        eprintln!(
-            "warning: --scheme {} is ignored in federated mode (members plan with gencompact)",
-            args.scheme.name()
-        );
-    }
+fn federated_query(args: &Args, sources: Vec<Arc<Source>>, query: &TargetQuery) -> ExitCode {
     let obs = Arc::new(Obs::new());
-    let mut federation =
-        sources.into_iter().fold(Federation::new(), |f, s| f.with_member(s)).with_obs(obs.clone());
+    let mut federation = Federation::new().with_scheme(args.scheme).with_obs(obs.clone());
     if args.explain == ExplainMode::Why {
         federation = federation.with_flight_recorder(Arc::new(FlightRecorder::new()));
     }
-    let attr_refs: Vec<&str> = args.attrs.iter().map(String::as_str).collect();
-    let query = match TargetQuery::parse(&args.query, &attr_refs) {
-        Ok(q) => q,
-        Err(e) => {
-            eprintln!("error: --query: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let federation = sources.into_iter().fold(federation, Federation::with_member);
 
-    let print_header = |federation: &Federation, fp: &csqp::core::federation::FederatedPlan| {
+    type Considered = [(String, Result<f64, PlanError>)];
+    let print_header = |winner: &str, planned: &PlannedQuery, considered: &Considered| {
         println!(
-            "federated plan: member `{}` wins at est cost {:.1} ({} members considered):",
-            fp.source.name,
-            fp.planned.est_cost,
-            fp.considered.len()
+            "federated plan: member `{winner}` wins at est cost {:.1} ({} members considered):",
+            planned.est_cost,
+            considered.len()
         );
-        println!("  {}", fp.planned.plan);
+        println!("  {}", planned.plan);
         if let Some(idx) = federation.capability_index() {
-            let d = idx.candidates(&query);
+            let d = idx.candidates(query);
             println!(
                 "capability index: {} of {} members remained ({} pruned without planning)",
                 d.candidates.len(),
@@ -746,14 +689,14 @@ fn federated_query(args: &Args, sources: Vec<Arc<Source>>) -> ExitCode {
         }
         match args.explain {
             ExplainMode::Plan => {
-                print!("\nplan tree:\n{}", explain(&fp.planned.plan));
-                for (member, outcome) in &fp.considered {
+                print!("\nplan tree:\n{}", explain(&planned.plan));
+                for (member, outcome) in considered {
                     match outcome {
                         Ok(cost) => println!("  member {member}: est cost {cost:.1}"),
                         Err(e) => println!("  member {member}: infeasible ({e})"),
                     }
                 }
-                print_planner_stats(&fp.planned);
+                print_planner_stats(planned);
             }
             ExplainMode::Why => print!("\n{}", federation.explain_why()),
             ExplainMode::Profile => eprintln!(
@@ -765,24 +708,13 @@ fn federated_query(args: &Args, sources: Vec<Arc<Source>>) -> ExitCode {
     };
 
     let status = if args.run {
-        let stream_cfg = args.limit.map(|n| StreamConfig::default().with_limit(n));
-        let result = match &stream_cfg {
-            Some(cfg) => federation.run_streamed(&query, cfg).map(|(fp, out, _stats)| (fp, out)),
-            None => federation.run(&query),
-        };
-        match result {
-            Ok((fp, out)) => {
-                print_header(&federation, &fp);
-                println!(
-                    "\n{} rows ({} source queries, {} tuples shipped, measured cost {:.1}):",
-                    out.rows.len(),
-                    out.meter.queries,
-                    out.meter.tuples_shipped,
-                    out.measured_cost
-                );
-                for row in out.rows.rows() {
-                    println!("  {row}");
-                }
+        let stream_cfg = StreamConfig { limit: args.limit, ..StreamConfig::serial() };
+        let options = FederatedOptions::Winner(StreamOptions::plain(&stream_cfg));
+        match federation.run_stream(query, options, None) {
+            Ok(run) => {
+                let out = &run.stream.outcome;
+                print_header(&run.source_name, &out.planned, &run.considered);
+                print_rows(out);
                 ExitCode::SUCCESS
             }
             Err(MediatorError::Plan(e)) => {
@@ -795,9 +727,9 @@ fn federated_query(args: &Args, sources: Vec<Arc<Source>>) -> ExitCode {
             }
         }
     } else {
-        match federation.plan(&query) {
+        match federation.plan(query) {
             Ok(fp) => {
-                print_header(&federation, &fp);
+                print_header(&fp.source.name, &fp.planned, &fp.considered);
                 ExitCode::SUCCESS
             }
             Err(e) => {
@@ -807,24 +739,37 @@ fn federated_query(args: &Args, sources: Vec<Arc<Source>>) -> ExitCode {
         }
     };
 
-    if args.trace {
-        eprint!("{}", obs.tracer.render());
-    }
-    if args.metrics_json {
-        println!("{}", federation.metrics_snapshot().to_json());
-    }
-    if args.metrics_prom {
-        print!("{}", federation.metrics_snapshot().to_prometheus());
-    }
+    print_telemetry(args, &obs, &federation.metrics_snapshot());
     status
 }
 
-fn print_plan_header(args: &Args, planned: &csqp::core::types::PlannedQuery) {
+fn print_plan_header(args: &Args, planned: &PlannedQuery) {
     println!("plan ({}, est. cost {:.1}):", args.scheme.name(), planned.est_cost);
     println!("  {}", planned.plan);
 }
 
-fn print_planner_stats(planned: &csqp::core::types::PlannedQuery) {
+/// The `--explain=profile` document, when one was captured.
+fn print_profile(profile: Option<csqp_obs::QueryProfile>) {
+    if let Some(profile) = profile {
+        print!("\nquery profile:\n{}", profile.to_json());
+    }
+}
+
+/// The answer under its transfer summary.
+fn print_rows(out: &csqp::core::mediator::RunOutcome) {
+    println!(
+        "\n{} rows ({} source queries, {} tuples shipped, measured cost {:.1}):",
+        out.rows.len(),
+        out.meter.queries,
+        out.meter.tuples_shipped,
+        out.measured_cost
+    );
+    for row in out.rows.rows() {
+        println!("  {row}");
+    }
+}
+
+fn print_planner_stats(planned: &PlannedQuery) {
     let r = planned.report;
     println!(
         "planner stats: {} CTs, {} generator calls, {} Check calls, max Q {}, {:?}{}",
@@ -851,7 +796,7 @@ fn print_planner_stats(planned: &csqp::core::types::PlannedQuery) {
 
 /// Reports a planning failure along with what the source CAN do, to help
 /// the user reformulate.
-fn plan_failure(source: &Source, e: &csqp::core::types::PlanError) -> ExitCode {
+fn plan_failure(source: &Source, e: &PlanError) -> ExitCode {
     eprintln!("error: {e}");
     eprintln!("\nthe source supports these query forms:");
     for rule in &source.gate_view().desc.rules {

@@ -1,9 +1,9 @@
 //! `csqp serve` — a long-running federation behind a tiny TCP server.
 //!
 //! Keeps one warm [`Federation`] (compiled capability index, armed flight
-//! recorder, a federation-wide prepared-plan cache, and a warm per-member
-//! [`Mediator`]) behind a hand-rolled HTTP/1.x listener built only on
-//! `std::net` — no runtime, no dependencies. Endpoints:
+//! recorder, a federation-wide prepared-plan cache, and the federation's
+//! own warm mediator per member) behind a hand-rolled HTTP/1.x listener
+//! built only on `std::net` — no runtime, no dependencies. Endpoints:
 //!
 //! | endpoint | answers |
 //! |----------|---------|
@@ -36,7 +36,9 @@
 //! Served queries go through [`Federation::prepare`]: the prepared-plan
 //! cache keyed on parameterized condition fingerprints rebinds constants
 //! into a cached plan on a hit, skipping the planner fan-out entirely; the
-//! `/query` trailer and the query profile report the decision.
+//! `/query` trailer and the query profile report the decision. The winner
+//! then executes through [`Federation::run_stream`] with the socket as the
+//! sink — the same function every other caller runs.
 //!
 //! `/query` responses are **incremental**: rows go out the socket as the
 //! streaming executor produces batches (no `Content-Length`;
@@ -65,7 +67,7 @@ mod state;
 
 use admission::Admission;
 use csqp_core::federation::Federation;
-use csqp_core::mediator::{Mediator, Scheme};
+use csqp_core::mediator::Scheme;
 use csqp_core::plancache::PlanCache;
 use csqp_obs::{
     timeseries::TimeSeries, FlightRecorder, JournalWriter, LatencyKey, Obs, ProfileRing,
@@ -84,7 +86,8 @@ use std::time::Instant;
 pub struct ServeConfig {
     /// Listen address; `127.0.0.1:0` picks an ephemeral port.
     pub addr: String,
-    /// Planning scheme for served queries.
+    /// Planning scheme of the federation's member mediators
+    /// ([`Federation::with_scheme`]).
     pub scheme: Scheme,
     /// Wall-clock threshold (milliseconds) beyond which a query enters the
     /// slow-query log with its full `EXPLAIN WHY` decision trail.
@@ -172,7 +175,7 @@ pub struct SlowQuery {
 }
 
 /// The serve-mode server: one warm federation (capability index, prepared-
-/// plan cache, one warm mediator per member), one TCP listener, N workers.
+/// plan cache, its warm mediator per member), one TCP listener, N workers.
 ///
 /// Everything mutable is behind its own lock or atomic so the worker pool
 /// shares one `&Server`; the locks are per-store (slow log, profile ring,
@@ -181,15 +184,11 @@ pub struct SlowQuery {
 pub struct Server {
     listener: TcpListener,
     federation: Federation,
-    /// One warm mediator per federation member, in member order; the
-    /// federation's capability index + plan pick the member, the member's
-    /// mediator streams the answer.
-    mediators: Vec<Mediator>,
     obs: Arc<Obs>,
     flight: Arc<FlightRecorder>,
     cfg: ServeConfig,
-    /// The federation-wide prepared-plan cache (also installed on the
-    /// federation and every member mediator).
+    /// The federation-wide prepared-plan cache (installed on the federation
+    /// unless `plan_cache_capacity` is 0).
     plan_cache: Arc<PlanCache>,
     /// Tenant quotas + the global in-flight cap, consulted before parsing.
     admission: Admission,
@@ -222,35 +221,24 @@ impl Server {
     /// Binds the listener and warms up a federation over `members`: every
     /// query is routed through the compiled capability index and planned
     /// federation-wide (the index's prune counts land in the `capindex.*`
-    /// metrics and the flight recorder), then streamed by the winning
-    /// member's warm mediator. A shared prepared-plan cache sits in front
-    /// of the planner: repeat query *shapes* skip the fan-out entirely.
+    /// metrics and the flight recorder), then streamed by the federation on
+    /// the winning member's warm mediator. A shared prepared-plan cache
+    /// sits in front of the planner: repeat query *shapes* skip the fan-out
+    /// entirely.
     pub fn bind_federation(members: Vec<Arc<Source>>, cfg: ServeConfig) -> io::Result<Server> {
         assert!(!members.is_empty(), "serve needs at least one source");
         let listener = TcpListener::bind(&cfg.addr)?;
         let obs = Arc::new(Obs::new());
         let flight = Arc::new(FlightRecorder::new());
         let plan_cache = Arc::new(PlanCache::with_capacity(cfg.plan_cache_capacity.max(1)));
-        let caching = cfg.plan_cache_capacity > 0;
-        let mut federation = members
-            .iter()
-            .fold(Federation::new(), |f, m| f.with_member(m.clone()))
+        let mut federation = Federation::new()
+            .with_scheme(cfg.scheme)
             .with_obs(obs.clone())
             .with_flight_recorder(flight.clone());
-        if caching {
+        federation = members.into_iter().fold(federation, Federation::with_member);
+        if cfg.plan_cache_capacity > 0 {
             federation = federation.with_plan_cache(plan_cache.clone());
         }
-        let mediators = members
-            .iter()
-            .map(|m| {
-                let m = Mediator::new(m.clone()).with_scheme(cfg.scheme).with_obs(obs.clone());
-                if caching {
-                    m.with_plan_cache(plan_cache.clone())
-                } else {
-                    m
-                }
-            })
-            .collect();
         let profiles = Mutex::new(ProfileRing::new(cfg.profile_ring_capacity));
         let timeseries = Mutex::new(TimeSeries::new(cfg.timeseries_capacity));
         let journal = match &cfg.journal_path {
@@ -267,7 +255,6 @@ impl Server {
         Ok(Server {
             listener,
             federation,
-            mediators,
             obs,
             flight,
             cfg,
@@ -287,12 +274,6 @@ impl Server {
     /// The bound address (resolves the ephemeral port of `:0` configs).
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
-    }
-
-    /// The first member's warm mediator (the only one in single-source
-    /// serve mode).
-    pub fn mediator(&self) -> &Mediator {
-        &self.mediators[0]
     }
 
     /// The federation routing the served queries.

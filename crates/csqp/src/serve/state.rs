@@ -4,9 +4,10 @@
 
 use super::admission::Admit;
 use super::{Server, SlowQuery};
-use csqp_core::mediator::{AdaptiveConfig, MediatorError, StreamOptions};
+use csqp_core::federation::FederatedOptions;
+use csqp_core::mediator::{AdaptiveConfig, StreamOptions};
 use csqp_core::types::TargetQuery;
-use csqp_obs::{names, AuditRecord, LatencyKey, Obs, QueryProfile};
+use csqp_obs::{names, AuditRecord, LatencyKey, QueryProfile};
 use csqp_plan::exec_stream::StreamConfig;
 use csqp_ssdl::linearize::cond_fingerprint;
 use std::fmt::Write as _;
@@ -40,6 +41,9 @@ impl Server {
     /// query costs a counter bump, not a parse or a planner fan-out — and
     /// the prepared-plan cache probe (`Federation::prepare`) replaces the
     /// plan-then-find-winner dance, so a cache hit skips planning entirely.
+    /// Execution and the per-member attribution are the federation's
+    /// (`Federation::run_stream`, winner-only); what is left here is the
+    /// per-request telemetry around them.
     pub(super) fn serve_query_streamed(
         &self,
         cond: &str,
@@ -68,10 +72,7 @@ impl Server {
             self.obs.metrics.inc(names::SERVE_ERRORS);
             QueryError::bad_request(format!("query parse error: {e}\n"))
         })?;
-        let cfg = match limit {
-            Some(n) => StreamConfig::default().with_limit(n),
-            None => StreamConfig::default(),
-        };
+        let cfg = StreamConfig { limit, ..StreamConfig::default() };
         let start = Instant::now();
         // Profile capture window: everything the shared registry, tracer
         // and flight recorder see from here until the run finishes is
@@ -90,10 +91,8 @@ impl Server {
             self.obs.metrics.inc(names::SERVE_ERRORS);
             QueryError::bad_request(format!("planning failed: {e}\n"))
         })?;
-        let winner = prepared.member;
         let cache_label = prepared.decision.label();
         let flight_id = prepared.flight_id;
-        let member_name = self.federation.members()[winner].name.clone();
         let (index_candidates, index_total) = self
             .federation
             .capability_index()
@@ -112,15 +111,6 @@ impl Server {
             }
             sink(&chunk)
         };
-        let map_err = |obs: &Obs, e: MediatorError| {
-            obs.metrics.inc(names::SERVE_ERRORS);
-            match e {
-                MediatorError::Plan(e) => {
-                    QueryError::bad_request(format!("planning failed: {e}\n"))
-                }
-                e => QueryError::bad_request(format!("execution failed: {e}\n")),
-            }
-        };
         let fingerprint = format!("{:032x}", cond_fingerprint(Some(&query.cond)));
         // Adaptive serving: the pipeline may pause at a batch boundary and
         // splice in a re-planned residual when observed cardinalities drift
@@ -128,41 +118,33 @@ impl Server {
         // count lands in the trailer. Either way the *prepared* plan is
         // what executes — the winner's mediator never re-plans up front.
         let acfg = AdaptiveConfig { stream: cfg, ..Default::default() };
-        let options = if self.cfg.adaptive {
+        let options = FederatedOptions::Winner(if self.cfg.adaptive {
             StreamOptions::Adaptive(&acfg)
         } else {
             StreamOptions::plain(&acfg.stream)
-        };
-        let run =
-            self.mediators[winner].run_stream(prepared.planned, options, Some(&mut batch_sink));
+        });
+        let run = self.federation.run_stream(prepared, options, Some(&mut batch_sink));
         let (out, replans, drift_triggers) = match run {
-            Ok(run) => (run.outcome, run.splices, run.drift_triggers),
+            Ok(run) => (run.stream.outcome, run.stream.splices, run.stream.drift_triggers),
             Err(e) => {
-                // The failure is the winner's: tap its error counter, leave
-                // an audit record, and still close the telemetry window.
-                let latency_us = start.elapsed().as_micros() as u64;
-                let ticks = self.obs.tracer.tick().saturating_sub(tick0);
-                if self.obs.enabled() {
-                    self.obs.metrics.inc(&format!("{}{member_name}", names::MEMBER_ERRORS_PREFIX));
-                }
-                let msg = map_err(&self.obs, e);
+                // Leave an audit record and still close the telemetry
+                // window.
+                self.obs.metrics.inc(names::SERVE_ERRORS);
                 self.journal_append(&AuditRecord {
                     id: flight_id,
                     fingerprint,
                     query: query.to_string(),
                     scheme: self.cfg.scheme.name().to_string(),
                     status: "error".to_string(),
-                    rows: 0,
-                    wall_us: Some(latency_us),
-                    ticks,
-                    splices: 0,
-                    drift_triggers: 0,
-                    breaker_events: 0,
+                    wall_us: Some(start.elapsed().as_micros() as u64),
+                    ticks: self.obs.tracer.tick().saturating_sub(tick0),
                     capindex_candidates: index_candidates as u64,
                     capindex_total: index_total as u64,
+                    ..Default::default()
                 });
                 self.maybe_roll();
-                return Err(msg);
+                // The plan was prepared above: what failed is execution.
+                return Err(QueryError::bad_request(format!("execution failed: {e}\n")));
             }
         };
         let latency_us = start.elapsed().as_micros() as u64;
@@ -198,7 +180,7 @@ impl Server {
             });
         }
         // Cut the query's metrics delta once: the profile keeps it, and the
-        // winner attribution + audit record below read from it.
+        // audit record below reads from it.
         let delta = self.obs.metrics.snapshot().diff(&metrics_before);
         let breaker_events = delta.counter(names::BREAKER_OPENED)
             + delta.counter(names::BREAKER_HALF_OPENED)
@@ -225,26 +207,8 @@ impl Server {
             flight: flight
                 .map(|r| r.events.iter().map(|e| e.to_string()).collect())
                 .unwrap_or_default(),
-            metrics: delta.clone(),
+            metrics: delta,
         });
-        // Winner attribution: fold this query's delta onto the per-member
-        // counters the health scoreboard reads. The formatting is gated on
-        // `enabled()` so the obs-off build never allocates the names.
-        if self.obs.enabled() {
-            for (prefix, v) in [
-                (names::MEMBER_QUERIES_PREFIX, 1),
-                (names::MEMBER_RETRIES_PREFIX, delta.counter(names::RESILIENCE_RETRIES)),
-                (names::MEMBER_SPLICES_PREFIX, replans),
-                (names::MEMBER_DRIFT_PREFIX, drift_triggers),
-                (names::BREAKER_OPENED_PREFIX, delta.counter(names::BREAKER_OPENED)),
-                (names::MEMBER_EST_COST_MILLI_PREFIX, names::to_milli(out.planned.est_cost)),
-                (names::MEMBER_OBS_COST_MILLI_PREFIX, names::to_milli(out.measured_cost)),
-            ] {
-                if v > 0 {
-                    self.obs.metrics.add(&format!("{prefix}{member_name}"), v);
-                }
-            }
-        }
         self.journal_append(&AuditRecord {
             id: flight_id,
             fingerprint,

@@ -1,8 +1,8 @@
 //! The persistent audit journal: one JSONL record per completed serve
 //! query, plus the summarize/diff analysis behind `csqp audit`.
 //!
-//! A [`QueryProfile`] is deep but ephemeral — the slowlog ring holds a few
-//! dozen and nothing survives process exit. The journal is the opposite
+//! A [`crate::QueryProfile`] is deep but ephemeral — the slowlog ring holds
+//! a few dozen and nothing survives process exit. The journal is the opposite
 //! trade: one compact, flat record per query ([`AuditRecord`]), appended to
 //! an on-disk JSONL file by [`JournalWriter`] with size-based rotation, so a
 //! serve run leaves a replayable operational record behind. `csqp audit`

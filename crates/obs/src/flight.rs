@@ -409,21 +409,14 @@ impl FlightRecorder {
         QueryFlight { rec: Some(self), id }
     }
 
-    /// Appends an event to the *most recent* record (for post-planning
-    /// phases — failover, breaker transitions — that outlive the
-    /// [`QueryFlight`] handle). No-op when disarmed or empty.
-    pub fn note_latest(&self, f: impl FnOnce() -> PlanEvent) {
-        if !self.armed {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("flight lock");
-        let cap = self.max_events;
-        if let Some(rec) = inner.records.back_mut() {
-            if rec.events.len() < cap {
-                rec.events.push(f());
-            } else {
-                rec.dropped += 1;
-            }
+    /// Appends an event to record `id` (for post-planning phases — stream
+    /// stats, re-plans, failover, breaker transitions — that outlive the
+    /// [`QueryFlight`] handle). Addressed by id, never "the latest": under
+    /// concurrent workers the latest record is whichever query began last.
+    /// No-op when disarmed or when the record was already evicted.
+    pub fn note(&self, id: u64, f: impl FnOnce() -> PlanEvent) {
+        if self.armed {
+            self.push(id, f);
         }
     }
 
@@ -566,20 +559,23 @@ mod tests {
         let q = rec.begin_with(|| unreachable!("disarmed recorder must not build the label"));
         assert!(!q.active());
         q.event_with(|| unreachable!("disarmed recorder must not build events"));
-        rec.note_latest(|| unreachable!("disarmed recorder must not build notes"));
+        rec.note(0, || unreachable!("disarmed recorder must not build notes"));
         assert!(rec.latest().is_none());
         assert!(rec.records().is_empty());
     }
 
     #[test]
-    fn note_latest_appends_to_newest_record() {
+    fn note_appends_to_its_own_record() {
         let rec = FlightRecorder::new();
-        rec.note_latest(|| unreachable!("no record yet — closure must not run"));
-        let _a = rec.begin_with(|| ("a".into(), "s".into()));
-        let _b = rec.begin_with(|| ("b".into(), "s".into()));
-        rec.note_latest(|| note("tail"));
-        assert_eq!(rec.latest().unwrap().events, vec![note("tail")]);
-        assert!(rec.records()[0].events.is_empty());
+        rec.note(0, || unreachable!("no record yet — closure must not run"));
+        let a = rec.begin_with(|| ("a".into(), "s".into()));
+        let b = rec.begin_with(|| ("b".into(), "s".into()));
+        rec.note(a.id(), || note("tail"));
+        assert_eq!(rec.record(a.id()).unwrap().events, vec![note("tail")]);
+        assert!(
+            rec.record(b.id()).unwrap().events.is_empty(),
+            "the latest record is not the target"
+        );
     }
 
     #[test]

@@ -111,7 +111,7 @@ pub const FEDERATION_SERVED: &str = "federation.served";
 /// followed.
 pub const REPLAN_TRIGGERED: &str = "replan.triggered";
 /// Replan triggers caused by observed-cardinality drift outside the
-/// [½,2]× band.
+/// ½×–2× band.
 pub const REPLAN_DRIFT_TRIGGERS: &str = "replan.drift_triggers";
 /// Replan triggers caused by a circuit breaker opening mid-pipeline.
 pub const REPLAN_BREAKER_TRIGGERS: &str = "replan.breaker_triggers";

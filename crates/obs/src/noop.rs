@@ -204,7 +204,7 @@ impl FlightRecorder {
 
     /// Never invokes the closure.
     #[inline]
-    pub fn note_latest(&self, _f: impl FnOnce() -> PlanEvent) {}
+    pub fn note(&self, _id: u64, _f: impl FnOnce() -> PlanEvent) {}
 
     /// Nothing is ever retained.
     #[inline]
@@ -303,7 +303,7 @@ mod tests {
         assert!(!q.active());
         assert_eq!(q.id(), 0);
         q.event_with(|| unreachable!("noop recorder must not build events"));
-        rec.note_latest(|| unreachable!("noop recorder must not build notes"));
+        rec.note(0, || unreachable!("noop recorder must not build notes"));
         assert!(rec.record(0).is_none());
         assert!(rec.latest().is_none());
         assert!(rec.records().is_empty());

@@ -97,7 +97,7 @@ fn run_hot_loop(
         // Flight recorder: label and event closures never run either.
         let qf = flight.begin_with(|| (format!("query {i}"), "GenCompact".to_string()));
         qf.event_with(|| csqp_obs::PlanEvent::Note { text: format!("expensive event {i}") });
-        flight.note_latest(|| csqp_obs::PlanEvent::Note { text: format!("note {i}") });
+        flight.note(0, || csqp_obs::PlanEvent::Note { text: format!("note {i}") });
         black_box(qf.active());
         // Window roll over an empty snapshot: diff, stamp, and ring push
         // all stay on pre-allocated storage.

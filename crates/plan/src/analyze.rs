@@ -1,21 +1,16 @@
-//! `EXPLAIN ANALYZE`: execute a plan while recording, per source query, the
-//! §6.2 estimate (`k1 + k2·|result(sq)|` on the *estimated* cardinality)
-//! next to what actually came back, then re-render the
-//! [`explain`](crate::explain::explain) tree with both numbers and a
-//! cost-model drift summary.
+//! `EXPLAIN ANALYZE`: what a
+//! [`StreamMode::Analyzed`](crate::exec_stream::StreamMode::Analyzed) run
+//! records per source query — the §6.2 estimate (`k1 + k2·|result(sq)|` on
+//! the *estimated* cardinality) next to what actually came back — and the
+//! re-rendering of the [`explain`](crate::explain::explain) tree with both
+//! numbers and a cost-model drift summary.
 //!
 //! Everything recorded here is a pure function of the query, the data, and
 //! the plan — no wall clock, no thread identity — so the rendered output is
 //! byte-identical across runs and across the `parallel` feature, and can be
 //! golden-tested (see `tests/explain_analyze.rs`).
 
-use crate::cost::Cardinality;
-use crate::exec::ExecError;
-use crate::model::CostModel;
 use crate::plan::Plan;
-use csqp_relation::ops::{intersect, project, select, union};
-use csqp_relation::Relation;
-use csqp_source::{Meter, Source};
 use std::fmt::Write as _;
 
 /// Estimated-vs-observed numbers for one executed source query.
@@ -122,82 +117,10 @@ impl PlanAnalysis {
     }
 }
 
-fn run(
-    plan: &Plan,
-    source: &Source,
-    model: &dyn CostModel,
-    card: &dyn Cardinality,
-    analysis: &mut PlanAnalysis,
-) -> Result<Relation, ExecError> {
-    match plan {
-        Plan::SourceQuery { cond, attrs } => {
-            let est_rows = card.estimate(cond.as_ref());
-            let est_cost = model.source_query_cost(cond.as_ref(), attrs.len(), est_rows);
-            let rows = source.fix_and_answer(cond.as_ref(), attrs)?;
-            let observed_rows = rows.len() as u64;
-            let observed_cost =
-                model.source_query_cost(cond.as_ref(), attrs.len(), observed_rows as f64);
-            analysis.subqueries.push(SubQueryObs {
-                rendered: plan.to_string(),
-                est_rows,
-                est_cost,
-                observed_rows,
-                observed_cost,
-            });
-            Ok(rows)
-        }
-        Plan::LocalSp { cond, attrs, input } => {
-            let base = run(input, source, model, card, analysis)?;
-            let filtered = select(&base, cond.as_ref());
-            let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
-            project(&filtered, &attr_refs).map_err(|e| ExecError::Schema(e.to_string()))
-        }
-        Plan::Intersect(cs) => {
-            let mut children = cs.iter();
-            let first = children
-                .next()
-                .ok_or_else(|| ExecError::Malformed("empty Intersect child list".into()))?;
-            let first = run(first, source, model, card, analysis)?;
-            children.try_fold(first, |acc, c| {
-                let r = run(c, source, model, card, analysis)?;
-                intersect(&acc, &r).map_err(|e| ExecError::Schema(e.to_string()))
-            })
-        }
-        Plan::Union(cs) => {
-            let mut children = cs.iter();
-            let first = children
-                .next()
-                .ok_or_else(|| ExecError::Malformed("empty Union child list".into()))?;
-            let first = run(first, source, model, card, analysis)?;
-            children.try_fold(first, |acc, c| {
-                let r = run(c, source, model, card, analysis)?;
-                union(&acc, &r).map_err(|e| ExecError::Schema(e.to_string()))
-            })
-        }
-        Plan::Choice(_) => Err(ExecError::Unresolved),
-    }
-}
-
-/// Executes a concrete plan like [`execute_measured`](crate::exec::execute_measured)
-/// while recording estimated-vs-observed cardinality and cost per source
-/// query. The analysis entries are in pre-order plan order, which is also
-/// the order [`explain_analyze`] annotates the tree in.
-pub fn execute_analyzed(
-    plan: &Plan,
-    source: &Source,
-    model: &dyn CostModel,
-    card: &dyn Cardinality,
-) -> Result<(Relation, Meter, PlanAnalysis), ExecError> {
-    let before = source.meter();
-    let mut analysis = PlanAnalysis::default();
-    let rows = run(plan, source, model, card, &mut analysis)?;
-    Ok((rows, source.meter().since(&before), analysis))
-}
-
 /// Re-renders the [`explain`](crate::explain::explain) tree with each
 /// source query annotated `est rows/cost | observed rows/cost`, followed by
-/// a cost-model drift summary. Requires the `analysis` produced by
-/// [`execute_analyzed`] on the *same* plan.
+/// a cost-model drift summary. Requires the `analysis` an analyzed run
+/// produced on the *same* plan.
 pub fn explain_analyze(plan: &Plan, analysis: &PlanAnalysis) -> String {
     let mut out = String::new();
     let mut idx = 0usize;
@@ -270,13 +193,16 @@ fn render(plan: &Plan, depth: usize, idx: &mut usize, analysis: &PlanAnalysis, o
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{OracleCard, UniformCard};
+    use crate::cost::{Cardinality, OracleCard, UniformCard};
     use crate::exec::execute;
+    use crate::exec_stream::{execute_stream_collect, StreamConfig, StreamMode, StreamRequest};
+    use crate::model::CostModel;
     use crate::plan::attrs;
     use csqp_expr::parse::parse_condition;
     use csqp_expr::CondTree;
     use csqp_relation::datagen;
-    use csqp_source::CostParams;
+    use csqp_relation::Relation;
+    use csqp_source::{CostParams, Meter, Source};
     use csqp_ssdl::templates;
 
     fn cond(s: &str) -> Option<CondTree> {
@@ -285,6 +211,21 @@ mod tests {
 
     fn dealer() -> Source {
         Source::new(datagen::cars(3, 500), templates::car_dealer(), CostParams::default())
+    }
+
+    /// The engine's collecting analyzed run: answer, transfer, analysis.
+    fn analyzed(
+        plan: &Plan,
+        source: &Source,
+        model: &dyn CostModel,
+        card: &dyn Cardinality,
+    ) -> (Relation, Meter, PlanAnalysis) {
+        let cfg = StreamConfig::serial();
+        let before = source.meter();
+        let mode = StreamMode::Analyzed { model, card };
+        let request = StreamRequest { mode, ..StreamRequest::new(&cfg) };
+        let (rows, run) = execute_stream_collect(plan, source, request).unwrap();
+        (rows, source.meter().since(&before), run.analysis.expect("an analyzed run's analysis"))
     }
 
     fn demo_plan() -> Plan {
@@ -302,7 +243,7 @@ mod tests {
         let model = CostParams::new(50.0, 1.0);
         let card = UniformCard::default();
         let plain = execute(&plan, &s).unwrap();
-        let (rows, meter, analysis) = execute_analyzed(&plan, &s, &model, &card).unwrap();
+        let (rows, meter, analysis) = analyzed(&plan, &s, &model, &card);
         assert_eq!(rows, plain);
         assert_eq!(meter.queries, 1);
         assert_eq!(analysis.subqueries.len(), 1);
@@ -317,7 +258,7 @@ mod tests {
         let plan = demo_plan();
         let model = CostParams::new(50.0, 1.0);
         let card = OracleCard::new(s.relation());
-        let (_, _, analysis) = execute_analyzed(&plan, &s, &model, &card).unwrap();
+        let (_, _, analysis) = analyzed(&plan, &s, &model, &card);
         assert!(analysis.drift_warnings().is_empty(), "oracle estimates cannot drift");
         assert_eq!(analysis.est_total(), analysis.observed_total());
     }
@@ -329,7 +270,7 @@ mod tests {
         let model = CostParams::new(50.0, 1.0);
         // Absurd cardinality model: everything returns ~1M rows.
         let card = UniformCard { rows: 1_000_000.0, atom_selectivity: 0.9 };
-        let (_, _, analysis) = execute_analyzed(&plan, &s, &model, &card).unwrap();
+        let (_, _, analysis) = analyzed(&plan, &s, &model, &card);
         let warnings = analysis.drift_warnings();
         assert_eq!(warnings.len(), 1);
         assert!(warnings[0].contains("over-estimated"), "{}", warnings[0]);
@@ -345,13 +286,13 @@ mod tests {
         ]);
         let model = CostParams::new(50.0, 1.0);
         let card = OracleCard::new(s.relation());
-        let (_, _, analysis) = execute_analyzed(&plan, &s, &model, &card).unwrap();
+        let (_, _, analysis) = analyzed(&plan, &s, &model, &card);
         let text = explain_analyze(&plan, &analysis);
         assert_eq!(text.matches("| observed").count(), 2, "{text}");
         assert!(text.starts_with("Union\n"), "{text}");
         assert!(text.contains("cost model: estimated"), "{text}");
         // Deterministic: same inputs, same bytes.
-        let (_, _, analysis2) = execute_analyzed(&plan, &s, &model, &card).unwrap();
+        let (_, _, analysis2) = analyzed(&plan, &s, &model, &card);
         assert_eq!(text, explain_analyze(&plan, &analysis2));
     }
 
@@ -399,7 +340,7 @@ mod tests {
         let plan = demo_plan();
         let model = CostParams::new(50.0, 1.0);
         let card = OracleCard::new(s.relation());
-        let (_, _, analysis) = execute_analyzed(&plan, &s, &model, &card).unwrap();
+        let (_, _, analysis) = analyzed(&plan, &s, &model, &card);
         let reg = csqp_obs::MetricsRegistry::new();
         analysis.record_into(&reg);
         let snap = reg.snapshot();

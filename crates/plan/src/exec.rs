@@ -1,4 +1,13 @@
-//! The mediator executor: runs a concrete plan against a source.
+//! The reference executor: the paper's mediator, written down once.
+//!
+//! [`execute`] walks a concrete plan the way §6.1 describes — fix each
+//! source query's order, send it, post-process the results with σ/π/∩/∪ —
+//! materializing every intermediate [`Relation`]. It is the **reference**
+//! every differential suite compares against, not an execution path: all
+//! production traffic runs on the engine in [`crate::exec_stream`], which
+//! must return this function's rows in this function's order with the same
+//! transfer meter. The module also owns what both share: [`ExecError`], and
+//! the [`RetryPolicy`] behind the engine's per-round-trip retries.
 //!
 //! ## Correctness caveat (paper semantics)
 //!
@@ -14,13 +23,11 @@
 //! dedicated test rather than silently ignored.
 
 use crate::plan::Plan;
-use csqp_expr::CondTree;
 use csqp_relation::ops::{intersect, project, select, union};
 use csqp_relation::Relation;
 use csqp_source::{Meter, ResilienceMeter, Source, SourceError};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Errors raised during plan execution.
@@ -120,7 +127,8 @@ pub fn execute_measured(plan: &Plan, source: &Source) -> Result<(Relation, Meter
     Ok((result, source.meter().since(&before)))
 }
 
-/// Retry/backoff policy for [`execute_resilient`].
+/// Retry/backoff policy for the streaming engine's per-round-trip retries
+/// ([`Retry`](crate::exec_stream::Retry)).
 ///
 /// Every quantity is in virtual **ticks** — no wall-clock enters any
 /// decision, so a fixed `jitter_seed` makes the whole retry schedule
@@ -135,8 +143,8 @@ pub struct RetryPolicy {
     pub max_backoff_ticks: u64,
     /// Seed of the deterministic jitter stream.
     pub jitter_seed: u64,
-    /// Optional budget of virtual ticks for one [`execute_resilient`] run
-    /// (simulated source latency + backoff). `None` = unbounded.
+    /// Optional budget of virtual ticks for one run (simulated source
+    /// latency + backoff). `None` = unbounded.
     pub deadline_ticks: Option<u64>,
 }
 
@@ -166,7 +174,7 @@ impl RetryPolicy {
     }
 }
 
-/// Per-run resilient execution state (shared with the streaming executor).
+/// Per-run retry state of the streaming engine.
 pub(crate) struct ResilientCtx<'a> {
     pub(crate) policy: &'a RetryPolicy,
     pub(crate) jitter: StdRng,
@@ -208,109 +216,10 @@ impl ResilientCtx<'_> {
     }
 }
 
-fn query_with_retry(
-    cond: Option<&CondTree>,
-    attrs: &BTreeSet<String>,
-    source: &Source,
-    ctx: &mut ResilientCtx<'_>,
-) -> Result<Relation, ExecError> {
-    let mut retry = 0u32;
-    loop {
-        ctx.res.attempts += 1;
-        // Virtual latency is metered by the source's fault gate; charge the
-        // delta this attempt caused against the run's deadline budget.
-        let before = source.resilience_meter().ticks;
-        let outcome = source.fix_and_answer(cond, attrs);
-        ctx.charge(source.resilience_meter().ticks.saturating_sub(before))?;
-        match outcome {
-            Ok(rows) => return Ok(rows),
-            // Capability rejections and schema errors are deterministic:
-            // retrying the identical query cannot succeed — fail fast.
-            Err(e) if !e.is_retryable() => return Err(ExecError::Source(e)),
-            Err(e) => {
-                ctx.note_fault(&e);
-                if retry >= ctx.policy.max_retries {
-                    return Err(ExecError::Exhausted {
-                        source: source.name.clone(),
-                        attempts: retry + 1,
-                        last: e,
-                    });
-                }
-                let backoff = ctx.policy.backoff_ticks(retry, &mut ctx.jitter);
-                ctx.charge(backoff)?;
-                ctx.res.retries += 1;
-                retry += 1;
-            }
-        }
-    }
-}
-
-fn execute_with_ctx(
-    plan: &Plan,
-    source: &Source,
-    ctx: &mut ResilientCtx<'_>,
-) -> Result<Relation, ExecError> {
-    match plan {
-        Plan::SourceQuery { cond, attrs } => query_with_retry(cond.as_ref(), attrs, source, ctx),
-        Plan::LocalSp { cond, attrs, input } => {
-            let base = execute_with_ctx(input, source, ctx)?;
-            let filtered = select(&base, cond.as_ref());
-            let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
-            project(&filtered, &attr_refs).map_err(|e| ExecError::Schema(e.to_string()))
-        }
-        Plan::Intersect(cs) => {
-            let mut children = cs.iter();
-            let first = children
-                .next()
-                .ok_or_else(|| ExecError::Malformed("empty Intersect child list".into()))?;
-            let first = execute_with_ctx(first, source, ctx)?;
-            children.try_fold(first, |acc, c| {
-                let r = execute_with_ctx(c, source, ctx)?;
-                intersect(&acc, &r).map_err(|e| ExecError::Schema(e.to_string()))
-            })
-        }
-        Plan::Union(cs) => {
-            let mut children = cs.iter();
-            let first = children
-                .next()
-                .ok_or_else(|| ExecError::Malformed("empty Union child list".into()))?;
-            let first = execute_with_ctx(first, source, ctx)?;
-            children.try_fold(first, |acc, c| {
-                let r = execute_with_ctx(c, source, ctx)?;
-                union(&acc, &r).map_err(|e| ExecError::Schema(e.to_string()))
-            })
-        }
-        Plan::Choice(_) => Err(ExecError::Unresolved),
-    }
-}
-
-/// Executes a plan against a possibly-unreliable source: bounded retries
-/// with exponential backoff and deterministic jitter on retryable faults,
-/// fail-fast on capability rejections, and an optional per-run deadline
-/// budget of virtual ticks.
-///
-/// Resilience metrics (attempts, retries, faults by kind, ticks incl.
-/// backoff) are **accumulated into** `res`, on success *and* failure, so
-/// callers that fail over across plans keep one cumulative account. With no
-/// fault profile attached to the source this behaves exactly like
-/// [`execute_measured`] (first attempt succeeds, zero retries, zero ticks).
-pub fn execute_resilient(
-    plan: &Plan,
-    source: &Source,
-    policy: &RetryPolicy,
-    res: &mut ResilienceMeter,
-) -> Result<(Relation, Meter), ExecError> {
-    let mut ctx = ResilientCtx::new(policy);
-    let before = source.meter();
-    let outcome = execute_with_ctx(plan, source, &mut ctx);
-    res.absorb(&ctx.res);
-    let rows = outcome?;
-    Ok((rows, source.meter().since(&before)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec_stream::{execute_stream_collect, Retry, StreamConfig, StreamRequest};
     use crate::plan::attrs;
     use csqp_expr::parse::parse_condition;
     use csqp_expr::CondTree;
@@ -324,6 +233,23 @@ mod tests {
 
     fn dealer() -> Source {
         Source::new(datagen::cars(3, 500), templates::car_dealer(), CostParams::default())
+    }
+
+    /// The engine's collecting run with per-round-trip retries under
+    /// `policy`: the answer plus the transfer it caused. Counters land in
+    /// `res` on success and failure alike.
+    fn resilient(
+        plan: &Plan,
+        source: &Source,
+        policy: &RetryPolicy,
+        res: &mut ResilienceMeter,
+    ) -> Result<(Relation, Meter), ExecError> {
+        let cfg = StreamConfig::serial();
+        let before = source.meter();
+        let retry = Some(Retry { policy, meter: res });
+        let request = StreamRequest { retry, ..StreamRequest::new(&cfg) };
+        let (rows, _) = execute_stream_collect(plan, source, request)?;
+        Ok((rows, source.meter().since(&before)))
     }
 
     /// Oracle: evaluate the target query directly on the hidden relation.
@@ -436,7 +362,7 @@ mod tests {
             }
             let mut res = ResilienceMeter::default();
             assert!(matches!(
-                execute_resilient(&plan, &s, &RetryPolicy::default(), &mut res),
+                resilient(&plan, &s, &RetryPolicy::default(), &mut res),
                 Err(ExecError::Malformed(_))
             ));
         }
@@ -458,7 +384,7 @@ mod tests {
         ]);
         let policy = RetryPolicy { max_retries: 16, ..Default::default() };
         let mut res = ResilienceMeter::default();
-        let (rows, meter) = execute_resilient(&plan, &s, &policy, &mut res).unwrap();
+        let (rows, meter) = resilient(&plan, &s, &policy, &mut res).unwrap();
         let want = oracle(
             &s,
             "(make = \"BMW\" ^ price < 40000) _ (make = \"Toyota\" ^ price < 20000)",
@@ -477,7 +403,7 @@ mod tests {
         let plan = Plan::source(cond("make = \"BMW\" ^ price < 40000"), attrs(["model"]));
         let policy = RetryPolicy { max_retries: 2, ..Default::default() };
         let mut res = ResilienceMeter::default();
-        match execute_resilient(&plan, &s, &policy, &mut res) {
+        match resilient(&plan, &s, &policy, &mut res) {
             Err(ExecError::Exhausted { source, attempts, last }) => {
                 assert_eq!(source, "car_dealer");
                 assert_eq!(attempts, 3, "1 initial + 2 retries");
@@ -498,7 +424,7 @@ mod tests {
         let s = faulty_dealer(FaultProfile::new(9));
         let plan = Plan::source(cond("year = 1995"), attrs(["model"]));
         let mut res = ResilienceMeter::default();
-        match execute_resilient(&plan, &s, &RetryPolicy::default(), &mut res) {
+        match resilient(&plan, &s, &RetryPolicy::default(), &mut res) {
             Err(ExecError::Source(SourceError::Unsupported { .. })) => {}
             other => panic!("expected fail-fast gate rejection, got {other:?}"),
         }
@@ -515,7 +441,7 @@ mod tests {
         let policy =
             RetryPolicy { max_retries: 10, deadline_ticks: Some(60), ..Default::default() };
         let mut res = ResilienceMeter::default();
-        match execute_resilient(&plan, &s, &policy, &mut res) {
+        match resilient(&plan, &s, &policy, &mut res) {
             Err(ExecError::Deadline { used, budget }) => {
                 assert_eq!(budget, 60);
                 assert!(used > 60, "budget was exceeded, not merely met: {used}");
@@ -535,8 +461,7 @@ mod tests {
         );
         let plain = execute(&plan, &s).unwrap();
         let mut res = ResilienceMeter::default();
-        let (rows, meter) =
-            execute_resilient(&plan, &s, &RetryPolicy::default(), &mut res).unwrap();
+        let (rows, meter) = resilient(&plan, &s, &RetryPolicy::default(), &mut res).unwrap();
         assert_eq!(rows, plain);
         assert_eq!(meter.queries, 1);
         assert_eq!(res.retries, 0);
@@ -552,7 +477,7 @@ mod tests {
             let plan = Plan::source(cond("make = \"BMW\" ^ price < 40000"), attrs(["model"]));
             let policy = RetryPolicy { jitter_seed: seed, max_retries: 8, ..Default::default() };
             let mut res = ResilienceMeter::default();
-            (execute_resilient(&plan, &s, &policy, &mut res), res)
+            (resilient(&plan, &s, &policy, &mut res), res)
         };
         let (a, ra) = run(1);
         let (b, rb) = run(1);

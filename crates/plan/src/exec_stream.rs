@@ -1,9 +1,12 @@
-//! The streaming executor: pull-based batch pipelines over concrete plans.
+//! The executor: pull-based batch pipelines over concrete plans. This is
+//! the only production plan-walker — collecting callers (`Mediator::run`,
+//! failover, joins, the CLI) run it serially with the sink that keeps the
+//! answer; `csqp serve` hands it a socket sink.
 //!
-//! Where [`crate::exec::execute`] materializes every intermediate
-//! [`Relation`] in full and fetches Intersect/Union children strictly
-//! sequentially, this module runs the same plans as Volcano-style pull
-//! pipelines exchanging bounded [`TupleBatch`]es:
+//! Where the reference [`crate::exec::execute`] materializes every
+//! intermediate [`Relation`] in full and fetches Intersect/Union children
+//! strictly sequentially, this module runs the same plans as Volcano-style
+//! pull pipelines exchanging bounded [`TupleBatch`]es:
 //!
 //! - **Bounded memory** — pipeline-resident tuples are proportional to
 //!   `batch_size × pipeline depth`, not `|result|`. Set-semantics state
@@ -18,9 +21,11 @@
 //! - **Early termination** — a row [`StreamConfig::limit`] stops the
 //!   pipeline as soon as enough answer tuples exist; dropped receivers
 //!   unwind producers, and sources stop shipping.
-//! - **Per-batch resilience** — a [`Retry`] on the request retries only
-//!   the faulted batch pull (the source stream keeps its scan cursor), so a
-//!   mid-stream fault never re-ships or re-fetches earlier batches.
+//! - **Per-round-trip resilience** — a source faces the fault weather once
+//!   per round-trip (stream open, each batch pull); that is the one fault
+//!   model. A [`Retry`] on the request retries only the faulted round-trip
+//!   (the source stream keeps its scan cursor), so a mid-stream fault never
+//!   re-ships or re-fetches earlier batches.
 //!
 //! There is one entry point, [`execute_stream`]; how a run executes —
 //! retries, per-leaf analysis, adaptive re-planning, tracing — is a
@@ -29,9 +34,10 @@
 //! accumulates a [`Relation`].
 //!
 //! The materialized executor remains the differential oracle: a drained
-//! stream returns a set-equal relation and (fault-free) identical meter
-//! deltas; `crates/plan/tests/stream_differential.rs` enforces this over
-//! randomized plans, workloads and the request-mode matrix.
+//! serial stream returns its rows in its order and (fault-free) identical
+//! meter deltas; `crates/plan/tests/stream_differential.rs` enforces this
+//! over randomized plans, workloads and the request-mode matrix, and
+//! `tests/run_stream_differential.rs` one layer up.
 
 use crate::analyze::PlanAnalysis;
 use crate::cost::Cardinality;
@@ -261,7 +267,6 @@ mod engine {
     use csqp_relation::stream::{project_batch, project_indices, select_batch, DedupSketch};
     use csqp_relation::tuple::Tuple;
     use csqp_source::SourceStream;
-    use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
     use std::sync::Arc;
@@ -356,62 +361,32 @@ mod engine {
         }
     }
 
-    /// Opens a leaf stream, retrying retryable open faults under the run's
-    /// policy (the streaming twin of `query_with_retry`'s open half).
-    fn open_with_retry<'env>(
-        cond: Option<&CondTree>,
-        attrs: &BTreeSet<String>,
-        source: &'env Source,
-        batch_size: usize,
-        ctx: &mut ResilientCtx<'_>,
-    ) -> Result<SourceStream<'env>, ExecError> {
-        let mut retry = 0u32;
-        loop {
-            ctx.res.attempts += 1;
-            let before = source.resilience_meter().ticks;
-            let outcome = source.fix_and_answer_stream(cond, attrs, batch_size);
-            ctx.charge(source.resilience_meter().ticks.saturating_sub(before))?;
-            match outcome {
-                Ok(stream) => return Ok(stream),
-                Err(e) if !e.is_retryable() => return Err(ExecError::Source(e)),
-                Err(e) => {
-                    ctx.note_fault(&e);
-                    if retry >= ctx.policy.max_retries {
-                        return Err(ExecError::Exhausted {
-                            source: source.name.clone(),
-                            attempts: retry + 1,
-                            last: e,
-                        });
-                    }
-                    let backoff = ctx.policy.backoff_ticks(retry, &mut ctx.jitter);
-                    ctx.charge(backoff)?;
-                    ctx.res.retries += 1;
-                    retry += 1;
-                }
-            }
-        }
-    }
-
-    /// Retries one batch pull. The stream's scan cursor survives faults, so
-    /// only the failed round-trip repeats — earlier batches never re-ship.
-    fn pull_with_retry(
-        stream: &mut SourceStream<'_>,
+    /// Runs one source round-trip — a stream open or a batch pull — under
+    /// the run's retry policy: retryable faults back off and repeat, the
+    /// virtual latency the source's fault gate metered is charged against
+    /// the deadline budget, and capability rejections and schema errors
+    /// fail fast (retrying the identical request cannot succeed). An open
+    /// always counts as an attempt; a pull only when it faulted, so a
+    /// fault-free run reads attempts == source queries. A stream keeps its
+    /// scan cursor across faults, so only the failed pull repeats — earlier
+    /// batches never re-ship.
+    fn with_retry<T>(
         source: &Source,
         ctx: &mut ResilientCtx<'_>,
-    ) -> Result<Option<TupleBatch>, ExecError> {
+        open: bool,
+        mut round_trip: impl FnMut() -> Result<T, csqp_source::SourceError>,
+    ) -> Result<T, ExecError> {
         let mut retry = 0u32;
         loop {
+            ctx.res.attempts += u64::from(open);
             let before = source.resilience_meter().ticks;
-            let outcome = stream.next_batch();
+            let outcome = round_trip();
             ctx.charge(source.resilience_meter().ticks.saturating_sub(before))?;
             match outcome {
-                Ok(b) => return Ok(b),
+                Ok(v) => return Ok(v),
                 Err(e) if !e.is_retryable() => return Err(ExecError::Source(e)),
                 Err(e) => {
-                    // Faulted pulls count as attempts; clean pulls don't,
-                    // keeping fault-free parity with the materialized path
-                    // (attempts == source queries).
-                    ctx.res.attempts += 1;
+                    ctx.res.attempts += u64::from(!open);
                     ctx.note_fault(&e);
                     if retry >= ctx.policy.max_retries {
                         return Err(ExecError::Exhausted {
@@ -512,7 +487,7 @@ mod engine {
                 Node::Leaf { stream, source, idx, cond, n_attrs, rows_out } => {
                     let pulled = match &mut extras.resilient {
                         None => stream.next_batch().map_err(ExecError::Source)?,
-                        Some(ctx) => pull_with_retry(stream, source, ctx)?,
+                        Some(ctx) => with_retry(source, ctx, false, || stream.next_batch())?,
                     };
                     if let Some(b) = &pulled {
                         account.charge(b.len());
@@ -693,9 +668,9 @@ mod engine {
                     None => source
                         .fix_and_answer_stream(cond.as_ref(), attrs, cfg.batch_size)
                         .map_err(ExecError::Source)?,
-                    Some(ctx) => {
-                        open_with_retry(cond.as_ref(), attrs, source, cfg.batch_size, ctx)?
-                    }
+                    Some(ctx) => with_retry(source, ctx, true, || {
+                        source.fix_and_answer_stream(cond.as_ref(), attrs, cfg.batch_size)
+                    })?,
                 };
                 if let Some(a) = &mut extras.analyzed {
                     let est_rows = a.card.estimate(cond.as_ref());
@@ -988,8 +963,7 @@ mod engine {
 
 /// Per-batch retries for one run: a mid-stream fault repeats only the
 /// failed round-trip (the source stream keeps its scan cursor), under the
-/// same backoff/deadline policy as
-/// [`execute_resilient`](crate::exec::execute_resilient).
+/// policy's backoff schedule and deadline budget.
 #[derive(Debug)]
 pub struct Retry<'a> {
     /// Backoff, retry cap and deadline budget.
@@ -1004,10 +978,10 @@ pub struct Retry<'a> {
 pub enum StreamMode<'a> {
     /// Just the answer.
     Plain,
-    /// Record estimated-vs-observed numbers per source query, like
-    /// [`execute_analyzed`](crate::analyze::execute_analyzed). Source
-    /// queries the run never opened (early termination) are absent from the
-    /// analysis and render as `[not executed]`.
+    /// Record estimated-vs-observed numbers per source query (see
+    /// [`crate::analyze`]). Source queries the run never opened (early
+    /// termination) are absent from the analysis and render as
+    /// `[not executed]`.
     Analyzed {
         /// Prices the estimated and the observed rows.
         model: &'a dyn CostModel,
@@ -1200,7 +1174,7 @@ pub fn explain_analyze_streamed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute, execute_measured, execute_resilient};
+    use crate::exec::{execute, execute_measured};
     use crate::plan::attrs;
     use csqp_expr::parse::parse_condition;
     use csqp_expr::CondTree;
@@ -1399,14 +1373,12 @@ mod tests {
         let plan = nested_plan();
         let mut res = ResilienceMeter::default();
         let rows = stream_resilient(&plan, &s, &RetryPolicy::default(), &mut res).unwrap();
-        let meter = s.meter();
-        let s2 = dealer();
-        let mut res2 = ResilienceMeter::default();
-        let (want, want_meter) =
-            execute_resilient(&plan, &s2, &RetryPolicy::default(), &mut res2).unwrap();
+        // Reference: the materialized walk of a fault-free twin.
+        let twin = dealer();
+        let (want, want_meter) = execute_measured(&plan, &twin).unwrap();
         assert_eq!(rows, want);
-        assert_eq!(meter, want_meter);
-        assert_eq!(res.attempts, res2.attempts, "fault-free attempts = source queries");
+        assert_eq!(s.meter(), want_meter);
+        assert_eq!(res.attempts, want_meter.queries, "fault-free attempts = source queries");
         assert_eq!(res.retries, 0);
         assert_eq!(res.ticks, 0);
     }

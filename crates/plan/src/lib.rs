@@ -8,14 +8,15 @@
 //! - [`cost`] — the §6.2 linear cost model with pluggable cardinality
 //!   estimation (statistics / oracle / uniform);
 //! - [`mod@resolve`] — Choice resolution (GenModular's cost module);
-//! - [`exec`] — the mediator executor (fix order → query source →
-//!   postprocess with σ/π/∩/∪), with transfer metering;
+//! - [`exec`] — the *reference* executor (fix order → query source →
+//!   postprocess with σ/π/∩/∪), with transfer metering: what every
+//!   differential compares the engine against, not an execution path;
 //! - [`explain`] — `SP(C, A, R)` notation rendering;
-//! - [`exec_stream`] — the pull-based batch streaming executor: bounded
-//!   memory (`batch_size × pipeline depth`), overlapped sibling fetch,
-//!   row-limit early termination, per-batch retry;
-//! - [`analyze`] — `EXPLAIN ANALYZE`: execution with per-source-query
-//!   estimated-vs-observed cardinality/cost and drift detection;
+//! - [`exec_stream`] — the executor: pull-based batch pipelines with
+//!   bounded memory (`batch_size × pipeline depth`), overlapped sibling
+//!   fetch, row-limit early termination, per-round-trip retry;
+//! - [`analyze`] — `EXPLAIN ANALYZE`: the per-source-query
+//!   estimated-vs-observed record of an analyzed run, and drift detection;
 //! - [`why`] — `EXPLAIN WHY`: replays a flight-recorder decision trail
 //!   into a report naming the eliminating rule for every losing candidate.
 
@@ -33,9 +34,9 @@ pub mod plan;
 pub mod resolve;
 pub mod why;
 
-pub use analyze::{execute_analyzed, explain_analyze, PlanAnalysis, SubQueryObs};
+pub use analyze::{explain_analyze, PlanAnalysis, SubQueryObs};
 pub use cost::{Cardinality, OracleCard, StatsCard, UniformCard};
-pub use exec::{execute, execute_measured, execute_resilient, ExecError, RetryPolicy};
+pub use exec::{execute, execute_measured, ExecError, RetryPolicy};
 pub use exec_stream::{
     execute_stream, execute_stream_collect, explain_analyze_streamed, plan_condition, LeafProgress,
     ReplanController, ReplanProbe, Retry, SpliceAction, StreamConfig, StreamMode, StreamRequest,

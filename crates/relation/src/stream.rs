@@ -268,7 +268,7 @@ impl<S: TupleStream> TupleStream for FilterProjectStream<S> {
 
 /// Streaming `∪`: drains children in declaration order, deduplicating
 /// through a shared [`DedupSketch`], so output order matches the
-/// materialized [`ops::union`] fold.
+/// materialized [`crate::ops::union`] fold.
 pub struct UnionStream<S: TupleStream> {
     children: Vec<S>,
     current: usize,

@@ -9,7 +9,7 @@
 //! - [`lexer`] / [`parser`] — the SSDL text format;
 //! - [`grammar`] — compiled grammars (interning, nullable sets);
 //! - [`earley`] — an Earley recognizer (any CFG; linear on SSDL grammars);
-//! - [`linearize`] — the condition-tree → token-stream contract;
+//! - [`mod@linearize`] — the condition-tree → token-stream contract;
 //! - [`check`] — the paper's `Check(C, R)` function and [`check::ExportSet`]
 //!   antichains;
 //! - [`closure`] — §6.1's commutativity elimination (permutation closure of

@@ -67,15 +67,16 @@ fn main() {
         let q = TargetQuery::parse(cond, &attrs).unwrap();
         println!("query: {q}");
         match federation.run(&q) {
-            Ok((fp, out)) => {
+            Ok(run) => {
+                let out = &run.stream.outcome;
                 println!(
                     "  -> routed to `{}` (est {:.0}, measured {:.0}, {} rows)",
-                    fp.source.name,
-                    fp.planned.est_cost,
+                    run.source_name,
+                    out.planned.est_cost,
                     out.measured_cost,
                     out.rows.len()
                 );
-                for (member, verdict) in &fp.considered {
+                for (member, verdict) in &run.considered {
                     match verdict {
                         Ok(cost) => println!("     {member:<14} est {cost:.0}"),
                         Err(_) => println!("     {member:<14} infeasible"),

@@ -194,8 +194,8 @@ proptest! {
                 prop_assert_eq!(p_on.planned.plan.to_string(), p_off.planned.plan.to_string());
                 prop_assert_eq!(p_on.planned.est_cost, p_off.planned.est_cost);
                 prop_assert_eq!(p_on.considered.len(), p_off.considered.len());
-                let (_, r_on) = on.run(&query).expect("plannable query runs");
-                let (_, r_off) = off.run(&query).expect("plannable query runs");
+                let r_on = on.run(&query).expect("plannable query runs").stream.outcome;
+                let r_off = off.run(&query).expect("plannable query runs").stream.outcome;
                 prop_assert_eq!(r_on.rows, r_off.rows);
             }
             (Err(_), Err(_)) => {}

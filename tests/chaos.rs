@@ -15,7 +15,7 @@
 //! Regenerate the golden trace after an intentional behaviour change with:
 //! `CHAOS_BLESS=1 cargo test -p csqp-core --test chaos`.
 
-use csqp_core::federation::{CircuitBreakerConfig, Federation, MemberEvent};
+use csqp_core::federation::{CircuitBreakerConfig, FederatedOptions, Federation, MemberEvent};
 use csqp_core::mediator::{Mediator, MediatorError};
 use csqp_core::types::TargetQuery;
 use csqp_expr::ValueType;
@@ -226,11 +226,11 @@ fn federation_storm(seed: u64) -> Vec<String> {
     for round in 0..4 {
         for (i, query) in queries.iter().enumerate() {
             let mut line = format!("fed/r{round}q{i} seed={seed}: ");
-            match f.run_resilient(query, &policy) {
+            match f.run_stream(query, FederatedOptions::Failover(&policy), None) {
                 Ok(run) => {
                     let member = f.members().iter().find(|m| m.name == run.source_name).unwrap();
                     assert_eq!(
-                        run.outcome.rows,
+                        run.stream.outcome.rows,
                         oracle(member, query),
                         "fed r{round}q{i} seed {seed}: federated answer diverged from oracle"
                     );
@@ -241,7 +241,7 @@ fn federation_storm(seed: u64) -> Vec<String> {
                         "ok by={} rank={} failovers={} [{}]",
                         run.source_name,
                         run.plan_rank,
-                        run.resilience.failovers,
+                        run.stream.resilience.failovers,
                         events.join(", ")
                     );
                 }
@@ -388,18 +388,19 @@ fn replan_storm(seed: u64) -> Vec<String> {
     for round in 0..2 {
         for (i, query) in queries.iter().enumerate() {
             let mut line = format!("replan/r{round}q{i} seed={seed}: ");
-            match f.run_adaptive(query, &policy, &cfg) {
+            let options = FederatedOptions::Splice { policy: &policy, stream: &cfg };
+            match f.run_stream(query, options, None) {
                 Ok(run) => {
-                    let member =
-                        f.members().iter().find(|m| m.name == run.run.source_name).unwrap();
+                    let (splices, rows) = (run.stream.splices, &run.stream.outcome.rows);
+                    let member = f.members().iter().find(|m| m.name == run.source_name).unwrap();
                     assert_eq!(
-                        run.run.outcome.rows,
+                        *rows,
                         oracle(member, query),
                         "replan r{round}q{i} seed {seed}: spliced answer diverged from oracle"
                     );
-                    spliced += run.splices;
+                    spliced += splices;
                     #[cfg(feature = "obs")]
-                    if run.splices > 0 {
+                    if splices > 0 {
                         let why = f.explain_why();
                         assert!(
                             why.contains("[replan]"),
@@ -407,17 +408,13 @@ fn replan_storm(seed: u64) -> Vec<String> {
                              mid-flight splice:\n{why}"
                         );
                     }
-                    let events: Vec<String> = run
-                        .trace()
-                        .iter()
-                        .map(|(n, e)| format!("{n}:{}", render_event(e)))
-                        .collect();
+                    let events: Vec<String> =
+                        run.trace.iter().map(|(n, e)| format!("{n}:{}", render_event(e))).collect();
                     let _ = write!(
                         line,
-                        "ok by={} splices={} rows={} [{}]",
-                        run.run.source_name,
-                        run.splices,
-                        run.run.outcome.rows.len(),
+                        "ok by={} splices={splices} rows={} [{}]",
+                        run.source_name,
+                        rows.len(),
                         events.join(", ")
                     );
                 }

@@ -15,7 +15,7 @@
 //! Regenerate the golden after an intentional change with:
 //! `EXPLAIN_ANALYZE_BLESS=1 cargo test -p csqp-core --test explain_analyze`.
 
-use csqp_core::federation::{CircuitBreakerConfig, Federation};
+use csqp_core::federation::{CircuitBreakerConfig, FederatedOptions, Federation};
 use csqp_core::mediator::{CardKind, Mediator};
 use csqp_core::types::TargetQuery;
 use csqp_plan::analyze::explain_analyze;
@@ -51,7 +51,7 @@ fn e1_query() -> TargetQuery {
 fn render_explain_analyze() -> String {
     let mediator = Mediator::new(e1_source());
     let analyzed = mediator.run_analyzed(&e1_query()).expect("E1 query plans and runs");
-    explain_analyze(&analyzed.outcome.planned.plan, &analyzed.analysis)
+    explain_analyze(&analyzed.outcome.planned.plan, &analyzed.analysis.expect("analysis"))
 }
 
 #[test]
@@ -100,9 +100,10 @@ fn explain_analyze_and_trace_replay_identically() {
 fn oracle_estimates_match_observations_on_e1() {
     let mediator = Mediator::new(e1_source()).with_cardinality(CardKind::Oracle);
     let analyzed = mediator.run_analyzed(&e1_query()).expect("E1 runs");
-    assert!(analyzed.analysis.drift_warnings().is_empty(), "oracle never drifts");
+    let analysis = analyzed.analysis.expect("an analyzed run reports its analysis");
+    assert!(analysis.drift_warnings().is_empty(), "oracle never drifts");
     assert!(
-        (analyzed.analysis.observed_total() - analyzed.outcome.measured_cost).abs() < 1e-9,
+        (analysis.observed_total() - analyzed.outcome.measured_cost).abs() < 1e-9,
         "per-subquery observed costs sum to the meter's measured cost"
     );
 }
@@ -126,7 +127,9 @@ fn metrics_snapshot_schema_is_stable() {
         .with_member(steady)
         .with_breaker(CircuitBreakerConfig { failure_threshold: 1, cooldown_ticks: 1 });
     let policy = RetryPolicy { max_retries: 1, ..Default::default() };
-    federation.run_resilient(&e1_query(), &policy).expect("steady member serves");
+    federation
+        .run_stream(&e1_query(), FederatedOptions::Failover(&policy), None)
+        .expect("steady member serves");
 
     let snap = federation.metrics_snapshot();
     let json = snap.to_json();

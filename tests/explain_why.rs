@@ -13,12 +13,12 @@
 //!    and counts evictions; the per-record event cap drops loudly.
 //! 4. **Isolation** — mediators sharing one recorder (including from
 //!    parallel threads) produce per-query records that never bleed into
-//!    each other.
+//!    each other, post-planning notes included.
 //!
 //! Regenerate the golden after an intentional change with:
 //! `EXPLAIN_WHY_BLESS=1 cargo test -p csqp-core --test explain_why`.
 
-use csqp_core::mediator::{Mediator, Scheme};
+use csqp_core::mediator::{Mediator, Scheme, StreamOptions};
 use csqp_core::types::TargetQuery;
 use csqp_obs::FlightRecorder;
 use csqp_relation::datagen;
@@ -255,5 +255,46 @@ fn shared_recorder_isolates_queries_across_threads() {
             );
         }
         assert!(!r.events.is_empty(), "each record captured its own trail");
+    }
+}
+
+/// Post-planning notes land on the record of the query they belong to, not
+/// on whichever query began last: two queries planned back-to-back on one
+/// shared armed recorder and then executed in plan order each hold exactly
+/// their own `streamed:` note.
+#[test]
+fn post_planning_notes_reach_their_own_record() {
+    let rec = Arc::new(FlightRecorder::new());
+    let mediator = Mediator::new(dealer()).with_flight_recorder(rec.clone());
+    let planned = ["BMW", "Toyota"].map(|make| {
+        let q = TargetQuery::parse(&format!("make = \"{make}\" ^ price < 40000"), &["model"]);
+        mediator.plan(&q.unwrap()).expect("plans")
+    });
+    // Distinct batch sizes, so each run writes a distinguishable note.
+    let notes: Vec<String> = planned
+        .iter()
+        .zip([1usize, 64])
+        .map(|(planned, batch)| {
+            let cfg = csqp_plan::StreamConfig::serial().with_batch_size(batch);
+            let run = mediator.run_stream(planned.clone(), StreamOptions::plain(&cfg), None);
+            let stats = run.unwrap().stats;
+            format!(
+                "streamed: {} batches, peak resident {} tuples",
+                stats.batches, stats.peak_resident_tuples
+            )
+        })
+        .collect();
+    assert_ne!(notes[0], notes[1], "the two runs must be told apart");
+    if !rec.armed() {
+        return;
+    }
+    for (record, own) in rec.records().iter().zip(&notes) {
+        let streamed: Vec<String> = record
+            .events
+            .iter()
+            .map(|e| e.to_string())
+            .filter(|e| e.starts_with("streamed:"))
+            .collect();
+        assert_eq!(&streamed, std::slice::from_ref(own), "record of `{}`", record.query);
     }
 }

@@ -300,9 +300,10 @@ fn federation_fails_over_when_cheapest_member_dies_at_execution() {
     let f = Federation::new().with_member(dead_dealer).with_member(dump.clone());
     let q = TargetQuery::parse("make = \"BMW\" ^ price < 40000", &["model", "year"]).unwrap();
 
-    let run = f.run_resilient(&q, &RetryPolicy::default()).unwrap();
+    let policy = RetryPolicy::default();
+    let run = f.run_stream(&q, csqp_core::FederatedOptions::Failover(&policy), None).unwrap();
     assert_eq!(run.source_name, "dump", "must fail over to the reliable mirror");
-    assert!(run.resilience.failovers >= 1);
+    assert!(run.stream.resilience.failovers >= 1);
     assert!(
         run.trace.iter().any(|(name, e)| name == "car_dealer"
             && matches!(e, csqp_core::MemberEvent::ExecFailed(msg) if msg.contains("unavailable"))),
@@ -314,5 +315,5 @@ fn federation_fails_over_when_cheapest_member_dies_at_execution() {
         &["model", "year"],
     )
     .unwrap();
-    assert_eq!(run.outcome.rows, want, "failed-over answer must still be exact");
+    assert_eq!(run.stream.outcome.rows, want, "failed-over answer must still be exact");
 }

@@ -235,7 +235,7 @@ mod live {
         #[cfg(feature = "obs")]
         {
             assert!(profile.spans.iter().any(|s| s.label == "plan"));
-            assert!(profile.spans.iter().all(|s| s.label != "execute (analyzed)"));
+            assert!(profile.spans.iter().all(|s| !s.label.starts_with("execute")));
             assert!(!profile.flight.is_empty());
         }
     }

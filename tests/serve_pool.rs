@@ -2,8 +2,9 @@
 //! keep-alive serving, `/shutdown` draining in-flight connections,
 //! per-tenant token-bucket shedding (429), the prepared-plan cache
 //! surfacing in trailers and `/metrics`, a mixed-tenant hammer whose audit
-//! journal must come out coherent — no lost or duplicated records — and
-//! slow-log entries that carry their own query's decision trail.
+//! journal must come out coherent — no lost or duplicated records —
+//! slow-log entries that carry their own query's decision trail, and
+//! flight records that receive their own query's post-planning notes.
 
 use csqp::serve::{ServeConfig, Server};
 use csqp_relation::datagen;
@@ -167,7 +168,7 @@ fn plan_cache_decisions_surface_in_trailer_and_metrics() {
     let server = Server::bind_federation(vec![dealer()], ServeConfig::default())
         .expect("bind an ephemeral port");
     let addr = server.local_addr().expect("bound address");
-    let obs_on = server.mediator().obs().enabled();
+    let obs_on = server.federation().obs().enabled();
     let handle = std::thread::spawn(move || server.run());
 
     let cold = http_get(addr, BMW);
@@ -226,7 +227,7 @@ fn worker_pool_hammer_keeps_journal_and_counters_coherent() {
     };
     let server = Server::bind_federation(vec![dealer()], cfg).expect("bind an ephemeral port");
     let addr = server.local_addr().expect("bound address");
-    let obs_on = server.mediator().obs().enabled();
+    let obs_on = server.federation().obs().enabled();
     let handle = std::thread::spawn(move || server.run());
 
     const THREADS: usize = 4;
@@ -326,7 +327,7 @@ fn slow_log_entries_carry_their_own_decision_trail() {
     };
     let server = Server::bind_federation(vec![dealer()], cfg).expect("bind an ephemeral port");
     let addr = server.local_addr().expect("bound address");
-    let obs_on = server.mediator().obs().enabled();
+    let obs_on = server.federation().obs().enabled();
     let handle = std::thread::spawn(move || server.run());
 
     let clients: Vec<_> = (0..THREADS)
@@ -365,6 +366,64 @@ fn slow_log_entries_carry_their_own_decision_trail() {
             );
         } else {
             assert!(trail.contains("recorder"), "obs-off logs the disabled notice:\n{trail}");
+        }
+    }
+
+    let bye = http_get(addr, "/shutdown");
+    assert!(bye.contains("shutting down"), "{bye}");
+    handle.join().expect("server thread").expect("accept loop exits cleanly");
+}
+
+/// Post-planning flight notes under concurrency: four clients push distinct
+/// queries through four workers, and every `/flightrecorder?query=<id>`
+/// replay must narrate its own query and end in exactly one `streamed:`
+/// note — the one its own execution wrote, not none (the member mediators
+/// record on the served recorder) and not a neighbour's (notes are
+/// addressed by flight id, never to "the latest" record).
+#[test]
+fn flight_records_receive_their_own_stream_notes() {
+    const THREADS: usize = 4;
+    const PER_THREAD: usize = 4;
+    let cfg = ServeConfig { workers: THREADS, ..ServeConfig::default() };
+    let server = Server::bind_federation(vec![dealer()], cfg).expect("bind an ephemeral port");
+    let addr = server.local_addr().expect("bound address");
+    let obs_on = server.federation().obs().enabled();
+    let handle = std::thread::spawn(move || server.run());
+
+    let clients: Vec<_> = (0..THREADS)
+        .map(|t| {
+            std::thread::spawn(move || {
+                (0..PER_THREAD)
+                    .map(|round| {
+                        let price = 20000 + 1000 * t + round;
+                        let resp = http_get(
+                            addr,
+                            &format!(
+                                "/query?cond=make%20%3D%20%22BMW%22%20%5E%20price%20%3C%20{price}\
+                                 &attrs=model,year"
+                            ),
+                        );
+                        assert!(resp.starts_with("HTTP/1.1 200"), "t{t}/{round}: {resp}");
+                        let (_, id) =
+                            resp.rsplit_once("flight #").expect("trailer names the flight");
+                        let id: u64 =
+                            id.trim_end().trim_end_matches(')').parse().expect("flight id");
+                        (id, price)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    for client in clients {
+        for (id, price) in client.join().expect("client thread") {
+            let replay = http_get(addr, &format!("/flightrecorder?query={id}"));
+            if !obs_on {
+                assert!(replay.contains("recorder"), "obs-off replays the notice:\n{replay}");
+                continue;
+            }
+            assert!(replay.contains(&format!("price < {price}")), "flight {id}:\n{replay}");
+            let notes = replay.lines().filter(|l| l.contains("streamed: ")).count();
+            assert_eq!(notes, 1, "flight {id} must hold exactly its own stream note:\n{replay}");
         }
     }
 

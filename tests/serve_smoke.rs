@@ -54,7 +54,7 @@ fn serve_smoke() {
     ));
     let server = Server::bind(source, ServeConfig::default()).expect("bind an ephemeral port");
     let addr = server.local_addr().expect("bound address");
-    let obs_on = server.mediator().obs().enabled();
+    let obs_on = server.federation().obs().enabled();
     let handle = std::thread::spawn(move || server.run());
 
     // Health while idle.

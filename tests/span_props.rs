@@ -12,7 +12,7 @@
 //! property holds vacuously over the empty slice — the suite still runs so
 //! the API surface is exercised on every CI feature leg.
 
-use csqp_core::federation::{CircuitBreakerConfig, Federation};
+use csqp_core::federation::{CircuitBreakerConfig, FederatedOptions, Federation};
 use csqp_core::mediator::{AdaptiveConfig, Mediator, StreamOptions};
 use csqp_core::types::TargetQuery;
 use csqp_expr::ValueType;
@@ -108,7 +108,8 @@ proptest! {
         let mut windows = Vec::new();
         for query in &queries {
             let mark = obs.tracer.span_mark();
-            let _ = federation.run_adaptive(query, &policy, &cfg);
+            let options = FederatedOptions::Splice { policy: &policy, stream: &cfg };
+            let _ = federation.run_stream(query, options, None);
             windows.push((mark, obs.tracer.spans_from(mark)));
         }
         let all = obs.tracer.spans();

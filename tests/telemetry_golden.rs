@@ -251,7 +251,7 @@ fn journal_rotation_bounds_disk_and_stays_parseable() {
 #[cfg(feature = "obs")]
 #[test]
 fn chaos_storm_drives_dark_member_below_healthy() {
-    use csqp_core::federation::{CircuitBreakerConfig, Federation};
+    use csqp_core::federation::{CircuitBreakerConfig, FederatedOptions, Federation};
     use csqp_core::types::TargetQuery;
     use csqp_expr::ValueType;
     use csqp_obs::Obs;
@@ -292,7 +292,9 @@ fn chaos_storm_drives_dark_member_below_healthy() {
     for _ in 0..6 {
         // The dark dealer wins planning, dies, and the dump rescues the
         // answer — errors and breaker opens pile onto the dealer.
-        federation.run_resilient(&query, &policy).expect("dump must rescue the answer");
+        federation
+            .run_stream(&query, FederatedOptions::Failover(&policy), None)
+            .expect("dump must rescue the answer");
     }
     let window = federation.metrics_snapshot();
     let states = federation.breaker_states();
