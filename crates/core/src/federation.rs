@@ -326,7 +326,7 @@ impl Federation {
     /// breaker transitions, failovers and the serving member's stream
     /// notes, replayable via [`Federation::explain_why`]. Events are only
     /// recorded at sequential program points, so records are identical
-    /// with the `parallel` feature on or off.
+    /// whether or not the planning survey fanned out.
     pub fn with_flight_recorder(mut self, recorder: Arc<FlightRecorder>) -> Self {
         self.flight = recorder.clone();
         self.map_mediators(|m| m.with_flight_recorder(recorder.clone()))
@@ -353,7 +353,8 @@ impl Federation {
     /// mediators. The planning fan-out records nothing on its own — the
     /// federation flushes each candidate's report into this registry in the
     /// order-preserving merge — so counters and trace stay deterministic
-    /// with the `parallel` feature on or off.
+    /// on any core count. [`Obs::off`] selects the state that records
+    /// nothing.
     pub fn with_obs(mut self, obs: Arc<Obs>) -> Self {
         self.obs = obs.clone();
         self.map_mediators(|m| m.with_obs(obs.clone()))
@@ -366,9 +367,9 @@ impl Federation {
 
     /// Member-attributed health-tap counter: `<prefix><member>` += `delta`.
     /// The suffix-named `member.*` families feed the windowed health scorer
-    /// (`csqp_obs::health::signals_from_window`). Gated on the recording
-    /// build so obs-off pays for neither the formatting nor the lock; zero
-    /// deltas are skipped so windows only carry members with activity.
+    /// (`csqp_obs::health::signals_from_window`). Gated on a recording
+    /// registry so an off one pays for neither the formatting nor the lock;
+    /// zero deltas are skipped so windows only carry members with activity.
     fn tap(&self, prefix: &str, member: &str, delta: u64) {
         if self.obs.enabled() && delta > 0 {
             self.obs.metrics.add(&format!("{prefix}{member}"), delta);
@@ -478,15 +479,15 @@ impl Federation {
     }
 
     /// The planning survey every selection starts from: plans `query` on
-    /// each member the capability index lets through (concurrently under
-    /// the `parallel` feature, recording nothing), then merges in member
+    /// each member the capability index lets through (concurrently via
+    /// [`crate::par::par_map`], recording nothing), then merges in member
     /// order into the feasible `(member, plan)` list — plans stamped with
     /// `flight`'s id — and the per-member verdicts. A member the index
     /// pruned is infeasible with certainty: no planning is spent on it and
     /// its bookkeeping is aggregated, so the per-query cost scales with the
     /// candidate set, not the federation. This sequential merge is the only
     /// place planner counters, member spans and selection events are
-    /// recorded, so the output is identical with `parallel` on or off.
+    /// recorded, so the output is identical on one core or many.
     fn survey(
         &self,
         query: &TargetQuery,
@@ -721,7 +722,7 @@ impl Federation {
     /// order-preserving, execution visits members in cost order with the
     /// member index as tie-break, and the breaker clock counts runs, not
     /// wall time — the same seed yields the same [`FederatedRun::trace`]
-    /// with the `parallel` feature on or off.
+    /// on one core or many.
     pub fn run_stream<'q>(
         &self,
         input: impl Into<FederatedInput<'q>>,
@@ -1411,41 +1412,44 @@ mod tests {
 
     #[test]
     fn metrics_count_breaker_transitions_and_member_events() {
-        use csqp_source::FaultProfile;
-        // Same schedule as `breaker_quarantines_then_probes_then_closes`:
-        // fail, fail+open, 2×quarantine, successful probe (close), serve.
-        let f = faulty_pair(
-            FaultProfile::new(0).with_outage(0, 2),
-            CircuitBreakerConfig { failure_threshold: 2, cooldown_ticks: 2 },
-        );
-        let policy = RetryPolicy { max_retries: 0, ..Default::default() };
-        let q = car_query();
-        for _ in 0..6 {
-            f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
-        }
-        let snap = f.metrics_snapshot();
-        if f.obs().enabled() {
-            assert_eq!(snap.counter(names::BREAKER_OPENED), 1, "{}", snap.to_json());
-            assert_eq!(snap.counter(names::BREAKER_HALF_OPENED), 1, "{}", snap.to_json());
-            assert_eq!(snap.counter(names::BREAKER_CLOSED), 1, "{}", snap.to_json());
-            assert_eq!(snap.counter(names::FEDERATION_QUARANTINED), 2);
-            assert_eq!(snap.counter(names::FEDERATION_EXEC_FAILED), 2);
-            assert_eq!(snap.counter(names::FEDERATION_SERVED), 6);
-            assert_eq!(snap.counter(names::RESILIENCE_FAILOVERS), 2, "dealer→dump twice");
-            assert!(snap.counter(names::PLANNER_CHECK_CALLS) > 0, "planning fan-out recorded");
-            // The decision trace replays deterministically: a fresh
-            // federation with the same schedule produces the same trace.
-            let f2 = faulty_pair(
+        for obs in [Obs::new(), Obs::off()] {
+            use csqp_source::FaultProfile;
+            // Same schedule as `breaker_quarantines_then_probes_then_closes`:
+            // fail, fail+open, 2×quarantine, successful probe (close), serve.
+            let f = faulty_pair(
                 FaultProfile::new(0).with_outage(0, 2),
                 CircuitBreakerConfig { failure_threshold: 2, cooldown_ticks: 2 },
-            );
+            )
+            .with_obs(Arc::new(obs));
+            let policy = RetryPolicy { max_retries: 0, ..Default::default() };
+            let q = car_query();
             for _ in 0..6 {
-                f2.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
+                f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
             }
-            assert_eq!(f2.obs().tracer.render(), f.obs().tracer.render());
-            assert_eq!(f2.metrics_snapshot(), snap);
-        } else {
-            assert_eq!(snap.counter(names::FEDERATION_SERVED), 0, "no-op recorder stays empty");
+            let snap = f.metrics_snapshot();
+            if f.obs().enabled() {
+                assert_eq!(snap.counter(names::BREAKER_OPENED), 1, "{}", snap.to_json());
+                assert_eq!(snap.counter(names::BREAKER_HALF_OPENED), 1, "{}", snap.to_json());
+                assert_eq!(snap.counter(names::BREAKER_CLOSED), 1, "{}", snap.to_json());
+                assert_eq!(snap.counter(names::FEDERATION_QUARANTINED), 2);
+                assert_eq!(snap.counter(names::FEDERATION_EXEC_FAILED), 2);
+                assert_eq!(snap.counter(names::FEDERATION_SERVED), 6);
+                assert_eq!(snap.counter(names::RESILIENCE_FAILOVERS), 2, "dealer→dump twice");
+                assert!(snap.counter(names::PLANNER_CHECK_CALLS) > 0, "planning fan-out recorded");
+                // The decision trace replays deterministically: a fresh
+                // federation with the same schedule produces the same trace.
+                let f2 = faulty_pair(
+                    FaultProfile::new(0).with_outage(0, 2),
+                    CircuitBreakerConfig { failure_threshold: 2, cooldown_ticks: 2 },
+                );
+                for _ in 0..6 {
+                    f2.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
+                }
+                assert_eq!(f2.obs().tracer.render(), f.obs().tracer.render());
+                assert_eq!(f2.metrics_snapshot(), snap);
+            } else {
+                assert_eq!(snap.counter(names::FEDERATION_SERVED), 0, "off recorder stays empty");
+            }
         }
     }
 
@@ -1532,20 +1536,15 @@ mod tests {
         let states = f.breaker_states();
         assert_eq!(states.iter().find(|(n, _)| n == "car_dealer").unwrap().1, BreakerHealth::Open);
         assert_eq!(states.iter().find(|(n, _)| n == "dump").unwrap().1, BreakerHealth::Closed);
-        // The exported gauge needs a live registry; the noop registry of an
-        // obs-off build scrapes empty.
-        #[cfg(feature = "obs")]
-        {
-            let snap = f.metrics_snapshot();
-            assert!(
-                snap.gauges.contains_key(&format!("{}car_dealer", names::BREAKER_STATE_PREFIX)),
-                "breaker gauge exported"
-            );
-            assert_eq!(
-                snap.gauge(&format!("{}car_dealer", names::BREAKER_STATE_PREFIX)),
-                BreakerHealth::Open.as_gauge()
-            );
-        }
+        let snap = f.metrics_snapshot();
+        assert!(
+            snap.gauges.contains_key(&format!("{}car_dealer", names::BREAKER_STATE_PREFIX)),
+            "breaker gauge exported"
+        );
+        assert_eq!(
+            snap.gauge(&format!("{}car_dealer", names::BREAKER_STATE_PREFIX)),
+            BreakerHealth::Open.as_gauge()
+        );
     }
 
     #[test]
@@ -1569,56 +1568,59 @@ mod tests {
 
     #[test]
     fn mid_stream_outage_splices_to_the_dump() {
-        use csqp_source::FaultProfile;
-        // The first source-query attempt on the dealer succeeds, every later
-        // one is an outage: the first union branch streams its rows, then
-        // the second branch dies mid-pipeline.
-        let f = faulty_pair(
-            FaultProfile::new(0).with_outage(1, u64::MAX),
-            CircuitBreakerConfig { failure_threshold: 1, cooldown_ticks: 4 },
-        );
-        let policy = RetryPolicy { max_retries: 0, ..Default::default() };
-        let q = TargetQuery::parse(
-            "(make = \"BMW\" _ make = \"Audi\") ^ price < 40000",
-            &["model", "year"],
-        )
-        .unwrap();
-        let stream = &StreamConfig { batch_size: 16, ..StreamConfig::serial() };
-        let run = f.run_stream(&q, FederatedOptions::Splice { policy: &policy, stream }, None);
-        let run = run.unwrap();
-        assert!(
-            run.stream.splices >= 1,
-            "the breaker-open must splice, not fail over from scratch"
-        );
-        assert_eq!(run.source_name, "dump", "the dump finishes the stream");
-        // Despite the mid-stream member switch the answer is exact.
-        let want = csqp_relation::ops::project(
-            &csqp_relation::ops::select(f.members()[1].relation(), Some(&q.cond)),
-            &["model", "year"],
-        )
-        .unwrap();
-        assert_eq!(run.stream.outcome.rows, want);
-        // The trace shows the dealer dying and the dump splicing in for it.
-        assert!(run
-            .trace
-            .iter()
-            .any(|(n, e)| n == "car_dealer" && matches!(e, MemberEvent::ExecFailed(_))));
-        assert!(run
-            .trace
-            .iter()
-            .any(|(n, e)| n == "dump"
+        for obs in [Obs::new(), Obs::off()] {
+            use csqp_source::FaultProfile;
+            // The first source-query attempt on the dealer succeeds, every later
+            // one is an outage: the first union branch streams its rows, then
+            // the second branch dies mid-pipeline.
+            let f = faulty_pair(
+                FaultProfile::new(0).with_outage(1, u64::MAX),
+                CircuitBreakerConfig { failure_threshold: 1, cooldown_ticks: 4 },
+            )
+            .with_obs(Arc::new(obs));
+            let policy = RetryPolicy { max_retries: 0, ..Default::default() };
+            let q = TargetQuery::parse(
+                "(make = \"BMW\" _ make = \"Audi\") ^ price < 40000",
+                &["model", "year"],
+            )
+            .unwrap();
+            let stream = &StreamConfig { batch_size: 16, ..StreamConfig::serial() };
+            let run = f.run_stream(&q, FederatedOptions::Splice { policy: &policy, stream }, None);
+            let run = run.unwrap();
+            assert!(
+                run.stream.splices >= 1,
+                "the breaker-open must splice, not fail over from scratch"
+            );
+            assert_eq!(run.source_name, "dump", "the dump finishes the stream");
+            // Despite the mid-stream member switch the answer is exact.
+            let want = csqp_relation::ops::project(
+                &csqp_relation::ops::select(f.members()[1].relation(), Some(&q.cond)),
+                &["model", "year"],
+            )
+            .unwrap();
+            assert_eq!(run.stream.outcome.rows, want);
+            // The trace shows the dealer dying and the dump splicing in for it.
+            assert!(run
+                .trace
+                .iter()
+                .any(|(n, e)| n == "car_dealer" && matches!(e, MemberEvent::ExecFailed(_))));
+            assert!(run.trace.iter().any(|(n, e)| n == "dump"
                 && matches!(e, MemberEvent::Spliced(from) if from == "car_dealer")));
-        // The dealer's breaker opened (threshold 1) and the gauges agree.
-        let states = f.breaker_states();
-        assert_eq!(states.iter().find(|(n, _)| n == "car_dealer").unwrap().1, BreakerHealth::Open);
-        if f.obs().enabled() {
-            let snap = f.metrics_snapshot();
-            assert_eq!(snap.counter(names::REPLAN_BREAKER_TRIGGERS), 1);
-            assert_eq!(snap.counter(names::REPLAN_SPLICES), run.stream.splices);
-            assert_eq!(snap.counter(names::BREAKER_OPENED), 1);
+            // The dealer's breaker opened (threshold 1) and the gauges agree.
+            let states = f.breaker_states();
+            assert_eq!(
+                states.iter().find(|(n, _)| n == "car_dealer").unwrap().1,
+                BreakerHealth::Open
+            );
+            if f.obs().enabled() {
+                let snap = f.metrics_snapshot();
+                assert_eq!(snap.counter(names::REPLAN_BREAKER_TRIGGERS), 1);
+                assert_eq!(snap.counter(names::REPLAN_SPLICES), run.stream.splices);
+                assert_eq!(snap.counter(names::BREAKER_OPENED), 1);
+            }
+            // A mid-stream splice counts as a failover in the resilience meter.
+            assert!(run.stream.resilience.failovers >= run.stream.splices);
         }
-        // A mid-stream splice counts as a failover in the resilience meter.
-        assert!(run.stream.resilience.failovers >= run.stream.splices);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::genmodular::{plan_modular_traced, GenModularConfig};
 use crate::plancache::PlanCache;
 use crate::types::{PlanError, PlannedQuery, TargetQuery};
 use csqp_obs::{
-    names, CardRow, FlightRecorder, LatencyKey, Obs, PlanEvent, QueryFlight, QueryProfile,
+    names, CardRow, FlightRecorder, Obs, PlanEvent, ProfileCapture, QueryFlight, QueryProfile,
 };
 use csqp_plan::analyze::PlanAnalysis;
 use csqp_plan::cost::{Cardinality, OracleCard, StatsCard, UniformCard};
@@ -497,7 +497,8 @@ impl Mediator {
 
     /// Shares an observability handle (metrics registry + tracer) with this
     /// mediator. Several mediators can share one handle; their counters
-    /// accumulate into the same registry.
+    /// accumulate into the same registry. [`Obs::off`] selects the state
+    /// that records nothing.
     pub fn with_obs(mut self, obs: Arc<Obs>) -> Self {
         self.obs = obs;
         self
@@ -510,8 +511,7 @@ impl Mediator {
     }
 
     /// A point-in-time snapshot of every metric this mediator has recorded
-    /// (empty when the `obs` feature is off — the no-op recorder drops
-    /// everything at compile time).
+    /// (empty under [`Obs::off`]).
     pub fn metrics_snapshot(&self) -> csqp_obs::MetricsSnapshot {
         self.obs.metrics.snapshot()
     }
@@ -536,8 +536,7 @@ impl Mediator {
     /// Renders the `EXPLAIN WHY` report for the most recently planned
     /// query: the winner's decision trail plus the eliminating rule for
     /// every losing candidate. Returns a "recorder disabled" notice when no
-    /// armed recorder has captured a flight (including every `obs`-off
-    /// build, where the recorder is compiled to a no-op).
+    /// armed recorder has captured a flight.
     pub fn explain_why(&self) -> String {
         csqp_plan::why::explain_why(self.flight.latest().as_ref())
     }
@@ -730,8 +729,8 @@ impl Mediator {
 
     /// Records one executed run into the registry, the trace and the
     /// query's flight record: transfer, cost, and the pipeline's stats.
-    /// `exec.overlap_ticks` reaches metrics only (nondeterministic under
-    /// `parallel`); the flight note sticks to the deterministic pair so
+    /// `exec.overlap_ticks` reaches metrics only (nondeterministic on
+    /// overlapped runs); the flight note sticks to the deterministic pair so
     /// EXPLAIN WHY stays golden-testable.
     fn record_run(&self, out: &RunOutcome, stats: &StreamStats) {
         out.meter.record_into(&self.obs.metrics);
@@ -1078,9 +1077,9 @@ impl Mediator {
         &self,
         query: &TargetQuery,
     ) -> Result<(PlannedQuery, QueryProfile), PlanError> {
-        let capture = self.begin_profile();
+        let capture = ProfileCapture::begin(&self.obs);
         let planned = self.plan(query)?;
-        let mut profile = self.finish_profile(capture, query, planned.flight_id);
+        let mut profile = self.finish_profile(&capture, query, planned.flight_id);
         profile.est_cost = planned.est_cost;
         Ok((planned, profile))
     }
@@ -1093,9 +1092,9 @@ impl Mediator {
         &self,
         query: &TargetQuery,
     ) -> Result<(StreamOutcome, QueryProfile), MediatorError> {
-        let capture = self.begin_profile();
+        let capture = ProfileCapture::begin(&self.obs);
         let outcome = self.run_analyzed(query)?;
-        let mut profile = self.finish_profile(capture, query, outcome.outcome.planned.flight_id);
+        let mut profile = self.finish_profile(&capture, query, outcome.outcome.planned.flight_id);
         profile.rows = outcome.outcome.rows.len() as u64;
         profile.est_cost = outcome.outcome.planned.est_cost;
         profile.observed_cost = outcome.outcome.measured_cost;
@@ -1112,53 +1111,23 @@ impl Mediator {
         Ok((outcome, profile))
     }
 
-    /// Marks the start of a profile capture window on the shared registry,
-    /// tracer, and clock.
-    fn begin_profile(&self) -> ProfileCapture {
-        ProfileCapture {
-            metrics_before: self.obs.metrics.snapshot(),
-            span_mark: self.obs.tracer.span_mark(),
-            tick0: self.obs.tracer.tick(),
-        }
-    }
-
-    /// Assembles the profile skeleton for everything recorded since
-    /// `capture`: spans, metrics delta, the trail of flight `flight_id`,
-    /// virtual-tick latency. The caller fills in outcome-specific fields
-    /// (rows, costs, cardinalities).
+    /// Closes `capture` into this mediator's profile skeleton: the window
+    /// (spans, metrics delta, tick latency), the trail of flight
+    /// `flight_id`, and the query/scheme labels. The caller fills in
+    /// outcome-specific fields (rows, costs, cardinalities).
     fn finish_profile(
         &self,
-        capture: ProfileCapture,
+        capture: &ProfileCapture<'_>,
         query: &TargetQuery,
         flight_id: u64,
     ) -> QueryProfile {
         self.obs.metrics.inc(names::PROFILE_CAPTURED);
-        let (id, flight) = match self.flight.record(flight_id) {
-            Some(rec) => (rec.id, rec.events.iter().map(|e| e.to_string()).collect()),
-            None => (0, Vec::new()),
-        };
         QueryProfile {
-            id,
             query: query.to_string(),
             scheme: self.scheme.name().to_string(),
-            latency: Some(LatencyKey {
-                wall_us: None,
-                ticks: self.obs.tracer.tick().saturating_sub(capture.tick0),
-            }),
-            spans: self.obs.tracer.spans_from(capture.span_mark),
-            flight,
-            metrics: self.obs.metrics.snapshot().diff(&capture.metrics_before),
-            ..Default::default()
+            ..capture.finish(self.flight.record(flight_id).as_ref())
         }
     }
-}
-
-/// The "before" edge of a profile capture window (see
-/// [`Mediator::begin_profile`]).
-struct ProfileCapture {
-    metrics_before: csqp_obs::MetricsSnapshot,
-    span_mark: usize,
-    tick0: u64,
 }
 
 #[cfg(test)]
@@ -1360,32 +1329,40 @@ mod tests {
         assert!(matches!(err, MediatorError::Exec(ExecError::Exhausted { .. })), "{err}");
     }
 
+    /// Tests that read telemetry run once per recorder state, so the off
+    /// value's renderings are asserted beside the recording ones.
+    fn both_obs() -> [Arc<Obs>; 2] {
+        [Arc::new(Obs::new()), Arc::new(Obs::off())]
+    }
+
     #[test]
     fn metrics_snapshot_counts_planner_and_exec_work() {
-        let catalog = Catalog::demo_small(7);
-        let source = catalog.get("bookstore").unwrap().clone();
-        let q = TargetQuery::parse(EX11, &["isbn", "author", "title"]).unwrap();
-        let m = Mediator::new(source);
-        let out = m.run(&q).unwrap();
-        let snap = m.metrics_snapshot();
-        if m.obs().enabled() {
-            assert!(snap.counter(names::PLANNER_CHECK_CALLS) > 0, "planner counters flushed");
-            assert_eq!(
-                snap.counter(names::SOURCE_QUERIES),
-                out.meter.queries,
-                "meter routed through"
-            );
-            let trace = m.obs().tracer.render();
-            assert!(trace.contains("> plan"), "trace records the planning span:\n{trace}");
-            assert!(trace.contains("> execute"), "trace records the execution span:\n{trace}");
-            // A second identical mediator produces a byte-identical trace:
-            // virtual ticks, not wall clock.
-            let m2 = Mediator::new(catalog.get("bookstore").unwrap().clone());
-            m2.run(&q).unwrap();
-            assert_eq!(m2.obs().tracer.render(), trace, "trace is deterministic");
-        } else {
-            assert_eq!(snap.counter(names::PLANNER_CHECK_CALLS), 0, "no-op recorder stays empty");
-            assert!(m.obs().tracer.render().is_empty());
+        for obs in both_obs() {
+            let catalog = Catalog::demo_small(7);
+            let source = catalog.get("bookstore").unwrap().clone();
+            let q = TargetQuery::parse(EX11, &["isbn", "author", "title"]).unwrap();
+            let m = Mediator::new(source).with_obs(obs);
+            let out = m.run(&q).unwrap();
+            let snap = m.metrics_snapshot();
+            if m.obs().enabled() {
+                assert!(snap.counter(names::PLANNER_CHECK_CALLS) > 0, "planner counters flushed");
+                assert_eq!(
+                    snap.counter(names::SOURCE_QUERIES),
+                    out.meter.queries,
+                    "meter routed through"
+                );
+                let trace = m.obs().tracer.render();
+                assert!(trace.contains("> plan"), "trace records the planning span:\n{trace}");
+                assert!(trace.contains("> execute"), "trace records the execution span:\n{trace}");
+                // A second identical mediator produces a byte-identical trace:
+                // virtual ticks, not wall clock.
+                let m2 = Mediator::new(catalog.get("bookstore").unwrap().clone());
+                m2.run(&q).unwrap();
+                assert_eq!(m2.obs().tracer.render(), trace, "trace is deterministic");
+            } else {
+                assert_eq!(snap.counter(names::PLANNER_CHECK_CALLS), 0, "off recorder stays empty");
+                assert!(m.obs().tracer.render().is_empty());
+            }
         }
     }
 
@@ -1410,20 +1387,20 @@ mod tests {
 
     #[test]
     fn shared_obs_handle_accumulates_across_mediators() {
-        use csqp_obs::Obs;
-        let catalog = Catalog::demo_small(7);
-        let obs = Arc::new(Obs::new());
-        let q = TargetQuery::parse(EX11, &["isbn", "author", "title"]).unwrap();
-        let m1 = Mediator::new(catalog.get("bookstore").unwrap().clone()).with_obs(obs.clone());
-        m1.run(&q).unwrap();
-        let after_one = m1.metrics_snapshot().counter(names::SOURCE_QUERIES);
-        let m2 = Mediator::new(catalog.get("bookstore").unwrap().clone()).with_obs(obs);
-        m2.run(&q).unwrap();
-        let after_two = m2.metrics_snapshot().counter(names::SOURCE_QUERIES);
-        if m1.obs().enabled() {
-            assert_eq!(after_two, after_one * 2, "two identical runs, one shared registry");
-        } else {
-            assert_eq!(after_two, 0);
+        for obs in both_obs() {
+            let catalog = Catalog::demo_small(7);
+            let q = TargetQuery::parse(EX11, &["isbn", "author", "title"]).unwrap();
+            let m1 = Mediator::new(catalog.get("bookstore").unwrap().clone()).with_obs(obs.clone());
+            m1.run(&q).unwrap();
+            let after_one = m1.metrics_snapshot().counter(names::SOURCE_QUERIES);
+            let m2 = Mediator::new(catalog.get("bookstore").unwrap().clone()).with_obs(obs);
+            m2.run(&q).unwrap();
+            let after_two = m2.metrics_snapshot().counter(names::SOURCE_QUERIES);
+            if m1.obs().enabled() {
+                assert_eq!(after_two, after_one * 2, "two identical runs, one shared registry");
+            } else {
+                assert_eq!(after_two, 0);
+            }
         }
     }
 
@@ -1446,22 +1423,24 @@ mod tests {
 
     #[test]
     fn run_streamed_matches_run() {
-        let catalog = Catalog::demo_small(7);
-        let source = catalog.get("bookstore").unwrap().clone();
-        let q = TargetQuery::parse(EX11, &["isbn", "author", "title"]).unwrap();
-        let plain = Mediator::new(source.clone()).run(&q).unwrap();
-        let m = Mediator::new(source);
-        let streamed =
-            m.run_stream(&q, StreamOptions::plain(&StreamConfig::serial()), None).unwrap();
-        assert_eq!(streamed.outcome.rows, plain.rows, "streaming is a pure execution change");
-        assert_eq!(streamed.outcome.meter, plain.meter, "identical transfer");
-        assert_eq!(streamed.outcome.measured_cost, plain.measured_cost);
-        assert_eq!((streamed.splices, streamed.drift_triggers), (0, 0));
-        assert!(streamed.analysis.is_none(), "analysis is opt-in");
-        assert!(streamed.stats.batches > 0);
-        let snap = m.metrics_snapshot();
-        if m.obs().enabled() {
-            assert_eq!(snap.counter(names::EXEC_BATCHES), streamed.stats.batches);
+        for obs in both_obs() {
+            let catalog = Catalog::demo_small(7);
+            let source = catalog.get("bookstore").unwrap().clone();
+            let q = TargetQuery::parse(EX11, &["isbn", "author", "title"]).unwrap();
+            let plain = Mediator::new(source.clone()).run(&q).unwrap();
+            let m = Mediator::new(source).with_obs(obs);
+            let streamed =
+                m.run_stream(&q, StreamOptions::plain(&StreamConfig::serial()), None).unwrap();
+            assert_eq!(streamed.outcome.rows, plain.rows, "streaming is a pure execution change");
+            assert_eq!(streamed.outcome.meter, plain.meter, "identical transfer");
+            assert_eq!(streamed.outcome.measured_cost, plain.measured_cost);
+            assert_eq!((streamed.splices, streamed.drift_triggers), (0, 0));
+            assert!(streamed.analysis.is_none(), "analysis is opt-in");
+            assert!(streamed.stats.batches > 0);
+            let snap = m.metrics_snapshot();
+            if m.obs().enabled() {
+                assert_eq!(snap.counter(names::EXEC_BATCHES), streamed.stats.batches);
+            }
         }
     }
 
@@ -1615,33 +1594,37 @@ mod tests {
         // The uniform estimator prices `a ^ b` at 200·0.05² = 0.5 rows and
         // `c` at 10, so planning picks the a^b form — which actually ships
         // 150 tuples.
-        let recorder = Arc::new(FlightRecorder::new());
-        let m = Mediator::new(source.clone())
-            .with_cardinality(CardKind::Uniform { atom_selectivity: 0.05 })
-            .with_flight_recorder(recorder);
         let cfg = AdaptiveConfig {
             stream: StreamConfig::serial().with_batch_size(2),
             ..Default::default()
         };
-        let out = m.run_stream(&q, StreamOptions::Adaptive(&cfg), None).unwrap();
-        assert_eq!(out.outcome.rows, want, "splicing never changes the answer set");
-        assert!(out.drift_triggers >= 1, "the a^b leaf exits the [½,2]× band");
-        assert!(out.splices >= 1, "floored re-plan switches to the c form");
-        let snap = m.metrics_snapshot();
-        if m.obs().enabled() {
-            assert_eq!(snap.counter(names::REPLAN_SPLICES), out.splices);
-            assert!(snap.counter(names::REPLAN_DRIFT_TRIGGERS) >= out.drift_triggers);
-            let why = m.explain_why();
-            assert!(why.contains("[replan] drift"), "EXPLAIN WHY renders the splice:\n{why}");
+        for (obs, recorder) in
+            both_obs().into_iter().zip([FlightRecorder::new(), FlightRecorder::off()])
+        {
+            let m = Mediator::new(source.clone())
+                .with_cardinality(CardKind::Uniform { atom_selectivity: 0.05 })
+                .with_obs(obs)
+                .with_flight_recorder(Arc::new(recorder));
+            let out = m.run_stream(&q, StreamOptions::Adaptive(&cfg), None).unwrap();
+            assert_eq!(out.outcome.rows, want, "splicing never changes the answer set");
+            assert!(out.drift_triggers >= 1, "the a^b leaf exits the [½,2]× band");
+            assert!(out.splices >= 1, "floored re-plan switches to the c form");
+            let snap = m.metrics_snapshot();
+            if m.obs().enabled() {
+                assert_eq!(snap.counter(names::REPLAN_SPLICES), out.splices);
+                assert!(snap.counter(names::REPLAN_DRIFT_TRIGGERS) >= out.drift_triggers);
+                let why = m.explain_why();
+                assert!(why.contains("[replan] drift"), "EXPLAIN WHY renders the splice:\n{why}");
+            }
+            // Determinism: a second identical run takes the same decisions.
+            let m2 = Mediator::new(drifty_source())
+                .with_cardinality(CardKind::Uniform { atom_selectivity: 0.05 });
+            let out2 = m2.run_stream(&q, StreamOptions::Adaptive(&cfg), None).unwrap();
+            assert_eq!(out2.outcome.rows, want);
+            assert_eq!(out2.splices, out.splices);
+            assert_eq!(out2.drift_triggers, out.drift_triggers);
+            assert_eq!(out2.outcome.meter, out.outcome.meter);
         }
-        // Determinism: a second identical run takes the same decisions.
-        let m2 = Mediator::new(drifty_source())
-            .with_cardinality(CardKind::Uniform { atom_selectivity: 0.05 });
-        let out2 = m2.run_stream(&q, StreamOptions::Adaptive(&cfg), None).unwrap();
-        assert_eq!(out2.outcome.rows, want);
-        assert_eq!(out2.splices, out.splices);
-        assert_eq!(out2.drift_triggers, out.drift_triggers);
-        assert_eq!(out2.outcome.meter, out.outcome.meter);
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! [`Federation::plan`](crate::federation::Federation::plan) plans the same
 //! query against every member, and the bench drivers plan whole query
 //! corpora — independent work items with no shared mutable state. [`par_map`]
-//! fans them out over `std::thread::scope` workers behind the `parallel`
-//! cargo feature (on by default); with the feature off it degenerates to a
-//! sequential map, so callers need no cfg of their own.
+//! fans them out over `std::thread::scope` workers, one per available core;
+//! with one core (or one item) it is a sequential map.
 //!
 //! Determinism: results are returned **in input order** regardless of which
 //! worker finished first, so any left-to-right reduce over the output (e.g.
@@ -14,7 +13,6 @@
 //! interning & bitsets").
 
 /// Order-preserving parallel map.
-#[cfg(feature = "parallel")]
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -51,18 +49,6 @@ where
     });
     tagged.sort_by_key(|(i, _)| *i);
     tagged.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Order-preserving parallel map (sequential fallback: `parallel` feature
-/// disabled).
-#[cfg(not(feature = "parallel"))]
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    items.iter().map(f).collect()
 }
 
 #[cfg(test)]

@@ -385,7 +385,6 @@ fn chaos_demo(seed: u64, args: &Args) -> ExitCode {
         ("make = \"Toyota\" ^ price < 20000", vec!["model", "year"]),
         ("make = \"Honda\" ^ price < 30000", vec!["model", "year"]),
     ];
-    let mut total = csqp_source::ResilienceMeter::default();
     for round in 0..3 {
         for (cond, attrs) in &queries {
             let attr_refs: Vec<&str> = attrs.to_vec();
@@ -415,7 +414,6 @@ fn chaos_demo(seed: u64, args: &Args) -> ExitCode {
                         };
                         println!("    {member}: {what}");
                     }
-                    total.absorb(&resilience);
                 }
                 Err(MediatorError::Plan(e)) => println!("infeasible everywhere: {e}"),
                 Err(MediatorError::Exec(e)) => println!("all members down: {e}"),
@@ -424,34 +422,19 @@ fn chaos_demo(seed: u64, args: &Args) -> ExitCode {
     }
     // The storm summary is printed FROM the metrics registry (which the
     // federation fed during the runs), so this line and `--metrics json`
-    // can never disagree. When the `obs` feature is off the no-op recorder
-    // kept nothing; fall back to the locally absorbed meter.
+    // can never disagree.
     let snap = federation.metrics_snapshot();
-    let totals: [u64; 8] = if obs.enabled() {
-        let c = |name: &str| snap.counter(name);
-        [
-            c(names::RESILIENCE_ATTEMPTS),
-            c(names::RESILIENCE_RETRIES),
-            c(names::RESILIENCE_TRANSIENTS),
-            c(names::RESILIENCE_TIMEOUTS),
-            c(names::RESILIENCE_RATE_LIMITED),
-            c(names::RESILIENCE_OUTAGES),
-            c(names::RESILIENCE_FAILOVERS),
-            c(names::RESILIENCE_BACKOFF_TICKS),
-        ]
-    } else {
-        [
-            total.attempts,
-            total.retries,
-            total.transients,
-            total.timeouts,
-            total.rate_limited,
-            total.outages,
-            total.failovers,
-            total.ticks,
-        ]
-    };
-    let [attempts, retries, transients, timeouts, rate_limited, outages, failovers, ticks] = totals;
+    let [attempts, retries, transients, timeouts, rate_limited, outages, failovers, ticks] = [
+        names::RESILIENCE_ATTEMPTS,
+        names::RESILIENCE_RETRIES,
+        names::RESILIENCE_TRANSIENTS,
+        names::RESILIENCE_TIMEOUTS,
+        names::RESILIENCE_RATE_LIMITED,
+        names::RESILIENCE_OUTAGES,
+        names::RESILIENCE_FAILOVERS,
+        names::RESILIENCE_BACKOFF_TICKS,
+    ]
+    .map(|name| snap.counter(name));
     println!(
         "storm totals: {attempts} attempts, {retries} retries, {} faults ({transients} \
          transient, {timeouts} timeout, {rate_limited} rate-limited, {outages} outage), \

@@ -117,7 +117,7 @@ impl Admission {
     }
 }
 
-/// Per-tenant shed attribution (gated so obs-off allocates nothing).
+/// Per-tenant shed attribution (gated so an off registry allocates nothing).
 fn shed_tap(obs: &Obs, tenant: &str) {
     if obs.enabled() {
         obs.metrics.inc(&format!("{}{tenant}", names::TENANT_SHED_PREFIX));

@@ -81,7 +81,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
-/// Configuration for [`Server::bind`].
+/// Configuration for [`Server::bind_federation`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Listen address; `127.0.0.1:0` picks an ephemeral port.
@@ -99,19 +99,12 @@ pub struct ServeConfig {
     /// (answers stay set-identical; the trailer reports the splice count).
     /// On by default; off serves the plain streaming pipeline.
     pub adaptive: bool,
-    /// How many worst-latency query profiles the tail-sampling ring keeps
-    /// resident for `/profile` post-mortems.
-    pub profile_ring_capacity: usize,
     /// Append an [`csqp_obs::AuditRecord`] per completed query to this
     /// JSONL path (`--journal`); `None` disables journaling.
     pub journal_path: Option<String>,
-    /// Size-based journal rotation threshold (`<path>` → `<path>.1`).
-    pub journal_max_bytes: u64,
     /// Queries per telemetry window: every N completed queries the registry
     /// delta is rolled into the time-series ring.
     pub window_queries: u64,
-    /// Windows the time-series ring retains.
-    pub timeseries_capacity: usize,
     /// SLO latency objective in milliseconds: queries at or above it count
     /// against the latency budget (`slo.latency_burn_rate`).
     pub slo_latency_ms: u64,
@@ -145,11 +138,8 @@ impl Default for ServeConfig {
             slow_ms: 100,
             slow_log_capacity: 32,
             adaptive: true,
-            profile_ring_capacity: 8,
             journal_path: None,
-            journal_max_bytes: 1 << 20,
             window_queries: 4,
-            timeseries_capacity: 64,
             slo_latency_ms: 100,
             slo_error_budget: 0.01,
             workers: 4,
@@ -173,6 +163,14 @@ pub struct SlowQuery {
     /// The `EXPLAIN WHY` report captured at serve time.
     pub why: String,
 }
+
+/// Worst-latency query profiles the tail-sampling ring keeps resident for
+/// `/profile` post-mortems.
+const PROFILE_RING_CAPACITY: usize = 8;
+/// Windows the time-series ring retains.
+const TIMESERIES_CAPACITY: usize = 64;
+/// Size-based journal rotation threshold (`<path>` → `<path>.1`).
+const JOURNAL_MAX_BYTES: u64 = 1 << 20;
 
 /// The serve-mode server: one warm federation (capability index, prepared-
 /// plan cache, its warm mediator per member), one TCP listener, N workers.
@@ -212,12 +210,6 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener and warms up a single-member federation for
-    /// `source` (see [`Server::bind_federation`]).
-    pub fn bind(source: Arc<Source>, cfg: ServeConfig) -> io::Result<Server> {
-        Server::bind_federation(vec![source], cfg)
-    }
-
     /// Binds the listener and warms up a federation over `members`: every
     /// query is routed through the compiled capability index and planned
     /// federation-wide (the index's prune counts land in the `capindex.*`
@@ -226,10 +218,24 @@ impl Server {
     /// sits in front of the planner: repeat query *shapes* skip the fan-out
     /// entirely.
     pub fn bind_federation(members: Vec<Arc<Source>>, cfg: ServeConfig) -> io::Result<Server> {
+        Server::bind_observed(members, cfg, Obs::new(), FlightRecorder::new())
+    }
+
+    /// [`Server::bind_federation`] over the given recorders. A served
+    /// process always records (`/metrics`, `/profile/<id>` and `/status`
+    /// have nothing to read otherwise), so no flag or config field reaches
+    /// this; the test suite passes [`Obs::off`] / [`FlightRecorder::off`]
+    /// to pin what every endpoint renders over recorders that hold nothing.
+    #[doc(hidden)]
+    pub fn bind_observed(
+        members: Vec<Arc<Source>>,
+        cfg: ServeConfig,
+        obs: Obs,
+        flight: FlightRecorder,
+    ) -> io::Result<Server> {
         assert!(!members.is_empty(), "serve needs at least one source");
         let listener = TcpListener::bind(&cfg.addr)?;
-        let obs = Arc::new(Obs::new());
-        let flight = Arc::new(FlightRecorder::new());
+        let (obs, flight) = (Arc::new(obs), Arc::new(flight));
         let plan_cache = Arc::new(PlanCache::with_capacity(cfg.plan_cache_capacity.max(1)));
         let mut federation = Federation::new()
             .with_scheme(cfg.scheme)
@@ -239,11 +245,11 @@ impl Server {
         if cfg.plan_cache_capacity > 0 {
             federation = federation.with_plan_cache(plan_cache.clone());
         }
-        let profiles = Mutex::new(ProfileRing::new(cfg.profile_ring_capacity));
-        let timeseries = Mutex::new(TimeSeries::new(cfg.timeseries_capacity));
+        let profiles = Mutex::new(ProfileRing::new(PROFILE_RING_CAPACITY));
+        let timeseries = Mutex::new(TimeSeries::new(TIMESERIES_CAPACITY));
         let journal = match &cfg.journal_path {
             Some(path) => {
-                Some(JournalWriter::open(path, cfg.journal_max_bytes).map_err(io::Error::other)?)
+                Some(JournalWriter::open(path, JOURNAL_MAX_BYTES).map_err(io::Error::other)?)
             }
             None => None,
         };

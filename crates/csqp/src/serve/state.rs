@@ -7,7 +7,7 @@ use super::{Server, SlowQuery};
 use csqp_core::federation::FederatedOptions;
 use csqp_core::mediator::{AdaptiveConfig, StreamOptions};
 use csqp_core::types::TargetQuery;
-use csqp_obs::{names, AuditRecord, LatencyKey, QueryProfile};
+use csqp_obs::{names, AuditRecord, LatencyKey, ProfileCapture, QueryProfile};
 use csqp_plan::exec_stream::StreamConfig;
 use csqp_ssdl::linearize::cond_fingerprint;
 use std::fmt::Write as _;
@@ -76,12 +76,8 @@ impl Server {
         let start = Instant::now();
         // Profile capture window: everything the shared registry, tracer
         // and flight recorder see from here until the run finishes is
-        // attributed to this query (approximate under concurrent workers —
-        // the registry is shared; the per-query span tree and flight trail
-        // stay exact because they key on marks and flight ids).
-        let metrics_before = self.obs.metrics.snapshot();
-        let span_mark = self.obs.tracer.span_mark();
-        let tick0 = self.obs.tracer.tick();
+        // attributed to this query.
+        let capture = ProfileCapture::begin(&self.obs);
         // Prepared-plan probe: a shape hit rebinds this query's constants
         // into the cached winner plan and skips the planner fan-out; a miss
         // plans federation-wide (capability index prunes, cheapest feasible
@@ -137,7 +133,7 @@ impl Server {
                     scheme: self.cfg.scheme.name().to_string(),
                     status: "error".to_string(),
                     wall_us: Some(start.elapsed().as_micros() as u64),
-                    ticks: self.obs.tracer.tick().saturating_sub(tick0),
+                    ticks: capture.ticks(),
                     capindex_candidates: index_candidates as u64,
                     capindex_total: index_total as u64,
                     ..Default::default()
@@ -159,10 +155,7 @@ impl Server {
         // straight to `/profile/<id>`.
         self.obs.metrics.observe_exemplar(names::SERVE_LATENCY_US, latency_us, flight_id);
         self.obs.metrics.observe(names::SERVE_ROWS_RETURNED, emitted);
-        let latency = LatencyKey {
-            wall_us: Some(latency_us),
-            ticks: self.obs.tracer.tick().saturating_sub(tick0),
-        };
+        let latency = LatencyKey { wall_us: Some(latency_us), ticks: capture.ticks() };
         let breaker_states = self.federation.breaker_states();
         // This query's own flight, by id: under several workers the
         // recorder's latest flight is whichever query planned last.
@@ -179,12 +172,12 @@ impl Server {
                 why: csqp_plan::why::explain_why(flight.as_ref()),
             });
         }
-        // Cut the query's metrics delta once: the profile keeps it, and the
-        // audit record below reads from it.
-        let delta = self.obs.metrics.snapshot().diff(&metrics_before);
-        let breaker_events = delta.counter(names::BREAKER_OPENED)
-            + delta.counter(names::BREAKER_HALF_OPENED)
-            + delta.counter(names::BREAKER_CLOSED);
+        // Close the window once: the profile keeps the query's metrics
+        // delta, and the audit record below reads from it.
+        let profile = capture.finish(flight.as_ref());
+        let breaker_events = profile.metrics.counter(names::BREAKER_OPENED)
+            + profile.metrics.counter(names::BREAKER_HALF_OPENED)
+            + profile.metrics.counter(names::BREAKER_CLOSED);
         // Assemble the query's black box and offer it to the worst-N ring.
         self.obs.metrics.inc(names::PROFILE_CAPTURED);
         self.profiles.lock().expect("profile ring lock").push(QueryProfile {
@@ -202,12 +195,7 @@ impl Server {
                 .iter()
                 .map(|(name, health)| (name.clone(), health.label().to_string()))
                 .collect(),
-            cardinalities: Vec::new(),
-            spans: self.obs.tracer.spans_from(span_mark),
-            flight: flight
-                .map(|r| r.events.iter().map(|e| e.to_string()).collect())
-                .unwrap_or_default(),
-            metrics: delta,
+            ..profile
         });
         self.journal_append(&AuditRecord {
             id: flight_id,
@@ -217,7 +205,7 @@ impl Server {
             status: "ok".to_string(),
             rows: emitted,
             wall_us: Some(latency_us),
-            ticks: self.obs.tracer.tick().saturating_sub(tick0),
+            ticks: capture.ticks(),
             splices: replans,
             drift_triggers,
             breaker_events,

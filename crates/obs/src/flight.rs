@@ -19,15 +19,14 @@
 //!    silently lost.
 //! 2. **Pay only when armed.** Every recording entry point takes a closure
 //!    ([`FlightRecorder::begin_with`], [`QueryFlight::event_with`]); a
-//!    disarmed recorder (or the [`crate::noop`] mirror under
-//!    `--no-default-features`) never invokes it, so hot paths build no
-//!    event text and allocate nothing.
+//!    disarmed recorder ([`FlightRecorder::off`]) never invokes it, so hot
+//!    paths build no event text and allocate nothing.
 //! 3. **Deterministic.** Events are recorded only from sequential program
 //!    points (the planners are sequential per query; parallel federation
 //!    fan-out records nothing), and events carrying a *choice* among
 //!    equals (PR3 dominators, MCSC covers) name the deterministic pick —
-//!    so an `EXPLAIN WHY` report golden-tests byte-identically across the
-//!    `parallel` feature.
+//!    so an `EXPLAIN WHY` report golden-tests byte-identically whether or
+//!    not planning fanned out.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -384,8 +383,7 @@ impl FlightRecorder {
         }
     }
 
-    /// Whether this recorder records (`false` for [`FlightRecorder::off`];
-    /// the [`crate::noop`] mirror is always `false`).
+    /// Whether this recorder records (`false` for [`FlightRecorder::off`]).
     pub fn armed(&self) -> bool {
         self.armed
     }
@@ -492,7 +490,7 @@ impl QueryFlight<'_> {
     }
 
     /// Records an event built lazily — the closure never runs when the
-    /// handle is disabled (or under the no-op mirror).
+    /// handle is disabled.
     pub fn event_with(&self, f: impl FnOnce() -> PlanEvent) {
         if let Some(rec) = self.rec {
             rec.push(self.id, f);
@@ -560,8 +558,14 @@ mod tests {
         assert!(!q.active());
         q.event_with(|| unreachable!("disarmed recorder must not build events"));
         rec.note(0, || unreachable!("disarmed recorder must not build notes"));
+        assert_eq!(q.id(), 0);
+        assert!(rec.record(0).is_none());
         assert!(rec.latest().is_none());
         assert!(rec.records().is_empty());
+        assert_eq!(rec.evicted(), 0);
+        rec.clear();
+        QueryFlight::disabled()
+            .event_with(|| unreachable!("disabled handle must not build events"));
     }
 
     #[test]

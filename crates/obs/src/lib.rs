@@ -24,20 +24,20 @@
 //! [`MetricsSnapshot`] in Prometheus text exposition format for the
 //! `csqp serve` `/metrics` endpoint and `--metrics prom`.
 //!
-//! ## Feature `obs` (default on)
+//! ## The off state is a value
 //!
-//! With the feature enabled the crate-root [`MetricsRegistry`] / [`Tracer`] /
-//! [`Span`] / [`FlightRecorder`] / [`QueryFlight`] aliases point at the
-//! recording implementations in [`metrics`], [`trace`], and [`flight`].
-//! With `--no-default-features` they point at the mirrors in [`noop`],
-//! whose methods are empty `#[inline]` bodies: no allocation, no locking,
-//! no formatting (closure-taking variants like [`noop::Tracer::event_with`]
-//! and [`noop::QueryFlight::event_with`] never invoke their closure). Both
-//! implementations are always compiled; the feature only selects the
-//! re-export, so the disabled path cannot bit-rot.
-
+//! There is one build and no Cargo feature. A recorder that records
+//! nothing is a run-time value of the same type: [`MetricsRegistry::off`],
+//! [`Tracer::off`], [`FlightRecorder::off`], bundled as [`Obs::off`]. Every
+//! recording call checks one flag before the lock, so an off recorder
+//! builds no string and allocates nothing (closure-taking variants like
+//! [`Tracer::event_with`] and [`QueryFlight::event_with`] never invoke
+//! their closure; `tests/noop_overhead.rs` pins the zero-allocation claim
+//! with a counting allocator). `Mediator::with_obs` / `Federation::with_obs`
+//! select it; `docs/OBSERVABILITY.md` ("The off state is a value") has
+//! what recording was measured to cost end to end.
 //!
-//! ## Fleet-level telemetry (plain data, always compiled)
+//! ## Fleet-level telemetry (plain data)
 //!
 //! Three modules extend the per-query layer across queries and runs:
 //! [`timeseries`] keeps a fixed ring of windowed [`MetricsSnapshot`] deltas
@@ -46,45 +46,30 @@
 //! [`health::HealthReport`] plus SLO burn rates, and [`audit`] journals one
 //! flat JSONL [`audit::AuditRecord`] per completed serve query with
 //! size-based rotation and summarize/diff analysis for `csqp audit`. Like
-//! [`profile`], they are plain data compiled unconditionally — with `obs`
-//! off the snapshots they consume are empty and every rendering keeps its
-//! schema.
+//! [`profile`], they are plain data — fed by an off recorder the
+//! snapshots they consume are empty and every rendering keeps its schema.
 
 pub mod audit;
 pub mod flight;
 pub mod health;
 pub mod metrics;
 pub mod names;
-pub mod noop;
 pub mod profile;
 pub mod prom;
 pub mod span;
 pub mod timeseries;
 pub mod trace;
 
-#[cfg(feature = "obs")]
-pub use flight::{FlightRecorder, QueryFlight};
-#[cfg(feature = "obs")]
-pub use metrics::MetricsRegistry;
-#[cfg(feature = "obs")]
-pub use trace::{Span, Tracer};
-
-#[cfg(not(feature = "obs"))]
-pub use noop::{FlightRecorder, MetricsRegistry, QueryFlight, Span, Tracer};
-
 pub use audit::{AuditRecord, JournalSummary, JournalWriter};
-pub use flight::{PlanEvent, QueryRecord};
+pub use flight::{FlightRecorder, PlanEvent, QueryFlight, QueryRecord};
 pub use health::{Grade, HealthReport, SloConfig, SourceSignals, StatusSummary};
-pub use metrics::{HistogramSnapshot, MetricsSnapshot};
-pub use profile::{CardRow, LatencyKey, ProfileRing, QueryProfile};
+pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use profile::{CardRow, LatencyKey, ProfileCapture, ProfileRing, QueryProfile};
 pub use span::SpanRecord;
 pub use timeseries::{TimeSeries, Window, WindowStamp};
-pub use trace::TraceEvent;
+pub use trace::{Span, TraceEvent, Tracer};
 
 /// The bundle a component carries: one metrics registry plus one tracer.
-///
-/// Both members are the feature-selected types, so an `Obs` constructed
-/// under `--no-default-features` is a true zero-cost token.
 #[derive(Debug, Default)]
 pub struct Obs {
     /// Counters, gauges and histograms.
@@ -94,13 +79,18 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// A fresh, empty bundle.
+    /// A fresh, empty, recording bundle.
     pub fn new() -> Self {
         Obs::default()
     }
 
-    /// Whether this build records anything (false under
-    /// `--no-default-features`).
+    /// A bundle that records nothing: [`MetricsRegistry::off`] plus
+    /// [`Tracer::off`].
+    pub fn off() -> Self {
+        Obs { metrics: MetricsRegistry::off(), tracer: Tracer::off() }
+    }
+
+    /// Whether this bundle records anything (false for [`Obs::off`]).
     pub const fn enabled(&self) -> bool {
         self.metrics.enabled()
     }

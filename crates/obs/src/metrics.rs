@@ -141,29 +141,43 @@ struct Inner {
     exemplars: BTreeMap<String, BTreeMap<u64, (u64, u64)>>,
 }
 
-/// The recording metrics registry. Interior-mutable and `Send + Sync`
-/// (a single `Mutex` guards all three maps — hot loops keep local counters
-/// and flush once, see DESIGN.md §5c).
+/// The metrics registry. Interior-mutable and `Send + Sync` (a single
+/// `Mutex` guards all three maps — hot loops keep local counters and flush
+/// once, see DESIGN.md §5c).
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     inner: Mutex<Inner>,
+    /// Set once at construction ([`MetricsRegistry::off`]).
+    off: bool,
 }
 
 impl MetricsRegistry {
-    /// A fresh, empty registry.
+    /// A fresh, empty, recording registry.
     pub fn new() -> Self {
         MetricsRegistry::default()
     }
 
-    /// This implementation records (`true`; the [`crate::noop`] mirror says
-    /// `false`).
+    /// A registry that records nothing: no lock, no allocation, empty
+    /// snapshots.
+    pub fn off() -> Self {
+        MetricsRegistry { off: true, ..Default::default() }
+    }
+
+    /// Whether this registry records (false for [`MetricsRegistry::off`]).
+    /// Call sites gate name formatting on this.
     pub const fn enabled(&self) -> bool {
-        true
+        !self.off
+    }
+
+    /// The maps behind their lock, or `None` for an off registry — the one
+    /// flag check every recording call and `snapshot` make, before the lock.
+    fn recording(&self) -> Option<std::sync::MutexGuard<'_, Inner>> {
+        (!self.off).then(|| self.inner.lock().expect("metrics lock"))
     }
 
     /// Adds `delta` to counter `name` (creating it at zero).
     pub fn add(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock().expect("metrics lock");
+        let Some(mut inner) = self.recording() else { return };
         match inner.counters.get_mut(name) {
             Some(c) => *c += delta,
             None => {
@@ -179,19 +193,19 @@ impl MetricsRegistry {
 
     /// Sets gauge `name` to `v`.
     pub fn gauge_set(&self, name: &str, v: f64) {
-        let mut inner = self.inner.lock().expect("metrics lock");
+        let Some(mut inner) = self.recording() else { return };
         inner.gauges.insert(name.to_string(), v);
     }
 
     /// Adds `v` to gauge `name` (creating it at zero).
     pub fn gauge_add(&self, name: &str, v: f64) {
-        let mut inner = self.inner.lock().expect("metrics lock");
+        let Some(mut inner) = self.recording() else { return };
         *inner.gauges.entry(name.to_string()).or_insert(0.0) += v;
     }
 
     /// Records `v` into histogram `name`.
     pub fn observe(&self, name: &str, v: u64) {
-        let mut inner = self.inner.lock().expect("metrics lock");
+        let Some(mut inner) = self.recording() else { return };
         match inner.histograms.get_mut(name) {
             Some(h) => h.observe(v),
             None => {
@@ -207,7 +221,7 @@ impl MetricsRegistry {
     /// by serve mode so a tail-latency bucket names a query that landed
     /// there — the id joins against `/profile/<id>` and the flight recorder.
     pub fn observe_exemplar(&self, name: &str, v: u64, query_id: u64) {
-        let mut inner = self.inner.lock().expect("metrics lock");
+        let Some(mut inner) = self.recording() else { return };
         match inner.histograms.get_mut(name) {
             Some(h) => h.observe(v),
             None => {
@@ -222,7 +236,7 @@ impl MetricsRegistry {
 
     /// A sorted point-in-time snapshot of everything recorded so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().expect("metrics lock");
+        let Some(inner) = self.recording() else { return MetricsSnapshot::default() };
         MetricsSnapshot {
             counters: inner.counters.clone(),
             gauges: inner.gauges.clone(),
@@ -435,6 +449,20 @@ mod tests {
             assert_eq!(bucket_index(lo), i, "lo bound of bucket {i}");
             assert_eq!(bucket_index(hi), i, "hi bound of bucket {i}");
         }
+    }
+
+    #[test]
+    fn off_registry_records_nothing() {
+        let reg = MetricsRegistry::off();
+        reg.inc("a");
+        reg.add("a", 4);
+        reg.gauge_set("g", 1.0);
+        reg.gauge_add("g", 1.0);
+        reg.observe("h", 9);
+        reg.observe_exemplar("h", 9, 7);
+        assert!(!reg.enabled());
+        assert_eq!(reg.snapshot(), MetricsSnapshot::default());
+        assert!(MetricsRegistry::new().enabled());
     }
 
     #[test]

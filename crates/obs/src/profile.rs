@@ -9,13 +9,15 @@
 //! worst profiles in a [`ProfileRing`] so a p99 outlier can be post-mortemed
 //! after the fact.
 //!
-//! Everything here is plain data compiled unconditionally: with `obs` off
-//! the span/metric sections are simply empty, and the JSON schema — pinned
-//! byte-for-byte by `tests/query_profile.rs` across every CI feature leg —
-//! does not change shape.
+//! Everything here is plain data: captured from an off recorder
+//! ([`crate::Obs::off`]) the span/metric sections are simply empty, and the
+//! JSON schema — pinned byte-for-byte by `tests/query_profile.rs` — does
+//! not change shape.
 
+use crate::flight::QueryRecord;
 use crate::metrics::{render_f64, render_json_string, MetricsSnapshot};
 use crate::span::{render_json as render_spans_json, SpanRecord};
+use crate::Obs;
 use std::fmt::Write as _;
 
 /// One est-vs-observed cardinality row (a subquery of the executed plan).
@@ -30,7 +32,7 @@ pub struct CardRow {
 }
 
 /// The latency a profile is ranked by: wall-clock microseconds when a clock
-/// is available (serve mode), otherwise virtual ticks — so obs-only builds
+/// is available (serve mode), otherwise virtual ticks — so one-shot runs
 /// rank the slowlog deterministically instead of not at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyKey {
@@ -78,11 +80,11 @@ pub struct QueryProfile {
     pub breakers: Vec<(String, String)>,
     /// Est-vs-observed cardinalities per executed subquery.
     pub cardinalities: Vec<CardRow>,
-    /// The hierarchical span tree (empty with `obs` off).
+    /// The hierarchical span tree (empty from an off tracer).
     pub spans: Vec<SpanRecord>,
     /// Rendered flight-recorder events, in decision order.
     pub flight: Vec<String>,
-    /// Registry delta attributed to this query (empty with `obs` off).
+    /// Registry delta attributed to this query (empty from an off registry).
     pub metrics: MetricsSnapshot,
 }
 
@@ -90,7 +92,7 @@ impl QueryProfile {
     /// Renders the profile as one schema-stable JSON document. Key order is
     /// fixed, floats use shortest-roundtrip formatting, and every section
     /// renders even when empty — byte-identical input state yields
-    /// byte-identical output on every platform and feature combination.
+    /// byte-identical output on every platform.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"id\": ");
         let _ = write!(out, "{}", self.id);
@@ -156,6 +158,54 @@ impl QueryProfile {
         out.push_str(&self.metrics.to_json());
         out.push_str("\n}");
         out
+    }
+}
+
+/// The "before" edge of one query's capture window on a shared [`Obs`]:
+/// everything the registry, tracer and clock see between
+/// [`ProfileCapture::begin`] and [`ProfileCapture::finish`] is attributed to
+/// that query (approximate under concurrent writers — the registry is
+/// shared; span slices and flight trails stay exact because they key on
+/// marks and flight ids).
+#[derive(Debug)]
+pub struct ProfileCapture<'a> {
+    obs: &'a Obs,
+    metrics_before: MetricsSnapshot,
+    span_mark: usize,
+    tick0: u64,
+}
+
+impl<'a> ProfileCapture<'a> {
+    /// Opens the window: registry snapshot, span mark, clock reading.
+    pub fn begin(obs: &'a Obs) -> Self {
+        ProfileCapture {
+            obs,
+            metrics_before: obs.metrics.snapshot(),
+            span_mark: obs.tracer.span_mark(),
+            tick0: obs.tracer.tick(),
+        }
+    }
+
+    /// Virtual ticks elapsed since the window opened.
+    pub fn ticks(&self) -> u64 {
+        self.obs.tracer.tick().saturating_sub(self.tick0)
+    }
+
+    /// The profile skeleton for everything recorded since `begin`: tick
+    /// latency, the registry delta, the spans since the mark, and the
+    /// trail (and id) of `flight`, the query's own flight record. The
+    /// caller fills in what only it knows — query text, scheme, outcome.
+    pub fn finish(&self, flight: Option<&QueryRecord>) -> QueryProfile {
+        QueryProfile {
+            id: flight.map_or(0, |rec| rec.id),
+            latency: Some(LatencyKey { wall_us: None, ticks: self.ticks() }),
+            metrics: self.obs.metrics.snapshot().diff(&self.metrics_before),
+            spans: self.obs.tracer.spans_from(self.span_mark),
+            flight: flight
+                .map(|rec| rec.events.iter().map(|e| e.to_string()).collect())
+                .unwrap_or_default(),
+            ..Default::default()
+        }
     }
 }
 

@@ -2,11 +2,10 @@
 //!
 //! A [`SpanRecord`] is the structured twin of the tracer's `> label` /
 //! `< label` event pair: deterministic sequential id, parent pointer,
-//! start/end ticks, nesting depth. The recording [`Tracer`](crate::Tracer)
-//! appends one per `span()` call; the no-op mirror records nothing. The
-//! types and functions here are compiled unconditionally — a span *tree* is
-//! plain data that profile snapshots carry whether or not the `obs` feature
-//! recorded anything into it.
+//! start/end ticks, nesting depth. An enabled [`Tracer`](crate::Tracer)
+//! appends one per `span()` call; a disabled one records nothing. A span
+//! *tree* is plain data that profile snapshots carry whether or not the
+//! tracer recorded anything into it.
 //!
 //! Well-formedness (pinned by `validate` and the span proptests): ids are
 //! strictly increasing in record order, every span closes at or after it

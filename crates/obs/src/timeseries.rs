@@ -16,11 +16,11 @@
 //! folding `n` windows is a [`HistogramSnapshot::merge`] and a nearest-rank
 //! walk ([`quantile`]) — no new sample storage anywhere.
 //!
-//! Everything here is plain data compiled unconditionally (like
-//! [`crate::profile`]): with `obs` off the deltas are simply empty and the
-//! JSON schema does not change shape. The ring is allocated up front and
-//! pops before pushing once full, so steady-state rolling performs no
-//! ring reallocation — the property the no-op zero-allocation guard pins.
+//! Everything here is plain data (like [`crate::profile`]): fed by an off
+//! registry the deltas are simply empty and the JSON schema does not change
+//! shape. The ring is allocated up front and pops before pushing once full,
+//! so steady-state rolling performs no ring reallocation — the property
+//! the zero-allocation guard (`tests/noop_overhead.rs`) pins.
 
 use crate::metrics::{render_json_string, HistogramSnapshot, MetricsSnapshot};
 use std::collections::VecDeque;

@@ -49,65 +49,62 @@ impl Inner {
     }
 }
 
-/// The recording tracer. Interior-mutable and `Send + Sync`; events must be
+/// The tracer. Interior-mutable and `Send + Sync`; events must be
 /// recorded from deterministic (sequential) program points — parallel
 /// sections record into locals and flush after their deterministic merge.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Tracer {
     inner: Mutex<Inner>,
-    /// Runtime gate: with this off the tracer records nothing at all, which
-    /// is what the `e18_spans` bench uses for its recorder-only leg. Checked
-    /// once (Relaxed) per event/span; determinism is unaffected because the
+    /// Runtime gate: while set the tracer records nothing at all and its
+    /// clock stands still — [`Tracer::off`] starts that way, and the
+    /// `e18_spans` bench flips it for its recorder-only leg. Checked once
+    /// (Relaxed) per event/span; determinism is unaffected because the
     /// toggle is only ever flipped between queries.
-    enabled: AtomicBool,
-}
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer { inner: Mutex::default(), enabled: AtomicBool::new(true) }
-    }
+    off: AtomicBool,
 }
 
 impl Tracer {
-    /// A fresh tracer at tick zero.
+    /// A fresh, recording tracer at tick zero.
     pub fn new() -> Self {
         Tracer::default()
     }
 
-    /// This implementation records (`true`; the [`crate::noop`] mirror says
-    /// `false`). Call sites gate expensive formatting on this.
-    pub const fn enabled(&self) -> bool {
-        true
+    /// A tracer built disabled: it stays at tick zero with no events and no
+    /// spans, and renders the empty string.
+    pub fn off() -> Self {
+        Tracer { off: AtomicBool::new(true), ..Default::default() }
     }
 
     /// Whether recording is currently switched on (see [`Tracer::set_enabled`]).
+    /// Call sites gate expensive formatting on this.
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        !self.off.load(Ordering::Relaxed)
     }
 
-    /// Switches recording on or off at runtime. Off, every `event`/`span`
-    /// call is a cheap early return — no lock, no allocation. Flip only
-    /// between queries: toggling mid-span leaves that span unclosed.
+    /// Switches recording on or off at runtime. Off, every
+    /// `event`/`span`/`advance` call is a cheap early return — no lock, no
+    /// allocation. Flip only between queries: toggling mid-span leaves that
+    /// span unclosed.
     pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        self.off.store(!on, Ordering::Relaxed);
+    }
+
+    /// The log behind its lock, or `None` while disabled — the one gate
+    /// `event`/`event_with`/`advance` check, before the lock.
+    fn recording(&self) -> Option<std::sync::MutexGuard<'_, Inner>> {
+        self.is_enabled().then(|| self.inner.lock().expect("trace lock"))
     }
 
     /// Records an event.
     pub fn event(&self, text: &str) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("trace lock");
+        let Some(mut inner) = self.recording() else { return };
         inner.record(text.to_string());
     }
 
-    /// Records an event whose text is built lazily — the no-op mirror never
+    /// Records an event whose text is built lazily — a disabled tracer never
     /// invokes the closure, so hot paths pay nothing when tracing is off.
     pub fn event_with(&self, f: impl FnOnce() -> String) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("trace lock");
+        let Some(mut inner) = self.recording() else { return };
         inner.record(f());
     }
 
@@ -143,8 +140,9 @@ impl Tracer {
     }
 
     /// Advances the virtual clock by `ticks` (simulated latency/backoff).
+    /// Ignored while disabled: a clock nothing is stamped with does not run.
     pub fn advance(&self, ticks: u64) {
-        let mut inner = self.inner.lock().expect("trace lock");
+        let Some(mut inner) = self.recording() else { return };
         inner.tick += ticks;
     }
 
@@ -341,17 +339,21 @@ mod tests {
 
     #[test]
     fn disabled_tracer_records_nothing() {
-        let t = Tracer::new();
-        t.set_enabled(false);
+        let t = Tracer::off();
         assert!(!t.is_enabled());
         {
             let s = t.span("plan");
             assert_eq!(s.id(), 0);
             t.event("ignored");
             t.event_with(|| panic!("lazy text must not be built while disabled"));
+            t.advance(100);
         }
+        assert_eq!(t.tick(), 0, "a disabled clock stands still");
         assert!(t.events().is_empty());
+        assert_eq!(t.span_mark(), 0);
         assert!(t.spans().is_empty());
+        assert!(t.spans_from(0).is_empty());
+        assert_eq!(t.render(), "");
         t.set_enabled(true);
         t.event("back");
         assert_eq!(t.events().len(), 1);

@@ -1,10 +1,7 @@
-//! Overhead guard: the no-op recorder must add ZERO allocations on the hot
+//! Overhead guard: the off recorders must add ZERO allocations on the hot
 //! path. A counting global allocator wraps `System`; a tight loop of
-//! metric/trace calls against `csqp_obs::noop` must not move the counter.
-//!
-//! The `noop` module is compiled under every feature configuration, so this
-//! guard runs in the default (`obs` on) test suite too — the disabled path
-//! cannot regress unnoticed.
+//! metric/trace/flight calls against `MetricsRegistry::off()`,
+//! `Tracer::off()` and `FlightRecorder::off()` must not move the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -35,12 +32,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn noop_recorder_allocates_nothing() {
-    let metrics = csqp_obs::noop::MetricsRegistry::new();
-    let tracer = csqp_obs::noop::Tracer::new();
-    let flight = csqp_obs::noop::FlightRecorder::new();
+    let metrics = csqp_obs::MetricsRegistry::off();
+    let tracer = csqp_obs::Tracer::off();
+    let flight = csqp_obs::FlightRecorder::off();
     // The telemetry ring pre-allocates its capacity; rolling windows of
-    // empty (no-op registry) snapshots must then stay allocation-free —
-    // the serve window path in an obs-off build.
+    // empty (off registry) snapshots must then stay allocation-free.
     let mut series = csqp_obs::TimeSeries::new(8);
     // Warm up anything lazy in the harness itself.
     metrics.inc("warmup");
@@ -61,7 +57,7 @@ fn noop_recorder_allocates_nothing() {
             break;
         }
     }
-    assert_eq!(cleanest, 0, "no-op recorder must not allocate on the hot path");
+    assert_eq!(cleanest, 0, "off recorders must not allocate on the hot path");
 
     // Sanity: the loop wasn't optimized into nothing observable.
     assert!(!metrics.enabled());
@@ -71,9 +67,9 @@ fn noop_recorder_allocates_nothing() {
 }
 
 fn run_hot_loop(
-    metrics: &csqp_obs::noop::MetricsRegistry,
-    tracer: &csqp_obs::noop::Tracer,
-    flight: &csqp_obs::noop::FlightRecorder,
+    metrics: &csqp_obs::MetricsRegistry,
+    tracer: &csqp_obs::Tracer,
+    flight: &csqp_obs::FlightRecorder,
     series: &mut csqp_obs::TimeSeries,
 ) {
     for i in 0..10_000u64 {
@@ -92,7 +88,7 @@ fn run_hot_loop(
         black_box(tracer.span_mark());
         black_box(tracer.spans());
         black_box(tracer.spans_from(black_box(0)));
-        tracer.set_enabled(black_box(true));
+        tracer.set_enabled(black_box(false));
         black_box(tracer.is_enabled());
         // Flight recorder: label and event closures never run either.
         let qf = flight.begin_with(|| (format!("query {i}"), "GenCompact".to_string()));

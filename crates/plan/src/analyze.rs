@@ -7,7 +7,7 @@
 //!
 //! Everything recorded here is a pure function of the query, the data, and
 //! the plan — no wall clock, no thread identity — so the rendered output is
-//! byte-identical across runs and across the `parallel` feature, and can be
+//! byte-identical across runs and core counts, and can be
 //! golden-tested (see `tests/explain_analyze.rs`).
 
 use crate::plan::Plan;
@@ -341,17 +341,18 @@ mod tests {
         let model = CostParams::new(50.0, 1.0);
         let card = OracleCard::new(s.relation());
         let (_, _, analysis) = analyzed(&plan, &s, &model, &card);
-        let reg = csqp_obs::MetricsRegistry::new();
-        analysis.record_into(&reg);
-        let snap = reg.snapshot();
-        if reg.enabled() {
-            assert_eq!(snap.counter("exec.source_queries"), 1);
-            assert_eq!(snap.counter("exec.rows_fetched"), analysis.rows_fetched());
-            assert_eq!(snap.counter("exec.drift_warnings"), 0);
-            assert_eq!(snap.gauge("exec.est_cost"), analysis.est_total());
-            assert_eq!(snap.histograms["exec.rows_per_subquery"].count, 1);
-        } else {
-            assert!(snap.counters.is_empty());
+        for reg in [csqp_obs::MetricsRegistry::new(), csqp_obs::MetricsRegistry::off()] {
+            analysis.record_into(&reg);
+            let snap = reg.snapshot();
+            if reg.enabled() {
+                assert_eq!(snap.counter("exec.source_queries"), 1);
+                assert_eq!(snap.counter("exec.rows_fetched"), analysis.rows_fetched());
+                assert_eq!(snap.counter("exec.drift_warnings"), 0);
+                assert_eq!(snap.gauge("exec.est_cost"), analysis.est_total());
+                assert_eq!(snap.histograms["exec.rows_per_subquery"].count, 1);
+            } else {
+                assert!(snap.counters.is_empty());
+            }
         }
     }
 }

@@ -13,8 +13,8 @@
 //!   (dedup sketches, intersect membership sides) is accounted separately
 //!   and excluded from [`StreamStats::peak_resident_tuples`], as is the
 //!   caller's accumulated answer.
-//! - **Overlapped fetch** — with the `parallel` feature and
-//!   [`StreamConfig::overlap`], Union children prefetch batches on scoped
+//! - **Overlapped fetch** — with [`StreamConfig::overlap`] (the
+//!   default), Union children prefetch batches on scoped
 //!   producer threads into bounded queues while earlier siblings drain, and
 //!   Intersect membership sides build concurrently. Emission order stays
 //!   the serial order, so answers are byte-identical with overlap on or off.
@@ -59,19 +59,15 @@ pub struct StreamConfig {
     /// Stop after this many answer rows (early termination). `None` drains
     /// the pipeline.
     pub limit: Option<u64>,
-    /// Overlap sibling Intersect/Union children on scoped threads. Only
-    /// effective with the `parallel` feature; forced off by retries,
-    /// analysis and adaptive re-planning, which are serial by construction.
+    /// Overlap sibling Intersect/Union children on scoped threads. Forced
+    /// off by retries, analysis and adaptive re-planning, which are serial
+    /// by construction.
     pub overlap: bool,
 }
 
 impl Default for StreamConfig {
     fn default() -> Self {
-        StreamConfig {
-            batch_size: DEFAULT_BATCH_SIZE,
-            limit: None,
-            overlap: cfg!(feature = "parallel"),
-        }
+        StreamConfig { batch_size: DEFAULT_BATCH_SIZE, limit: None, overlap: true }
     }
 }
 
@@ -107,7 +103,7 @@ pub struct StreamStats {
     pub peak_resident_tuples: u64,
     /// Batches the overlapped producers had parked ahead of consumer
     /// demand — a proxy for absorbed source latency. **Nondeterministic
-    /// under `parallel`**; always 0 on serial runs.
+    /// on overlapped runs**; always 0 on serial runs.
     pub overlap_ticks: u64,
 }
 
@@ -1058,11 +1054,7 @@ pub fn execute_stream(
         }
         StreamMode::Adaptive(controller) => (None, Some(controller)),
     };
-    let overlap = config.overlap
-        && cfg!(feature = "parallel")
-        && retry.is_none()
-        && analyzed.is_none()
-        && controller.is_none();
+    let overlap = config.overlap && retry.is_none() && analyzed.is_none() && controller.is_none();
     let mut track = controller.is_some().then(engine::AdaptiveTrack::default);
     // One `segment N` span per pipeline segment, on adaptive runs only.
     let segment_tracer = tracer.filter(|t| track.is_some() && t.is_enabled());
@@ -1432,9 +1424,7 @@ mod tests {
         let reg = csqp_obs::MetricsRegistry::new();
         stats.record_into(&reg);
         let snap = reg.snapshot();
-        if reg.enabled() {
-            assert_eq!(snap.counter("exec.batches"), stats.batches);
-            assert_eq!(snap.gauge("exec.peak_resident_tuples"), stats.peak_resident_tuples as f64);
-        }
+        assert_eq!(snap.counter("exec.batches"), stats.batches);
+        assert_eq!(snap.gauge("exec.peak_resident_tuples"), stats.peak_resident_tuples as f64);
     }
 }

@@ -6,19 +6,18 @@
 //! `[PR2]`, `[PR3]`, `[MCSC]` prunes as they happened inside IPG, and
 //! `[cost]` losses from the final candidate ranking. Every line is a
 //! deterministic function of the recorded events, so the report is safe to
-//! golden-test byte-for-byte across serial and parallel builds.
+//! golden-test byte-for-byte whether or not planning fanned out.
 
 use csqp_obs::{PlanEvent, QueryRecord};
 use std::fmt::Write as _;
 
-/// Notice rendered when no flight record is available — either the
-/// recorder was disarmed ([`FlightRecorder::off`](csqp_obs::FlightRecorder))
-/// or the build compiled observability out (`obs` feature off, where the
-/// no-op recorder never captures anything).
+/// Notice rendered when no flight record is available: the recorder was
+/// disarmed ([`FlightRecorder::off`](csqp_obs::FlightRecorder)) or has
+/// already evicted the record.
 const DISABLED_NOTICE: &str =
     "EXPLAIN WHY: flight recorder disabled — no decision trail was captured.\n\
-Arm a recorder (Mediator::with_flight_recorder) in an `obs`-enabled build and\n\
-re-plan the query to record one.\n";
+Arm a recorder (Mediator::with_flight_recorder) and re-plan the query to\n\
+record one.\n";
 
 /// Renders the `EXPLAIN WHY` report for one recorded query, or the
 /// recorder-disabled notice when `record` is `None`.

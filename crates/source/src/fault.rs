@@ -293,15 +293,16 @@ mod tests {
     #[test]
     fn meter_records_into_registry() {
         let m = ResilienceMeter { attempts: 3, retries: 1, ticks: 9, ..Default::default() };
-        let reg = csqp_obs::MetricsRegistry::new();
-        m.record_into(&reg);
-        let snap = reg.snapshot();
-        if reg.enabled() {
-            assert_eq!(snap.counter("resilience.attempts"), 3);
-            assert_eq!(snap.counter("resilience.retries"), 1);
-            assert_eq!(snap.counter("resilience.backoff_ticks"), 9);
-        } else {
-            assert!(snap.counters.is_empty(), "no-op registry records nothing");
+        for reg in [csqp_obs::MetricsRegistry::new(), csqp_obs::MetricsRegistry::off()] {
+            m.record_into(&reg);
+            let snap = reg.snapshot();
+            if reg.enabled() {
+                assert_eq!(snap.counter("resilience.attempts"), 3);
+                assert_eq!(snap.counter("resilience.retries"), 1);
+                assert_eq!(snap.counter("resilience.backoff_ticks"), 9);
+            } else {
+                assert!(snap.counters.is_empty(), "off registry records nothing");
+            }
         }
     }
 

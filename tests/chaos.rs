@@ -7,10 +7,10 @@
 //!    relation (resilience never trades correctness);
 //! 2. **Boundedness** — attempts/retries stay within the retry policy;
 //! 3. **Determinism** — a fixed seed yields the identical retry/failover
-//!    trace on every run, and the identical trace with the `parallel`
-//!    feature on or off (this file is a `csqp-core` test so the
-//!    `--no-default-features` CI job executes it serially against the same
-//!    golden trace).
+//!    trace on every run, and the identical trace whether or not planning
+//!    fans out (CI replays this file pinned to one core, `taskset -c 0`,
+//!    where `par_map` takes its sequential path, against the same golden
+//!    trace).
 //!
 //! Regenerate the golden trace after an intentional behaviour change with:
 //! `CHAOS_BLESS=1 cargo test -p csqp-core --test chaos`.
@@ -309,9 +309,9 @@ fn chaos_trace_is_deterministic_per_seed() {
     }
 }
 
-/// Invariant 3b: the trace is identical across *builds* — the golden file
-/// is asserted by both the default (`parallel`) and `--no-default-features`
-/// CI jobs, so a serial/parallel divergence fails one of them.
+/// Invariant 3b: the trace is identical across *core counts* — the golden
+/// file is asserted by both the default CI pass and the one-core
+/// (`taskset -c 0`) pass, so a serial/parallel divergence fails one of them.
 #[test]
 fn chaos_trace_matches_golden_across_feature_sets() {
     let got = full_trace(GOLDEN_SEED);
@@ -399,7 +399,6 @@ fn replan_storm(seed: u64) -> Vec<String> {
                         "replan r{round}q{i} seed {seed}: spliced answer diverged from oracle"
                     );
                     spliced += splices;
-                    #[cfg(feature = "obs")]
                     if splices > 0 {
                         let why = f.explain_why();
                         assert!(

@@ -3,11 +3,11 @@
 //! makes:
 //!
 //! 1. **Golden output** — the annotated plan tree (estimated vs observed
-//!    rows/cost per source query) is byte-identical across runs and across
-//!    the `parallel` feature (this file is a `csqp-core` test, so the
-//!    `--no-default-features` CI job replays the same golden serially).
-//! 2. **Trace determinism** — with the `obs` feature on, the virtual-tick
-//!    trace for a fixed workload is byte-identical across runs.
+//!    rows/cost per source query) is byte-identical across runs and core
+//!    counts (CI replays this file pinned to one core, where planning does
+//!    not fan out, against the same golden).
+//! 2. **Trace determinism** — the virtual-tick trace for a fixed workload
+//!    is byte-identical across runs, and empty under `Obs::off()`.
 //! 3. **Schema stability** — the `--metrics json` snapshot always renders
 //!    the same sections and sorted keys, and the counters the acceptance
 //!    criteria name are present after a resilient run.
@@ -18,6 +18,7 @@
 use csqp_core::federation::{CircuitBreakerConfig, FederatedOptions, Federation};
 use csqp_core::mediator::{CardKind, Mediator};
 use csqp_core::types::TargetQuery;
+use csqp_obs::Obs;
 use csqp_plan::analyze::explain_analyze;
 use csqp_plan::exec::RetryPolicy;
 use csqp_relation::datagen::{self, BookGenConfig};
@@ -74,23 +75,24 @@ fn golden_explain_analyze_e1() {
 
 /// The annotated output is a pure function of the (seeded) workload: two
 /// fresh mediators render byte-identical pages, and so do their traces
-/// (virtual ticks, no wall clock) when the recorder is real.
+/// (virtual ticks, no wall clock) — non-empty when recording, empty off.
 #[test]
 fn explain_analyze_and_trace_replay_identically() {
     assert_eq!(render_explain_analyze(), render_explain_analyze());
 
-    let run = || {
-        let mediator = Mediator::new(e1_source());
-        mediator.run_analyzed(&e1_query()).expect("E1 runs");
-        mediator.obs().tracer.render()
-    };
-    let (t1, t2) = (run(), run());
-    assert_eq!(t1, t2, "virtual-tick trace replays byte-identically");
-    let mediator = Mediator::new(e1_source());
-    if mediator.obs().enabled() {
-        assert!(!t1.is_empty(), "recording tracer captured the run");
-    } else {
-        assert!(t1.is_empty(), "no-op tracer keeps nothing");
+    for obs in [Obs::new, Obs::off] {
+        let run = || {
+            let mediator = Mediator::new(e1_source()).with_obs(Arc::new(obs()));
+            mediator.run_analyzed(&e1_query()).expect("E1 runs");
+            mediator.obs().tracer.render()
+        };
+        let (t1, t2) = (run(), run());
+        assert_eq!(t1, t2, "virtual-tick trace replays byte-identically");
+        if obs().enabled() {
+            assert!(!t1.is_empty(), "recording tracer captured the run");
+        } else {
+            assert!(t1.is_empty(), "off tracer keeps nothing");
+        }
     }
 }
 
@@ -114,48 +116,52 @@ fn oracle_estimates_match_observations_on_e1() {
 /// PR3 prunes, retries, and breaker transitions.
 #[test]
 fn metrics_snapshot_schema_is_stable() {
-    // A two-member federation where the cheap member is hard-down: the run
-    // exercises retries, a breaker open, and a failover.
-    let data = datagen::books(7, &BookGenConfig { n_books: 300, ..Default::default() });
-    let flaky = Arc::new(
-        Source::new(data.clone(), templates::bookstore(), CostParams::new(10.0, 1.0))
-            .with_fault_profile(FaultProfile::new(0).with_outage(0, u64::MAX)),
-    );
-    let steady = Arc::new(Source::new(data, templates::bookstore(), CostParams::new(50.0, 1.0)));
-    let federation = Federation::new()
-        .with_member(flaky)
-        .with_member(steady)
-        .with_breaker(CircuitBreakerConfig { failure_threshold: 1, cooldown_ticks: 1 });
-    let policy = RetryPolicy { max_retries: 1, ..Default::default() };
-    federation
-        .run_stream(&e1_query(), FederatedOptions::Failover(&policy), None)
-        .expect("steady member serves");
+    for obs in [Obs::new(), Obs::off()] {
+        // A two-member federation where the cheap member is hard-down: the run
+        // exercises retries, a breaker open, and a failover.
+        let data = datagen::books(7, &BookGenConfig { n_books: 300, ..Default::default() });
+        let flaky = Arc::new(
+            Source::new(data.clone(), templates::bookstore(), CostParams::new(10.0, 1.0))
+                .with_fault_profile(FaultProfile::new(0).with_outage(0, u64::MAX)),
+        );
+        let steady =
+            Arc::new(Source::new(data, templates::bookstore(), CostParams::new(50.0, 1.0)));
+        let federation = Federation::new()
+            .with_member(flaky)
+            .with_member(steady)
+            .with_breaker(CircuitBreakerConfig { failure_threshold: 1, cooldown_ticks: 1 })
+            .with_obs(Arc::new(obs));
+        let policy = RetryPolicy { max_retries: 1, ..Default::default() };
+        federation
+            .run_stream(&e1_query(), FederatedOptions::Failover(&policy), None)
+            .expect("steady member serves");
 
-    let snap = federation.metrics_snapshot();
-    let json = snap.to_json();
-    // Shape: the three sections always render, in this order, even when
-    // empty — downstream parsers can rely on the keys existing.
-    let (c, g) = (json.find("\"counters\"").unwrap(), json.find("\"gauges\"").unwrap());
-    let h = json.find("\"histograms\"").unwrap();
-    assert!(c < g && g < h, "sections in schema order:\n{json}");
+        let snap = federation.metrics_snapshot();
+        let json = snap.to_json();
+        // Shape: the three sections always render, in this order, even when
+        // empty — downstream parsers can rely on the keys existing.
+        let (c, g) = (json.find("\"counters\"").unwrap(), json.find("\"gauges\"").unwrap());
+        let h = json.find("\"histograms\"").unwrap();
+        assert!(c < g && g < h, "sections in schema order:\n{json}");
 
-    if federation.obs().enabled() {
-        for key in [
-            "planner.check_calls",
-            "planner.check_cache_hits",
-            "planner.pruned_pr1",
-            "planner.pruned_pr2",
-            "planner.pruned_pr3",
-            "resilience.retries",
-            "breaker.opened",
-        ] {
-            assert!(json.contains(&format!("\"{key}\"")), "{key} missing from:\n{json}");
+        if federation.obs().enabled() {
+            for key in [
+                "planner.check_calls",
+                "planner.check_cache_hits",
+                "planner.pruned_pr1",
+                "planner.pruned_pr2",
+                "planner.pruned_pr3",
+                "resilience.retries",
+                "breaker.opened",
+            ] {
+                assert!(json.contains(&format!("\"{key}\"")), "{key} missing from:\n{json}");
+            }
+            assert!(snap.counter("resilience.retries") >= 1, "outage forced a retry");
+            assert!(snap.counter("breaker.opened") >= 1, "threshold-1 breaker opened");
+            // Serialization round-trips deterministically.
+            assert_eq!(json, federation.metrics_snapshot().to_json());
+        } else {
+            assert!(snap.counters.is_empty(), "off recorder keeps nothing");
         }
-        assert!(snap.counter("resilience.retries") >= 1, "outage forced a retry");
-        assert!(snap.counter("breaker.opened") >= 1, "threshold-1 breaker opened");
-        // Serialization round-trips deterministically.
-        assert_eq!(json, federation.metrics_snapshot().to_json());
-    } else {
-        assert!(snap.counters.is_empty(), "no-op recorder keeps nothing");
     }
 }

@@ -1,11 +1,10 @@
 //! Golden `EXPLAIN WHY` snapshot and flight-recorder guarantees:
 //!
 //! 1. **Golden output** — the decision trail for the worked car-dealer
-//!    example (DESIGN.md §4) is byte-identical across runs and across the
-//!    `parallel` feature (this is a `csqp-core` test, so the
-//!    `--no-default-features --features parallel` CI leg replays the same
-//!    golden); with observability compiled out the report is the
-//!    "recorder disabled" notice instead.
+//!    example (DESIGN.md §4) is byte-identical across runs and core counts
+//!    (CI replays this file pinned to one core against the same golden);
+//!    over the off values (`Obs::off()`, `FlightRecorder::off()`) the
+//!    report is the "recorder disabled" notice instead.
 //! 2. **Every loser is named** — each entry in the losing-candidates
 //!    section carries an eliminating-rule tag, and the trail names the
 //!    pruning rules (PR1/PR2/PR3/MCSC) where they fired.
@@ -20,7 +19,7 @@
 
 use csqp_core::mediator::{Mediator, Scheme, StreamOptions};
 use csqp_core::types::TargetQuery;
-use csqp_obs::FlightRecorder;
+use csqp_obs::{FlightRecorder, Obs};
 use csqp_relation::datagen;
 use csqp_source::{CostParams, Source};
 use csqp_ssdl::templates;
@@ -53,6 +52,14 @@ fn armed_mediator(scheme: Scheme) -> Mediator {
         .with_flight_recorder(Arc::new(FlightRecorder::new()))
 }
 
+/// The same mediator over the off values: nothing is recorded and every
+/// report renders its "disabled" form.
+fn off_mediator() -> Mediator {
+    Mediator::new(dealer())
+        .with_obs(Arc::new(Obs::off()))
+        .with_flight_recorder(Arc::new(FlightRecorder::off()))
+}
+
 fn render_explain_why(scheme: Scheme) -> String {
     let mediator = armed_mediator(scheme);
     mediator.plan(&worked_query()).expect("worked example plans");
@@ -61,19 +68,19 @@ fn render_explain_why(scheme: Scheme) -> String {
 
 #[test]
 fn golden_explain_why_worked_example() {
+    // Off: the report is the disabled notice — the golden does not apply.
+    let off = off_mediator();
+    off.plan(&worked_query()).expect("worked example plans");
+    assert!(!off.flight_recorder().armed());
+    let notice = off.explain_why();
+    assert!(
+        notice.contains("flight recorder disabled"),
+        "off recorder must render the disabled notice, got:\n{notice}"
+    );
+
     let mediator = armed_mediator(Scheme::GenCompact);
     mediator.plan(&worked_query()).expect("worked example plans");
     let got = mediator.explain_why();
-
-    if !mediator.flight_recorder().armed() {
-        // `obs` off: the recorder is compiled to a no-op and the report is
-        // the disabled notice — the golden does not apply.
-        assert!(
-            got.contains("flight recorder disabled"),
-            "no-op recorder must render the disabled notice, got:\n{got}"
-        );
-        return;
-    }
     if std::env::var_os("EXPLAIN_WHY_BLESS").is_some() {
         std::fs::write(GOLDEN_PATH, &got).expect("write golden explain-why output");
         return;
@@ -91,21 +98,21 @@ fn golden_explain_why_worked_example() {
 /// Golden Prometheus text exposition (the `--metrics prom` renderer) after
 /// planning and executing the worked example: every metric is a
 /// deterministic function of the seeded workload — `serve.*` wall-clock
-/// metrics never enter this path — so the page is byte-stable across runs
-/// and feature legs.
+/// metrics never enter this path — so the page is byte-stable across runs.
 ///
 /// Regenerate with `METRICS_PROM_BLESS=1 cargo test -p csqp-core --test
 /// explain_why`.
 #[test]
 fn golden_prometheus_exposition() {
+    let off = off_mediator();
+    off.run(&worked_query()).expect("worked example runs");
+    let page = off.metrics_snapshot().to_prometheus();
+    assert!(!off.obs().enabled());
+    assert!(page.is_empty(), "off registry renders an empty page, got:\n{page}");
+
     let mediator = armed_mediator(Scheme::GenCompact);
     mediator.run(&worked_query()).expect("worked example runs");
     let got = mediator.metrics_snapshot().to_prometheus();
-
-    if !mediator.obs().enabled() {
-        assert!(got.is_empty(), "no-op registry renders an empty page, got:\n{got}");
-        return;
-    }
     assert!(got.contains("csqp_planner_pruned_pr3"), "PR3 counter exported:\n{got}");
     assert!(got.contains("# TYPE"), "valid exposition format:\n{got}");
     if std::env::var_os("METRICS_PROM_BLESS").is_some() {
@@ -123,7 +130,7 @@ fn golden_prometheus_exposition() {
 
 /// The report is a pure function of the (seeded) workload: two fresh
 /// mediators render byte-identical reports. Combined with the golden test
-/// running in both the serial and `parallel` CI legs, this pins the
+/// running in both the default and the one-core CI pass, this pins the
 /// determinism guarantee.
 #[test]
 fn explain_why_replays_identically() {
@@ -139,9 +146,6 @@ fn explain_why_replays_identically() {
 fn every_loser_names_its_eliminating_rule() {
     let mediator = armed_mediator(Scheme::GenCompact);
     mediator.plan(&worked_query()).expect("worked example plans");
-    if !mediator.flight_recorder().armed() {
-        return;
-    }
     let report = mediator.explain_why();
 
     let losers: Vec<&str> = report
@@ -173,9 +177,6 @@ fn genmodular_trail_shows_epg_spaces() {
     let mediator =
         Mediator::new(dealer()).with_scheme(Scheme::GenModular).with_flight_recorder(rec);
     mediator.plan(&worked_query()).expect("worked example plans");
-    if !mediator.flight_recorder().armed() {
-        return;
-    }
     let report = mediator.explain_why();
     assert!(report.contains("scheme: GenModular"), "{report}");
     assert!(report.contains("[EPG]"), "EPG plan-space events missing:\n{report}");
@@ -194,16 +195,16 @@ fn recorder_ring_evicts_oldest_and_counts() {
             TargetQuery::parse(&format!("make = \"{make}\" ^ price < 40000"), &["model"]).unwrap();
         mediator.plan(&q).expect("plans");
     }
-    if !rec.armed() {
-        assert!(rec.records().is_empty(), "no-op recorder keeps nothing");
-        return;
-    }
     let records = rec.records();
     assert_eq!(records.len(), 2, "ring capacity holds");
     assert_eq!(rec.evicted(), 1, "eviction is counted");
     assert!(records[0].query.contains("Audi"), "oldest (BMW) evicted first");
     assert!(records[1].query.contains("Toyota"));
     assert!(rec.record(records[1].id).is_some(), "records stay addressable by id");
+
+    let off = off_mediator();
+    off.plan(&worked_query()).expect("plans");
+    assert!(off.flight_recorder().records().is_empty(), "off recorder keeps nothing");
 }
 
 /// The per-record event cap drops loudly: the record reports how many
@@ -213,9 +214,6 @@ fn event_cap_drops_are_reported() {
     let rec = Arc::new(FlightRecorder::with_capacity(4, 3));
     let mediator = Mediator::new(dealer()).with_flight_recorder(rec.clone());
     mediator.plan(&worked_query()).expect("plans");
-    if !rec.armed() {
-        return;
-    }
     let latest = rec.latest().expect("record exists");
     assert_eq!(latest.events.len(), 3, "event cap holds");
     assert!(latest.dropped > 0, "drops are counted");
@@ -241,9 +239,6 @@ fn shared_recorder_isolates_queries_across_threads() {
             });
         }
     });
-    if !rec.armed() {
-        return;
-    }
     let records = rec.records();
     assert_eq!(records.len(), makes.len(), "one record per query");
     for r in &records {
@@ -285,9 +280,6 @@ fn post_planning_notes_reach_their_own_record() {
         })
         .collect();
     assert_ne!(notes[0], notes[1], "the two runs must be told apart");
-    if !rec.armed() {
-        return;
-    }
     for (record, own) in rec.records().iter().zip(&notes) {
         let streamed: Vec<String> = record
             .events

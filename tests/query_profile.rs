@@ -6,12 +6,12 @@
 //!
 //! 1. **Schema stability** — a hand-built profile with every section
 //!    populated renders byte-for-byte identically to
-//!    `tests/golden_query_profile.json` on *every* CI feature leg,
-//!    including `--no-default-features`: the profile is plain data, so the
-//!    document's shape cannot depend on which recorders were linked.
+//!    `tests/golden_query_profile.json`: the profile is plain data, so the
+//!    document's shape cannot depend on what the recorders held.
 //! 2. **Live capture** — `Mediator::plan_profiled` / `run_profiled`
 //!    populate the sections they promise (well-formed span tree, flight
-//!    trail, metrics delta, cardinalities) and do so deterministically.
+//!    trail, metrics delta, cardinalities) and do so deterministically —
+//!    and leave exactly those sections empty under `Obs::off()`.
 //!
 //! Regenerate the golden after an intentional schema change with:
 //! `QUERY_PROFILE_BLESS=1 cargo test -p csqp-core --test query_profile`.
@@ -34,9 +34,8 @@ fn span(id: u64, parent: Option<u64>, label: &str, start: u64, end: u64, depth: 
 }
 
 /// A profile with every section non-empty, built from plain data only — no
-/// recorder, no clock, no feature-gated code path. Byte-stability of its
-/// rendering is exactly the schema guarantee the serve endpoints and the
-/// CLI rely on.
+/// recorder, no clock. Byte-stability of its rendering is exactly the
+/// schema guarantee the serve endpoints and the CLI rely on.
 fn synthetic_profile() -> QueryProfile {
     let mut metrics = MetricsSnapshot::default();
     metrics.counters.insert("exec.source_queries".to_string(), 2);
@@ -164,21 +163,26 @@ mod live {
     use csqp_core::mediator::Mediator;
     use csqp_core::types::TargetQuery;
     use csqp_obs::span::validate;
-    use csqp_obs::{FlightRecorder, Obs, QueryProfile};
+    use csqp_obs::{FlightRecorder, MetricsSnapshot, Obs, QueryProfile};
     use csqp_relation::datagen;
     use csqp_source::{CostParams, Source};
     use csqp_ssdl::templates;
     use std::sync::Arc;
 
-    fn profiled_mediator() -> Mediator {
+    /// A mediator over recording recorders (`recording`) or over the off
+    /// values; every live test runs under both.
+    fn profiled_mediator(recording: bool) -> Mediator {
         let source = Arc::new(Source::new(
             datagen::cars(3, 400),
             templates::car_dealer(),
             CostParams::default(),
         ));
-        Mediator::new(source)
-            .with_obs(Arc::new(Obs::new()))
-            .with_flight_recorder(Arc::new(FlightRecorder::new()))
+        let (obs, flight) = if recording {
+            (Obs::new(), FlightRecorder::new())
+        } else {
+            (Obs::off(), FlightRecorder::off())
+        };
+        Mediator::new(source).with_obs(Arc::new(obs)).with_flight_recorder(Arc::new(flight))
     }
 
     fn q() -> TargetQuery {
@@ -191,52 +195,60 @@ mod live {
     /// consulted outside serve mode).
     #[test]
     fn run_profiled_populates_and_replays() {
-        let capture = || -> (QueryProfile, usize) {
-            let m = profiled_mediator();
-            let (out, profile) = m.run_profiled(&q()).unwrap();
-            (profile, out.outcome.rows.len())
-        };
-        let (profile, rows) = capture();
-        assert_eq!(profile.rows as usize, rows);
-        assert_eq!(profile.scheme, "GenCompact");
-        assert!(profile.est_cost > 0.0, "planner cost recorded");
-        assert!(profile.observed_cost > 0.0, "observed cost recorded");
-        assert!(!profile.cardinalities.is_empty(), "est-vs-observed rows recorded");
-        validate(&profile.spans).expect("live span tree must be well-formed");
-        let latency = profile.latency.expect("one-shot profiles carry a tick latency");
-        assert_eq!(latency.wall_us, None, "wall clock stays quarantined outside serve mode");
-        // Recording legs see spans/flight/metrics; the no-op leg sees the
-        // same schema with those sections empty.
-        #[cfg(feature = "obs")]
-        {
-            assert!(latency.ticks > 0);
-            assert!(profile.spans.iter().any(|s| s.label == "plan"), "plan span present");
-            assert!(!profile.flight.is_empty(), "flight trail replayed into the profile");
-            assert!(
-                profile.metrics.counter("profile.captured") >= 1,
-                "capture counts itself in the metrics delta"
-            );
-            assert!(profile.metrics.counter("exec.source_queries") >= 1);
+        for recording in [true, false] {
+            let capture = || -> (QueryProfile, usize) {
+                let m = profiled_mediator(recording);
+                let (out, profile) = m.run_profiled(&q()).unwrap();
+                (profile, out.outcome.rows.len())
+            };
+            let (profile, rows) = capture();
+            assert_eq!(profile.rows as usize, rows);
+            assert_eq!(profile.scheme, "GenCompact");
+            assert!(profile.est_cost > 0.0, "planner cost recorded");
+            assert!(profile.observed_cost > 0.0, "observed cost recorded");
+            assert!(!profile.cardinalities.is_empty(), "est-vs-observed rows recorded");
+            validate(&profile.spans).expect("live span tree must be well-formed");
+            let latency = profile.latency.expect("one-shot profiles carry a tick latency");
+            assert_eq!(latency.wall_us, None, "wall clock stays quarantined outside serve mode");
+            // Recording sees spans/flight/metrics; the off value renders the
+            // same schema with those sections empty.
+            if recording {
+                assert!(latency.ticks > 0);
+                assert!(profile.spans.iter().any(|s| s.label == "plan"), "plan span present");
+                assert!(!profile.flight.is_empty(), "flight trail replayed into the profile");
+                assert!(
+                    profile.metrics.counter("profile.captured") >= 1,
+                    "capture counts itself in the metrics delta"
+                );
+                assert!(profile.metrics.counter("exec.source_queries") >= 1);
+            } else {
+                assert_eq!(latency.ticks, 0);
+                assert!(profile.spans.is_empty() && profile.flight.is_empty());
+                assert_eq!(profile.metrics, MetricsSnapshot::default());
+            }
+            let (again, _) = capture();
+            assert_eq!(profile.to_json(), again.to_json(), "capture must replay identically");
         }
-        let (again, _) = capture();
-        assert_eq!(profile.to_json(), again.to_json(), "capture must replay identically");
     }
 
     /// Without `--run` the profile covers planning only: no rows, no
     /// observed cost, but the plan span tree and flight trail are there.
     #[test]
     fn plan_profiled_covers_planning_only() {
-        let m = profiled_mediator();
-        let (planned, profile) = m.plan_profiled(&q()).unwrap();
-        assert_eq!(profile.rows, 0);
-        assert_eq!(profile.observed_cost, 0.0);
-        assert_eq!(profile.est_cost, planned.est_cost);
-        validate(&profile.spans).expect("plan-only span tree must be well-formed");
-        #[cfg(feature = "obs")]
-        {
-            assert!(profile.spans.iter().any(|s| s.label == "plan"));
-            assert!(profile.spans.iter().all(|s| !s.label.starts_with("execute")));
-            assert!(!profile.flight.is_empty());
+        for recording in [true, false] {
+            let m = profiled_mediator(recording);
+            let (planned, profile) = m.plan_profiled(&q()).unwrap();
+            assert_eq!(profile.rows, 0);
+            assert_eq!(profile.observed_cost, 0.0);
+            assert_eq!(profile.est_cost, planned.est_cost);
+            validate(&profile.spans).expect("plan-only span tree must be well-formed");
+            if recording {
+                assert!(profile.spans.iter().any(|s| s.label == "plan"));
+                assert!(profile.spans.iter().all(|s| !s.label.starts_with("execute")));
+                assert!(!profile.flight.is_empty());
+            } else {
+                assert!(profile.spans.is_empty() && profile.flight.is_empty());
+            }
         }
     }
 
@@ -244,21 +256,21 @@ mod live {
     /// profile's metrics delta does not double-count the first run.
     #[test]
     fn metrics_delta_is_per_query() {
-        let m = profiled_mediator();
-        let (_, first) = m.run_profiled(&q()).unwrap();
-        let (_, second) = m.run_profiled(&q()).unwrap();
-        assert_eq!(
-            first.metrics.counter("exec.source_queries"),
-            second.metrics.counter("exec.source_queries"),
-            "the delta window must isolate each capture"
-        );
-        // The capture counter needs a live registry; the obs-off noop
-        // registry snapshots empty (the delta equality above still holds:
-        // both deltas are zero).
-        #[cfg(feature = "obs")]
-        {
-            assert_eq!(first.metrics.counter("profile.captured"), 1);
-            assert_eq!(second.metrics.counter("profile.captured"), 1);
+        for recording in [true, false] {
+            let m = profiled_mediator(recording);
+            let (_, first) = m.run_profiled(&q()).unwrap();
+            let (_, second) = m.run_profiled(&q()).unwrap();
+            assert_eq!(
+                first.metrics.counter("exec.source_queries"),
+                second.metrics.counter("exec.source_queries"),
+                "the delta window must isolate each capture"
+            );
+            // The capture counter needs a recording registry; an off one
+            // snapshots empty (the delta equality above still holds: both
+            // deltas are zero).
+            let captured = u64::from(recording);
+            assert_eq!(first.metrics.counter("profile.captured"), captured);
+            assert_eq!(second.metrics.counter("profile.captured"), captured);
         }
     }
 }

@@ -7,6 +7,7 @@
 //! flight records that receive their own query's post-planning notes.
 
 use csqp::serve::{ServeConfig, Server};
+use csqp_obs::{FlightRecorder, Obs};
 use csqp_relation::datagen;
 use csqp_source::{CostParams, Source};
 use csqp_ssdl::templates;
@@ -39,6 +40,14 @@ fn http_get_with_header(addr: SocketAddr, path: &str, header: Option<&str>) -> S
 
 fn dealer() -> Arc<Source> {
     Arc::new(Source::new(datagen::cars(3, 400), templates::car_dealer(), CostParams::default()))
+}
+
+/// Runs a telemetry-reading test over recording recorders — what
+/// `Server::bind_federation` builds — then over the off values, which pins
+/// what the endpoints render when the recorders hold nothing.
+fn over_both_recorders(test: fn(Obs, FlightRecorder)) {
+    test(Obs::new(), FlightRecorder::new());
+    test(Obs::off(), FlightRecorder::off());
 }
 
 const BMW: &str = "/query?cond=make%20%3D%20%22BMW%22%20%5E%20price%20%3C%2040000&attrs=model,year";
@@ -165,10 +174,14 @@ fn tenant_quota_sheds_with_429() {
 /// the counters scrape on `/metrics`.
 #[test]
 fn plan_cache_decisions_surface_in_trailer_and_metrics() {
-    let server = Server::bind_federation(vec![dealer()], ServeConfig::default())
+    over_both_recorders(plan_cache_decisions_surface_in_trailer_and_metrics_over);
+}
+
+fn plan_cache_decisions_surface_in_trailer_and_metrics_over(obs: Obs, flight: FlightRecorder) {
+    let obs_on = obs.enabled();
+    let server = Server::bind_observed(vec![dealer()], ServeConfig::default(), obs, flight)
         .expect("bind an ephemeral port");
     let addr = server.local_addr().expect("bound address");
-    let obs_on = server.federation().obs().enabled();
     let handle = std::thread::spawn(move || server.run());
 
     let cold = http_get(addr, BMW);
@@ -214,6 +227,11 @@ fn plan_cache_decisions_surface_in_trailer_and_metrics() {
 /// what the clients observed.
 #[test]
 fn worker_pool_hammer_keeps_journal_and_counters_coherent() {
+    over_both_recorders(worker_pool_hammer_keeps_journal_and_counters_coherent_over);
+}
+
+fn worker_pool_hammer_keeps_journal_and_counters_coherent_over(obs: Obs, flight: FlightRecorder) {
+    let obs_on = obs.enabled();
     let journal =
         std::env::temp_dir().join(format!("csqp-pool-hammer-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&journal);
@@ -225,9 +243,9 @@ fn worker_pool_hammer_keeps_journal_and_counters_coherent() {
         tenant_burst: 2.0,
         ..ServeConfig::default()
     };
-    let server = Server::bind_federation(vec![dealer()], cfg).expect("bind an ephemeral port");
+    let server =
+        Server::bind_observed(vec![dealer()], cfg, obs, flight).expect("bind an ephemeral port");
     let addr = server.local_addr().expect("bound address");
-    let obs_on = server.federation().obs().enabled();
     let handle = std::thread::spawn(move || server.run());
 
     const THREADS: usize = 4;
@@ -317,6 +335,11 @@ fn worker_pool_hammer_keeps_journal_and_counters_coherent() {
 /// entry's own query — not whichever query happened to plan last.
 #[test]
 fn slow_log_entries_carry_their_own_decision_trail() {
+    over_both_recorders(slow_log_entries_carry_their_own_decision_trail_over);
+}
+
+fn slow_log_entries_carry_their_own_decision_trail_over(obs: Obs, flight: FlightRecorder) {
+    let obs_on = obs.enabled();
     const THREADS: usize = 4;
     const PER_THREAD: usize = 16;
     let cfg = ServeConfig {
@@ -325,9 +348,9 @@ fn slow_log_entries_carry_their_own_decision_trail() {
         workers: THREADS,
         ..ServeConfig::default()
     };
-    let server = Server::bind_federation(vec![dealer()], cfg).expect("bind an ephemeral port");
+    let server =
+        Server::bind_observed(vec![dealer()], cfg, obs, flight).expect("bind an ephemeral port");
     let addr = server.local_addr().expect("bound address");
-    let obs_on = server.federation().obs().enabled();
     let handle = std::thread::spawn(move || server.run());
 
     let clients: Vec<_> = (0..THREADS)
@@ -365,7 +388,10 @@ fn slow_log_entries_carry_their_own_decision_trail() {
                 "slow query `{query}` logged another query's trail:\n{trail}"
             );
         } else {
-            assert!(trail.contains("recorder"), "obs-off logs the disabled notice:\n{trail}");
+            assert!(
+                trail.contains("recorder"),
+                "an off recorder logs the disabled notice:\n{trail}"
+            );
         }
     }
 
@@ -382,12 +408,17 @@ fn slow_log_entries_carry_their_own_decision_trail() {
 /// addressed by flight id, never to "the latest" record).
 #[test]
 fn flight_records_receive_their_own_stream_notes() {
+    over_both_recorders(flight_records_receive_their_own_stream_notes_over);
+}
+
+fn flight_records_receive_their_own_stream_notes_over(obs: Obs, flight: FlightRecorder) {
+    let obs_on = obs.enabled();
     const THREADS: usize = 4;
     const PER_THREAD: usize = 4;
     let cfg = ServeConfig { workers: THREADS, ..ServeConfig::default() };
-    let server = Server::bind_federation(vec![dealer()], cfg).expect("bind an ephemeral port");
+    let server =
+        Server::bind_observed(vec![dealer()], cfg, obs, flight).expect("bind an ephemeral port");
     let addr = server.local_addr().expect("bound address");
-    let obs_on = server.federation().obs().enabled();
     let handle = std::thread::spawn(move || server.run());
 
     let clients: Vec<_> = (0..THREADS)
@@ -418,7 +449,11 @@ fn flight_records_receive_their_own_stream_notes() {
         for (id, price) in client.join().expect("client thread") {
             let replay = http_get(addr, &format!("/flightrecorder?query={id}"));
             if !obs_on {
-                assert!(replay.contains("recorder"), "obs-off replays the notice:\n{replay}");
+                // A disarmed recorder hands every query flight #0 and keeps
+                // no record of it: the replay is a 404, not a notice.
+                assert_eq!(id, 0);
+                assert!(replay.starts_with("HTTP/1.1 404"), "{replay}");
+                assert!(replay.contains("no flight \"0\" recorded"), "{replay}");
                 continue;
             }
             assert!(replay.contains(&format!("price < {price}")), "flight {id}:\n{replay}");

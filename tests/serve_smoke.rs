@@ -5,6 +5,7 @@
 //! down cleanly — the library-level twin of the CI serve-mode smoke job.
 
 use csqp::serve::{ServeConfig, Server};
+use csqp_obs::{FlightRecorder, Obs};
 use csqp_relation::datagen;
 use csqp_source::{CostParams, Source};
 use csqp_ssdl::templates;
@@ -28,12 +29,6 @@ fn http_get(addr: SocketAddr, path: &str) -> String {
     buf
 }
 
-/// Whether the scraped `/metrics` body came from an obs-enabled build (a
-/// disabled registry scrapes empty, with no `# TYPE` lines at all).
-fn server_obs_enabled(metrics: &str) -> bool {
-    metrics.contains("# TYPE")
-}
-
 fn line(addr: SocketAddr, cmd: &str) -> String {
     let mut s = connect(addr);
     writeln!(s, "{cmd}").unwrap();
@@ -45,16 +40,25 @@ fn line(addr: SocketAddr, cmd: &str) -> String {
     buf
 }
 
+/// Runs once over recording recorders — what `Server::bind_federation`
+/// builds — and once over the off values, which pins what every endpoint
+/// renders when the recorders hold nothing.
 #[test]
 fn serve_smoke() {
+    serve_smoke_over(Obs::new(), FlightRecorder::new());
+    serve_smoke_over(Obs::off(), FlightRecorder::off());
+}
+
+fn serve_smoke_over(obs: Obs, flight: FlightRecorder) {
     let source = Arc::new(Source::new(
         datagen::cars(3, 400),
         templates::car_dealer(),
         CostParams::default(),
     ));
-    let server = Server::bind(source, ServeConfig::default()).expect("bind an ephemeral port");
+    let obs_on = obs.enabled();
+    let server = Server::bind_observed(vec![source], ServeConfig::default(), obs, flight)
+        .expect("bind an ephemeral port");
     let addr = server.local_addr().expect("bound address");
-    let obs_on = server.federation().obs().enabled();
     let handle = std::thread::spawn(move || server.run());
 
     // Health while idle.
@@ -169,8 +173,8 @@ fn serve_smoke() {
 
     // The query black box over HTTP: span tree, worst-N profile ring and
     // the slow-query log. Profiles are plain data, so the ring retains
-    // queries even in builds with `obs` compiled out; only the span tree
-    // and exemplars need the tracer/registry.
+    // queries even over off recorders; only the span tree and exemplars
+    // need the tracer/registry.
     let spans = http_get(addr, "/spans");
     if obs_on {
         assert!(spans.contains("federation plan"), "serve queries open spans: {spans}");
@@ -201,7 +205,7 @@ fn serve_smoke() {
     }
 
     // The fleet view: /status scores every member from windowed telemetry
-    // (schema-stable on every build — obs-off just sees empty signals), and
+    // (schema-stable — off recorders just yield empty signals), and
     // /timeseries exposes the windowed deltas of one metric as JSON.
     let status = http_get(addr, "/status");
     assert!(status.starts_with("HTTP/1.1 200"), "{status}");
@@ -269,11 +273,9 @@ fn serve_federation_routes_and_prunes() {
     assert!(q.contains("0 replans"), "{q}");
     assert!(q.contains("breakers [car_dealer:closed colors:closed]"), "{q}");
     let metrics = http_get(addr, "/metrics");
-    if server_obs_enabled(&metrics) {
-        assert!(metrics.contains("csqp_breaker_state{member=\"colors\"} 0.0"), "{metrics}");
-        // One HELP/TYPE block covers both members of the labeled family.
-        assert_eq!(metrics.matches("# TYPE csqp_breaker_state gauge").count(), 1, "{metrics}");
-    }
+    assert!(metrics.contains("csqp_breaker_state{member=\"colors\"} 0.0"), "{metrics}");
+    // One HELP/TYPE block covers both members of the labeled family.
+    assert_eq!(metrics.matches("# TYPE csqp_breaker_state gauge").count(), 1, "{metrics}");
 
     let bye = http_get(addr, "/shutdown");
     assert!(bye.contains("shutting down"), "{bye}");

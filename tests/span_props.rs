@@ -7,10 +7,6 @@
 //! drive that promise through the hostile paths: seeded chaos faults with
 //! retry storms, mid-stream outages that force replan splices, failed runs,
 //! and interleaved captures slicing the same tracer with `span_mark`.
-//!
-//! On the no-op leg (`obs` off) the tracer records nothing and every
-//! property holds vacuously over the empty slice — the suite still runs so
-//! the API surface is exercised on every CI feature leg.
 
 use csqp_core::federation::{CircuitBreakerConfig, FederatedOptions, Federation};
 use csqp_core::mediator::{AdaptiveConfig, Mediator, StreamOptions};
@@ -164,16 +160,13 @@ fn adaptive_segment_spans_validate() {
         .expect("adaptive run succeeds");
     let spans = obs.tracer.spans();
     validate(&spans).expect("adaptive spans must be well-formed");
-    #[cfg(feature = "obs")]
-    {
-        assert!(
-            spans.iter().any(|s| s.label.starts_with("segment")),
-            "adaptive runs open per-segment spans: {spans:?}"
-        );
-        let parent = spans.iter().find(|s| s.label == "execute (adaptive)").unwrap();
-        for seg in spans.iter().filter(|s| s.label.starts_with("segment")) {
-            assert_eq!(seg.parent, Some(parent.id), "segments nest under the adaptive span");
-        }
+    assert!(
+        spans.iter().any(|s| s.label.starts_with("segment")),
+        "adaptive runs open per-segment spans: {spans:?}"
+    );
+    let parent = spans.iter().find(|s| s.label == "execute (adaptive)").unwrap();
+    for seg in spans.iter().filter(|s| s.label.starts_with("segment")) {
+        assert_eq!(seg.parent, Some(parent.id), "segments nest under the adaptive span");
     }
     let _ = run;
 }

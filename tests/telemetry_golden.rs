@@ -1,18 +1,17 @@
 //! Fleet-telemetry suite: the `/status` health scoreboard, the audit
 //! journal + `csqp audit --diff` analysis, and the windowed time series.
 //!
-//! The renderings are plain data (no feature gates), so the two goldens —
+//! The renderings are plain data, so the two goldens —
 //! `tests/golden_status.txt` and `tests/golden_audit_diff.txt` — are
-//! asserted byte-for-byte by **every** CI feature leg, exactly like the
-//! chaos and query-profile goldens. Regenerate after an intentional
-//! change with:
+//! asserted byte-for-byte, exactly like the chaos and query-profile
+//! goldens. Regenerate after an intentional change with:
 //!
 //! ```sh
 //! STATUS_BLESS=1     cargo test -p csqp-core --test telemetry_golden
 //! AUDIT_DIFF_BLESS=1 cargo test -p csqp-core --test telemetry_golden
 //! ```
 //!
-//! The obs-gated half drives a seeded chaos storm through a live
+//! The live half drives a seeded chaos storm through a live
 //! federation and asserts the scoreboard *reacts*: a breaker-open,
 //! always-dark member must fall below the healthy threshold while a
 //! reliable mirror stays above it.
@@ -242,13 +241,12 @@ fn journal_rotation_bounds_disk_and_stays_parseable() {
     let _ = std::fs::remove_file(&rotated);
 }
 
-// ----------------------------------------------- live federation (obs on)
+// ------------------------------------------------------- live federation
 
 /// Seeded chaos storm against a live federation: the scoreboard must
 /// *react*. An always-dark cheap member accumulates errors until its
 /// breaker opens and its score falls below the healthy threshold; the
 /// reliable expensive mirror keeps serving and stays healthy.
-#[cfg(feature = "obs")]
 #[test]
 fn chaos_storm_drives_dark_member_below_healthy() {
     use csqp_core::federation::{CircuitBreakerConfig, FederatedOptions, Federation};
@@ -330,7 +328,6 @@ fn chaos_storm_drives_dark_member_below_healthy() {
 /// Windowed time series over a live registry: rolling cuts snapshot
 /// deltas at the boundaries, rates come out of the closed windows, and
 /// the ring stays capacity-bounded while counting evictions.
-#[cfg(feature = "obs")]
 #[test]
 fn timeseries_windows_cut_live_registry_deltas() {
     use csqp_obs::{Obs, TimeSeries};
