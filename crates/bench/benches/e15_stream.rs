@@ -94,7 +94,7 @@ struct Measurement {
 fn measure(n: usize, streaming: bool) -> Measurement {
     let plan = bench_plan();
     let source = source_at(n);
-    let cfg = StreamConfig::serial();
+    let cfg = StreamConfig::default();
 
     let run = |do_count: bool| -> (usize, u64, u64) {
         if streaming {

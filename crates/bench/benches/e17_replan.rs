@@ -209,7 +209,7 @@ fn main() {
             &["make", "model", "price"],
         )
         .unwrap();
-        let cfg = StreamConfig::serial();
+        let cfg = StreamConfig::default();
         let acfg = AdaptiveConfig { stream: cfg.clone(), ..Default::default() };
         results.push(timed("no_drift", "streaming", || {
             let out = med.run_stream(&q, StreamOptions::plain(&cfg), None).unwrap();
@@ -229,7 +229,7 @@ fn main() {
         let source = exact_source();
         let med = Mediator::new(source).with_cardinality(CardKind::Oracle);
         let q = TargetQuery::parse("a >= 0 ^ b >= 0", &["k", "a", "b"]).unwrap();
-        let cfg = StreamConfig::serial();
+        let cfg = StreamConfig::default();
         let acfg = AdaptiveConfig { stream: cfg.clone(), ..Default::default() };
         results.push(timed("no_drift_scan", "streaming", || {
             let out = med.run_stream(&q, StreamOptions::plain(&cfg), None).unwrap();
@@ -245,7 +245,7 @@ fn main() {
     // Leg 2: drifting corpus — the splice must slash the transfer.
     {
         let q = TargetQuery::parse("a = 1 ^ b = 1 ^ c = 1", &["k"]).unwrap();
-        let cfg = StreamConfig { batch_size: 256, ..StreamConfig::serial() };
+        let cfg = StreamConfig { batch_size: 256, ..StreamConfig::default() };
         let acfg = AdaptiveConfig { stream: cfg.clone(), ..Default::default() };
         let card = CardKind::Uniform { atom_selectivity: 0.05 };
         let plain_src = drifty_source();

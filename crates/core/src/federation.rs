@@ -264,7 +264,7 @@ pub enum FederatedOptions<'a> {
     Splice {
         /// Per-round-trip retries applied before a leaf failure counts.
         policy: &'a RetryPolicy,
-        /// Batch size and row limit (the run is serial).
+        /// Batch size and row limit.
         stream: &'a StreamConfig,
     },
 }
@@ -706,10 +706,10 @@ impl Federation {
     }
 
     /// Plans and executes on the winning member: [`Federation::run_stream`]
-    /// under [`FederatedOptions::Winner`], collecting, serial.
+    /// under [`FederatedOptions::Winner`], collecting.
     pub fn run(&self, query: &TargetQuery) -> Result<FederatedRun, MediatorError> {
-        let serial = StreamConfig::serial();
-        self.run_stream(query, FederatedOptions::Winner(StreamOptions::plain(&serial)), None)
+        let stream = StreamConfig::default();
+        self.run_stream(query, FederatedOptions::Winner(StreamOptions::plain(&stream)), None)
     }
 
     /// The one function that executes: plans `input` federation-wide
@@ -1552,7 +1552,7 @@ mod tests {
         let f = mirrors();
         let q = car_query();
         let policy = RetryPolicy::default();
-        let stream = &StreamConfig::serial();
+        let stream = &StreamConfig::default();
         let run = f.run_stream(&q, FederatedOptions::Splice { policy: &policy, stream }, None);
         let run = run.unwrap();
         assert_eq!(run.stream.splices, 0, "healthy federation never splices");
@@ -1584,7 +1584,7 @@ mod tests {
                 &["model", "year"],
             )
             .unwrap();
-            let stream = &StreamConfig { batch_size: 16, ..StreamConfig::serial() };
+            let stream = &StreamConfig { batch_size: 16, ..StreamConfig::default() };
             let run = f.run_stream(&q, FederatedOptions::Splice { policy: &policy, stream }, None);
             let run = run.unwrap();
             assert!(
@@ -1635,7 +1635,7 @@ mod tests {
         };
         let f = Federation::new().with_member(down(1)).with_member(down(2));
         let policy = RetryPolicy { max_retries: 0, ..Default::default() };
-        let stream = &StreamConfig::serial();
+        let stream = &StreamConfig::default();
         match f.run_stream(&car_query(), FederatedOptions::Splice { policy: &policy, stream }, None)
         {
             Err(MediatorError::Exec(_)) => {}

@@ -135,8 +135,8 @@ impl<'a> Side<'a> {
 
     /// Runs the side's own plan.
     fn fetch(self) -> Result<Fetch, MediatorError> {
-        let serial = StreamConfig::serial();
-        let run = self.med.run_stream(self.plan?, StreamOptions::plain(&serial), None)?;
+        let stream = StreamConfig::default();
+        let run = self.med.run_stream(self.plan?, StreamOptions::plain(&stream), None)?;
         Ok((run.outcome.rows, run.outcome.meter))
     }
 }

@@ -144,7 +144,7 @@ pub enum StreamOptions<'a> {
     /// The plain pipeline under bounded memory, honoring
     /// [`StreamConfig::limit`] for early termination.
     Plain {
-        /// Batch size, row limit, overlap.
+        /// Batch size and row limit.
         stream: &'a StreamConfig,
         /// Per-batch retries (a mid-stream fault repeats only the failed
         /// round-trip). `None` means any leaf fault is terminal.
@@ -205,8 +205,8 @@ pub struct StreamOutcome {
     /// splices fired, the served pipeline diverged from it mid-flight (see
     /// the flight record's `[replan]` events).
     pub outcome: RunOutcome,
-    /// Batch count, peak pipeline-resident tuples and overlap ticks,
-    /// accumulated across every pipeline segment.
+    /// Batch count and peak pipeline-resident tuples, accumulated across
+    /// every pipeline segment.
     pub stats: StreamStats,
     /// Retry/fault metrics accumulated across the run.
     pub resilience: ResilienceMeter,
@@ -224,8 +224,7 @@ pub struct StreamOutcome {
 /// Knobs for an adaptive run ([`StreamOptions::Adaptive`]).
 #[derive(Debug, Clone)]
 pub struct AdaptiveConfig {
-    /// Streaming knobs (batch size, limit). Adaptive runs are forced
-    /// serial by the engine regardless of the overlap setting.
+    /// Streaming knobs (batch size, limit).
     pub stream: StreamConfig,
     /// Per-batch retry policy applied *before* a leaf failure would reach
     /// the controller. `None` means any leaf fault is terminal.
@@ -243,7 +242,7 @@ pub struct AdaptiveConfig {
 impl Default for AdaptiveConfig {
     fn default() -> Self {
         AdaptiveConfig {
-            stream: StreamConfig::serial(),
+            stream: StreamConfig::default(),
             policy: None,
             max_splices: 4,
             drift_factor: 2.0,
@@ -721,17 +720,14 @@ impl Mediator {
     }
 
     /// Plans and executes a target query, reporting the answer and the
-    /// transfer it caused: [`Mediator::run_stream`], collecting, serial.
+    /// transfer it caused: [`Mediator::run_stream`], collecting.
     pub fn run(&self, query: &TargetQuery) -> Result<RunOutcome, MediatorError> {
-        self.run_stream(query, StreamOptions::plain(&StreamConfig::serial()), None)
+        self.run_stream(query, StreamOptions::plain(&StreamConfig::default()), None)
             .map(|run| run.outcome)
     }
 
     /// Records one executed run into the registry, the trace and the
     /// query's flight record: transfer, cost, and the pipeline's stats.
-    /// `exec.overlap_ticks` reaches metrics only (nondeterministic on
-    /// overlapped runs); the flight note sticks to the deterministic pair so
-    /// EXPLAIN WHY stays golden-testable.
     fn record_run(&self, out: &RunOutcome, stats: &StreamStats) {
         out.meter.record_into(&self.obs.metrics);
         self.obs.metrics.gauge_set(names::EXEC_EST_COST, out.planned.est_cost);
@@ -757,10 +753,10 @@ impl Mediator {
     }
 
     /// Plans and executes with per-source-query observation
-    /// ([`StreamOptions::Analyzed`], collecting, serial): the outcome's
+    /// ([`StreamOptions::Analyzed`], collecting): the outcome's
     /// `analysis` is always present.
     pub fn run_analyzed(&self, query: &TargetQuery) -> Result<StreamOutcome, MediatorError> {
-        self.run_stream(query, StreamOptions::Analyzed(&StreamConfig::serial()), None)
+        self.run_stream(query, StreamOptions::Analyzed(&StreamConfig::default()), None)
     }
 
     /// Plans and executes with resilience: source round-trips retry with
@@ -790,7 +786,7 @@ impl Mediator {
 
     /// Ranked-alternative plan failover, shared with the federation's
     /// member failover: runs `planned.plan`, then each ranked alternative
-    /// in cost order, as collecting serial [`Mediator::run_stream`]s under
+    /// in cost order, as collecting [`Mediator::run_stream`]s under
     /// `policy` until one answers (collecting only: rows a dead plan handed
     /// a sink could not be recalled). The resilience meter is cumulative
     /// over every plan tried, one failover per switch — also when every
@@ -804,8 +800,8 @@ impl Mediator {
         planned: PlannedQuery,
         policy: &RetryPolicy,
     ) -> Result<RankedWin, (ResilienceMeter, FailureTrail)> {
-        let serial = StreamConfig::serial();
-        let options = StreamOptions::Plain { stream: &serial, policy: Some(policy) };
+        let stream = StreamConfig::default();
+        let options = StreamOptions::Plain { stream: &stream, policy: Some(policy) };
         let mut resilience = ResilienceMeter::default();
         let mut failures: FailureTrail = Vec::new();
         let mut win = None;
@@ -1430,7 +1426,7 @@ mod tests {
             let plain = Mediator::new(source.clone()).run(&q).unwrap();
             let m = Mediator::new(source).with_obs(obs);
             let streamed =
-                m.run_stream(&q, StreamOptions::plain(&StreamConfig::serial()), None).unwrap();
+                m.run_stream(&q, StreamOptions::plain(&StreamConfig::default()), None).unwrap();
             assert_eq!(streamed.outcome.rows, plain.rows, "streaming is a pure execution change");
             assert_eq!(streamed.outcome.meter, plain.meter, "identical transfer");
             assert_eq!(streamed.outcome.measured_cost, plain.measured_cost);
@@ -1455,7 +1451,7 @@ mod tests {
         let out = m
             .run_stream(
                 &q,
-                StreamOptions::plain(&StreamConfig::serial()),
+                StreamOptions::plain(&StreamConfig::default()),
                 Some(&mut |b| {
                     got.extend(b.into_tuples());
                     true
@@ -1478,7 +1474,7 @@ mod tests {
         let full = Mediator::new(source.clone()).run(&q).unwrap().rows;
         assert!(full.len() > 1, "need more than one row for the limit to bite");
         let m = Mediator::new(source);
-        let cfg = StreamConfig::serial().with_limit(1);
+        let cfg = StreamConfig::default().with_limit(1);
         let limited = m.run_stream(&q, StreamOptions::plain(&cfg), None).unwrap();
         assert_eq!(limited.outcome.rows.len(), 1);
         assert!(full.contains(&limited.outcome.rows.tuples()[0]));
@@ -1499,7 +1495,7 @@ mod tests {
         let m = Mediator::new(source);
         let policy = RetryPolicy { max_retries: 20, ..Default::default() };
         let options =
-            StreamOptions::Plain { stream: &StreamConfig::serial(), policy: Some(&policy) };
+            StreamOptions::Plain { stream: &StreamConfig::default(), policy: Some(&policy) };
         let out = m.run_stream(&q, options, None).unwrap();
         assert_eq!(out.outcome.rows, want, "answer exact despite the storm");
         assert!(out.resilience.retries > 0, "seed 4 at p=0.5 injects faults");
@@ -1512,7 +1508,8 @@ mod tests {
         let q = TargetQuery::parse(EX11, &["isbn", "author", "title"]).unwrap();
         let want = Mediator::new(source.clone()).run(&q).unwrap().rows;
         let m = Mediator::new(source).with_cardinality(CardKind::Oracle);
-        let out = m.run_stream(&q, StreamOptions::Analyzed(&StreamConfig::serial()), None).unwrap();
+        let out =
+            m.run_stream(&q, StreamOptions::Analyzed(&StreamConfig::default()), None).unwrap();
         assert_eq!(out.outcome.rows, want);
         let analysis = out.analysis.expect("an analyzed run reports its analysis");
         let text = csqp_plan::exec_stream::explain_analyze_streamed(
@@ -1595,7 +1592,7 @@ mod tests {
         // `c` at 10, so planning picks the a^b form — which actually ships
         // 150 tuples.
         let cfg = AdaptiveConfig {
-            stream: StreamConfig::serial().with_batch_size(2),
+            stream: StreamConfig::default().with_batch_size(2),
             ..Default::default()
         };
         for (obs, recorder) in
@@ -1635,7 +1632,7 @@ mod tests {
         let m =
             Mediator::new(source).with_cardinality(CardKind::Uniform { atom_selectivity: 0.05 });
         let cfg = AdaptiveConfig {
-            stream: StreamConfig::serial().with_batch_size(2),
+            stream: StreamConfig::default().with_batch_size(2),
             ..Default::default()
         };
         let mut got: Vec<csqp_relation::tuple::Tuple> = Vec::new();
@@ -1686,7 +1683,6 @@ mod tests {
         let q = TargetQuery::parse(EX11, &["isbn", "author", "title"]).unwrap();
         use crate::federation::FederatedOptions;
         let plain = fed.run(&q).unwrap().stream.outcome;
-        // Overlapped where the build allows it, against `run`'s serial pass.
         let cfg = StreamConfig::default();
         let options = FederatedOptions::Winner(StreamOptions::plain(&cfg));
         let streamed = fed.run_stream(&q, options, None).unwrap().stream;

@@ -551,7 +551,7 @@ fn main() -> ExitCode {
     let status = if args.run {
         // --limit is a value of the one run, not a different engine: the
         // pipeline stops as soon as enough answer rows exist.
-        let stream_cfg = StreamConfig { limit: args.limit, ..StreamConfig::serial() };
+        let stream_cfg = StreamConfig { limit: args.limit, ..StreamConfig::default() };
         let options = if args.explain == ExplainMode::Plan {
             StreamOptions::Analyzed(&stream_cfg)
         } else {
@@ -691,7 +691,7 @@ fn federated_query(args: &Args, sources: Vec<Arc<Source>>, query: &TargetQuery) 
     };
 
     let status = if args.run {
-        let stream_cfg = StreamConfig { limit: args.limit, ..StreamConfig::serial() };
+        let stream_cfg = StreamConfig { limit: args.limit, ..StreamConfig::default() };
         let options = FederatedOptions::Winner(StreamOptions::plain(&stream_cfg));
         match federation.run_stream(query, options, None) {
             Ok(run) => {

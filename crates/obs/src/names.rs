@@ -54,11 +54,6 @@ pub const EXEC_BATCHES: &str = "exec.batches";
 /// Peak tuples resident in pipeline batch buffers during a streaming run
 /// (gauge; excludes dedup/sketch state and the caller's accumulated answer).
 pub const EXEC_PEAK_RESIDENT_TUPLES: &str = "exec.peak_resident_tuples";
-/// Virtual ticks of simulated source latency absorbed while sibling
-/// streams overlapped (counter). **Nondeterministic under `parallel`** —
-/// depends on thread interleaving, so goldens must not include it
-/// (quarantined like the `serve.*` family).
-pub const EXEC_OVERLAP_TICKS: &str = "exec.overlap_ticks";
 
 // ---- source-side transfer meter ----
 
@@ -372,7 +367,6 @@ pub const CATALOG: &[MetricMeta] = &[
     meta(EXEC_DRIFT_WARNINGS, MetricKind::Counter, "cardinality drift warnings"),
     meta(EXEC_BATCHES, MetricKind::Counter, "batches pulled through the streaming executor"),
     meta(EXEC_PEAK_RESIDENT_TUPLES, MetricKind::Gauge, "peak tuples resident in pipeline buffers"),
-    meta(EXEC_OVERLAP_TICKS, MetricKind::Counter, "latency ticks absorbed by overlapped fetch"),
     meta(SOURCE_QUERIES, MetricKind::Counter, "source queries answered"),
     meta(SOURCE_TUPLES_SHIPPED, MetricKind::Counter, "tuples shipped to the mediator"),
     meta(SOURCE_REJECTED, MetricKind::Counter, "queries rejected by the capability gate"),

@@ -220,7 +220,7 @@ mod tests {
         model: &dyn CostModel,
         card: &dyn Cardinality,
     ) -> (Relation, Meter, PlanAnalysis) {
-        let cfg = StreamConfig::serial();
+        let cfg = StreamConfig::default();
         let before = source.meter();
         let mode = StreamMode::Analyzed { model, card };
         let request = StreamRequest { mode, ..StreamRequest::new(&cfg) };

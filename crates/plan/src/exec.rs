@@ -244,7 +244,7 @@ mod tests {
         policy: &RetryPolicy,
         res: &mut ResilienceMeter,
     ) -> Result<(Relation, Meter), ExecError> {
-        let cfg = StreamConfig::serial();
+        let cfg = StreamConfig::default();
         let before = source.meter();
         let retry = Some(Retry { policy, meter: res });
         let request = StreamRequest { retry, ..StreamRequest::new(&cfg) };

@@ -1,26 +1,24 @@
 //! The executor: pull-based batch pipelines over concrete plans. This is
 //! the only production plan-walker — collecting callers (`Mediator::run`,
-//! failover, joins, the CLI) run it serially with the sink that keeps the
-//! answer; `csqp serve` hands it a socket sink.
+//! failover, joins, the CLI) run it with the sink that keeps the answer;
+//! `csqp serve` hands it a socket sink.
 //!
 //! Where the reference [`crate::exec::execute`] materializes every
-//! intermediate [`Relation`] in full and fetches Intersect/Union children
-//! strictly sequentially, this module runs the same plans as Volcano-style
-//! pull pipelines exchanging bounded [`TupleBatch`]es:
+//! intermediate [`Relation`] in full, this module runs the same plans as
+//! Volcano-style pull pipelines exchanging bounded [`TupleBatch`]es:
 //!
 //! - **Bounded memory** — pipeline-resident tuples are proportional to
 //!   `batch_size × pipeline depth`, not `|result|`. Set-semantics state
 //!   (dedup sketches, intersect membership sides) is accounted separately
 //!   and excluded from [`StreamStats::peak_resident_tuples`], as is the
 //!   caller's accumulated answer.
-//! - **Overlapped fetch** — with [`StreamConfig::overlap`] (the
-//!   default), Union children prefetch batches on scoped
-//!   producer threads into bounded queues while earlier siblings drain, and
-//!   Intersect membership sides build concurrently. Emission order stays
-//!   the serial order, so answers are byte-identical with overlap on or off.
+//! - **One schedule** — Intersect/Union children are fetched strictly in
+//!   plan order on the caller's thread, as the paper's additive cost model
+//!   prices them; every stat a run reports is a function of the plan, the
+//!   data and the [`StreamConfig`] (docs/EXECUTION.md §4).
 //! - **Early termination** — a row [`StreamConfig::limit`] stops the
-//!   pipeline as soon as enough answer tuples exist; dropped receivers
-//!   unwind producers, and sources stop shipping.
+//!   pipeline as soon as enough answer tuples exist, and sources stop
+//!   shipping.
 //! - **Per-round-trip resilience** — a source faces the fault weather once
 //!   per round-trip (stream open, each batch pull); that is the one fault
 //!   model. A [`Retry`] on the request retries only the faulted round-trip
@@ -34,7 +32,7 @@
 //! accumulates a [`Relation`].
 //!
 //! The materialized executor remains the differential oracle: a drained
-//! serial stream returns its rows in its order and (fault-free) identical
+//! stream returns its rows in its order and (fault-free) identical
 //! meter deltas; `crates/plan/tests/stream_differential.rs` enforces this
 //! over randomized plans, workloads and the request-mode matrix, and
 //! `tests/run_stream_differential.rs` one layer up.
@@ -59,25 +57,15 @@ pub struct StreamConfig {
     /// Stop after this many answer rows (early termination). `None` drains
     /// the pipeline.
     pub limit: Option<u64>,
-    /// Overlap sibling Intersect/Union children on scoped threads. Forced
-    /// off by retries, analysis and adaptive re-planning, which are serial
-    /// by construction.
-    pub overlap: bool,
 }
 
 impl Default for StreamConfig {
     fn default() -> Self {
-        StreamConfig { batch_size: DEFAULT_BATCH_SIZE, limit: None, overlap: true }
+        StreamConfig { batch_size: DEFAULT_BATCH_SIZE, limit: None }
     }
 }
 
 impl StreamConfig {
-    /// A serial (no-overlap) configuration — deterministic stats, used by
-    /// the differential tests and the analyzed path.
-    pub fn serial() -> Self {
-        StreamConfig { overlap: false, ..Default::default() }
-    }
-
     /// Sets the early-termination row limit.
     pub fn with_limit(mut self, n: u64) -> Self {
         self.limit = Some(n);
@@ -98,13 +86,9 @@ pub struct StreamStats {
     /// Batches produced across every pipeline operator.
     pub batches: u64,
     /// Peak tuples simultaneously resident in pipeline batch buffers
-    /// (including overlap queues; excluding dedup/membership sketches and
-    /// the caller's accumulated answer).
+    /// (excluding dedup/membership sketches and the caller's accumulated
+    /// answer).
     pub peak_resident_tuples: u64,
-    /// Batches the overlapped producers had parked ahead of consumer
-    /// demand — a proxy for absorbed source latency. **Nondeterministic
-    /// on overlapped runs**; always 0 on serial runs.
-    pub overlap_ticks: u64,
 }
 
 impl StreamStats {
@@ -113,7 +97,6 @@ impl StreamStats {
         use csqp_obs::names;
         metrics.add(names::EXEC_BATCHES, self.batches);
         metrics.gauge_set(names::EXEC_PEAK_RESIDENT_TUPLES, self.peak_resident_tuples as f64);
-        metrics.add(names::EXEC_OVERLAP_TICKS, self.overlap_ticks);
     }
 }
 
@@ -157,7 +140,7 @@ pub struct ReplanProbe<'a> {
 impl ReplanProbe<'_> {
     /// The part of the plan that still has answers to produce: for a
     /// `Union` root, the not-yet-drained top-level children (a partially
-    /// drained child is included whole — root dedup absorbs the overlap);
+    /// drained child is included whole — root dedup absorbs the repeats);
     /// for any other root, the whole plan. `None` when nothing remains.
     pub fn remaining_plan(&self) -> Option<Plan> {
         match (self.plan, self.union_progress) {
@@ -263,58 +246,42 @@ mod engine {
     use csqp_relation::stream::{project_batch, project_indices, select_batch, DedupSketch};
     use csqp_relation::tuple::Tuple;
     use csqp_source::SourceStream;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
     use std::sync::Arc;
-    use std::thread::Scope;
-
-    /// Batches an overlap queue may hold per Union child: enough to absorb
-    /// source latency, small enough to keep queue residency bounded.
-    const OVERLAP_QUEUE_BATCHES: usize = 2;
 
     /// Per-batch spans recorded per drive (or adaptive segment) before the
     /// trace goes quiet — bounds trace growth on large results.
     pub(super) const MAX_BATCH_SPANS: u64 = 32;
 
-    /// Shared memory/batch accounting. `current` tracks tuples resident in
-    /// pipeline buffers (batches in flight plus overlap queues); `peak` is
-    /// its high-water mark.
+    /// One segment's memory/batch accounting, shared by every operator of
+    /// its pipeline. `current` tracks tuples resident in pipeline buffers
+    /// (batches in flight); `peak` is its high-water mark.
     #[derive(Debug, Default)]
     pub(super) struct Account {
-        current: AtomicU64,
-        peak: AtomicU64,
-        batches: AtomicU64,
-        overlap_ticks: AtomicU64,
+        current: u64,
+        peak: u64,
+        batches: u64,
     }
 
     impl Account {
-        fn charge(&self, n: usize) {
-            let cur = self.current.fetch_add(n as u64, Ordering::Relaxed) + n as u64;
-            self.peak.fetch_max(cur, Ordering::Relaxed);
+        fn charge(&mut self, n: usize) {
+            self.current += n as u64;
+            self.peak = self.peak.max(self.current);
         }
 
-        fn release(&self, n: usize) {
-            self.current.fetch_sub(n as u64, Ordering::Relaxed);
+        fn release(&mut self, n: usize) {
+            self.current -= n as u64;
         }
 
-        fn emitted(&self) {
-            self.batches.fetch_add(1, Ordering::Relaxed);
-        }
-
-        fn overlap_tick(&self) {
-            self.overlap_ticks.fetch_add(1, Ordering::Relaxed);
+        fn emitted(&mut self) {
+            self.batches += 1;
         }
 
         pub(super) fn stats(&self) -> StreamStats {
-            StreamStats {
-                batches: self.batches.load(Ordering::Relaxed),
-                peak_resident_tuples: self.peak.load(Ordering::Relaxed),
-                overlap_ticks: self.overlap_ticks.load(Ordering::Relaxed),
-            }
+            StreamStats { batches: self.batches, peak_resident_tuples: self.peak }
         }
     }
 
-    /// Per-leaf EXPLAIN ANALYZE state (serial runs only).
+    /// Per-leaf EXPLAIN ANALYZE state.
     pub(super) struct AnalyzedState<'m> {
         pub(super) model: &'m dyn CostModel,
         pub(super) card: &'m dyn Cardinality,
@@ -330,24 +297,16 @@ mod engine {
         pub(super) leaves: Vec<LeafProgress>,
     }
 
-    /// Serial-path extras threaded through pulls. Overlap producers always
-    /// run with all of them off (resilience, analysis, and adaptive
-    /// tracking force `overlap: false`).
+    /// The run's modes, threaded through pulls.
     pub(super) struct Extras<'a, 'b> {
         pub(super) resilient: Option<&'a mut ResilientCtx<'b>>,
         pub(super) analyzed: Option<&'a mut AnalyzedState<'b>>,
         pub(super) adaptive: Option<&'a mut AdaptiveTrack>,
-        /// Span sink for leaf-open and per-batch spans. Overlap producers
-        /// always run with `None`: spans are recorded only at sequential
-        /// program points, keeping traces deterministic.
+        /// Span sink for leaf-open and per-batch spans.
         pub(super) tracer: Option<&'a csqp_obs::Tracer>,
     }
 
     impl<'a> Extras<'a, '_> {
-        pub(super) fn none() -> Extras<'static, 'static> {
-            Extras { resilient: None, analyzed: None, adaptive: None, tracer: None }
-        }
-
         /// The tracer, when present *and* enabled — callers format span
         /// labels behind this so a disabled tracer costs nothing. Returns
         /// the full-lifetime reference so a held span does not freeze the
@@ -423,14 +382,8 @@ mod engine {
             members: Vec<DedupSketch>,
             sketch: DedupSketch,
         },
-        UnionSerial {
+        Union {
             children: Vec<Node<'env>>,
-            current: usize,
-            sketch: DedupSketch,
-            schema: Arc<Schema>,
-        },
-        UnionOverlap {
-            rxs: Vec<Receiver<Result<TupleBatch, ExecError>>>,
             current: usize,
             sketch: DedupSketch,
             schema: Arc<Schema>,
@@ -443,7 +396,7 @@ mod engine {
                 Node::Leaf { stream, .. } => stream.schema(),
                 Node::Local { out_schema, .. } => out_schema,
                 Node::Inter { probe, .. } => probe.schema(),
-                Node::UnionSerial { schema, .. } | Node::UnionOverlap { schema, .. } => schema,
+                Node::Union { schema, .. } => schema,
             }
         }
 
@@ -455,9 +408,9 @@ mod engine {
         /// sketch would have doubled the per-tuple dedup work.
         pub(super) fn take_sketch(&mut self) -> Option<DedupSketch> {
             match self {
-                Node::Inter { sketch, .. }
-                | Node::UnionSerial { sketch, .. }
-                | Node::UnionOverlap { sketch, .. } => Some(std::mem::take(sketch)),
+                Node::Inter { sketch, .. } | Node::Union { sketch, .. } => {
+                    Some(std::mem::take(sketch))
+                }
                 Node::Leaf { .. } | Node::Local { .. } => None,
             }
         }
@@ -465,9 +418,7 @@ mod engine {
         /// For a union root: index of the first child not fully drained.
         pub(super) fn union_progress(&self) -> Option<usize> {
             match self {
-                Node::UnionSerial { current, .. } | Node::UnionOverlap { current, .. } => {
-                    Some(*current)
-                }
+                Node::Union { current, .. } => Some(*current),
                 _ => None,
             }
         }
@@ -476,7 +427,7 @@ mod engine {
         /// is charged to the account; the consumer releases it.
         pub(super) fn next(
             &mut self,
-            account: &Account,
+            account: &mut Account,
             extras: &mut Extras<'_, '_>,
         ) -> Result<Option<TupleBatch>, ExecError> {
             match self {
@@ -540,7 +491,7 @@ mod engine {
                         Ok(Some(TupleBatch::new(schema, kept)))
                     }
                 },
-                Node::UnionSerial { children, current, sketch, schema } => {
+                Node::Union { children, current, sketch, schema } => {
                     while *current < children.len() {
                         match children[*current].next(account, extras)? {
                             Some(b) => {
@@ -560,30 +511,6 @@ mod engine {
                     }
                     Ok(None)
                 }
-                Node::UnionOverlap { rxs, current, sketch, schema } => {
-                    // Consume queues in child order — prefetch overlaps, but
-                    // emission order (and thus the answer) is the serial one.
-                    while *current < rxs.len() {
-                        match rxs[*current].recv() {
-                            Ok(Ok(b)) => {
-                                let n = b.len();
-                                let fresh: Vec<Tuple> = b
-                                    .into_tuples()
-                                    .into_iter()
-                                    .filter(|t| sketch.insert(t))
-                                    .collect();
-                                account.release(n);
-                                account.charge(fresh.len());
-                                account.emitted();
-                                return Ok(Some(TupleBatch::new(schema.clone(), fresh)));
-                            }
-                            Ok(Err(e)) => return Err(e),
-                            // Producer done: its sender dropped.
-                            Err(_) => *current += 1,
-                        }
-                    }
-                    Ok(None)
-                }
             }
         }
     }
@@ -591,7 +518,7 @@ mod engine {
     /// Drains a subtree into an exact membership sketch (Intersect sides).
     fn drain_into_sketch(
         node: &mut Node<'_>,
-        account: &Account,
+        account: &mut Account,
         extras: &mut Extras<'_, '_>,
     ) -> Result<DedupSketch, ExecError> {
         let mut m = DedupSketch::new();
@@ -605,51 +532,18 @@ mod engine {
         Ok(m)
     }
 
-    /// Feeds a subtree's batches into a bounded queue. `try_send` first:
-    /// when it lands, the batch was ready ahead of consumer demand — one
-    /// overlap tick of absorbed latency.
-    fn produce<'env>(
-        mut child: Node<'env>,
-        tx: SyncSender<Result<TupleBatch, ExecError>>,
-        account: &Account,
-    ) {
-        let mut extras = Extras::none();
-        loop {
-            match child.next(account, &mut extras) {
-                Ok(Some(b)) => match tx.try_send(Ok(b)) {
-                    Ok(()) => account.overlap_tick(),
-                    Err(TrySendError::Full(v)) => {
-                        if tx.send(v).is_err() {
-                            // Consumer gone (limit hit or error): unwind.
-                            return;
-                        }
-                    }
-                    Err(TrySendError::Disconnected(_)) => return,
-                },
-                Ok(None) => return, // sender drops → EOS for this child
-                Err(e) => {
-                    let _ = tx.send(Err(e));
-                    return;
-                }
-            }
-        }
-    }
-
     fn incompatible(left: &Schema, right: &Schema) -> ExecError {
         ExecError::Schema(format!("schemas `{}` and `{}` are incompatible", left.name, right.name))
     }
 
     /// Opens the pipeline for `plan`: recursively builds operators, opens
     /// leaf streams (capability gate + `queries` metering happen here), and
-    /// drains Intersect membership sides. With `scope` present (overlap
-    /// mode), Union children get producer threads and Intersect sides drain
-    /// concurrently.
-    pub(super) fn build<'env, 's>(
+    /// drains Intersect membership sides.
+    pub(super) fn build<'env>(
         plan: &Plan,
         source: &'env Source,
         cfg: &StreamConfig,
-        scope: Option<&'s Scope<'s, 'env>>,
-        account: &'env Account,
+        account: &mut Account,
         next_leaf: &mut usize,
         extras: &mut Extras<'_, '_>,
     ) -> Result<Node<'env>, ExecError> {
@@ -698,7 +592,7 @@ mod engine {
                 })
             }
             Plan::LocalSp { cond, attrs, input } => {
-                let input = build(input, source, cfg, scope, account, next_leaf, extras)?;
+                let input = build(input, source, cfg, account, next_leaf, extras)?;
                 let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
                 let (out_schema, indices) = project_indices(input.schema(), &attr_refs)
                     .map_err(|e| ExecError::Schema(e.to_string()))?;
@@ -708,42 +602,19 @@ mod engine {
                 if cs.is_empty() {
                     return Err(ExecError::Malformed("empty Intersect child list".into()));
                 }
-                let probe = build(&cs[0], source, cfg, scope, account, next_leaf, extras)?;
+                let probe = build(&cs[0], source, cfg, account, next_leaf, extras)?;
                 let mut member_nodes = Vec::with_capacity(cs.len() - 1);
                 for c in &cs[1..] {
-                    let m = build(c, source, cfg, scope, account, next_leaf, extras)?;
+                    let m = build(c, source, cfg, account, next_leaf, extras)?;
                     if !probe.schema().compatible_with(m.schema()) {
                         return Err(incompatible(probe.schema(), m.schema()));
                     }
                     member_nodes.push(m);
                 }
-                let members = if scope.is_some() && member_nodes.len() > 1 {
-                    // Membership sides are independent: drain them
-                    // concurrently behind a barrier (each side gets its own
-                    // extras-free context — overlap mode is never resilient
-                    // or analyzed).
-                    let results: Vec<Result<DedupSketch, ExecError>> = std::thread::scope(|ms| {
-                        let handles: Vec<_> = member_nodes
-                            .into_iter()
-                            .map(|mut m| {
-                                ms.spawn(move || {
-                                    drain_into_sketch(&mut m, account, &mut Extras::none())
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("intersect member drain thread"))
-                            .collect()
-                    });
-                    results.into_iter().collect::<Result<Vec<_>, _>>()?
-                } else {
-                    let mut out = Vec::with_capacity(member_nodes.len());
-                    for m in &mut member_nodes {
-                        out.push(drain_into_sketch(m, account, extras)?);
-                    }
-                    out
-                };
+                let mut members = Vec::with_capacity(member_nodes.len());
+                for m in &mut member_nodes {
+                    members.push(drain_into_sketch(m, account, extras)?);
+                }
                 Ok(Node::Inter { probe: Box::new(probe), members, sketch: DedupSketch::new() })
             }
             Plan::Union(cs) => {
@@ -752,7 +623,7 @@ mod engine {
                 }
                 let mut children = Vec::with_capacity(cs.len());
                 for c in cs {
-                    children.push(build(c, source, cfg, scope, account, next_leaf, extras)?);
+                    children.push(build(c, source, cfg, account, next_leaf, extras)?);
                 }
                 let schema = children[0].schema().clone();
                 for c in &children[1..] {
@@ -760,30 +631,7 @@ mod engine {
                         return Err(incompatible(&schema, c.schema()));
                     }
                 }
-                match scope {
-                    Some(s) if children.len() > 1 => {
-                        let rxs = children
-                            .into_iter()
-                            .map(|child| {
-                                let (tx, rx) = sync_channel(OVERLAP_QUEUE_BATCHES);
-                                s.spawn(move || produce(child, tx, account));
-                                rx
-                            })
-                            .collect();
-                        Ok(Node::UnionOverlap {
-                            rxs,
-                            current: 0,
-                            sketch: DedupSketch::new(),
-                            schema,
-                        })
-                    }
-                    _ => Ok(Node::UnionSerial {
-                        children,
-                        current: 0,
-                        sketch: DedupSketch::new(),
-                        schema,
-                    }),
-                }
+                Ok(Node::Union { children, current: 0, sketch: DedupSketch::new(), schema })
             }
             Plan::Choice(_) => Err(ExecError::Unresolved),
         }
@@ -819,24 +667,20 @@ mod engine {
     /// Opens the pipeline for `plan` and drives it to completion (or to
     /// the row limit), handing each non-empty, deduplicated answer batch to
     /// `sink` (return `false` to stop early) and, with a `controller`,
-    /// pausing after every emitted batch to ask it for a splice. `scope`
-    /// selects overlap mode (see [`build`]).
+    /// pausing after every emitted batch to ask it for a splice.
     #[allow(clippy::too_many_arguments)]
-    fn drive<'env, 's>(
+    fn drive(
         plan: &Plan,
-        source: &'env Source,
+        source: &Source,
         cfg: &StreamConfig,
-        scope: Option<&'s Scope<'s, 'env>>,
-        account: &'env Account,
+        account: &mut Account,
         mut controller: Option<&mut (dyn ReplanController + '_)>,
         carried: &mut Carried,
         extras: &mut Extras<'_, '_>,
         sink: &mut dyn FnMut(TupleBatch) -> bool,
     ) -> Result<SegmentEnd, ExecError> {
         let limit = cfg.limit;
-        // Dropping `root` on any exit unwinds overlap producers (their
-        // sends fail once the receivers are gone).
-        let mut root = build(plan, source, cfg, scope, account, &mut 0, extras)?;
+        let mut root = build(plan, source, cfg, account, &mut 0, extras)?;
         carried.schema.get_or_insert_with(|| root.schema().clone());
         // A union/intersect root already dedups everything it emits through
         // its own sketch, which is stolen on any exit that can lead to a
@@ -848,7 +692,7 @@ mod engine {
         let inserts = match root {
             Node::Local { .. } => true,
             Node::Leaf { .. } => extras.adaptive.is_some(),
-            Node::Inter { .. } | Node::UnionSerial { .. } | Node::UnionOverlap { .. } => false,
+            Node::Inter { .. } | Node::Union { .. } => false,
         };
         let mut batch_no = 0u64;
         loop {
@@ -923,7 +767,6 @@ mod engine {
         plan: &Plan,
         source: &Source,
         cfg: &StreamConfig,
-        overlap: bool,
         retry: Option<&mut Retry<'m>>,
         analyzed: Option<&mut AnalyzedState<'m>>,
         controller: Option<&mut (dyn ReplanController + '_)>,
@@ -935,16 +778,11 @@ mod engine {
         if let Some(t) = track.as_deref_mut() {
             t.leaves.clear();
         }
-        let account = Account::default();
+        let mut account = Account::default();
         let mut ctx = retry.as_deref().map(|r| ResilientCtx::new(r.policy));
         let mut extras = Extras { resilient: ctx.as_mut(), analyzed, adaptive: track, tracer };
-        let outcome = if overlap {
-            std::thread::scope(|s| {
-                drive(plan, source, cfg, Some(s), &account, controller, carried, &mut extras, sink)
-            })
-        } else {
-            drive(plan, source, cfg, None, &account, controller, carried, &mut extras, sink)
-        };
+        let outcome =
+            drive(plan, source, cfg, &mut account, controller, carried, &mut extras, sink);
         if let (Some(r), Some(c)) = (retry, &ctx) {
             r.meter.absorb(&c.res);
         }
@@ -952,7 +790,6 @@ mod engine {
         carried.total.batches += s.batches;
         carried.total.peak_resident_tuples =
             carried.total.peak_resident_tuples.max(s.peak_resident_tuples);
-        carried.total.overlap_ticks += s.overlap_ticks;
         outcome
     }
 }
@@ -993,10 +830,9 @@ pub enum StreamMode<'a> {
 }
 
 /// One streaming execution, as a value: the public form of the engine's
-/// per-run state. Retries, analysis and adaptive re-planning make a run
-/// serial regardless of [`StreamConfig::overlap`].
+/// per-run state.
 pub struct StreamRequest<'a> {
-    /// Batch size, row limit, overlap.
+    /// Batch size and row limit.
     pub config: &'a StreamConfig,
     /// Per-batch retries; `None` makes any leaf fault terminal (or, on
     /// adaptive runs, the controller's to recover).
@@ -1004,9 +840,7 @@ pub struct StreamRequest<'a> {
     /// Plain, analyzed or adaptive.
     pub mode: StreamMode<'a>,
     /// Records leaf-open and per-batch spans (plus one `segment N` span per
-    /// pipeline segment on adaptive runs) for query profiles. Spans are
-    /// recorded only at sequential program points (overlap producers stay
-    /// unspanned), so traces are deterministic for a given request.
+    /// pipeline segment on adaptive runs) for query profiles.
     pub tracer: Option<&'a csqp_obs::Tracer>,
 }
 
@@ -1036,9 +870,8 @@ pub struct StreamRun {
 /// Streams a concrete plan, handing each answer batch to `sink` as it is
 /// produced (return `false` to stop early). Batches arrive deduplicated —
 /// the concatenation of all sinks' batches is exactly the set the
-/// materialized executor returns (in the same order on serial runs and
-/// overlapped runs alike). The caller meters sources itself (a splice may
-/// involve more than one).
+/// materialized executor returns, in the same order. The caller meters
+/// sources itself (a splice may involve more than one).
 pub fn execute_stream(
     plan: &Plan,
     source: &Source,
@@ -1054,7 +887,6 @@ pub fn execute_stream(
         }
         StreamMode::Adaptive(controller) => (None, Some(controller)),
     };
-    let overlap = config.overlap && retry.is_none() && analyzed.is_none() && controller.is_none();
     let mut track = controller.is_some().then(engine::AdaptiveTrack::default);
     // One `segment N` span per pipeline segment, on adaptive runs only.
     let segment_tracer = tracer.filter(|t| track.is_some() && t.is_enabled());
@@ -1072,7 +904,6 @@ pub fn execute_stream(
             cur_plan,
             cur_source,
             config,
-            overlap,
             retry.as_mut(),
             analyzed.as_mut(),
             controller.as_deref_mut().filter(|_| allow),
@@ -1111,7 +942,7 @@ pub fn execute_stream(
         splices += 1;
         spliced = Some(action);
     }
-    // Executed leaves form a pre-order prefix on the serial path; stop at
+    // Executed leaves form a pre-order prefix; stop at
     // the first unopened slot so the renderer's sequential index stays
     // aligned and tail leaves show as `[not executed]`.
     let analysis = analyzed
@@ -1148,8 +979,6 @@ pub fn execute_stream_collect(
 /// Appends the streaming footer to an
 /// [`explain_analyze`](crate::analyze::explain_analyze) rendering: batch
 /// count and peak pipeline memory next to the cost-model summary.
-/// (`overlap_ticks` is deliberately omitted — it is nondeterministic and
-/// must stay out of golden-testable output.)
 pub fn explain_analyze_streamed(
     plan: &Plan,
     analysis: &PlanAnalysis,
@@ -1210,7 +1039,7 @@ mod tests {
         policy: &RetryPolicy,
         res: &mut ResilienceMeter,
     ) -> Result<Relation, ExecError> {
-        let cfg = StreamConfig::serial();
+        let cfg = StreamConfig::default();
         let retry = Some(Retry { policy, meter: res });
         execute_stream_collect(plan, s, StreamRequest { retry, ..StreamRequest::new(&cfg) })
             .map(|(rel, _)| rel)
@@ -1231,38 +1060,27 @@ mod tests {
             s.reset_meter();
             let (want_again, want_meter) = execute_measured(&plan, &s).unwrap();
             assert_eq!(want, want_again);
-            for cfg in [StreamConfig::serial(), StreamConfig::default()] {
-                s.reset_meter();
-                let (got, run) =
-                    execute_stream_collect(&plan, &s, StreamRequest::new(&cfg)).unwrap();
-                assert_eq!(got, want, "stream ≡ materialized for {plan}");
-                assert_eq!(s.meter(), want_meter, "meter deltas agree for {plan}");
-                assert!(run.stats.batches > 0);
-            }
+            s.reset_meter();
+            let cfg = StreamConfig::default();
+            let (got, run) = execute_stream_collect(&plan, &s, StreamRequest::new(&cfg)).unwrap();
+            assert_eq!(got, want, "stream ≡ materialized for {plan}");
+            assert_eq!(s.meter(), want_meter, "meter deltas agree for {plan}");
+            assert!(run.stats.batches > 0);
         }
-    }
-
-    #[test]
-    fn serial_order_matches_overlapped_order() {
-        let plan = union_plan();
-        let s = dealer();
-        let serial = stream(&plan, &s, &StreamConfig::serial()).unwrap();
-        let overlapped = stream(&plan, &s, &StreamConfig::default()).unwrap();
-        assert_eq!(serial.tuples(), overlapped.tuples(), "overlap must not change emission order");
     }
 
     #[test]
     fn limit_terminates_early_and_bounds_shipping() {
         let plan = union_plan();
         let s = dealer();
-        let full = stream(&plan, &s, &StreamConfig::serial()).unwrap();
+        let full = stream(&plan, &s, &StreamConfig::default()).unwrap();
         assert!(full.len() > 4, "need a result bigger than the limit");
         s.reset_meter();
-        let cfg = StreamConfig::serial().with_limit(4);
+        let cfg = StreamConfig::default().with_limit(4);
         let (limited, run) = execute_stream_collect(&plan, &s, StreamRequest::new(&cfg)).unwrap();
         assert_eq!(limited.len(), 4);
         assert_eq!(run.emitted, 4);
-        assert_eq!(limited.tuples(), &full.tuples()[..4], "limit keeps the serial prefix");
+        assert_eq!(limited.tuples(), &full.tuples()[..4], "limit keeps the prefix");
         assert!(
             s.meter().tuples_shipped < full.len() as u64,
             "early termination stopped the source from shipping everything"
@@ -1271,19 +1089,10 @@ mod tests {
     }
 
     #[test]
-    fn limit_with_overlap_unwinds_producers() {
-        let plan = union_plan();
-        let s = dealer();
-        let cfg = StreamConfig { limit: Some(3), ..Default::default() };
-        let limited = stream(&plan, &s, &cfg).unwrap();
-        assert_eq!(limited.len(), 3);
-    }
-
-    #[test]
     fn peak_resident_is_bounded_by_batches_not_result() {
         let plan = union_plan();
         let s = dealer();
-        let cfg = StreamConfig { batch_size: 8, limit: None, overlap: false };
+        let cfg = StreamConfig { batch_size: 8, limit: None };
         let (rel, run) = execute_stream_collect(&plan, &s, StreamRequest::new(&cfg)).unwrap();
         let stats = run.stats;
         // Pipeline depth here is 2 (leaf → union root); generous ×4 slack
@@ -1298,12 +1107,33 @@ mod tests {
     }
 
     #[test]
+    fn stats_are_deterministic_and_bounded_under_the_default_config() {
+        let cfg = StreamConfig::default().with_batch_size(8);
+        // Every shape here is two operators deep (leaf → root).
+        let bound = (cfg.batch_size * 2) as u64;
+        for plan in [union_plan(), nested_plan(), intersect_plan()] {
+            let s = dealer();
+            let run =
+                || execute_stream_collect(&plan, &s, StreamRequest::new(&cfg)).unwrap().1.stats;
+            let first = run();
+            assert!(
+                first.peak_resident_tuples <= bound,
+                "peak {} exceeds batch × depth for {plan}",
+                first.peak_resident_tuples
+            );
+            for _ in 1..20 {
+                assert_eq!(run(), first, "stats vary run to run for {plan}");
+            }
+        }
+    }
+
+    #[test]
     fn streamed_sink_batches_concatenate_to_the_answer() {
         let plan = nested_plan();
         let s = dealer();
         let want = execute(&plan, &s).unwrap();
         let mut seen = Vec::new();
-        let cfg = StreamConfig::serial();
+        let cfg = StreamConfig::default();
         let run = execute_stream(&plan, &s, StreamRequest::new(&cfg), &mut |b| {
             seen.extend(b.into_tuples());
             true
@@ -1318,7 +1148,7 @@ mod tests {
     fn empty_result_still_has_a_schema() {
         let plan = Plan::source(cond("make = \"BMW\" ^ price < 1"), attrs(["model"]));
         let s = dealer();
-        let rel = stream(&plan, &s, &StreamConfig::serial()).unwrap();
+        let rel = stream(&plan, &s, &StreamConfig::default()).unwrap();
         assert!(rel.is_empty());
         assert_eq!(rel.schema().columns.len(), 1);
     }
@@ -1328,7 +1158,7 @@ mod tests {
         let s = dealer();
         for plan in [Plan::Intersect(vec![]), Plan::Union(vec![])] {
             assert!(matches!(
-                stream(&plan, &s, &StreamConfig::serial()),
+                stream(&plan, &s, &StreamConfig::default()),
                 Err(ExecError::Malformed(_))
             ));
         }
@@ -1336,7 +1166,22 @@ mod tests {
             cond("make = \"BMW\" ^ price < 40000"),
             attrs(["model"]),
         )]);
-        assert!(matches!(stream(&choice, &s, &StreamConfig::serial()), Err(ExecError::Unresolved)));
+        assert!(matches!(
+            stream(&choice, &s, &StreamConfig::default()),
+            Err(ExecError::Unresolved)
+        ));
+        // Children whose schemas disagree are a schema error under ∪ and ∩.
+        let leaf = |a: &[&str]| {
+            Plan::source(cond("make = \"BMW\" ^ price < 40000"), attrs(a.iter().copied()))
+        };
+        let sides = || vec![leaf(&["model"]), leaf(&["model", "year"])];
+        for plan in [Plan::Union(sides()), Plan::Intersect(sides())] {
+            assert!(matches!(execute(&plan, &s), Err(ExecError::Schema(_))));
+            assert!(matches!(
+                stream(&plan, &s, &StreamConfig::default()),
+                Err(ExecError::Schema(_))
+            ));
+        }
     }
 
     #[test]
@@ -1395,7 +1240,7 @@ mod tests {
         let s = dealer();
         let model = CostParams::new(50.0, 1.0);
         let card = crate::cost::OracleCard::new(s.relation());
-        let cfg = StreamConfig::serial();
+        let cfg = StreamConfig::default();
         let analyzed = || StreamRequest {
             mode: StreamMode::Analyzed { model: &model, card: &card },
             ..StreamRequest::new(&cfg)
@@ -1419,7 +1264,7 @@ mod tests {
     fn stats_record_into_metrics() {
         let plan = union_plan();
         let s = dealer();
-        let cfg = StreamConfig::serial();
+        let cfg = StreamConfig::default();
         let stats = execute_stream_collect(&plan, &s, StreamRequest::new(&cfg)).unwrap().1.stats;
         let reg = csqp_obs::MetricsRegistry::new();
         stats.record_into(&reg);

@@ -13,8 +13,8 @@
 //!   differential compares the engine against, not an execution path;
 //! - [`explain`] — `SP(C, A, R)` notation rendering;
 //! - [`exec_stream`] — the executor: pull-based batch pipelines with
-//!   bounded memory (`batch_size × pipeline depth`), overlapped sibling
-//!   fetch, row-limit early termination, per-round-trip retry;
+//!   bounded memory (`batch_size × pipeline depth`), row-limit early
+//!   termination, per-round-trip retry;
 //! - [`analyze`] — `EXPLAIN ANALYZE`: the per-source-query
 //!   estimated-vs-observed record of an analyzed run, and drift detection;
 //! - [`why`] — `EXPLAIN WHY`: replays a flight-recorder decision trail

@@ -3,11 +3,11 @@
 //!
 //! Over randomized concrete plan shapes (σ/π leaves, nested LocalSp, ∪, ∩)
 //! and workloads, streaming must return the same answer set as
-//! [`execute`], leave the source's transfer meter with the same delta on
-//! serial runs, and keep both guarantees when transient faults are
-//! injected mid-stream (per-batch retries must neither lose nor re-ship
-//! tuples). [`request_matrix_matches_the_materialized_oracle`] extends the
-//! same promise over every reachable [`StreamRequest`] value.
+//! [`execute`], leave the source's transfer meter with the same delta, and
+//! keep both guarantees when transient faults are injected mid-stream
+//! (per-batch retries must neither lose nor re-ship tuples).
+//! [`request_matrix_matches_the_materialized_oracle`] extends the same
+//! promise over every reachable [`StreamRequest`] value.
 
 use csqp_expr::gen::{CondGen, CondGenConfig, GenAttr};
 use csqp_expr::{CondTree, Value, ValueType};
@@ -167,7 +167,7 @@ impl ReplanController for TestController {
 }
 
 /// Every reachable [`StreamRequest`] against the materialized oracle:
-/// set-equal answers; the serial stream's order and the oracle's meter
+/// set-equal answers; the plain stream's order and the oracle's meter
 /// delta when nothing splices; `splices == 0` without a controller;
 /// analysis exactly when asked for; spans exactly when traced.
 #[test]
@@ -179,14 +179,14 @@ fn request_matrix_matches_the_materialized_oracle() {
         let plan = concrete_plan(plan_seed, depth);
         let oracle = full_source(seed);
         let (want, want_meter) = execute_measured(&plan, &oracle).unwrap();
-        let order = stream(&plan, &oracle, &StreamConfig::serial());
+        let order = stream(&plan, &oracle, &StreamConfig::default());
         assert_eq!(order, want, "the order reference is the oracle's answer");
         for cell in cells() {
             let ctx = format!("plan {plan_seed}/{depth} {cell:?}");
             let faults =
                 FaultProfile::new(seed).with_transient(if cell.faulty { 0.3 } else { 0.0 });
             let source = Arc::new(full_source(seed).with_fault_profile(faults));
-            let cfg = StreamConfig { batch_size: cell.batch, limit: cell.limit, overlap: false };
+            let cfg = StreamConfig { batch_size: cell.batch, limit: cell.limit };
             let card = OracleCard::new(source.relation());
             let mut controller =
                 TestController { source: source.clone(), splice: cell.mode == Mode::SplicesOnce };
@@ -237,7 +237,7 @@ fn request_matrix_matches_the_materialized_oracle() {
 fn failed_runs_still_report_their_retries() {
     let plan = concrete_plan(3, 0);
     let policy = RetryPolicy { max_retries: 2, ..Default::default() };
-    let cfg = StreamConfig::serial();
+    let cfg = StreamConfig::default();
     let model = CostParams::new(10.0, 1.0);
     for mode in 0..3 {
         let source =
@@ -279,29 +279,14 @@ proptest! {
         let source = full_source(seed);
         let (want, want_meter) = execute_measured(&plan, &source).unwrap();
         source.reset_meter();
-        let cfg = StreamConfig::serial().with_batch_size(batch);
+        let cfg = StreamConfig::default().with_batch_size(batch);
         let got = stream(&plan, &source, &cfg);
         prop_assert_eq!(&got, &want, "streaming answer diverged");
         prop_assert_eq!(source.meter(), want_meter, "meter deltas diverged");
     }
 
-    /// Overlapped streaming (the default config under `parallel`) returns
-    /// the same answer in the same order as the serial schedule.
-    #[test]
-    fn overlapped_stream_equals_serial(
-        seed in 1u64..50_000,
-        plan_seed in 0u64..100_000,
-        depth in 0usize..4,
-    ) {
-        let plan = concrete_plan(plan_seed, depth);
-        let source = full_source(seed);
-        let serial = stream(&plan, &source, &StreamConfig::serial());
-        let overlapped = stream(&plan, &source, &StreamConfig::default());
-        prop_assert_eq!(serial.tuples(), overlapped.tuples(), "overlap changed the output order");
-    }
-
     /// Early termination returns exactly the first `limit` tuples of the
-    /// serial stream.
+    /// full stream.
     #[test]
     fn limit_is_a_prefix_of_the_full_stream(
         seed in 1u64..50_000,
@@ -311,8 +296,8 @@ proptest! {
     ) {
         let plan = concrete_plan(plan_seed, depth);
         let source = full_source(seed);
-        let full = stream(&plan, &source, &StreamConfig::serial());
-        let limited = stream(&plan, &source, &StreamConfig::serial().with_limit(limit));
+        let full = stream(&plan, &source, &StreamConfig::default());
+        let limited = stream(&plan, &source, &StreamConfig::default().with_limit(limit));
         let n = (limit as usize).min(full.len());
         prop_assert_eq!(limited.len(), n);
         prop_assert_eq!(limited.tuples(), &full.tuples()[..n]);
@@ -338,7 +323,7 @@ proptest! {
             .with_fault_profile(FaultProfile::new(fault_seed).with_transient(0.3));
         let policy = RetryPolicy { max_retries: 32, ..Default::default() };
         let mut res = ResilienceMeter::default();
-        let cfg = StreamConfig::serial().with_batch_size(batch);
+        let cfg = StreamConfig::default().with_batch_size(batch);
         let retry = Some(Retry { policy: &policy, meter: &mut res });
         let (got, _) =
             execute_stream_collect(&plan, &faulty, StreamRequest { retry, ..StreamRequest::new(&cfg) }).unwrap();

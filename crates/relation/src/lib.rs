@@ -9,8 +9,8 @@
 //! - [`ops`] — selection, projection, union, intersection, difference (the
 //!   mediator postprocessing operators of §3);
 //! - [`stream`] — pull-based batch streaming: [`stream::TupleBatch`],
-//!   the [`stream::TupleStream`] protocol, and bounded-memory operator
-//!   implementations used by the streaming executor;
+//!   the [`stream::TupleStream`] protocol, and the batch transforms and
+//!   dedup sketch the streaming executor is built from;
 //! - [`stats`] — single-column statistics and selectivity estimation for the
 //!   §6.2 cost model;
 //! - [`csv`] — a small CSV loader for user data (the CLI's input format);

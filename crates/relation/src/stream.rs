@@ -6,15 +6,15 @@
 //! transfer dominates, and a latency-bound mediator wants to start shipping
 //! answer tuples before any source finishes. This module provides the
 //! substrate for that: a batch container, a pull protocol ([`TupleStream`]),
-//! batch-level `select`/`project` transforms, streaming `union`/`intersect`
-//! operators, and an exact fingerprint-bucketed [`DedupSketch`] shared by
-//! every set-semantics consumer. Memory stays proportional to
+//! batch-level `select`/`project` transforms, and an exact
+//! fingerprint-bucketed [`DedupSketch`] shared by every set-semantics
+//! consumer. The operators themselves (local σ/π, union, intersect) live in
+//! the one engine, `csqp_plan::exec_stream`. Memory stays proportional to
 //! `batch_size × pipeline depth` (plus the dedup state), not to `|result|`.
 //!
-//! Determinism: batches preserve producer order, the streaming operators
-//! visit children in declaration order, and [`DedupSketch`] keeps first-seen
-//! tuples — so a drained stream yields exactly the tuple sequence the
-//! materialized operators would produce.
+//! Determinism: batches preserve producer order and [`DedupSketch`] keeps
+//! first-seen tuples — so a drained stream yields exactly the tuple
+//! sequence the materialized operators would produce.
 
 use crate::relation::{tuple_fingerprint, Relation};
 use crate::schema::{Schema, SchemaError};
@@ -85,25 +85,11 @@ pub trait TupleStream {
 
     /// Pulls the next batch; `None` once the stream is exhausted.
     fn next_batch(&mut self) -> Option<TupleBatch>;
-
-    /// Drains the stream into a deduplicated [`Relation`].
-    fn collect_relation(&mut self) -> Relation
-    where
-        Self: Sized,
-    {
-        let mut out = Relation::empty(self.schema().clone());
-        while let Some(b) = self.next_batch() {
-            for t in b.into_tuples() {
-                out.insert(t);
-            }
-        }
-        out
-    }
 }
 
 /// An exact duplicate filter: fingerprint buckets with full-tuple collision
 /// fallback, so it is a *sketch* only in layout (64-bit keys), never in
-/// answer quality. Shared by streaming union/dedup consumers and by the
+/// answer quality. Shared by the engine's union/dedup consumers and by its
 /// intersect operator's membership sides.
 #[derive(Debug, Default)]
 pub struct DedupSketch {
@@ -236,142 +222,11 @@ impl TupleStream for RelationScan {
     }
 }
 
-/// Streaming `σ_C∘π_A`: selection then projection over each input batch —
-/// the per-source postprocessing shape, fused so intermediate batches never
-/// outlive one pull.
-pub struct FilterProjectStream<S: TupleStream> {
-    input: S,
-    cond: Option<CondTree>,
-    out_schema: Arc<Schema>,
-    indices: Vec<usize>,
-}
-
-impl<S: TupleStream> FilterProjectStream<S> {
-    /// Builds the fused operator over `input`.
-    pub fn new(input: S, cond: Option<CondTree>, attrs: &[&str]) -> Result<Self, SchemaError> {
-        let (out_schema, indices) = project_indices(input.schema(), attrs)?;
-        Ok(FilterProjectStream { input, cond, out_schema, indices })
-    }
-}
-
-impl<S: TupleStream> TupleStream for FilterProjectStream<S> {
-    fn schema(&self) -> &Arc<Schema> {
-        &self.out_schema
-    }
-
-    fn next_batch(&mut self) -> Option<TupleBatch> {
-        let batch = self.input.next_batch()?;
-        let selected = select_batch(&batch, self.cond.as_ref());
-        Some(project_batch(&selected, &self.out_schema, &self.indices))
-    }
-}
-
-/// Streaming `∪`: drains children in declaration order, deduplicating
-/// through a shared [`DedupSketch`], so output order matches the
-/// materialized [`crate::ops::union`] fold.
-pub struct UnionStream<S: TupleStream> {
-    children: Vec<S>,
-    current: usize,
-    sketch: DedupSketch,
-    schema: Arc<Schema>,
-}
-
-impl<S: TupleStream> UnionStream<S> {
-    /// Builds the union; children must share a compatible schema.
-    pub fn new(children: Vec<S>) -> Result<Self, SchemaError> {
-        let schema = children.first().expect("union of at least one child").schema().clone();
-        for c in &children[1..] {
-            if !schema.compatible_with(c.schema()) {
-                return Err(SchemaError::Incompatible {
-                    left: schema.name.clone(),
-                    right: c.schema().name.clone(),
-                });
-            }
-        }
-        Ok(UnionStream { children, current: 0, sketch: DedupSketch::new(), schema })
-    }
-}
-
-impl<S: TupleStream> TupleStream for UnionStream<S> {
-    fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    fn next_batch(&mut self) -> Option<TupleBatch> {
-        while self.current < self.children.len() {
-            match self.children[self.current].next_batch() {
-                Some(b) => {
-                    let fresh: Vec<Tuple> =
-                        b.into_tuples().into_iter().filter(|t| self.sketch.insert(t)).collect();
-                    return Some(TupleBatch::new(self.schema.clone(), fresh));
-                }
-                None => self.current += 1,
-            }
-        }
-        None
-    }
-}
-
-/// Streaming `∩`: a pipeline breaker on all children but the first. Children
-/// `2..n` are drained into membership sketches up front; the first child then
-/// streams through those filters (plus a dedup sketch), so resident memory is
-/// bounded by the *smaller* sides' cardinalities plus one batch — never by
-/// the probe side or the result.
-pub struct IntersectStream<S: TupleStream> {
-    probe: S,
-    members: Vec<DedupSketch>,
-    sketch: DedupSketch,
-    schema: Arc<Schema>,
-}
-
-impl<S: TupleStream> IntersectStream<S> {
-    /// Builds the intersection, draining every child after the first.
-    pub fn new(mut children: Vec<S>) -> Result<Self, SchemaError> {
-        let probe = children.remove(0);
-        let schema = probe.schema().clone();
-        let mut members = Vec::with_capacity(children.len());
-        for mut c in children {
-            if !schema.compatible_with(c.schema()) {
-                return Err(SchemaError::Incompatible {
-                    left: schema.name.clone(),
-                    right: c.schema().name.clone(),
-                });
-            }
-            let mut m = DedupSketch::new();
-            while let Some(b) = c.next_batch() {
-                for t in b.tuples() {
-                    m.insert(t);
-                }
-            }
-            members.push(m);
-        }
-        Ok(IntersectStream { probe, members, sketch: DedupSketch::new(), schema })
-    }
-}
-
-impl<S: TupleStream> TupleStream for IntersectStream<S> {
-    fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    fn next_batch(&mut self) -> Option<TupleBatch> {
-        let b = self.probe.next_batch()?;
-        let kept: Vec<Tuple> = b
-            .into_tuples()
-            .into_iter()
-            .filter(|t| self.members.iter().all(|m| m.contains(t)) && self.sketch.insert(t))
-            .collect();
-        Some(TupleBatch::new(self.schema.clone(), kept))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::datagen;
-    use crate::ops;
     use crate::schema::Schema;
-    use csqp_expr::parse::parse_condition;
     use csqp_expr::{Value, ValueType};
 
     fn schema() -> Arc<Schema> {
@@ -398,49 +253,6 @@ mod tests {
         }
         assert_eq!(batches, 4);
         assert_eq!(seen, r.tuples());
-    }
-
-    #[test]
-    fn filter_project_matches_materialized() {
-        let r = rel(vec![(1, "x"), (2, "y"), (3, "x"), (4, "y")]);
-        let cond = parse_condition("a < 4").unwrap();
-        let expected = ops::project(&ops::select(&r, Some(&cond)), &["b"]).unwrap();
-        let scan = RelationScan::new(r, 2);
-        let mut fp = FilterProjectStream::new(scan, Some(cond), &["b"]).unwrap();
-        let got = fp.collect_relation();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn union_stream_dedups_and_preserves_order() {
-        let a = rel(vec![(1, "x"), (2, "y")]);
-        let b = rel(vec![(2, "y"), (3, "z")]);
-        let expected = ops::union(&a, &b).unwrap();
-        let mut u = UnionStream::new(vec![
-            RelationScan::new(a, DEFAULT_BATCH_SIZE),
-            RelationScan::new(b, DEFAULT_BATCH_SIZE),
-        ])
-        .unwrap();
-        let got = u.collect_relation();
-        assert_eq!(got.tuples(), expected.tuples(), "order must match the materialized fold");
-    }
-
-    #[test]
-    fn intersect_stream_matches_materialized() {
-        let a = rel(vec![(1, "x"), (2, "y"), (3, "z")]);
-        let b = rel(vec![(2, "y"), (3, "z"), (4, "w")]);
-        let expected = ops::intersect(&a, &b).unwrap();
-        let mut i =
-            IntersectStream::new(vec![RelationScan::new(a, 2), RelationScan::new(b, 2)]).unwrap();
-        assert_eq!(i.collect_relation(), expected);
-    }
-
-    #[test]
-    fn incompatible_schemas_rejected() {
-        let other = Schema::new("o", vec![("a", ValueType::Int)], &[]).unwrap();
-        let r1 = rel(vec![(1, "x")]);
-        let r2 = Relation::from_rows(other, vec![vec![Value::Int(1)]]);
-        assert!(UnionStream::new(vec![RelationScan::new(r1, 4), RelationScan::new(r2, 4)]).is_err());
     }
 
     #[test]

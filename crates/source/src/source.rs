@@ -413,8 +413,9 @@ impl Source {
     /// the consumer pulls.
     ///
     /// Metering parity with [`Source::answer`]: `queries` increments once at
-    /// open, `tuples_shipped` per batch as tuples actually ship (atomics, so
-    /// overlapped consumers account correctly), and the stream dedups its
+    /// open, `tuples_shipped` per batch as tuples actually ship (atomics,
+    /// because serve workers share one `Source` across threads), and the
+    /// stream dedups its
     /// output exactly like the materialized projection — a fully drained
     /// stream leaves the meter exactly where `answer` would have.
     ///

@@ -78,7 +78,7 @@ fn full_source(seed: u64) -> Source {
 
 fn adaptive_cfg(batch: usize, policy: Option<RetryPolicy>) -> AdaptiveConfig {
     AdaptiveConfig {
-        stream: StreamConfig { batch_size: batch, ..StreamConfig::serial() },
+        stream: StreamConfig { batch_size: batch, ..StreamConfig::default() },
         policy,
         ..Default::default()
     }

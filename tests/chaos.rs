@@ -374,7 +374,7 @@ fn replan_storm(seed: u64) -> Vec<String> {
     use csqp_plan::exec_stream::StreamConfig;
     let f = replan_federation(seed);
     let policy = RetryPolicy { max_retries: 2, jitter_seed: seed, ..Default::default() };
-    let cfg = StreamConfig { batch_size: 16, ..StreamConfig::serial() };
+    let cfg = StreamConfig { batch_size: 16, ..StreamConfig::default() };
     let queries = [
         q(
             "(make = \"BMW\" _ make = \"Audi\" _ make = \"Toyota\") ^ price < 40000",

@@ -270,7 +270,7 @@ fn post_planning_notes_reach_their_own_record() {
         .iter()
         .zip([1usize, 64])
         .map(|(planned, batch)| {
-            let cfg = csqp_plan::StreamConfig::serial().with_batch_size(batch);
+            let cfg = csqp_plan::StreamConfig::default().with_batch_size(batch);
             let run = mediator.run_stream(planned.clone(), StreamOptions::plain(&cfg), None);
             let stats = run.unwrap().stats;
             format!(

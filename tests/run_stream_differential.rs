@@ -180,11 +180,11 @@ fn check<'q>(
     input: impl Fn() -> csqp_core::mediator::StreamInput<'q>,
     ctx: &str,
 ) -> Result<(), MediatorError> {
-    let serial = StreamConfig::serial();
-    let plain = mediator.run_stream(input(), StreamOptions::plain(&serial), None)?;
+    let stream = StreamConfig::default();
+    let plain = mediator.run_stream(input(), StreamOptions::plain(&stream), None)?;
     assert!(plain.analysis.is_none(), "{ctx}: analysis is opt-in");
     assert_matches_reference(mediator.source(), &plain, ctx);
-    let analyzed = mediator.run_stream(input(), StreamOptions::Analyzed(&serial), None)?;
+    let analyzed = mediator.run_stream(input(), StreamOptions::Analyzed(&stream), None)?;
     assert_eq!(analyzed.outcome.planned.plan, plain.outcome.planned.plan, "{ctx}: same plan");
     assert_matches_reference(mediator.source(), &analyzed, ctx);
     assert_analysis_matches_oracle(mediator.source(), &analyzed, ctx);

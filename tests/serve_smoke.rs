@@ -282,6 +282,55 @@ fn serve_federation_routes_and_prunes() {
     handle.join().expect("server thread").expect("accept loop exits cleanly");
 }
 
+/// `adaptive: false` serves the plain pipeline — the same engine on the
+/// same schedule, minus the controller. With no drift to splice on, both
+/// settings must stream the same rows in the same order and charge the
+/// sources the same.
+#[test]
+fn serve_plain_matches_adaptive() {
+    // A single-leaf plan, a two-leaf union, and the union cut short.
+    const QUERIES: [&str; 3] = [
+        "/query?cond=make%20%3D%20%22BMW%22%20%5E%20price%20%3C%2040000&attrs=model,year",
+        "/query?cond=%28make%20%3D%20%22BMW%22%20_%20make%20%3D%20%22Toyota%22%29%20%5E%20\
+         price%20%3C%2040000&attrs=model,year",
+        "/query?cond=%28make%20%3D%20%22BMW%22%20_%20make%20%3D%20%22Toyota%22%29%20%5E%20\
+         price%20%3C%2040000&attrs=model,year&limit=3",
+    ];
+    // Per query: the row lines in order, then the trailer's
+    // "measured cost X, N source queries" span.
+    let answers = |adaptive: bool| -> Vec<(Vec<String>, String)> {
+        let source = Arc::new(Source::new(
+            datagen::cars(3, 400),
+            templates::car_dealer(),
+            CostParams::default(),
+        ));
+        let cfg = ServeConfig { adaptive, ..ServeConfig::default() };
+        let server = Server::bind_federation(vec![source], cfg).expect("bind an ephemeral port");
+        let addr = server.local_addr().expect("bound address");
+        let handle = std::thread::spawn(move || server.run());
+        let out = QUERIES
+            .iter()
+            .map(|path| {
+                let reply = http_get(addr, path);
+                assert!(reply.starts_with("HTTP/1.1 200"), "adaptive={adaptive}: {reply}");
+                let body = reply.split("\r\n\r\n").nth(1).expect("response has a body");
+                let mut lines: Vec<String> = body.lines().map(str::to_string).collect();
+                let trailer = lines.pop().expect("a trailer line");
+                let from = trailer.find("measured cost").expect("trailer carries the cost");
+                let to = trailer.find("source queries").expect("trailer carries the queries");
+                (lines, trailer[from..to].to_string())
+            })
+            .collect();
+        assert!(http_get(addr, "/shutdown").contains("shutting down"));
+        handle.join().expect("server thread").expect("accept loop exits cleanly");
+        out
+    };
+    let (adaptive, plain) = (answers(true), answers(false));
+    assert_eq!(plain, adaptive);
+    assert!(plain[1].1.contains(", 2 "), "the union runs two source queries: {:?}", plain[1].1);
+    assert_eq!(plain[2].0.len(), 3, "limit=3 returns three rows");
+}
+
 /// Concurrent hammer: several clients interleave `/query`, `/metrics`,
 /// `/status`, and `/timeseries` traffic against one server with the audit
 /// journal armed and a tight window size, so windows roll mid-storm.

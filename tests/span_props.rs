@@ -93,7 +93,7 @@ proptest! {
     fn replan_splice_spans_stay_well_formed(seed in 0u64..1u64 << 32) {
         let (federation, obs) = replan_federation(seed);
         let policy = RetryPolicy { max_retries: 2, jitter_seed: seed, ..Default::default() };
-        let cfg = StreamConfig { batch_size: 16, ..StreamConfig::serial() };
+        let cfg = StreamConfig { batch_size: 16, ..StreamConfig::default() };
         let queries = [
             q("(make = \"BMW\" _ make = \"Audi\" _ make = \"Toyota\") ^ price < 40000",
               &["model", "year"]),
@@ -151,7 +151,7 @@ fn adaptive_segment_spans_validate() {
     ));
     let mediator = Mediator::new(source).with_obs(obs.clone());
     let cfg = AdaptiveConfig {
-        stream: StreamConfig { batch_size: 8, ..StreamConfig::serial() },
+        stream: StreamConfig { batch_size: 8, ..StreamConfig::default() },
         ..Default::default()
     };
     let query = q("(make = \"BMW\" _ make = \"Audi\") ^ price < 40000", &["model", "year"]);
