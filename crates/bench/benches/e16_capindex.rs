@@ -10,8 +10,8 @@
 //! Like e13/e15 this is a plain harness emitting machine-readable results
 //! to `BENCH_capindex.json` at the repo root; CI gates a ≥10× speedup at
 //! 10k sources and a soft flatness bound on the pure-selection cost
-//! (`select_only` — the index lookup without the Θ(members) considered
-//! report every plan carries by contract).
+//! (`select_only` — the index lookup alone, without planning the
+//! surviving candidates).
 //!
 //! Run with `cargo bench -p csqp-bench --bench e16_capindex`.
 
@@ -50,15 +50,14 @@ fn plan_pass(fed: &Federation, queries: &[TargetQuery]) -> usize {
     let mut planned = 0usize;
     for q in queries {
         let fp = fed.plan(q).expect("corpus queries are always answerable");
-        planned += black_box(&fp.considered).len();
+        planned += black_box(&fp.considered).members();
     }
     planned
 }
 
 /// Pure selection cost: the index lookup alone, without the downstream
-/// planning of survivors or the per-member `considered` report (which is
-/// Θ(members) by contract — every member gets a verdict). This is the
-/// component the sublinearity claim is gated on.
+/// planning of survivors. This is the component the sublinearity claim is
+/// gated on.
 fn select_pass(fed: &Federation, queries: &[TargetQuery]) -> usize {
     let idx = fed.capability_index().expect("index enabled");
     queries.iter().map(|q| black_box(idx.candidates(q)).candidates.len()).sum()

@@ -186,9 +186,47 @@ impl BreakerHealth {
     }
 }
 
-/// Per-member planning verdicts, in member order: the estimated cost of the
-/// member's plan, or why it has none.
-pub type Considered = Vec<(String, Result<f64, PlanError>)>;
+/// The planning verdicts of one federated query. Only the members the
+/// capability index let through are planned, so only they get a verdict —
+/// the estimated cost of their plan, or why they have none, in member
+/// order. The members it pruned are infeasible with certainty and are
+/// only counted, so the record grows with the candidates, not the
+/// federation.
+#[derive(Debug, Default)]
+pub struct Considered {
+    /// `(member, verdict)` per planned member, in member order.
+    pub verdicts: Vec<(String, Result<f64, PlanError>)>,
+    /// Members the capability index pruned without planning.
+    pub pruned: usize,
+}
+
+impl Considered {
+    /// Members the decision covered: planned plus pruned.
+    pub fn members(&self) -> usize {
+        self.verdicts.len() + self.pruned
+    }
+}
+
+/// The breakers that are not closed, and how many are: the sparse view
+/// the served trailer and query profiles carry, built by one scan of the
+/// breakers that allocates only for a breaker that is not closed.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BreakerSummary {
+    /// `(member, health)` per breaker that is not closed, in member order.
+    pub tripped: Vec<(String, BreakerHealth)>,
+    /// Breakers that are closed.
+    pub closed: usize,
+}
+
+impl std::fmt::Display for BreakerSummary {
+    /// `m3:open 3999 closed`, or `5 closed` when every breaker is.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (member, health) in &self.tripped {
+            write!(f, "{member}:{} ", health.label())?;
+        }
+        write!(f, "{} closed", self.closed)
+    }
+}
 
 /// A member-ordered failover trace (member name, event). A member can
 /// appear twice: once `Probed`, then `Served`/`ExecFailed`.
@@ -376,36 +414,51 @@ impl Federation {
         }
     }
 
-    /// A point-in-time snapshot of every metric this federation recorded.
-    /// The per-member `breaker.state.<member>` gauges are refreshed from
-    /// the live breakers first, so `/metrics` always shows current health
-    /// (the refresh is a pure function of the deterministic run clock).
+    /// A point-in-time snapshot of every metric this federation recorded,
+    /// plus one `breaker.state.<member>` gauge per member read from the live
+    /// breakers, so `/metrics` always shows current health (a pure function
+    /// of the deterministic run clock). The gauges live in the returned
+    /// snapshot only, never in the registry: registry snapshots, time-series
+    /// windows and query profiles do not grow with the federation.
     pub fn metrics_snapshot(&self) -> csqp_obs::MetricsSnapshot {
-        for (name, health) in self.breaker_states() {
-            self.obs
-                .metrics
-                .gauge_set(&format!("{}{name}", names::BREAKER_STATE_PREFIX), health.as_gauge());
+        let mut snap = self.obs.metrics.snapshot();
+        if self.obs.enabled() {
+            for (member, health) in self.members.iter().zip(self.breaker_healths()) {
+                let gauge = format!("{}{}", names::BREAKER_STATE_PREFIX, member.name);
+                snap.gauges.insert(gauge, health.as_gauge());
+            }
         }
-        self.obs.metrics.snapshot()
+        snap
     }
 
     /// Live per-member breaker health, in member order: what the breaker
     /// would allow each member to do in the next federated run. Reads the
     /// run clock without advancing it.
     pub fn breaker_states(&self) -> Vec<(String, BreakerHealth)> {
+        self.members.iter().map(|m| m.name.clone()).zip(self.breaker_healths()).collect()
+    }
+
+    /// [`Federation::breaker_states`] without the closed members: the
+    /// non-closed ones by name, the closed ones counted.
+    pub fn breaker_summary(&self) -> BreakerSummary {
+        let mut summary = BreakerSummary::default();
+        for (member, health) in self.members.iter().zip(self.breaker_healths()) {
+            match health {
+                BreakerHealth::Closed => summary.closed += 1,
+                _ => summary.tripped.push((member.name.clone(), health)),
+            }
+        }
+        summary
+    }
+
+    /// Each member's breaker health for the next run, in member order.
+    fn breaker_healths(&self) -> impl Iterator<Item = BreakerHealth> + '_ {
         let next = self.clock.load(Ordering::Relaxed) + 1;
-        self.members
-            .iter()
-            .zip(&self.breakers)
-            .map(|(m, b)| {
-                let health = match b.gate(next) {
-                    BreakerGate::Closed => BreakerHealth::Closed,
-                    BreakerGate::Quarantined => BreakerHealth::Open,
-                    BreakerGate::HalfOpen => BreakerHealth::HalfOpen,
-                };
-                (m.name.clone(), health)
-            })
-            .collect()
+        self.breakers.iter().map(move |b| match b.gate(next) {
+            BreakerGate::Closed => BreakerHealth::Closed,
+            BreakerGate::Quarantined => BreakerHealth::Open,
+            BreakerGate::HalfOpen => BreakerHealth::HalfOpen,
+        })
     }
 
     /// Adds a member source (and builds its mediator, once).
@@ -482,12 +535,13 @@ impl Federation {
     /// each member the capability index lets through (concurrently via
     /// [`crate::par::par_map`], recording nothing), then merges in member
     /// order into the feasible `(member, plan)` list — plans stamped with
-    /// `flight`'s id — and the per-member verdicts. A member the index
-    /// pruned is infeasible with certainty: no planning is spent on it and
-    /// its bookkeeping is aggregated, so the per-query cost scales with the
-    /// candidate set, not the federation. This sequential merge is the only
-    /// place planner counters, member spans and selection events are
-    /// recorded, so the output is identical on one core or many.
+    /// `flight`'s id — and the planned members' verdicts. A member the
+    /// index pruned is infeasible with
+    /// certainty: no planning is spent on it and it is only counted, so the
+    /// per-query cost scales with the candidate set, not the federation.
+    /// This sequential merge is the only place planner counters, member
+    /// spans and selection events are recorded, so the output is identical
+    /// on one core or many.
     fn survey(
         &self,
         query: &TargetQuery,
@@ -497,9 +551,10 @@ impl Federation {
             let _span = self.obs.tracer.span("capindex select");
             idx.candidates(query)
         });
-        let work: Vec<usize> = (0..self.members.len())
-            .filter(|&i| decision.as_ref().is_none_or(|d| d.is_candidate(i)))
-            .collect();
+        let work: Vec<usize> = match &decision {
+            Some(d) => d.candidates.iter().map(|i| i as usize).collect(),
+            None => (0..self.members.len()).collect(),
+        };
         let outcomes = crate::par::par_map(&work, |&i| self.mediators[i].plan_quiet(query));
         if let Some(d) = &decision {
             self.obs.metrics.add(names::CAPINDEX_CANDIDATES, d.candidates.len() as u64);
@@ -520,19 +575,12 @@ impl Federation {
             });
         }
         let mut feasible = Vec::new();
-        let mut considered = Vec::with_capacity(self.members.len());
-        // One rendered query string shared by every pruned member's verdict
-        // (cloning beats re-rendering 10k times).
-        let mut pruned_query: Option<String> = None;
-        let mut planned = work.into_iter().zip(outcomes).peekable();
-        for (idx, member) in self.members.iter().enumerate() {
-            let name = &member.name;
-            if planned.peek().is_none_or(|(i, _)| *i != idx) {
-                let query = pruned_query.get_or_insert_with(|| query.to_string()).clone();
-                let pruned = PlanError::NoFeasiblePlan { query, scheme: "CapIndex" };
-                considered.push((name.clone(), Err(pruned)));
-                continue;
-            }
+        let mut considered = Considered {
+            verdicts: Vec::with_capacity(work.len()),
+            pruned: decision.map_or(0, |d| d.pruned),
+        };
+        for (idx, outcome) in work.into_iter().zip(outcomes) {
+            let name = &self.members[idx].name;
             // One span per *planned* candidate. Guarded so a disabled
             // tracer skips the label formatting entirely.
             let _member_span = self
@@ -540,14 +588,14 @@ impl Federation {
                 .tracer
                 .is_enabled()
                 .then(|| self.obs.tracer.span(&format!("member {name}")));
-            match planned.next().expect("peeked entry exists").1 {
+            match outcome {
                 Ok(mut p) => {
                     p.flight_id = flight.id();
                     p.report.record_into(&self.obs.metrics);
                     self.obs
                         .tracer
                         .event_with(|| format!("member {name}: est cost {:.2}", p.est_cost));
-                    considered.push((name.clone(), Ok(p.est_cost)));
+                    considered.verdicts.push((name.clone(), Ok(p.est_cost)));
                     feasible.push((idx, p));
                 }
                 Err(e) => {
@@ -556,7 +604,7 @@ impl Federation {
                     flight.event_with(|| PlanEvent::Note {
                         text: format!("member {name}: infeasible ({e})"),
                     });
-                    considered.push((name.clone(), Err(e)));
+                    considered.verdicts.push((name.clone(), Err(e)));
                 }
             }
         }
@@ -669,7 +717,7 @@ impl Federation {
                         member,
                         planned: *planned,
                         decision: CacheDecision::Hit,
-                        considered: Vec::new(),
+                        considered: Considered::default(),
                         flight_id: flight.id(),
                     });
                 }
@@ -856,7 +904,8 @@ impl Federation {
     /// ones as a cheapest-first candidate list (stable: earliest member
     /// wins ties; never empty). Infeasible and quarantined members are
     /// traced and counted here, so both breaker-gated policies record
-    /// identical selection events.
+    /// identical selection events; a member the index pruned is traced
+    /// infeasible like one that failed planning.
     fn gated_candidates(
         &self,
         query: &TargetQuery,
@@ -869,8 +918,12 @@ impl Federation {
         let (mut candidates, considered) = self.survey(query, flight);
         let mut scheme = "Federation";
         let mut trace: FailoverTrace = Vec::new();
-        for ((name, verdict), gate) in considered.iter().zip(&gates) {
-            if verdict.is_err() {
+        // The feasible members, in member order: every other member was
+        // pruned or failed planning.
+        let mut feasible = candidates.iter().map(|(idx, _)| *idx).peekable();
+        for (idx, (member, gate)) in self.members.iter().zip(&gates).enumerate() {
+            let name = &member.name;
+            if feasible.next_if_eq(&idx).is_none() {
                 trace.push((name.clone(), MemberEvent::Infeasible));
             } else if *gate == BreakerGate::Quarantined {
                 scheme = "Federation (all capable members quarantined)";
@@ -1212,13 +1265,14 @@ mod tests {
         let q = TargetQuery::parse("make = \"BMW\" ^ price < 40000", &["model", "year"]).unwrap();
         let fp = f.plan(&q).unwrap();
         assert_eq!(fp.source.name, "car_dealer");
-        assert_eq!(fp.considered.len(), 3);
         // The dump could also answer (download + filter) but at higher cost.
-        let dump = fp.considered.iter().find(|(n, _)| n == "dump").unwrap();
+        let dump = fp.considered.verdicts.iter().find(|(n, _)| n == "dump").unwrap();
         assert!(matches!(&dump.1, Ok(c) if *c > fp.planned.est_cost));
-        // color_only cannot answer a price query.
-        let co = fp.considered.iter().find(|(n, _)| n == "color_only").unwrap();
-        assert!(co.1.is_err());
+        // color_only cannot answer a price query: the index prunes it, so
+        // it is counted, not planned.
+        assert!(fp.considered.verdicts.iter().all(|(n, _)| n != "color_only"));
+        assert_eq!((fp.considered.verdicts.len(), fp.considered.pruned), (2, 1));
+        assert_eq!(fp.considered.members(), f.members().len());
     }
 
     #[test]
@@ -1229,11 +1283,12 @@ mod tests {
         let cold = f.prepare(&q1).unwrap();
         assert_eq!(cold.decision, CacheDecision::Miss);
         assert_eq!(f.members()[cold.member].name, "car_dealer");
-        assert_eq!(cold.considered.len(), 3, "miss runs the full fan-out");
+        assert_eq!(cold.considered.verdicts.len(), 2, "miss plans the index candidates");
+        assert_eq!(cold.considered.members(), 3, "planned + pruned covers every member");
         let warm = f.prepare(&q2).unwrap();
         assert_eq!(warm.decision, CacheDecision::Hit);
         assert_eq!(warm.member, cold.member);
-        assert!(warm.considered.is_empty(), "hit skips the fan-out");
+        assert!(warm.considered.verdicts.is_empty(), "hit skips the fan-out");
         // The rebound plan equals what cold planning would have produced.
         assert_eq!(warm.planned.plan, f.plan(&q2).unwrap().planned.plan);
         // A breaker transition wipes the cache: the next prepare is cold.
@@ -1259,7 +1314,7 @@ mod tests {
         // source has no color-only form, the dump can but costs more.
         let q = TargetQuery::parse("color = \"red\"", &["make", "model"]).unwrap();
         let fp = f.plan(&q).unwrap();
-        assert_eq!(fp.source.name, "color_only", "{:?}", fp.considered);
+        assert_eq!(fp.source.name, "color_only", "{:?}", fp.considered.verdicts);
     }
 
     #[test]
@@ -1545,6 +1600,33 @@ mod tests {
             snap.gauge(&format!("{}car_dealer", names::BREAKER_STATE_PREFIX)),
             BreakerHealth::Open.as_gauge()
         );
+    }
+
+    /// The sparse breaker view names only tripped members; the exposed
+    /// snapshot carries every member's gauge while the registry holds none.
+    #[test]
+    fn tripped_breakers_show_in_the_sparse_view_and_the_exposed_snapshot() {
+        use csqp_source::FaultProfile;
+        let f = faulty_pair(
+            FaultProfile::new(0).with_outage(0, u64::MAX),
+            CircuitBreakerConfig { failure_threshold: 2, cooldown_ticks: 8 },
+        );
+        let all_closed = f.breaker_summary();
+        assert_eq!(all_closed, BreakerSummary { tripped: Vec::new(), closed: 2 });
+        assert_eq!(all_closed.to_string(), "2 closed");
+        let policy = RetryPolicy { max_retries: 0, ..Default::default() };
+        for _ in 0..2 {
+            f.run_stream(&car_query(), FederatedOptions::Failover(&policy), None).unwrap();
+        }
+        let summary = f.breaker_summary();
+        assert_eq!(summary.tripped, vec![("car_dealer".to_string(), BreakerHealth::Open)]);
+        assert_eq!(summary.to_string(), "car_dealer:open 1 closed");
+        let gauge = |member: &str| format!("{}{member}", names::BREAKER_STATE_PREFIX);
+        let snap = f.metrics_snapshot();
+        assert_eq!(snap.gauges.get(&gauge("car_dealer")), Some(&2.0));
+        assert_eq!(snap.gauges.get(&gauge("dump")), Some(&0.0));
+        let registry = f.obs().metrics.snapshot();
+        assert!(registry.gauges.keys().all(|k| !k.starts_with(names::BREAKER_STATE_PREFIX)));
     }
 
     #[test]

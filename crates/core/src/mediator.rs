@@ -1075,7 +1075,7 @@ impl Mediator {
     ) -> Result<(PlannedQuery, QueryProfile), PlanError> {
         let capture = ProfileCapture::begin(&self.obs);
         let planned = self.plan(query)?;
-        let mut profile = self.finish_profile(&capture, query, planned.flight_id);
+        let mut profile = self.finish_profile(capture, query, planned.flight_id);
         profile.est_cost = planned.est_cost;
         Ok((planned, profile))
     }
@@ -1090,7 +1090,7 @@ impl Mediator {
     ) -> Result<(StreamOutcome, QueryProfile), MediatorError> {
         let capture = ProfileCapture::begin(&self.obs);
         let outcome = self.run_analyzed(query)?;
-        let mut profile = self.finish_profile(&capture, query, outcome.outcome.planned.flight_id);
+        let mut profile = self.finish_profile(capture, query, outcome.outcome.planned.flight_id);
         profile.rows = outcome.outcome.rows.len() as u64;
         profile.est_cost = outcome.outcome.planned.est_cost;
         profile.observed_cost = outcome.outcome.measured_cost;
@@ -1113,7 +1113,7 @@ impl Mediator {
     /// outcome-specific fields (rows, costs, cardinalities).
     fn finish_profile(
         &self,
-        capture: &ProfileCapture<'_>,
+        capture: ProfileCapture<'_>,
         query: &TargetQuery,
         flight_id: u64,
     ) -> QueryProfile {

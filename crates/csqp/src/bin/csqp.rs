@@ -11,7 +11,9 @@
 //! With `--scheme` you can compare the baselines the paper criticizes, and
 //! `--explain` prints the plan tree and search statistics.
 
-use csqp::core::federation::{CircuitBreakerConfig, FederatedOptions, Federation, MemberEvent};
+use csqp::core::federation::{
+    CircuitBreakerConfig, Considered, FederatedOptions, Federation, MemberEvent,
+};
 use csqp::core::mediator::{Mediator, MediatorError, Scheme, StreamOptions};
 use csqp::core::types::{PlanError, PlannedQuery, TargetQuery};
 use csqp::plan::exec::RetryPolicy;
@@ -653,12 +655,11 @@ fn federated_query(args: &Args, sources: Vec<Arc<Source>>, query: &TargetQuery) 
     }
     let federation = sources.into_iter().fold(federation, Federation::with_member);
 
-    type Considered = [(String, Result<f64, PlanError>)];
     let print_header = |winner: &str, planned: &PlannedQuery, considered: &Considered| {
         println!(
             "federated plan: member `{winner}` wins at est cost {:.1} ({} members considered):",
             planned.est_cost,
-            considered.len()
+            considered.members()
         );
         println!("  {}", planned.plan);
         if let Some(idx) = federation.capability_index() {
@@ -673,11 +674,14 @@ fn federated_query(args: &Args, sources: Vec<Arc<Source>>, query: &TargetQuery) 
         match args.explain {
             ExplainMode::Plan => {
                 print!("\nplan tree:\n{}", explain(&planned.plan));
-                for (member, outcome) in considered {
+                for (member, outcome) in &considered.verdicts {
                     match outcome {
                         Ok(cost) => println!("  member {member}: est cost {cost:.1}"),
                         Err(e) => println!("  member {member}: infeasible ({e})"),
                     }
+                }
+                if considered.pruned > 0 {
+                    println!("  {} members pruned by the capability index", considered.pruned);
                 }
                 print_planner_stats(planned);
             }

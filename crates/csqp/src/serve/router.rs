@@ -89,7 +89,7 @@ impl Server {
     /// still-open live delta folded into one signal window, scored per
     /// member against the live breaker state.
     pub(super) fn render_status(&self, json: bool) -> (&'static str, String) {
-        let now = self.federation.metrics_snapshot();
+        let now = self.obs.metrics.snapshot();
         let (window, windows, dropped) = {
             let timeseries = self.timeseries.lock().expect("timeseries lock");
             let mut window = timeseries.folded(usize::MAX);

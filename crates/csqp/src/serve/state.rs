@@ -74,9 +74,11 @@ impl Server {
         })?;
         let cfg = StreamConfig { limit, ..StreamConfig::default() };
         let start = Instant::now();
-        // Profile capture window: everything the shared registry, tracer
-        // and flight recorder see from here until the run finishes is
-        // attributed to this query.
+        // Profile capture window: every metric this thread writes from
+        // here until the run finishes is this query's, and so are the
+        // tracer's spans since here and the query's flight record. The
+        // window closes on drop, so an early error return leaves nothing
+        // open.
         let capture = ProfileCapture::begin(&self.obs);
         // Prepared-plan probe: a shape hit rebinds this query's constants
         // into the cached winner plan and skips the planner fan-out; a miss
@@ -156,7 +158,7 @@ impl Server {
         self.obs.metrics.observe_exemplar(names::SERVE_LATENCY_US, latency_us, flight_id);
         self.obs.metrics.observe(names::SERVE_ROWS_RETURNED, emitted);
         let latency = LatencyKey { wall_us: Some(latency_us), ticks: capture.ticks() };
-        let breaker_states = self.federation.breaker_states();
+        let breakers = self.federation.breaker_summary();
         // This query's own flight, by id: under several workers the
         // recorder's latest flight is whichever query planned last.
         let flight = self.flight.record(flight_id);
@@ -172,8 +174,8 @@ impl Server {
                 why: csqp_plan::why::explain_why(flight.as_ref()),
             });
         }
-        // Close the window once: the profile keeps the query's metrics
-        // delta, and the audit record below reads from it.
+        // Close the window once: the profile keeps the query's own metric
+        // writes, and the audit record below reads from them.
         let profile = capture.finish(flight.as_ref());
         let breaker_events = profile.metrics.counter(names::BREAKER_OPENED)
             + profile.metrics.counter(names::BREAKER_HALF_OPENED)
@@ -191,7 +193,8 @@ impl Server {
             splices: replans,
             drift_triggers,
             plan_cache: cache_label.to_string(),
-            breakers: breaker_states
+            breakers: breakers
+                .tripped
                 .iter()
                 .map(|(name, health)| (name.clone(), health.label().to_string()))
                 .collect(),
@@ -205,7 +208,7 @@ impl Server {
             status: "ok".to_string(),
             rows: emitted,
             wall_us: Some(latency_us),
-            ticks: capture.ticks(),
+            ticks: latency.ticks,
             splices: replans,
             drift_triggers,
             breaker_events,
@@ -213,19 +216,11 @@ impl Server {
             capindex_total: index_total as u64,
         });
         self.maybe_roll();
-        let breakers: Vec<String> = breaker_states
-            .iter()
-            .map(|(name, health)| format!("{name}:{}", health.label()))
-            .collect();
         Ok(format!(
             "{} rows (est cost {:.2}, measured cost {:.2}, {} source queries, capindex \
              {index_candidates}/{index_total} candidates, {replans} replans, plan cache \
-             {cache_label}, tenant {tenant}, breakers [{}], flight #{flight_id})\n",
-            emitted,
-            out.planned.est_cost,
-            out.measured_cost,
-            out.meter.queries,
-            breakers.join(" "),
+             {cache_label}, tenant {tenant}, breakers [{breakers}], flight #{flight_id})\n",
+            emitted, out.planned.est_cost, out.measured_cost, out.meter.queries,
         ))
     }
 
@@ -250,13 +245,15 @@ impl Server {
 
     /// Closes the current telemetry window once `window_queries` queries
     /// have completed since the last boundary. Serve is the one wall-clock
-    /// place in the stack, so windows carry a wall stamp here.
+    /// place in the stack, so windows carry a wall stamp here. Windows roll
+    /// the registry alone: breaker state is read live where it is scored
+    /// (`/status`), so no window carries a `breaker.state.*` gauge.
     pub(super) fn maybe_roll(&self) {
         let done = self.queries_done.fetch_add(1, std::sync::atomic::Ordering::AcqRel) + 1;
         if !done.is_multiple_of(self.cfg.window_queries.max(1)) {
             return;
         }
-        let now = self.federation.metrics_snapshot();
+        let now = self.obs.metrics.snapshot();
         let ticks = self.obs.tracer.tick();
         let wall_us = self.started.elapsed().as_micros() as u64;
         let mut timeseries = self.timeseries.lock().expect("timeseries lock");

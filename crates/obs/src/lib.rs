@@ -63,7 +63,7 @@ pub mod trace;
 pub use audit::{AuditRecord, JournalSummary, JournalWriter};
 pub use flight::{FlightRecorder, PlanEvent, QueryFlight, QueryRecord};
 pub use health::{Grade, HealthReport, SloConfig, SourceSignals, StatusSummary};
-pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot, MetricsWindow};
 pub use profile::{CardRow, LatencyKey, ProfileCapture, ProfileRing, QueryProfile};
 pub use span::SpanRecord;
 pub use timeseries::{TimeSeries, Window, WindowStamp};

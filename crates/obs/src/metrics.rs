@@ -5,8 +5,11 @@
 //! i.e. schema-stable and independent of the order components happened to
 //! record in.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Number of histogram buckets: bucket 0 holds exact zeros, bucket `i ≥ 1`
@@ -141,6 +144,84 @@ struct Inner {
     exemplars: BTreeMap<String, BTreeMap<u64, (u64, u64)>>,
 }
 
+impl Inner {
+    fn add(&mut self, name: &str, delta: u64) {
+        match self.counters.get_mut(name) {
+            Some(c) => *c += delta,
+            None => {
+                self.counters.insert(name.to_string(), delta);
+            }
+        }
+    }
+
+    /// Sets gauge `name` to `v`.
+    fn gauge_set(&mut self, name: &str, v: f64) {
+        match self.gauges.get_mut(name) {
+            Some(g) => *g = v,
+            None => {
+                self.gauges.insert(name.to_string(), v);
+            }
+        }
+    }
+
+    /// Adds `v` to gauge `name` (creating it at zero); returns its new value.
+    fn gauge_add(&mut self, name: &str, v: f64) -> f64 {
+        match self.gauges.get_mut(name) {
+            Some(g) => {
+                *g += v;
+                *g
+            }
+            None => {
+                // Not `v`: a fresh gauge starts at +0.0, so -0.0 + 0.0 = 0.0.
+                let g = 0.0 + v;
+                self.gauges.insert(name.to_string(), g);
+                g
+            }
+        }
+    }
+
+    fn observe(&mut self, name: &str, v: u64) {
+        match self.histograms.get_mut(name) {
+            Some(h) => h.observe(v),
+            None => {
+                let mut h = Histogram::default();
+                h.observe(v);
+                self.histograms.insert(name.to_string(), h);
+            }
+        }
+    }
+
+    /// The window's writes as a snapshot: counters that moved, the gauges
+    /// written, and every histogram observed into.
+    fn into_delta(mut self) -> MetricsSnapshot {
+        self.counters.retain(|_, v| *v > 0);
+        MetricsSnapshot {
+            counters: self.counters,
+            gauges: self.gauges,
+            histograms: self.histograms.into_iter().map(|(k, h)| (k, h.snapshot())).collect(),
+        }
+    }
+}
+
+/// One capture window open on the calling thread: the registry it mirrors
+/// (by address — the [`MetricsWindow`] borrows it, so the address cannot be
+/// reused while the window is open), its serial, and the writes so far.
+#[derive(Debug)]
+struct OpenWindow {
+    registry: usize,
+    serial: u64,
+    delta: Inner,
+}
+
+thread_local! {
+    /// The capture windows open on this thread, oldest first.
+    static WINDOWS: RefCell<Vec<OpenWindow>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Serials of capture windows, process-wide, so a window closes its own
+/// entry whatever else is open on the thread.
+static NEXT_WINDOW: AtomicU64 = AtomicU64::new(1);
+
 /// The metrics registry. Interior-mutable and `Send + Sync` (a single
 /// `Mutex` guards all three maps — hot loops keep local counters and flush
 /// once, see DESIGN.md §5c).
@@ -175,15 +256,41 @@ impl MetricsRegistry {
         (!self.off).then(|| self.inner.lock().expect("metrics lock"))
     }
 
+    /// Mirrors one write into every capture window the calling thread has
+    /// open on this registry (usually none: one empty-vector check).
+    fn mirror(&self, write: impl Fn(&mut Inner)) {
+        let registry = self as *const Self as usize;
+        let _ = WINDOWS.try_with(|open| {
+            for window in open.borrow_mut().iter_mut().filter(|w| w.registry == registry) {
+                write(&mut window.delta);
+            }
+        });
+    }
+
+    /// Opens a capture window on the calling thread: until it is closed
+    /// (or dropped), every `add`, `gauge_set`, `gauge_add`, `observe` and
+    /// `observe_exemplar` this thread makes on this registry is mirrored
+    /// into it, and [`MetricsWindow::close`] returns exactly those writes.
+    /// Writes from other threads never enter it, so the window is exact
+    /// however many threads share the registry. Costs nothing on an off
+    /// registry.
+    pub fn open_window(&self) -> MetricsWindow<'_> {
+        let serial = (!self.off).then(|| NEXT_WINDOW.fetch_add(1, Ordering::Relaxed));
+        if let Some(serial) = serial {
+            let registry = self as *const Self as usize;
+            let _ = WINDOWS.try_with(|open| {
+                open.borrow_mut().push(OpenWindow { registry, serial, delta: Inner::default() })
+            });
+        }
+        MetricsWindow { serial, _thread: PhantomData }
+    }
+
     /// Adds `delta` to counter `name` (creating it at zero).
     pub fn add(&self, name: &str, delta: u64) {
         let Some(mut inner) = self.recording() else { return };
-        match inner.counters.get_mut(name) {
-            Some(c) => *c += delta,
-            None => {
-                inner.counters.insert(name.to_string(), delta);
-            }
-        }
+        inner.add(name, delta);
+        drop(inner);
+        self.mirror(|w| w.add(name, delta));
     }
 
     /// Increments counter `name` by one.
@@ -194,26 +301,26 @@ impl MetricsRegistry {
     /// Sets gauge `name` to `v`.
     pub fn gauge_set(&self, name: &str, v: f64) {
         let Some(mut inner) = self.recording() else { return };
-        inner.gauges.insert(name.to_string(), v);
+        inner.gauge_set(name, v);
+        drop(inner);
+        self.mirror(|w| w.gauge_set(name, v));
     }
 
-    /// Adds `v` to gauge `name` (creating it at zero).
+    /// Adds `v` to gauge `name` (creating it at zero). An open capture
+    /// window records the state this write left, like `gauge_set`.
     pub fn gauge_add(&self, name: &str, v: f64) {
         let Some(mut inner) = self.recording() else { return };
-        *inner.gauges.entry(name.to_string()).or_insert(0.0) += v;
+        let now = inner.gauge_add(name, v);
+        drop(inner);
+        self.mirror(|w| w.gauge_set(name, now));
     }
 
     /// Records `v` into histogram `name`.
     pub fn observe(&self, name: &str, v: u64) {
         let Some(mut inner) = self.recording() else { return };
-        match inner.histograms.get_mut(name) {
-            Some(h) => h.observe(v),
-            None => {
-                let mut h = Histogram::default();
-                h.observe(v);
-                inner.histograms.insert(name.to_string(), h);
-            }
-        }
+        inner.observe(name, v);
+        drop(inner);
+        self.mirror(|w| w.observe(name, v));
     }
 
     /// Records `v` into histogram `name` and remembers `query_id` as the
@@ -222,16 +329,18 @@ impl MetricsRegistry {
     /// there — the id joins against `/profile/<id>` and the flight recorder.
     pub fn observe_exemplar(&self, name: &str, v: u64, query_id: u64) {
         let Some(mut inner) = self.recording() else { return };
-        match inner.histograms.get_mut(name) {
-            Some(h) => h.observe(v),
+        inner.observe(name, v);
+        let (_, hi) = bucket_bounds(bucket_index(v));
+        match inner.exemplars.get_mut(name) {
+            Some(ex) => {
+                ex.insert(hi, (query_id, v));
+            }
             None => {
-                let mut h = Histogram::default();
-                h.observe(v);
-                inner.histograms.insert(name.to_string(), h);
+                inner.exemplars.insert(name.to_string(), BTreeMap::from([(hi, (query_id, v))]));
             }
         }
-        let (_, hi) = bucket_bounds(bucket_index(v));
-        inner.exemplars.entry(name.to_string()).or_default().insert(hi, (query_id, v));
+        drop(inner);
+        self.mirror(|w| w.observe(name, v));
     }
 
     /// A sorted point-in-time snapshot of everything recorded so far.
@@ -258,6 +367,48 @@ impl MetricsRegistry {
     pub fn clear(&self) {
         let mut inner = self.inner.lock().expect("metrics lock");
         *inner = Inner::default();
+    }
+}
+
+/// A capture window on a [`MetricsRegistry`], open on the thread that
+/// opened it (the handle is not `Send`): see
+/// [`MetricsRegistry::open_window`]. Dropping it without
+/// [`MetricsWindow::close`] discards what it saw, so an early return
+/// leaves nothing behind for the thread's next window.
+#[derive(Debug)]
+pub struct MetricsWindow<'a> {
+    /// `None` for an off registry's window, and once closed.
+    serial: Option<u64>,
+    _thread: PhantomData<(&'a MetricsRegistry, *const ())>,
+}
+
+impl MetricsWindow<'_> {
+    /// Closes the window and returns the writes it saw: counters as the
+    /// sum of this thread's adds (zero sums dropped), each gauge at the
+    /// state this thread's last write left, and histograms over this
+    /// thread's observations alone (count, sum, buckets and min/max; no
+    /// exemplars). O(series touched), independent of the registry's size.
+    pub fn close(mut self) -> MetricsSnapshot {
+        self.take().map_or_else(MetricsSnapshot::default, Inner::into_delta)
+    }
+
+    /// Unregisters the window from its thread, handing back its writes.
+    fn take(&mut self) -> Option<Inner> {
+        let serial = self.serial.take()?;
+        WINDOWS
+            .try_with(|open| {
+                let mut open = open.borrow_mut();
+                let pos = open.iter().position(|w| w.serial == serial)?;
+                Some(open.remove(pos).delta)
+            })
+            .ok()
+            .flatten()
+    }
+}
+
+impl Drop for MetricsWindow<'_> {
+    fn drop(&mut self) {
+        self.take();
     }
 }
 
@@ -303,8 +454,9 @@ impl MetricsSnapshot {
     /// dropped), gauges keep their current values (they are states, not
     /// accumulations), histograms subtract count/sum/per-bucket tallies
     /// (empty deltas dropped; min/max are kept from `self` since deltas for
-    /// extremes are not recoverable). This is how a [`crate::profile::QueryProfile`]
-    /// attributes registry activity to one query on a shared registry.
+    /// extremes are not recoverable). This is how a [`crate::TimeSeries`]
+    /// window attributes registry activity to a stretch of time; one
+    /// query's own writes come from a [`MetricsWindow`] instead.
     pub fn diff(&self, before: &MetricsSnapshot) -> MetricsSnapshot {
         let mut out = MetricsSnapshot { gauges: self.gauges.clone(), ..Default::default() };
         for (k, &v) in &self.counters {
@@ -543,6 +695,47 @@ mod tests {
         let noop = reg.snapshot().diff(&reg.snapshot());
         assert!(noop.counters.is_empty());
         assert!(noop.histograms.is_empty());
+    }
+
+    #[test]
+    fn windows_hold_this_threads_writes_on_this_registry() {
+        let reg = MetricsRegistry::new();
+        let other = MetricsRegistry::new();
+        reg.add("before", 1);
+        reg.gauge_set("untouched", 9.0);
+        reg.observe("h", 900);
+        let before = reg.snapshot();
+        let outer = reg.open_window();
+        reg.add("c", 2);
+        reg.add("zero", 0);
+        other.add("c", 50);
+        let inner = reg.open_window();
+        reg.gauge_add("g", 1.5);
+        reg.gauge_add("g", 1.0);
+        reg.observe_exemplar("h", 3, 7);
+        let inner = inner.close();
+        assert!(inner.counters.is_empty());
+        assert_eq!(inner.gauges, BTreeMap::from([("g".to_string(), 2.5)]));
+        assert_eq!(inner.histograms["h"].count, 1);
+        let after = reg.snapshot().diff(&before);
+        let outer = outer.close();
+        // Counters and histogram tallies agree with the whole-registry diff.
+        assert_eq!(outer.counters, after.counters);
+        assert_eq!(outer.counters, BTreeMap::from([("c".to_string(), 2)]));
+        let (h, d) = (&outer.histograms["h"], &after.histograms["h"]);
+        assert_eq!((h.count, h.sum, &h.buckets), (d.count, d.sum, &d.buckets));
+        // Gauges are the ones written; min/max span this window's
+        // observations only; exemplars stay with the registry.
+        assert_eq!(outer.gauges.keys().collect::<Vec<_>>(), ["g"]);
+        assert_eq!((h.min, h.max), (3, 3));
+        assert!(h.exemplars.is_empty());
+        // Closed windows unregister, and an off registry opens none.
+        assert!(WINDOWS.with_borrow(Vec::is_empty));
+        let off = MetricsRegistry::off();
+        let window = off.open_window();
+        assert!(WINDOWS.with_borrow(Vec::is_empty));
+        off.inc("a");
+        assert_eq!(window.close(), MetricsSnapshot::default());
     }
 
     #[test]

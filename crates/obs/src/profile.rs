@@ -2,7 +2,7 @@
 //!
 //! A [`QueryProfile`] is one schema-stable JSON document that ties a single
 //! query's whole life together — the hierarchical span tree, the metrics
-//! the query moved on the shared registry (as a delta), the flight-recorder
+//! the query itself wrote on the shared registry, the flight-recorder
 //! decision trail, the adaptive splice/breaker summary, and est-vs-observed
 //! cardinalities per subquery. The CLI renders it for `--explain=profile`,
 //! serve mode exposes it at `/profile/<id>`, and the slowlog keeps the N
@@ -15,7 +15,7 @@
 //! not change shape.
 
 use crate::flight::QueryRecord;
-use crate::metrics::{render_f64, render_json_string, MetricsSnapshot};
+use crate::metrics::{render_f64, render_json_string, MetricsSnapshot, MetricsWindow};
 use crate::span::{render_json as render_spans_json, SpanRecord};
 use crate::Obs;
 use std::fmt::Write as _;
@@ -76,7 +76,9 @@ pub struct QueryProfile {
     /// `rejected` / `bypass` (empty for one-shot profiles with no cache in
     /// the stack).
     pub plan_cache: String,
-    /// Breaker states touching this query, as `(member, state)` pairs.
+    /// The members whose breaker was not closed when the query finished,
+    /// as `(member, state)` pairs in member order (empty when every breaker
+    /// is closed).
     pub breakers: Vec<(String, String)>,
     /// Est-vs-observed cardinalities per executed subquery.
     pub cardinalities: Vec<CardRow>,
@@ -84,7 +86,9 @@ pub struct QueryProfile {
     pub spans: Vec<SpanRecord>,
     /// Rendered flight-recorder events, in decision order.
     pub flight: Vec<String>,
-    /// Registry delta attributed to this query (empty from an off registry).
+    /// This query's own metric writes (empty from an off registry):
+    /// counters it moved, the gauges it set, and histograms over its own
+    /// observations (min/max included) — exact under concurrency.
     pub metrics: MetricsSnapshot,
 }
 
@@ -161,26 +165,32 @@ impl QueryProfile {
     }
 }
 
-/// The "before" edge of one query's capture window on a shared [`Obs`]:
-/// everything the registry, tracer and clock see between
+/// One query's capture window on a shared [`Obs`]: everything the calling
+/// thread records on the registry, and every span the tracer opens, between
 /// [`ProfileCapture::begin`] and [`ProfileCapture::finish`] is attributed to
-/// that query (approximate under concurrent writers — the registry is
-/// shared; span slices and flight trails stay exact because they key on
-/// marks and flight ids).
+/// that query.
+///
+/// The metrics section is exact under concurrent writers: it comes from a
+/// [`MetricsWindow`] that mirrors only this thread's writes, and a query
+/// runs on one thread (the engine spawns none; the federation's planning
+/// fan-out records nothing on its worker threads). Span slices and flight
+/// trails stay exact because they key on marks and flight ids. Dropping a
+/// capture without `finish` (a failed query) discards its window.
 #[derive(Debug)]
 pub struct ProfileCapture<'a> {
     obs: &'a Obs,
-    metrics_before: MetricsSnapshot,
+    metrics: MetricsWindow<'a>,
     span_mark: usize,
     tick0: u64,
 }
 
 impl<'a> ProfileCapture<'a> {
-    /// Opens the window: registry snapshot, span mark, clock reading.
+    /// Opens the window: this thread's metrics window, span mark, clock
+    /// reading.
     pub fn begin(obs: &'a Obs) -> Self {
         ProfileCapture {
             obs,
-            metrics_before: obs.metrics.snapshot(),
+            metrics: obs.metrics.open_window(),
             span_mark: obs.tracer.span_mark(),
             tick0: obs.tracer.tick(),
         }
@@ -191,16 +201,17 @@ impl<'a> ProfileCapture<'a> {
         self.obs.tracer.tick().saturating_sub(self.tick0)
     }
 
-    /// The profile skeleton for everything recorded since `begin`: tick
-    /// latency, the registry delta, the spans since the mark, and the
-    /// trail (and id) of `flight`, the query's own flight record. The
-    /// caller fills in what only it knows — query text, scheme, outcome.
-    pub fn finish(&self, flight: Option<&QueryRecord>) -> QueryProfile {
+    /// Closes the window into the profile skeleton for everything recorded
+    /// since `begin`: tick latency, this query's own metric writes, the
+    /// spans since the mark, and the trail (and id) of `flight`, the
+    /// query's own flight record. The caller fills in what only it knows —
+    /// query text, scheme, outcome.
+    pub fn finish(self, flight: Option<&QueryRecord>) -> QueryProfile {
         QueryProfile {
             id: flight.map_or(0, |rec| rec.id),
             latency: Some(LatencyKey { wall_us: None, ticks: self.ticks() }),
-            metrics: self.obs.metrics.snapshot().diff(&self.metrics_before),
             spans: self.obs.tracer.spans_from(self.span_mark),
+            metrics: self.metrics.close(),
             flight: flight
                 .map(|rec| rec.events.iter().map(|e| e.to_string()).collect())
                 .unwrap_or_default(),

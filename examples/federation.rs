@@ -76,11 +76,17 @@ fn main() {
                     out.measured_cost,
                     out.rows.len()
                 );
-                for (member, verdict) in &run.considered {
+                for (member, verdict) in &run.considered.verdicts {
                     match verdict {
                         Ok(cost) => println!("     {member:<14} est {cost:.0}"),
                         Err(_) => println!("     {member:<14} infeasible"),
                     }
+                }
+                if run.considered.pruned > 0 {
+                    println!(
+                        "     {} members pruned by the capability index",
+                        run.considered.pruned
+                    );
                 }
             }
             Err(e) => println!("  -> {e}"),

@@ -193,7 +193,24 @@ proptest! {
                 prop_assert_eq!(&p_on.source.name, &p_off.source.name);
                 prop_assert_eq!(p_on.planned.plan.to_string(), p_off.planned.plan.to_string());
                 prop_assert_eq!(p_on.planned.est_cost, p_off.planned.est_cost);
-                prop_assert_eq!(p_on.considered.len(), p_off.considered.len());
+                // Index off plans every member; index on plans exactly the
+                // candidates, each to the verdict index off gives it, and
+                // counts the rest — all of which index off finds infeasible.
+                let off_verdicts = &p_off.considered.verdicts;
+                prop_assert_eq!((off_verdicts.len(), p_off.considered.pruned), (picks.len(), 0));
+                let decision = on.capability_index().expect("index enabled").candidates(&query);
+                let planned: Vec<usize> =
+                    (0..picks.len()).filter(|&i| decision.is_candidate(i)).collect();
+                prop_assert_eq!(planned.len(), p_on.considered.verdicts.len());
+                let render = |v: &Result<f64, _>| v.as_ref().map(|c| *c).map_err(|e| format!("{e}"));
+                for (&i, (name, verdict)) in planned.iter().zip(&p_on.considered.verdicts) {
+                    prop_assert_eq!(name, &off_verdicts[i].0);
+                    prop_assert_eq!(render(verdict), render(&off_verdicts[i].1));
+                }
+                let unplanned_errs = (0..picks.len())
+                    .filter(|&i| !decision.is_candidate(i) && off_verdicts[i].1.is_err())
+                    .count();
+                prop_assert_eq!(p_on.considered.pruned, unplanned_errs);
                 let r_on = on.run(&query).expect("plannable query runs").stream.outcome;
                 let r_off = off.run(&query).expect("plannable query runs").stream.outcome;
                 prop_assert_eq!(r_on.rows, r_off.rows);

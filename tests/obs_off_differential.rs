@@ -102,8 +102,9 @@ fn assert_same_federated(
             assert_eq!(on.source_name, off.source_name, "{ctx}: winner");
             assert_eq!(on.plan_rank, off.plan_rank, "{ctx}: serving plan rank");
             assert_eq!(on.trace, off.trace, "{ctx}: failover trace");
-            let verdicts = |r: &FederatedRun| -> Vec<_> {
-                r.considered.iter().map(|(n, v)| (n.clone(), v.is_ok())).collect()
+            let verdicts = |r: &FederatedRun| -> (Vec<_>, usize) {
+                let planned = r.considered.verdicts.iter().map(|(n, v)| (n.clone(), v.is_ok()));
+                (planned.collect(), r.considered.pruned)
             };
             assert_eq!(verdicts(&on), verdicts(&off), "{ctx}: per-member verdicts");
             assert_eq!(off.flight_id, 0, "{ctx}: a disarmed recorder hands out no flight ids");

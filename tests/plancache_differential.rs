@@ -161,7 +161,7 @@ fn same_shape_second_query_hits_and_matches_cold() {
     assert_eq!(rows_of(&cached, p1.member, p1.planned), cold_answer(&cold, &first));
     let p2 = cached.federation.prepare(&second).expect("second prepare");
     assert!(matches!(p2.decision, CacheDecision::Hit), "same shape hits: {:?}", p2.decision);
-    assert!(p2.considered.is_empty(), "a hit skips the planner fan-out");
+    assert!(p2.considered.verdicts.is_empty(), "a hit skips the planner fan-out");
     assert_eq!(rows_of(&cached, p2.member, p2.planned), cold_answer(&cold, &second));
     assert_eq!(cached.cache.stats().hits, 1);
 }

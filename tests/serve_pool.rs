@@ -3,8 +3,9 @@
 //! per-tenant token-bucket shedding (429), the prepared-plan cache
 //! surfacing in trailers and `/metrics`, a mixed-tenant hammer whose audit
 //! journal must come out coherent — no lost or duplicated records —
-//! slow-log entries that carry their own query's decision trail, and
-//! flight records that receive their own query's post-planning notes.
+//! slow-log entries that carry their own query's decision trail, flight
+//! records that receive their own query's post-planning notes, and served
+//! output that stays small over a 1 000-member federation.
 
 use csqp::serve::{ServeConfig, Server};
 use csqp_obs::{FlightRecorder, Obs};
@@ -465,4 +466,54 @@ fn flight_records_receive_their_own_stream_notes_over(obs: Obs, flight: FlightRe
     let bye = http_get(addr, "/shutdown");
     assert!(bye.contains("shutting down"), "{bye}");
     handle.join().expect("server thread").expect("accept loop exits cleanly");
+}
+
+/// Served output at federation scale: over a 1 000-member `fedcorpus`
+/// federation the trailer names no closed breaker (it counts them), the
+/// profile lists none, and no `breaker.state.*` series ever enters the
+/// registry — yet `/metrics` still exposes one breaker gauge per member.
+#[test]
+fn served_output_stays_small_at_federation_scale() {
+    use csqp_bench::fedcorpus::{corpus_members, domain_query, FedCorpusConfig};
+    let members = corpus_members(&FedCorpusConfig { n_sources: 1000, ..Default::default() });
+    let n = members.len();
+    assert_eq!(n, 1000);
+    let server = Server::bind_federation(members, ServeConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("bound address");
+    std::thread::scope(|scope| {
+        let running = scope.spawn(|| server.run());
+        // More queries than one telemetry window, so a window rolls too.
+        let mut flights = Vec::new();
+        for d in [3usize, 40, 77, 101, 124, 3] {
+            let q = domain_query(d, 11);
+            let attrs: Vec<String> = q.attrs.iter().map(|a| a.to_string()).collect();
+            let cond = q.cond.to_string();
+            let cond = [(' ', "%20"), ('"', "%22"), ('=', "%3D"), ('^', "%5E")]
+                .iter()
+                .fold(cond, |c, (from, to)| c.replace(*from, to));
+            let resp = http_get(addr, &format!("/query?cond={cond}&attrs={}", attrs.join(",")));
+            assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+            let body = resp.split("\r\n\r\n").nth(1).expect("body");
+            let trailer = body.lines().last().expect("trailer");
+            assert!(trailer.len() < 1024, "{} trailer bytes: {trailer}", trailer.len());
+            assert!(trailer.contains(&format!("breakers [{n} closed]")), "{trailer}");
+            let (_, id) = trailer.rsplit_once("flight #").expect("trailer names the flight");
+            flights.push(id.trim_end_matches(')').parse::<u64>().expect("flight id"));
+        }
+        for id in flights {
+            let profile = http_get(addr, &format!("/profile/{id}"));
+            assert!(profile.starts_with("HTTP/1.1 200"), "{profile}");
+            assert!(profile.contains("\"breakers\": []"), "{profile}");
+            assert!(!profile.contains("breaker.state."), "{profile}");
+        }
+        let metrics = http_get(addr, "/metrics");
+        let gauges = metrics.lines().filter(|l| l.starts_with("csqp_breaker_state{")).count();
+        assert_eq!(gauges, n, "one breaker gauge per member");
+        assert!(http_get(addr, "/status").starts_with("HTTP/1.1 200"));
+        assert!(http_get(addr, "/shutdown").contains("shutting down"));
+        running.join().expect("server thread").expect("accept loop exits cleanly");
+    });
+    let registry = server.federation().obs().metrics.snapshot();
+    assert!(registry.gauges.keys().all(|k| !k.starts_with("breaker.state.")));
+    assert!(registry.counter("serve.queries") >= 6);
 }

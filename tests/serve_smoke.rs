@@ -96,11 +96,11 @@ fn serve_smoke_over(obs: Obs, flight: FlightRecorder) {
     assert!(trailer.contains("rows (est cost"), "summary is the trailer: {body}");
     assert!(trailer.contains("capindex 1/1 candidates"), "index decision in trailer: {trailer}");
     // Adaptive serve mode reports its splice count, the prepared-plan
-    // cache decision, the tenant, and the live breaker state of every
-    // member in the trailer.
+    // cache decision, the tenant, and the live breakers in the trailer:
+    // the ones not closed by name, the closed ones counted.
     assert!(trailer.contains(" replans, plan cache "), "adaptive trailer fields: {trailer}");
     assert!(trailer.contains(", tenant anon, breakers ["), "tenant in trailer: {trailer}");
-    assert!(trailer.contains("car_dealer:closed"), "live breaker state in trailer: {trailer}");
+    assert!(trailer.contains("breakers [1 closed]"), "live breaker state in trailer: {trailer}");
     let n: usize = trailer.split(' ').next().unwrap().parse().expect("row count leads the trailer");
     assert_eq!(lines.len() - 1, n, "one line per row plus the trailer: {body}");
 
@@ -269,9 +269,9 @@ fn serve_federation_routes_and_prunes() {
     assert!(q.contains("rows (est cost"), "{q}");
     assert!(q.contains("capindex 1/2 candidates"), "colors member is index-pruned: {q}");
     // No drift on the demo data: the adaptive path serves without a splice,
-    // and both members' breakers scrape as closed.
+    // and both members' breakers count as closed.
     assert!(q.contains("0 replans"), "{q}");
-    assert!(q.contains("breakers [car_dealer:closed colors:closed]"), "{q}");
+    assert!(q.contains("breakers [2 closed]"), "{q}");
     let metrics = http_get(addr, "/metrics");
     assert!(metrics.contains("csqp_breaker_state{member=\"colors\"} 0.0"), "{metrics}");
     // One HELP/TYPE block covers both members of the labeled family.
