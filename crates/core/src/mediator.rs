@@ -13,6 +13,7 @@ use crate::gencompact::{plan_compact_traced, GenCompactConfig};
 use crate::genmodular::{plan_modular_traced, GenModularConfig};
 use crate::plancache::PlanCache;
 use crate::types::{PlanError, PlannedQuery, TargetQuery};
+use csqp_expr::CondTree;
 use csqp_obs::{
     names, CardRow, FlightRecorder, Obs, PlanEvent, ProfileCapture, QueryFlight, QueryProfile,
 };
@@ -29,6 +30,7 @@ use csqp_relation::stream::TupleBatch;
 use csqp_relation::Relation;
 use csqp_source::{Meter, ResilienceMeter, Source};
 use csqp_ssdl::linearize::{cond_fingerprint, Fingerprint};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -250,6 +252,34 @@ impl Default for AdaptiveConfig {
     }
 }
 
+/// One run's cardinality estimates, memoized by condition fingerprint.
+/// Planning and the drift controller ask about the same leaf conditions,
+/// and the estimate of a fixed condition never changes mid-query; an
+/// oracle-backed estimator rescans the relation per call, so without the
+/// memo a drift-watched run would pay for each leaf's estimate twice (once
+/// to plan it, once at the first batch boundary), and without any cache
+/// at every batch boundary.
+#[derive(Default)]
+struct EstimateMemo(RefCell<BTreeMap<Fingerprint, f64>>);
+
+/// An estimator answering through a run's [`EstimateMemo`].
+struct Memoized<'c> {
+    card: &'c dyn Cardinality,
+    memo: &'c EstimateMemo,
+}
+
+impl Cardinality for Memoized<'_> {
+    fn estimate(&self, cond: Option<&CondTree>) -> f64 {
+        let fp = cond_fingerprint(cond);
+        if let Some(&e) = self.memo.0.borrow().get(&fp) {
+            return e;
+        }
+        let e = self.card.estimate(cond);
+        self.memo.0.borrow_mut().insert(fp, e);
+        e
+    }
+}
+
 /// The drift-triggered [`ReplanController`]: watches per-leaf observed
 /// cardinality against the planner's estimates at every batch boundary,
 /// and when a subquery exits the drift band, re-runs the planner over the
@@ -264,11 +294,8 @@ struct DriftController<'a> {
     /// Observed-cardinality floors, monotonically raised — a re-plan can
     /// only get better-informed, so splice loops cannot oscillate.
     floors: BTreeMap<Fingerprint, f64>,
-    /// Planner estimates per leaf condition, memoized for the run: the
-    /// estimate of a fixed condition never changes mid-query, and an
-    /// oracle-backed estimator rescans the relation per call — without the
-    /// cache every batch boundary would pay that scan for every leaf.
-    est_cache: BTreeMap<Fingerprint, f64>,
+    /// The run's estimates, holding the ones planning already made.
+    estimates: EstimateMemo,
     splices: u64,
     drift_triggers: u64,
     /// Next `probe.batches` value worth checking at; doubles after each
@@ -280,7 +307,12 @@ struct DriftController<'a> {
 impl<'a> DriftController<'a> {
     /// Re-plans residuals for `planned`'s own output attributes (they are
     /// the query's) and narrates splices on its flight record.
-    fn new(med: &'a Mediator, planned: &PlannedQuery, cfg: &AdaptiveConfig) -> Self {
+    fn new(
+        med: &'a Mediator,
+        planned: &PlannedQuery,
+        cfg: &AdaptiveConfig,
+        estimates: EstimateMemo,
+    ) -> Self {
         DriftController {
             med,
             attrs: planned.plan.output_attrs().clone(),
@@ -288,7 +320,7 @@ impl<'a> DriftController<'a> {
             drift_factor: cfg.drift_factor.max(1.0),
             max_splices: cfg.max_splices,
             floors: BTreeMap::new(),
-            est_cache: BTreeMap::new(),
+            estimates,
             splices: 0,
             drift_triggers: 0,
             next_check: 1,
@@ -311,16 +343,13 @@ impl ReplanController for DriftController<'_> {
         let mut low_drift = false;
         let mut detail: Option<String> = None;
         med.with_card(|card| {
+            let card = Memoized { card, memo: &self.estimates };
             for leaf in probe.leaves {
                 let fp = cond_fingerprint(leaf.cond.as_ref());
-                let est = *self.est_cache.entry(fp).or_insert_with(|| {
-                    let e = card.estimate(leaf.cond.as_ref());
-                    if e.is_finite() {
-                        e.max(0.0)
-                    } else {
-                        0.0
-                    }
-                });
+                let est = match card.estimate(leaf.cond.as_ref()) {
+                    e if e.is_finite() => e.max(0.0),
+                    _ => 0.0,
+                };
                 let obs = leaf.rows_out as f64;
                 if (obs + 1.0) > factor * (est + 1.0) {
                     let floor = self.floors.entry(fp).or_insert(0.0);
@@ -633,13 +662,24 @@ impl Mediator {
 
     /// Plans a target query without executing it.
     pub fn plan(&self, query: &TargetQuery) -> Result<PlannedQuery, PlanError> {
+        self.plan_estimating(query, &EstimateMemo::default())
+    }
+
+    /// [`Mediator::plan`], keeping every estimate it makes in `estimates`.
+    fn plan_estimating(
+        &self,
+        query: &TargetQuery,
+        estimates: &EstimateMemo,
+    ) -> Result<PlannedQuery, PlanError> {
         let span = self.obs.tracer.span("plan");
         self.obs
             .tracer
             .event_with(|| format!("scheme {} on source {}", self.scheme, self.source.name));
         let flight = self.flight.begin_with(|| (query.to_string(), self.scheme.name().to_string()));
-        let mut planned =
-            self.with_card(|card| self.dispatch(query, card, flight, Some(&self.obs.tracer)));
+        let mut planned = self.with_card(|card| {
+            let card = Memoized { card, memo: estimates };
+            self.dispatch(query, &card, flight, Some(&self.obs.tracer))
+        });
         match &mut planned {
             Ok(p) => {
                 p.flight_id = flight.id();
@@ -814,7 +854,7 @@ impl Mediator {
             }
             let candidate =
                 PlannedQuery { plan: plan.clone(), est_cost, alternatives: Vec::new(), ..planned };
-            match self.run_planned(candidate, options, None) {
+            match self.run_planned(candidate, options, None, EstimateMemo::default()) {
                 Ok(run) => {
                     resilience.absorb(&run.resilience);
                     win = Some((run, plan_rank));
@@ -931,9 +971,10 @@ impl Mediator {
         options: StreamOptions<'_>,
         sink: Option<&mut dyn FnMut(TupleBatch) -> bool>,
     ) -> Result<StreamOutcome, MediatorError> {
+        let estimates = EstimateMemo::default();
         let planned = match input.into() {
             StreamInput::Query(query) => {
-                let planned = self.plan(query)?;
+                let planned = self.plan_estimating(query, &estimates)?;
                 // The drift controller re-plans residuals for the plan's
                 // own output attributes; they are the query's.
                 debug_assert_eq!(planned.plan.output_attrs(), &query.attrs);
@@ -941,13 +982,13 @@ impl Mediator {
             }
             StreamInput::Prepared(planned) => planned,
         };
-        self.run_planned(planned, options, sink).map_err(|(e, _)| MediatorError::Exec(e))
+        self.run_planned(planned, options, sink, estimates).map_err(|(e, _)| MediatorError::Exec(e))
     }
 
-    /// The body of [`Mediator::run_stream`] once a plan is in hand. A
-    /// failure carries the retry/fault counters the run spent, which is how
-    /// [`Mediator::run_ranked`] keeps one cumulative account across the
-    /// plans it tries.
+    /// The body of [`Mediator::run_stream`] once a plan is in hand, with
+    /// the estimates planning it made. A failure carries the retry/fault
+    /// counters the run spent, which is how [`Mediator::run_ranked`] keeps
+    /// one cumulative account across the plans it tries.
     // Built once per failed run, beside an `Ok` several times its size.
     #[allow(clippy::result_large_err)]
     fn run_planned(
@@ -955,12 +996,15 @@ impl Mediator {
         planned: PlannedQuery,
         options: StreamOptions<'_>,
         sink: Option<&mut dyn FnMut(TupleBatch) -> bool>,
+        estimates: EstimateMemo,
     ) -> Result<StreamOutcome, (ExecError, ResilienceMeter)> {
         let _span = self.obs.tracer.span(options.span_label());
         let before = self.source.meter();
         let mut resilience = ResilienceMeter::default();
         let mut drift = match options {
-            StreamOptions::Adaptive(cfg) => Some(DriftController::new(self, &planned, cfg)),
+            StreamOptions::Adaptive(cfg) => {
+                Some(DriftController::new(self, &planned, cfg, estimates))
+            }
             _ => None,
         };
         let adaptive = drift.is_some();

@@ -18,6 +18,28 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+/// The body type of every `/query` response.
+const TEXT: &str = "text/plain; charset=utf-8";
+
+/// The status line and headers of a streamed `/query` answer.
+const QUERY_OK_HEADER: &str =
+    "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\nConnection: close\r\n\r\n";
+
+/// A streamed answer goes to the socket once this many bytes of rows have
+/// accumulated (and at the first batch, and at the end).
+const QUERY_FLUSH_BYTES: usize = 32 * 1024;
+
+/// A complete framed response — status line, headers and body — as one
+/// buffer, so it leaves in one write.
+fn framed_response(status: &str, ctype: &str, body: &str, keep_alive: bool) -> String {
+    format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\n\
+         Connection: {}\r\n\r\n{body}",
+        body.len(),
+        if keep_alive { "keep-alive" } else { "close" }
+    )
+}
+
 /// Reads one line, mapping EOF and an idle read timeout to `None` — both
 /// just mean "the client is done with this connection".
 fn next_line(reader: &mut BufReader<TcpStream>, buf: &mut String) -> io::Result<Option<()>> {
@@ -84,14 +106,7 @@ impl Server {
                 }
                 let (status, ctype, body, shutdown) = self.route(&target);
                 let keep = keep_alive && !shutdown;
-                write!(
-                    stream,
-                    "HTTP/1.1 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\n\
-                     Connection: {}\r\n\r\n",
-                    body.len(),
-                    if keep { "keep-alive" } else { "close" }
-                )?;
-                stream.write_all(body.as_bytes())?;
+                stream.write_all(framed_response(status, ctype, &body, keep).as_bytes())?;
                 if shutdown {
                     return Ok(true);
                 }
@@ -141,20 +156,20 @@ impl Server {
     /// before the first byte still get a proper status (`400`, or `429`
     /// when admission shed the query); a failure mid-stream is appended as
     /// an `ERR` line (the status is already on the wire).
+    ///
+    /// The response is built in one buffer: the header and the first batch
+    /// leave in one write (time to first row), then a write happens each
+    /// time [`QUERY_FLUSH_BYTES`] have accumulated, and the last write
+    /// carries the trailer or the `ERR` line. A failed write stops the run
+    /// at that flush.
     fn handle_query_http(
         &self,
         stream: &mut TcpStream,
         query_string: &str,
         tenant_header: Option<String>,
     ) -> io::Result<()> {
-        const TEXT: &str = "text/plain; charset=utf-8";
         let respond_err = |stream: &mut TcpStream, status: &str, body: &str| {
-            write!(
-                stream,
-                "HTTP/1.1 {status}\r\nContent-Type: {TEXT}\r\nContent-Length: {}\r\n\
-                 Connection: close\r\n\r\n{body}",
-                body.len()
-            )
+            stream.write_all(framed_response(status, TEXT, body, false).as_bytes())
         };
         // The tenant rides in on the `tenant=` query param (which wins) or
         // the `X-Tenant` header; anonymous traffic pools under `anon`.
@@ -193,21 +208,23 @@ impl Server {
             },
         };
         let attrs: Vec<String> = attrs.split(',').map(|s| s.trim().to_string()).collect();
+        let mut out = String::new();
         let mut wrote_header = false;
         let mut io_err: Option<io::Error> = None;
         let outcome = {
             let sink = &mut |chunk: &str| {
-                if !wrote_header {
-                    if let Err(e) = write!(
-                        stream,
-                        "HTTP/1.1 200 OK\r\nContent-Type: {TEXT}\r\nConnection: close\r\n\r\n"
-                    ) {
-                        io_err = Some(e);
-                        return false;
-                    }
+                let first = !wrote_header;
+                if first {
+                    out.push_str(QUERY_OK_HEADER);
                     wrote_header = true;
                 }
-                match stream.write_all(chunk.as_bytes()) {
+                out.push_str(chunk);
+                if !first && out.len() < QUERY_FLUSH_BYTES {
+                    return true;
+                }
+                let written = stream.write_all(out.as_bytes());
+                out.clear();
+                match written {
                     Ok(()) => true,
                     Err(e) => {
                         io_err = Some(e);
@@ -225,16 +242,16 @@ impl Server {
                 if !wrote_header {
                     // Empty result: nothing streamed yet, the trailer is
                     // the whole body.
-                    write!(
-                        stream,
-                        "HTTP/1.1 200 OK\r\nContent-Type: {TEXT}\r\nConnection: close\r\n\r\n"
-                    )?;
+                    out.push_str(QUERY_OK_HEADER);
                 }
-                stream.write_all(trailer.as_bytes())
+                out.push_str(&trailer);
+                stream.write_all(out.as_bytes())
             }
             Err(QueryError { status, body }) => {
                 if wrote_header {
-                    write!(stream, "ERR {body}")
+                    out.push_str("ERR ");
+                    out.push_str(&body);
+                    stream.write_all(out.as_bytes())
                 } else {
                     respond_err(stream, status, &body)
                 }

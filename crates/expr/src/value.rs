@@ -6,7 +6,7 @@
 //! ordered collections and be compared by range predicates deterministically.
 
 use std::cmp::Ordering;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
 
 /// The type of a [`Value`], used by SSDL typed placeholders (`$int`,
@@ -151,7 +151,23 @@ impl fmt::Display for Value {
                     write!(f, "{x}")
                 }
             }
-            Value::Str(s) => write!(f, "\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\"")),
+            Value::Str(s) => {
+                // Escapes `\` and `"` while writing: the unescaped runs
+                // between them go out as borrowed slices, so rendering a
+                // value allocates nothing.
+                f.write_char('"')?;
+                let mut run = 0;
+                // Both are ASCII, so a byte match is always a char boundary.
+                for (i, b) in s.bytes().enumerate() {
+                    if b == b'\\' || b == b'"' {
+                        f.write_str(&s[run..i])?;
+                        f.write_char('\\')?;
+                        run = i;
+                    }
+                }
+                f.write_str(&s[run..])?;
+                f.write_char('"')
+            }
             Value::Bool(b) => write!(f, "{b}"),
         }
     }
@@ -240,6 +256,30 @@ mod tests {
         assert_eq!(Value::str("a\"b").to_string(), "\"a\\\"b\"");
         assert_eq!(Value::Bool(true).to_string(), "true");
         assert_eq!(Value::Float(2.0).to_string(), "2.0");
+    }
+
+    /// The allocating formatter `Display` replaced, kept as the oracle.
+    fn replace_rendering(s: &str) -> String {
+        format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
+    }
+
+    #[test]
+    fn string_rendering_is_byte_identical_to_the_replace_oracle() {
+        for s in [
+            "",
+            "plain",
+            "a\"b",
+            "a\\b",
+            "\\\"",
+            "\"\\",
+            "\"\"\\\\",
+            "trailing\\",
+            "\"leading",
+            "ünï\"cødé\\ 日本語 🚗",
+            "é\\",
+        ] {
+            assert_eq!(Value::str(s).to_string(), replace_rendering(s), "{s:?}");
+        }
     }
 
     #[test]

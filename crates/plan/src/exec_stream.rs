@@ -400,18 +400,21 @@ mod engine {
             }
         }
 
-        /// Takes this operator's own dedup sketch, when it keeps one
-        /// (union and intersect roots). The sketch holds every tuple the
-        /// operator has passed, so on an adaptive segment exit it *is* the
-        /// segment's emitted set — stealing it costs nothing, where
-        /// re-inserting each emitted tuple into a parallel persistent
-        /// sketch would have doubled the per-tuple dedup work.
+        /// Takes the set of tuples this operator has passed, when it keeps
+        /// one: a union or intersect root's own dedup sketch, or the set a
+        /// leaf's source stream shipped (the stream dedups its own
+        /// projection, so that set is everything the leaf emitted). On an
+        /// adaptive segment exit it *is* the segment's emitted set — taking
+        /// it costs nothing per tuple, where re-inserting each emitted
+        /// tuple into a parallel persistent sketch would have doubled the
+        /// per-tuple dedup work.
         pub(super) fn take_sketch(&mut self) -> Option<DedupSketch> {
             match self {
                 Node::Inter { sketch, .. } | Node::Union { sketch, .. } => {
                     Some(std::mem::take(sketch))
                 }
-                Node::Leaf { .. } | Node::Local { .. } => None,
+                Node::Leaf { stream, .. } => Some(stream.take_shipped()),
+                Node::Local { .. } => None,
             }
         }
 
@@ -682,18 +685,16 @@ mod engine {
         let limit = cfg.limit;
         let mut root = build(plan, source, cfg, account, &mut 0, extras)?;
         carried.schema.get_or_insert_with(|| root.schema().clone());
-        // A union/intersect root already dedups everything it emits through
-        // its own sketch, which is stolen on any exit that can lead to a
-        // further segment — so while the segment runs, the carried sketch
-        // is only *consulted* (and only once a splice has actually
-        // happened). A Local root can emit duplicates and always pays the
-        // explicit insert; a bare Leaf pays it on adaptive runs only — the
-        // price of splice-readiness.
-        let inserts = match root {
-            Node::Local { .. } => true,
-            Node::Leaf { .. } => extras.adaptive.is_some(),
-            Node::Inter { .. } | Node::Union { .. } => false,
-        };
+        // A union/intersect root dedups everything it emits through its own
+        // sketch, and a bare leaf's source stream through its seen set; on
+        // any exit that can lead to a further segment that set is taken
+        // into the carried one (`take_sketch`). So while the segment runs,
+        // the carried sketch is only *consulted*, and only once a splice
+        // has happened. The one tuple-level gap, a leaf's tail cut by the
+        // limit, shipped but never emitted, cannot matter: the run ends
+        // at the cut. A Local root can emit duplicates and always pays the
+        // explicit insert.
+        let inserts = matches!(root, Node::Local { .. });
         let mut batch_no = 0u64;
         loop {
             if limit.is_some_and(|l| carried.emitted >= l) {

@@ -13,8 +13,8 @@ use csqp_expr::gen::{CondGen, CondGenConfig, GenAttr};
 use csqp_expr::{CondTree, Value, ValueType};
 use csqp_plan::exec::{ExecError, RetryPolicy};
 use csqp_plan::exec_stream::{
-    execute_stream_collect, ReplanController, ReplanProbe, Retry, SpliceAction, StreamMode,
-    StreamRequest,
+    execute_stream, execute_stream_collect, ReplanController, ReplanProbe, Retry, SpliceAction,
+    StreamMode, StreamRequest,
 };
 use csqp_plan::{attrs, execute, execute_measured, OracleCard, Plan, StreamConfig};
 use csqp_relation::{Relation, Schema};
@@ -166,23 +166,36 @@ impl ReplanController for TestController {
     }
 }
 
+/// Bare source-query roots whose projection drops the key, so the source
+/// stream really dedups: the plans where a splice must carry the leaf's
+/// shipped set, because no root operator keeps one.
+fn bare_lossy_leaves() -> Vec<(u64, Plan)> {
+    vec![
+        (11, Plan::source(Some(cond(3, 1)), attrs(["a", "b"]))),
+        (23, Plan::source(Some(cond(8, 2)), attrs(["c"]))),
+        (7, Plan::source(Some(cond(12, 1)), attrs(["b", "c"]))),
+    ]
+}
+
 /// Every reachable [`StreamRequest`] against the materialized oracle:
-/// set-equal answers; the plain stream's order and the oracle's meter
-/// delta when nothing splices; `splices == 0` without a controller;
+/// set-equal answers in the plain stream's order, spliced or not (a splice
+/// re-covers drained ground and must emit nothing twice); the oracle's
+/// meter delta when nothing splices; `splices == 0` without a controller;
 /// analysis exactly when asked for; spans exactly when traced.
 #[test]
 fn request_matrix_matches_the_materialized_oracle() {
     let policy = RetryPolicy { max_retries: 32, ..Default::default() };
     let model = CostParams::new(10.0, 1.0);
     let mut spliced = 0;
-    for (seed, plan_seed, depth) in [(11, 5, 2), (23, 9, 3), (7, 2, 1), (40, 14, 0)] {
-        let plan = concrete_plan(plan_seed, depth);
+    let shapes = [(11, 5, 2), (23, 9, 3), (7, 2, 1), (40, 14, 0)]
+        .map(|(seed, plan_seed, depth)| (seed, concrete_plan(plan_seed, depth)));
+    for (seed, plan) in shapes.into_iter().chain(bare_lossy_leaves()) {
         let oracle = full_source(seed);
         let (want, want_meter) = execute_measured(&plan, &oracle).unwrap();
         let order = stream(&plan, &oracle, &StreamConfig::default());
         assert_eq!(order, want, "the order reference is the oracle's answer");
         for cell in cells() {
-            let ctx = format!("plan {plan_seed}/{depth} {cell:?}");
+            let ctx = format!("plan {plan} {cell:?}");
             let faults =
                 FaultProfile::new(seed).with_transient(if cell.faulty { 0.3 } else { 0.0 });
             let source = Arc::new(full_source(seed).with_fault_profile(faults));
@@ -211,11 +224,9 @@ fn request_matrix_matches_the_materialized_oracle() {
             assert_eq!(run.analysis.is_some(), cell.mode == Mode::Analyzed, "{ctx}");
             assert!(run.splices <= u64::from(cell.mode == Mode::SplicesOnce), "{ctx}");
             spliced += run.splices;
-            if run.splices == 0 {
-                assert_eq!(got.tuples(), &order.tuples()[..n], "{ctx}");
-                if cell.limit.is_none() {
-                    assert_eq!(source.meter(), want_meter, "{ctx}");
-                }
+            assert_eq!(got.tuples(), &order.tuples()[..n], "{ctx}");
+            if run.splices == 0 && cell.limit.is_none() {
+                assert_eq!(source.meter(), want_meter, "{ctx}");
             }
             if cell.faulty {
                 assert!(res.attempts >= source.meter().queries, "{ctx}");
@@ -229,6 +240,56 @@ fn request_matrix_matches_the_materialized_oracle() {
         }
     }
     assert!(spliced > 0, "the splices-once column must actually splice");
+}
+
+/// Splices a failed segment's plan onto a fault-free twin of its source.
+struct RecoverOnLeafError {
+    twin: Arc<Source>,
+}
+
+impl ReplanController for RecoverOnLeafError {
+    fn on_batch(&mut self, _: &ReplanProbe<'_>) -> Option<SpliceAction> {
+        None
+    }
+
+    fn on_leaf_error(&mut self, probe: &ReplanProbe<'_>, _: &ExecError) -> Option<SpliceAction> {
+        Some(SpliceAction { plan: probe.plan.clone(), source: self.twin.clone() })
+    }
+}
+
+/// A bare leaf that dies on its k-th pull and is spliced, by
+/// `on_leaf_error`, to the same plan on an identical source: the rows it
+/// emitted before dying are exactly what the recovered segment must skip.
+#[test]
+fn a_leaf_spliced_after_a_mid_stream_failure_emits_each_row_once_in_order() {
+    let mut recovered = 0;
+    for (seed, plan) in bare_lossy_leaves() {
+        let reference = stream(&plan, &full_source(seed), &StreamConfig::default());
+        for batch in [1, 3, 16] {
+            for k in 1..5 {
+                let ctx = format!("{plan} batch {batch} pull {k}");
+                // Attempt 0 is the open; pulls are attempts 1, 2, …
+                let dying = full_source(seed)
+                    .with_fault_profile(FaultProfile::new(0).with_outage(k, u64::MAX / 2));
+                let mut controller = RecoverOnLeafError { twin: Arc::new(full_source(seed)) };
+                let cfg = StreamConfig::default().with_batch_size(batch);
+                let request = StreamRequest {
+                    mode: StreamMode::Adaptive(&mut controller),
+                    ..StreamRequest::new(&cfg)
+                };
+                let mut rows = Vec::new();
+                let run = execute_stream(&plan, &dying, request, &mut |b| {
+                    rows.extend(b.into_tuples());
+                    true
+                })
+                .expect(&ctx);
+                assert_eq!(rows, reference.tuples(), "{ctx}");
+                assert_eq!(run.emitted as usize, rows.len(), "{ctx}");
+                recovered += run.splices;
+            }
+        }
+    }
+    assert!(recovered > 0, "some leaf must die mid-stream and be spliced");
 }
 
 /// Resilience counters reach the caller's meter on failure as well as on

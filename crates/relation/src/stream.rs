@@ -7,7 +7,7 @@
 //! answer tuples before any source finishes. This module provides the
 //! substrate for that: a batch container, a pull protocol ([`TupleStream`]),
 //! batch-level `select`/`project` transforms, and an exact
-//! fingerprint-bucketed [`DedupSketch`] shared by every set-semantics
+//! fingerprint-keyed [`DedupSketch`] shared by every set-semantics
 //! consumer. The operators themselves (local σ/π, union, intersect) live in
 //! the one engine, `csqp_plan::exec_stream`. Memory stays proportional to
 //! `batch_size × pipeline depth` (plus the dedup state), not to `|result|`.
@@ -16,12 +16,11 @@
 //! first-seen tuples — so a drained stream yields exactly the tuple
 //! sequence the materialized operators would produce.
 
-use crate::relation::{tuple_fingerprint, Relation};
+use crate::relation::{tuple_fingerprint, FingerprintIndex, Relation};
 use crate::schema::{Schema, SchemaError};
 use crate::tuple::{Row, Tuple};
 use csqp_expr::semantics::eval;
 use csqp_expr::CondTree;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Default number of tuples per batch. Small enough that a three-deep
@@ -87,14 +86,14 @@ pub trait TupleStream {
     fn next_batch(&mut self) -> Option<TupleBatch>;
 }
 
-/// An exact duplicate filter: fingerprint buckets with full-tuple collision
-/// fallback, so it is a *sketch* only in layout (64-bit keys), never in
-/// answer quality. Shared by the engine's union/dedup consumers and by its
-/// intersect operator's membership sides.
+/// An exact duplicate filter: a [`FingerprintIndex`] holding each distinct
+/// tuple once under its 64-bit fingerprint, with full-tuple comparison on a
+/// fingerprint hit — a *sketch* only in layout, never in answer quality.
+/// Shared by the engine's union/dedup consumers and by its intersect
+/// operator's membership sides.
 #[derive(Debug, Default)]
 pub struct DedupSketch {
-    buckets: HashMap<u64, Vec<Tuple>>,
-    len: usize,
+    tuples: FingerprintIndex<Tuple>,
 }
 
 impl DedupSketch {
@@ -105,18 +104,12 @@ impl DedupSketch {
 
     /// Inserts the tuple; returns `true` if it was not already present.
     pub fn insert(&mut self, t: &Tuple) -> bool {
-        let bucket = self.buckets.entry(tuple_fingerprint(t)).or_default();
-        if bucket.iter().any(|u| u == t) {
-            return false;
-        }
-        bucket.push(t.clone());
-        self.len += 1;
-        true
+        self.tuples.insert_with(tuple_fingerprint(t), |u| u == t, || t.clone())
     }
 
     /// Exact membership test.
     pub fn contains(&self, t: &Tuple) -> bool {
-        self.buckets.get(&tuple_fingerprint(t)).is_some_and(|b| b.iter().any(|u| u == t))
+        self.tuples.find(tuple_fingerprint(t), |u| u == t).is_some()
     }
 
     /// Absorbs another sketch: afterwards `self` contains the union of
@@ -128,25 +121,21 @@ impl DedupSketch {
             *self = other;
             return;
         }
-        for (fp, bucket) in other.buckets {
-            let mine = self.buckets.entry(fp).or_default();
-            for t in bucket {
-                if !mine.iter().any(|u| u == &t) {
-                    mine.push(t);
-                    self.len += 1;
-                }
+        for (fp, t) in other.tuples.into_entries() {
+            if self.tuples.find(fp, |u| *u == t).is_none() {
+                self.tuples.insert_with(fp, |_| false, || t);
             }
         }
     }
 
     /// Number of distinct tuples inserted.
     pub fn len(&self) -> usize {
-        self.len
+        self.tuples.len()
     }
 
     /// Is the sketch empty?
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.tuples.is_empty()
     }
 }
 
@@ -253,6 +242,43 @@ mod tests {
         }
         assert_eq!(batches, 4);
         assert_eq!(seen, r.tuples());
+    }
+
+    #[test]
+    fn dedup_sketch_matches_a_btreeset_even_when_every_fingerprint_collides() {
+        use crate::relation::COLLIDE;
+        use std::collections::BTreeSet;
+        let cars = datagen::cars(5, 240);
+        // Lossy projections ((make, year), (color), (make, color, year))
+        // make real duplicates, within each half and across the two.
+        for cols in [&[0usize, 2][..], &[3], &[0, 3, 2]] {
+            for collide in [false, true] {
+                COLLIDE.with(|f| f.set(collide));
+                let tuples: Vec<Tuple> = cars.tuples().iter().map(|t| t.project(cols)).collect();
+                let (left, right) = tuples.split_at(tuples.len() / 2);
+                let (mut sketch, mut oracle) = (DedupSketch::new(), BTreeSet::new());
+                for t in left {
+                    assert_eq!(sketch.insert(t), oracle.insert(t.clone()), "collide={collide}");
+                }
+                for t in &tuples {
+                    assert_eq!(sketch.contains(t), oracle.contains(t), "collide={collide}");
+                }
+                let (mut other, mut empty) = (DedupSketch::new(), DedupSketch::new());
+                for t in right {
+                    other.insert(t);
+                    oracle.insert(t.clone());
+                }
+                sketch.absorb(other);
+                assert_eq!(sketch.len(), oracle.len(), "collide={collide}");
+                assert!(tuples.iter().all(|t| sketch.contains(t) && !sketch.insert(t)));
+                let absent = Tuple::new(vec![Value::str("absent"); cols.len()]);
+                assert!(!sketch.contains(&absent));
+                empty.absorb(sketch);
+                assert_eq!(empty.len(), oracle.len(), "absorbing into an empty sketch");
+                assert!(oracle.iter().all(|t| empty.contains(t)));
+            }
+        }
+        COLLIDE.with(|f| f.set(false));
     }
 
     #[test]

@@ -62,17 +62,18 @@ impl AttrLookup for Row<'_> {
 
 impl fmt::Display for Row<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "(")?;
+        f.write_str("(")?;
         for (i, c) in self.schema.columns.iter().enumerate() {
             if i > 0 {
-                write!(f, ", ")?;
+                f.write_str(", ")?;
             }
+            f.write_str(&c.name)?;
             match self.tuple.get(i) {
-                Some(v) => write!(f, "{}={v}", c.name)?,
-                None => write!(f, "{}=?", c.name)?,
+                Some(v) => write!(f, "={v}")?,
+                None => f.write_str("=?")?,
             }
         }
-        write!(f, ")")
+        f.write_str(")")
     }
 }
 

@@ -18,9 +18,10 @@ use crate::fault::{Fault, FaultProfile, ResilienceMeter};
 use csqp_expr::semantics::eval;
 use csqp_expr::CondTree;
 use csqp_relation::ops::{project, select};
+use csqp_relation::relation::{projected_fingerprint, FingerprintIndex};
 use csqp_relation::schema::Schema;
 use csqp_relation::stream::{project_indices, DedupSketch, TupleBatch};
-use csqp_relation::tuple::Row;
+use csqp_relation::tuple::{Row, Tuple};
 use csqp_relation::{Relation, TableStats};
 use csqp_ssdl::check::{CompiledSource, ExportSet, SharedCheckCache};
 use csqp_ssdl::closure::{fix_order, permutation_closure, DEFAULT_MAX_SEGMENTS};
@@ -453,7 +454,7 @@ impl Source {
             cursor: 0,
             shipped: 0,
             recorded: false,
-            sketch: DedupSketch::new(),
+            seen: FingerprintIndex::default(),
         })
     }
 
@@ -551,7 +552,21 @@ pub struct SourceStream<'a> {
     cursor: usize,
     shipped: u64,
     recorded: bool,
-    sketch: DedupSketch,
+    /// The projections shipped so far, each as the position of the first
+    /// source row that produced it, keyed by the fingerprint of its
+    /// projected columns. The `&'a Source` borrow keeps the relation
+    /// immutable, so a position stands for its projection for the whole
+    /// life of the stream, and only a row that ships is ever cloned.
+    seen: FingerprintIndex<u32>,
+}
+
+/// The fingerprint a stream's seen set keys `t`'s projection under.
+fn seen_fingerprint(t: &Tuple, indices: &[usize]) -> u64 {
+    #[cfg(test)]
+    if tests::COLLIDE.with(std::cell::Cell::get) {
+        return 0;
+    }
+    projected_fingerprint(t, indices)
 }
 
 impl SourceStream<'_> {
@@ -578,9 +593,14 @@ impl SourceStream<'_> {
                 Some(c) => eval(c, &Row { schema, tuple: t }),
             };
             if keep {
-                let p = t.project(&self.indices);
-                if self.sketch.insert(&p) {
-                    fresh.push(p);
+                let indices = &self.indices;
+                let same = |&first: &u32| {
+                    let u = &tuples[first as usize];
+                    indices.iter().all(|&i| u.values()[i] == t.values()[i])
+                };
+                let at = (self.cursor - 1) as u32;
+                if self.seen.insert_with(seen_fingerprint(t, indices), same, || at) {
+                    fresh.push(t.project(indices));
                 }
             }
         }
@@ -599,6 +619,22 @@ impl SourceStream<'_> {
         Ok(Some(TupleBatch::new(self.out_schema.clone(), fresh)))
     }
 
+    /// Closes the stream and returns the set of tuples it shipped, built
+    /// from the seen set's row positions. A later pull returns `Ok(None)`
+    /// and records no cardinality, as if the stream had been dropped here.
+    /// The engine calls this only when a segment ends in a splice or a leaf
+    /// error, so the per-row path never builds the set.
+    pub fn take_shipped(&mut self) -> DedupSketch {
+        let rows = self.source.relation.tuples();
+        self.cursor = rows.len();
+        self.recorded = true;
+        let mut shipped = DedupSketch::new();
+        for (_, &at) in std::mem::take(&mut self.seen).iter() {
+            shipped.insert(&rows[at as usize].project(&self.indices));
+        }
+        shipped
+    }
+
     /// Records the full observed cardinality once the scan is exhausted
     /// (idempotent).
     fn record_exhausted(&mut self) {
@@ -615,6 +651,12 @@ mod tests {
     use csqp_expr::parse::parse_condition;
     use csqp_relation::datagen;
     use csqp_ssdl::templates;
+
+    thread_local! {
+        /// While set, every seen-set fingerprint on this thread is 0, so
+        /// every probe collides and dedup rests on the exact comparison.
+        pub(super) static COLLIDE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
 
     fn attrs(names: &[&str]) -> BTreeSet<String> {
         names.iter().map(|s| s.to_string()).collect()
@@ -790,6 +832,58 @@ mod tests {
         assert!(max_batch <= 7);
         assert_eq!(got, oracle);
         assert_eq!(s.meter(), oracle_meter, "drained stream meters like answer");
+    }
+
+    #[test]
+    fn key_dropping_stream_matches_answer_and_a_btreeset_even_when_every_fingerprint_collides() {
+        // {make, year} drops the unique model: many rows share a
+        // projection, so the stream's seen set really dedups.
+        let c = parse_condition("make = \"BMW\" ^ price < 90000").unwrap();
+        let a = attrs(&["make", "year"]);
+        for collide in [false, true] {
+            COLLIDE.with(|f| f.set(collide));
+            let s = dealer();
+            let oracle = s.answer(Some(&c), &a).unwrap();
+            let oracle_meter = s.meter();
+            s.reset_meter();
+            let mut stream = s.answer_stream(Some(&c), &a, 5).unwrap();
+            let mut got = Vec::new();
+            while let Some(b) = stream.next_batch().unwrap() {
+                got.extend(b.into_tuples());
+            }
+            COLLIDE.with(|f| f.set(false));
+            let mut seen = BTreeSet::new();
+            assert!(got.iter().all(|t| seen.insert(t.clone())), "no tuple ships twice");
+            let selected = csqp_relation::ops::select(s.relation(), Some(&c));
+            let (_, idx) = project_indices(s.relation().schema(), &["make", "year"]).unwrap();
+            let want: BTreeSet<Tuple> = selected.tuples().iter().map(|t| t.project(&idx)).collect();
+            assert_eq!(seen, want, "collide={collide}");
+            assert!(got.len() < selected.len(), "the projection is lossy");
+            assert_eq!(got, oracle.tuples(), "same rows in the same order as answer");
+            assert_eq!(s.meter(), oracle_meter, "collide={collide}");
+        }
+    }
+
+    #[test]
+    fn take_shipped_is_the_shipped_set_and_closes_the_stream() {
+        let c = parse_condition("make = \"BMW\" ^ price < 90000").unwrap();
+        let a = attrs(&["make", "year"]);
+        for collide in [false, true] {
+            let s = dealer();
+            COLLIDE.with(|f| f.set(collide));
+            let mut stream = s.answer_stream(Some(&c), &a, 4).unwrap();
+            let mut shipped = Vec::new();
+            for _ in 0..3 {
+                shipped.extend(stream.next_batch().unwrap().unwrap().into_tuples());
+            }
+            let set = stream.take_shipped();
+            COLLIDE.with(|f| f.set(false));
+            assert_eq!(set.len(), shipped.len());
+            assert!(shipped.iter().all(|t| set.contains(t)));
+            assert!(stream.next_batch().unwrap().is_none(), "a taken stream is closed");
+            assert!(s.observed_cardinality(Some(&c)).is_none(), "and records nothing");
+            assert_eq!(s.meter().tuples_shipped, shipped.len() as u64);
+        }
     }
 
     #[test]
