@@ -6,8 +6,9 @@
 //!   e18 "spans" leg, i.e. the PR-8 baseline.
 //! - **telemetry** — the same, plus everything the serve loop adds per
 //!   query for the fleet view: an audit-journal append (JSONL record to a
-//!   real file, size-rotated) and a telemetry-window roll (registry
-//!   snapshot + diff into the fixed ring) every `WINDOW_QUERIES` queries.
+//!   real file, size-rotated) and a telemetry-window roll (the registry's
+//!   open window, cut into the fixed ring: O(series touched) every
+//!   `WINDOW_QUERIES` queries).
 //!
 //! Both legs run the identical planning and execution, so the delta
 //! isolates exactly what the windowed time series + journal add. CI gates
@@ -19,7 +20,7 @@
 use csqp_core::mediator::{Mediator, Scheme};
 use csqp_core::types::TargetQuery;
 use csqp_obs::audit::{AuditRecord, JournalWriter};
-use csqp_obs::{MetricsSnapshot, Obs, TimeSeries};
+use csqp_obs::{MetricsRegistry, Obs, TimeSeries};
 use csqp_source::{Catalog, Source};
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -115,7 +116,7 @@ impl Telemetry {
         }
     }
 
-    fn record(&mut self, id: u64, query: &TargetQuery, rows: u64, snap: MetricsSnapshot) {
+    fn record(&mut self, id: u64, query: &TargetQuery, rows: u64, metrics: &MetricsRegistry) {
         self.journal
             .append(&AuditRecord {
                 id,
@@ -138,7 +139,7 @@ impl Telemetry {
             .expect("journal append");
         self.queries += 1;
         if self.queries.is_multiple_of(WINDOW_QUERIES) {
-            self.series.roll(snap, self.queries, None);
+            self.series.roll(metrics.cut_window(), self.queries, None);
         }
     }
 }
@@ -156,7 +157,7 @@ fn pass(telemetry: Option<&mut Telemetry>, w: &Workload) -> usize {
         let out = black_box(mediator.run_profiled(query).ok());
         if let Some(t) = telemetry.as_deref_mut() {
             let rows = out.map_or(0, |(analyzed, _)| analyzed.outcome.rows.len() as u64);
-            t.record(i as u64, query, rows, obs.metrics.snapshot());
+            t.record(i as u64, query, rows, &obs.metrics);
         }
         n += 1;
     }

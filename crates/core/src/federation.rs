@@ -28,7 +28,7 @@ use csqp_relation::stream::TupleBatch;
 use csqp_relation::Relation;
 use csqp_source::{Meter, ResilienceMeter, Source};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Circuit-breaker policy for federation members.
@@ -80,21 +80,28 @@ impl BreakerState {
     }
 
     /// Resets the breaker; returns `true` when this actually closed an
-    /// open/half-open breaker (a state transition worth counting).
-    fn record_success(&self) -> bool {
+    /// open/half-open breaker (a state transition worth counting), and
+    /// then takes it off the federation's `tripped` count.
+    fn record_success(&self, tripped: &AtomicUsize) -> bool {
         self.consecutive_failures.store(0, Ordering::Relaxed);
-        self.half_open_at.swap(0, Ordering::Relaxed) != 0
+        let closed = self.half_open_at.swap(0, Ordering::Relaxed) != 0;
+        if closed {
+            tripped.fetch_sub(1, Ordering::Relaxed);
+        }
+        closed
     }
 
     /// Registers a failed run; returns `true` when this opened (or
-    /// re-opened) the breaker.
-    fn record_failure(&self, now: u64, cfg: &CircuitBreakerConfig) -> bool {
+    /// re-opened) the breaker, counting it in `tripped` when it was closed.
+    fn record_failure(&self, now: u64, cfg: &CircuitBreakerConfig, tripped: &AtomicUsize) -> bool {
         let failures = self.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
         let half_open = self.half_open_at.load(Ordering::Relaxed);
         // A failed half-open probe re-opens immediately; otherwise open
         // once the threshold is crossed.
         if half_open != 0 || failures >= cfg.failure_threshold {
-            self.half_open_at.store(now + cfg.cooldown_ticks + 1, Ordering::Relaxed);
+            if self.half_open_at.swap(now + cfg.cooldown_ticks + 1, Ordering::Relaxed) == 0 {
+                tripped.fetch_add(1, Ordering::Relaxed);
+            }
             return true;
         }
         false
@@ -110,6 +117,12 @@ pub struct Federation {
     /// member's candidate and streams the member's answers.
     mediators: Vec<Mediator>,
     breakers: Vec<BreakerState>,
+    /// Breakers that are not closed. Every close/open transition moves it
+    /// (wrapping: a close may land just before the matching open's
+    /// increment), so zero means all closed except for that instant —
+    /// when a nonzero reading only costs [`Federation::breaker_summary`]
+    /// its full scan.
+    tripped: AtomicUsize,
     scheme: Scheme,
     card: CardKind,
     breaker_cfg: CircuitBreakerConfig,
@@ -327,9 +340,21 @@ pub struct PreparedFederated {
     pub flight_id: u64,
 }
 
+impl PreparedFederated {
+    /// `(candidates, total)` of the capability-index decision this
+    /// prepare's planning survey made (every member is a candidate without
+    /// an index), or `None` on a cache hit, where no survey ran.
+    pub fn surveyed(&self) -> Option<(usize, usize)> {
+        (self.decision != CacheDecision::Hit)
+            .then(|| (self.considered.verdicts.len(), self.considered.members()))
+    }
+}
+
 /// A federation planning decision.
 #[derive(Debug)]
 pub struct FederatedPlan {
+    /// Index of the chosen member in [`Federation::members`].
+    pub member: usize,
     /// The chosen source.
     pub source: Arc<Source>,
     /// Its plan.
@@ -347,6 +372,7 @@ impl Federation {
             members: Vec::new(),
             mediators: Vec::new(),
             breakers: Vec::new(),
+            tripped: AtomicUsize::new(0),
             scheme: Scheme::GenCompact,
             card: CardKind::Stats,
             breaker_cfg: CircuitBreakerConfig::default(),
@@ -439,8 +465,12 @@ impl Federation {
     }
 
     /// [`Federation::breaker_states`] without the closed members: the
-    /// non-closed ones by name, the closed ones counted.
+    /// non-closed ones by name, the closed ones counted. O(1) while every
+    /// breaker is closed; a scan of the breakers otherwise.
     pub fn breaker_summary(&self) -> BreakerSummary {
+        if self.tripped.load(Ordering::Relaxed) == 0 {
+            return BreakerSummary { tripped: Vec::new(), closed: self.members.len() };
+        }
         let mut summary = BreakerSummary::default();
         for (member, health) in self.members.iter().zip(self.breaker_healths()) {
             match health {
@@ -671,9 +701,9 @@ impl Federation {
                 ),
             });
         }
-        let (idx, planned) = feasible.swap_remove(best);
-        let source = self.members[idx].clone();
-        Ok(FederatedPlan { source, planned, considered, flight_id: flight.id() })
+        let (member, planned) = feasible.swap_remove(best);
+        let source = self.members[member].clone();
+        Ok(FederatedPlan { member, source, planned, considered, flight_id: flight.id() })
     }
 
     /// Plans `query`, consulting the prepared-plan cache first (when one
@@ -735,17 +765,12 @@ impl Federation {
             },
         };
         let fp = self.plan(query)?;
-        let member = self
-            .members
-            .iter()
-            .position(|m| Arc::ptr_eq(m, &fp.source))
-            .expect("federated winner is a member");
         if let Some(cache) = &self.plan_cache {
-            cache.insert(query, member, fp.planned.clone());
+            cache.insert(query, fp.member, fp.planned.clone());
             self.obs.metrics.gauge_set(names::PLANCACHE_ENTRIES, cache.len() as f64);
         }
         Ok(PreparedFederated {
-            member,
+            member: fp.member,
             planned: fp.planned,
             decision,
             considered: fp.considered,
@@ -869,7 +894,7 @@ impl Federation {
     /// open), the failure counters, the health taps, the trace entry.
     fn failed(&self, idx: usize, err: &ExecError, gated: &mut Gated) {
         let name = &self.members[idx].name;
-        if self.breakers[idx].record_failure(gated.now, &self.breaker_cfg) {
+        if self.breakers[idx].record_failure(gated.now, &self.breaker_cfg, &self.tripped) {
             self.obs.metrics.inc(names::BREAKER_OPENED);
             self.tap(names::BREAKER_OPENED_PREFIX, name, 1);
             self.obs.tracer.event_with(|| format!("member {name}: breaker opened"));
@@ -888,7 +913,7 @@ impl Federation {
     /// open or half-open, and the `Served` trace entry.
     fn recovered(&self, idx: usize, gated: &mut Gated) {
         let name = &self.members[idx].name;
-        if self.breakers[idx].record_success() {
+        if self.breakers[idx].record_success(&self.tripped) {
             self.obs.metrics.inc(names::BREAKER_CLOSED);
             self.flight.note(gated.flight_id, || PlanEvent::Breaker {
                 member: name.clone(),
@@ -1285,10 +1310,13 @@ mod tests {
         assert_eq!(f.members()[cold.member].name, "car_dealer");
         assert_eq!(cold.considered.verdicts.len(), 2, "miss plans the index candidates");
         assert_eq!(cold.considered.members(), 3, "planned + pruned covers every member");
+        let decision = f.capability_index().unwrap().candidates(&q1);
+        assert_eq!(cold.surveyed(), Some((decision.candidates.len(), decision.total)));
         let warm = f.prepare(&q2).unwrap();
         assert_eq!(warm.decision, CacheDecision::Hit);
         assert_eq!(warm.member, cold.member);
         assert!(warm.considered.verdicts.is_empty(), "hit skips the fan-out");
+        assert_eq!(warm.surveyed(), None, "no survey ran on a hit");
         // The rebound plan equals what cold planning would have produced.
         assert_eq!(warm.planned.plan, f.plan(&q2).unwrap().planned.plan);
         // A breaker transition wipes the cache: the next prepare is cold.
@@ -1305,6 +1333,8 @@ mod tests {
         let p = f.prepare(&q).unwrap();
         assert_eq!(p.decision, CacheDecision::Bypass);
         assert_eq!(f.members()[p.member].name, "color_only");
+        let unindexed = mirrors().with_capability_index(false).prepare(&q).unwrap();
+        assert_eq!(unindexed.surveyed(), Some((3, 3)), "without an index every member is one");
     }
 
     #[test]
@@ -1600,6 +1630,14 @@ mod tests {
             snap.gauge(&format!("{}car_dealer", names::BREAKER_STATE_PREFIX)),
             BreakerHealth::Open.as_gauge()
         );
+        // The outage is over: the cooled-down probe closes the breaker, and
+        // the sparse view's tripped count is back at zero.
+        for _ in 0..4 {
+            f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
+        }
+        assert!(f.breaker_states().iter().all(|(_, h)| *h == BreakerHealth::Closed));
+        assert_eq!(f.tripped.load(Ordering::Relaxed), 0);
+        assert_eq!(f.breaker_summary(), BreakerSummary { tripped: Vec::new(), closed: 2 });
     }
 
     /// The sparse breaker view names only tripped members; the exposed
@@ -1621,6 +1659,7 @@ mod tests {
         let summary = f.breaker_summary();
         assert_eq!(summary.tripped, vec![("car_dealer".to_string(), BreakerHealth::Open)]);
         assert_eq!(summary.to_string(), "car_dealer:open 1 closed");
+        assert_eq!(f.tripped.load(Ordering::Relaxed), 1, "one breaker counted as tripped");
         let gauge = |member: &str| format!("{}{member}", names::BREAKER_STATE_PREFIX);
         let snap = f.metrics_snapshot();
         assert_eq!(snap.gauges.get(&gauge("car_dealer")), Some(&2.0));

@@ -167,6 +167,10 @@ pub struct SlowQuery {
 /// Worst-latency query profiles the tail-sampling ring keeps resident for
 /// `/profile` post-mortems.
 const PROFILE_RING_CAPACITY: usize = 8;
+/// Trace events, and spans, the serve tracer retains (the newest): `/spans`
+/// shows this tail, and the trace stays bounded however long the server
+/// runs.
+const TRACE_TAIL: usize = 4096;
 /// Windows the time-series ring retains.
 const TIMESERIES_CAPACITY: usize = 64;
 /// Size-based journal rotation threshold (`<path>` → `<path>.1`).
@@ -235,6 +239,7 @@ impl Server {
     ) -> io::Result<Server> {
         assert!(!members.is_empty(), "serve needs at least one source");
         let listener = TcpListener::bind(&cfg.addr)?;
+        let obs = Obs { tracer: obs.tracer.with_tail(TRACE_TAIL), ..obs };
         let (obs, flight) = (Arc::new(obs), Arc::new(flight));
         let plan_cache = Arc::new(PlanCache::with_capacity(cfg.plan_cache_capacity.max(1)));
         let mut federation = Federation::new()
@@ -389,6 +394,33 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::http::{http_request_target, percent_decode, query_param};
+    use super::{ServeConfig, Server, TRACE_TAIL};
+    use std::sync::Arc;
+
+    /// A long-running server holds the newest `TRACE_TAIL` spans and
+    /// events, not one per span ever recorded, and `/spans` still renders
+    /// the tail.
+    #[test]
+    fn serve_tracer_keeps_a_bounded_tail() {
+        let source = Arc::new(csqp_source::Source::new(
+            csqp_relation::datagen::cars(3, 40),
+            csqp_ssdl::templates::car_dealer(),
+            csqp_source::CostParams::default(),
+        ));
+        let server = Server::bind_federation(vec![source], ServeConfig::default()).expect("bind");
+        let attrs = ["model".to_string(), "year".to_string()];
+        for i in 0..10_000u64 {
+            let cond = format!("make = \"BMW\" ^ price < {}", 20_000 + i % 64 * 500);
+            server.serve_query_streamed(&cond, &attrs, None, "t", &mut |_| true).expect("served");
+        }
+        let spans = server.obs.tracer.spans();
+        assert!(spans.len() <= TRACE_TAIL, "{} spans retained", spans.len());
+        assert!(server.obs.tracer.events().len() <= TRACE_TAIL);
+        assert!(server.obs.tracer.span_mark() > TRACE_TAIL, "the tail really was trimmed");
+        let (status, _, body, _) = server.route("/spans");
+        assert_eq!(status, "200 OK");
+        assert!(body.contains("execute"), "{body}");
+    }
 
     #[test]
     fn percent_decoding() {

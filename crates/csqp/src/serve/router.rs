@@ -86,14 +86,15 @@ impl Server {
     }
 
     /// Renders the `/status` scoreboard: every retained window plus the
-    /// still-open live delta folded into one signal window, scored per
-    /// member against the live breaker state.
+    /// registry's still-open window folded into one signal window, scored
+    /// per member against the live breaker state.
     pub(super) fn render_status(&self, json: bool) -> (&'static str, String) {
-        let now = self.obs.metrics.snapshot();
         let (window, windows, dropped) = {
+            // Under the ring's lock no roll can cut between the fold and
+            // the peek: together they cover every retained write once.
             let timeseries = self.timeseries.lock().expect("timeseries lock");
             let mut window = timeseries.folded(usize::MAX);
-            window.merge(&timeseries.live_delta(&now));
+            window.merge(&self.obs.metrics.peek_window());
             (window, timeseries.len(), timeseries.dropped())
         };
         let breaker_states = self.federation.breaker_states();

@@ -91,14 +91,15 @@ impl Server {
         })?;
         let cache_label = prepared.decision.label();
         let flight_id = prepared.flight_id;
-        let (index_candidates, index_total) = self
-            .federation
-            .capability_index()
-            .map(|idx| {
+        // A miss carries its survey's index decision; a hit planned
+        // nothing, so the trailer asks the index what it would have kept.
+        let (index_candidates, index_total) = prepared.surveyed().unwrap_or_else(|| {
+            let members = self.federation.members().len();
+            self.federation.capability_index().map_or((members, members), |idx| {
                 let d = idx.candidates(&query);
                 (d.candidates.len(), d.total)
             })
-            .unwrap_or((self.federation.members().len(), self.federation.members().len()));
+        });
         let mut emitted = 0u64;
         let mut chunk = String::new();
         let mut batch_sink = |batch: csqp_relation::TupleBatch| {
@@ -159,10 +160,15 @@ impl Server {
         self.obs.metrics.observe(names::SERVE_ROWS_RETURNED, emitted);
         let latency = LatencyKey { wall_us: Some(latency_us), ticks: capture.ticks() };
         let breakers = self.federation.breaker_summary();
+        // The profile, its flight rendering and span slice are built only
+        // when the worst-N ring will keep them; the slow log needs the
+        // flight too.
+        let slow = latency_us >= self.cfg.slow_ms.saturating_mul(1000);
+        let keep = self.profiles.lock().expect("profile ring lock").admits(&latency, flight_id);
         // This query's own flight, by id: under several workers the
         // recorder's latest flight is whichever query planned last.
-        let flight = self.flight.record(flight_id);
-        if latency_us >= self.cfg.slow_ms.saturating_mul(1000) {
+        let flight = (slow || keep).then(|| self.flight.record(flight_id)).flatten();
+        if slow {
             self.obs.metrics.inc(names::SERVE_SLOW_QUERIES);
             let mut slow_log = self.slow_log.lock().expect("slow log lock");
             if slow_log.len() >= self.cfg.slow_log_capacity.max(1) {
@@ -176,30 +182,37 @@ impl Server {
         }
         // Close the window once: the profile keeps the query's own metric
         // writes, and the audit record below reads from them.
-        let profile = capture.finish(flight.as_ref());
+        let profile = if keep {
+            capture.finish(flight.as_ref())
+        } else {
+            QueryProfile { metrics: capture.close(), ..Default::default() }
+        };
         let breaker_events = profile.metrics.counter(names::BREAKER_OPENED)
             + profile.metrics.counter(names::BREAKER_HALF_OPENED)
             + profile.metrics.counter(names::BREAKER_CLOSED);
-        // Assemble the query's black box and offer it to the worst-N ring.
-        self.obs.metrics.inc(names::PROFILE_CAPTURED);
-        self.profiles.lock().expect("profile ring lock").push(QueryProfile {
-            id: flight_id,
-            query: query.to_string(),
-            scheme: "Federation".to_string(),
-            rows: emitted,
-            latency: Some(latency),
-            est_cost: out.planned.est_cost,
-            observed_cost: out.measured_cost,
-            splices: replans,
-            drift_triggers,
-            plan_cache: cache_label.to_string(),
-            breakers: breakers
-                .tripped
-                .iter()
-                .map(|(name, health)| (name.clone(), health.label().to_string()))
-                .collect(),
-            ..profile
-        });
+        if keep {
+            // Assemble the query's black box and hand it to the worst-N
+            // ring.
+            self.obs.metrics.inc(names::PROFILE_CAPTURED);
+            self.profiles.lock().expect("profile ring lock").push(QueryProfile {
+                id: flight_id,
+                query: query.to_string(),
+                scheme: "Federation".to_string(),
+                rows: emitted,
+                latency: Some(latency),
+                est_cost: out.planned.est_cost,
+                observed_cost: out.measured_cost,
+                splices: replans,
+                drift_triggers,
+                plan_cache: cache_label.to_string(),
+                breakers: breakers
+                    .tripped
+                    .iter()
+                    .map(|(name, health)| (name.clone(), health.label().to_string()))
+                    .collect(),
+                ..profile
+            });
+        }
         self.journal_append(&AuditRecord {
             id: flight_id,
             fingerprint,
@@ -244,20 +257,22 @@ impl Server {
     }
 
     /// Closes the current telemetry window once `window_queries` queries
-    /// have completed since the last boundary. Serve is the one wall-clock
-    /// place in the stack, so windows carry a wall stamp here. Windows roll
-    /// the registry alone: breaker state is read live where it is scored
-    /// (`/status`), so no window carries a `breaker.state.*` gauge.
+    /// have completed since the last boundary: cuts the registry's open
+    /// window (O(series touched), no registry snapshot) into the ring.
+    /// The cut happens under the ring's lock, so concurrent rolls enter
+    /// the ring in the order they cut. Serve is the one wall-clock place
+    /// in the stack, so windows carry a wall stamp here. Breaker state is
+    /// read live where it is scored (`/status`), so no window carries a
+    /// `breaker.state.*` gauge.
     pub(super) fn maybe_roll(&self) {
         let done = self.queries_done.fetch_add(1, std::sync::atomic::Ordering::AcqRel) + 1;
         if !done.is_multiple_of(self.cfg.window_queries.max(1)) {
             return;
         }
-        let now = self.obs.metrics.snapshot();
         let ticks = self.obs.tracer.tick();
         let wall_us = self.started.elapsed().as_micros() as u64;
         let mut timeseries = self.timeseries.lock().expect("timeseries lock");
-        timeseries.roll(now, ticks, Some(wall_us));
+        timeseries.roll(self.obs.metrics.cut_window(), ticks, Some(wall_us));
         self.obs.metrics.gauge_set(names::TIMESERIES_WINDOWS, timeseries.len() as f64);
     }
 }

@@ -41,7 +41,8 @@
 //!
 //! Three modules extend the per-query layer across queries and runs:
 //! [`timeseries`] keeps a fixed ring of windowed [`MetricsSnapshot`] deltas
-//! (windowed rates and histogram-merge p50/p99 with no hot-path cost),
+//! cut from the registry's open window in O(series touched) (windowed
+//! rates and histogram-merge p50/p99),
 //! [`health`] folds a window of per-member signals into a scored
 //! [`health::HealthReport`] plus SLO burn rates, and [`audit`] journals one
 //! flat JSONL [`audit::AuditRecord`] per completed serve query with

@@ -134,7 +134,7 @@ impl HistogramSnapshot {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Inner {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
@@ -191,6 +191,19 @@ impl Inner {
         }
     }
 
+    /// Remembers `query_id` as the exemplar of the bucket `v` lands in.
+    fn exemplar(&mut self, name: &str, v: u64, query_id: u64) {
+        let (_, hi) = bucket_bounds(bucket_index(v));
+        match self.exemplars.get_mut(name) {
+            Some(ex) => {
+                ex.insert(hi, (query_id, v));
+            }
+            None => {
+                self.exemplars.insert(name.to_string(), BTreeMap::from([(hi, (query_id, v))]));
+            }
+        }
+    }
+
     /// The window's writes as a snapshot: counters that moved, the gauges
     /// written, and every histogram observed into.
     fn into_delta(mut self) -> MetricsSnapshot {
@@ -201,6 +214,16 @@ impl Inner {
             histograms: self.histograms.into_iter().map(|(k, h)| (k, h.snapshot())).collect(),
         }
     }
+}
+
+/// What the registry's lock guards: the running totals, and the open
+/// telemetry window — every write since the last
+/// [`MetricsRegistry::cut_window`], kept in the same accumulator a
+/// [`MetricsWindow`] uses.
+#[derive(Debug, Default)]
+struct Maps {
+    totals: Inner,
+    window: Inner,
 }
 
 /// One capture window open on the calling thread: the registry it mirrors
@@ -223,11 +246,11 @@ thread_local! {
 static NEXT_WINDOW: AtomicU64 = AtomicU64::new(1);
 
 /// The metrics registry. Interior-mutable and `Send + Sync` (a single
-/// `Mutex` guards all three maps — hot loops keep local counters and flush
-/// once, see DESIGN.md §5c).
+/// `Mutex` guards the totals and the open telemetry window — hot loops
+/// keep local counters and flush once, see DESIGN.md §5c).
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    inner: Mutex<Inner>,
+    inner: Mutex<Maps>,
     /// Set once at construction ([`MetricsRegistry::off`]).
     off: bool,
 }
@@ -252,17 +275,23 @@ impl MetricsRegistry {
 
     /// The maps behind their lock, or `None` for an off registry — the one
     /// flag check every recording call and `snapshot` make, before the lock.
-    fn recording(&self) -> Option<std::sync::MutexGuard<'_, Inner>> {
+    fn recording(&self) -> Option<std::sync::MutexGuard<'_, Maps>> {
         (!self.off).then(|| self.inner.lock().expect("metrics lock"))
     }
 
-    /// Mirrors one write into every capture window the calling thread has
-    /// open on this registry (usually none: one empty-vector check).
-    fn mirror(&self, write: impl Fn(&mut Inner)) {
+    /// Records one write: `total` updates the running totals, and `delta`,
+    /// given what `total` returned, records the same write into the open
+    /// telemetry window and into every capture window the calling thread
+    /// has open on this registry (usually none: one empty-vector check).
+    fn record<T: Copy>(&self, total: impl FnOnce(&mut Inner) -> T, delta: impl Fn(&mut Inner, T)) {
+        let Some(mut maps) = self.recording() else { return };
+        let t = total(&mut maps.totals);
+        delta(&mut maps.window, t);
+        drop(maps);
         let registry = self as *const Self as usize;
         let _ = WINDOWS.try_with(|open| {
             for window in open.borrow_mut().iter_mut().filter(|w| w.registry == registry) {
-                write(&mut window.delta);
+                delta(&mut window.delta, t);
             }
         });
     }
@@ -287,10 +316,7 @@ impl MetricsRegistry {
 
     /// Adds `delta` to counter `name` (creating it at zero).
     pub fn add(&self, name: &str, delta: u64) {
-        let Some(mut inner) = self.recording() else { return };
-        inner.add(name, delta);
-        drop(inner);
-        self.mirror(|w| w.add(name, delta));
+        self.record(|m| m.add(name, delta), |w, ()| w.add(name, delta));
     }
 
     /// Increments counter `name` by one.
@@ -300,27 +326,18 @@ impl MetricsRegistry {
 
     /// Sets gauge `name` to `v`.
     pub fn gauge_set(&self, name: &str, v: f64) {
-        let Some(mut inner) = self.recording() else { return };
-        inner.gauge_set(name, v);
-        drop(inner);
-        self.mirror(|w| w.gauge_set(name, v));
+        self.record(|m| m.gauge_set(name, v), |w, ()| w.gauge_set(name, v));
     }
 
-    /// Adds `v` to gauge `name` (creating it at zero). An open capture
-    /// window records the state this write left, like `gauge_set`.
+    /// Adds `v` to gauge `name` (creating it at zero). Windows record the
+    /// state this write left, like `gauge_set`.
     pub fn gauge_add(&self, name: &str, v: f64) {
-        let Some(mut inner) = self.recording() else { return };
-        let now = inner.gauge_add(name, v);
-        drop(inner);
-        self.mirror(|w| w.gauge_set(name, now));
+        self.record(|m| m.gauge_add(name, v), |w, now| w.gauge_set(name, now));
     }
 
     /// Records `v` into histogram `name`.
     pub fn observe(&self, name: &str, v: u64) {
-        let Some(mut inner) = self.recording() else { return };
-        inner.observe(name, v);
-        drop(inner);
-        self.mirror(|w| w.observe(name, v));
+        self.record(|m| m.observe(name, v), |w, ()| w.observe(name, v));
     }
 
     /// Records `v` into histogram `name` and remembers `query_id` as the
@@ -328,24 +345,19 @@ impl MetricsRegistry {
     /// by serve mode so a tail-latency bucket names a query that landed
     /// there — the id joins against `/profile/<id>` and the flight recorder.
     pub fn observe_exemplar(&self, name: &str, v: u64, query_id: u64) {
-        let Some(mut inner) = self.recording() else { return };
-        inner.observe(name, v);
-        let (_, hi) = bucket_bounds(bucket_index(v));
-        match inner.exemplars.get_mut(name) {
-            Some(ex) => {
-                ex.insert(hi, (query_id, v));
-            }
-            None => {
-                inner.exemplars.insert(name.to_string(), BTreeMap::from([(hi, (query_id, v))]));
-            }
-        }
-        drop(inner);
-        self.mirror(|w| w.observe(name, v));
+        let total = |m: &mut Inner| {
+            m.observe(name, v);
+            m.exemplar(name, v, query_id);
+        };
+        self.record(total, |w, ()| w.observe(name, v));
     }
 
-    /// A sorted point-in-time snapshot of everything recorded so far.
+    /// A sorted point-in-time snapshot of everything recorded so far:
+    /// O(registry). `/metrics` is its serve-mode reader; telemetry windows
+    /// use [`MetricsRegistry::cut_window`] instead.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let Some(inner) = self.recording() else { return MetricsSnapshot::default() };
+        let Some(maps) = self.recording() else { return MetricsSnapshot::default() };
+        let inner = &maps.totals;
         MetricsSnapshot {
             counters: inner.counters.clone(),
             gauges: inner.gauges.clone(),
@@ -363,10 +375,32 @@ impl MetricsRegistry {
         }
     }
 
+    /// Closes the open telemetry window and starts the next: returns every
+    /// write since the previous cut (from any thread), O(series touched).
+    /// Counters and histogram count/sum/buckets equal what diffing two
+    /// snapshots taken at the cuts would give; gauges are the ones written
+    /// during the window, at their last written value; histogram min/max
+    /// are the window's own; no exemplars. Empty for an off registry.
+    pub fn cut_window(&self) -> MetricsSnapshot {
+        let Some(mut maps) = self.recording() else { return MetricsSnapshot::default() };
+        let window = std::mem::take(&mut maps.window);
+        drop(maps);
+        window.into_delta()
+    }
+
+    /// The open telemetry window as [`MetricsRegistry::cut_window`] would
+    /// return it, without cutting it.
+    pub fn peek_window(&self) -> MetricsSnapshot {
+        let Some(maps) = self.recording() else { return MetricsSnapshot::default() };
+        let window = maps.window.clone();
+        drop(maps);
+        window.into_delta()
+    }
+
     /// Drops every recorded value.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("metrics lock");
-        *inner = Inner::default();
+        let mut maps = self.inner.lock().expect("metrics lock");
+        *maps = Maps::default();
     }
 }
 
@@ -454,9 +488,10 @@ impl MetricsSnapshot {
     /// dropped), gauges keep their current values (they are states, not
     /// accumulations), histograms subtract count/sum/per-bucket tallies
     /// (empty deltas dropped; min/max are kept from `self` since deltas for
-    /// extremes are not recoverable). This is how a [`crate::TimeSeries`]
-    /// window attributes registry activity to a stretch of time; one
-    /// query's own writes come from a [`MetricsWindow`] instead.
+    /// extremes are not recoverable). O(registry) on both sides: a
+    /// [`crate::TimeSeries`] window comes from
+    /// [`MetricsRegistry::cut_window`], and one query's own writes from a
+    /// [`MetricsWindow`], instead.
     pub fn diff(&self, before: &MetricsSnapshot) -> MetricsSnapshot {
         let mut out = MetricsSnapshot { gauges: self.gauges.clone(), ..Default::default() };
         for (k, &v) in &self.counters {
@@ -736,6 +771,43 @@ mod tests {
         assert!(WINDOWS.with_borrow(Vec::is_empty));
         off.inc("a");
         assert_eq!(window.close(), MetricsSnapshot::default());
+    }
+
+    #[test]
+    fn cut_windows_partition_the_registrys_writes() {
+        let reg = MetricsRegistry::new();
+        reg.add("c", 3);
+        reg.gauge_set("untouched", 9.0);
+        reg.observe_exemplar("h", 900, 1);
+        let first = reg.cut_window();
+        assert_eq!(first.counter("c"), 3);
+        assert_eq!(first.histograms["h"].count, 1);
+        assert!(first.histograms["h"].exemplars.is_empty());
+        let before = reg.snapshot();
+        reg.add("c", 2);
+        reg.add("zero", 0);
+        reg.gauge_add("g", 1.5);
+        reg.observe("h", 3);
+        // Peeking leaves the window open.
+        assert_eq!(reg.peek_window(), reg.peek_window());
+        let second = reg.cut_window();
+        let diff = reg.snapshot().diff(&before);
+        assert_eq!(second.counters, diff.counters);
+        let (w, d) = (&second.histograms["h"], &diff.histograms["h"]);
+        assert_eq!((w.count, w.sum, &w.buckets), (d.count, d.sum, &d.buckets));
+        // Only the gauges written in the window, and the window's own
+        // extremes.
+        assert_eq!(second.gauges, BTreeMap::from([("g".to_string(), 1.5)]));
+        assert_eq!((w.min, w.max), (3, 3));
+        assert_eq!(reg.peek_window(), MetricsSnapshot::default());
+        // `clear` empties the window too; an off registry has none.
+        reg.inc("c");
+        reg.clear();
+        assert_eq!(reg.cut_window(), MetricsSnapshot::default());
+        let off = MetricsRegistry::off();
+        off.inc("c");
+        assert_eq!(off.cut_window(), MetricsSnapshot::default());
+        assert_eq!(off.peek_window(), MetricsSnapshot::default());
     }
 
     #[test]

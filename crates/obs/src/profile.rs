@@ -201,6 +201,14 @@ impl<'a> ProfileCapture<'a> {
         self.obs.tracer.tick().saturating_sub(self.tick0)
     }
 
+    /// Closes only the metrics window and returns this query's own metric
+    /// writes — for a caller that needs them but will keep no profile
+    /// (serve, when the worst-N ring would not admit it): no span slice,
+    /// no flight rendering.
+    pub fn close(self) -> MetricsSnapshot {
+        self.metrics.close()
+    }
+
     /// Closes the window into the profile skeleton for everything recorded
     /// since `begin`: tick latency, this query's own metric writes, the
     /// spans since the mark, and the trail (and id) of `flight`, the
@@ -236,24 +244,33 @@ impl ProfileRing {
         ProfileRing { cap, entries: Vec::new() }
     }
 
-    /// Offers a profile; it is retained iff it ranks among the `cap` worst
-    /// seen so far. Profiles without a latency key rank as zero.
-    pub fn push(&mut self, profile: QueryProfile) {
-        if self.cap == 0 {
-            return;
-        }
-        let v = profile.latency.map_or(0, |l| l.value());
-        // Descending by value; ties break ascending by query id, so the
-        // ranking is a pure function of the retained set — identical across
-        // serial and parallel legs regardless of arrival order.
-        let pos = self
-            .entries
+    /// Where a profile with this latency and id would rank among the
+    /// retained ones; `cap` or beyond means the ring would not keep it.
+    /// Descending by value; ties break ascending by query id, so the
+    /// ranking is a pure function of the retained set — identical across
+    /// serial and parallel legs regardless of arrival order.
+    fn rank(&self, latency: Option<LatencyKey>, id: u64) -> usize {
+        let v = latency.map_or(0, |l| l.value());
+        self.entries
             .iter()
             .position(|e| {
                 let ev = e.latency.map_or(0, |l| l.value());
-                ev < v || (ev == v && e.id > profile.id)
+                ev < v || (ev == v && e.id > id)
             })
-            .unwrap_or(self.entries.len());
+            .unwrap_or(self.entries.len())
+    }
+
+    /// Whether [`ProfileRing::push`] would retain a profile of query `id`
+    /// at `latency` right now — so a caller can skip building one the
+    /// ring would drop.
+    pub fn admits(&self, latency: &LatencyKey, id: u64) -> bool {
+        self.rank(Some(*latency), id) < self.cap
+    }
+
+    /// Offers a profile; it is retained iff it ranks among the `cap` worst
+    /// seen so far. Profiles without a latency key rank as zero.
+    pub fn push(&mut self, profile: QueryProfile) {
+        let pos = self.rank(profile.latency, profile.id);
         if pos >= self.cap {
             return;
         }
@@ -336,6 +353,25 @@ mod tests {
         mixed.push(keyed(1, None, 1000));
         mixed.push(keyed(2, Some(2000), 1));
         assert_eq!(mixed.worst()[0].id, 2);
+    }
+
+    #[test]
+    fn admitting_first_keeps_the_ring_building_always_keeps() {
+        let sequence = [(1, 40), (2, 10), (3, 40), (4, 90), (5, 5), (6, 60), (7, 40), (8, 99)];
+        let (mut always, mut admit_first) = (ProfileRing::new(3), ProfileRing::new(3));
+        let mut built = 0;
+        for (id, us) in sequence {
+            always.push(keyed(id, Some(us), 0));
+            if admit_first.admits(&LatencyKey { wall_us: Some(us), ticks: 0 }, id) {
+                built += 1;
+                admit_first.push(keyed(id, Some(us), 0));
+            }
+        }
+        let ids = |ring: &ProfileRing| ring.worst().iter().map(|p| p.id).collect::<Vec<_>>();
+        assert_eq!(ids(&admit_first), ids(&always));
+        assert_eq!(ids(&always), vec![8, 4, 6]);
+        assert_eq!(built, 6, "queries 5 and 7 ranked out of a full ring: never built");
+        assert!(!ProfileRing::new(0).admits(&LatencyKey { wall_us: Some(1), ticks: 0 }, 0));
     }
 
     #[test]

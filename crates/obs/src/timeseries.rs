@@ -1,13 +1,30 @@
 //! Windowed telemetry time-series: a fixed-capacity ring of per-window
 //! [`MetricsSnapshot`] deltas.
 //!
-//! The registry itself only holds cumulative counters — a `/metrics` scrape
-//! is a point snapshot with no notion of "over the last minute". This module
-//! adds that notion without touching the per-event hot path: a caller
-//! periodically calls [`TimeSeries::roll`] with the current registry
-//! snapshot, and the ring stores the *delta* since the previous roll plus a
-//! [`WindowStamp`]. Window boundaries follow the same quarantine discipline
-//! as [`crate::LatencyKey`]: the stamp always carries the deterministic
+//! The registry's totals are cumulative — a `/metrics` scrape is a point
+//! snapshot with no notion of "over the last minute". The registry also
+//! keeps the open window: every write since the last
+//! [`MetricsRegistry::cut_window`](crate::MetricsRegistry::cut_window),
+//! under the lock the write takes anyway. A caller periodically cuts that
+//! window and hands it to [`TimeSeries::roll`], which stores it with a
+//! [`WindowStamp`]. A roll therefore costs O(series touched since the last
+//! cut), never O(registry), and the ring holds no copy of the registry.
+//!
+//! Window semantics:
+//!
+//! * counters and histogram count/sum/buckets are exactly the registry's
+//!   growth over the window — what diffing two snapshots taken at the
+//!   boundaries would give;
+//! * gauges are the ones written during the window, at their last written
+//!   value; a gauge nobody wrote is absent from it;
+//! * histogram min/max are the window's own observations'.
+//!
+//! Windows enter the ring in the order they were cut as long as the caller
+//! cuts and rolls under one lock (serve's `maybe_roll` cuts while it holds
+//! the ring's).
+//!
+//! Window boundaries follow the same quarantine discipline as
+//! [`crate::LatencyKey`]: the stamp always carries the deterministic
 //! virtual tick, and wall-clock microseconds only when a wall clock was
 //! actually consulted (serve mode) — so golden tests roll on ticks alone and
 //! stay byte-identical across CI legs.
@@ -46,8 +63,8 @@ pub struct WindowStamp {
 pub struct Window {
     /// Boundary stamp of this window.
     pub stamp: WindowStamp,
-    /// Registry delta over the window (counters/histograms as deltas,
-    /// gauges as the state at the boundary).
+    /// The registry's writes over the window (see the module docs for
+    /// what a window holds).
     pub delta: MetricsSnapshot,
 }
 
@@ -56,9 +73,6 @@ pub struct Window {
 pub struct TimeSeries {
     cap: usize,
     windows: VecDeque<Window>,
-    /// The registry snapshot at the last roll — the "before" side of the
-    /// next delta.
-    last: MetricsSnapshot,
     next_index: u64,
     /// Windows evicted from the front since creation.
     dropped: u64,
@@ -69,28 +83,20 @@ impl TimeSeries {
     /// at least 1 so a roll is never a silent no-op).
     pub fn new(cap: usize) -> Self {
         let cap = cap.max(1);
-        TimeSeries {
-            cap,
-            windows: VecDeque::with_capacity(cap),
-            last: MetricsSnapshot::default(),
-            next_index: 0,
-            dropped: 0,
-        }
+        TimeSeries { cap, windows: VecDeque::with_capacity(cap), next_index: 0, dropped: 0 }
     }
 
-    /// Closes the current window: stores `now.diff(last)` stamped with the
-    /// given clocks and starts the next window at `now`. Evicts the oldest
-    /// window first when full, so the ring never grows past `cap`.
-    pub fn roll(&mut self, now: MetricsSnapshot, ticks: u64, wall_us: Option<u64>) {
+    /// Closes a window: stores `delta` (a cut of the registry's open
+    /// window) stamped with the given clocks. Evicts the oldest window
+    /// first when full, so the ring never grows past `cap`.
+    pub fn roll(&mut self, delta: MetricsSnapshot, ticks: u64, wall_us: Option<u64>) {
         if self.windows.len() == self.cap {
             self.windows.pop_front();
             self.dropped += 1;
         }
-        let delta = now.diff(&self.last);
         let stamp = WindowStamp { index: self.next_index, ticks, wall_us };
         self.next_index += 1;
         self.windows.push_back(Window { stamp, delta });
-        self.last = now;
     }
 
     /// The retained windows, oldest first.
@@ -118,15 +124,9 @@ impl TimeSeries {
         self.next_index
     }
 
-    /// The delta accumulated since the last roll (the still-open window) —
-    /// `/status` folds this in so fresh activity shows before the boundary.
-    pub fn live_delta(&self, now: &MetricsSnapshot) -> MetricsSnapshot {
-        now.diff(&self.last)
-    }
-
     /// Folds the newest `n` windows into one delta (counter/histogram sums).
     /// Gauges in the result are **meaningless** (merge sums them) — read
-    /// gauge state from a live snapshot instead.
+    /// gauge state from the registry instead.
     pub fn folded(&self, n: usize) -> MetricsSnapshot {
         let mut out = MetricsSnapshot::default();
         let skip = self.windows.len().saturating_sub(n);
@@ -250,9 +250,9 @@ mod tests {
         let reg = MetricsRegistry::new();
         let mut ts = TimeSeries::new(4);
         reg.add("c", 3);
-        ts.roll(reg.snapshot(), 10, None);
+        ts.roll(reg.cut_window(), 10, None);
         reg.add("c", 2);
-        ts.roll(reg.snapshot(), 20, None);
+        ts.roll(reg.cut_window(), 20, None);
         let w: Vec<&Window> = ts.windows().collect();
         assert_eq!(w[0].delta.counter("c"), 3);
         assert_eq!(w[1].delta.counter("c"), 2);
@@ -267,7 +267,7 @@ mod tests {
         let mut ts = TimeSeries::new(2);
         for i in 0..5u64 {
             reg.inc("c");
-            ts.roll(reg.snapshot(), i, None);
+            ts.roll(reg.cut_window(), i, None);
         }
         assert_eq!(ts.len(), 2);
         assert_eq!(ts.dropped(), 3);
@@ -277,13 +277,30 @@ mod tests {
     }
 
     #[test]
-    fn live_delta_tracks_the_open_window() {
+    fn the_open_window_is_what_the_next_roll_stores() {
         let reg = MetricsRegistry::new();
         let mut ts = TimeSeries::new(4);
         reg.add("c", 1);
-        ts.roll(reg.snapshot(), 1, None);
+        ts.roll(reg.cut_window(), 1, None);
         reg.add("c", 7);
-        assert_eq!(ts.live_delta(&reg.snapshot()).counter("c"), 7);
+        let open = reg.peek_window();
+        assert_eq!(open.counter("c"), 7);
+        ts.roll(reg.cut_window(), 2, None);
+        assert_eq!(ts.windows().last().map(|w| &w.delta), Some(&open));
+    }
+
+    #[test]
+    fn windows_carry_only_the_gauges_written_in_them() {
+        let reg = MetricsRegistry::new();
+        let mut ts = TimeSeries::new(4);
+        reg.gauge_set("g", 1.0);
+        reg.gauge_set("g", 2.0);
+        ts.roll(reg.cut_window(), 1, None);
+        reg.inc("c");
+        ts.roll(reg.cut_window(), 2, None);
+        let w: Vec<&Window> = ts.windows().collect();
+        assert_eq!(w[0].delta.gauges.get("g"), Some(&2.0), "last written value");
+        assert!(w[1].delta.gauges.is_empty(), "an unwritten gauge is absent");
     }
 
     #[test]
@@ -293,7 +310,7 @@ mod tests {
         for v in [3u64, 900] {
             reg.observe("lat", v);
             reg.inc("q");
-            ts.roll(reg.snapshot(), v, None);
+            ts.roll(reg.cut_window(), v, None);
         }
         let folded = ts.folded(2);
         assert_eq!(folded.counter("q"), 2);
@@ -310,7 +327,7 @@ mod tests {
         for v in [1u64, 1, 1, 1, 1, 1, 1, 1, 1, 900] {
             reg.observe("h", v);
         }
-        let h = &reg.snapshot().histograms["h"];
+        let h = &reg.cut_window().histograms["h"];
         assert_eq!(quantile(h, 0.50), 1);
         assert_eq!(quantile(h, 0.99), 900, "p99 capped at observed max");
         assert_eq!(quantile(&HistogramSnapshot::default(), 0.99), 0);
@@ -323,7 +340,7 @@ mod tests {
         reg.observe("lat", 3);
         reg.inc("q");
         reg.gauge_set("g", 1.5);
-        ts.roll(reg.snapshot(), 5, None);
+        ts.roll(reg.cut_window(), 5, None);
         let hist = ts.render_json("lat", 8);
         assert!(hist.contains("\"metric\": \"lat\""));
         assert!(hist.contains("\"p50\": 3"));

@@ -14,8 +14,14 @@
 //! `< label` events. The record list is what [`crate::profile`] snapshots
 //! into per-query profiles; the flat log and its `render()` output are
 //! unchanged by the bookkeeping.
+//!
+//! Both lists are unbounded by default (the CLI and the goldens trace one
+//! query). A long-running process sets a retained tail with
+//! [`Tracer::with_tail`]; marks count absolute positions, so trimming the
+//! head never shifts a slice taken from a mark.
 
 use crate::span::SpanRecord;
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -31,21 +37,52 @@ pub struct TraceEvent {
     pub text: String,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Inner {
     tick: u64,
     depth: u16,
-    events: Vec<TraceEvent>,
-    spans: Vec<SpanRecord>,
-    /// Indices into `spans` of the currently open spans, outermost first.
-    open: Vec<usize>,
+    events: VecDeque<TraceEvent>,
+    spans: VecDeque<SpanRecord>,
+    /// Spans trimmed off the head of `spans` so far: a span's absolute
+    /// position (what [`Tracer::span_mark`] counts) minus this is its
+    /// index.
+    trimmed: usize,
+    /// Absolute position and id of each currently open span, outermost
+    /// first.
+    open: Vec<(usize, u64)>,
     next_span_id: u64,
+    /// Most events, and most spans, retained; the oldest go first.
+    tail: usize,
+}
+
+impl Default for Inner {
+    fn default() -> Self {
+        Inner {
+            tick: 0,
+            depth: 0,
+            events: VecDeque::new(),
+            spans: VecDeque::new(),
+            trimmed: 0,
+            open: Vec::new(),
+            next_span_id: 0,
+            tail: usize::MAX,
+        }
+    }
 }
 
 impl Inner {
     fn record(&mut self, text: String) {
-        self.events.push(TraceEvent { tick: self.tick, depth: self.depth, text });
+        if self.events.len() >= self.tail {
+            self.events.pop_front();
+        }
+        self.events.push_back(TraceEvent { tick: self.tick, depth: self.depth, text });
         self.tick += 1;
+    }
+
+    /// The retained span at absolute position `pos`, unless trimmed.
+    fn span_at(&mut self, pos: usize) -> Option<&mut SpanRecord> {
+        let i = pos.checked_sub(self.trimmed)?;
+        self.spans.get_mut(i)
     }
 }
 
@@ -73,6 +110,15 @@ impl Tracer {
     /// spans, and renders the empty string.
     pub fn off() -> Self {
         Tracer { off: AtomicBool::new(true), ..Default::default() }
+    }
+
+    /// This tracer, retaining only the newest `tail` events and the newest
+    /// `tail` spans (at least one of each): a long-running process holds a
+    /// bounded trace. Marks stay absolute, so [`Tracer::spans_from`] still
+    /// slices from where its mark was taken (minus anything trimmed since).
+    pub fn with_tail(self, tail: usize) -> Self {
+        self.inner.lock().expect("trace lock").tail = tail.max(1);
+        self
     }
 
     /// Whether recording is currently switched on (see [`Tracer::set_enabled`]).
@@ -123,9 +169,13 @@ impl Tracer {
             inner.depth += 1;
             let id = inner.next_span_id;
             inner.next_span_id += 1;
-            let parent = inner.open.last().map(|&i| inner.spans[i].id);
-            let idx = inner.spans.len();
-            inner.spans.push(SpanRecord {
+            let parent = inner.open.last().map(|&(_, id)| id);
+            if inner.spans.len() >= inner.tail {
+                inner.spans.pop_front();
+                inner.trimmed += 1;
+            }
+            let pos = inner.trimmed + inner.spans.len();
+            inner.spans.push_back(SpanRecord {
                 id,
                 parent,
                 label: label.to_string(),
@@ -133,7 +183,7 @@ impl Tracer {
                 end_tick: None,
                 depth,
             });
-            inner.open.push(idx);
+            inner.open.push((pos, id));
             id
         };
         Span { tracer: Some(self), label: label.to_string(), id }
@@ -151,26 +201,33 @@ impl Tracer {
         self.inner.lock().expect("trace lock").tick
     }
 
-    /// Clones out every event recorded so far.
+    /// Clones out every retained event.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner.lock().expect("trace lock").events.clone()
+        self.inner.lock().expect("trace lock").events.iter().cloned().collect()
     }
 
-    /// A cursor into the span list: pass it to [`Tracer::spans_from`] later
-    /// to clone out only the spans recorded in between (per-query slicing).
+    /// A cursor into the span list — the absolute count of spans recorded
+    /// so far: pass it to [`Tracer::spans_from`] later to clone out only
+    /// the spans recorded in between (per-query slicing).
     pub fn span_mark(&self) -> usize {
-        self.inner.lock().expect("trace lock").spans.len()
+        let inner = self.inner.lock().expect("trace lock");
+        inner.trimmed + inner.spans.len()
     }
 
-    /// Clones out every structured span recorded so far.
+    /// Clones out every retained structured span.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.inner.lock().expect("trace lock").spans.clone()
+        self.inner.lock().expect("trace lock").spans.iter().cloned().collect()
     }
 
-    /// Clones out the spans recorded since `mark` (see [`Tracer::span_mark`]).
+    /// Clones out the retained spans recorded since `mark` (see
+    /// [`Tracer::span_mark`]).
     pub fn spans_from(&self, mark: usize) -> Vec<SpanRecord> {
         let inner = self.inner.lock().expect("trace lock");
-        inner.spans.get(mark..).unwrap_or(&[]).to_vec()
+        let from = mark.saturating_sub(inner.trimmed);
+        if from >= inner.spans.len() {
+            return Vec::new();
+        }
+        inner.spans.range(from..).cloned().collect()
     }
 
     /// Renders the trace: one `[tick] indented text` line per event.
@@ -190,10 +247,11 @@ impl Tracer {
         out
     }
 
-    /// Drops all events and spans, resetting the clock, depth and span ids.
+    /// Drops all events and spans, resetting the clock, depth and span ids
+    /// (the retained tail stays).
     pub fn clear(&self) {
         let mut inner = self.inner.lock().expect("trace lock");
-        *inner = Inner::default();
+        *inner = Inner { tail: inner.tail, ..Inner::default() };
     }
 
     fn exit(&self, label: &str, id: u64) {
@@ -203,9 +261,11 @@ impl Tracer {
         inner.record(format!("< {label}"));
         // Search by id rather than popping blindly: a guard dropped out of
         // open order (or after a clear()) must not close someone else's span.
-        if let Some(pos) = inner.open.iter().rposition(|&i| inner.spans[i].id == id) {
-            let idx = inner.open.remove(pos);
-            inner.spans[idx].end_tick = Some(end);
+        if let Some(i) = inner.open.iter().rposition(|&(_, open)| open == id) {
+            let (pos, _) = inner.open.remove(i);
+            if let Some(span) = inner.span_at(pos) {
+                span.end_tick = Some(end);
+            }
         }
     }
 }
@@ -335,6 +395,39 @@ mod tests {
         let tail = t.spans_from(mark);
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].label, "second");
+    }
+
+    #[test]
+    fn a_tail_bounds_the_trace_without_shifting_marks() {
+        let t = Tracer::new().with_tail(3);
+        let outer = t.span("outer");
+        for i in 0..5 {
+            let _s = t.span(&format!("s{i}"));
+        }
+        let mark = t.span_mark();
+        assert_eq!(mark, 6, "marks count every span recorded");
+        {
+            let _late = t.span("late");
+        }
+        drop(outer); // trimmed while open: closing it must not panic
+        let labels =
+            |spans: Vec<SpanRecord>| spans.into_iter().map(|s| s.label).collect::<Vec<_>>();
+        assert_eq!(labels(t.spans()), ["s3", "s4", "late"]);
+        assert_eq!(labels(t.spans_from(mark)), ["late"]);
+        assert_eq!(
+            labels(t.spans_from(0)),
+            ["s3", "s4", "late"],
+            "a trimmed mark slices what is left"
+        );
+        assert!(t.spans_from(99).is_empty());
+        assert_eq!(t.spans()[2].parent, Some(0), "parents survive their record's trimming");
+        assert_eq!(t.events().len(), 3);
+        assert_eq!(t.events()[2].text, "< outer");
+        t.clear();
+        for _ in 0..5 {
+            t.event("again");
+        }
+        assert_eq!(t.events().len(), 3, "clear keeps the tail");
     }
 
     #[test]

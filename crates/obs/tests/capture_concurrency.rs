@@ -1,7 +1,8 @@
 //! Query-profile capture on a shared `Obs` under concurrency: a capture
 //! holds exactly the metric writes its own thread made while it was open,
 //! and a capture dropped without `finish` (serve's error path) leaves
-//! nothing behind.
+//! nothing behind. The registry's telemetry windows, cut while other
+//! threads write, lose and double-count nothing.
 
 use csqp_obs::{MetricsSnapshot, Obs, ProfileCapture, QueryProfile};
 
@@ -71,4 +72,46 @@ fn a_dropped_capture_leaves_nothing_behind() {
             assert_eq!(m, MetricsSnapshot::default());
         }
     }
+}
+
+/// Four threads write while a fifth cuts the registry's telemetry window
+/// over and over: the cut windows plus the still-open one add up exactly
+/// to the registry's totals — every write lands in one window, once.
+#[test]
+fn cut_windows_partition_concurrent_writes() {
+    let obs = Obs::new();
+    let done = std::sync::atomic::AtomicUsize::new(0);
+    let mut cuts: Vec<MetricsSnapshot> = std::thread::scope(|scope| {
+        for t in 0..4u64 {
+            let (obs, done) = (&obs, &done);
+            scope.spawn(move || {
+                for i in 0..2_000u64 {
+                    obs.metrics.add("shared", t + 1);
+                    obs.metrics.inc(&format!("own.{t}"));
+                    obs.metrics.observe("rows", i % 300 + t);
+                    obs.metrics.gauge_set("gauge", t as f64);
+                }
+                done.fetch_add(1, std::sync::atomic::Ordering::Release);
+            });
+        }
+        let cutter = scope.spawn(|| {
+            let mut cuts = Vec::new();
+            while done.load(std::sync::atomic::Ordering::Acquire) < 4 {
+                cuts.push(obs.metrics.cut_window());
+            }
+            cuts
+        });
+        cutter.join().expect("cutter thread")
+    });
+    cuts.push(obs.metrics.peek_window());
+    let mut folded = MetricsSnapshot::default();
+    for cut in &cuts {
+        folded.merge(cut);
+    }
+    let totals = obs.metrics.snapshot();
+    assert_eq!(folded.counters, totals.counters);
+    assert_eq!(totals.counter("shared"), 2_000 * (1 + 2 + 3 + 4));
+    let (f, t) = (&folded.histograms["rows"], &totals.histograms["rows"]);
+    assert_eq!((f.count, f.sum, &f.buckets), (t.count, t.sum, &t.buckets));
+    assert_eq!((f.min, f.max), (t.min, t.max), "extremes fold to the totals' too");
 }

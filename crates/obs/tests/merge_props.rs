@@ -5,14 +5,18 @@
 //! * `HistogramSnapshot::merge` and `MetricsSnapshot::merge` are
 //!   **commutative** and **associative** — the laws the `--chaos` storm
 //!   aggregation and federation roll-ups rely on when per-run snapshots
-//!   merge in whatever order runs complete.
+//!   merge in whatever order runs complete;
+//! * a telemetry window cut from the registry (`cut_window`) holds what
+//!   diffing the snapshots at its boundaries gives, on counters and on
+//!   histogram count/sum/buckets.
 //!
 //! Snapshots under test are generated from seeded operation streams via the
 //! proptest shim (deterministic, no shrinking).
 
 use csqp_obs::metrics::{bucket_bounds, bucket_index, HISTOGRAM_BUCKETS};
-use csqp_obs::{HistogramSnapshot, MetricsSnapshot};
+use csqp_obs::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 #[test]
 fn bucket_index_edge_cases() {
@@ -86,6 +90,11 @@ fn snap_from_seed(seed: u64, n: u64) -> MetricsSnapshot {
     reg.snapshot()
 }
 
+/// Per histogram: the tallies a window shares with a snapshot diff.
+fn tallies(s: &MetricsSnapshot) -> BTreeMap<&str, (u64, u64, &[(u64, u64, u64)])> {
+    s.histograms.iter().map(|(k, h)| (k.as_str(), (h.count, h.sum, h.buckets.as_slice()))).collect()
+}
+
 fn merged_h(a: &HistogramSnapshot, b: &HistogramSnapshot) -> HistogramSnapshot {
     let mut m = a.clone();
     m.merge(b);
@@ -137,6 +146,36 @@ proptest! {
     ) {
         let (a, b, c) = (snap_from_seed(sa, n), snap_from_seed(sb, n + 2), snap_from_seed(sc, 11));
         prop_assert_eq!(merged_s(&merged_s(&a, &b), &c), merged_s(&a, &merged_s(&b, &c)));
+    }
+
+    #[test]
+    fn cut_windows_equal_boundary_snapshot_diffs(seed in 0u64..u64::MAX, n in 0u64..160) {
+        let reg = MetricsRegistry::new();
+        let keys = ["a", "b", "c"];
+        let mut before = reg.snapshot();
+        let mut x = seed;
+        for i in 0..=n {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let key = keys[(x % 3) as usize];
+            match (x >> 8) % 6 {
+                // Zero adds included: a window drops them like a diff does.
+                0 => reg.add(key, x % 4),
+                1 => reg.gauge_add(key, (x % 64) as f64),
+                2 => reg.gauge_set(key, (x % 8) as f64),
+                3 => reg.observe(key, x % (1 << 40)),
+                4 => reg.observe_exemplar(key, x % 4096, i),
+                // The last step always cuts, so every write lands in a window.
+                _ => {}
+            }
+            if (x >> 8) % 6 == 5 || i == n {
+                let window = reg.cut_window();
+                let now = reg.snapshot();
+                let diff = now.diff(&before);
+                prop_assert_eq!(&window.counters, &diff.counters);
+                prop_assert_eq!(tallies(&window), tallies(&diff));
+                before = now;
+            }
+        }
     }
 
     #[test]

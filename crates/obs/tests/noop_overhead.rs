@@ -35,8 +35,8 @@ fn noop_recorder_allocates_nothing() {
     let metrics = csqp_obs::MetricsRegistry::off();
     let tracer = csqp_obs::Tracer::off();
     let flight = csqp_obs::FlightRecorder::off();
-    // The telemetry ring pre-allocates its capacity; rolling windows of
-    // empty (off registry) snapshots must then stay allocation-free.
+    // The telemetry ring pre-allocates its capacity; rolling an off
+    // registry's (empty) window cuts must then stay allocation-free.
     let mut series = csqp_obs::TimeSeries::new(8);
     // Warm up anything lazy in the harness itself.
     metrics.inc("warmup");
@@ -95,10 +95,10 @@ fn run_hot_loop(
         qf.event_with(|| csqp_obs::PlanEvent::Note { text: format!("expensive event {i}") });
         flight.note(0, || csqp_obs::PlanEvent::Note { text: format!("note {i}") });
         black_box(qf.active());
-        // Window roll over an empty snapshot: diff, stamp, and ring push
-        // all stay on pre-allocated storage.
-        series.roll(metrics.snapshot(), black_box(i), None);
-        black_box(series.live_delta(&metrics.snapshot()).counters.len());
+        // Window roll over an off registry's empty cut: stamp and ring
+        // push stay on pre-allocated storage, and peeking builds nothing.
+        series.roll(metrics.cut_window(), black_box(i), None);
+        black_box(metrics.peek_window().counters.len());
         black_box(series.counter_over(black_box("serve.queries"), black_box(4)));
     }
 }

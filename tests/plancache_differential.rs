@@ -85,13 +85,8 @@ fn rows_of(rig: &Rig, member: usize, planned: PlannedQuery) -> Vec<String> {
 /// Plans `q` cold (no cache) and returns its sorted answer.
 fn cold_answer(cold: &Rig, q: &TargetQuery) -> Vec<String> {
     let fp = cold.federation.plan(q).expect("cold plan succeeds");
-    let member = cold
-        .federation
-        .members()
-        .iter()
-        .position(|m| Arc::ptr_eq(m, &fp.source))
-        .expect("cold winner is a member");
-    rows_of(cold, member, fp.planned)
+    assert!(Arc::ptr_eq(&cold.federation.members()[fp.member], &fp.source));
+    rows_of(cold, fp.member, fp.planned)
 }
 
 fn q(cond: &str, attrs: &[&str]) -> TargetQuery {

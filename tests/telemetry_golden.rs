@@ -325,9 +325,9 @@ fn chaos_storm_drives_dark_member_below_healthy() {
     );
 }
 
-/// Windowed time series over a live registry: rolling cuts snapshot
-/// deltas at the boundaries, rates come out of the closed windows, and
-/// the ring stays capacity-bounded while counting evictions.
+/// Windowed time series over a live registry: rolling cuts the registry's
+/// open window at the boundaries, rates come out of the closed windows,
+/// and the ring stays capacity-bounded while counting evictions.
 #[test]
 fn timeseries_windows_cut_live_registry_deltas() {
     use csqp_obs::{Obs, TimeSeries};
@@ -338,7 +338,7 @@ fn timeseries_windows_cut_live_registry_deltas() {
         for _ in 0..=window {
             obs.metrics.inc(names::SERVE_QUERIES);
         }
-        series.roll(obs.metrics.snapshot(), (window + 1) * 10, None);
+        series.roll(obs.metrics.cut_window(), (window + 1) * 10, None);
     }
     // Capacity 4 retains windows 2..=5 (deltas 3,4,5,6) and drops two.
     assert_eq!(series.len(), 4);
@@ -347,9 +347,10 @@ fn timeseries_windows_cut_live_registry_deltas() {
         series.windows().map(|w| w.delta.counter(names::SERVE_QUERIES)).collect();
     assert_eq!(deltas, vec![3, 4, 5, 6], "each window holds exactly its own delta");
     assert_eq!(series.counter_over(names::SERVE_QUERIES, 2), 11, "last-2 fold");
-    // Live delta: activity since the last boundary, not yet in any window.
+    // The open window: activity since the last boundary, not yet in any
+    // closed one.
     obs.metrics.add(names::SERVE_QUERIES, 5);
-    let live = series.live_delta(&obs.metrics.snapshot());
+    let live = obs.metrics.peek_window();
     assert_eq!(live.counter(names::SERVE_QUERIES), 5);
     // The JSON rendering is schema-stable and carries the stamps.
     let json = series.render_json(names::SERVE_QUERIES, 2);
