@@ -16,9 +16,10 @@
 //! Emits machine-readable results to `BENCH_spans.json` at the repo root.
 //! Run with `cargo bench -p csqp-bench --bench e18_spans`.
 
-use csqp_core::mediator::{Mediator, Scheme};
+use csqp_core::mediator::{Mediator, Scheme, StreamOptions};
 use csqp_core::types::TargetQuery;
 use csqp_obs::Obs;
+use csqp_plan::exec_stream::StreamConfig;
 use csqp_source::{Catalog, Source};
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -105,7 +106,8 @@ fn pass(profiled: bool, w: &Workload) -> usize {
         if profiled {
             black_box(mediator.run_profiled(query).ok());
         } else {
-            black_box(mediator.run_analyzed(query).ok());
+            let options = StreamOptions::Analyzed(&StreamConfig::default());
+            black_box(mediator.run_stream(query, options, None).ok());
         }
         n += 1;
     }

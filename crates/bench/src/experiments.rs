@@ -389,7 +389,7 @@ pub fn e6_quality(scale: RunScale, seed: u64) -> Table {
     // evaluate them concurrently, fold in index order so the floating-point
     // aggregates match the sequential run bit-for-bit.
     let pairs: Vec<u64> = (0..n_pairs).collect();
-    let pair_rows = csqp_core::par::par_map(&pairs, |&i| {
+    let pair_rows = crate::par::par_map(&pairs, |&i| {
         let source = random_source(seed + i, 1_500, &params);
         // Alternate conjunctive- and disjunctive-leaning query shapes.
         let and_bias = if i % 2 == 0 { 0.7 } else { 0.35 };
@@ -441,7 +441,7 @@ pub fn e7_optimality(scale: RunScale, seed: u64) -> Table {
     // index): plan them concurrently, then fold the results in corpus order
     // so the counters and the worst-case pick match the sequential run.
     let corpus: Vec<u64> = (0..n_queries).collect();
-    let outcomes = csqp_core::par::par_map(&corpus, |&i| {
+    let outcomes = crate::par::par_map(&corpus, |&i| {
         let n_atoms = 2 + (i % 3) as usize; // 2..=4
         let cond = random_query(seed + i, n_atoms, 3);
         let q = TargetQuery::new(cond.clone(), csqp_plan::attrs(["k"]));

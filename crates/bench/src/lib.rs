@@ -10,5 +10,6 @@
 
 pub mod experiments;
 pub mod fedcorpus;
+pub mod par;
 pub mod table;
 pub mod workload;

@@ -1,16 +1,13 @@
-//! Deterministic fan-out for embarrassingly-parallel planner loops.
+//! Deterministic fan-out for the corpus drivers.
 //!
-//! [`Federation::plan`](crate::federation::Federation::plan) plans the same
-//! query against every member, and the bench drivers plan whole query
-//! corpora — independent work items with no shared mutable state. [`par_map`]
-//! fans them out over `std::thread::scope` workers, one per available core;
-//! with one core (or one item) it is a sequential map.
+//! The E6/E7 experiments plan whole query corpora — independent work items
+//! with no shared mutable state. [`par_map`] fans them out over
+//! `std::thread::scope` workers, one per available core; with one core (or
+//! one item) it is a sequential map.
 //!
 //! Determinism: results are returned **in input order** regardless of which
 //! worker finished first, so any left-to-right reduce over the output (e.g.
-//! "cheapest plan, earliest member on ties") picks the same winner as the
-//! sequential loop it replaced (see DESIGN.md, "Implementation notes:
-//! interning & bitsets").
+//! "worst case, earliest query on ties") matches the sequential loop.
 
 /// Order-preserving parallel map.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
@@ -71,7 +68,7 @@ mod tests {
 
     #[test]
     fn left_to_right_reduce_is_deterministic() {
-        // The federation tie-break: cheapest cost, earliest index on ties.
+        // A left-to-right tie-break: cheapest cost, earliest index on ties.
         let costs = [5.0, 3.0, 3.0, 9.0];
         let out = par_map(&costs, |&c| c);
         let mut best: Option<(usize, f64)> = None;

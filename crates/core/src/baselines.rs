@@ -133,17 +133,8 @@ fn finish(
     }
 }
 
-/// The Garlic-style CNF strategy (§2).
+/// The Garlic-style CNF strategy (§2). Costed under `model`.
 pub fn plan_cnf(
-    query: &TargetQuery,
-    source: &Source,
-    card: &dyn Cardinality,
-) -> Result<PlannedQuery, PlanError> {
-    plan_cnf_with_model(query, source, card, source.cost_params())
-}
-
-/// As [`plan_cnf`] with an explicit cost model.
-pub fn plan_cnf_with_model(
     query: &TargetQuery,
     source: &Source,
     card: &dyn Cardinality,
@@ -171,17 +162,9 @@ pub fn plan_cnf_with_model(
     finish(plan, query, "CNF", model, card, &cache, start)
 }
 
-/// The DNF strategy: per-term pushdown, union-combined.
+/// The DNF strategy: per-term pushdown, union-combined. Costed under
+/// `model`.
 pub fn plan_dnf(
-    query: &TargetQuery,
-    source: &Source,
-    card: &dyn Cardinality,
-) -> Result<PlannedQuery, PlanError> {
-    plan_dnf_with_model(query, source, card, source.cost_params())
-}
-
-/// As [`plan_dnf`] with an explicit cost model.
-pub fn plan_dnf_with_model(
     query: &TargetQuery,
     source: &Source,
     card: &dyn Cardinality,
@@ -213,16 +196,8 @@ pub fn plan_dnf_with_model(
 }
 
 /// The DISCO strategy (§2): whole condition at the source, or none of it.
+/// Costed under `model`.
 pub fn plan_disco(
-    query: &TargetQuery,
-    source: &Source,
-    card: &dyn Cardinality,
-) -> Result<PlannedQuery, PlanError> {
-    plan_disco_with_model(query, source, card, source.cost_params())
-}
-
-/// As [`plan_disco`] with an explicit cost model.
-pub fn plan_disco_with_model(
     query: &TargetQuery,
     source: &Source,
     card: &dyn Cardinality,
@@ -238,17 +213,9 @@ pub fn plan_disco_with_model(
     finish(plan, query, "DISCO", model, card, &cache, start)
 }
 
-/// The naive full-relational assumption: push the whole query, no fallback.
+/// The naive full-relational assumption: push the whole query, no
+/// fallback. Costed under `model`.
 pub fn plan_naive(
-    query: &TargetQuery,
-    source: &Source,
-    card: &dyn Cardinality,
-) -> Result<PlannedQuery, PlanError> {
-    plan_naive_with_model(query, source, card, source.cost_params())
-}
-
-/// As [`plan_naive`] with an explicit cost model.
-pub fn plan_naive_with_model(
     query: &TargetQuery,
     source: &Source,
     card: &dyn Cardinality,
@@ -291,7 +258,7 @@ mod tests {
         let s = bookstore();
         let q = TargetQuery::parse(EX11, &["isbn", "author"]).unwrap();
         let card = StatsCard::new(s.stats());
-        let planned = plan_cnf(&q, &s, &card).unwrap();
+        let planned = plan_cnf(&q, &s, &card, s.cost_params()).unwrap();
         assert_eq!(planned.plan.source_queries().len(), 1);
         let (result, meter) = csqp_plan::execute_measured(&planned.plan, &s).unwrap();
         // Correct answer, wasteful transfer.
@@ -311,7 +278,7 @@ mod tests {
         let s = bookstore();
         let q = TargetQuery::parse(EX11, &["isbn", "author"]).unwrap();
         let card = StatsCard::new(s.stats());
-        let planned = plan_dnf(&q, &s, &card).unwrap();
+        let planned = plan_dnf(&q, &s, &card, s.cost_params()).unwrap();
         assert_eq!(planned.plan.source_queries().len(), 2);
         let result = execute(&planned.plan, &s).unwrap();
         let want = project(&select(s.relation(), Some(&q.cond)), &["isbn", "author"]).unwrap();
@@ -325,7 +292,7 @@ mod tests {
         let s = bookstore();
         let q = TargetQuery::parse(EX11, &["isbn"]).unwrap();
         let card = StatsCard::new(s.stats());
-        assert!(plan_disco(&q, &s, &card).is_err());
+        assert!(plan_disco(&q, &s, &card, s.cost_params()).is_err());
 
         let cars = Source::new(
             datagen::car_listings(11, &CarGenConfig { n_listings: 500 }),
@@ -339,7 +306,7 @@ mod tests {
         )
         .unwrap();
         let card2 = StatsCard::new(cars.stats());
-        assert!(plan_disco(&q2, &cars, &card2).is_err());
+        assert!(plan_disco(&q2, &cars, &card2, cars.cost_params()).is_err());
     }
 
     #[test]
@@ -349,7 +316,7 @@ mod tests {
             TargetQuery::parse("author = \"Sigmund Freud\" ^ title contains \"dreams\"", &["isbn"])
                 .unwrap();
         let card = StatsCard::new(s.stats());
-        let planned = plan_disco(&q, &s, &card).unwrap();
+        let planned = plan_disco(&q, &s, &card, s.cost_params()).unwrap();
         assert!(matches!(planned.plan, Plan::SourceQuery { .. }));
     }
 
@@ -363,7 +330,7 @@ mod tests {
         let s = Source::new(r, desc, CostParams::default());
         let q = TargetQuery::parse("make = \"BMW\"", &["price"]).unwrap();
         let card = StatsCard::new(s.stats());
-        let planned = plan_disco(&q, &s, &card).unwrap();
+        let planned = plan_disco(&q, &s, &card, s.cost_params()).unwrap();
         assert!(planned.plan.to_string().contains("SP(true"));
         let result = execute(&planned.plan, &s).unwrap();
         let want = project(&select(s.relation(), Some(&q.cond)), &["price"]).unwrap();
@@ -375,9 +342,9 @@ mod tests {
         let s = bookstore();
         let q = TargetQuery::parse(EX11, &["isbn"]).unwrap();
         let card = StatsCard::new(s.stats());
-        assert!(plan_naive(&q, &s, &card).is_err());
+        assert!(plan_naive(&q, &s, &card, s.cost_params()).is_err());
         let ok = TargetQuery::parse("author = \"Carl Jung\"", &["isbn"]).unwrap();
-        assert!(plan_naive(&ok, &s, &card).is_ok());
+        assert!(plan_naive(&ok, &s, &card, s.cost_params()).is_ok());
     }
 
     #[test]
@@ -389,7 +356,7 @@ mod tests {
             TargetQuery::parse("author = \"Sigmund Freud\" ^ title contains \"dreams\"", &["isbn"])
                 .unwrap();
         let card = StatsCard::new(s.stats());
-        let planned = plan_cnf(&q, &s, &card).unwrap();
+        let planned = plan_cnf(&q, &s, &card, s.cost_params()).unwrap();
         assert!(matches!(planned.plan, Plan::SourceQuery { .. }), "{}", planned.plan);
     }
 
@@ -404,7 +371,7 @@ mod tests {
         )
         .unwrap();
         let card = StatsCard::new(s.stats());
-        let planned = plan_dnf(&q, &s, &card).unwrap();
+        let planned = plan_dnf(&q, &s, &card, s.cost_params()).unwrap();
         let result = execute(&planned.plan, &s).unwrap();
         let want = project(&select(s.relation(), Some(&q.cond)), &["isbn"]).unwrap();
         assert_eq!(result, want);

@@ -1,30 +1,19 @@
-//! Cost-model recalibration from observed execution: cardinality floors
-//! for mid-query re-planning, and a least-squares re-fit of the §6.2
-//! affine constants `k1`/`k2`.
+//! Cardinality floors for mid-query re-planning.
 //!
 //! The paper's planners estimate `cost(plan) = Σ k1 + k2·|result(sq)|`
-//! from *assumed* constants and *estimated* cardinalities. Both can be
-//! wrong on a live source. Two correction layers ship here:
-//!
-//! - [`CalibratedCard`] raises a base [`Cardinality`] estimator to
-//!   observed per-condition floors (keyed by condition fingerprint). The
-//!   correction is monotonic — floors only grow — so re-planning over the
-//!   residual of a paused pipeline gets strictly better information than
-//!   the original plan had, and a re-plan loop cannot oscillate between
-//!   two estimates.
-//! - [`CalibratingCostModel`] accumulates `(queries, tuples shipped,
-//!   measured cost)` samples from finished runs and re-fits `k1`/`k2` by
-//!   closed-form least squares once two linearly independent samples
-//!   exist. Until then it charges with its inner model, so a freshly
-//!   built mediator plans exactly like an uncalibrated one.
+//! from the source's own constants and *estimated* cardinalities; the
+//! estimates can be wrong on a live source. [`CalibratedCard`] raises a
+//! base [`Cardinality`] estimator to observed per-condition floors (keyed
+//! by condition fingerprint). The correction is monotonic — floors only
+//! grow — so re-planning over the residual of a paused pipeline gets
+//! strictly better information than the original plan had, and a re-plan
+//! loop cannot oscillate between two estimates.
 
 use csqp_expr::CondTree;
 use csqp_plan::cost::Cardinality;
-use csqp_plan::model::CostModel;
 use csqp_ssdl::linearize::{cond_fingerprint, Fingerprint};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
 /// A [`Cardinality`] overlay: the base estimator, floored by observed
 /// result sizes. Conditions without an observation pass through untouched.
@@ -65,115 +54,11 @@ impl Cardinality for CalibratedCard<'_> {
     }
 }
 
-/// Accumulated fit state (behind the model's mutex).
-#[derive(Debug, Default)]
-struct FitState {
-    /// `(queries, tuples shipped, measured cost)` per observed run.
-    samples: Vec<(f64, f64, f64)>,
-    /// The current least-squares `(k1, k2)`, once solvable.
-    fitted: Option<(f64, f64)>,
-}
-
-/// A [`CostModel`] that learns the affine constants from finished runs.
-///
-/// Each observed run contributes one equation `k1·queries + k2·tuples ≈
-/// measured_cost`; with two linearly independent samples the 2×2 normal
-/// equations have a unique solution. Negative solutions (possible when the
-/// samples are noisy or nearly collinear) are clamped by re-solving the
-/// constrained 1-D problem, keeping the fitted model monotone — the
-/// soundness contract the PR1–PR3 pruning rules rely on.
-pub struct CalibratingCostModel {
-    inner: Arc<dyn CostModel + Send + Sync>,
-    state: Mutex<FitState>,
-}
-
-impl fmt::Debug for CalibratingCostModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = self.state.lock().expect("calibration lock");
-        f.debug_struct("CalibratingCostModel")
-            .field("samples", &state.samples.len())
-            .field("fitted", &state.fitted)
-            .finish()
-    }
-}
-
-impl CalibratingCostModel {
-    /// Wraps `inner`; charges with it until the fit converges.
-    pub fn new(inner: Arc<dyn CostModel + Send + Sync>) -> Self {
-        CalibratingCostModel { inner, state: Mutex::new(FitState::default()) }
-    }
-
-    /// Feeds one finished run's transfer meter and measured cost into the
-    /// fit. Degenerate runs (no queries and no tuples) are ignored.
-    pub fn observe_run(&self, queries: u64, tuples_shipped: u64, measured_cost: f64) {
-        if (queries == 0 && tuples_shipped == 0) || !measured_cost.is_finite() {
-            return;
-        }
-        let mut state = self.state.lock().expect("calibration lock");
-        state.samples.push((queries as f64, tuples_shipped as f64, measured_cost.max(0.0)));
-        Self::refit(&mut state);
-    }
-
-    /// The current fitted `(k1, k2)`, or `None` until two linearly
-    /// independent samples have been observed.
-    pub fn fitted(&self) -> Option<(f64, f64)> {
-        self.state.lock().expect("calibration lock").fitted
-    }
-
-    /// How many runs have been observed.
-    pub fn samples(&self) -> usize {
-        self.state.lock().expect("calibration lock").samples.len()
-    }
-
-    /// Solves the normal equations of `min Σ (k1·qᵢ + k2·tᵢ − cᵢ)²`.
-    fn refit(state: &mut FitState) {
-        if state.samples.len() < 2 {
-            return;
-        }
-        let (mut qq, mut qt, mut tt, mut qc, mut tc) = (0.0, 0.0, 0.0, 0.0, 0.0);
-        for &(q, t, c) in &state.samples {
-            qq += q * q;
-            qt += q * t;
-            tt += t * t;
-            qc += q * c;
-            tc += t * c;
-        }
-        let det = qq * tt - qt * qt;
-        // Collinear samples (e.g. the same query repeated) leave the system
-        // singular: keep the previous fit rather than dividing by ~0.
-        if det.abs() <= 1e-9 * (qq * tt).max(1.0) {
-            return;
-        }
-        let mut k1 = (qc * tt - tc * qt) / det;
-        let mut k2 = (tc * qq - qc * qt) / det;
-        // Clamp negative constants by re-solving the constrained 1-D fit:
-        // a cost model must be monotone in rows and per-query charge.
-        if k1 < 0.0 {
-            k1 = 0.0;
-            k2 = if tt > 0.0 { (tc / tt).max(0.0) } else { 0.0 };
-        } else if k2 < 0.0 {
-            k2 = 0.0;
-            k1 = if qq > 0.0 { (qc / qq).max(0.0) } else { 0.0 };
-        }
-        state.fitted = Some((k1, k2));
-    }
-}
-
-impl CostModel for CalibratingCostModel {
-    fn source_query_cost(&self, cond: Option<&CondTree>, n_attrs: usize, rows: f64) -> f64 {
-        match self.fitted() {
-            Some((k1, k2)) => k1 + k2 * rows.max(0.0),
-            None => self.inner.source_query_cost(cond, n_attrs, rows),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use csqp_expr::parse::parse_condition;
     use csqp_plan::cost::UniformCard;
-    use csqp_source::CostParams;
 
     #[test]
     fn floors_raise_but_never_lower_estimates() {
@@ -208,50 +93,5 @@ mod tests {
         let floors = BTreeMap::new();
         let card = CalibratedCard::new(&Nan, &floors);
         assert_eq!(card.estimate(None), 0.0, "NaN base clamps to zero");
-    }
-
-    #[test]
-    fn least_squares_recovers_the_true_constants() {
-        let model = CalibratingCostModel::new(Arc::new(CostParams::new(999.0, 999.0)));
-        assert!(model.fitted().is_none());
-        // Two exact samples of cost = 50·q + 2·t.
-        model.observe_run(2, 100, 50.0 * 2.0 + 2.0 * 100.0);
-        model.observe_run(5, 10, 50.0 * 5.0 + 2.0 * 10.0);
-        let (k1, k2) = model.fitted().expect("two independent samples fit");
-        assert!((k1 - 50.0).abs() < 1e-6, "k1 {k1}");
-        assert!((k2 - 2.0).abs() < 1e-6, "k2 {k2}");
-        // The fitted model now charges with the learned constants.
-        assert!((model.source_query_cost(None, 3, 100.0) - 250.0).abs() < 1e-6);
-        assert_eq!(model.samples(), 2);
-    }
-
-    #[test]
-    fn collinear_samples_stay_unfitted_and_fall_back() {
-        let model = CalibratingCostModel::new(Arc::new(CostParams::new(10.0, 1.0)));
-        // The same run observed twice: one equation, no unique solution.
-        model.observe_run(3, 30, 120.0);
-        model.observe_run(3, 30, 120.0);
-        assert!(model.fitted().is_none(), "singular system keeps the fallback");
-        assert!((model.source_query_cost(None, 1, 5.0) - 15.0).abs() < 1e-9, "inner model charges");
-        // Zero-work runs are ignored entirely.
-        model.observe_run(0, 0, 0.0);
-        assert_eq!(model.samples(), 2);
-    }
-
-    #[test]
-    fn negative_solutions_are_clamped_monotone() {
-        let model = CalibratingCostModel::new(Arc::new(CostParams::default()));
-        // Adversarial samples whose unconstrained solution turns k1
-        // negative: cost shrinks as queries grow at fixed tuples.
-        model.observe_run(1, 100, 200.0);
-        model.observe_run(10, 100, 100.0);
-        let (k1, k2) = model.fitted().expect("fit exists");
-        assert!(k1 >= 0.0 && k2 >= 0.0, "clamped: k1 {k1}, k2 {k2}");
-        for rows in [0.0, 1.0, 100.0] {
-            assert!(
-                model.source_query_cost(None, 1, rows)
-                    <= model.source_query_cost(None, 1, rows + 1.0)
-            );
-        }
     }
 }

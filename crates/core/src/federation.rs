@@ -266,7 +266,7 @@ pub struct FederatedRun {
     /// winner is touched.
     pub trace: FailoverTrace,
     /// Per-member planning verdicts — empty after a plan-cache hit, where
-    /// no fan-out ran.
+    /// no member was planned.
     pub considered: Considered,
     /// The flight record narrating this query (0 with a disarmed recorder).
     pub flight_id: u64,
@@ -332,7 +332,7 @@ pub struct PreparedFederated {
     /// How the prepared-plan cache probe went.
     pub decision: CacheDecision,
     /// Per-member planning verdicts — empty on a cache hit, where no
-    /// fan-out ran.
+    /// member was planned.
     pub considered: Considered,
     /// The flight record narrating this prepare (0 with a disarmed
     /// recorder). Captured from the begin handle itself, so it stays
@@ -388,9 +388,7 @@ impl Federation {
     /// Arms this federation with a flight recorder: every `plan` /
     /// `run_stream` call leaves a per-query record of member selection,
     /// breaker transitions, failovers and the serving member's stream
-    /// notes, replayable via [`Federation::explain_why`]. Events are only
-    /// recorded at sequential program points, so records are identical
-    /// whether or not the planning survey fanned out.
+    /// notes, replayable via [`Federation::explain_why`].
     pub fn with_flight_recorder(mut self, recorder: Arc<FlightRecorder>) -> Self {
         self.flight = recorder.clone();
         self.map_mediators(|m| m.with_flight_recorder(recorder.clone()))
@@ -414,11 +412,9 @@ impl Federation {
     }
 
     /// Shares an observability handle with this federation and its member
-    /// mediators. The planning fan-out records nothing on its own — the
-    /// federation flushes each candidate's report into this registry in the
-    /// order-preserving merge — so counters and trace stay deterministic
-    /// on any core count. [`Obs::off`] selects the state that records
-    /// nothing.
+    /// mediators. Member planning records nothing on its own — the survey
+    /// flushes each candidate's report into this registry in member order.
+    /// [`Obs::off`] selects the state that records nothing.
     pub fn with_obs(mut self, obs: Arc<Obs>) -> Self {
         self.obs = obs.clone();
         self.map_mediators(|m| m.with_obs(obs.clone()))
@@ -511,7 +507,7 @@ impl Federation {
 
     /// Installs a prepared-plan cache: [`Federation::prepare`] serves
     /// repeat query *shapes* out of it instead of re-running the planning
-    /// fan-out, and every breaker transition or membership change wipes it
+    /// survey, and every breaker transition or membership change wipes it
     /// (the cached winners were chosen against a world that no longer
     /// holds).
     pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
@@ -562,16 +558,13 @@ impl Federation {
     }
 
     /// The planning survey every selection starts from: plans `query` on
-    /// each member the capability index lets through (concurrently via
-    /// [`crate::par::par_map`], recording nothing), then merges in member
-    /// order into the feasible `(member, plan)` list — plans stamped with
+    /// each member the capability index lets through, in member order,
+    /// into the feasible `(member, plan)` list — plans stamped with
     /// `flight`'s id — and the planned members' verdicts. A member the
-    /// index pruned is infeasible with
-    /// certainty: no planning is spent on it and it is only counted, so the
-    /// per-query cost scales with the candidate set, not the federation.
-    /// This sequential merge is the only place planner counters, member
-    /// spans and selection events are recorded, so the output is identical
-    /// on one core or many.
+    /// index pruned is infeasible with certainty: no planning is spent on
+    /// it and it is only counted, so the per-query cost scales with the
+    /// candidate set, not the federation. Members plan quietly; this loop
+    /// records each one's span, report, event and verdict.
     fn survey(
         &self,
         query: &TargetQuery,
@@ -585,7 +578,6 @@ impl Federation {
             Some(d) => d.candidates.iter().map(|i| i as usize).collect(),
             None => (0..self.members.len()).collect(),
         };
-        let outcomes = crate::par::par_map(&work, |&i| self.mediators[i].plan_quiet(query));
         if let Some(d) = &decision {
             self.obs.metrics.add(names::CAPINDEX_CANDIDATES, d.candidates.len() as u64);
             self.obs.metrics.add(names::CAPINDEX_PRUNED, d.pruned as u64);
@@ -609,7 +601,7 @@ impl Federation {
             verdicts: Vec::with_capacity(work.len()),
             pruned: decision.map_or(0, |d| d.pruned),
         };
-        for (idx, outcome) in work.into_iter().zip(outcomes) {
+        for idx in work {
             let name = &self.members[idx].name;
             // One span per *planned* candidate. Guarded so a disabled
             // tracer skips the label formatting entirely.
@@ -618,7 +610,7 @@ impl Federation {
                 .tracer
                 .is_enabled()
                 .then(|| self.obs.tracer.span(&format!("member {name}")));
-            match outcome {
+            match self.mediators[idx].plan_quiet(query) {
                 Ok(mut p) => {
                     p.flight_id = flight.id();
                     p.report.record_into(&self.obs.metrics);
@@ -668,8 +660,7 @@ impl Federation {
 
     /// Plans `query` against every member and picks the cheapest feasible
     /// plan (estimated cost under each member's own cost constants). The
-    /// earliest member wins cost ties, so the choice is the sequential
-    /// loop's regardless of thread scheduling.
+    /// earliest member wins cost ties.
     pub fn plan(&self, query: &TargetQuery) -> Result<FederatedPlan, PlanError> {
         let _span = self.obs.tracer.span("federation plan");
         let flight = self.flight.begin_with(|| (query.to_string(), "Federation".to_string()));
@@ -710,7 +701,7 @@ impl Federation {
     /// is installed with [`Federation::with_plan_cache`]).
     ///
     /// - **Hit**: the query's parameterized shape matched a cached entry
-    ///   and its constants rebound cleanly — the planning fan-out is
+    ///   and its constants rebound cleanly — the planning survey is
     ///   skipped entirely. A fresh flight record still narrates the hit so
     ///   journal/profile ids stay unique per query.
     /// - **Miss / rejected**: falls back to [`Federation::plan`]
@@ -791,11 +782,10 @@ impl Federation {
     /// to it (return `false` to stop early) and the outcome's `rows` stays
     /// empty; without one the answer accumulates into `rows`.
     ///
-    /// The decision sequence is deterministic: planning fans out
-    /// order-preserving, execution visits members in cost order with the
-    /// member index as tie-break, and the breaker clock counts runs, not
-    /// wall time — the same seed yields the same [`FederatedRun::trace`]
-    /// on one core or many.
+    /// The decision sequence is deterministic: members are planned in
+    /// member order, execution visits them in cost order with the member
+    /// index as tie-break, and the breaker clock counts runs, not wall
+    /// time — the same seed yields the same [`FederatedRun::trace`].
     pub fn run_stream<'q>(
         &self,
         input: impl Into<FederatedInput<'q>>,
@@ -937,7 +927,7 @@ impl Federation {
     ) -> Result<(Vec<(usize, PlannedQuery)>, Gated), PlanError> {
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let flight = self.flight.begin_with(|| (query.to_string(), "Federation".to_string()));
-        // Gate decisions are snapshotted up front so the planning fan-out
+        // Gate decisions are snapshotted up front so the planning survey
         // below cannot interleave with breaker updates.
         let gates: Vec<BreakerGate> = self.breakers.iter().map(|b| b.gate(now)).collect();
         let (mut candidates, considered) = self.survey(query, flight);
@@ -1189,7 +1179,7 @@ impl ReplanController for BreakerSpliceController<'_> {
             fed.probe(idx, self.gated);
             // Re-plan the *residual* on the splice target — its
             // capabilities may shape the cover differently than the dead
-            // member's did. The fan-out plan for the full query is not
+            // member's did. The survey's plan for the full query is not
             // reused: the pipeline only needs what has not been emitted.
             let q = TargetQuery::new(residual.clone(), self.attrs.clone());
             match fed.mediators[idx].plan_quiet(&q) {
@@ -1315,7 +1305,7 @@ mod tests {
         let warm = f.prepare(&q2).unwrap();
         assert_eq!(warm.decision, CacheDecision::Hit);
         assert_eq!(warm.member, cold.member);
-        assert!(warm.considered.verdicts.is_empty(), "hit skips the fan-out");
+        assert!(warm.considered.verdicts.is_empty(), "hit skips the survey");
         assert_eq!(warm.surveyed(), None, "no survey ran on a hit");
         // The rebound plan equals what cold planning would have produced.
         assert_eq!(warm.planned.plan, f.plan(&q2).unwrap().planned.plan);
@@ -1520,7 +1510,7 @@ mod tests {
                 assert_eq!(snap.counter(names::FEDERATION_EXEC_FAILED), 2);
                 assert_eq!(snap.counter(names::FEDERATION_SERVED), 6);
                 assert_eq!(snap.counter(names::RESILIENCE_FAILOVERS), 2, "dealer→dump twice");
-                assert!(snap.counter(names::PLANNER_CHECK_CALLS) > 0, "planning fan-out recorded");
+                assert!(snap.counter(names::PLANNER_CHECK_CALLS) > 0, "planning survey recorded");
                 // The decision trace replays deterministically: a fresh
                 // federation with the same schedule produces the same trace.
                 let f2 = faulty_pair(

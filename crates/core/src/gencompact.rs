@@ -40,10 +40,19 @@ impl Default for GenCompactConfig {
 }
 
 /// Runs GenCompact: the cheapest feasible plan across the distributive
-/// rewritings, or [`PlanError::NoFeasiblePlan`].
+/// rewritings under `model` (§7 flexibility; see `csqp_plan::model` for the
+/// monotonicity contract pruning relies on), or
+/// [`PlanError::NoFeasiblePlan`].
+///
+/// Every planner decision (per-CT search, PR1/PR2/PR3 prunes, MCSC covers,
+/// candidate ranking) goes to `flight` for `EXPLAIN WHY`; the handle is
+/// `Copy` and ignores everything when disabled. With a `tracer`, the search
+/// also opens hierarchical spans (`rewrite`, one `ct N` per rewriting with
+/// nested `mcsc` covers, `rank`) for query profiles.
 ///
 /// ```
 /// use csqp_core::{plan_compact, GenCompactConfig, TargetQuery};
+/// use csqp_obs::QueryFlight;
 /// use csqp_plan::cost::StatsCard;
 /// use csqp_relation::datagen;
 /// use csqp_source::{CostParams, Source};
@@ -59,55 +68,15 @@ impl Default for GenCompactConfig {
 ///     &["model", "year"],
 /// ).unwrap();
 /// let card = StatsCard::new(source.stats());
-/// let planned =
-///     plan_compact(&query, &source, &card, &GenCompactConfig::default()).unwrap();
+/// let cfg = GenCompactConfig::default();
+/// let planned = plan_compact(
+///     &query, &source, &card, &cfg, source.cost_params(), QueryFlight::disabled(), None,
+/// ).unwrap();
 /// // The color disjunction is unsupported: IPG pushes the make+price form
 /// // (also fetching `color`) and filters locally.
 /// assert!(planned.plan.to_string().contains("SP(make = \"BMW\" ^ price < 40000"));
 /// ```
 pub fn plan_compact(
-    query: &TargetQuery,
-    source: &Source,
-    card: &dyn Cardinality,
-    cfg: &GenCompactConfig,
-) -> Result<PlannedQuery, PlanError> {
-    plan_compact_with_model(query, source, card, cfg, source.cost_params())
-}
-
-/// As [`plan_compact`] with an explicit cost model (§7 flexibility; see
-/// `csqp_plan::model` for the monotonicity contract pruning relies on).
-pub fn plan_compact_with_model(
-    query: &TargetQuery,
-    source: &Source,
-    card: &dyn Cardinality,
-    cfg: &GenCompactConfig,
-    model: &dyn CostModel,
-) -> Result<PlannedQuery, PlanError> {
-    plan_compact_recorded(query, source, card, cfg, model, QueryFlight::disabled())
-}
-
-/// As [`plan_compact_with_model`], recording every planner decision (per-CT
-/// search, PR1/PR2/PR3 prunes, MCSC covers, candidate ranking) into the
-/// given flight-recorder handle for `EXPLAIN WHY`. The handle is `Copy` and
-/// ignores everything when disabled, so the unrecorded entry points simply
-/// delegate here.
-pub fn plan_compact_recorded(
-    query: &TargetQuery,
-    source: &Source,
-    card: &dyn Cardinality,
-    cfg: &GenCompactConfig,
-    model: &dyn CostModel,
-    flight: QueryFlight<'_>,
-) -> Result<PlannedQuery, PlanError> {
-    plan_compact_traced(query, source, card, cfg, model, flight, None)
-}
-
-/// As [`plan_compact_recorded`], additionally opening hierarchical spans
-/// (`rewrite`, one `ct N` per rewriting with nested `mcsc` covers, `rank`)
-/// on the given tracer for query profiles. The tracer must only be supplied
-/// from sequential program points — federation fan-outs pass `None` and let
-/// the sequential merge loop do the recording.
-pub fn plan_compact_traced(
     query: &TargetQuery,
     source: &Source,
     card: &dyn Cardinality,
@@ -220,10 +189,21 @@ mod tests {
     use csqp_source::CostParams;
     use csqp_ssdl::templates;
 
+    /// GenCompact with the default configuration under the source's own
+    /// cost constants, recording nothing.
+    fn compact(
+        q: &TargetQuery,
+        source: &Source,
+        card: &dyn Cardinality,
+    ) -> Result<PlannedQuery, PlanError> {
+        let cfg = GenCompactConfig::default();
+        plan_compact(q, source, card, &cfg, source.cost_params(), QueryFlight::disabled(), None)
+    }
+
     fn plan_on(source: &Source, cond: &str, attrs: &[&str]) -> PlannedQuery {
         let q = TargetQuery::parse(cond, attrs).unwrap();
         let card = StatsCard::new(source.stats());
-        plan_compact(&q, source, &card, &GenCompactConfig::default()).unwrap()
+        compact(&q, source, &card).unwrap()
     }
 
     fn check_against_oracle(source: &Source, cond: &str, attrs: &[&str]) -> PlannedQuery {
@@ -308,7 +288,7 @@ mod tests {
         // Without PIN there is no way to fetch balance.
         let q = TargetQuery::parse("acct_no = \"acct-00042\"", &["owner", "balance"]).unwrap();
         let card = StatsCard::new(s.stats());
-        assert!(plan_compact(&q, &s, &card, &GenCompactConfig::default()).is_err());
+        assert!(compact(&q, &s, &card).is_err());
     }
 
     #[test]
@@ -316,7 +296,7 @@ mod tests {
         let s = Source::new(datagen::cars(3, 100), templates::car_dealer(), CostParams::default());
         let q = TargetQuery::parse("year = 1995", &["model"]).unwrap();
         let card = StatsCard::new(s.stats());
-        let err = plan_compact(&q, &s, &card, &GenCompactConfig::default()).unwrap_err();
+        let err = compact(&q, &s, &card).unwrap_err();
         assert!(matches!(err, PlanError::NoFeasiblePlan { .. }));
     }
 

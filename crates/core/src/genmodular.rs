@@ -36,49 +36,16 @@ impl Default for GenModularConfig {
 }
 
 /// Runs GenModular: returns the cheapest feasible plan across all rewritten
-/// CTs, or [`PlanError::NoFeasiblePlan`].
+/// CTs under `model`, or [`PlanError::NoFeasiblePlan`].
+///
+/// The decision trail (per-CT rewriting, EPG plan-space size, per-CT
+/// candidate, candidate ranking) goes to `flight` for `EXPLAIN WHY`.
+/// GenModular has no pruning rules, so its trail shows the *exhaustive*
+/// plan spaces the cost module resolved — which is exactly what a diff
+/// against GenCompact's pruned trail should surface. With a `tracer`, the
+/// search also opens hierarchical spans (`rewrite`, one `maxeval ct N` per
+/// rewriting around mark/EPG/resolve, `rank`) for query profiles.
 pub fn plan_modular(
-    query: &TargetQuery,
-    source: &Source,
-    card: &dyn Cardinality,
-    cfg: &GenModularConfig,
-) -> Result<PlannedQuery, PlanError> {
-    plan_modular_with_model(query, source, card, cfg, source.cost_params())
-}
-
-/// As [`plan_modular`] with an explicit cost model.
-pub fn plan_modular_with_model(
-    query: &TargetQuery,
-    source: &Source,
-    card: &dyn Cardinality,
-    cfg: &GenModularConfig,
-    model: &dyn CostModel,
-) -> Result<PlannedQuery, PlanError> {
-    plan_modular_recorded(query, source, card, cfg, model, QueryFlight::disabled())
-}
-
-/// As [`plan_modular_with_model`], recording the decision trail (per-CT
-/// rewriting, EPG plan-space size, per-CT candidate, candidate ranking)
-/// into the given flight-recorder handle for `EXPLAIN WHY`. GenModular has
-/// no pruning rules, so its trail shows the *exhaustive* plan spaces the
-/// cost module resolved — which is exactly what a diff against GenCompact's
-/// pruned trail should surface.
-pub fn plan_modular_recorded(
-    query: &TargetQuery,
-    source: &Source,
-    card: &dyn Cardinality,
-    cfg: &GenModularConfig,
-    model: &dyn CostModel,
-    flight: QueryFlight<'_>,
-) -> Result<PlannedQuery, PlanError> {
-    plan_modular_traced(query, source, card, cfg, model, flight, None)
-}
-
-/// As [`plan_modular_recorded`], additionally opening hierarchical spans
-/// (`rewrite`, one `maxeval ct N` per rewriting around mark/EPG/resolve,
-/// `rank`) on the given tracer for query profiles. Sequential call sites
-/// only — federation fan-outs pass `None`.
-pub fn plan_modular_traced(
     query: &TargetQuery,
     source: &Source,
     card: &dyn Cardinality,
@@ -185,6 +152,16 @@ mod tests {
     use csqp_source::CostParams;
     use csqp_ssdl::templates;
 
+    /// GenModular under the source's own cost constants, recording nothing.
+    fn modular(
+        q: &TargetQuery,
+        source: &Source,
+        card: &dyn Cardinality,
+        cfg: &GenModularConfig,
+    ) -> Result<PlannedQuery, PlanError> {
+        plan_modular(q, source, card, cfg, source.cost_params(), QueryFlight::disabled(), None)
+    }
+
     fn dealer() -> Source {
         Source::new(datagen::cars(3, 400), templates::car_dealer(), CostParams::default())
     }
@@ -200,7 +177,7 @@ mod tests {
         )
         .unwrap();
         let card = StatsCard::new(s.stats());
-        let planned = plan_modular(&q, &s, &card, &GenModularConfig::default()).unwrap();
+        let planned = modular(&q, &s, &card, &GenModularConfig::default()).unwrap();
         assert!(planned.plan.is_concrete());
         assert!(is_feasible(&planned.plan, &s));
         assert!(planned.report.cts_processed > 1, "rewrites explored");
@@ -216,7 +193,7 @@ mod tests {
         // `year` is not usable in any condition and no download rule exists.
         let q = TargetQuery::parse("year = 1995", &["model"]).unwrap();
         let card = StatsCard::new(s.stats());
-        let err = plan_modular(&q, &s, &card, &GenModularConfig::default()).unwrap_err();
+        let err = modular(&q, &s, &card, &GenModularConfig::default()).unwrap_err();
         assert!(matches!(err, PlanError::NoFeasiblePlan { .. }));
     }
 
@@ -237,7 +214,7 @@ mod tests {
         // must report truncation rather than silently claiming completeness.
         // An Err is acceptable too: the budget may be too small to find
         // any plan at all.
-        if let Ok(p) = plan_modular(&q, &s, &card, &cfg) {
+        if let Ok(p) = modular(&q, &s, &card, &cfg) {
             assert!(p.report.truncated);
         }
     }
@@ -247,7 +224,7 @@ mod tests {
         let s = dealer();
         let q = TargetQuery::parse("make = \"BMW\" ^ price < 40000", &["model"]).unwrap();
         let card = StatsCard::new(s.stats());
-        let planned = plan_modular(&q, &s, &card, &GenModularConfig::default()).unwrap();
+        let planned = modular(&q, &s, &card, &GenModularConfig::default()).unwrap();
         let r = planned.report;
         assert!(r.cts_processed >= 1);
         assert!(r.checks > 0);
@@ -274,7 +251,7 @@ mod tests {
         )
         .unwrap();
         let card = StatsCard::new(s.stats());
-        let planned = plan_modular(&q, &s, &card, &GenModularConfig::default()).unwrap();
+        let planned = modular(&q, &s, &card, &GenModularConfig::default()).unwrap();
         match &planned.plan {
             csqp_plan::Plan::SourceQuery { cond, .. } => {
                 assert!(cond.is_some(), "pure pushdown, not download");

@@ -114,8 +114,7 @@ pub struct IpgContext<'a, 'b> {
     /// armed via [`IpgContext::with_flight`]).
     flight: QueryFlight<'a>,
     /// Span tracer for the hierarchical query profile (absent by default;
-    /// attached via [`IpgContext::with_tracer`]). Must only be set when the
-    /// search runs from a sequential program point.
+    /// attached via [`IpgContext::with_tracer`]).
     tracer: Option<&'a csqp_obs::Tracer>,
 }
 

@@ -49,18 +49,17 @@ pub mod mark;
 pub mod maxeval;
 pub mod mcsc;
 pub mod mediator;
-pub mod par;
 pub mod plancache;
 pub mod types;
 
-pub use calibrate::{CalibratedCard, CalibratingCostModel};
+pub use calibrate::CalibratedCard;
 pub use capindex::{CapabilityIndex, IndexDecision};
 pub use federation::{
     BreakerHealth, CircuitBreakerConfig, FailoverTrace, FederatedInput, FederatedOptions,
     FederatedPlan, FederatedRun, Federation, MemberEvent, PreparedFederated,
 };
-pub use gencompact::{plan_compact, plan_compact_recorded, GenCompactConfig};
-pub use genmodular::{plan_modular, plan_modular_recorded, GenModularConfig};
+pub use gencompact::{plan_compact, GenCompactConfig};
+pub use genmodular::{plan_modular, GenModularConfig};
 pub use ipg::IpgConfig;
 pub use join::{JoinConfig, JoinMediator, JoinOutcome, JoinQuery, JoinStrategy};
 pub use mediator::{

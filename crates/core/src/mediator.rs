@@ -5,12 +5,10 @@
 //! they need to implement a scheme like the one we describe" — a
 //! [`Mediator`] over a single source *is* such a wrapper.
 
-use crate::baselines::{
-    plan_cnf_with_model, plan_disco_with_model, plan_dnf_with_model, plan_naive_with_model,
-};
-use crate::calibrate::{CalibratedCard, CalibratingCostModel};
-use crate::gencompact::{plan_compact_traced, GenCompactConfig};
-use crate::genmodular::{plan_modular_traced, GenModularConfig};
+use crate::baselines::{plan_cnf, plan_disco, plan_dnf, plan_naive};
+use crate::calibrate::CalibratedCard;
+use crate::gencompact::{plan_compact, GenCompactConfig};
+use crate::genmodular::{plan_modular, GenModularConfig};
 use crate::plancache::PlanCache;
 use crate::types::{PlanError, PlannedQuery, TargetQuery};
 use csqp_expr::CondTree;
@@ -378,9 +376,8 @@ impl ReplanController for DriftController<'_> {
         self.next_check = probe.batches.max(1) * 2;
         if !raised {
             // A pure overestimate: floors cannot lower an estimate, so a
-            // re-plan would reproduce the same plan. Count the trigger
-            // (the calibration layer still learns from the finished run)
-            // and keep streaming.
+            // re-plan would reproduce the same plan. Count the trigger and
+            // keep streaming.
             return None;
         }
         let remaining = probe.remaining_plan()?;
@@ -487,10 +484,8 @@ pub struct Mediator {
     compact_cfg: GenCompactConfig,
     modular_cfg: GenModularConfig,
     model: Option<Arc<dyn CostModel + Send + Sync>>,
-    calibration: Option<Arc<CalibratingCostModel>>,
     obs: Arc<Obs>,
     flight: Arc<FlightRecorder>,
-    plan_cache: Option<Arc<PlanCache>>,
 }
 
 impl fmt::Debug for Mediator {
@@ -514,12 +509,10 @@ impl Mediator {
             compact_cfg: GenCompactConfig::default(),
             modular_cfg: GenModularConfig::default(),
             model: None,
-            calibration: None,
             obs: Arc::new(Obs::new()),
             // Disarmed by default: the planning hot path stays
             // provenance-free until a caller explicitly arms a recorder.
             flight: Arc::new(FlightRecorder::off()),
-            plan_cache: None,
         }
     }
 
@@ -578,29 +571,11 @@ impl Mediator {
         self
     }
 
-    /// Installs a [`CalibratingCostModel`]: the mediator plans with it
-    /// (initially delegating to the model it wraps) and feeds every
-    /// finished adaptive run's transfer meter and measured cost back into
-    /// its `k1`/`k2` fit — so estimates converge toward the source's real
-    /// §6.2 constants across runs.
-    pub fn with_calibration(mut self, model: Arc<CalibratingCostModel>) -> Self {
-        self.calibration = Some(model.clone());
-        self.model = Some(model);
-        self
-    }
-
-    /// The installed calibration layer, if any.
-    pub fn calibration(&self) -> Option<&Arc<CalibratingCostModel>> {
-        self.calibration.as_ref()
-    }
-
-    /// Ties a shared [`PlanCache`] to this mediator's calibration layer:
-    /// when an observed run *changes* the fitted `(k1, k2)` — i.e. the cost
-    /// model the cached plans were ranked under is no longer the cost model
-    /// in force — every prepared plan is invalidated. Install the same
-    /// cache handle on the [`crate::Federation`] that serves lookups.
-    pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
-        self.plan_cache = Some(cache);
+    /// Frozen for the `benchmark/` package: returns the mediator
+    /// unchanged. A mediator's cost model never changes after it is built,
+    /// so it has nothing to invalidate; the cache belongs on the
+    /// [`crate::Federation`] that serves lookups.
+    pub fn with_plan_cache(self, _cache: Arc<PlanCache>) -> Self {
         self
     }
 
@@ -705,8 +680,8 @@ impl Mediator {
     }
 
     /// Plans while recording nothing — no flight record, no span, no trace
-    /// event, no counter. For planning fan-outs, whose sequential merge
-    /// loop must stay the only recorder (it flushes each `report` itself).
+    /// event, no counter. For the federation's survey and splice target,
+    /// which record each member's `report` themselves.
     pub(crate) fn plan_quiet(&self, query: &TargetQuery) -> Result<PlannedQuery, PlanError> {
         self.with_card(|card| self.dispatch(query, card, QueryFlight::disabled(), None))
     }
@@ -722,17 +697,17 @@ impl Mediator {
         let model = self.active_model();
         match self.scheme {
             Scheme::GenCompact => {
-                plan_compact_traced(query, s, card, &self.compact_cfg, model, flight, tracer)
+                plan_compact(query, s, card, &self.compact_cfg, model, flight, tracer)
             }
             Scheme::GenModular => {
-                plan_modular_traced(query, s, card, &self.modular_cfg, model, flight, tracer)
+                plan_modular(query, s, card, &self.modular_cfg, model, flight, tracer)
             }
             baseline => {
                 let planned = match baseline {
-                    Scheme::Cnf => plan_cnf_with_model(query, s, card, model),
-                    Scheme::Dnf => plan_dnf_with_model(query, s, card, model),
-                    Scheme::Disco => plan_disco_with_model(query, s, card, model),
-                    _ => plan_naive_with_model(query, s, card, model),
+                    Scheme::Cnf => plan_cnf(query, s, card, model),
+                    Scheme::Dnf => plan_dnf(query, s, card, model),
+                    Scheme::Disco => plan_disco(query, s, card, model),
+                    _ => plan_naive(query, s, card, model),
                 };
                 // The baselines are single-shot translations with no search
                 // to narrate; record the outcome so EXPLAIN WHY still names
@@ -790,13 +765,6 @@ impl Mediator {
         };
         self.obs.tracer.event_with(streamed);
         self.flight.note(out.planned.flight_id, || PlanEvent::Note { text: streamed() });
-    }
-
-    /// Plans and executes with per-source-query observation
-    /// ([`StreamOptions::Analyzed`], collecting): the outcome's
-    /// `analysis` is always present.
-    pub fn run_analyzed(&self, query: &TargetQuery) -> Result<StreamOutcome, MediatorError> {
-        self.run_stream(query, StreamOptions::Analyzed(&StreamConfig::default()), None)
     }
 
     /// Plans and executes with resilience: source round-trips retry with
@@ -931,33 +899,6 @@ impl Mediator {
         }
     }
 
-    /// Feeds a finished run's transfer meter and measured cost into the
-    /// calibration layer, when one is installed.
-    fn record_calibration(&self, meter: &Meter, measured_cost: f64) {
-        if let Some(cal) = &self.calibration {
-            let before = cal.fitted();
-            cal.observe_run(meter.queries, meter.tuples_shipped, measured_cost);
-            let after = cal.fitted();
-            self.obs.tracer.event_with(|| {
-                format!("calibration: {} run(s) observed, fitted {after:?}", cal.samples())
-            });
-            // A refit means cached plans were ranked under a cost model
-            // that is no longer in force: drop them.
-            if before != after {
-                if let Some(cache) = &self.plan_cache {
-                    let dropped = cache.invalidate_all();
-                    self.obs.metrics.inc(names::PLANCACHE_INVALIDATIONS);
-                    self.obs.tracer.event_with(|| {
-                        format!(
-                            "plan cache invalidated (cost-model refit {before:?} -> {after:?}): \
-                             {dropped} entries dropped"
-                        )
-                    });
-                }
-            }
-        }
-    }
-
     /// The one function that executes: plans `input` (unless it already
     /// is a prepared plan) and runs it on the engine the way `options`
     /// says. With a `sink`, each deduplicated answer batch goes to it as it
@@ -1062,16 +1003,13 @@ impl Mediator {
                 self.obs.tracer.event_with(|| w.clone());
             }
         }
-        if adaptive {
-            self.record_calibration(&outcome.meter, measured_cost);
-            if run.splices > 0 {
-                self.obs.tracer.event_with(|| {
-                    format!(
-                        "adaptive: {} splice(s) from {drift_triggers} drift trigger(s)",
-                        run.splices
-                    )
-                });
-            }
+        if adaptive && run.splices > 0 {
+            self.obs.tracer.event_with(|| {
+                format!(
+                    "adaptive: {} splice(s) from {drift_triggers} drift trigger(s)",
+                    run.splices
+                )
+            });
         }
         Ok(StreamOutcome {
             outcome,
@@ -1125,7 +1063,7 @@ impl Mediator {
     }
 
     /// Plans and executes with per-source-query observation
-    /// ([`Mediator::run_analyzed`]) and captures the full [`QueryProfile`]:
+    /// ([`StreamOptions::Analyzed`]) and captures the full [`QueryProfile`]:
     /// span tree, metrics delta, flight trail, and est-vs-observed
     /// cardinalities per subquery. This is what `--explain=profile` renders.
     pub fn run_profiled(
@@ -1133,7 +1071,8 @@ impl Mediator {
         query: &TargetQuery,
     ) -> Result<(StreamOutcome, QueryProfile), MediatorError> {
         let capture = ProfileCapture::begin(&self.obs);
-        let outcome = self.run_analyzed(query)?;
+        let outcome =
+            self.run_stream(query, StreamOptions::Analyzed(&StreamConfig::default()), None)?;
         let mut profile = self.finish_profile(capture, query, outcome.outcome.planned.flight_id);
         profile.rows = outcome.outcome.rows.len() as u64;
         profile.est_cost = outcome.outcome.planned.est_cost;
@@ -1413,7 +1352,8 @@ mod tests {
         let q = TargetQuery::parse(EX11, &["isbn", "author", "title"]).unwrap();
         let plain = Mediator::new(source.clone()).run(&q).unwrap();
         let m = Mediator::new(source).with_cardinality(CardKind::Oracle);
-        let analyzed = m.run_analyzed(&q).unwrap();
+        let analyzed =
+            m.run_stream(&q, StreamOptions::Analyzed(&StreamConfig::default()), None).unwrap();
         assert_eq!(analyzed.outcome.rows, plain.rows, "analysis is observation-only");
         let analysis = analyzed.analysis.expect("an analyzed run reports its analysis");
         assert_eq!(
@@ -1692,29 +1632,6 @@ mod tests {
             .unwrap();
         assert!(out.outcome.rows.is_empty(), "the sink consumed the answer");
         assert_eq!(Relation::from_tuples(want.schema().clone(), got), want);
-    }
-
-    #[test]
-    fn calibration_learns_the_real_cost_constants() {
-        use crate::calibrate::CalibratingCostModel;
-        use csqp_plan::model::LatencyBandwidthCost;
-        let source = drifty_source();
-        // Start from a wildly wrong inner model; the source's real §6.2
-        // constants are (10, 1) and measured cost is exact in them.
-        let cal = Arc::new(CalibratingCostModel::new(Arc::new(LatencyBandwidthCost::default())));
-        let m = Mediator::new(source)
-            .with_cardinality(CardKind::Uniform { atom_selectivity: 0.05 })
-            .with_calibration(cal.clone());
-        let q1 = TargetQuery::parse("a = 1 ^ b = 1 ^ c = 1", &["k"]).unwrap();
-        let q2 = TargetQuery::parse("c = 1", &["k"]).unwrap();
-        for q in [&q1, &q2] {
-            m.run_stream(q, StreamOptions::Adaptive(&AdaptiveConfig::default()), None).unwrap();
-        }
-        assert_eq!(cal.samples(), 2, "every finished adaptive run feeds the fit");
-        let (k1, k2) = cal.fitted().expect("two independent runs pin the constants");
-        assert!((k1 - 10.0).abs() < 1e-6, "k1 converged: {k1}");
-        assert!((k2 - 1.0).abs() < 1e-6, "k2 converged: {k2}");
-        assert!(m.calibration().is_some());
     }
 
     #[test]

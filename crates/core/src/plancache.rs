@@ -29,8 +29,8 @@
 //!   source-query condition is re-validated: `Check` must export the
 //!   same sets (under both the planning and the gate view) as the
 //!   prepare-time condition, otherwise the entry is rejected.
-//! - **Stale world**: breaker transitions and cost-model recalibration
-//!   change which member/plan *should* win, so both bump the cache epoch
+//! - **Stale world**: breaker transitions and membership changes change
+//!   which member/plan *should* win, so both bump the cache epoch
 //!   ([`PlanCache::invalidate_all`]) and every cached entry dies.
 //!
 //! A cache hit's `est_cost` is the prepare-time estimate — constants
@@ -320,8 +320,7 @@ impl PlanCache {
     }
 
     /// Wipes the cache by bumping the epoch (breaker transition,
-    /// cost-model recalibration, membership change). Returns how many
-    /// live entries were dropped.
+    /// membership change). Returns how many live entries were dropped.
     pub fn invalidate_all(&self) -> usize {
         self.epoch.fetch_add(1, Ordering::AcqRel);
         self.invalidations.fetch_add(1, Ordering::Relaxed);

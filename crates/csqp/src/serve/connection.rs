@@ -10,11 +10,11 @@
 //! exactly as before.
 
 use super::admission::sanitize_tenant;
-use super::http::{http_request_target, percent_decode, query_param};
+use super::http::{http_request_target, percent_decode, query_param, starts_like_http};
 use super::state::QueryError;
 use super::Server;
 use csqp_obs::names;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -40,15 +40,39 @@ fn framed_response(status: &str, ctype: &str, body: &str, keep_alive: bool) -> S
     )
 }
 
-/// Reads one line, mapping EOF and an idle read timeout to `None` — both
-/// just mean "the client is done with this connection".
-fn next_line(reader: &mut BufReader<TcpStream>, buf: &mut String) -> io::Result<Option<()>> {
-    buf.clear();
-    match reader.read_line(buf) {
-        Ok(0) => Ok(None),
-        Ok(_) => Ok(Some(())),
+/// The longest request, header or command line read, newline included. A
+/// peer that sends more without a newline gets an error and the
+/// connection closes, so the read buffer never outgrows this.
+const MAX_LINE: u64 = 8 * 1024;
+
+/// What [`next_line`] found.
+enum Line {
+    /// A line of at most [`MAX_LINE`] bytes.
+    Read,
+    /// No newline within [`MAX_LINE`] bytes; the buffer holds what was read.
+    TooLong,
+    /// EOF or an idle read timeout — both just mean "the client is done
+    /// with this connection".
+    Done,
+}
+
+/// Reads one line of at most [`MAX_LINE`] bytes into `buf`.
+fn next_line(reader: &mut BufReader<TcpStream>, buf: &mut String) -> io::Result<Line> {
+    let mut bytes = std::mem::take(buf).into_bytes();
+    bytes.clear();
+    match reader.by_ref().take(MAX_LINE + 1).read_until(b'\n', &mut bytes) {
+        Ok(0) => Ok(Line::Done),
+        Ok(n) if n as u64 > MAX_LINE => {
+            *buf = String::from_utf8_lossy(&bytes).into_owned();
+            Ok(Line::TooLong)
+        }
+        Ok(_) => {
+            *buf = String::from_utf8(bytes)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            Ok(Line::Read)
+        }
         Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-            Ok(None)
+            Ok(Line::Done)
         }
         Err(e) => Err(e),
     }
@@ -63,8 +87,20 @@ impl Server {
         let mut reader = BufReader::new(stream.try_clone()?);
         let mut line = String::new();
         loop {
-            if next_line(&mut reader, &mut line)?.is_none() {
-                return Ok(false);
+            match next_line(&mut reader, &mut line)? {
+                Line::Read => {}
+                Line::Done => return Ok(false),
+                Line::TooLong => {
+                    self.obs.metrics.inc(names::SERVE_REQUESTS);
+                    self.obs.metrics.inc(names::SERVE_ERRORS);
+                    let reply = if starts_like_http(&line) {
+                        framed_response("414 URI Too Long", TEXT, "request line too long\n", false)
+                    } else {
+                        "ERR line too long\n".to_string()
+                    };
+                    stream.write_all(reply.as_bytes())?;
+                    return Ok(false);
+                }
             }
             let first = line.trim_end().to_string();
             if first.is_empty() {
@@ -81,8 +117,20 @@ impl Server {
                 let mut tenant_header: Option<String> = None;
                 let mut hdr = String::new();
                 loop {
-                    if next_line(&mut reader, &mut hdr)?.is_none() || hdr.trim_end().is_empty() {
-                        break;
+                    match next_line(&mut reader, &mut hdr)? {
+                        Line::Read if !hdr.trim_end().is_empty() => {}
+                        Line::Read | Line::Done => break,
+                        Line::TooLong => {
+                            self.obs.metrics.inc(names::SERVE_ERRORS);
+                            let reply = framed_response(
+                                "431 Request Header Fields Too Large",
+                                TEXT,
+                                "header line too long\n",
+                                false,
+                            );
+                            stream.write_all(reply.as_bytes())?;
+                            return Ok(false);
+                        }
                     }
                     if let Some((name, value)) = hdr.trim_end().split_once(':') {
                         let value = value.trim();

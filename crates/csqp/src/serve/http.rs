@@ -1,6 +1,9 @@
 //! Minimal HTTP/1.x request-line and query-string helpers — the only
 //! protocol parsing the serve listener needs, built on `std` alone.
 
+/// The request methods the listener answers over HTTP.
+const METHODS: [&str; 3] = ["GET", "POST", "HEAD"];
+
 /// Extracts the request target from an HTTP request line (`GET /x HTTP/1.x`),
 /// or `None` when the line is not HTTP (line-protocol fallback).
 pub(super) fn http_request_target(line: &str) -> Option<&str> {
@@ -8,11 +11,17 @@ pub(super) fn http_request_target(line: &str) -> Option<&str> {
     let method = parts.next()?;
     let target = parts.next()?;
     let version = parts.next()?;
-    if matches!(method, "GET" | "POST" | "HEAD") && version.starts_with("HTTP/") {
+    if METHODS.contains(&method) && version.starts_with("HTTP/") {
         Some(target)
     } else {
         None
     }
+}
+
+/// Whether a first line, possibly cut short, opens like an HTTP request: a
+/// known method and a space.
+pub(super) fn starts_like_http(line: &str) -> bool {
+    line.split_once(' ').is_some_and(|(method, _)| METHODS.contains(&method))
 }
 
 /// Finds `name=value` in a query string; returns the raw (still encoded)

@@ -21,12 +21,10 @@
 //!    ([`FlightRecorder::begin_with`], [`QueryFlight::event_with`]); a
 //!    disarmed recorder ([`FlightRecorder::off`]) never invokes it, so hot
 //!    paths build no event text and allocate nothing.
-//! 3. **Deterministic.** Events are recorded only from sequential program
-//!    points (the planners are sequential per query; parallel federation
-//!    fan-out records nothing), and events carrying a *choice* among
-//!    equals (PR3 dominators, MCSC covers) name the deterministic pick —
-//!    so an `EXPLAIN WHY` report golden-tests byte-identically whether or
-//!    not planning fanned out.
+//! 3. **Deterministic.** A query's planning runs on its caller's thread,
+//!    and events carrying a *choice* among equals (PR3 dominators, MCSC
+//!    covers) name the deterministic pick — so an `EXPLAIN WHY` report
+//!    golden-tests byte-identically.
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -195,7 +195,7 @@ pub const PLANCACHE_REJECTED: &str = "plancache.rejected";
 /// Entries displaced by capacity-bounded insertion (least-recently-used).
 pub const PLANCACHE_EVICTIONS: &str = "plancache.evictions";
 /// Epoch bumps that wiped the cache: breaker-state transitions and
-/// cost-model recalibration refits.
+/// membership changes.
 pub const PLANCACHE_INVALIDATIONS: &str = "plancache.invalidations";
 /// Live entries resident in the prepared-plan cache (gauge).
 pub const PLANCACHE_ENTRIES: &str = "plancache.entries";
@@ -397,7 +397,7 @@ pub const CATALOG: &[MetricMeta] = &[
     meta(PLANCACHE_MISSES, MetricKind::Counter, "prepared-plan cache misses (cold planned)"),
     meta(PLANCACHE_REJECTED, MetricKind::Counter, "cache entries rejected at rebind time"),
     meta(PLANCACHE_EVICTIONS, MetricKind::Counter, "cache entries displaced by capacity"),
-    meta(PLANCACHE_INVALIDATIONS, MetricKind::Counter, "cache wipes from breaker/recalibration"),
+    meta(PLANCACHE_INVALIDATIONS, MetricKind::Counter, "cache wipes from breakers/membership"),
     meta(PLANCACHE_ENTRIES, MetricKind::Gauge, "live prepared-plan cache entries"),
     meta(ADMISSION_ADMITTED, MetricKind::Counter, "requests admitted past the front-door gates"),
     meta(ADMISSION_SHED_QUOTA, MetricKind::Counter, "requests shed on an empty tenant bucket"),

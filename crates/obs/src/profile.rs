@@ -172,8 +172,8 @@ impl QueryProfile {
 ///
 /// The metrics section is exact under concurrent writers: it comes from a
 /// [`MetricsWindow`] that mirrors only this thread's writes, and a query
-/// runs on one thread (the engine spawns none; the federation's planning
-/// fan-out records nothing on its worker threads). Span slices and flight
+/// runs on one thread (neither the planners nor the engine spawn any).
+/// Span slices and flight
 /// trails stay exact because they key on marks and flight ids. Dropping a
 /// capture without `finish` (a failed query) discards its window.
 #[derive(Debug)]

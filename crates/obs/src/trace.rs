@@ -86,9 +86,8 @@ impl Inner {
     }
 }
 
-/// The tracer. Interior-mutable and `Send + Sync`; events must be
-/// recorded from deterministic (sequential) program points — parallel
-/// sections record into locals and flush after their deterministic merge.
+/// The tracer. Interior-mutable and `Send + Sync`; a query records into it
+/// from the one thread it runs on.
 #[derive(Debug, Default)]
 pub struct Tracer {
     inner: Mutex<Inner>,

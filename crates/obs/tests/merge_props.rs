@@ -90,8 +90,11 @@ fn snap_from_seed(seed: u64, n: u64) -> MetricsSnapshot {
     reg.snapshot()
 }
 
+/// A histogram's `(count, sum, buckets)`.
+type Tally<'a> = (u64, u64, &'a [(u64, u64, u64)]);
+
 /// Per histogram: the tallies a window shares with a snapshot diff.
-fn tallies(s: &MetricsSnapshot) -> BTreeMap<&str, (u64, u64, &[(u64, u64, u64)])> {
+fn tallies(s: &MetricsSnapshot) -> BTreeMap<&str, Tally<'_>> {
     s.histograms.iter().map(|(k, h)| (k.as_str(), (h.count, h.sum, h.buckets.as_slice()))).collect()
 }
 

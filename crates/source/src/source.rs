@@ -174,7 +174,7 @@ pub struct Source {
     rejected: AtomicU64,
     /// Observed result cardinalities by condition fingerprint: the largest
     /// deduplicated result size ever shipped for each distinct condition.
-    /// Feeds mid-query re-planning (cost recalibration floors).
+    /// Feeds mid-query re-planning (cardinality floors).
     observed_cards: Mutex<BTreeMap<Fingerprint, u64>>,
     /// Unreliability model; `None` (the default) keeps the fault path at a
     /// single branch per query.

@@ -8,7 +8,10 @@
 //! already-emitted tuples, so re-planning can change the *cost* of a run
 //! but never its answer set. When nothing drifts (zero splices) the
 //! adaptive path must also preserve the serial stream's emission order and
-//! transfer-meter delta.
+//! transfer-meter delta. No run may send a source a query its description
+//! does not accept.
+
+mod common;
 
 use csqp_core::mediator::{AdaptiveConfig, CardKind, Mediator, StreamOptions};
 use csqp_core::types::TargetQuery;
@@ -131,6 +134,7 @@ proptest! {
             );
             prop_assert_eq!(got.outcome.meter, plain.outcome.meter, "meter deltas diverged");
         }
+        common::assert_no_rejections([med.source()]);
     }
 
     /// Even under an inverted cost model — the planner actively prefers
@@ -153,6 +157,7 @@ proptest! {
         let got = med.run_stream(&q, StreamOptions::Adaptive(&cfg), None).unwrap();
         prop_assert_eq!(&got.outcome.rows, &want.rows, "inverted-cost adaptive answer diverged");
         prop_assert!(got.splices <= cfg.max_splices);
+        common::assert_no_rejections([med.source()]);
     }
 
     /// Seeded transient faults under the adaptive engine: per-batch
@@ -190,6 +195,7 @@ proptest! {
                 "a faulted pull re-shipped (or dropped) tuples"
             );
         }
+        common::assert_no_rejections([med_oracle.source(), med.source()]);
     }
 
     /// The sink-driven variant is the same computation: identical splice
@@ -223,5 +229,6 @@ proptest! {
         want.sort();
         streamed.sort();
         prop_assert_eq!(streamed, want, "sink batches diverged from the accumulated relation");
+        common::assert_no_rejections([med.source()]);
     }
 }

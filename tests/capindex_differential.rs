@@ -1,15 +1,17 @@
 //! Differential suite for the federation capability index.
 //!
-//! Two guarantees, checked on random federations × random queries, and run
-//! on every CI feature leg (serial, parallel, obs-off — this file is a
-//! `csqp-core` test like the chaos suite):
+//! Two guarantees, checked on random federations × random queries (this
+//! file is a `csqp-core` test like the chaos suite):
 //!
 //! 1. **Soundness** — the index's candidate set is a superset of the
 //!    members for which full `Check`-based planning is feasible: pruning
 //!    never discards an answerable member.
 //! 2. **Transparency** — a federation with the index on picks the same
 //!    member, the same plan, at the same estimated cost as one with the
-//!    index off, and executing both returns byte-identical answers.
+//!    index off, and executing both returns byte-identical answers, with
+//!    no member sent a query its description does not accept.
+
+mod common;
 
 use csqp_core::federation::Federation;
 use csqp_core::mediator::Mediator;
@@ -214,6 +216,7 @@ proptest! {
                 let r_on = on.run(&query).expect("plannable query runs").stream.outcome;
                 let r_off = off.run(&query).expect("plannable query runs").stream.outcome;
                 prop_assert_eq!(r_on.rows, r_off.rows);
+                common::assert_no_rejections(on.members().iter().chain(off.members()));
             }
             (Err(_), Err(_)) => {}
             (on_res, off_res) => prop_assert!(

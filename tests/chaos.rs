@@ -7,13 +7,15 @@
 //!    relation (resilience never trades correctness);
 //! 2. **Boundedness** — attempts/retries stay within the retry policy;
 //! 3. **Determinism** — a fixed seed yields the identical retry/failover
-//!    trace on every run, and the identical trace whether or not planning
-//!    fans out (CI replays this file pinned to one core, `taskset -c 0`,
-//!    where `par_map` takes its sequential path, against the same golden
-//!    trace).
+//!    trace on every run (CI also replays this file pinned to one core,
+//!    `taskset -c 0`, against the same golden trace);
+//! 4. **Safety** — no storm makes the mediator send a source a query its
+//!    description does not accept.
 //!
 //! Regenerate the golden trace after an intentional behaviour change with:
 //! `CHAOS_BLESS=1 cargo test -p csqp-core --test chaos`.
+
+mod common;
 
 use csqp_core::federation::{CircuitBreakerConfig, FederatedOptions, Federation, MemberEvent};
 use csqp_core::mediator::{Mediator, MediatorError};
@@ -149,6 +151,7 @@ fn mediator_storm(seed: u64) -> Vec<String> {
                     let _ = write!(line, "err {e}");
                 }
             }
+            common::assert_no_rejections([&source]);
             trace.push(line);
         }
     }
@@ -252,6 +255,7 @@ fn federation_storm(seed: u64) -> Vec<String> {
                     let _ = write!(line, "err {e}");
                 }
             }
+            common::assert_no_rejections(f.members());
             trace.push(line);
         }
     }
@@ -424,6 +428,7 @@ fn replan_storm(seed: u64) -> Vec<String> {
                     let _ = write!(line, "err {e}");
                 }
             }
+            common::assert_no_rejections(f.members());
             trace.push(line);
         }
     }
@@ -478,6 +483,7 @@ fn chaos_layer_is_transparent_without_profiles() {
         assert_eq!(resilient.resilience.retries, 0);
         assert_eq!(resilient.resilience.ticks, 0);
         assert_eq!(resilient.resilience.faults(), 0);
+        common::assert_no_rejections([&source]);
     }
     assert_eq!(source.resilience_meter(), Default::default());
 }

@@ -3,9 +3,8 @@
 //! makes:
 //!
 //! 1. **Golden output** — the annotated plan tree (estimated vs observed
-//!    rows/cost per source query) is byte-identical across runs and core
-//!    counts (CI replays this file pinned to one core, where planning does
-//!    not fan out, against the same golden).
+//!    rows/cost per source query) is byte-identical across runs (CI also
+//!    replays this file pinned to one core against the same golden).
 //! 2. **Trace determinism** — the virtual-tick trace for a fixed workload
 //!    is byte-identical across runs, and empty under `Obs::off()`.
 //! 3. **Schema stability** — the `--metrics json` snapshot always renders
@@ -16,11 +15,12 @@
 //! `EXPLAIN_ANALYZE_BLESS=1 cargo test -p csqp-core --test explain_analyze`.
 
 use csqp_core::federation::{CircuitBreakerConfig, FederatedOptions, Federation};
-use csqp_core::mediator::{CardKind, Mediator};
+use csqp_core::mediator::{CardKind, Mediator, StreamOptions, StreamOutcome};
 use csqp_core::types::TargetQuery;
 use csqp_obs::Obs;
 use csqp_plan::analyze::explain_analyze;
 use csqp_plan::exec::RetryPolicy;
+use csqp_plan::exec_stream::StreamConfig;
 use csqp_relation::datagen::{self, BookGenConfig};
 use csqp_source::{CostParams, FaultProfile, Source};
 use csqp_ssdl::templates;
@@ -47,11 +47,17 @@ fn e1_query() -> TargetQuery {
     .unwrap()
 }
 
+/// Plans and runs the E1 query with per-source-query observation.
+fn run_analyzed(mediator: &Mediator) -> StreamOutcome {
+    let options = StreamOptions::Analyzed(&StreamConfig::default());
+    mediator.run_stream(&e1_query(), options, None).expect("E1 query plans and runs")
+}
+
 /// The full EXPLAIN ANALYZE page for Example 1.1: annotated tree, cost
 /// summary, and drift warnings, exactly as the library renders them.
 fn render_explain_analyze() -> String {
     let mediator = Mediator::new(e1_source());
-    let analyzed = mediator.run_analyzed(&e1_query()).expect("E1 query plans and runs");
+    let analyzed = run_analyzed(&mediator);
     explain_analyze(&analyzed.outcome.planned.plan, &analyzed.analysis.expect("analysis"))
 }
 
@@ -83,7 +89,7 @@ fn explain_analyze_and_trace_replay_identically() {
     for obs in [Obs::new, Obs::off] {
         let run = || {
             let mediator = Mediator::new(e1_source()).with_obs(Arc::new(obs()));
-            mediator.run_analyzed(&e1_query()).expect("E1 runs");
+            run_analyzed(&mediator);
             mediator.obs().tracer.render()
         };
         let (t1, t2) = (run(), run());
@@ -101,7 +107,7 @@ fn explain_analyze_and_trace_replay_identically() {
 #[test]
 fn oracle_estimates_match_observations_on_e1() {
     let mediator = Mediator::new(e1_source()).with_cardinality(CardKind::Oracle);
-    let analyzed = mediator.run_analyzed(&e1_query()).expect("E1 runs");
+    let analyzed = run_analyzed(&mediator);
     let analysis = analyzed.analysis.expect("an analyzed run reports its analysis");
     assert!(analysis.drift_warnings().is_empty(), "oracle never drifts");
     assert!(

@@ -8,7 +8,10 @@
 //! on the off values must return the recording stack's rows **in its
 //! order**, choose the same plan at the same estimated cost, leave the same
 //! transfer [`csqp::source::Meter`], route to the same winner and narrate
-//! the same [`csqp::core::federation::FailoverTrace`].
+//! the same [`csqp::core::federation::FailoverTrace`]. No run may send a
+//! source a query its description does not accept.
+
+mod common;
 
 use csqp::core::federation::{CircuitBreakerConfig, FederatedOptions, FederatedRun, Federation};
 use csqp::core::mediator::{Mediator, MediatorError, Scheme, StreamOptions, StreamOutcome};
@@ -146,6 +149,7 @@ fn every_scheme_on_the_e1_e2_corpora_is_blind_to_the_recorders() {
                     let leaves =
                         |s: &StreamOutcome| s.analysis.as_ref().map(|a| a.subqueries.clone());
                     assert_eq!(leaves(&a), leaves(&b), "{ctx}: per-leaf analysis");
+                    common::assert_no_rejections([&source]);
                     ran += 1;
                 }
             }
@@ -185,6 +189,7 @@ fn the_fedcorpus_federation_is_blind_to_the_recorders() {
             ] {
                 let run = |f: &Federation| f.run_stream(&query, options, None);
                 assert_same_federated(run(&on), run(&off), &ctx);
+                common::assert_no_rejections(&members);
             }
         }
     }
@@ -237,6 +242,7 @@ fn breaker_storms_narrate_the_same_trace_without_recorders() {
                     (on.run_stream(query, options, None), off.run_stream(query, options, None));
                 eventful += a.as_ref().map_or(0, |r| r.trace.len().saturating_sub(1));
                 assert_same_federated(a, b, &format!("splice={splice} r{round}q{i}"));
+                common::assert_no_rejections(on.members().iter().chain(off.members()));
             }
         }
         assert!(eventful > 0, "splice={splice}: the storm must exercise the breaker");

@@ -12,7 +12,10 @@
 //! const-literal grammars: a cached plan whose winner's grammar hardwires a
 //! constant (`make = "BMW" ^ price < $int`) must be *rejected* — not
 //! served — when the incoming constants change what the source can check,
-//! and the query must fall back to a cold plan with correct answers.
+//! and the query must fall back to a cold plan with correct answers. No run
+//! may send a member a query its description does not accept.
+
+mod common;
 
 use csqp_core::federation::Federation;
 use csqp_core::mediator::{Mediator, StreamOptions};
@@ -78,6 +81,7 @@ fn rows_of(rig: &Rig, member: usize, planned: PlannedQuery) -> Vec<String> {
             }),
         )
         .expect("planned execution succeeds");
+    common::assert_no_rejections(rig.federation.members());
     rows.sort();
     rows
 }

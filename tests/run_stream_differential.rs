@@ -10,7 +10,10 @@
 //! order**, leave the same transfer [`csqp_source::Meter`] delta and report
 //! the same measured cost — and an [`StreamOptions::Analyzed`] run must
 //! report, per source query, exactly the estimate the cost model prices
-//! and the rows and cost the source really returns.
+//! and the rows and cost the source really returns. No run may send a
+//! source a query its description does not accept.
+
+mod common;
 
 use csqp_core::mediator::{Mediator, MediatorError, Scheme, StreamOptions, StreamOutcome};
 use csqp_core::types::{PlannedQuery, TargetQuery};
@@ -188,6 +191,7 @@ fn check<'q>(
     assert_eq!(analyzed.outcome.planned.plan, plain.outcome.planned.plan, "{ctx}: same plan");
     assert_matches_reference(mediator.source(), &analyzed, ctx);
     assert_analysis_matches_oracle(mediator.source(), &analyzed, ctx);
+    common::assert_no_rejections([mediator.source()]);
     Ok(())
 }
 

@@ -282,6 +282,55 @@ fn serve_federation_routes_and_prunes() {
     handle.join().expect("server thread").expect("accept loop exits cleanly");
 }
 
+/// Sends `head` followed by 64 KiB without a newline, then reads whatever
+/// the server answers before it closes the connection.
+fn send_unterminated(addr: SocketAddr, head: &str) -> String {
+    let mut s = connect(addr);
+    let mut request = head.as_bytes().to_vec();
+    request.resize(request.len() + 64 * 1024, b'a');
+    // The server stops reading at its line cap and may close before the
+    // whole request has left: a failed write here is expected.
+    let _ = s.write_all(&request);
+    let mut reply = Vec::new();
+    let mut chunk = [0u8; 4096];
+    // The close can arrive as a reset once the reply is in: keep what came.
+    while let Ok(n @ 1..) = s.read(&mut chunk) {
+        reply.extend_from_slice(&chunk[..n]);
+    }
+    String::from_utf8(reply).expect("utf-8 reply")
+}
+
+/// A peer that never sends a newline cannot grow the server's read
+/// buffer: past 8 KiB an HTTP request line answers 414, a header line 431,
+/// and a line-protocol command `ERR line too long`, each closing the
+/// connection. A fresh connection is served as before.
+#[test]
+fn serve_caps_line_length() {
+    let source = Arc::new(Source::new(
+        datagen::cars(3, 400),
+        templates::car_dealer(),
+        CostParams::default(),
+    ));
+    let server = Server::bind_federation(vec![source], ServeConfig::default())
+        .expect("bind an ephemeral port");
+    let addr = server.local_addr().expect("bound address");
+    let handle = std::thread::spawn(move || server.run());
+
+    let uri = send_unterminated(addr, "GET /");
+    assert!(uri.starts_with("HTTP/1.1 414 URI Too Long\r\n"), "{uri}");
+    assert!(uri.contains("Connection: close"), "{uri}");
+    let header = send_unterminated(addr, "GET /status HTTP/1.1\r\nX-Long: ");
+    assert!(header.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"), "{header}");
+    assert_eq!(send_unterminated(addr, "query "), "ERR line too long\n");
+
+    let status = http_get(addr, "/status");
+    assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+
+    let bye = http_get(addr, "/shutdown");
+    assert!(bye.contains("shutting down"), "{bye}");
+    handle.join().expect("server thread").expect("accept loop exits cleanly");
+}
+
 /// `adaptive: false` serves the plain pipeline — the same engine on the
 /// same schedule, minus the controller. With no drift to splice on, both
 /// settings must stream the same rows in the same order and charge the
