@@ -108,8 +108,6 @@ fn finish(
             Ok(PlannedQuery {
                 plan,
                 est_cost,
-                // The baselines are single-strategy: no losers to keep.
-                alternatives: Vec::new(),
                 flight_id: 0,
                 report: PlannerReport {
                     cts_processed: 1,

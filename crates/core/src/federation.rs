@@ -12,8 +12,8 @@
 
 use crate::capindex::CapabilityIndex;
 use crate::mediator::{
-    CardKind, Mediator, MediatorError, RunOutcome, Scheme, StreamInput, StreamOptions,
-    StreamOutcome,
+    CardKind, EstimateMemo, Mediator, MediatorError, RunOutcome, Scheme, StreamInput,
+    StreamOptions, StreamOutcome,
 };
 use crate::plancache::{CacheDecision, Lookup, PlanCache};
 use crate::types::{PlanError, PlannedQuery, TargetQuery};
@@ -155,8 +155,8 @@ pub enum MemberEvent {
     Infeasible,
     /// The breaker was half-open and this attempt was its probe.
     Probed,
-    /// Every plan (primary + alternatives) failed at execution; the last
-    /// error, rendered.
+    /// The member's plan failed at execution once its round-trip retries
+    /// ran out; the error, rendered.
     ExecFailed(String),
     /// This member was spliced into a running adaptive pipeline to serve
     /// the residual of the named member, which failed mid-stream.
@@ -249,18 +249,15 @@ pub type FailoverTrace = Vec<(String, MemberEvent)>;
 #[derive(Debug)]
 pub struct FederatedRun {
     /// The run on the serving member. `outcome.planned` is that member's
-    /// *primary* plan with its ranked alternatives (the first member's on a
-    /// spliced run); `resilience` is cumulative across every member and
-    /// plan tried (member switches and mid-stream splices count as
-    /// failovers, on top of plan switches). After a splice `outcome.meter`
+    /// plan (the first member's on a spliced run); `resilience` is
+    /// cumulative across every member tried (member switches and
+    /// mid-stream splices count as failovers). After a splice `outcome.meter`
     /// and `measured_cost` aggregate over every member that shipped tuples,
     /// each charged at its own §6.2 constants, and `splices` counts them.
     pub stream: StreamOutcome,
     /// Name of the member that served the answer (the last splice target
     /// when splices fired).
     pub source_name: String,
-    /// Rank of the serving plan on that member (0 = its primary plan).
-    pub plan_rank: usize,
     /// The per-member event trace, for explainability and determinism
     /// checks. Empty under [`FederatedOptions::Winner`]: no member but the
     /// winner is touched.
@@ -297,9 +294,8 @@ pub enum FederatedOptions<'a> {
     /// moved.
     Winner(StreamOptions<'a>),
     /// Whole-plan member failover: members are tried cheapest-first; within
-    /// a member round-trips retry per the policy, then its ranked plan
-    /// alternatives run; when it still fails the next-cheapest member
-    /// starts from scratch. A member that fails
+    /// a member round-trips retry per the policy, and when its plan still
+    /// fails the next-cheapest member starts from scratch. A member that fails
     /// [`CircuitBreakerConfig::failure_threshold`] consecutive runs sits
     /// `cooldown_ticks` runs out, then gets a half-open probe. Each attempt
     /// collects — a dead member's partial answer must not leak — so a sink
@@ -839,7 +835,6 @@ impl Federation {
         Ok(FederatedRun {
             stream,
             source_name: name.clone(),
-            plan_rank: 0,
             trace: Vec::new(),
             considered,
             flight_id,
@@ -961,7 +956,8 @@ impl Federation {
     }
 
     /// [`FederatedOptions::Failover`] over the gated `candidates`,
-    /// cheapest first.
+    /// cheapest first: each runs once, collecting, with its round-trips
+    /// retried per `policy`.
     fn run_failover(
         &self,
         candidates: Vec<(usize, PlannedQuery)>,
@@ -969,6 +965,8 @@ impl Federation {
         policy: &RetryPolicy,
         sink: Option<&mut dyn FnMut(TupleBatch) -> bool>,
     ) -> Result<FederatedRun, MediatorError> {
+        let stream_cfg = StreamConfig::default();
+        let options = StreamOptions::Plain { stream: &stream_cfg, policy: Some(policy) };
         let mut resilience = ResilienceMeter::default();
         let mut last_error = None;
         for (tried, (idx, planned)) in candidates.into_iter().enumerate() {
@@ -978,18 +976,18 @@ impl Federation {
                 resilience.failovers += 1;
                 self.obs.metrics.inc(names::RESILIENCE_FAILOVERS);
             }
-            let (mut stream, plan_rank) = match self.mediators[idx].run_ranked(planned, policy) {
-                Ok((stream, plan_rank, _failures)) => (stream, plan_rank),
-                Err((spent, mut failures)) => {
+            let memo = EstimateMemo::default();
+            let mut stream = match self.mediators[idx].run_planned(planned, options, None, memo) {
+                Ok(stream) => stream,
+                Err((err, spent)) => {
                     resilience.absorb(&spent);
-                    let (_, err) = failures.pop().expect("at least one plan was tried");
                     self.failed(idx, &err, &mut gated);
                     self.tap(names::MEMBER_RETRIES_PREFIX, name, spent.retries);
                     self.obs
                         .tracer
                         .event_with(|| format!("member {name}: execution failed ({err})"));
                     self.flight.note(gated.flight_id, || PlanEvent::Failover {
-                        rank: idx,
+                        rank: tried,
                         detail: format!("member {name}: {err}"),
                     });
                     last_error = Some(err);
@@ -999,10 +997,7 @@ impl Federation {
             self.recovered(idx, &mut gated);
             self.served(idx, &stream.outcome, stream.resilience.retries, 0);
             self.obs.tracer.event_with(|| {
-                format!(
-                    "member {name}: served (plan rank {plan_rank}, {} rows)",
-                    stream.outcome.rows.len()
-                )
+                format!("member {name}: served ({} rows)", stream.outcome.rows.len())
             });
             let planned = &stream.outcome.planned;
             self.flight.note(gated.flight_id, || PlanEvent::Winner {
@@ -1010,7 +1005,7 @@ impl Federation {
                 plan: planned.plan.to_string(),
             });
             self.flight.note(gated.flight_id, || PlanEvent::Note {
-                text: format!("served by member {name} (plan rank {plan_rank})"),
+                text: format!("served by member {name}"),
             });
             resilience.absorb(&stream.resilience);
             stream.resilience = resilience;
@@ -1023,7 +1018,6 @@ impl Federation {
             return Ok(FederatedRun {
                 stream,
                 source_name: name.clone(),
-                plan_rank,
                 trace: gated.trace,
                 considered: gated.considered,
                 flight_id: gated.flight_id,
@@ -1117,7 +1111,6 @@ impl Federation {
                 analysis: None,
             },
             source_name: name.clone(),
-            plan_rank: 0,
             trace: gated.trace,
             considered: gated.considered,
             flight_id: gated.flight_id,
@@ -1423,6 +1416,28 @@ mod tests {
         // One prepared winner gives member failover nobody to turn to.
         let prepared = f.prepare(&q).unwrap();
         assert!(matches!(f.run_stream(prepared, options, None), Err(MediatorError::Plan(_))));
+    }
+
+    #[test]
+    fn failover_event_names_the_cost_rank_not_the_member_index() {
+        use csqp_source::FaultProfile;
+        // The cheap dealer is member 1 and hard-down: it is tried first,
+        // so its failure is rank 0 in cheapest-first order.
+        let pair = faulty_pair(
+            FaultProfile::new(0).with_outage(0, u64::MAX),
+            CircuitBreakerConfig::default(),
+        );
+        let [dealer, dump] = [0, 1].map(|i| pair.members()[i].clone());
+        let f = Federation::new()
+            .with_member(dump)
+            .with_member(dealer)
+            .with_flight_recorder(Arc::new(FlightRecorder::new()));
+        let policy = RetryPolicy { max_retries: 0, ..Default::default() };
+        let run = f.run_stream(&car_query(), FederatedOptions::Failover(&policy), None).unwrap();
+        assert_eq!(run.source_name, "dump");
+        let why = f.explain_why();
+        assert!(why.contains("[failover] rank 0 failed: member car_dealer"), "{why}");
+        assert!(!why.contains("[failover] rank 1"), "{why}");
     }
 
     #[test]

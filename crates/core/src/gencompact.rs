@@ -105,7 +105,7 @@ pub fn plan_compact(
         IpgContext::new(&cache, model, card, cfg.ipg).with_flight(flight).with_tracer(tracer);
 
     // Keep every per-CT winner: the overall best becomes the plan, the
-    // losers become ranked failover alternatives.
+    // losers are narrated to EXPLAIN WHY.
     let mut candidates: Vec<(csqp_plan::Plan, f64)> = Vec::new();
     for (index, ct) in rewritten.cts.iter().enumerate() {
         flight.event_with(|| PlanEvent::CtBegin { index, cond: ct.to_string() });
@@ -165,10 +165,10 @@ pub fn plan_compact(
         Vec::new()
     };
     let _rank_span = tracer.map(|t| t.span("rank"));
-    match crate::types::rank_candidates(candidates) {
-        Some((plan, est_cost, alternatives)) => {
+    match crate::types::cheapest_candidate(candidates) {
+        Some((plan, est_cost)) => {
             crate::types::record_ranking_events(flight, &provenance, &plan, est_cost);
-            Ok(PlannedQuery { plan, est_cost, report, alternatives, flight_id: 0 })
+            Ok(PlannedQuery { plan, est_cost, report, flight_id: 0 })
         }
         None => {
             flight.event_with(|| PlanEvent::Note {

@@ -92,7 +92,7 @@ pub fn plan_modular(
         plans_considered = plans_considered.saturating_add(space.n_alternatives());
         flight.event_with(|| PlanEvent::EpgSpace { index, alternatives: space.n_alternatives() });
         // Cost module. Per-CT winners all survive: the overall best becomes
-        // the plan, the losers become ranked failover alternatives.
+        // the plan, the losers are narrated to EXPLAIN WHY.
         let (plan, cost) = resolve_with_cost(&space, model, card);
         flight.event_with(|| PlanEvent::CtCandidate { index, cost, plan: plan.to_string() });
         candidates.push((plan, cost));
@@ -128,10 +128,10 @@ pub fn plan_modular(
         Vec::new()
     };
     let _rank_span = tracer.map(|t| t.span("rank"));
-    match crate::types::rank_candidates(candidates) {
-        Some((plan, est_cost, alternatives)) => {
+    match crate::types::cheapest_candidate(candidates) {
+        Some((plan, est_cost)) => {
             crate::types::record_ranking_events(flight, &provenance, &plan, est_cost);
-            Ok(PlannedQuery { plan, est_cost, report, alternatives, flight_id: 0 })
+            Ok(PlannedQuery { plan, est_cost, report, flight_id: 0 })
         }
         None => {
             flight.event_with(|| PlanEvent::Note {

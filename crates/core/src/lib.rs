@@ -63,8 +63,8 @@ pub use genmodular::{plan_modular, GenModularConfig};
 pub use ipg::IpgConfig;
 pub use join::{JoinConfig, JoinMediator, JoinOutcome, JoinQuery, JoinStrategy};
 pub use mediator::{
-    AdaptiveConfig, CardKind, Mediator, ResilientOutcome, RunOutcome, Scheme, StreamInput,
-    StreamOptions, StreamOutcome,
+    AdaptiveConfig, CardKind, Mediator, RunOutcome, Scheme, StreamInput, StreamOptions,
+    StreamOutcome,
 };
 pub use plancache::{CacheDecision, CacheStats, PlanCache};
-pub use types::{PlanError, PlannedQuery, PlannerReport, RankedPlan, TargetQuery};
+pub use types::{PlanError, PlannedQuery, PlannerReport, TargetQuery};

@@ -258,7 +258,7 @@ impl Default for AdaptiveConfig {
 /// to plan it, once at the first batch boundary), and without any cache
 /// at every batch boundary.
 #[derive(Default)]
-struct EstimateMemo(RefCell<BTreeMap<Fingerprint, f64>>);
+pub(crate) struct EstimateMemo(RefCell<BTreeMap<Fingerprint, f64>>);
 
 /// An estimator answering through a run's [`EstimateMemo`].
 struct Memoized<'c> {
@@ -419,30 +419,6 @@ impl ReplanController for DriftController<'_> {
         None
     }
 }
-
-/// The outcome of a resilient run ([`Mediator::run_resilient`]).
-#[derive(Debug)]
-pub struct ResilientOutcome {
-    /// The plan-and-execute outcome. `planned` holds the *primary* plan and
-    /// its ranked alternatives; `rows`/`meter` come from the plan that
-    /// actually served the answer.
-    pub outcome: RunOutcome,
-    /// Rank of the serving plan: 0 = primary, `i` = `i`-th alternative.
-    pub plan_rank: usize,
-    /// Cumulative resilience metrics across every plan tried.
-    pub resilience: ResilienceMeter,
-    /// `(rank, error)` for each plan that failed before the winner.
-    pub failures: Vec<(usize, ExecError)>,
-}
-
-/// The error trail of a failed failover chain: `(plan rank, error)` per
-/// candidate tried.
-pub(crate) type FailureTrail = Vec<(usize, ExecError)>;
-
-/// A ranked-failover win: the serving plan's run (its `resilience`
-/// cumulative over every plan tried, its `planned` the primary with its
-/// alternatives), the serving rank, and the candidates that died before it.
-pub(crate) type RankedWin = (StreamOutcome, usize, FailureTrail);
 
 /// Execution-stage errors surfaced by [`Mediator::run`].
 #[derive(Debug)]
@@ -665,11 +641,8 @@ impl Mediator {
                 p.report.record_into(&self.obs.metrics);
                 self.obs.tracer.event_with(|| {
                     format!(
-                        "planned: est cost {:.2}, {} alternatives, {} checks, {} plans considered",
-                        p.est_cost,
-                        p.alternatives.len(),
-                        p.report.checks,
-                        p.report.plans_considered
+                        "planned: est cost {:.2}, {} checks, {} plans considered",
+                        p.est_cost, p.report.checks, p.report.plans_considered
                     )
                 });
             }
@@ -767,106 +740,6 @@ impl Mediator {
         self.flight.note(out.planned.flight_id, || PlanEvent::Note { text: streamed() });
     }
 
-    /// Plans and executes with resilience: source round-trips retry with
-    /// backoff per `policy`, and when the chosen plan still fails the
-    /// mediator degrades gracefully to the next-cheapest ranked alternative
-    /// instead of erroring. The error of every failed candidate is kept in
-    /// [`ResilientOutcome::failures`] for explainability.
-    pub fn run_resilient(
-        &self,
-        query: &TargetQuery,
-        policy: &RetryPolicy,
-    ) -> Result<ResilientOutcome, MediatorError> {
-        let planned = self.plan(query)?;
-        match self.run_ranked(planned, policy) {
-            Ok((run, plan_rank, failures)) => Ok(ResilientOutcome {
-                outcome: run.outcome,
-                plan_rank,
-                resilience: run.resilience,
-                failures,
-            }),
-            Err((_, mut failures)) => {
-                let (_, last) = failures.pop().expect("at least the primary plan was tried");
-                Err(MediatorError::Exec(last))
-            }
-        }
-    }
-
-    /// Ranked-alternative plan failover, shared with the federation's
-    /// member failover: runs `planned.plan`, then each ranked alternative
-    /// in cost order, as collecting [`Mediator::run_stream`]s under
-    /// `policy` until one answers (collecting only: rows a dead plan handed
-    /// a sink could not be recalled). The resilience meter is cumulative
-    /// over every plan tried, one failover per switch — also when every
-    /// candidate dies and it comes back with the error trail.
-    ///
-    /// Plan-construction bugs ([`ExecError::Unresolved`]/
-    /// [`ExecError::Malformed`]) abort immediately: every sibling plan came
-    /// from the same planner, and masking a bug with a fallback would hide it.
-    pub(crate) fn run_ranked(
-        &self,
-        planned: PlannedQuery,
-        policy: &RetryPolicy,
-    ) -> Result<RankedWin, (ResilienceMeter, FailureTrail)> {
-        let stream = StreamConfig::default();
-        let options = StreamOptions::Plain { stream: &stream, policy: Some(policy) };
-        let mut resilience = ResilienceMeter::default();
-        let mut failures: FailureTrail = Vec::new();
-        let mut win = None;
-        let alternatives = planned.alternatives.iter().map(|a| (&a.plan, a.est_cost));
-        let candidates = std::iter::once((&planned.plan, planned.est_cost)).chain(alternatives);
-        for (plan_rank, (plan, est_cost)) in candidates.enumerate() {
-            if plan_rank > 0 {
-                resilience.failovers += 1;
-                self.obs.metrics.inc(names::RESILIENCE_FAILOVERS);
-            }
-            let candidate =
-                PlannedQuery { plan: plan.clone(), est_cost, alternatives: Vec::new(), ..planned };
-            match self.run_planned(candidate, options, None, EstimateMemo::default()) {
-                Ok(run) => {
-                    resilience.absorb(&run.resilience);
-                    win = Some((run, plan_rank));
-                    break;
-                }
-                Err((e, spent)) => {
-                    resilience.absorb(&spent);
-                    let bug = matches!(e, ExecError::Unresolved | ExecError::Malformed(_));
-                    failures.push((plan_rank, e));
-                    if bug {
-                        break;
-                    }
-                }
-            }
-        }
-        // Failover is part of the query's story: append it to the flight
-        // record begun at plan time so EXPLAIN WHY shows the plan that
-        // served alongside the one that won.
-        for (rank, err) in &failures {
-            self.flight.note(planned.flight_id, || PlanEvent::Failover {
-                rank: *rank,
-                detail: err.to_string(),
-            });
-        }
-        let Some((run, plan_rank)) = win else {
-            let (_, last) = failures.last().expect("at least the primary plan was tried");
-            self.obs.tracer.event_with(|| format!("every plan died: {last}"));
-            return Err((resilience, failures));
-        };
-        if plan_rank > 0 {
-            self.flight.note(planned.flight_id, || PlanEvent::Note {
-                text: format!("served by ranked alternative #{plan_rank}"),
-            });
-        }
-        self.obs.tracer.event_with(|| {
-            format!(
-                "served by plan rank {plan_rank} after {} failover(s), {} retries",
-                resilience.failovers, resilience.retries
-            )
-        });
-        let outcome = RunOutcome { planned, ..run.outcome };
-        Ok((StreamOutcome { outcome, resilience, ..run }, plan_rank, failures))
-    }
-
     /// Re-plans a (residual) query with cardinality estimates floored at
     /// the observed per-condition counts in `floors`. Used mid-flight by
     /// the adaptive controllers; the planner's search runs disarmed (no
@@ -928,11 +801,11 @@ impl Mediator {
 
     /// The body of [`Mediator::run_stream`] once a plan is in hand, with
     /// the estimates planning it made. A failure carries the retry/fault
-    /// counters the run spent, which is how [`Mediator::run_ranked`] keeps
-    /// one cumulative account across the plans it tries.
+    /// counters the run spent, which is how the federation's member
+    /// failover keeps one cumulative account across the members it tries.
     // Built once per failed run, beside an `Ok` several times its size.
     #[allow(clippy::result_large_err)]
-    fn run_planned(
+    pub(crate) fn run_planned(
         &self,
         planned: PlannedQuery,
         options: StreamOptions<'_>,
@@ -1233,22 +1106,6 @@ mod tests {
     }
 
     #[test]
-    fn gencompact_keeps_ranked_alternatives() {
-        let catalog = Catalog::demo_small(7);
-        let source = catalog.get("bookstore").unwrap().clone();
-        let q = TargetQuery::parse(EX11, &["isbn", "author", "title"]).unwrap();
-        let planned = Mediator::new(source).plan(&q).unwrap();
-        assert!(!planned.alternatives.is_empty(), "losers survive as ranked alternatives");
-        let mut prev = planned.est_cost;
-        for alt in &planned.alternatives {
-            assert!(alt.est_cost >= prev - 1e-9, "alternatives ranked cheapest-first");
-            assert!(alt.plan != planned.plan, "the winner is not duplicated");
-            assert!(alt.plan.is_concrete());
-            prev = alt.est_cost;
-        }
-    }
-
-    #[test]
     fn run_resilient_retries_through_transient_faults() {
         use csqp_source::FaultProfile;
         use csqp_ssdl::templates;
@@ -1262,35 +1119,12 @@ mod tests {
             .unwrap();
         let m = Mediator::new(source);
         let policy = RetryPolicy { max_retries: 20, ..Default::default() };
-        let out = m.run_resilient(&q, &policy).unwrap();
+        let stream = StreamConfig::default();
+        let options = StreamOptions::Plain { stream: &stream, policy: Some(&policy) };
+        let out = m.run_stream(&q, options, None).unwrap();
         assert_eq!(out.outcome.rows, want, "answer exact despite the storm");
         assert!(out.resilience.retries > 0, "seed 4 at p=0.5 injects faults");
-        assert_eq!(out.plan_rank, 0, "retries alone salvaged the primary plan");
-    }
-
-    #[test]
-    fn run_resilient_fails_over_to_alternative_plan() {
-        use csqp_source::FaultProfile;
-        use csqp_ssdl::templates;
-        // The first attempt is an outage and retries are disabled: the
-        // primary plan dies, the mediator degrades to the next-ranked
-        // alternative, which starts past the outage window and succeeds.
-        let data = csqp_relation::datagen::books(7, &Default::default());
-        let source = Arc::new(
-            Source::new(data, templates::bookstore(), csqp_source::CostParams::default())
-                .with_fault_profile(FaultProfile::new(0).with_outage(0, 1)),
-        );
-        let q = TargetQuery::parse(EX11, &["isbn", "author", "title"]).unwrap();
-        let want = project(&select(source.relation(), Some(&q.cond)), &["isbn", "author", "title"])
-            .unwrap();
-        let m = Mediator::new(source);
-        let policy = RetryPolicy { max_retries: 0, ..Default::default() };
-        let out = m.run_resilient(&q, &policy).unwrap();
-        assert_eq!(out.outcome.rows, want, "the fallback plan is exact too");
-        assert!(out.plan_rank >= 1, "served by an alternative, not the primary");
-        assert_eq!(out.resilience.failovers as usize, out.plan_rank);
-        assert_eq!(out.failures.len(), out.plan_rank, "one recorded failure per dead plan");
-        assert!(matches!(out.failures[0].1, ExecError::Exhausted { .. }));
+        assert_eq!(out.resilience.failovers, 0, "retries alone salvaged the plan");
     }
 
     #[test]
@@ -1304,7 +1138,9 @@ mod tests {
         );
         let q = TargetQuery::parse(EX11, &["isbn", "author", "title"]).unwrap();
         let m = Mediator::new(source);
-        let err = m.run_resilient(&q, &RetryPolicy::default()).unwrap_err();
+        let (stream, policy) = (StreamConfig::default(), RetryPolicy::default());
+        let options = StreamOptions::Plain { stream: &stream, policy: Some(&policy) };
+        let err = m.run_stream(&q, options, None).unwrap_err();
         assert!(matches!(err, MediatorError::Exec(ExecError::Exhausted { .. })), "{err}");
     }
 

@@ -38,7 +38,7 @@
 //! for the rebound values, but it is always *correct*: answers are
 //! byte-identical to a cold plan's (pinned by the differential suite).
 
-use crate::types::{PlannedQuery, RankedPlan, TargetQuery};
+use crate::types::{PlannedQuery, TargetQuery};
 use csqp_expr::param::{rebind_map, substitute, RebindError};
 use csqp_expr::{Atom, CondTree, Value};
 use csqp_plan::{AttrSet, Plan};
@@ -62,7 +62,7 @@ struct Entry {
     /// The prepare-time projection (collision guard: the key folds the
     /// attrs in, but equality is re-checked structurally).
     attrs: AttrSet,
-    /// The winner (plan + ranked alternatives) as planned cold.
+    /// The winning plan as planned cold.
     planned: PlannedQuery,
     /// Epoch stamp; entries from older epochs are dead.
     epoch: u64,
@@ -253,20 +253,6 @@ impl PlanCache {
         if source.has_const_literals() && !checks_match(source, &entry.planned.plan, &plan) {
             return reject(&self.rejected, "const-literal-check");
         }
-        // Alternatives are best-effort failover material: one that fails
-        // to rebind is dropped rather than rejecting the whole entry.
-        let alternatives: Vec<RankedPlan> = entry
-            .planned
-            .alternatives
-            .iter()
-            .filter_map(|alt| {
-                let plan = rebind_plan(&alt.plan, &map).ok()?;
-                if source.has_const_literals() && !checks_match(source, &alt.plan, &plan) {
-                    return None;
-                }
-                Some(RankedPlan { plan, est_cost: alt.est_cost })
-            })
-            .collect();
         self.hits.fetch_add(1, Ordering::Relaxed);
         Lookup::Hit {
             member: entry.member,
@@ -274,7 +260,6 @@ impl PlanCache {
                 plan,
                 est_cost: entry.planned.est_cost,
                 report: entry.planned.report,
-                alternatives,
                 // The caller opens this query's own flight.
                 flight_id: 0,
             }),

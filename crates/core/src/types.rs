@@ -122,15 +122,6 @@ impl PlannerReport {
     }
 }
 
-/// A ranked fallback plan retained for execution-time failover.
-#[derive(Debug, Clone)]
-pub struct RankedPlan {
-    /// The concrete plan.
-    pub plan: Plan,
-    /// Its estimated cost under the planner's model.
-    pub est_cost: f64,
-}
-
 /// A successfully planned target query.
 #[derive(Debug, Clone)]
 pub struct PlannedQuery {
@@ -140,10 +131,6 @@ pub struct PlannedQuery {
     pub est_cost: f64,
     /// Search statistics.
     pub report: PlannerReport,
-    /// Ranked alternatives (cheapest first, `plan` excluded): the losing
-    /// candidates GenCompact/GenModular already enumerated, kept around so
-    /// execution can degrade gracefully when the winner fails at runtime.
-    pub alternatives: Vec<RankedPlan>,
     /// The flight record narrating this query, so whoever executes the plan
     /// later appends its post-planning notes (stream stats, re-plans,
     /// failover) to *this* query's record by id. Set by
@@ -153,9 +140,6 @@ pub struct PlannedQuery {
     pub flight_id: u64,
 }
 
-/// Ranked alternatives kept per planned query (beyond the winner).
-pub const MAX_ALTERNATIVES: usize = 4;
-
 /// Per-plan cap on detailed per-CT spans (`ct N` / `maxeval ct N` and the
 /// `mcsc` spans nested inside them): rewritings beyond this index plan
 /// without span bookkeeping. Queries enumerating dozens of CTs would
@@ -164,38 +148,16 @@ pub const MAX_ALTERNATIVES: usize = 4;
 /// (`exec_stream`'s `MAX_BATCH_SPANS`).
 pub const MAX_CT_SPANS: u64 = 8;
 
-/// Ranks planner candidates: returns the cheapest as the winner plus up to
-/// [`MAX_ALTERNATIVES`] distinct losers sorted by cost (stable on ties, so
-/// the result is independent of thread scheduling upstream). `None` when
+/// Picks the cheapest planner candidate; on a cost tie the earliest CT
+/// wins, so the pick is independent of scheduling upstream. `None` when
 /// `candidates` is empty.
-pub(crate) fn rank_candidates(
-    mut candidates: Vec<(Plan, f64)>,
-) -> Option<(Plan, f64, Vec<RankedPlan>)> {
-    if candidates.is_empty() {
-        return None;
-    }
-    candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite plan costs"));
-    let mut it = candidates.into_iter();
-    let (best, best_cost) = it.next().expect("non-empty checked");
-    let mut alternatives: Vec<RankedPlan> = Vec::new();
-    for (plan, est_cost) in it {
-        if alternatives.len() >= MAX_ALTERNATIVES {
-            break;
-        }
-        // Different CTs can canonicalize to the same winning plan; a
-        // duplicate is useless as a fallback.
-        if plan == best || alternatives.iter().any(|a| a.plan == plan) {
-            continue;
-        }
-        alternatives.push(RankedPlan { plan, est_cost });
-    }
-    Some((best, best_cost, alternatives))
+pub(crate) fn cheapest_candidate(candidates: Vec<(Plan, f64)>) -> Option<(Plan, f64)> {
+    candidates.into_iter().reduce(|best, c| if c.1 < best.1 { c } else { best })
 }
 
 /// Records the ranking outcome into the flight record: one `Winner` event
 /// plus an `Eliminated` event (rule `"cost"`) for every candidate that lost
-/// the final ranking — including losers beyond the [`MAX_ALTERNATIVES`]
-/// failover window, so `EXPLAIN WHY` can name a reason for *every* loser.
+/// the final ranking, so `EXPLAIN WHY` can name a reason for *every* loser.
 /// `provenance` is the pre-ranking candidate list in CT order (rendered
 /// plan, cost), captured only when the flight handle is active.
 pub(crate) fn record_ranking_events(

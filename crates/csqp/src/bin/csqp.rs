@@ -662,13 +662,12 @@ fn federated_query(args: &Args, sources: Vec<Arc<Source>>, query: &TargetQuery) 
             considered.members()
         );
         println!("  {}", planned.plan);
-        if let Some(idx) = federation.capability_index() {
-            let d = idx.candidates(query);
+        if federation.capability_index().is_some() {
             println!(
                 "capability index: {} of {} members remained ({} pruned without planning)",
-                d.candidates.len(),
-                d.total,
-                d.pruned
+                considered.verdicts.len(),
+                considered.members(),
+                considered.pruned
             );
         }
         match args.explain {

@@ -173,10 +173,10 @@ pub enum PlanEvent {
         /// Human-readable elimination detail.
         detail: String,
     },
-    /// Execution fell over from one ranked plan (or federation member) to
-    /// the next.
+    /// Member failover: a federation member's run failed and execution
+    /// moved on to the next-cheapest member.
     Failover {
-        /// Rank of the plan/member that failed.
+        /// Position of the failed member in cheapest-first order.
         rank: usize,
         /// What happened, rendered.
         detail: String,

@@ -78,7 +78,7 @@ pub const RESILIENCE_TIMEOUTS: &str = "resilience.timeouts";
 pub const RESILIENCE_RATE_LIMITED: &str = "resilience.rate_limited";
 /// Outage windows hit.
 pub const RESILIENCE_OUTAGES: &str = "resilience.outages";
-/// Failovers to a ranked alternative plan or a federation mirror.
+/// Member switches and mid-stream splices to another federation member.
 pub const RESILIENCE_FAILOVERS: &str = "resilience.failovers";
 /// Virtual ticks spent on simulated latency and backoff.
 pub const RESILIENCE_BACKOFF_TICKS: &str = "resilience.backoff_ticks";
@@ -376,7 +376,7 @@ pub const CATALOG: &[MetricMeta] = &[
     meta(RESILIENCE_TIMEOUTS, MetricKind::Counter, "timeouts absorbed"),
     meta(RESILIENCE_RATE_LIMITED, MetricKind::Counter, "rate-limit rejections absorbed"),
     meta(RESILIENCE_OUTAGES, MetricKind::Counter, "outage windows hit"),
-    meta(RESILIENCE_FAILOVERS, MetricKind::Counter, "failovers to alternative plans or mirrors"),
+    meta(RESILIENCE_FAILOVERS, MetricKind::Counter, "member switches and splices"),
     meta(RESILIENCE_BACKOFF_TICKS, MetricKind::Counter, "virtual ticks of latency and backoff"),
     meta(BREAKER_OPENED, MetricKind::Counter, "breaker transitions to open"),
     meta(BREAKER_HALF_OPENED, MetricKind::Counter, "breaker transitions to half-open"),

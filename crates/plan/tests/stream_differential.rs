@@ -7,7 +7,8 @@
 //! keep both guarantees when transient faults are injected mid-stream
 //! (per-batch retries must neither lose nor re-ship tuples).
 //! [`request_matrix_matches_the_materialized_oracle`] extends the same
-//! promise over every reachable [`StreamRequest`] value.
+//! promise over every reachable [`StreamRequest`] value. Every run is also
+//! held to the paper's safety property ([`assert_no_rejections`]).
 
 use csqp_expr::gen::{CondGen, CondGenConfig, GenAttr};
 use csqp_expr::{CondTree, Value, ValueType};
@@ -102,9 +103,23 @@ fn full_source(seed: u64) -> Source {
     Source::new(Relation::from_rows(schema, rows), desc, CostParams::new(10.0, 1.0))
 }
 
+/// The paper's safety property: the executor never sends a source a query
+/// its SSDL description does not accept, so the capability gate has
+/// turned nothing away since `source` was built.
+fn assert_no_rejections(source: &Source) {
+    assert_eq!(
+        source.meter().rejected,
+        0,
+        "source {} was sent a query its description does not accept",
+        source.name
+    );
+}
+
 /// A plain collected run under `cfg`.
 fn stream(plan: &Plan, source: &Source, cfg: &StreamConfig) -> Relation {
-    execute_stream_collect(plan, source, StreamRequest::new(cfg)).unwrap().0
+    let rows = execute_stream_collect(plan, source, StreamRequest::new(cfg)).unwrap().0;
+    assert_no_rejections(source);
+    rows
 }
 
 /// The mode column of the request matrix.
@@ -192,6 +207,7 @@ fn request_matrix_matches_the_materialized_oracle() {
     for (seed, plan) in shapes.into_iter().chain(bare_lossy_leaves()) {
         let oracle = full_source(seed);
         let (want, want_meter) = execute_measured(&plan, &oracle).unwrap();
+        assert_no_rejections(&oracle);
         let order = stream(&plan, &oracle, &StreamConfig::default());
         assert_eq!(order, want, "the order reference is the oracle's answer");
         for cell in cells() {
@@ -217,6 +233,7 @@ fn request_matrix_matches_the_materialized_oracle() {
                 tracer: cell.traced.then_some(&tracer),
             };
             let (got, run) = execute_stream_collect(&plan, &source, request).expect(&ctx);
+            assert_no_rejections(&source);
             let n = cell.limit.map_or(want.len(), |l| want.len().min(l as usize));
             assert_eq!(got.len(), n, "{ctx}");
             assert_eq!(run.emitted as usize, n, "{ctx}");
@@ -271,7 +288,8 @@ fn a_leaf_spliced_after_a_mid_stream_failure_emits_each_row_once_in_order() {
                 // Attempt 0 is the open; pulls are attempts 1, 2, …
                 let dying = full_source(seed)
                     .with_fault_profile(FaultProfile::new(0).with_outage(k, u64::MAX / 2));
-                let mut controller = RecoverOnLeafError { twin: Arc::new(full_source(seed)) };
+                let twin = Arc::new(full_source(seed));
+                let mut controller = RecoverOnLeafError { twin: twin.clone() };
                 let cfg = StreamConfig::default().with_batch_size(batch);
                 let request = StreamRequest {
                     mode: StreamMode::Adaptive(&mut controller),
@@ -283,6 +301,8 @@ fn a_leaf_spliced_after_a_mid_stream_failure_emits_each_row_once_in_order() {
                     true
                 })
                 .expect(&ctx);
+                assert_no_rejections(&dying);
+                assert_no_rejections(&twin);
                 assert_eq!(rows, reference.tuples(), "{ctx}");
                 assert_eq!(run.emitted as usize, rows.len(), "{ctx}");
                 recovered += run.splices;
@@ -319,6 +339,7 @@ fn failed_runs_still_report_their_retries() {
             Err(ExecError::Exhausted { attempts, .. }) => assert_eq!(attempts, 3),
             other => panic!("mode {mode}: expected Exhausted, got {other:?}"),
         }
+        assert_no_rejections(&source);
         assert_eq!(res.retries, 2, "mode {mode}");
     }
 }
@@ -339,6 +360,7 @@ proptest! {
         let plan = concrete_plan(plan_seed, depth);
         let source = full_source(seed);
         let (want, want_meter) = execute_measured(&plan, &source).unwrap();
+        assert_no_rejections(&source);
         source.reset_meter();
         let cfg = StreamConfig::default().with_batch_size(batch);
         let got = stream(&plan, &source, &cfg);
@@ -379,6 +401,7 @@ proptest! {
         let plan = concrete_plan(plan_seed, depth);
         let oracle = full_source(seed);
         let want = execute(&plan, &oracle).unwrap();
+        assert_no_rejections(&oracle);
 
         let faulty = full_source(seed)
             .with_fault_profile(FaultProfile::new(fault_seed).with_transient(0.3));
@@ -388,6 +411,7 @@ proptest! {
         let retry = Some(Retry { policy: &policy, meter: &mut res });
         let (got, _) =
             execute_stream_collect(&plan, &faulty, StreamRequest { retry, ..StreamRequest::new(&cfg) }).unwrap();
+        assert_no_rejections(&faulty);
         let meter = faulty.meter();
         prop_assert_eq!(&got, &want, "faults corrupted the streamed answer");
         prop_assert_eq!(

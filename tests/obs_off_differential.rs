@@ -82,10 +82,6 @@ fn assert_same_stream(on: &StreamOutcome, off: &StreamOutcome, ctx: &str) {
     assert_eq!(on.outcome.rows.tuples(), off.outcome.rows.tuples(), "{ctx}: rows or their order");
     assert_eq!(on.outcome.planned.plan, off.outcome.planned.plan, "{ctx}: chosen plan");
     assert_eq!(on.outcome.planned.est_cost, off.outcome.planned.est_cost, "{ctx}: est_cost");
-    let ranked = |s: &StreamOutcome| -> Vec<_> {
-        s.outcome.planned.alternatives.iter().map(|a| (a.plan.clone(), a.est_cost)).collect()
-    };
-    assert_eq!(ranked(on), ranked(off), "{ctx}: ranked alternatives");
     assert_eq!(on.outcome.meter, off.outcome.meter, "{ctx}: transfer meter");
     assert_eq!(on.outcome.measured_cost, off.outcome.measured_cost, "{ctx}: measured cost");
     assert_eq!(on.resilience, off.resilience, "{ctx}: resilience meter");
@@ -103,7 +99,6 @@ fn assert_same_federated(
         (Ok(on), Ok(off)) => {
             assert_same_stream(&on.stream, &off.stream, ctx);
             assert_eq!(on.source_name, off.source_name, "{ctx}: winner");
-            assert_eq!(on.plan_rank, off.plan_rank, "{ctx}: serving plan rank");
             assert_eq!(on.trace, off.trace, "{ctx}: failover trace");
             let verdicts = |r: &FederatedRun| -> (Vec<_>, usize) {
                 let planned = r.considered.verdicts.iter().map(|(n, v)| (n.clone(), v.is_ok()));

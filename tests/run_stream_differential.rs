@@ -227,7 +227,6 @@ fn generated_plan_shapes_match_the_reference() {
                         plan: plan.clone(),
                         est_cost: 0.0,
                         report: Default::default(),
-                        alternatives: Vec::new(),
                         flight_id: 0,
                     }
                     .into()

@@ -534,6 +534,26 @@ fn cli_limit_flag() {
     let analyzed_stdout = String::from_utf8_lossy(&analyzed.stdout).into_owned();
     assert!(analyzed_stdout.contains("peak resident"), "{analyzed_stdout}");
 
+    // A second source pair makes the run federated: a year-only lot
+    // cannot answer the query, so the capability index prunes it and the
+    // header reports the survey's own counts.
+    let lot = dir.join("lot.ssdl");
+    std::fs::write(
+        &lot,
+        "source lot {\n  s1 -> year = $int ;\n  \
+         attributes :: s1 : { make, model, year, price } ;\n}\n",
+    )
+    .unwrap();
+    let pair = ["--ssdl", lot.to_str().unwrap(), "--csv", csv.to_str().unwrap(), "--explain"];
+    let federated = run(&pair);
+    assert!(federated.status.success(), "{}", String::from_utf8_lossy(&federated.stderr));
+    let federated_stdout = String::from_utf8_lossy(&federated.stdout).into_owned();
+    assert!(
+        federated_stdout.contains("capability index: 1 of 2 members remained (1 pruned"),
+        "{federated_stdout}"
+    );
+    assert!(federated_stdout.contains("2 rows ("), "{federated_stdout}");
+
     // --limit without --run is a usage error.
     let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_csqp"));
     cmd.args([

@@ -79,9 +79,11 @@ proptest! {
     fn storm_spans_stay_well_formed(seed in 0u64..1u64 << 32, rate_pct in 0u64..90) {
         let (mediator, obs) = storm_mediator(seed, rate_pct as f64 / 100.0);
         let policy = RetryPolicy { max_retries: 3, jitter_seed: seed, ..Default::default() };
+        let stream = StreamConfig::default();
+        let options = StreamOptions::Plain { stream: &stream, policy: Some(&policy) };
         let query = q("make = \"BMW\" ^ price < 40000", &["model", "year"]);
-        let _ = mediator.run_resilient(&query, &policy);
-        let _ = mediator.run_resilient(&q("color = \"red\"", &["make", "model"]), &policy);
+        let _ = mediator.run_stream(&query, options, None);
+        let _ = mediator.run_stream(&q("color = \"red\"", &["make", "model"]), options, None);
         let spans = obs.tracer.spans();
         prop_assert!(validate(&spans).is_ok(), "storm spans: {:?}", validate(&spans));
     }
@@ -127,11 +129,13 @@ proptest! {
     fn disabled_tracer_records_nothing(seed in 0u64..1u64 << 32) {
         let (mediator, obs) = storm_mediator(seed, 0.3);
         let policy = RetryPolicy { max_retries: 2, jitter_seed: seed, ..Default::default() };
+        let stream = StreamConfig::default();
+        let options = StreamOptions::Plain { stream: &stream, policy: Some(&policy) };
         let query = q("make = \"BMW\" ^ price < 40000", &["model", "year"]);
-        let _ = mediator.run_resilient(&query, &policy);
+        let _ = mediator.run_stream(&query, options, None);
         let before = obs.tracer.spans();
         obs.tracer.set_enabled(false);
-        let _ = mediator.run_resilient(&query, &policy);
+        let _ = mediator.run_stream(&query, options, None);
         let after = obs.tracer.spans();
         obs.tracer.set_enabled(true);
         prop_assert_eq!(before.len(), after.len(), "disabled tracer must record no spans");
