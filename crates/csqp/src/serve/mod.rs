@@ -200,8 +200,9 @@ pub struct Server {
     profiles: Mutex<ProfileRing>,
     /// Windowed registry deltas for `/status` and `/timeseries`.
     timeseries: Mutex<TimeSeries>,
-    /// Optional on-disk audit journal (`--journal`).
-    journal: Mutex<Option<JournalWriter>>,
+    /// Optional on-disk audit journal (`--journal`). Without one, a query
+    /// neither builds an audit record nor takes a lock for it.
+    journal: Option<Mutex<JournalWriter>>,
     /// Completed queries since serve start (windows roll on multiples of
     /// `window_queries`).
     queries_done: AtomicU64,
@@ -253,9 +254,9 @@ impl Server {
         let profiles = Mutex::new(ProfileRing::new(PROFILE_RING_CAPACITY));
         let timeseries = Mutex::new(TimeSeries::new(TIMESERIES_CAPACITY));
         let journal = match &cfg.journal_path {
-            Some(path) => {
-                Some(JournalWriter::open(path, JOURNAL_MAX_BYTES).map_err(io::Error::other)?)
-            }
+            Some(path) => Some(Mutex::new(
+                JournalWriter::open(path, JOURNAL_MAX_BYTES).map_err(io::Error::other)?,
+            )),
             None => None,
         };
         let slo = SloConfig {
@@ -274,7 +275,7 @@ impl Server {
             slow_log: Mutex::new(VecDeque::new()),
             profiles,
             timeseries,
-            journal: Mutex::new(journal),
+            journal,
             queries_done: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             slo,

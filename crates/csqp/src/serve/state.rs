@@ -10,7 +10,6 @@ use csqp_core::types::TargetQuery;
 use csqp_obs::{names, AuditRecord, LatencyKey, ProfileCapture, QueryProfile};
 use csqp_plan::exec_stream::StreamConfig;
 use csqp_ssdl::linearize::cond_fingerprint;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// A failed query: the HTTP status it maps to plus the error body. The line
@@ -106,11 +105,12 @@ impl Server {
             emitted += batch.len() as u64;
             chunk.clear();
             for row in batch.rows() {
-                let _ = writeln!(chunk, "{row}");
+                let _ = row.write_to(&mut chunk);
+                chunk.push('\n');
             }
             sink(&chunk)
         };
-        let fingerprint = format!("{:032x}", cond_fingerprint(Some(&query.cond)));
+        let fingerprint = || format!("{:032x}", cond_fingerprint(Some(&query.cond)));
         // Adaptive serving: the pipeline may pause at a batch boundary and
         // splice in a re-planned residual when observed cardinalities drift
         // off the estimates; the answer stays set-identical and the splice
@@ -129,9 +129,9 @@ impl Server {
                 // Leave an audit record and still close the telemetry
                 // window.
                 self.obs.metrics.inc(names::SERVE_ERRORS);
-                self.journal_append(&AuditRecord {
+                self.journal_append(|| AuditRecord {
                     id: flight_id,
-                    fingerprint,
+                    fingerprint: fingerprint(),
                     query: query.to_string(),
                     scheme: self.cfg.scheme.name().to_string(),
                     status: "error".to_string(),
@@ -213,9 +213,9 @@ impl Server {
                 ..profile
             });
         }
-        self.journal_append(&AuditRecord {
+        self.journal_append(|| AuditRecord {
             id: flight_id,
-            fingerprint,
+            fingerprint: fingerprint(),
             query: query.to_string(),
             scheme: self.cfg.scheme.name().to_string(),
             status: "ok".to_string(),
@@ -238,13 +238,15 @@ impl Server {
     }
 
     /// Appends one audit record to the journal (when configured), keeping
-    /// the `journal.*` counters in step. Append failures are reported on
+    /// the `journal.*` counters in step. The record is built only when
+    /// there is a journal to take it. Append failures are reported on
     /// stderr but never fail the query — the answer already streamed.
-    pub(super) fn journal_append(&self, record: &AuditRecord) {
-        let mut journal = self.journal.lock().expect("journal lock");
-        let Some(journal) = journal.as_mut() else { return };
+    pub(super) fn journal_append(&self, record: impl FnOnce() -> AuditRecord) {
+        let Some(journal) = &self.journal else { return };
+        let record = record();
+        let mut journal = journal.lock().expect("journal lock");
         let rotations_before = journal.rotations;
-        match journal.append(record) {
+        match journal.append(&record) {
             Ok(()) => {
                 self.obs.metrics.inc(names::JOURNAL_RECORDS);
                 let rotated = journal.rotations - rotations_before;

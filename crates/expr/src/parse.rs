@@ -307,7 +307,7 @@ impl Parser {
         let value = match self.bump() {
             Some(Tok::Int(i)) => Value::Int(i),
             Some(Tok::Float(f)) => Value::Float(f),
-            Some(Tok::Str(s)) => Value::Str(s),
+            Some(Tok::Str(s)) => Value::str(s),
             Some(Tok::Ident(w)) if w == "true" => Value::Bool(true),
             Some(Tok::Ident(w)) if w == "false" => Value::Bool(false),
             other => {

@@ -1,7 +1,7 @@
 //! Evaluation semantics of condition trees, plus propositional-equivalence
 //! checking used to validate rewrite rules.
 
-use crate::atom::Atom;
+use crate::atom::{Atom, CmpOp};
 use crate::tree::{CondTree, Connector};
 use crate::value::Value;
 use std::collections::BTreeMap;
@@ -42,6 +42,65 @@ pub fn eval(tree: &CondTree, row: &impl AttrLookup) -> bool {
         CondTree::Leaf(a) => eval_atom(a, row),
         CondTree::Node(Connector::And, cs) => cs.iter().all(|c| eval(c, row)),
         CondTree::Node(Connector::Or, cs) => cs.iter().any(|c| eval(c, row)),
+    }
+}
+
+/// A condition tree bound to column positions: every atom's attribute is
+/// resolved once, when a scan or operator opens, so evaluating a row is a
+/// walk over slots instead of a name lookup per atom per row.
+///
+/// Same answers as [`eval`] over the same row: an atom whose attribute the
+/// schema lacks binds to "absent" and evaluates to `false` (the
+/// [`eval_atom`] rule), empty `And` is `true` and empty `Or` is `false`.
+/// [`eval`] stays the by-name oracle.
+#[derive(Debug, Clone)]
+pub struct BoundCond(Bound);
+
+#[derive(Debug, Clone)]
+enum Bound {
+    /// `slot` is the attribute's column position, `None` when absent.
+    Atom {
+        slot: Option<usize>,
+        op: CmpOp,
+        value: Value,
+    },
+    And(Vec<Bound>),
+    Or(Vec<Bound>),
+}
+
+impl BoundCond {
+    /// Binds `tree` against a schema given as a name → position resolver
+    /// (`|a| schema.col_index(a)`).
+    pub fn bind(tree: &CondTree, resolve: impl Fn(&str) -> Option<usize>) -> BoundCond {
+        fn go(t: &CondTree, resolve: &dyn Fn(&str) -> Option<usize>) -> Bound {
+            match t {
+                CondTree::Leaf(a) => {
+                    Bound::Atom { slot: resolve(&a.attr), op: a.op, value: a.value.clone() }
+                }
+                CondTree::Node(Connector::And, cs) => {
+                    Bound::And(cs.iter().map(|c| go(c, resolve)).collect())
+                }
+                CondTree::Node(Connector::Or, cs) => {
+                    Bound::Or(cs.iter().map(|c| go(c, resolve)).collect())
+                }
+            }
+        }
+        BoundCond(go(tree, &resolve))
+    }
+
+    /// Evaluates the bound condition against a row's values, in schema
+    /// order. A slot past the end of `values` counts as absent.
+    pub fn eval(&self, values: &[Value]) -> bool {
+        fn go(b: &Bound, values: &[Value]) -> bool {
+            match b {
+                Bound::Atom { slot, op, value } => {
+                    slot.and_then(|i| values.get(i)).is_some_and(|stored| op.eval(stored, value))
+                }
+                Bound::And(cs) => cs.iter().all(|c| go(c, values)),
+                Bound::Or(cs) => cs.iter().any(|c| go(c, values)),
+            }
+        }
+        go(&self.0, values)
     }
 }
 
@@ -129,6 +188,28 @@ mod tests {
         let mut blue = car_row();
         blue.insert("color".into(), Value::str("blue"));
         assert!(!eval(&t, &blue));
+    }
+
+    #[test]
+    fn bound_evaluation_matches_by_name_evaluation() {
+        let names = ["make", "price", "color"];
+        let resolve = |a: &str| names.iter().position(|n| *n == a);
+        let values = [Value::str("BMW"), Value::Int(35000), Value::str("red")];
+        for (cond, want) in [
+            ("make = \"BMW\" ^ price < 40000", true),
+            ("color = \"blue\" _ price >= 35000.0", true),
+            ("nonexistent = 1 _ make != \"BMW\"", false),
+            ("make contains \"bm\" ^ color > \"pink\"", true),
+        ] {
+            let t = crate::parse::parse_condition(cond).unwrap();
+            assert_eq!(eval(&t, &car_row()), want, "{cond}");
+            assert_eq!(BoundCond::bind(&t, resolve).eval(&values), want, "{cond}");
+        }
+        // A slot past the row's end is absent, like a missing attribute.
+        let t = CondTree::leaf(Atom::eq("color", "red"));
+        assert!(!BoundCond::bind(&t, resolve).eval(&values[..2]));
+        assert!(BoundCond::bind(&CondTree::and(vec![]), resolve).eval(&[]));
+        assert!(!BoundCond::bind(&CondTree::or(vec![]), resolve).eval(&[]));
     }
 
     #[test]

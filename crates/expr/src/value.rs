@@ -6,8 +6,9 @@
 //! ordered collections and be compared by range predicates deterministically.
 
 use std::cmp::Ordering;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// The type of a [`Value`], used by SSDL typed placeholders (`$int`,
 /// `$float`, `$str`, `$bool`) to constrain which constants a source accepts.
@@ -45,8 +46,10 @@ pub enum Value {
     Int(i64),
     /// Float constant.
     Float(f64),
-    /// String constant, e.g. `"BMW"` in `make = "BMW"`.
-    Str(String),
+    /// String constant, e.g. `"BMW"` in `make = "BMW"`. The payload is
+    /// shared: cloning the value (shipping or projecting a row) bumps a
+    /// reference count instead of copying the bytes.
+    Str(Arc<str>),
     /// Boolean constant.
     Bool(bool),
 }
@@ -62,9 +65,45 @@ impl Value {
         }
     }
 
-    /// Convenience constructor from `&str`.
-    pub fn str(s: impl Into<String>) -> Self {
+    /// Convenience constructor: a `&str` is copied once into a shared
+    /// payload, a `String` or `Arc<str>` is taken over.
+    pub fn str(s: impl Into<Arc<str>>) -> Self {
         Value::Str(s.into())
+    }
+
+    /// Writes the value's rendering — the exact bytes of its `Display` —
+    /// into any [`fmt::Write`] sink. `Display` delegates here, so the two
+    /// can never disagree. Integers, strings and booleans go out without a
+    /// `format_args` round; only floats use the standard formatter.
+    pub fn write_to<W: fmt::Write>(&self, w: &mut W) -> fmt::Result {
+        match self {
+            Value::Int(i) => write_int(*i, w),
+            Value::Float(x) => {
+                if x.fract() == 0.0 && x.is_finite() {
+                    write!(w, "{x:.1}")
+                } else {
+                    write!(w, "{x}")
+                }
+            }
+            Value::Str(s) => {
+                // Escapes `\` and `"` while writing: the unescaped runs
+                // between them go out as borrowed slices, so rendering a
+                // value allocates nothing.
+                w.write_char('"')?;
+                let mut run = 0;
+                // Both are ASCII, so a byte match is always a char boundary.
+                for (i, b) in s.bytes().enumerate() {
+                    if b == b'\\' || b == b'"' {
+                        w.write_str(&s[run..i])?;
+                        w.write_char('\\')?;
+                        run = i;
+                    }
+                }
+                w.write_str(&s[run..])?;
+                w.write_char('"')
+            }
+            Value::Bool(b) => w.write_str(if *b { "true" } else { "false" }),
+        }
     }
 
     /// Compares two values of possibly different types.
@@ -142,35 +181,29 @@ impl Hash for Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Float(x) => {
-                if x.fract() == 0.0 && x.is_finite() {
-                    write!(f, "{x:.1}")
-                } else {
-                    write!(f, "{x}")
-                }
-            }
-            Value::Str(s) => {
-                // Escapes `\` and `"` while writing: the unescaped runs
-                // between them go out as borrowed slices, so rendering a
-                // value allocates nothing.
-                f.write_char('"')?;
-                let mut run = 0;
-                // Both are ASCII, so a byte match is always a char boundary.
-                for (i, b) in s.bytes().enumerate() {
-                    if b == b'\\' || b == b'"' {
-                        f.write_str(&s[run..i])?;
-                        f.write_char('\\')?;
-                        run = i;
-                    }
-                }
-                f.write_str(&s[run..])?;
-                f.write_char('"')
-            }
-            Value::Bool(b) => write!(f, "{b}"),
+        self.write_to(f)
+    }
+}
+
+/// Writes `i` in decimal, as `{i}` would, from a stack buffer.
+fn write_int<W: fmt::Write>(i: i64, w: &mut W) -> fmt::Result {
+    // 19 digits for |i64::MIN| plus a sign.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut n = i.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    if i < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    w.write_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
 }
 
 impl From<i64> for Value {
@@ -185,12 +218,12 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(v.into())
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 impl From<bool> for Value {
@@ -245,6 +278,12 @@ mod tests {
     #[test]
     fn hash_consistent_with_eq() {
         assert_eq!(hash_of(&Value::str("a")), hash_of(&Value::str("a")));
+        // A shared payload hashes as the owned `String` it replaced, so
+        // fingerprints did not move.
+        let mut owned = DefaultHasher::new();
+        ValueType::Str.hash(&mut owned);
+        "a\"b".to_string().hash(&mut owned);
+        assert_eq!(hash_of(&Value::str("a\"b")), owned.finish());
         assert_eq!(hash_of(&Value::Float(2.5)), hash_of(&Value::Float(2.5)));
         assert_ne!(Value::Float(0.0), Value::Float(-0.0)); // bitwise structural eq
     }

@@ -1,14 +1,15 @@
 //! Property tests for the condition-expression substrate: text round-trips,
-//! canonicalization, normal forms, rewrite-rule soundness, and semantic
-//! consistency between a tree and its normal forms.
+//! canonicalization, normal forms, rewrite-rule soundness, semantic
+//! consistency between a tree and its normal forms, and bound (slot)
+//! evaluation against by-name evaluation.
 
 use csqp_expr::canonical::{canonicalize, is_canonical};
 use csqp_expr::gen::{CondGen, CondGenConfig, GenAttr};
 use csqp_expr::normal::{to_cnf, to_dnf};
 use csqp_expr::parse::parse_condition;
 use csqp_expr::rewrite::{single_steps, RewriteRule};
-use csqp_expr::semantics::{eval, prop_equivalent};
-use csqp_expr::{CondTree, Value};
+use csqp_expr::semantics::{eval, prop_equivalent, BoundCond};
+use csqp_expr::{Atom, CmpOp, CondTree, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -36,8 +37,90 @@ fn row(seed: u64) -> BTreeMap<String, Value> {
     m
 }
 
+fn splitmix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// `t` with every atom's operator drawn from all seven (so `Ne`,
+/// `Contains` and string ordering appear) and some integer constants turned
+/// into floats, integral or not (Int/Float cross-type comparisons).
+fn diversify(t: &CondTree, seed: u64) -> CondTree {
+    fn go(t: &CondTree, k: &mut u64) -> CondTree {
+        match t {
+            CondTree::Leaf(a) => {
+                *k = splitmix(*k);
+                let op = CmpOp::ALL[(*k % 7) as usize];
+                let value = match (&a.value, *k / 7 % 3) {
+                    (Value::Int(i), 0) => Value::Float(*i as f64 + 0.5),
+                    (Value::Int(i), 1) => Value::Float(*i as f64),
+                    (v, _) => v.clone(),
+                };
+                CondTree::leaf(Atom { attr: a.attr.clone(), op, value })
+            }
+            CondTree::Node(c, cs) => CondTree::Node(*c, cs.iter().map(|c| go(c, k)).collect()),
+        }
+    }
+    go(t, &mut { seed })
+}
+
+/// A row in schema order over `delta, alpha, gamma, beta`: `omega`, which
+/// the bound generator also references, is absent. Cells draw across types
+/// (float and NaN in numeric columns, an int in a string column) and case
+/// variants for `contains`.
+fn mixed_row(seed: u64) -> Vec<(&'static str, Value)> {
+    let mut k = seed;
+    let mut pick = |n: u64| {
+        k = splitmix(k);
+        k % n
+    };
+    let alpha = match pick(4) {
+        0 => Value::Float(pick(6) as f64 + 0.5),
+        1 => Value::Float(f64::NAN),
+        _ => Value::Int(pick(6) as i64),
+    };
+    let gamma = match pick(6) {
+        0 => Value::Int(1),
+        1 => Value::str("G1"),
+        2 => Value::str("xg2y"),
+        3 => Value::str(""),
+        n => Value::str(format!("g{n}")),
+    };
+    let delta = ["left", "Right", "LEFTOVER", "r"][pick(4) as usize];
+    vec![
+        ("delta", Value::str(delta)),
+        ("alpha", alpha),
+        ("gamma", gamma),
+        ("beta", Value::Int(pick(4) as i64)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A tree bound to column slots evaluates every row exactly as the
+    /// by-name oracle does, absent attributes included.
+    #[test]
+    fn bound_eval_matches_by_name_eval(
+        seed in 0u64..100_000,
+        n in 1usize..8,
+        opseed in 0u64..1_000_000,
+        rowseed in 0u64..1_000_000,
+    ) {
+        let mut gen_attrs = attrs();
+        gen_attrs.push(GenAttr::strings("omega", &["w"]));
+        let mut g = CondGen::new(seed, gen_attrs);
+        let cfg = CondGenConfig { n_atoms: n, max_depth: 4, and_bias: 0.5, eq_bias: 0.5 };
+        let t = diversify(&g.tree(&cfg), opseed);
+        let cols = mixed_row(rowseed);
+        let by_name: BTreeMap<String, Value> =
+            cols.iter().map(|(name, v)| (name.to_string(), v.clone())).collect();
+        let values: Vec<Value> = cols.iter().map(|(_, v)| v.clone()).collect();
+        let bound = BoundCond::bind(&t, |a| cols.iter().position(|(name, _)| *name == a));
+        prop_assert_eq!(bound.eval(&values), eval(&t, &by_name), "{}", t);
+    }
 
     /// Rendered trees re-parse to the identical tree.
     #[test]

@@ -241,9 +241,10 @@ mod engine {
     use super::*;
     use crate::analyze::SubQueryObs;
     use crate::exec::ResilientCtx;
+    use csqp_expr::semantics::BoundCond;
     use csqp_expr::CondTree;
     use csqp_relation::schema::Schema;
-    use csqp_relation::stream::{project_batch, project_indices, select_batch, DedupSketch};
+    use csqp_relation::stream::{project_indices, select_project_batch, DedupSketch};
     use csqp_relation::tuple::Tuple;
     use csqp_source::SourceStream;
     use std::sync::Arc;
@@ -373,7 +374,8 @@ mod engine {
         },
         Local {
             input: Box<Node<'env>>,
-            cond: Option<CondTree>,
+            /// Bound to the input schema's column positions at build.
+            cond: Option<BoundCond>,
             out_schema: Arc<Schema>,
             indices: Vec<usize>,
         },
@@ -469,8 +471,7 @@ mod engine {
                         None => Ok(None),
                         Some(b) => {
                             let n = b.len();
-                            let selected = select_batch(&b, cond.as_ref());
-                            let out = project_batch(&selected, out_schema, indices);
+                            let out = select_project_batch(&b, cond.as_ref(), out_schema, indices);
                             account.release(n);
                             account.charge(out.len());
                             account.emitted();
@@ -599,7 +600,9 @@ mod engine {
                 let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
                 let (out_schema, indices) = project_indices(input.schema(), &attr_refs)
                     .map_err(|e| ExecError::Schema(e.to_string()))?;
-                Ok(Node::Local { input: Box::new(input), cond: cond.clone(), out_schema, indices })
+                let schema = input.schema();
+                let cond = cond.as_ref().map(|c| BoundCond::bind(c, |a| schema.col_index(a)));
+                Ok(Node::Local { input: Box::new(input), cond, out_schema, indices })
             }
             Plan::Intersect(cs) => {
                 if cs.is_empty() {

@@ -87,7 +87,7 @@ pub fn books(seed: u64, cfg: &BookGenConfig) -> Relation {
             rows.push(vec![
                 Value::str(format!("isbn-{isbn:07}")),
                 Value::str(author),
-                Value::Str(title),
+                Value::str(title),
                 Value::str(SUBJECTS[rng.random_range(0..SUBJECTS.len())]),
                 Value::Int(rng.random_range(5..80)),
                 Value::str(PUBLISHERS[rng.random_range(0..PUBLISHERS.len())]),

@@ -6,7 +6,8 @@
 //! transfer dominates, and a latency-bound mediator wants to start shipping
 //! answer tuples before any source finishes. This module provides the
 //! substrate for that: a batch container, a pull protocol ([`TupleStream`]),
-//! batch-level `select`/`project` transforms, and an exact
+//! batch-level `select`/`project` transforms (and their fused one-pass
+//! form, [`select_project_batch`]), and an exact
 //! fingerprint-keyed [`DedupSketch`] shared by every set-semantics
 //! consumer. The operators themselves (local σ/π, union, intersect) live in
 //! the one engine, `csqp_plan::exec_stream`. Memory stays proportional to
@@ -19,7 +20,7 @@
 use crate::relation::{tuple_fingerprint, FingerprintIndex, Relation};
 use crate::schema::{Schema, SchemaError};
 use crate::tuple::{Row, Tuple};
-use csqp_expr::semantics::eval;
+use csqp_expr::semantics::BoundCond;
 use csqp_expr::CondTree;
 use std::sync::Arc;
 
@@ -140,17 +141,36 @@ impl DedupSketch {
 }
 
 /// `σ_C` over one batch: keeps tuples satisfying the condition (`None` =
-/// keep all). Bag semantics — dedup is the pipeline root's job.
+/// keep all). Bag semantics — dedup is the pipeline root's job. The
+/// condition is bound to the batch schema once, not resolved per row.
 pub fn select_batch(batch: &TupleBatch, cond: Option<&CondTree>) -> TupleBatch {
+    let bound = cond.map(|c| BoundCond::bind(c, |a| batch.schema.col_index(a)));
     let kept = batch
-        .rows()
-        .filter(|row| match cond {
-            None => true,
-            Some(c) => eval(c, row),
-        })
-        .map(|row| row.tuple.clone())
+        .tuples
+        .iter()
+        .filter(|t| bound.as_ref().is_none_or(|c| c.eval(t.values())))
+        .cloned()
         .collect();
     TupleBatch::new(batch.schema.clone(), kept)
+}
+
+/// `π_A(σ_C)` over one batch in one pass: `cond` is bound to the batch
+/// schema, `indices` come from [`project_indices`], and each kept tuple is
+/// copied once, already projected. Equal, as a bag in order, to
+/// [`project_batch`] of [`select_batch`].
+pub fn select_project_batch(
+    batch: &TupleBatch,
+    cond: Option<&BoundCond>,
+    out_schema: &Arc<Schema>,
+    indices: &[usize],
+) -> TupleBatch {
+    let tuples = batch
+        .tuples
+        .iter()
+        .filter(|t| cond.is_none_or(|c| c.eval(t.values())))
+        .map(|t| t.project(indices))
+        .collect();
+    TupleBatch::new(out_schema.clone(), tuples)
 }
 
 /// Resolves a projection: output schema plus the input column indices to

@@ -60,20 +60,33 @@ impl AttrLookup for Row<'_> {
     }
 }
 
-impl fmt::Display for Row<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("(")?;
+impl Row<'_> {
+    /// Writes the row as `(name=value, …)` — the exact bytes of its
+    /// `Display`, which delegates here — into any [`fmt::Write`] sink,
+    /// each value through [`Value::write_to`]. Serve renders its answer
+    /// chunks through this, so no `format_args` runs per value.
+    pub fn write_to<W: fmt::Write>(&self, w: &mut W) -> fmt::Result {
+        w.write_char('(')?;
         for (i, c) in self.schema.columns.iter().enumerate() {
             if i > 0 {
-                f.write_str(", ")?;
+                w.write_str(", ")?;
             }
-            f.write_str(&c.name)?;
+            w.write_str(&c.name)?;
             match self.tuple.get(i) {
-                Some(v) => write!(f, "={v}")?,
-                None => f.write_str("=?")?,
+                Some(v) => {
+                    w.write_char('=')?;
+                    v.write_to(w)?;
+                }
+                None => w.write_str("=?")?,
             }
         }
-        f.write_str(")")
+        w.write_char(')')
+    }
+}
+
+impl fmt::Display for Row<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
 }
 

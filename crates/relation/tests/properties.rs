@@ -1,11 +1,13 @@
-//! Property tests for the relational substrate: operator algebra and
-//! statistics bounds.
+//! Property tests for the relational substrate: operator algebra,
+//! statistics bounds, the fused local σπ batch operator, and the row writer.
 
 use csqp_expr::gen::{CondGen, CondGenConfig, GenAttr};
+use csqp_expr::semantics::BoundCond;
 use csqp_expr::{Atom, CondTree};
 use csqp_expr::{Value, ValueType};
 use csqp_relation::ops::{difference, intersect, project, select, union};
-use csqp_relation::{Relation, Schema, TableStats};
+use csqp_relation::stream::{project_batch, project_indices, select_batch, select_project_batch};
+use csqp_relation::{DedupSketch, Relation, Row, Schema, TableStats, Tuple, TupleBatch};
 use proptest::prelude::*;
 
 fn make_relation(seed: u64, n: usize) -> Relation {
@@ -47,8 +49,126 @@ fn cond(seed: u64, n: usize) -> CondTree {
     g.tree(&CondGenConfig { n_atoms: n, max_depth: 3, and_bias: 0.5, eq_bias: 0.7 })
 }
 
+fn splitmix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A value drawn to hit every rendering edge: `"` and `\` in strings,
+/// negative and extreme ints, integral, fractional, NaN, ±inf and −0.0
+/// floats, and both bools.
+fn edge_value(k: u64) -> Value {
+    const STRS: [&str; 8] =
+        ["", "plain", "a\"b", "a\\b", "\\\"", "trailing\\", "ünï\"cødé 🚗", "é\\"];
+    const FLOATS: [f64; 12] = [
+        0.0,
+        -0.0,
+        1.0,
+        -2.0,
+        0.1,
+        -7.25,
+        1e21,
+        1e-7,
+        1.5e300,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    match k % 4 {
+        0 => Value::str(STRS[(k / 4 % 8) as usize]),
+        1 => Value::Int(match k / 4 % 4 {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            2 => -((k >> 8) as i64 % 100_000),
+            _ => (k >> 8) as i64 % 100_000,
+        }),
+        2 => Value::Float(FLOATS[(k / 4 % 12) as usize]),
+        _ => Value::Bool(k & 4 != 0),
+    }
+}
+
+/// The rendering `Display` produced through `format!` before rows were
+/// written through `Row::write_to`: the byte-identity oracle.
+fn oracle_value(v: &Value) -> String {
+    match v {
+        Value::Int(i) => format!("{i}"),
+        Value::Float(x) if x.fract() == 0.0 && x.is_finite() => format!("{x:.1}"),
+        Value::Float(x) => format!("{x}"),
+        Value::Str(s) => format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\"")),
+        Value::Bool(b) => format!("{b}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Local σπ in one pass equals σ then π on every batch, as a bag in
+    /// order; deduplicated first-seen across batches it equals the
+    /// materialized `project(select(..))`.
+    #[test]
+    fn fused_local_sp_matches_select_then_project(
+        seed in 1u64..10_000,
+        s1 in 0u64..10_000,
+        n in 1usize..5,
+        batch in 1usize..40,
+        which in 0usize..4,
+    ) {
+        let r = make_relation(seed, 120);
+        let c = (s1 % 5 != 0).then(|| cond(s1, n));
+        let attrs: &[&str] = [&["a", "c"][..], &["c", "k"], &["b"], &["k", "a", "b", "c"]][which];
+        let (out_schema, indices) = project_indices(r.schema(), attrs).unwrap();
+        let bound = c.as_ref().map(|c| BoundCond::bind(c, |a| r.schema().col_index(a)));
+        let (mut fused, mut sketch) = (Vec::new(), DedupSketch::new());
+        for chunk in r.tuples().chunks(batch) {
+            let b = TupleBatch::new(r.schema().clone(), chunk.to_vec());
+            let one_pass = select_project_batch(&b, bound.as_ref(), &out_schema, &indices);
+            let two_pass = project_batch(&select_batch(&b, c.as_ref()), &out_schema, &indices);
+            prop_assert_eq!(one_pass.schema(), two_pass.schema());
+            prop_assert_eq!(one_pass.tuples(), two_pass.tuples());
+            fused.extend(one_pass.into_tuples().into_iter().filter(|t| sketch.insert(t)));
+        }
+        let oracle = project(&select(&r, c.as_ref()), attrs).unwrap();
+        prop_assert_eq!(&fused[..], oracle.tuples());
+    }
+
+    /// One writer, identical bytes: a row written through `write_to` equals
+    /// its `Display` and the `format!` oracle, value by value, including a
+    /// tuple shorter than its schema (`name=?`).
+    #[test]
+    fn row_writer_is_byte_identical_to_display(seed in 0u64..1_000_000, arity in 0usize..7) {
+        let names = ["k", "name", "x", "y", "flag", "z"];
+        let cols: Vec<(&str, ValueType)> =
+            names.iter().map(|n| (*n, ValueType::Str)).collect();
+        let schema = Schema::new("t", cols, &[]).unwrap();
+        let mut k = seed;
+        let values: Vec<Value> = (0..arity.min(names.len()))
+            .map(|_| {
+                k = splitmix(k);
+                edge_value(k)
+            })
+            .collect();
+        let tuple = Tuple::new(values);
+        let row = Row { schema: &schema, tuple: &tuple };
+        let mut written = String::new();
+        row.write_to(&mut written).unwrap();
+        let cells: Vec<String> = names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| match tuple.get(i) {
+                Some(v) => format!("{n}={}", oracle_value(v)),
+                None => format!("{n}=?"),
+            })
+            .collect();
+        prop_assert_eq!(&written, &format!("{row}"));
+        prop_assert_eq!(&written, &format!("({})", cells.join(", ")));
+        for v in tuple.values() {
+            let mut one = String::new();
+            v.write_to(&mut one).unwrap();
+            prop_assert_eq!(&one, &oracle_value(v));
+        }
+    }
 
     /// σ over ∧/∨ equals ∩/∪ of the component selections (on full tuples,
     /// where set operations are exact).

@@ -15,13 +15,13 @@
 
 use crate::cost::CostParams;
 use crate::fault::{Fault, FaultProfile, ResilienceMeter};
-use csqp_expr::semantics::eval;
+use csqp_expr::semantics::BoundCond;
 use csqp_expr::CondTree;
 use csqp_relation::ops::{project, select};
 use csqp_relation::relation::{projected_fingerprint, FingerprintIndex};
 use csqp_relation::schema::Schema;
 use csqp_relation::stream::{project_indices, DedupSketch, TupleBatch};
-use csqp_relation::tuple::{Row, Tuple};
+use csqp_relation::tuple::Tuple;
 use csqp_relation::{Relation, TableStats};
 use csqp_ssdl::check::{CompiledSource, ExportSet, SharedCheckCache};
 use csqp_ssdl::closure::{fix_order, permutation_closure, DEFAULT_MAX_SEGMENTS};
@@ -440,14 +440,15 @@ impl Source {
                 attrs: attrs.iter().cloned().collect(),
             });
         }
+        let schema = self.relation.schema();
         let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
-        let (out_schema, indices) = project_indices(self.relation.schema(), &attr_refs)
-            .map_err(|e| SourceError::Schema(e.to_string()))?;
+        let (out_schema, indices) =
+            project_indices(schema, &attr_refs).map_err(|e| SourceError::Schema(e.to_string()))?;
         self.queries.fetch_add(1, Ordering::Relaxed);
         Ok(SourceStream {
             source: self,
             fp: cond_fingerprint(cond),
-            cond: cond.cloned(),
+            cond: cond.map(|c| BoundCond::bind(c, |a| schema.col_index(a))),
             out_schema,
             indices,
             batch_size,
@@ -545,7 +546,8 @@ pub struct SourceStream<'a> {
     /// Fingerprint the exhaustion observation is recorded under (the
     /// caller's condition ordering, not the gate-fixed one).
     fp: Fingerprint,
-    cond: Option<CondTree>,
+    /// The condition, bound to the relation's column positions at open.
+    cond: Option<BoundCond>,
     out_schema: Arc<Schema>,
     indices: Vec<usize>,
     batch_size: usize,
@@ -583,14 +585,13 @@ impl SourceStream<'_> {
             return Ok(None);
         }
         self.source.fault_gate()?;
-        let schema = self.source.relation.schema();
         let mut fresh = Vec::new();
         while self.cursor < tuples.len() && fresh.len() < self.batch_size {
             let t = &tuples[self.cursor];
             self.cursor += 1;
             let keep = match &self.cond {
                 None => true,
-                Some(c) => eval(c, &Row { schema, tuple: t }),
+                Some(c) => c.eval(t.values()),
             };
             if keep {
                 let indices = &self.indices;

@@ -231,7 +231,7 @@ impl P {
                 }
                 Some(SsdlTok::Str(s)) => {
                     self.bump();
-                    RawSym::Term(Term::ConstLit(Value::Str(s)))
+                    RawSym::Term(Term::ConstLit(Value::str(s)))
                 }
                 Some(SsdlTok::Int(i)) => {
                     self.bump();
