@@ -120,7 +120,7 @@ usage: csqp --ssdl <file> --csv <file> --query <condition> --attrs <a,b,c>
              and breach budget behind the /status burn-rate gauges
              (default 100 ms / 0.01)
   --workers  serve mode: worker threads serving connections (default 4);
-             the accept loop feeds them through a bounded queue
+             each accepts on the listener and serves its connection
   --max-inflight     serve mode: global concurrent-query ceiling — queries
              beyond it shed with a fast 429 before planning (default 64;
              0 disables)

@@ -14,6 +14,7 @@ use super::http::{http_request_target, percent_decode, query_param, starts_like_
 use super::state::QueryError;
 use super::Server;
 use csqp_obs::names;
+use csqp_relation::TupleBatch;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -40,6 +41,14 @@ fn framed_response(status: &str, ctype: &str, body: &str, keep_alive: bool) -> S
     )
 }
 
+/// Appends `batch` to `out`, one line per row in `Display` form.
+fn write_rows(batch: &TupleBatch, out: &mut String) {
+    for row in batch.rows() {
+        let _ = row.write_to(out);
+        out.push('\n');
+    }
+}
+
 /// The longest request, header or command line read, newline included. A
 /// peer that sends more without a newline gets an error and the
 /// connection closes, so the read buffer never outgrows this.
@@ -57,7 +66,7 @@ enum Line {
 }
 
 /// Reads one line of at most [`MAX_LINE`] bytes into `buf`.
-fn next_line(reader: &mut BufReader<TcpStream>, buf: &mut String) -> io::Result<Line> {
+fn next_line(reader: &mut BufReader<&TcpStream>, buf: &mut String) -> io::Result<Line> {
     let mut bytes = std::mem::take(buf).into_bytes();
     bytes.clear();
     match reader.by_ref().take(MAX_LINE + 1).read_until(b'\n', &mut bytes) {
@@ -80,11 +89,14 @@ fn next_line(reader: &mut BufReader<TcpStream>, buf: &mut String) -> io::Result<
 
 impl Server {
     /// Serves one connection to completion; `Ok(true)` means shutdown was
-    /// requested.
-    pub(super) fn handle(&self, mut stream: TcpStream) -> io::Result<bool> {
+    /// requested. Reads and writes share the one socket (no `dup`).
+    /// `TCP_NODELAY`: every response leaves in deliberate writes, so Nagle
+    /// could only delay a last small segment until the peer's ACK.
+    pub(super) fn handle(&self, mut stream: &TcpStream) -> io::Result<bool> {
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(5)))?;
         stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-        let mut reader = BufReader::new(stream.try_clone()?);
+        let mut reader = BufReader::new(stream);
         let mut line = String::new();
         loop {
             match next_line(&mut reader, &mut line)? {
@@ -149,7 +161,7 @@ impl Server {
                     // Streamed response: rows leave as batches arrive, with
                     // no Content-Length — the connection must close to
                     // frame the body.
-                    self.handle_query_http(&mut stream, &query_string, tenant_header)?;
+                    self.handle_query_http(stream, &query_string, tenant_header)?;
                     return Ok(false);
                 }
                 let (status, ctype, body, shutdown) = self.route(&target);
@@ -186,8 +198,8 @@ impl Server {
             let attrs: Vec<String> = attrs.split(',').map(|s| s.trim().to_string()).collect();
             let tenant = sanitize_tenant(None);
             let mut body = String::new();
-            return match self.serve_query_streamed(cond, &attrs, None, &tenant, &mut |chunk| {
-                body.push_str(chunk);
+            return match self.serve_query_streamed(cond, &attrs, None, &tenant, &mut |batch| {
+                write_rows(&batch, &mut body);
                 true
             }) {
                 Ok(trailer) => format!("OK\n{body}{trailer}"),
@@ -205,18 +217,18 @@ impl Server {
     /// when admission shed the query); a failure mid-stream is appended as
     /// an `ERR` line (the status is already on the wire).
     ///
-    /// The response is built in one buffer: the header and the first batch
-    /// leave in one write (time to first row), then a write happens each
-    /// time [`QUERY_FLUSH_BYTES`] have accumulated, and the last write
-    /// carries the trailer or the `ERR` line. A failed write stops the run
-    /// at that flush.
+    /// The response is built in one buffer that rows render straight
+    /// into: the header and the first batch leave in one write (time to
+    /// first row), then a write happens each time [`QUERY_FLUSH_BYTES`]
+    /// have accumulated, and the last write carries the trailer or the
+    /// `ERR` line. A failed write stops the run at that flush.
     fn handle_query_http(
         &self,
-        stream: &mut TcpStream,
+        mut stream: &TcpStream,
         query_string: &str,
         tenant_header: Option<String>,
     ) -> io::Result<()> {
-        let respond_err = |stream: &mut TcpStream, status: &str, body: &str| {
+        let respond_err = |mut stream: &TcpStream, status: &str, body: &str| {
             stream.write_all(framed_response(status, TEXT, body, false).as_bytes())
         };
         // The tenant rides in on the `tenant=` query param (which wins) or
@@ -260,13 +272,13 @@ impl Server {
         let mut wrote_header = false;
         let mut io_err: Option<io::Error> = None;
         let outcome = {
-            let sink = &mut |chunk: &str| {
+            let sink = &mut |batch: TupleBatch| {
                 let first = !wrote_header;
                 if first {
                     out.push_str(QUERY_OK_HEADER);
                     wrote_header = true;
                 }
-                out.push_str(chunk);
+                write_rows(&batch, &mut out);
                 if !first && out.len() < QUERY_FLUSH_BYTES {
                     return true;
                 }

@@ -16,22 +16,23 @@
 //! | `GET /profile` | index of the worst-N retained query profiles |
 //! | `GET /profile/<id>` | full [`QueryProfile`] JSON for flight `id` |
 //! | `GET /spans` | the tracer's hierarchical span tree, rendered |
-//! | `GET /shutdown` | drains and stops the accept loop |
+//! | `GET /shutdown` | drains and stops the workers |
 //!
 //! A bare (non-HTTP) first line speaks the line protocol instead: `ping`,
 //! `why`, or `query <attrs,csv> <condition>`.
 //!
 //! ## The front door
 //!
-//! [`Server::run`] is a **worker pool**: the caller's thread accepts and a
-//! fixed set of scoped worker threads serve connections off a bounded
-//! queue, so one slow client never blocks the listener. Connections are
+//! [`Server::run`] is a **worker pool**: a fixed set of scoped worker
+//! threads each accept on the shared listener and serve the connection
+//! they accepted, so one slow client holds one worker, never the
+//! listener, and no connection changes threads. Connections are
 //! **keep-alive** (HTTP/1.1 semantics, pipelined line-protocol commands),
 //! and every query passes **admission control** first — a global in-flight
 //! cap sheds overload and per-tenant token buckets (`tenant=` query param
 //! or `X-Tenant` header) shed quota breaches, both as fast `429`s that cost
-//! no planning. `/shutdown` *drains*: the listener stops accepting but
-//! queued and in-progress connections are served to completion.
+//! no planning. `/shutdown` *drains*: workers stop accepting but every
+//! connection a worker holds is served to completion.
 //!
 //! Served queries go through [`Federation::prepare`]: the prepared-plan
 //! cache keyed on parameterized condition fingerprints rebinds constants
@@ -53,7 +54,7 @@
 //! virtual-tick layer untouched.
 //!
 //! The implementation is a small module tree: [`self`] holds the
-//! configuration and the `Server` handle plus the worker-pool accept loop,
+//! configuration and the `Server` handle plus the workers' accept loop,
 //! `admission` the tenant quotas and the in-flight cap, `connection` the
 //! per-connection protocol state machine, `router` the non-query
 //! endpoints, and `state` the query path plus the telemetry stores every
@@ -78,7 +79,7 @@ use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Configuration for [`Server::bind_federation`].
@@ -111,8 +112,9 @@ pub struct ServeConfig {
     /// SLO error budget: the fraction of queries allowed to breach
     /// (latency or error) before the burn rate exceeds 1.0.
     pub slo_error_budget: f64,
-    /// Worker threads serving connections (minimum 1). The accept loop
-    /// runs on the calling thread and feeds a bounded queue.
+    /// Worker threads serving connections (minimum 1). Each accepts on the
+    /// shared listener and serves its connection to close; the kernel's
+    /// listen backlog queues connections while every worker is busy.
     pub workers: usize,
     /// Global concurrent-query ceiling: queries beyond it shed with a fast
     /// `429` before any planning. `0` disables overload shedding.
@@ -206,7 +208,7 @@ pub struct Server {
     /// Completed queries since serve start (windows roll on multiples of
     /// `window_queries`).
     queries_done: AtomicU64,
-    /// Set by `/shutdown`; the accept loop stops, workers drain.
+    /// Set by `/shutdown`; workers stop accepting and drain.
     shutdown: AtomicBool,
     /// The SLO objective `/status` burn rates are computed against.
     slo: SloConfig,
@@ -303,75 +305,57 @@ impl Server {
         self.slow_log.lock().expect("slow log lock").iter().cloned().collect()
     }
 
-    /// Accept loop with a worker pool: the calling thread accepts and N
-    /// scoped workers serve connections off a bounded queue, until
-    /// `/shutdown` (or a fatal listener error). On shutdown the listener
-    /// stops accepting but every queued and in-progress connection is
-    /// served to completion (drain). Prints the listening address on entry
-    /// so scripts can scrape the ephemeral port.
+    /// Serves until `/shutdown`: N scoped workers each block in `accept`
+    /// on the shared listener and serve what they accepted, from the first
+    /// byte to close, so a connection never changes threads. On shutdown
+    /// every worker finishes the connection it holds (drain), then exits.
+    /// Prints the listening address on entry so scripts can scrape the
+    /// ephemeral port.
     pub fn run(&self) -> io::Result<()> {
         println!("csqp serve: listening on {}", self.local_addr()?);
-        let workers = self.cfg.workers.max(1);
-        let (tx, rx) = mpsc::sync_channel::<TcpStream>(workers * 2);
-        let rx = Mutex::new(rx);
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // Hold the queue lock only for the dequeue, never while
-                    // serving: workers drain the queue independently.
-                    let next = rx.lock().expect("worker queue lock").recv();
-                    let Ok(stream) = next else { break };
-                    match self.handle(stream) {
-                        Ok(true) => self.begin_shutdown(),
-                        Ok(false) => {}
-                        Err(e) => {
-                            // A misbehaving client must not take a worker
-                            // (let alone the server) down.
-                            self.obs.metrics.inc(csqp_obs::names::SERVE_ERRORS);
-                            eprintln!("csqp serve: connection error: {e}");
-                        }
-                    }
-                });
+            for _ in 0..self.cfg.workers.max(1) {
+                scope.spawn(|| self.accept_and_serve());
             }
-            loop {
-                if self.shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-                let stream = match self.listener.accept() {
-                    Ok((s, _)) => s,
-                    Err(e) => {
-                        if self.shutdown.load(Ordering::Acquire) {
-                            break;
-                        }
-                        self.obs.metrics.inc(csqp_obs::names::SERVE_ERRORS);
-                        eprintln!("csqp serve: accept failed: {e}");
-                        continue;
-                    }
-                };
-                if self.shutdown.load(Ordering::Acquire) {
-                    // The self-connect wake (or a straggler): drop it —
-                    // nothing was promised to this connection yet.
-                    break;
-                }
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
-            // Closing the channel is the drain signal: workers finish the
-            // queued connections, then their `recv` errors and they exit.
-            drop(tx);
         });
         Ok(())
     }
 
-    /// Flips the shutdown flag and wakes the (possibly blocked) acceptor
-    /// with a throwaway self-connection. Idempotent.
+    /// One worker: accept a connection, serve it to completion, repeat
+    /// until the shutdown flag is up.
+    fn accept_and_serve(&self) {
+        while !self.shutdown.load(Ordering::Acquire) {
+            let accepted = self.listener.accept();
+            if self.shutdown.load(Ordering::Acquire) {
+                // A shutdown wake (or a straggler): drop it — nothing was
+                // promised to this connection yet.
+                break;
+            }
+            match accepted.and_then(|(stream, _)| self.handle(&stream)) {
+                Ok(true) => self.begin_shutdown(),
+                Ok(false) => {}
+                Err(e) => {
+                    // A failed accept or a misbehaving client must not
+                    // take a worker (let alone the server) down.
+                    self.obs.metrics.inc(csqp_obs::names::SERVE_ERRORS);
+                    eprintln!("csqp serve: connection error: {e}");
+                }
+            }
+        }
+    }
+
+    /// Flips the shutdown flag and wakes every worker blocked in `accept`
+    /// with one throwaway self-connection per worker: each idle worker
+    /// takes one and exits, and a busy one sees the flag once its
+    /// connection closes. Idempotent.
     fn begin_shutdown(&self) {
         if self.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
         if let Ok(addr) = self.local_addr() {
-            let _ = TcpStream::connect(addr);
+            for _ in 0..self.cfg.workers.max(1) {
+                let _ = TcpStream::connect(addr);
+            }
         }
     }
 

@@ -9,6 +9,7 @@ use csqp_core::mediator::{AdaptiveConfig, StreamOptions};
 use csqp_core::types::TargetQuery;
 use csqp_obs::{names, AuditRecord, LatencyKey, ProfileCapture, QueryProfile};
 use csqp_plan::exec_stream::StreamConfig;
+use csqp_relation::TupleBatch;
 use csqp_ssdl::linearize::cond_fingerprint;
 use std::time::Instant;
 
@@ -31,9 +32,9 @@ impl QueryError {
 }
 
 impl Server {
-    /// Admits, prepares and streams one query, feeding each row batch to
-    /// `sink` as rendered lines (return `false` to stop) and recording the
-    /// serve-mode wall-clock metrics and the slow-query log. Returns the
+    /// Admits, prepares and streams one query, feeding each answer batch
+    /// to `sink` (return `false` to stop) and recording the serve-mode
+    /// wall-clock metrics and the slow-query log. Returns the
     /// `N rows (est cost …)` summary trailer, or the error.
     ///
     /// The order is deliberate: admission control runs **first** — a shed
@@ -49,7 +50,7 @@ impl Server {
         attrs: &[String],
         limit: Option<u64>,
         tenant: &str,
-        sink: &mut dyn FnMut(&str) -> bool,
+        sink: &mut dyn FnMut(TupleBatch) -> bool,
     ) -> Result<String, QueryError> {
         // Admission: the guard holds this query's in-flight slot until the
         // function exits, however it exits.
@@ -100,15 +101,9 @@ impl Server {
             })
         });
         let mut emitted = 0u64;
-        let mut chunk = String::new();
-        let mut batch_sink = |batch: csqp_relation::TupleBatch| {
+        let mut batch_sink = |batch: TupleBatch| {
             emitted += batch.len() as u64;
-            chunk.clear();
-            for row in batch.rows() {
-                let _ = row.write_to(&mut chunk);
-                chunk.push('\n');
-            }
-            sink(&chunk)
+            sink(batch)
         };
         let fingerprint = || format!("{:032x}", cond_fingerprint(Some(&query.cond)));
         // Adaptive serving: the pipeline may pause at a batch boundary and

@@ -4,10 +4,15 @@
 //! surfacing in trailers and `/metrics`, a mixed-tenant hammer whose audit
 //! journal must come out coherent — no lost or duplicated records —
 //! slow-log entries that carry their own query's decision trail, flight
-//! records that receive their own query's post-planning notes, and served
-//! output that stays small over a 1 000-member federation.
+//! records that receive their own query's post-planning notes, served
+//! output that stays small over a 1 000-member federation, every idle
+//! worker waking on `/shutdown`, a multi-flush answer that is byte-exact
+//! over HTTP and the line protocol, and a mid-stream disconnect that frees
+//! its worker and its in-flight slot.
 
 use csqp::serve::{ServeConfig, Server};
+use csqp_core::federation::Federation;
+use csqp_core::types::TargetQuery;
 use csqp_obs::{FlightRecorder, Obs};
 use csqp_relation::datagen;
 use csqp_source::{CostParams, Source};
@@ -41,6 +46,31 @@ fn http_get_with_header(addr: SocketAddr, path: &str, header: Option<&str>) -> S
 
 fn dealer() -> Arc<Source> {
     Arc::new(Source::new(datagen::cars(3, 400), templates::car_dealer(), CostParams::default()))
+}
+
+/// 5 000 cars: [`EVERY_CAR`] selects all of them, an answer several
+/// 32 KiB socket writes long.
+fn big_dealer() -> Arc<Source> {
+    Arc::new(Source::new(datagen::cars(5, 5_000), templates::car_dealer(), CostParams::default()))
+}
+
+/// Every make `datagen::cars` draws from, under a price bound no car
+/// reaches.
+const EVERY_CAR: &str = "(make = \"Toyota\" _ make = \"BMW\" _ make = \"Honda\" _ make = \"Ford\" \
+                         _ make = \"Mercedes\" _ make = \"Chevrolet\") ^ price < 1000000";
+const EVERY_CAR_ATTRS: &str = "make,model,year,color";
+
+/// `/query` for `cond` over [`EVERY_CAR_ATTRS`], the condition
+/// percent-encoded.
+fn query_path(cond: &str) -> String {
+    let cond: String = cond
+        .bytes()
+        .map(|b| match b {
+            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' => (b as char).to_string(),
+            _ => format!("%{b:02X}"),
+        })
+        .collect();
+    format!("/query?cond={cond}&attrs={EVERY_CAR_ATTRS}")
 }
 
 /// Runs a telemetry-reading test over recording recorders — what
@@ -516,4 +546,91 @@ fn served_output_stays_small_at_federation_scale() {
     let registry = server.federation().obs().metrics.snapshot();
     assert!(registry.gauges.keys().all(|k| !k.starts_with("breaker.state.")));
     assert!(registry.counter("serve.queries") >= 6);
+}
+
+/// `/shutdown` wakes every worker blocked in `accept`: with four idle
+/// workers and no other traffic, `run` returns within the deadline. A
+/// single wake would leave three workers blocked and `run` with them.
+#[test]
+fn shutdown_wakes_every_idle_worker() {
+    let cfg = ServeConfig { workers: 4, ..ServeConfig::default() };
+    let server = Server::bind_federation(vec![dealer()], cfg).expect("bind an ephemeral port");
+    let addr = server.local_addr().expect("bound address");
+    let (done, ran) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(server.run().is_ok()));
+    let bye = http_get(addr, "/shutdown");
+    assert!(bye.contains("shutting down"), "{bye}");
+    let ran = ran.recv_timeout(Duration::from_secs(10)).expect("every idle worker woke and exited");
+    assert!(ran, "accept loop exits cleanly");
+}
+
+/// An answer that spans several 32 KiB flushes arrives byte-exact: the
+/// HTTP body minus its trailer equals the line-protocol body, and both
+/// equal `Federation::run`'s rows rendered with `Display`, in order.
+#[test]
+fn multi_flush_answer_is_byte_exact() {
+    let source = big_dealer();
+    let attrs: Vec<&str> = EVERY_CAR_ATTRS.split(',').collect();
+    let query = TargetQuery::parse(EVERY_CAR, &attrs).expect("query parses");
+    let reference = Federation::new().with_member(source.clone()).run(&query).expect("runs");
+    let expected: String =
+        reference.stream.outcome.rows.rows().map(|row| format!("{row}\n")).collect();
+    assert_eq!(expected.lines().count(), 5_000, "the condition selects every car");
+    assert!(expected.len() >= 4 * 32 * 1024, "{} bytes span >= 4 flushes", expected.len());
+
+    let server = Server::bind_federation(vec![source], ServeConfig::default())
+        .expect("bind an ephemeral port");
+    let addr = server.local_addr().expect("bound address");
+    let handle = std::thread::spawn(move || server.run());
+
+    let resp = http_get(addr, &query_path(EVERY_CAR));
+    assert!(resp.starts_with("HTTP/1.1 200"), "{}", &resp[..resp.len().min(200)]);
+    let body = resp.split_once("\r\n\r\n").expect("header ends").1;
+    let (http_rows, trailer) = body.trim_end().rsplit_once('\n').expect("rows, then a trailer");
+    assert!(trailer.starts_with("5000 rows"), "{trailer}");
+    assert_eq!(format!("{http_rows}\n"), expected, "HTTP rows differ from Federation::run");
+
+    let mut s = connect(addr);
+    writeln!(s, "query {EVERY_CAR_ATTRS} {EVERY_CAR}").unwrap();
+    s.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut reply = String::new();
+    s.read_to_string(&mut reply).expect("read reply");
+    let line_body = reply.strip_prefix("OK\n").expect("line protocol answers OK");
+    let (line_rows, line_trailer) = line_body.trim_end().rsplit_once('\n').expect("trailer");
+    assert!(line_trailer.starts_with("5000 rows"), "{line_trailer}");
+    assert_eq!(line_rows, http_rows, "line protocol and HTTP bodies differ");
+
+    assert!(http_get(addr, "/shutdown").contains("shutting down"));
+    handle.join().expect("server thread").expect("accept loop exits cleanly");
+}
+
+/// A client that drops its socket mid-answer frees the worker and the
+/// in-flight slot: with one worker, a query on a new connection is then
+/// answered and `admission.inflight` reads 0.
+#[test]
+fn mid_stream_disconnect_frees_worker_and_inflight_slot() {
+    let cfg = ServeConfig { workers: 1, ..ServeConfig::default() };
+    let server = Server::bind_federation(vec![big_dealer()], cfg).expect("bind an ephemeral port");
+    let addr = server.local_addr().expect("bound address");
+    let handle = std::thread::spawn(move || server.run());
+
+    let mut reader = BufReader::new(connect(addr));
+    write!(reader.get_mut(), "GET {} HTTP/1.0\r\n\r\n", query_path(EVERY_CAR)).unwrap();
+    let mut status = String::new();
+    reader.read_line(&mut status).expect("status line");
+    assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+    let mut line = String::new();
+    while reader.read_line(&mut line).expect("header line") > 2 {
+        line.clear();
+    }
+    drop(reader);
+
+    let next = http_get(addr, &query_path("make = \"BMW\" ^ price < 40000"));
+    assert!(next.starts_with("HTTP/1.1 200"), "{next}");
+    assert!(next.contains(" rows (est cost"), "{next}");
+    let metrics = http_get(addr, "/metrics");
+    assert!(metrics.contains("csqp_admission_inflight 0.0"), "{metrics}");
+
+    assert!(http_get(addr, "/shutdown").contains("shutting down"));
+    handle.join().expect("server thread").expect("accept loop exits cleanly");
 }
