@@ -12,8 +12,8 @@
 
 use crate::capindex::CapabilityIndex;
 use crate::mediator::{
-    CardKind, EstimateMemo, Mediator, MediatorError, RunOutcome, Scheme, StreamInput,
-    StreamOptions, StreamOutcome,
+    CardKind, Mediator, MediatorError, RunOutcome, Scheme, StreamInput, StreamOptions,
+    StreamOutcome,
 };
 use crate::plancache::{CacheDecision, Lookup, PlanCache};
 use crate::types::{PlanError, PlannedQuery, TargetQuery};
@@ -49,9 +49,8 @@ impl Default for CircuitBreakerConfig {
 }
 
 /// Per-member breaker state. The clock is the federation's own run counter
-/// (one tick per [`FederatedOptions::Failover`] or
-/// [`FederatedOptions::Splice`] run) — no wall-clock, so quarantine windows
-/// replay deterministically.
+/// (one tick per [`FederatedOptions::Splice`] run) — no wall-clock, so
+/// quarantine windows replay deterministically.
 #[derive(Debug, Default)]
 struct BreakerState {
     consecutive_failures: AtomicU32,
@@ -158,8 +157,9 @@ pub enum MemberEvent {
     /// The member's plan failed at execution once its round-trip retries
     /// ran out; the error, rendered.
     ExecFailed(String),
-    /// This member was spliced into a running adaptive pipeline to serve
-    /// the residual of the named member, which failed mid-stream.
+    /// This member was spliced into the running pipeline to finish the
+    /// answer of the named member, which failed: with its surveyed plan
+    /// when no row had been emitted yet, else with the residual re-planned.
     Spliced(String),
     /// This member served the answer.
     Served,
@@ -248,12 +248,12 @@ pub type FailoverTrace = Vec<(String, MemberEvent)>;
 /// The outcome of [`Federation::run_stream`].
 #[derive(Debug)]
 pub struct FederatedRun {
-    /// The run on the serving member. `outcome.planned` is that member's
-    /// plan (the first member's on a spliced run); `resilience` is
-    /// cumulative across every member tried (member switches and
-    /// mid-stream splices count as failovers). After a splice `outcome.meter`
-    /// and `measured_cost` aggregate over every member that shipped tuples,
-    /// each charged at its own §6.2 constants, and `splices` counts them.
+    /// The run on the serving member. `outcome.planned` is the plan the run
+    /// started with (the first member's on a spliced run); `resilience` is
+    /// cumulative across every member tried (each splice counts as a
+    /// failover). After a splice `outcome.meter` and `measured_cost` sum
+    /// the members the run streamed from, each charged at its own §6.2
+    /// constants, and `splices` counts them.
     pub stream: StreamOutcome,
     /// Name of the member that served the answer (the last splice target
     /// when splices fired).
@@ -273,8 +273,8 @@ pub struct FederatedRun {
 /// first, or the winner an earlier [`Federation::prepare`] picked — how
 /// `csqp serve` keeps the cache decision and the flight id in hand before
 /// the first row ships. A prepared winner runs under
-/// [`FederatedOptions::Winner`] only: one member's plan gives failover and
-/// splice nobody to turn to.
+/// [`FederatedOptions::Winner`] only: one member's plan gives a splice
+/// nobody to turn to.
 pub type FederatedInput<'a> = StreamInput<'a, PreparedFederated>;
 
 impl From<PreparedFederated> for FederatedInput<'_> {
@@ -284,30 +284,25 @@ impl From<PreparedFederated> for FederatedInput<'_> {
 }
 
 /// What [`Federation::run_stream`] does about a member that fails — the
-/// recovery policy is this value, not the method called. The two recovering
-/// policies leave different recorded traces and both consult and move the
-/// circuit breakers.
+/// recovery policy is this value, not the method called.
 #[derive(Debug, Clone, Copy)]
 pub enum FederatedOptions<'a> {
     /// The planning winner serves, on its mediator, the way the inner
     /// options say — or the run fails. Breakers are neither consulted nor
     /// moved.
     Winner(StreamOptions<'a>),
-    /// Whole-plan member failover: members are tried cheapest-first; within
-    /// a member round-trips retry per the policy, and when its plan still
-    /// fails the next-cheapest member starts from scratch. A member that fails
+    /// Member failover by splice, the one way a run moves to another
+    /// member: the cheapest gated member's plan streams, and when a leaf
+    /// dies (per-round-trip retries exhausted) the member's failure counts
+    /// on its breaker and the next-cheapest gated candidate is spliced into
+    /// the running stream. Before the first answer row, or when the
+    /// residual has no condition, the candidate runs its surveyed plan for
+    /// the whole query; otherwise the residual condition is re-planned on
+    /// it, so the work done before the fault is not redone. Already-emitted
+    /// tuples are deduplicated away, so the answer matches a fault-free
+    /// run, and a sink sees each answer row once. A member that fails
     /// [`CircuitBreakerConfig::failure_threshold`] consecutive runs sits
-    /// `cooldown_ticks` runs out, then gets a half-open probe. Each attempt
-    /// collects — a dead member's partial answer must not leak — so a sink
-    /// receives the answer in one batch once a member has served.
-    Failover(&'a RetryPolicy),
-    /// Mid-stream splice: the cheapest member's plan streams, and when it
-    /// dies *mid-pipeline* (per-round-trip retries exhausted) its breaker
-    /// opens, the paused pipeline's residual condition is re-planned on
-    /// the next-cheapest gated candidate, and that plan is spliced into
-    /// the running stream — already-emitted tuples are deduplicated away,
-    /// so the answer matches a fault-free run, and neither the work done
-    /// before the fault nor the failed member's whole plan is redone.
+    /// `cooldown_ticks` runs out, then gets a half-open probe.
     Splice {
         /// Per-round-trip retries applied before a leaf failure counts.
         policy: &'a RetryPolicy,
@@ -642,8 +637,8 @@ impl Federation {
         self.map_mediators(|m| m.with_scheme(scheme))
     }
 
-    /// Overrides the circuit-breaker policy of the breaker-gated runs
-    /// ([`FederatedOptions::Failover`], [`FederatedOptions::Splice`]).
+    /// Overrides the circuit-breaker policy of the breaker-gated
+    /// [`FederatedOptions::Splice`] runs.
     pub fn with_breaker(mut self, cfg: CircuitBreakerConfig) -> Self {
         self.breaker_cfg = cfg;
         self
@@ -788,30 +783,24 @@ impl Federation {
         options: FederatedOptions<'_>,
         sink: Option<&mut dyn FnMut(TupleBatch) -> bool>,
     ) -> Result<FederatedRun, MediatorError> {
-        let input = input.into();
-        let (policy, splice) = match options {
+        let (policy, stream) = match options {
             FederatedOptions::Winner(options) => {
-                let prepared = match input {
+                let prepared = match input.into() {
                     StreamInput::Query(query) => self.prepare(query)?,
                     StreamInput::Prepared(prepared) => prepared,
                 };
                 return self.run_winner(prepared, options, sink);
             }
-            FederatedOptions::Failover(policy) => (policy, None),
-            FederatedOptions::Splice { policy, stream } => (policy, Some(stream)),
+            FederatedOptions::Splice { policy, stream } => (policy, stream),
         };
-        let StreamInput::Query(query) = input else {
+        let StreamInput::Query(query) = input.into() else {
             return Err(MediatorError::Plan(PlanError::MalformedQuery(
-                "member failover and splice rank every member: pass the query".into(),
+                "a splice ranks every member: pass the query".into(),
             )));
         };
-        let label = if splice.is_some() { "federation run (adaptive)" } else { "federation run" };
-        let _span = self.obs.tracer.span(label);
+        let _span = self.obs.tracer.span("federation run (adaptive)");
         let (candidates, gated) = self.gated_candidates(query)?;
-        match splice {
-            Some(stream) => self.run_spliced(candidates, gated, policy, stream, sink),
-            None => self.run_failover(candidates, gated, policy, sink),
-        }
+        self.run_spliced(candidates, gated, policy, stream, sink)
     }
 
     /// [`FederatedOptions::Winner`]: the prepared plan streams on the
@@ -913,8 +902,7 @@ impl Federation {
     /// gates, surveys the members, and keeps the non-quarantined feasible
     /// ones as a cheapest-first candidate list (stable: earliest member
     /// wins ties; never empty). Infeasible and quarantined members are
-    /// traced and counted here, so both breaker-gated policies record
-    /// identical selection events; a member the index pruned is traced
+    /// traced and counted here; a member the index pruned is traced
     /// infeasible like one that failed planning.
     fn gated_candidates(
         &self,
@@ -955,77 +943,6 @@ impl Federation {
         Ok((candidates, Gated { now, flight_id: flight.id(), gates, trace, considered }))
     }
 
-    /// [`FederatedOptions::Failover`] over the gated `candidates`,
-    /// cheapest first: each runs once, collecting, with its round-trips
-    /// retried per `policy`.
-    fn run_failover(
-        &self,
-        candidates: Vec<(usize, PlannedQuery)>,
-        mut gated: Gated,
-        policy: &RetryPolicy,
-        sink: Option<&mut dyn FnMut(TupleBatch) -> bool>,
-    ) -> Result<FederatedRun, MediatorError> {
-        let stream_cfg = StreamConfig::default();
-        let options = StreamOptions::Plain { stream: &stream_cfg, policy: Some(policy) };
-        let mut resilience = ResilienceMeter::default();
-        let mut last_error = None;
-        for (tried, (idx, planned)) in candidates.into_iter().enumerate() {
-            let name = &self.members[idx].name;
-            self.probe(idx, &mut gated);
-            if tried > 0 {
-                resilience.failovers += 1;
-                self.obs.metrics.inc(names::RESILIENCE_FAILOVERS);
-            }
-            let memo = EstimateMemo::default();
-            let mut stream = match self.mediators[idx].run_planned(planned, options, None, memo) {
-                Ok(stream) => stream,
-                Err((err, spent)) => {
-                    resilience.absorb(&spent);
-                    self.failed(idx, &err, &mut gated);
-                    self.tap(names::MEMBER_RETRIES_PREFIX, name, spent.retries);
-                    self.obs
-                        .tracer
-                        .event_with(|| format!("member {name}: execution failed ({err})"));
-                    self.flight.note(gated.flight_id, || PlanEvent::Failover {
-                        rank: tried,
-                        detail: format!("member {name}: {err}"),
-                    });
-                    last_error = Some(err);
-                    continue;
-                }
-            };
-            self.recovered(idx, &mut gated);
-            self.served(idx, &stream.outcome, stream.resilience.retries, 0);
-            self.obs.tracer.event_with(|| {
-                format!("member {name}: served ({} rows)", stream.outcome.rows.len())
-            });
-            let planned = &stream.outcome.planned;
-            self.flight.note(gated.flight_id, || PlanEvent::Winner {
-                cost: planned.est_cost,
-                plan: planned.plan.to_string(),
-            });
-            self.flight.note(gated.flight_id, || PlanEvent::Note {
-                text: format!("served by member {name}"),
-            });
-            resilience.absorb(&stream.resilience);
-            stream.resilience = resilience;
-            if let Some(sink) = sink {
-                let schema = stream.outcome.rows.schema().clone();
-                let empty = Relation::empty(schema.clone());
-                let rows = std::mem::replace(&mut stream.outcome.rows, empty);
-                sink(TupleBatch::new(schema, rows.into_tuples()));
-            }
-            return Ok(FederatedRun {
-                stream,
-                source_name: name.clone(),
-                trace: gated.trace,
-                considered: gated.considered,
-                flight_id: gated.flight_id,
-            });
-        }
-        Err(MediatorError::Exec(last_error.expect("a non-empty candidate list was tried")))
-    }
-
     /// [`FederatedOptions::Splice`] over the gated `candidates`: the
     /// cheapest streams, the rest queue up as splice targets.
     fn run_spliced(
@@ -1038,10 +955,6 @@ impl Federation {
     ) -> Result<FederatedRun, MediatorError> {
         let (primary_idx, primary) = candidates.remove(0);
         self.probe(primary_idx, &mut gated);
-        // Transfer is metered per member and summed afterwards — a spliced
-        // run legitimately ships tuples from several members, each charged
-        // at its own cost constants.
-        let before: Vec<Meter> = self.members.iter().map(|m| m.meter()).collect();
         let mut resilience = ResilienceMeter::default();
         let mut ctl = BreakerSpliceController {
             fed: self,
@@ -1049,6 +962,7 @@ impl Federation {
             queue: candidates.into(),
             current: primary_idx,
             attrs: primary.plan.output_attrs().clone(),
+            streamed: vec![(primary_idx, self.members[primary_idx].meter())],
         };
         let request = StreamRequest {
             config: cfg,
@@ -1062,7 +976,7 @@ impl Federation {
                 .map(|run| (Relation::empty(run.schema.clone()), run)),
             None => execute_stream_collect(&primary.plan, source, request),
         };
-        let serving_idx = ctl.current;
+        let (serving_idx, streamed) = (ctl.current, ctl.streamed);
         let (rows, run) = result.map_err(|e| {
             // The controller already opened breakers and traced every
             // member that died; nobody was left to splice to.
@@ -1074,8 +988,9 @@ impl Federation {
         self.recovered(serving_idx, &mut gated);
         let mut meter = Meter::default();
         let mut measured_cost = 0.0;
-        for (m, before) in self.members.iter().zip(&before) {
-            let delta = m.meter().since(before);
+        for (idx, before) in streamed {
+            let m = &self.members[idx];
+            let delta = m.meter().since(&before);
             measured_cost += delta.cost(m.cost_params());
             meter.queries += delta.queries;
             meter.tuples_shipped += delta.tuples_shipped;
@@ -1137,19 +1052,23 @@ struct Gated {
 }
 
 /// The breaker-triggered [`ReplanController`] of
-/// [`FederatedOptions::Splice`]: on a terminal mid-stream leaf failure it
-/// opens the serving member's breaker, re-plans the pipeline's residual
-/// condition on the next-cheapest gated candidate, and splices that
-/// member in. Batch boundaries are left alone — cardinality drift is the
-/// mediator-level controller's job.
+/// [`FederatedOptions::Splice`]: on a terminal leaf failure it counts the
+/// failure on the serving member's breaker and splices the next-cheapest
+/// gated candidate in — with its surveyed plan before the first answer row
+/// or when the residual has no condition, else with the residual condition
+/// re-planned on it. Batch boundaries are left alone — cardinality drift is
+/// the mediator-level controller's job.
 struct BreakerSpliceController<'a> {
     fed: &'a Federation,
     gated: &'a mut Gated,
-    /// Remaining gated candidates, cheapest-first.
+    /// Remaining gated candidates with their surveyed plans, cheapest-first.
     queue: VecDeque<(usize, PlannedQuery)>,
     /// Index of the member currently feeding the pipeline.
     current: usize,
     attrs: AttrSet,
+    /// Each member the run streamed from, with its meter read when it
+    /// joined: the run's transfer is theirs alone.
+    streamed: Vec<(usize, Meter)>,
 }
 
 impl ReplanController for BreakerSpliceController<'_> {
@@ -1163,59 +1082,67 @@ impl ReplanController for BreakerSpliceController<'_> {
         fed.failed(self.current, err, self.gated);
         fed.obs.metrics.inc(names::REPLAN_TRIGGERED);
         fed.obs.metrics.inc(names::REPLAN_BREAKER_TRIGGERS);
-        fed.obs.tracer.event_with(|| format!("member {}: died mid-stream ({err})", failed.name));
+        fed.obs.tracer.event_with(|| {
+            format!("member {}: died after {} rows ({err})", failed.name, probe.emitted)
+        });
 
         let remaining = probe.remaining_plan()?;
-        let residual = plan_condition(&remaining)?;
-        while let Some((idx, _)) = self.queue.pop_front() {
+        // Before the first answer row the whole query is missing, and a
+        // residual without a condition is the whole query too: either way
+        // the next candidate's surveyed plan runs, and nothing is re-planned.
+        let residual = if probe.emitted > 0 { plan_condition(&remaining) } else { None };
+        while let Some((idx, surveyed)) = self.queue.pop_front() {
             let next = &fed.members[idx];
             fed.probe(idx, self.gated);
-            // Re-plan the *residual* on the splice target — its
-            // capabilities may shape the cover differently than the dead
-            // member's did. The survey's plan for the full query is not
-            // reused: the pipeline only needs what has not been emitted.
-            let q = TargetQuery::new(residual.clone(), self.attrs.clone());
-            match fed.mediators[idx].plan_quiet(&q) {
-                Ok(p) => {
-                    p.report.record_into(&fed.obs.metrics);
-                    fed.obs.metrics.inc(names::REPLAN_SPLICES);
-                    // The splice is charged to the member that died — it is
-                    // the health signal, not the rescuer.
-                    fed.tap(names::MEMBER_SPLICES_PREFIX, &failed.name, 1);
-                    fed.flight.note(self.gated.flight_id, || PlanEvent::Replan {
-                        trigger: "breaker-open",
-                        detail: format!("member {} died mid-stream: {err}", failed.name),
-                        batch: probe.batches,
-                        emitted: probe.emitted,
-                        old_plan: remaining.to_string(),
-                        new_plan: p.plan.to_string(),
-                    });
-                    fed.obs.tracer.event_with(|| {
-                        format!(
-                            "replan (breaker): splice to member {} at batch {} after {} rows",
-                            next.name, probe.batches, probe.emitted
-                        )
-                    });
-                    let spliced = MemberEvent::Spliced(failed.name.clone());
-                    self.gated.trace.push((next.name.clone(), spliced));
-                    self.current = idx;
-                    return Some(SpliceAction { plan: p.plan, source: next.clone() });
+            let plan = match &residual {
+                None => surveyed.plan,
+                // Re-plan the residual on the splice target — its
+                // capabilities may shape the cover differently than the
+                // dead member's did, and the pipeline only needs what has
+                // not been emitted.
+                Some(residual) => {
+                    let q = TargetQuery::new(residual.clone(), self.attrs.clone());
+                    match fed.mediators[idx].plan_quiet(&q) {
+                        Ok(p) => {
+                            p.report.record_into(&fed.obs.metrics);
+                            p.plan
+                        }
+                        Err(_) => {
+                            // The residual may be narrower than the
+                            // original query, so a member that was feasible
+                            // for the whole query can still fail here.
+                            fed.obs.metrics.inc(names::FEDERATION_INFEASIBLE);
+                            let text = format!("member {}: residual infeasible", next.name);
+                            fed.obs.tracer.event_with(|| text.clone());
+                            fed.flight.note(self.gated.flight_id, || PlanEvent::Note { text });
+                            self.gated.trace.push((next.name.clone(), MemberEvent::Infeasible));
+                            continue;
+                        }
+                    }
                 }
-                Err(_) => {
-                    // The residual may be narrower than the original query,
-                    // so a member that was feasible for the whole query can
-                    // still fail here (and vice versa never happens — the
-                    // residual only drops satisfied disjuncts).
-                    fed.obs.metrics.inc(names::FEDERATION_INFEASIBLE);
-                    fed.obs
-                        .tracer
-                        .event_with(|| format!("member {}: residual infeasible", next.name));
-                    fed.flight.note(self.gated.flight_id, || PlanEvent::Note {
-                        text: format!("member {}: residual infeasible", next.name),
-                    });
-                    self.gated.trace.push((next.name.clone(), MemberEvent::Infeasible));
-                }
-            }
+            };
+            fed.obs.metrics.inc(names::REPLAN_SPLICES);
+            // The splice is charged to the member that died — it is the
+            // health signal, not the rescuer.
+            fed.tap(names::MEMBER_SPLICES_PREFIX, &failed.name, 1);
+            fed.flight.note(self.gated.flight_id, || PlanEvent::Replan {
+                trigger: "breaker-open",
+                detail: format!("member {} failed: {err}", failed.name),
+                batch: probe.batches,
+                emitted: probe.emitted,
+                old_plan: remaining.to_string(),
+                new_plan: plan.to_string(),
+            });
+            fed.obs.tracer.event_with(|| {
+                format!(
+                    "replan (breaker): splice to member {} at batch {} after {} rows",
+                    next.name, probe.batches, probe.emitted
+                )
+            });
+            self.gated.trace.push((next.name.clone(), MemberEvent::Spliced(failed.name.clone())));
+            self.streamed.push((idx, next.meter()));
+            self.current = idx;
+            return Some(SpliceAction { plan, source: next.clone() });
         }
         None
     }
@@ -1225,7 +1152,9 @@ impl ReplanController for BreakerSpliceController<'_> {
 mod tests {
     use super::*;
     use csqp_expr::ValueType;
+    use csqp_plan::Plan;
     use csqp_relation::datagen;
+    use csqp_relation::stream::DEFAULT_BATCH_SIZE;
     use csqp_source::CostParams;
     use csqp_ssdl::{parse_ssdl, templates};
 
@@ -1373,6 +1302,12 @@ mod tests {
         Federation::new().with_member(flaky).with_member(dump).with_breaker(cfg)
     }
 
+    /// Breaker-gated splice options at the default batch size.
+    fn splice(policy: &RetryPolicy) -> FederatedOptions<'_> {
+        const STREAM: StreamConfig = StreamConfig { batch_size: DEFAULT_BATCH_SIZE, limit: None };
+        FederatedOptions::Splice { policy, stream: &STREAM }
+    }
+
     fn car_query() -> TargetQuery {
         TargetQuery::parse("make = \"BMW\" ^ price < 40000", &["model", "year"]).unwrap()
     }
@@ -1387,7 +1322,7 @@ mod tests {
         );
         let policy = RetryPolicy { max_retries: 0, ..Default::default() };
         let q = car_query();
-        let run = f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
+        let run = f.run_stream(&q, splice(&policy), None).unwrap();
         assert_eq!(run.source_name, "dump", "failed over to the expensive mirror");
         assert!(run.stream.resilience.failovers >= 1);
         let want = csqp_relation::ops::project(
@@ -1402,18 +1337,18 @@ mod tests {
             .iter()
             .any(|(n, e)| n == "car_dealer" && matches!(e, MemberEvent::ExecFailed(_))));
         assert_eq!(run.trace.last().unwrap(), &("dump".to_string(), MemberEvent::Served));
-        // With a sink the dead dealer's attempt leaks nothing: the answer
-        // arrives once, whole, after the dump has served.
+        // With a sink each answer row arrives exactly once.
         let mut sunk = Vec::new();
         let mut sink = |b: TupleBatch| {
             sunk.extend(b.into_tuples());
             true
         };
-        let options = FederatedOptions::Failover(&policy);
+        let options = splice(&policy);
         let run = f.run_stream(&q, options, Some(&mut sink)).unwrap();
         assert!(run.stream.outcome.rows.is_empty(), "the sink consumed the answer");
+        assert_eq!(sunk.len(), want.len(), "no row reaches the sink twice");
         assert_eq!(Relation::from_tuples(want.schema().clone(), sunk), want);
-        // One prepared winner gives member failover nobody to turn to.
+        // One prepared winner gives a splice nobody to turn to.
         let prepared = f.prepare(&q).unwrap();
         assert!(matches!(f.run_stream(prepared, options, None), Err(MediatorError::Plan(_))));
     }
@@ -1422,7 +1357,7 @@ mod tests {
     fn failover_event_names_the_cost_rank_not_the_member_index() {
         use csqp_source::FaultProfile;
         // The cheap dealer is member 1 and hard-down: it is tried first,
-        // so its failure is rank 0 in cheapest-first order.
+        // in cheapest-first order, and the splice names it, not its index.
         let pair = faulty_pair(
             FaultProfile::new(0).with_outage(0, u64::MAX),
             CircuitBreakerConfig::default(),
@@ -1433,11 +1368,98 @@ mod tests {
             .with_member(dealer)
             .with_flight_recorder(Arc::new(FlightRecorder::new()));
         let policy = RetryPolicy { max_retries: 0, ..Default::default() };
-        let run = f.run_stream(&car_query(), FederatedOptions::Failover(&policy), None).unwrap();
+        let run = f.run_stream(&car_query(), splice(&policy), None).unwrap();
         assert_eq!(run.source_name, "dump");
         let why = f.explain_why();
-        assert!(why.contains("[failover] rank 0 failed: member car_dealer"), "{why}");
-        assert!(!why.contains("[failover] rank 1"), "{why}");
+        let replans: Vec<&str> = why.lines().filter(|l| l.contains("[replan]")).collect();
+        assert_eq!(replans.len(), 1, "{why}");
+        assert!(replans[0].contains("[replan] breaker-open"), "{why}");
+        assert!(replans[0].contains("member car_dealer failed"), "{why}");
+    }
+
+    #[test]
+    fn spliced_transfer_counts_only_the_members_streamed_from() {
+        use csqp_source::FaultProfile;
+        // `mirrors()` with the dealer hard-down: the dump rescues the run
+        // while the sink queries the untouched color_only member.
+        let m = mirrors();
+        let dealer = Arc::new(
+            Source::new(datagen::cars(3, 400), templates::car_dealer(), CostParams::new(10.0, 1.0))
+                .with_fault_profile(FaultProfile::new(0).with_outage(0, u64::MAX)),
+        );
+        let f = Federation::new()
+            .with_member(dealer)
+            .with_member(m.members()[1].clone())
+            .with_member(m.members()[2].clone());
+        let policy = RetryPolicy { max_retries: 0, ..Default::default() };
+        let before: Vec<Meter> = f.members().iter().map(|m| m.meter()).collect();
+        let color = TargetQuery::parse("color = \"red\"", &["make", "model"]).unwrap();
+        let mut sink = |_: TupleBatch| {
+            f.mediators[2].run(&color).unwrap();
+            true
+        };
+        let run = f.run_stream(&car_query(), splice(&policy), Some(&mut sink)).unwrap();
+        assert_eq!(run.source_name, "dump");
+        let delta = |i: usize| f.members()[i].meter().since(&before[i]);
+        assert!(delta(2).tuples_shipped > 0, "the sink shipped tuples from color_only");
+        let (dealer, dump) = (delta(0), delta(1));
+        let outcome = &run.stream.outcome;
+        assert_eq!(
+            outcome.meter,
+            Meter {
+                queries: dealer.queries + dump.queries,
+                tuples_shipped: dealer.tuples_shipped + dump.tuples_shipped,
+                rejected: dealer.rejected + dump.rejected,
+            }
+        );
+        let cost = |i: usize, d: Meter| d.cost(f.members()[i].cost_params());
+        assert_eq!(outcome.measured_cost, cost(0, dealer) + cost(1, dump));
+    }
+
+    #[test]
+    fn recovering_before_the_first_row_replans_nothing() {
+        use csqp_source::FaultProfile;
+        let policy = RetryPolicy { max_retries: 0, ..Default::default() };
+        let check_calls = |profile: FaultProfile| {
+            let f = faulty_pair(profile, CircuitBreakerConfig::default());
+            let run = f.run_stream(&car_query(), splice(&policy), None).unwrap();
+            (run.source_name, f.metrics_snapshot().counter(names::PLANNER_CHECK_CALLS))
+        };
+        let (down, healthy) = (
+            check_calls(FaultProfile::new(0).with_outage(0, u64::MAX)),
+            check_calls(FaultProfile::new(0)),
+        );
+        assert_eq!((down.0.as_str(), healthy.0.as_str()), ("dump", "car_dealer"));
+        assert!(healthy.1 > 0, "the survey planned");
+        assert_eq!(down.1, healthy.1, "the dump ran its surveyed plan");
+    }
+
+    #[test]
+    fn unconditional_residual_splices_the_surveyed_plan() {
+        let f = mirrors();
+        let q = car_query();
+        let (candidates, mut gated) = f.gated_candidates(&q).unwrap();
+        let names: Vec<&str> =
+            candidates.iter().map(|(i, _)| f.members()[*i].name.as_str()).collect();
+        assert_eq!(names, ["car_dealer", "dump"]);
+        let surveyed = candidates[1].1.plan.clone();
+        let mut ctl = BreakerSpliceController {
+            fed: &f,
+            gated: &mut gated,
+            queue: candidates.into_iter().skip(1).collect(),
+            current: 0,
+            attrs: q.attrs.clone(),
+            streamed: Vec::new(),
+        };
+        // Rows were emitted, but the dying plan has no condition to re-plan.
+        let plan = Plan::source(None, q.attrs.clone());
+        assert_eq!(plan_condition(&plan), None);
+        let probe =
+            ReplanProbe { plan: &plan, union_progress: None, leaves: &[], batches: 2, emitted: 5 };
+        let action = ctl.on_leaf_error(&probe, &ExecError::Unresolved).expect("a splice");
+        assert_eq!(action.source.name, "dump");
+        assert_eq!(action.plan, surveyed);
+        assert_eq!(ctl.current, 1);
     }
 
     #[test]
@@ -1457,23 +1479,23 @@ mod tests {
             run.trace.iter().filter(|(n, _)| n == name).map(|(_, e)| e.clone()).collect()
         };
 
-        let r1 = f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
+        let r1 = f.run_stream(&q, splice(&policy), None).unwrap();
         assert!(matches!(event_for(&r1, "car_dealer")[..], [MemberEvent::ExecFailed(_)]));
-        let r2 = f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
+        let r2 = f.run_stream(&q, splice(&policy), None).unwrap();
         assert!(matches!(event_for(&r2, "car_dealer")[..], [MemberEvent::ExecFailed(_)]));
         for _ in 0..2 {
-            let r = f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
+            let r = f.run_stream(&q, splice(&policy), None).unwrap();
             assert_eq!(event_for(&r, "car_dealer"), vec![MemberEvent::Quarantined]);
             assert_eq!(r.source_name, "dump", "quarantine shields the run from the dealer");
         }
-        let r5 = f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
+        let r5 = f.run_stream(&q, splice(&policy), None).unwrap();
         assert_eq!(
             event_for(&r5, "car_dealer"),
             vec![MemberEvent::Probed, MemberEvent::Served],
             "half-open probe succeeds"
         );
         assert_eq!(r5.source_name, "car_dealer");
-        let r6 = f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
+        let r6 = f.run_stream(&q, splice(&policy), None).unwrap();
         assert_eq!(
             event_for(&r6, "car_dealer"),
             vec![MemberEvent::Served],
@@ -1490,13 +1512,13 @@ mod tests {
         );
         let policy = RetryPolicy { max_retries: 0, ..Default::default() };
         let q = car_query();
-        let r1 = f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap(); // fails, opens
+        let r1 = f.run_stream(&q, splice(&policy), None).unwrap(); // fails, opens
         assert!(r1.trace.iter().any(|(_, e)| matches!(e, MemberEvent::ExecFailed(_))));
-        let r2 = f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap(); // quarantined
+        let r2 = f.run_stream(&q, splice(&policy), None).unwrap(); // quarantined
         assert!(r2.trace.iter().any(|(_, e)| *e == MemberEvent::Quarantined));
-        let r3 = f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap(); // probe fails, reopens
+        let r3 = f.run_stream(&q, splice(&policy), None).unwrap(); // probe fails, reopens
         assert!(r3.trace.iter().any(|(_, e)| *e == MemberEvent::Probed));
-        let r4 = f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap(); // quarantined again
+        let r4 = f.run_stream(&q, splice(&policy), None).unwrap(); // quarantined again
         assert!(r4.trace.iter().any(|(_, e)| *e == MemberEvent::Quarantined));
     }
 
@@ -1514,7 +1536,7 @@ mod tests {
             let policy = RetryPolicy { max_retries: 0, ..Default::default() };
             let q = car_query();
             for _ in 0..6 {
-                f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
+                f.run_stream(&q, splice(&policy), None).unwrap();
             }
             let snap = f.metrics_snapshot();
             if f.obs().enabled() {
@@ -1533,7 +1555,7 @@ mod tests {
                     CircuitBreakerConfig { failure_threshold: 2, cooldown_ticks: 2 },
                 );
                 for _ in 0..6 {
-                    f2.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
+                    f2.run_stream(&q, splice(&policy), None).unwrap();
                 }
                 assert_eq!(f2.obs().tracer.render(), f.obs().tracer.render());
                 assert_eq!(f2.metrics_snapshot(), snap);
@@ -1555,7 +1577,7 @@ mod tests {
         };
         let f = Federation::new().with_member(down(1)).with_member(down(2));
         let policy = RetryPolicy { max_retries: 1, ..Default::default() };
-        match f.run_stream(&car_query(), FederatedOptions::Failover(&policy), None) {
+        match f.run_stream(&car_query(), splice(&policy), None) {
             Err(MediatorError::Exec(e)) => {
                 assert!(e.to_string().contains("unavailable") || e.to_string().contains("retries"))
             }
@@ -1621,8 +1643,8 @@ mod tests {
         // Two failed runs trip the dealer's breaker; the gauge follows.
         let policy = RetryPolicy { max_retries: 0, ..Default::default() };
         let q = car_query();
-        f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
-        f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
+        f.run_stream(&q, splice(&policy), None).unwrap();
+        f.run_stream(&q, splice(&policy), None).unwrap();
         let states = f.breaker_states();
         assert_eq!(states.iter().find(|(n, _)| n == "car_dealer").unwrap().1, BreakerHealth::Open);
         assert_eq!(states.iter().find(|(n, _)| n == "dump").unwrap().1, BreakerHealth::Closed);
@@ -1638,7 +1660,7 @@ mod tests {
         // The outage is over: the cooled-down probe closes the breaker, and
         // the sparse view's tripped count is back at zero.
         for _ in 0..4 {
-            f.run_stream(&q, FederatedOptions::Failover(&policy), None).unwrap();
+            f.run_stream(&q, splice(&policy), None).unwrap();
         }
         assert!(f.breaker_states().iter().all(|(_, h)| *h == BreakerHealth::Closed));
         assert_eq!(f.tripped.load(Ordering::Relaxed), 0);
@@ -1659,7 +1681,7 @@ mod tests {
         assert_eq!(all_closed.to_string(), "2 closed");
         let policy = RetryPolicy { max_retries: 0, ..Default::default() };
         for _ in 0..2 {
-            f.run_stream(&car_query(), FederatedOptions::Failover(&policy), None).unwrap();
+            f.run_stream(&car_query(), splice(&policy), None).unwrap();
         }
         let summary = f.breaker_summary();
         assert_eq!(summary.tripped, vec![("car_dealer".to_string(), BreakerHealth::Open)]);

@@ -258,7 +258,7 @@ impl Default for AdaptiveConfig {
 /// to plan it, once at the first batch boundary), and without any cache
 /// at every batch boundary.
 #[derive(Default)]
-pub(crate) struct EstimateMemo(RefCell<BTreeMap<Fingerprint, f64>>);
+struct EstimateMemo(RefCell<BTreeMap<Fingerprint, f64>>);
 
 /// An estimator answering through a run's [`EstimateMemo`].
 struct Memoized<'c> {
@@ -796,22 +796,6 @@ impl Mediator {
             }
             StreamInput::Prepared(planned) => planned,
         };
-        self.run_planned(planned, options, sink, estimates).map_err(|(e, _)| MediatorError::Exec(e))
-    }
-
-    /// The body of [`Mediator::run_stream`] once a plan is in hand, with
-    /// the estimates planning it made. A failure carries the retry/fault
-    /// counters the run spent, which is how the federation's member
-    /// failover keeps one cumulative account across the members it tries.
-    // Built once per failed run, beside an `Ok` several times its size.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn run_planned(
-        &self,
-        planned: PlannedQuery,
-        options: StreamOptions<'_>,
-        sink: Option<&mut dyn FnMut(TupleBatch) -> bool>,
-        estimates: EstimateMemo,
-    ) -> Result<StreamOutcome, (ExecError, ResilienceMeter)> {
         let _span = self.obs.tracer.span(options.span_label());
         let before = self.source.meter();
         let mut resilience = ResilienceMeter::default();
@@ -850,15 +834,11 @@ impl Mediator {
             // is exactly when the retry counters matter most.
             resilience.record_into(&self.obs.metrics);
         }
-        let (rows, run) = match result {
-            Ok(ok) => ok,
-            Err(e) => {
-                if adaptive {
-                    self.obs.tracer.event_with(|| format!("adaptive run died: {e}"));
-                }
-                return Err((e, resilience));
+        let (rows, run) = result.inspect_err(|e| {
+            if adaptive {
+                self.obs.tracer.event_with(|| format!("adaptive run died: {e}"));
             }
-        };
+        })?;
         let meter = self.source.meter().since(&before);
         let measured_cost = meter.cost(self.source.cost_params());
         let rows = match rows {

@@ -347,9 +347,10 @@ fn audit_main(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `csqp --chaos <seed>`: a seeded fault storm against a federation of three
-/// unreliable mirrors of the same car data, showing retries, failovers, and
-/// circuit-breaker quarantine. Fully deterministic per seed.
+/// `csqp --chaos <seed>`: a seeded fault storm against a federation of two
+/// unreliable mirrors of the same car data, showing retries, splices onto
+/// the other mirror, and circuit-breaker quarantine. Fully deterministic per
+/// seed.
 fn chaos_demo(seed: u64, args: &Args) -> ExitCode {
     let data = csqp::relation::datagen::cars(3, 400);
     let dealer = Arc::new(
@@ -380,6 +381,8 @@ fn chaos_demo(seed: u64, args: &Args) -> ExitCode {
         .with_breaker(CircuitBreakerConfig { failure_threshold: 2, cooldown_ticks: 2 })
         .with_obs(obs.clone());
     let policy = RetryPolicy { max_retries: 2, jitter_seed: seed, ..Default::default() };
+    let stream = StreamConfig::default();
+    let options = FederatedOptions::Splice { policy: &policy, stream: &stream };
 
     println!("chaos storm, seed {seed}: 2 mirrors (cheap flaky form, dear steadier dump)");
     let queries = [
@@ -392,7 +395,7 @@ fn chaos_demo(seed: u64, args: &Args) -> ExitCode {
             let attr_refs: Vec<&str> = attrs.to_vec();
             let query = TargetQuery::parse(cond, &attr_refs).expect("demo query parses");
             print!("r{round} {cond}: ");
-            match federation.run_stream(&query, FederatedOptions::Failover(&policy), None) {
+            match federation.run_stream(&query, options, None) {
                 Ok(run) => {
                     let resilience = run.stream.resilience;
                     println!(

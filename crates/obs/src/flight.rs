@@ -173,14 +173,6 @@ pub enum PlanEvent {
         /// Human-readable elimination detail.
         detail: String,
     },
-    /// Member failover: a federation member's run failed and execution
-    /// moved on to the next-cheapest member.
-    Failover {
-        /// Position of the failed member in cheapest-first order.
-        rank: usize,
-        /// What happened, rendered.
-        detail: String,
-    },
     /// The federation capability index pre-filtered the member set before
     /// full `Check`-based planning.
     IndexPrune {
@@ -283,9 +275,6 @@ impl fmt::Display for PlanEvent {
             PlanEvent::Winner { cost, plan } => write!(f, "winner (cost {cost:.2}): {plan}"),
             PlanEvent::Eliminated { rule, cost, plan, detail } => {
                 write!(f, "[{rule}] eliminated (cost {cost:.2}; {detail}): {plan}")
-            }
-            PlanEvent::Failover { rank, detail } => {
-                write!(f, "[failover] rank {rank} failed: {detail}")
             }
             PlanEvent::IndexPrune { total, candidates, pruned } => {
                 write!(

@@ -78,7 +78,8 @@ pub const RESILIENCE_TIMEOUTS: &str = "resilience.timeouts";
 pub const RESILIENCE_RATE_LIMITED: &str = "resilience.rate_limited";
 /// Outage windows hit.
 pub const RESILIENCE_OUTAGES: &str = "resilience.outages";
-/// Member switches and mid-stream splices to another federation member.
+/// Splices onto another federation member on served runs — the one way a
+/// run fails over, so those made before the first answer row count too.
 pub const RESILIENCE_FAILOVERS: &str = "resilience.failovers";
 /// Virtual ticks spent on simulated latency and backoff.
 pub const RESILIENCE_BACKOFF_TICKS: &str = "resilience.backoff_ticks";
@@ -108,7 +109,8 @@ pub const REPLAN_TRIGGERED: &str = "replan.triggered";
 /// Replan triggers caused by observed-cardinality drift outside the
 /// ½×–2× band.
 pub const REPLAN_DRIFT_TRIGGERS: &str = "replan.drift_triggers";
-/// Replan triggers caused by a circuit breaker opening mid-pipeline.
+/// Replan triggers caused by a member's leaf failure on a breaker-gated
+/// run — every member failover starts as one.
 pub const REPLAN_BREAKER_TRIGGERS: &str = "replan.breaker_triggers";
 /// Sub-plans actually spliced into a running pipeline (a trigger whose
 /// re-planned residual matched the remaining plan splices nothing).
@@ -376,7 +378,7 @@ pub const CATALOG: &[MetricMeta] = &[
     meta(RESILIENCE_TIMEOUTS, MetricKind::Counter, "timeouts absorbed"),
     meta(RESILIENCE_RATE_LIMITED, MetricKind::Counter, "rate-limit rejections absorbed"),
     meta(RESILIENCE_OUTAGES, MetricKind::Counter, "outage windows hit"),
-    meta(RESILIENCE_FAILOVERS, MetricKind::Counter, "member switches and splices"),
+    meta(RESILIENCE_FAILOVERS, MetricKind::Counter, "splices onto another member"),
     meta(RESILIENCE_BACKOFF_TICKS, MetricKind::Counter, "virtual ticks of latency and backoff"),
     meta(BREAKER_OPENED, MetricKind::Counter, "breaker transitions to open"),
     meta(BREAKER_HALF_OPENED, MetricKind::Counter, "breaker transitions to half-open"),
@@ -387,7 +389,7 @@ pub const CATALOG: &[MetricMeta] = &[
     meta(FEDERATION_SERVED, MetricKind::Counter, "queries served by some member"),
     meta(REPLAN_TRIGGERED, MetricKind::Counter, "replan triggers observed"),
     meta(REPLAN_DRIFT_TRIGGERS, MetricKind::Counter, "replan triggers from cardinality drift"),
-    meta(REPLAN_BREAKER_TRIGGERS, MetricKind::Counter, "replan triggers from breaker opens"),
+    meta(REPLAN_BREAKER_TRIGGERS, MetricKind::Counter, "replan triggers from member failures"),
     meta(REPLAN_SPLICES, MetricKind::Counter, "sub-plans spliced into running pipelines"),
     meta(BREAKER_STATE_PREFIX, MetricKind::Gauge, "live breaker state per member (0/1/2)"),
     meta(CAPINDEX_CANDIDATES, MetricKind::Counter, "members surviving the capability index"),

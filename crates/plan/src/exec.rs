@@ -181,16 +181,17 @@ pub(crate) struct ResilientCtx<'a> {
     /// Ticks consumed by this run (source latency + backoff); checked
     /// against `policy.deadline_ticks`.
     pub(crate) ticks_used: u64,
+    /// The run's counters, continued from where earlier segments left them.
     pub(crate) res: ResilienceMeter,
 }
 
 impl ResilientCtx<'_> {
-    pub(crate) fn new(policy: &RetryPolicy) -> ResilientCtx<'_> {
+    pub(crate) fn new(policy: &RetryPolicy, res: ResilienceMeter) -> ResilientCtx<'_> {
         ResilientCtx {
             policy,
             jitter: StdRng::seed_from_u64(policy.jitter_seed),
             ticks_used: 0,
-            res: ResilienceMeter::default(),
+            res,
         }
     }
 

@@ -783,12 +783,12 @@ mod engine {
             t.leaves.clear();
         }
         let mut account = Account::default();
-        let mut ctx = retry.as_deref().map(|r| ResilientCtx::new(r.policy));
+        let mut ctx = retry.as_deref().map(|r| ResilientCtx::new(r.policy, *r.meter));
         let mut extras = Extras { resilient: ctx.as_mut(), analyzed, adaptive: track, tracer };
         let outcome =
             drive(plan, source, cfg, &mut account, controller, carried, &mut extras, sink);
         if let (Some(r), Some(c)) = (retry, &ctx) {
-            r.meter.absorb(&c.res);
+            *r.meter = c.res;
         }
         let s = account.stats();
         carried.total.batches += s.batches;

@@ -57,9 +57,7 @@ pub fn explain_why(record: Option<&QueryRecord>) -> String {
                 }
             }
             PlanEvent::Eliminated { .. } => losers.push(format!("  {e}")),
-            PlanEvent::Failover { .. } | PlanEvent::Breaker { .. } | PlanEvent::Replan { .. } => {
-                runtime.push(format!("  {e}"))
-            }
+            PlanEvent::Breaker { .. } | PlanEvent::Replan { .. } => runtime.push(format!("  {e}")),
             PlanEvent::CheckCacheStats { .. } => check_cache = Some(e.to_string()),
             PlanEvent::IndexPrune { .. } => index_prune = Some(e.to_string()),
             PlanEvent::Note { .. } if i > winner_idx => runtime.push(format!("  {e}")),
@@ -171,7 +169,7 @@ mod tests {
                     plan: "SQ(a = 1) loser".into(),
                     detail: "est cost 3.00 vs winner 2.00 (Δ +1.00)".into(),
                 },
-                PlanEvent::Failover { rank: 0, detail: "source unavailable".into() },
+                PlanEvent::Breaker { member: "m1".into(), transition: "opened" },
             ],
             dropped: 0,
         };
@@ -182,7 +180,7 @@ mod tests {
         assert!(r.contains("[PR2]"));
         assert!(r.contains("[cost] eliminated"));
         assert!(r.contains("check cache: 4 calls"));
-        assert!(r.contains("[failover] rank 0"));
+        assert!(r.contains("[breaker] member m1: opened"), "{r}");
         assert!(r.contains("1 PR2 evictions"));
     }
 

@@ -184,7 +184,7 @@ impl FaultProfile {
 /// The same struct is used at every layer of the stack: a
 /// [`Source`](crate::Source) fills the injected-fault counters, the
 /// resilient executor adds `attempts`/`retries`/`ticks` (including backoff),
-/// and the mediator/federation layers add `failovers`.
+/// and the federation's member splices add `failovers`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResilienceMeter {
     /// Query attempts issued (executor-side: includes retries).
@@ -206,18 +206,6 @@ pub struct ResilienceMeter {
 }
 
 impl ResilienceMeter {
-    /// Folds `other` into `self` (layer aggregation).
-    pub fn absorb(&mut self, other: &ResilienceMeter) {
-        self.attempts += other.attempts;
-        self.retries += other.retries;
-        self.transients += other.transients;
-        self.timeouts += other.timeouts;
-        self.rate_limited += other.rate_limited;
-        self.outages += other.outages;
-        self.failovers += other.failovers;
-        self.ticks += other.ticks;
-    }
-
     /// Total injected faults observed.
     pub fn faults(&self) -> u64 {
         self.transients + self.timeouts + self.rate_limited + self.outages
@@ -304,24 +292,5 @@ mod tests {
                 assert!(snap.counters.is_empty(), "off registry records nothing");
             }
         }
-    }
-
-    #[test]
-    fn meter_absorb_sums_fields() {
-        let mut a = ResilienceMeter { attempts: 2, retries: 1, ticks: 5, ..Default::default() };
-        let b = ResilienceMeter {
-            attempts: 3,
-            transients: 2,
-            failovers: 1,
-            ticks: 7,
-            ..Default::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.attempts, 5);
-        assert_eq!(a.retries, 1);
-        assert_eq!(a.transients, 2);
-        assert_eq!(a.failovers, 1);
-        assert_eq!(a.ticks, 12);
-        assert_eq!(a.faults(), 2);
     }
 }

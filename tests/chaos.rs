@@ -12,6 +12,11 @@
 //! 4. **Safety** — no storm makes the mediator send a source a query its
 //!    description does not accept.
 //!
+//! Both federation storms recover on another member the one way the
+//! federation has, the breaker splice of `FederatedOptions::Splice`: a
+//! member that dies before its first row hands the rescuer its surveyed
+//! plan, one that dies mid-pipeline hands it the re-planned residual.
+//!
 //! Regenerate the golden trace after an intentional behaviour change with:
 //! `CHAOS_BLESS=1 cargo test -p csqp-core --test chaos`.
 
@@ -219,6 +224,7 @@ fn render_event(e: &MemberEvent) -> String {
 fn federation_storm(seed: u64) -> Vec<String> {
     let f = storm_federation(seed);
     let policy = RetryPolicy { max_retries: 1, jitter_seed: seed, ..Default::default() };
+    let stream = StreamConfig::default();
     let queries = [
         q("make = \"BMW\" ^ price < 40000", &["model", "year"]),
         q("color = \"red\"", &["make", "model"]),
@@ -229,7 +235,8 @@ fn federation_storm(seed: u64) -> Vec<String> {
     for round in 0..4 {
         for (i, query) in queries.iter().enumerate() {
             let mut line = format!("fed/r{round}q{i} seed={seed}: ");
-            match f.run_stream(query, FederatedOptions::Failover(&policy), None) {
+            let options = FederatedOptions::Splice { policy: &policy, stream: &stream };
+            match f.run_stream(query, options, None) {
                 Ok(run) => {
                     let member = f.members().iter().find(|m| m.name == run.source_name).unwrap();
                     assert_eq!(

@@ -124,7 +124,7 @@ fn oracle_estimates_match_observations_on_e1() {
 fn metrics_snapshot_schema_is_stable() {
     for obs in [Obs::new(), Obs::off()] {
         // A two-member federation where the cheap member is hard-down: the run
-        // exercises retries, a breaker open, and a failover.
+        // exercises retries, a breaker open, and a splice onto the other.
         let data = datagen::books(7, &BookGenConfig { n_books: 300, ..Default::default() });
         let flaky = Arc::new(
             Source::new(data.clone(), templates::bookstore(), CostParams::new(10.0, 1.0))
@@ -138,8 +138,13 @@ fn metrics_snapshot_schema_is_stable() {
             .with_breaker(CircuitBreakerConfig { failure_threshold: 1, cooldown_ticks: 1 })
             .with_obs(Arc::new(obs));
         let policy = RetryPolicy { max_retries: 1, ..Default::default() };
+        let stream = StreamConfig::default();
         federation
-            .run_stream(&e1_query(), FederatedOptions::Failover(&policy), None)
+            .run_stream(
+                &e1_query(),
+                FederatedOptions::Splice { policy: &policy, stream: &stream },
+                None,
+            )
             .expect("steady member serves");
 
         let snap = federation.metrics_snapshot();

@@ -301,7 +301,9 @@ fn federation_fails_over_when_cheapest_member_dies_at_execution() {
     let q = TargetQuery::parse("make = \"BMW\" ^ price < 40000", &["model", "year"]).unwrap();
 
     let policy = RetryPolicy::default();
-    let run = f.run_stream(&q, csqp_core::FederatedOptions::Failover(&policy), None).unwrap();
+    let stream = csqp_plan::StreamConfig::default();
+    let options = csqp_core::FederatedOptions::Splice { policy: &policy, stream: &stream };
+    let run = f.run_stream(&q, options, None).unwrap();
     assert_eq!(run.source_name, "dump", "must fail over to the reliable mirror");
     assert!(run.stream.resilience.failovers >= 1);
     assert!(

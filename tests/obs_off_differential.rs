@@ -179,7 +179,6 @@ fn the_fedcorpus_federation_is_blind_to_the_recorders() {
             assert_eq!(a.planned.est_cost, b.planned.est_cost, "{ctx}: winner's est_cost");
             for options in [
                 FederatedOptions::Winner(StreamOptions::plain(&stream)),
-                FederatedOptions::Failover(&policy),
                 FederatedOptions::Splice { policy: &policy, stream: &stream },
             ] {
                 let run = |f: &Federation| f.run_stream(&query, options, None);
@@ -193,7 +192,7 @@ fn the_fedcorpus_federation_is_blind_to_the_recorders() {
 }
 
 /// The chaos-replan shape: a cheap dealer that goes dark next to a reliable
-/// dump, breaker threshold 1 — quarantines, probes, failovers and splices
+/// dump, breaker threshold 1 — quarantines, probes and splices
 /// all land in the trace, and none of them may depend on the recorders.
 #[test]
 fn breaker_storms_narrate_the_same_trace_without_recorders() {
@@ -223,24 +222,18 @@ fn breaker_storms_narrate_the_same_trace_without_recorders() {
         q("(make = \"Honda\" _ make = \"BMW\") ^ price < 30000", &["model", "year"]),
         q("year = 1995", &["make", "model"]),
     ];
-    for splice in [false, true] {
-        let (on, off) = (federation(true), federation(false));
-        let mut eventful = 0;
-        for round in 0..4 {
-            for (i, query) in queries.iter().enumerate() {
-                let options = if splice {
-                    FederatedOptions::Splice { policy: &policy, stream: &stream }
-                } else {
-                    FederatedOptions::Failover(&policy)
-                };
-                let (a, b) =
-                    (on.run_stream(query, options, None), off.run_stream(query, options, None));
-                eventful += a.as_ref().map_or(0, |r| r.trace.len().saturating_sub(1));
-                assert_same_federated(a, b, &format!("splice={splice} r{round}q{i}"));
-                common::assert_no_rejections(on.members().iter().chain(off.members()));
-            }
+    let options = FederatedOptions::Splice { policy: &policy, stream: &stream };
+    let (on, off) = (federation(true), federation(false));
+    let mut eventful = 0;
+    for round in 0..4 {
+        for (i, query) in queries.iter().enumerate() {
+            let (a, b) =
+                (on.run_stream(query, options, None), off.run_stream(query, options, None));
+            eventful += a.as_ref().map_or(0, |r| r.trace.len().saturating_sub(1));
+            assert_same_federated(a, b, &format!("r{round}q{i}"));
+            common::assert_no_rejections(on.members().iter().chain(off.members()));
         }
-        assert!(eventful > 0, "splice={splice}: the storm must exercise the breaker");
-        assert_eq!(on.breaker_states(), off.breaker_states(), "breakers end in the same state");
     }
+    assert!(eventful > 0, "the storm must exercise the breaker");
+    assert_eq!(on.breaker_states(), off.breaker_states(), "breakers end in the same state");
 }

@@ -578,3 +578,24 @@ fn cli_limit_flag() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `csqp --chaos` prints its storm totals from the metrics registry: the
+/// failovers it counts are exactly the splices its per-run traces show.
+#[test]
+fn cli_chaos_demo_counts_each_splice_once() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_csqp"))
+        .args(["--chaos", "42"])
+        .output()
+        .expect("run csqp binary");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let totals = stdout.lines().find(|l| l.starts_with("storm totals:")).expect("a totals line");
+    let failovers: usize = totals
+        .split(", ")
+        .find_map(|part| part.strip_suffix(" failovers"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no failover count in {totals:?}"));
+    let splices = stdout.matches("spliced in mid-stream for").count();
+    assert!(splices > 0, "seed 42 moves a run onto the other mirror:\n{stdout}");
+    assert_eq!(failovers, splices, "{stdout}");
+}

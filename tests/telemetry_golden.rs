@@ -254,6 +254,7 @@ fn chaos_storm_drives_dark_member_below_healthy() {
     use csqp_expr::ValueType;
     use csqp_obs::Obs;
     use csqp_plan::exec::RetryPolicy;
+    use csqp_plan::exec_stream::StreamConfig;
     use csqp_relation::datagen;
     use csqp_source::{CostParams, FaultProfile, Source};
     use csqp_ssdl::templates;
@@ -286,12 +287,13 @@ fn chaos_storm_drives_dark_member_below_healthy() {
         .with_breaker(CircuitBreakerConfig { failure_threshold: 2, cooldown_ticks: 1_000 })
         .with_obs(obs);
     let policy = RetryPolicy { max_retries: 1, jitter_seed: 7, ..Default::default() };
+    let stream = StreamConfig::default();
     let query = TargetQuery::parse("make = \"BMW\" ^ price < 40000", &["model", "year"]).unwrap();
     for _ in 0..6 {
         // The dark dealer wins planning, dies, and the dump rescues the
         // answer — errors and breaker opens pile onto the dealer.
         federation
-            .run_stream(&query, FederatedOptions::Failover(&policy), None)
+            .run_stream(&query, FederatedOptions::Splice { policy: &policy, stream: &stream }, None)
             .expect("dump must rescue the answer");
     }
     let window = federation.metrics_snapshot();
