@@ -266,15 +266,21 @@ struct Memoized<'c> {
     memo: &'c EstimateMemo,
 }
 
-impl Cardinality for Memoized<'_> {
-    fn estimate(&self, cond: Option<&CondTree>) -> f64 {
-        let fp = cond_fingerprint(cond);
+impl Memoized<'_> {
+    /// The estimate for `cond`, whose fingerprint the caller already holds.
+    fn estimate_keyed(&self, fp: Fingerprint, cond: Option<&CondTree>) -> f64 {
         if let Some(&e) = self.memo.0.borrow().get(&fp) {
             return e;
         }
         let e = self.card.estimate(cond);
         self.memo.0.borrow_mut().insert(fp, e);
         e
+    }
+}
+
+impl Cardinality for Memoized<'_> {
+    fn estimate(&self, cond: Option<&CondTree>) -> f64 {
+        self.estimate_keyed(cond_fingerprint(cond), cond)
     }
 }
 
@@ -343,8 +349,8 @@ impl ReplanController for DriftController<'_> {
         med.with_card(|card| {
             let card = Memoized { card, memo: &self.estimates };
             for leaf in probe.leaves {
-                let fp = cond_fingerprint(leaf.cond.as_ref());
-                let est = match card.estimate(leaf.cond.as_ref()) {
+                let fp = leaf.fp;
+                let est = match card.estimate_keyed(fp, leaf.cond.as_ref()) {
                     e if e.is_finite() => e.max(0.0),
                     _ => 0.0,
                 };

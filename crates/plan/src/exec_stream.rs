@@ -47,6 +47,7 @@ use csqp_relation::schema::Schema;
 use csqp_relation::stream::{TupleBatch, DEFAULT_BATCH_SIZE};
 use csqp_relation::Relation;
 use csqp_source::{ResilienceMeter, Source};
+use csqp_ssdl::linearize::Fingerprint;
 use std::sync::Arc;
 
 /// Knobs for one streaming execution.
@@ -111,6 +112,10 @@ pub struct LeafProgress {
     pub rendered: String,
     /// The leaf's condition (what the source was asked to satisfy).
     pub cond: Option<CondTree>,
+    /// `cond`'s fingerprint, taken from the leaf's source stream at open:
+    /// a controller keys per-leaf state by it without re-hashing the
+    /// condition at every batch boundary.
+    pub fp: Fingerprint,
     /// Rows the leaf has shipped so far in the current segment.
     pub rows_out: u64,
     /// Whether the leaf stream is exhausted.
@@ -582,6 +587,7 @@ mod engine {
                     track.leaves.push(LeafProgress {
                         rendered: plan.to_string(),
                         cond: cond.clone(),
+                        fp: stream.fingerprint(),
                         rows_out: 0,
                         done: false,
                     });

@@ -192,6 +192,17 @@ fn bare_lossy_leaves() -> Vec<(u64, Plan)> {
     ]
 }
 
+/// Bare source-query roots whose projection keeps the unique `k`: the
+/// source stream keeps no seen set, so a splice rebuilds the leaf's shipped
+/// set from the rows it scanned.
+fn bare_key_leaves() -> Vec<(u64, Plan)> {
+    vec![
+        (11, Plan::source(Some(cond(3, 1)), attrs(["k", "a"]))),
+        (23, Plan::source(Some(cond(8, 2)), attrs(["k"]))),
+        (7, Plan::source(Some(cond(12, 1)), attrs(["k", "b", "c"]))),
+    ]
+}
+
 /// Every reachable [`StreamRequest`] against the materialized oracle:
 /// set-equal answers in the plain stream's order, spliced or not (a splice
 /// re-covers drained ground and must emit nothing twice); the oracle's
@@ -204,7 +215,7 @@ fn request_matrix_matches_the_materialized_oracle() {
     let mut spliced = 0;
     let shapes = [(11, 5, 2), (23, 9, 3), (7, 2, 1), (40, 14, 0)]
         .map(|(seed, plan_seed, depth)| (seed, concrete_plan(plan_seed, depth)));
-    for (seed, plan) in shapes.into_iter().chain(bare_lossy_leaves()) {
+    for (seed, plan) in shapes.into_iter().chain(bare_lossy_leaves()).chain(bare_key_leaves()) {
         let oracle = full_source(seed);
         let (want, want_meter) = execute_measured(&plan, &oracle).unwrap();
         assert_no_rejections(&oracle);
@@ -276,11 +287,13 @@ impl ReplanController for RecoverOnLeafError {
 
 /// A bare leaf that dies on its k-th pull and is spliced, by
 /// `on_leaf_error`, to the same plan on an identical source: the rows it
-/// emitted before dying are exactly what the recovered segment must skip.
+/// emitted before dying are exactly what the recovered segment must skip,
+/// whether the leaf's stream dedups through a seen set (key dropped) or
+/// rebuilds its shipped set from the scan (key kept).
 #[test]
 fn a_leaf_spliced_after_a_mid_stream_failure_emits_each_row_once_in_order() {
     let mut recovered = 0;
-    for (seed, plan) in bare_lossy_leaves() {
+    for (seed, plan) in bare_lossy_leaves().into_iter().chain(bare_key_leaves()) {
         let reference = stream(&plan, &full_source(seed), &StreamConfig::default());
         for batch in [1, 3, 16] {
             for k in 1..5 {

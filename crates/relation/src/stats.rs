@@ -24,7 +24,10 @@ pub const DEFAULT_CONTAINS_SELECTIVITY: f64 = 0.05;
 /// Statistics for one column.
 #[derive(Debug, Clone)]
 pub struct ColumnStats {
-    /// Number of distinct values.
+    /// Number of distinct values. The count is exact, never sampled:
+    /// [`TableStats::build`] keys every row's value under `Value`'s
+    /// structural `Ord`, which agrees with `Eq` (floats by bit pattern,
+    /// `Int(1)` and `Float(1.0)` distinct).
     pub ndv: usize,
     /// Exact value frequencies, kept while `ndv <= EXACT_FREQ_LIMIT`.
     pub freqs: Option<BTreeMap<Value, usize>>,
@@ -88,6 +91,14 @@ impl TableStats {
     /// Statistics for a column, if known.
     pub fn column(&self, name: &str) -> Option<&ColumnStats> {
         self.columns.get(name)
+    }
+
+    /// Does every row hold a different value in column `name`? Exact (see
+    /// [`ColumnStats::ndv`]): a projection that keeps such a column cannot
+    /// produce two `Eq` tuples from two rows. Unknown columns are not
+    /// unique.
+    pub fn is_unique(&self, name: &str) -> bool {
+        self.columns.get(name).is_some_and(|c| c.ndv == self.rows)
     }
 
     /// Estimated selectivity of an atomic condition in `[0, 1]`.
@@ -328,8 +339,35 @@ mod tests {
         let r = Relation::empty(schema);
         let s = TableStats::build(&r);
         assert_eq!(s.rows, 0);
+        assert!(s.is_unique("a"), "no two rows of an empty relation agree");
         assert_eq!(s.atom_selectivity(&Atom::eq("a", 1i64)), 0.0);
         assert_eq!(s.estimate_rows(None), 0.0);
+    }
+
+    #[test]
+    fn uniqueness_is_value_eq() {
+        // Signed zeros, NaN payloads and an Int beside an equal Float are
+        // distinct under `Eq`, so each pair counts twice; a repeated value
+        // (the second `Int(1)`) does not.
+        let schema = Schema::new("t", vec![("x", ValueType::Float)], &[]).unwrap();
+        let nan2 = f64::from_bits(f64::NAN.to_bits() | 1);
+        let vals =
+            [Value::Float(0.0), Value::Float(-0.0), Value::Float(f64::NAN), Value::Float(nan2)];
+        let int_float = [Value::Int(1), Value::Float(1.0)];
+        let r = Relation::from_rows(
+            schema,
+            vals.iter().chain(&int_float).map(|v| vec![v.clone()]).collect(),
+        );
+        assert!(TableStats::build(&r).is_unique("x"));
+        let mut rows: Vec<Vec<Value>> =
+            vals.iter().map(|v| vec![v.clone(), Value::Int(0)]).collect();
+        rows.push(vec![Value::Int(1), Value::Int(0)]);
+        rows.push(vec![Value::Int(1), Value::Int(1)]);
+        let two =
+            Schema::new("t", vec![("x", ValueType::Float), ("y", ValueType::Int)], &[]).unwrap();
+        let s = TableStats::build(&Relation::from_rows(two, rows));
+        assert_eq!((s.rows, s.column("x").unwrap().ndv), (6, 5));
+        assert!(!s.is_unique("x") && !s.is_unique("y"));
     }
 
     #[test]
@@ -340,6 +378,8 @@ mod tests {
         let col = s.column("id").unwrap();
         assert!(col.freqs.is_none());
         assert_eq!(col.ndv, 5000);
+        assert!(s.is_unique("id"));
+        assert!(!s.is_unique("make") && !s.is_unique("nope"));
         let c = parse_condition("id < 2500").unwrap();
         let est = s.estimate_rows(Some(&c));
         assert!((est - 2500.0).abs() / 5000.0 < 0.08, "est {est}");

@@ -168,6 +168,12 @@ pub struct Source {
     /// federation capability index is built from these).
     facts: OnceLock<CapabilityFacts>,
     stats: TableStats,
+    /// Per column, in schema order: does every row hold a different value
+    /// there? Read off `stats`' exact distinct counts, never off the
+    /// declared schema key, which nothing checks against the rows. A
+    /// stream whose projection keeps such a column cannot ship a duplicate,
+    /// so it keeps no seen set.
+    unique: Vec<bool>,
     cost: CostParams,
     queries: AtomicU64,
     tuples_shipped: AtomicU64,
@@ -194,6 +200,7 @@ impl Source {
         let name = desc.name.clone();
         let closed = permutation_closure(&desc, DEFAULT_MAX_SEGMENTS);
         let stats = TableStats::build(&relation);
+        let unique = relation.schema().columns.iter().map(|c| stats.is_unique(&c.name)).collect();
         Source {
             name,
             relation,
@@ -202,6 +209,7 @@ impl Source {
             planning_check_cache: SharedCheckCache::new(),
             facts: OnceLock::new(),
             stats,
+            unique,
             cost,
             queries: AtomicU64::new(0),
             tuples_shipped: AtomicU64::new(0),
@@ -418,7 +426,9 @@ impl Source {
     /// because serve workers share one `Source` across threads), and the
     /// stream dedups its
     /// output exactly like the materialized projection — a fully drained
-    /// stream leaves the meter exactly where `answer` would have.
+    /// stream leaves the meter exactly where `answer` would have. A
+    /// projection that keeps a column unique in the relation cannot repeat
+    /// itself, so such a stream ships every kept row without a seen set.
     ///
     /// Fault injection is per *pull*: the gate draws once at open and once
     /// per subsequent batch, so a mid-stream fault surfaces on that pull
@@ -445,6 +455,7 @@ impl Source {
         let (out_schema, indices) =
             project_indices(schema, &attr_refs).map_err(|e| SourceError::Schema(e.to_string()))?;
         self.queries.fetch_add(1, Ordering::Relaxed);
+        let keeps_unique = indices.iter().any(|&i| self.unique[i]);
         Ok(SourceStream {
             source: self,
             fp: cond_fingerprint(cond),
@@ -455,7 +466,7 @@ impl Source {
             cursor: 0,
             shipped: 0,
             recorded: false,
-            seen: FingerprintIndex::default(),
+            seen: (!keeps_unique).then(FingerprintIndex::default),
         })
     }
 
@@ -559,7 +570,14 @@ pub struct SourceStream<'a> {
     /// projected columns. The `&'a Source` borrow keeps the relation
     /// immutable, so a position stands for its projection for the whole
     /// life of the stream, and only a row that ships is ever cloned.
-    seen: FingerprintIndex<u32>,
+    /// `None` when the projection keeps a unique column: every kept row
+    /// is then a fresh projection.
+    seen: Option<FingerprintIndex<u32>>,
+}
+
+/// Does the scan keep row `t` (`None` is the condition `true`)?
+fn keeps(cond: Option<&BoundCond>, t: &Tuple) -> bool {
+    cond.is_none_or(|c| c.eval(t.values()))
 }
 
 /// The fingerprint a stream's seen set keys `t`'s projection under.
@@ -577,6 +595,12 @@ impl SourceStream<'_> {
         &self.out_schema
     }
 
+    /// The fingerprint of the caller's condition ([`cond_fingerprint`]),
+    /// which the exhaustion observation is recorded under.
+    pub fn fingerprint(&self) -> Fingerprint {
+        self.fp
+    }
+
     /// Pulls the next batch; `Ok(None)` once the scan is exhausted.
     pub fn next_batch(&mut self) -> Result<Option<TupleBatch>, SourceError> {
         let tuples = self.source.relation.tuples();
@@ -589,20 +613,21 @@ impl SourceStream<'_> {
         while self.cursor < tuples.len() && fresh.len() < self.batch_size {
             let t = &tuples[self.cursor];
             self.cursor += 1;
-            let keep = match &self.cond {
-                None => true,
-                Some(c) => c.eval(t.values()),
+            if !keeps(self.cond.as_ref(), t) {
+                continue;
+            }
+            let indices = &self.indices;
+            let Some(seen) = &mut self.seen else {
+                fresh.push(t.project(indices));
+                continue;
             };
-            if keep {
-                let indices = &self.indices;
-                let same = |&first: &u32| {
-                    let u = &tuples[first as usize];
-                    indices.iter().all(|&i| u.values()[i] == t.values()[i])
-                };
-                let at = (self.cursor - 1) as u32;
-                if self.seen.insert_with(seen_fingerprint(t, indices), same, || at) {
-                    fresh.push(t.project(indices));
-                }
+            let same = |&first: &u32| {
+                let u = &tuples[first as usize];
+                indices.iter().all(|&i| u.values()[i] == t.values()[i])
+            };
+            let at = (self.cursor - 1) as u32;
+            if seen.insert_with(seen_fingerprint(t, indices), same, || at) {
+                fresh.push(t.project(indices));
             }
         }
         if fresh.is_empty() && self.cursor >= tuples.len() {
@@ -621,17 +646,29 @@ impl SourceStream<'_> {
     }
 
     /// Closes the stream and returns the set of tuples it shipped, built
-    /// from the seen set's row positions. A later pull returns `Ok(None)`
-    /// and records no cardinality, as if the stream had been dropped here.
-    /// The engine calls this only when a segment ends in a splice or a leaf
-    /// error, so the per-row path never builds the set.
+    /// from the seen set's row positions, or, without a seen set, by
+    /// projecting every row the scan kept so far (a fault leaves the
+    /// cursor where it was, so each of those rows shipped). A later pull
+    /// returns `Ok(None)` and records no cardinality, as if the stream had
+    /// been dropped here. The engine calls this only when a segment ends
+    /// in a splice or a leaf error, so the per-row path never builds the
+    /// set.
     pub fn take_shipped(&mut self) -> DedupSketch {
         let rows = self.source.relation.tuples();
-        self.cursor = rows.len();
+        let scanned = std::mem::replace(&mut self.cursor, rows.len());
         self.recorded = true;
         let mut shipped = DedupSketch::new();
-        for (_, &at) in std::mem::take(&mut self.seen).iter() {
-            shipped.insert(&rows[at as usize].project(&self.indices));
+        match self.seen.take() {
+            Some(seen) => {
+                for (_, &at) in seen.iter() {
+                    shipped.insert(&rows[at as usize].project(&self.indices));
+                }
+            }
+            None => {
+                for t in rows[..scanned].iter().filter(|t| keeps(self.cond.as_ref(), t)) {
+                    shipped.insert(&t.project(&self.indices));
+                }
+            }
         }
         shipped
     }
@@ -885,6 +922,71 @@ mod tests {
             assert!(s.observed_cardinality(Some(&c)).is_none(), "and records nothing");
             assert_eq!(s.meter().tuples_shipped, shipped.len() as u64);
         }
+    }
+
+    #[test]
+    fn key_keeping_stream_matches_answer_even_when_every_fingerprint_collides() {
+        // {make, model} keeps the unique model: the stream keeps no seen
+        // set, so a colliding fingerprint has nothing to confuse.
+        let c = parse_condition("make = \"BMW\" ^ price < 90000").unwrap();
+        let a = attrs(&["make", "model"]);
+        for collide in [false, true] {
+            let s = dealer();
+            assert!(s.stats().is_unique("model") && !s.stats().is_unique("make"));
+            let oracle = s.answer(Some(&c), &a).unwrap();
+            let oracle_meter = s.meter();
+            let oracle_card = s.observed_cardinality(Some(&c));
+            let fresh = dealer();
+            COLLIDE.with(|f| f.set(collide));
+            let mut stream = fresh.answer_stream(Some(&c), &a, 5).unwrap();
+            assert!(stream.seen.is_none(), "a key-keeping stream keeps no seen set");
+            let mut got = Vec::new();
+            while let Some(b) = stream.next_batch().unwrap() {
+                got.extend(b.into_tuples());
+            }
+            COLLIDE.with(|f| f.set(false));
+            assert_eq!(got, oracle.tuples(), "same rows in the same order, collide={collide}");
+            assert_eq!(fresh.meter(), oracle_meter, "collide={collide}");
+            assert_eq!(fresh.observed_cardinality(Some(&c)), oracle_card);
+        }
+    }
+
+    #[test]
+    fn key_keeping_take_shipped_is_the_shipped_set_and_closes_the_stream() {
+        let c = parse_condition("make = \"BMW\" ^ price < 90000").unwrap();
+        let a = attrs(&["model", "year"]);
+        for collide in [false, true] {
+            let s = dealer();
+            COLLIDE.with(|f| f.set(collide));
+            let mut stream = s.answer_stream(Some(&c), &a, 4).unwrap();
+            assert!(stream.seen.is_none());
+            let mut shipped = Vec::new();
+            for _ in 0..3 {
+                shipped.extend(stream.next_batch().unwrap().unwrap().into_tuples());
+            }
+            let set = stream.take_shipped();
+            COLLIDE.with(|f| f.set(false));
+            assert_eq!(set.len(), shipped.len(), "collide={collide}");
+            assert!(shipped.iter().all(|t| set.contains(t)));
+            assert!(stream.next_batch().unwrap().is_none(), "a taken stream is closed");
+            assert!(s.observed_cardinality(Some(&c)).is_none(), "and records nothing");
+            assert_eq!(s.meter().tuples_shipped, shipped.len() as u64);
+        }
+    }
+
+    #[test]
+    fn key_keeping_take_shipped_after_a_fault_counts_only_shipped_rows() {
+        // Attempt 0 opens, attempt 1 ships, attempt 2 faults: the rows the
+        // failed pull would have scanned are not in the shipped set.
+        let s = Source::new(datagen::cars(3, 200), templates::car_dealer(), CostParams::default())
+            .with_fault_profile(FaultProfile::new(0).with_outage(2, 1));
+        let c = parse_condition("make = \"BMW\" ^ price < 90000").unwrap();
+        let mut stream = s.answer_stream(Some(&c), &attrs(&["model"]), 3).unwrap();
+        let shipped = stream.next_batch().unwrap().unwrap().into_tuples();
+        assert!(stream.next_batch().is_err());
+        let set = stream.take_shipped();
+        assert_eq!(set.len(), shipped.len());
+        assert!(shipped.iter().all(|t| set.contains(t)));
     }
 
     #[test]

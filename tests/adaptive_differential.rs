@@ -13,17 +13,20 @@
 
 mod common;
 
+use csqp_core::federation::{FederatedOptions, Federation};
+use csqp_core::gencompact::GenCompactConfig;
 use csqp_core::mediator::{AdaptiveConfig, CardKind, Mediator, StreamOptions};
 use csqp_core::types::TargetQuery;
 use csqp_expr::gen::{CondGen, CondGenConfig, GenAttr};
 use csqp_expr::{CondTree, Value, ValueType};
 use csqp_plan::exec::RetryPolicy;
 use csqp_plan::model::CostModel;
-use csqp_plan::StreamConfig;
-use csqp_relation::{Relation, Schema};
+use csqp_plan::{Plan, StreamConfig};
+use csqp_relation::{Relation, Schema, Tuple};
 use csqp_source::{CostParams, FaultProfile, Source};
 use csqp_ssdl::templates;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn gen_attrs() -> Vec<GenAttr> {
@@ -45,6 +48,13 @@ fn query(seed: u64, n_atoms: usize) -> TargetQuery {
 }
 
 fn full_source(seed: u64) -> Source {
+    mirror("full", seed, CostParams::new(10.0, 1.0))
+}
+
+/// A full-relational source over 200 rows whose `k` holds the row number,
+/// so the data makes `k` unique and every projection keeping it takes the
+/// scan's key path (no seen set).
+fn mirror(name: &str, seed: u64, cost: CostParams) -> Source {
     let schema = Schema::new(
         "t",
         vec![
@@ -68,7 +78,7 @@ fn full_source(seed: u64) -> Source {
         })
         .collect();
     let desc = templates::full_relational(
-        "full",
+        name,
         &[
             ("k", ValueType::Int),
             ("a", ValueType::Int),
@@ -76,7 +86,16 @@ fn full_source(seed: u64) -> Source {
             ("c", ValueType::Str),
         ],
     );
-    Source::new(Relation::from_rows(schema, rows), desc, CostParams::new(10.0, 1.0))
+    let source = Source::new(Relation::from_rows(schema, rows), desc, cost);
+    assert!(source.stats().is_unique("k"));
+    source
+}
+
+/// Every row a sink saw, in order, and whether any arrived twice.
+fn collect_once(rows: &[Tuple]) -> (BTreeSet<Tuple>, bool) {
+    let mut set = BTreeSet::new();
+    let repeated = !rows.iter().all(|t| set.insert(t.clone()));
+    (set, repeated)
 }
 
 fn adaptive_cfg(batch: usize, policy: Option<RetryPolicy>) -> AdaptiveConfig {
@@ -231,4 +250,113 @@ proptest! {
         prop_assert_eq!(streamed, want, "sink batches diverged from the accumulated relation");
         common::assert_no_rejections([med.source()]);
     }
+}
+
+/// A drift splice in the middle of a bare-leaf root whose projection keeps
+/// the unique `k`: the leaf's stream keeps no seen set, so the segment's
+/// emitted set is rebuilt from the rows it scanned. A disjunction planned
+/// as one source query under a low estimate ships far more than estimated,
+/// and the re-plan with the observed floor splits it into a union. (With
+/// PR1 on, a supported condition only ever re-plans to the same single
+/// query, so the test plans with PR1 off.) The answer must equal the plain
+/// run's with no row emitted twice.
+#[test]
+fn a_drift_splice_mid_key_path_leaf_emits_each_row_once() {
+    let mut spliced = 0;
+    for seed in [1u64, 3, 7, 11] {
+        let source = Arc::new(full_source(seed));
+        let mut no_pr1 = GenCompactConfig::default();
+        no_pr1.ipg.pr1 = false;
+        let med = Mediator::new(source)
+            .with_cardinality(CardKind::Uniform { atom_selectivity: 0.005 })
+            .with_compact_config(no_pr1);
+        for text in ["a = 1 _ a = 2 _ a = 3", "b = 0 _ c = \"s1\"", "a <= 2 _ b >= 2"] {
+            for attrs in [&["k"][..], &["k", "c"]] {
+                let q = TargetQuery::parse(text, attrs).unwrap();
+                let want = med.run(&q).unwrap();
+                for batch in [1, 4, 16] {
+                    let ctx = format!("seed {seed} {text} {attrs:?} batch {batch}");
+                    let cfg = adaptive_cfg(batch, None);
+                    let mut rows = Vec::new();
+                    let got = med
+                        .run_stream(
+                            &q,
+                            StreamOptions::Adaptive(&cfg),
+                            Some(&mut |b| {
+                                rows.extend(b.into_tuples());
+                                true
+                            }),
+                        )
+                        .unwrap();
+                    let (set, repeated) = collect_once(&rows);
+                    assert!(!repeated, "{ctx}: a row was emitted twice");
+                    let want_set: BTreeSet<Tuple> = want.rows.tuples().iter().cloned().collect();
+                    assert_eq!(set, want_set, "{ctx}");
+                    if matches!(got.outcome.planned.plan, Plan::SourceQuery { .. }) {
+                        spliced += got.splices;
+                    }
+                    common::assert_no_rejections([med.source()]);
+                }
+            }
+        }
+    }
+    assert!(spliced > 0, "some key-path bare leaf must drift and splice mid-stream");
+}
+
+/// A federation breaker splice after a leaf error on the key path: the
+/// cheaper mirror answers with one bare source query keeping `k`, ships
+/// its first batch, then goes down; the breaker re-plans the residual on
+/// the dearer mirror, and the rows the dead leaf shipped (rebuilt from its
+/// scan, there being no seen set) are not emitted again.
+#[test]
+fn a_breaker_splice_after_a_key_path_leaf_error_emits_each_row_once() {
+    let mut spliced = 0;
+    for seed in [1u64, 5, 9] {
+        for (text, attrs) in
+            [("b <= 2", &["k", "a"][..]), ("a >= 1", &["k"]), ("c = \"s0\"", &["k", "c"])]
+        {
+            let q = TargetQuery::parse(text, attrs).unwrap();
+            let want: BTreeSet<Tuple> = Mediator::new(Arc::new(full_source(seed)))
+                .run(&q)
+                .unwrap()
+                .rows
+                .tuples()
+                .iter()
+                .cloned()
+                .collect();
+            for batch in [3, 16] {
+                let ctx = format!("seed {seed} {text} {attrs:?} batch {batch}");
+                // Attempt 0 opens, attempt 1 ships a batch, then an outage.
+                let dying = Arc::new(
+                    mirror("cheap", seed, CostParams::new(10.0, 1.0))
+                        .with_fault_profile(FaultProfile::new(0).with_outage(2, u64::MAX / 2)),
+                );
+                let rescuer = Arc::new(mirror("dear", seed, CostParams::new(40.0, 2.0)));
+                let f = Federation::new().with_member(dying.clone()).with_member(rescuer.clone());
+                let policy = RetryPolicy { max_retries: 0, ..Default::default() };
+                let stream = StreamConfig { batch_size: batch, ..StreamConfig::default() };
+                let mut rows = Vec::new();
+                let run = f
+                    .run_stream(
+                        &q,
+                        FederatedOptions::Splice { policy: &policy, stream: &stream },
+                        Some(&mut |b| {
+                            rows.extend(b.into_tuples());
+                            true
+                        }),
+                    )
+                    .unwrap();
+                assert!(
+                    matches!(run.stream.outcome.planned.plan, Plan::SourceQuery { .. }),
+                    "{ctx}: the cheap mirror answers with a bare leaf"
+                );
+                let (set, repeated) = collect_once(&rows);
+                assert!(!repeated, "{ctx}: a row was emitted twice");
+                assert_eq!(set, want, "{ctx}");
+                spliced += run.stream.splices;
+                common::assert_no_rejections([&dying, &rescuer]);
+            }
+        }
+    }
+    assert!(spliced > 0, "the dying mirror must be spliced out mid-stream");
 }
