@@ -26,7 +26,7 @@ use csqp_plan::exec_stream::{
 use csqp_plan::AttrSet;
 use csqp_relation::stream::TupleBatch;
 use csqp_relation::Relation;
-use csqp_source::{Meter, ResilienceMeter, Source};
+use csqp_source::{ResilienceMeter, Source};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -251,9 +251,10 @@ pub struct FederatedRun {
     /// The run on the serving member. `outcome.planned` is the plan the run
     /// started with (the first member's on a spliced run); `resilience` is
     /// cumulative across every member tried (each splice counts as a
-    /// failover). After a splice `outcome.meter` and `measured_cost` sum
-    /// the members the run streamed from, each charged at its own §6.2
-    /// constants, and `splices` counts them.
+    /// failover). The run meters itself: after a splice `outcome.meter` and
+    /// `measured_cost` cover this run's transfer on each member it streamed
+    /// from, each charged at its own §6.2 constants, and `splices` counts
+    /// them.
     pub stream: StreamOutcome,
     /// Name of the member that served the answer (the last splice target
     /// when splices fired).
@@ -311,21 +312,25 @@ pub enum FederatedOptions<'a> {
     },
 }
 
-/// Outcome of [`Federation::prepare`]: the member to execute on, the plan
-/// (rebound from the prepared-plan cache, or cold-planned), and how the
-/// cache answered.
+/// A federation planning decision, from [`Federation::plan`] or
+/// [`Federation::prepare`]: the member to execute on, the plan (rebound
+/// from the prepared-plan cache, or cold-planned), and how the cache
+/// answered.
 #[derive(Debug)]
 pub struct PreparedFederated {
     /// Index of the winning member in [`Federation::members`].
     pub member: usize,
+    /// The winning member.
+    pub source: Arc<Source>,
     /// The plan to execute on that member.
     pub planned: PlannedQuery,
-    /// How the prepared-plan cache probe went.
+    /// How the prepared-plan cache probe went ([`CacheDecision::Bypass`]
+    /// from [`Federation::plan`], which never consults it).
     pub decision: CacheDecision,
     /// Per-member planning verdicts — empty on a cache hit, where no
     /// member was planned.
     pub considered: Considered,
-    /// The flight record narrating this prepare (0 with a disarmed
+    /// The flight record narrating this decision (0 with a disarmed
     /// recorder). Captured from the begin handle itself, so it stays
     /// correct when concurrent queries interleave their flights.
     pub flight_id: u64,
@@ -339,21 +344,6 @@ impl PreparedFederated {
         (self.decision != CacheDecision::Hit)
             .then(|| (self.considered.verdicts.len(), self.considered.members()))
     }
-}
-
-/// A federation planning decision.
-#[derive(Debug)]
-pub struct FederatedPlan {
-    /// Index of the chosen member in [`Federation::members`].
-    pub member: usize,
-    /// The chosen source.
-    pub source: Arc<Source>,
-    /// Its plan.
-    pub planned: PlannedQuery,
-    /// Per-member verdicts, for explainability.
-    pub considered: Considered,
-    /// The flight record narrating this plan (0 with a disarmed recorder).
-    pub flight_id: u64,
 }
 
 impl Federation {
@@ -652,7 +642,7 @@ impl Federation {
     /// Plans `query` against every member and picks the cheapest feasible
     /// plan (estimated cost under each member's own cost constants). The
     /// earliest member wins cost ties.
-    pub fn plan(&self, query: &TargetQuery) -> Result<FederatedPlan, PlanError> {
+    pub fn plan(&self, query: &TargetQuery) -> Result<PreparedFederated, PlanError> {
         let _span = self.obs.tracer.span("federation plan");
         let flight = self.flight.begin_with(|| (query.to_string(), "Federation".to_string()));
         let (mut feasible, considered) = self.survey(query, flight);
@@ -684,8 +674,14 @@ impl Federation {
             });
         }
         let (member, planned) = feasible.swap_remove(best);
-        let source = self.members[member].clone();
-        Ok(FederatedPlan { member, source, planned, considered, flight_id: flight.id() })
+        Ok(PreparedFederated {
+            member,
+            source: self.members[member].clone(),
+            planned,
+            decision: CacheDecision::Bypass,
+            considered,
+            flight_id: flight.id(),
+        })
     }
 
     /// Plans `query`, consulting the prepared-plan cache first (when one
@@ -727,6 +723,7 @@ impl Federation {
                     planned.flight_id = flight.id();
                     return Ok(PreparedFederated {
                         member,
+                        source: self.members[member].clone(),
                         planned: *planned,
                         decision: CacheDecision::Hit,
                         considered: Considered::default(),
@@ -746,18 +743,15 @@ impl Federation {
                 }
             },
         };
-        let fp = self.plan(query)?;
+        let prepared = self.plan(query)?;
         if let Some(cache) = &self.plan_cache {
-            cache.insert(query, fp.member, fp.planned.clone());
+            let evicted = cache.insert(query, prepared.member, prepared.planned.clone());
+            if evicted > 0 {
+                self.obs.metrics.add(names::PLANCACHE_EVICTIONS, evicted);
+            }
             self.obs.metrics.gauge_set(names::PLANCACHE_ENTRIES, cache.len() as f64);
         }
-        Ok(PreparedFederated {
-            member: fp.member,
-            planned: fp.planned,
-            decision,
-            considered: fp.considered,
-            flight_id: fp.flight_id,
-        })
+        Ok(PreparedFederated { decision, ..prepared })
     }
 
     /// Plans and executes on the winning member: [`Federation::run_stream`]
@@ -962,7 +956,6 @@ impl Federation {
             queue: candidates.into(),
             current: primary_idx,
             attrs: primary.plan.output_attrs().clone(),
-            streamed: vec![(primary_idx, self.members[primary_idx].meter())],
         };
         let request = StreamRequest {
             config: cfg,
@@ -976,7 +969,7 @@ impl Federation {
                 .map(|run| (Relation::empty(run.schema.clone()), run)),
             None => execute_stream_collect(&primary.plan, source, request),
         };
-        let (serving_idx, streamed) = (ctl.current, ctl.streamed);
+        let serving_idx = ctl.current;
         let (rows, run) = result.map_err(|e| {
             // The controller already opened breakers and traced every
             // member that died; nobody was left to splice to.
@@ -986,16 +979,6 @@ impl Federation {
         })?;
         let name = &self.members[serving_idx].name;
         self.recovered(serving_idx, &mut gated);
-        let mut meter = Meter::default();
-        let mut measured_cost = 0.0;
-        for (idx, before) in streamed {
-            let m = &self.members[idx];
-            let delta = m.meter().since(&before);
-            measured_cost += delta.cost(m.cost_params());
-            meter.queries += delta.queries;
-            meter.tuples_shipped += delta.tuples_shipped;
-            meter.rejected += delta.rejected;
-        }
         let splices = run.splices;
         self.obs.tracer.event_with(|| {
             format!("member {name}: served adaptively ({} rows, {splices} splice(s))", run.emitted)
@@ -1007,6 +990,7 @@ impl Federation {
         self.flight.note(gated.flight_id, || PlanEvent::Note {
             text: format!("served by member {name} after {splices} splice(s)"),
         });
+        let (meter, measured_cost) = (run.meter, run.measured_cost);
         let outcome = RunOutcome { planned: primary, rows, meter, measured_cost };
         // A breaker splice is charged to the member that died, and after
         // one the run's retries are mostly that member's too.
@@ -1066,9 +1050,6 @@ struct BreakerSpliceController<'a> {
     /// Index of the member currently feeding the pipeline.
     current: usize,
     attrs: AttrSet,
-    /// Each member the run streamed from, with its meter read when it
-    /// joined: the run's transfer is theirs alone.
-    streamed: Vec<(usize, Meter)>,
 }
 
 impl ReplanController for BreakerSpliceController<'_> {
@@ -1140,7 +1121,6 @@ impl ReplanController for BreakerSpliceController<'_> {
                 )
             });
             self.gated.trace.push((next.name.clone(), MemberEvent::Spliced(failed.name.clone())));
-            self.streamed.push((idx, next.meter()));
             self.current = idx;
             return Some(SpliceAction { plan, source: next.clone() });
         }
@@ -1236,6 +1216,20 @@ mod tests {
         assert_eq!(f.prepare(&q2).unwrap().decision, CacheDecision::Miss);
         let stats = f.plan_cache().unwrap().stats();
         assert_eq!((stats.hits, stats.invalidations), (1, 1));
+    }
+
+    #[test]
+    fn prepare_counts_plan_cache_evictions() {
+        let f = mirrors().with_plan_cache(Arc::new(PlanCache::with_capacity(1)));
+        let shapes = [
+            TargetQuery::parse("make = \"BMW\" ^ price < 40000", &["model", "year"]).unwrap(),
+            TargetQuery::parse("color = \"red\"", &["make", "model"]).unwrap(),
+        ];
+        for q in &shapes {
+            assert_eq!(f.prepare(q).unwrap().decision, CacheDecision::Miss);
+        }
+        assert_eq!(f.metrics_snapshot().counter(names::PLANCACHE_EVICTIONS), 1);
+        assert_eq!(f.plan_cache().unwrap().stats().evictions, 1);
     }
 
     #[test]
@@ -1392,28 +1386,21 @@ mod tests {
             .with_member(m.members()[1].clone())
             .with_member(m.members()[2].clone());
         let policy = RetryPolicy { max_retries: 0, ..Default::default() };
-        let before: Vec<Meter> = f.members().iter().map(|m| m.meter()).collect();
         let color = TargetQuery::parse("color = \"red\"", &["make", "model"]).unwrap();
+        let mut side = 0;
         let mut sink = |_: TupleBatch| {
-            f.mediators[2].run(&color).unwrap();
+            side += f.mediators[2].run(&color).unwrap().meter.tuples_shipped;
             true
         };
         let run = f.run_stream(&car_query(), splice(&policy), Some(&mut sink)).unwrap();
         assert_eq!(run.source_name, "dump");
-        let delta = |i: usize| f.members()[i].meter().since(&before[i]);
-        assert!(delta(2).tuples_shipped > 0, "the sink shipped tuples from color_only");
-        let (dealer, dump) = (delta(0), delta(1));
+        assert!(side > 0, "the sink shipped tuples from color_only");
+        // The hard-down dealer never opened a stream, so the run's transfer
+        // is the dump's surveyed plan alone, priced at the dump's constants.
+        let alone = f.mediators[1].run(&car_query()).unwrap();
         let outcome = &run.stream.outcome;
-        assert_eq!(
-            outcome.meter,
-            Meter {
-                queries: dealer.queries + dump.queries,
-                tuples_shipped: dealer.tuples_shipped + dump.tuples_shipped,
-                rejected: dealer.rejected + dump.rejected,
-            }
-        );
-        let cost = |i: usize, d: Meter| d.cost(f.members()[i].cost_params());
-        assert_eq!(outcome.measured_cost, cost(0, dealer) + cost(1, dump));
+        assert_eq!(outcome.meter, alone.meter);
+        assert_eq!(outcome.measured_cost, alone.measured_cost);
     }
 
     #[test]
@@ -1449,7 +1436,6 @@ mod tests {
             queue: candidates.into_iter().skip(1).collect(),
             current: 0,
             attrs: q.attrs.clone(),
-            streamed: Vec::new(),
         };
         // Rows were emitted, but the dying plan has no condition to re-plan.
         let plan = Plan::source(None, q.attrs.clone());

@@ -56,7 +56,7 @@ pub use calibrate::CalibratedCard;
 pub use capindex::{CapabilityIndex, IndexDecision};
 pub use federation::{
     BreakerHealth, CircuitBreakerConfig, FailoverTrace, FederatedInput, FederatedOptions,
-    FederatedPlan, FederatedRun, Federation, MemberEvent, PreparedFederated,
+    FederatedRun, Federation, MemberEvent, PreparedFederated,
 };
 pub use gencompact::{plan_compact, GenCompactConfig};
 pub use genmodular::{plan_modular, GenModularConfig};

@@ -102,9 +102,11 @@ pub struct RunOutcome {
     pub planned: PlannedQuery,
     /// The query answer.
     pub rows: Relation,
-    /// Transfer caused by this run (meter delta).
+    /// This run's transfer, counted by the engine that ran it: another
+    /// run on the same source never counts into it.
     pub meter: Meter,
-    /// Measured cost of the run under the source's §6.2 constants.
+    /// Measured cost of that transfer, each source's share under its own
+    /// §6.2 constants.
     pub measured_cost: f64,
 }
 
@@ -803,7 +805,6 @@ impl Mediator {
             StreamInput::Prepared(planned) => planned,
         };
         let _span = self.obs.tracer.span(options.span_label());
-        let before = self.source.meter();
         let mut resilience = ResilienceMeter::default();
         let mut drift = match options {
             StreamOptions::Adaptive(cfg) => {
@@ -845,8 +846,6 @@ impl Mediator {
                 self.obs.tracer.event_with(|| format!("adaptive run died: {e}"));
             }
         })?;
-        let meter = self.source.meter().since(&before);
-        let measured_cost = meter.cost(self.source.cost_params());
         let rows = match rows {
             Some(rows) => rows,
             None => {
@@ -854,7 +853,8 @@ impl Mediator {
                 Relation::empty(run.schema)
             }
         };
-        let outcome = RunOutcome { planned, rows, meter, measured_cost };
+        let outcome =
+            RunOutcome { planned, rows, meter: run.meter, measured_cost: run.measured_cost };
         self.record_run(&outcome, &run.stats);
         if let Some(analysis) = &run.analysis {
             analysis.record_into(&self.obs.metrics);

@@ -221,11 +221,10 @@ mod tests {
         card: &dyn Cardinality,
     ) -> (Relation, Meter, PlanAnalysis) {
         let cfg = StreamConfig::default();
-        let before = source.meter();
         let mode = StreamMode::Analyzed { model, card };
         let request = StreamRequest { mode, ..StreamRequest::new(&cfg) };
         let (rows, run) = execute_stream_collect(plan, source, request).unwrap();
-        (rows, source.meter().since(&before), run.analysis.expect("an analyzed run's analysis"))
+        (rows, run.meter, run.analysis.expect("an analyzed run's analysis"))
     }
 
     fn demo_plan() -> Plan {

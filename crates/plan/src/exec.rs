@@ -246,11 +246,10 @@ mod tests {
         res: &mut ResilienceMeter,
     ) -> Result<(Relation, Meter), ExecError> {
         let cfg = StreamConfig::default();
-        let before = source.meter();
         let retry = Some(Retry { policy, meter: res });
         let request = StreamRequest { retry, ..StreamRequest::new(&cfg) };
-        let (rows, _) = execute_stream_collect(plan, source, request)?;
-        Ok((rows, source.meter().since(&before)))
+        let (rows, run) = execute_stream_collect(plan, source, request)?;
+        Ok((rows, run.meter))
     }
 
     /// Oracle: evaluate the target query directly on the hidden relation.

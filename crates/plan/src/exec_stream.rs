@@ -31,11 +31,15 @@
 //! called. [`execute_stream_collect`] is the same run with the sink that
 //! accumulates a [`Relation`].
 //!
+//! A run meters itself: every leaf open, batch pull and gate rejection is
+//! counted into the run's own [`StreamRun::meter`], so concurrent runs on
+//! one source never see each other's transfer.
+//!
 //! The materialized executor remains the differential oracle: a drained
-//! stream returns its rows in its order and (fault-free) identical
-//! meter deltas; `crates/plan/tests/stream_differential.rs` enforces this
-//! over randomized plans, workloads and the request-mode matrix, and
-//! `tests/run_stream_differential.rs` one layer up.
+//! stream returns its rows in its order, and (fault-free) its meter equals
+//! the oracle's meter delta; `crates/plan/tests/stream_differential.rs`
+//! enforces this over randomized plans, workloads and the request-mode
+//! matrix, and `tests/run_stream_differential.rs` one layer up.
 
 use crate::analyze::PlanAnalysis;
 use crate::cost::Cardinality;
@@ -46,7 +50,7 @@ use csqp_expr::CondTree;
 use csqp_relation::schema::Schema;
 use csqp_relation::stream::{TupleBatch, DEFAULT_BATCH_SIZE};
 use csqp_relation::Relation;
-use csqp_source::{ResilienceMeter, Source};
+use csqp_source::{CostParams, Meter, ResilienceMeter, Source, SourceError};
 use csqp_ssdl::linearize::Fingerprint;
 use std::sync::Arc;
 
@@ -258,17 +262,30 @@ mod engine {
     /// trace goes quiet — bounds trace growth on large results.
     pub(super) const MAX_BATCH_SPANS: u64 = 32;
 
-    /// One segment's memory/batch accounting, shared by every operator of
-    /// its pipeline. `current` tracks tuples resident in pipeline buffers
-    /// (batches in flight); `peak` is its high-water mark.
+    /// One segment's memory/batch/transfer accounting, shared by every
+    /// operator of its pipeline. `current` tracks tuples resident in
+    /// pipeline buffers (batches in flight); `peak` is its high-water mark.
+    /// `meter` is the segment's transfer on its source.
     #[derive(Debug, Default)]
     pub(super) struct Account {
         current: u64,
         peak: u64,
         batches: u64,
+        meter: Meter,
     }
 
     impl Account {
+        /// Meters a leaf open: an opened stream is one source query, a
+        /// capability-gate rejection one rejected query.
+        fn opened<T>(&mut self, open: Result<T, ExecError>) -> Result<T, ExecError> {
+            match &open {
+                Ok(_) => self.meter.queries += 1,
+                Err(ExecError::Source(SourceError::Unsupported { .. })) => self.meter.rejected += 1,
+                Err(_) => {}
+            }
+            open
+        }
+
         fn charge(&mut self, n: usize) {
             self.current += n as u64;
             self.peak = self.peak.max(self.current);
@@ -340,9 +357,9 @@ mod engine {
         let mut retry = 0u32;
         loop {
             ctx.res.attempts += u64::from(open);
-            let before = source.resilience_meter().ticks;
+            let before = source.fault_ticks();
             let outcome = round_trip();
-            ctx.charge(source.resilience_meter().ticks.saturating_sub(before))?;
+            ctx.charge(source.fault_ticks().saturating_sub(before))?;
             match outcome {
                 Ok(v) => return Ok(v),
                 Err(e) if !e.is_retryable() => return Err(ExecError::Source(e)),
@@ -449,6 +466,7 @@ mod engine {
                     if let Some(b) = &pulled {
                         account.charge(b.len());
                         account.emitted();
+                        account.meter.tuples_shipped += b.len() as u64;
                         *rows_out += b.len() as u64;
                         if let Some(a) = &mut extras.analyzed {
                             if let Some(slot) = a.slots[*idx].as_mut() {
@@ -546,8 +564,8 @@ mod engine {
     }
 
     /// Opens the pipeline for `plan`: recursively builds operators, opens
-    /// leaf streams (capability gate + `queries` metering happen here), and
-    /// drains Intersect membership sides.
+    /// leaf streams (the capability gate fires and the open is metered
+    /// here), and drains Intersect membership sides.
     pub(super) fn build<'env>(
         plan: &Plan,
         source: &'env Source,
@@ -563,14 +581,14 @@ mod engine {
                 // Leaf opens are where the capability gate fires and the
                 // first round-trip happens — worth a span of their own.
                 let _open_span = extras.live_tracer().map(|t| t.span(&format!("open leaf {idx}")));
-                let stream = match &mut extras.resilient {
+                let stream = account.opened(match &mut extras.resilient {
                     None => source
                         .fix_and_answer_stream(cond.as_ref(), attrs, cfg.batch_size)
-                        .map_err(ExecError::Source)?,
+                        .map_err(ExecError::Source),
                     Some(ctx) => with_retry(source, ctx, true, || {
                         source.fix_and_answer_stream(cond.as_ref(), attrs, cfg.batch_size)
-                    })?,
-                };
+                    }),
+                })?;
                 if let Some(a) = &mut extras.analyzed {
                     let est_rows = a.card.estimate(cond.as_ref());
                     let est_cost = a.model.source_query_cost(cond.as_ref(), attrs.len(), est_rows);
@@ -674,6 +692,40 @@ mod engine {
         pub(super) total: StreamStats,
         /// The answer schema (the first segment's root schema).
         pub(super) schema: Option<Arc<Schema>>,
+        /// Each source's share of the run's transfer, in the order the
+        /// sources joined the run.
+        shares: Vec<Share>,
+    }
+
+    /// One source's share of a run's transfer, priced at its own constants.
+    struct Share {
+        /// The source's address: compared, never dereferenced.
+        source: *const Source,
+        cost: CostParams,
+        meter: Meter,
+    }
+
+    impl Carried {
+        /// Adds a segment's transfer on `source` to that source's share.
+        fn charge(&mut self, source: &Source, meter: Meter) {
+            let key: *const Source = source;
+            match self.shares.iter_mut().find(|s| s.source == key) {
+                Some(share) => share.meter += meter,
+                None => self.shares.push(Share { source: key, cost: *source.cost_params(), meter }),
+            }
+        }
+
+        /// The run's transfer and its §6.2 cost: the shares summed in the
+        /// order their sources joined the run.
+        pub(super) fn transfer(&self) -> (Meter, f64) {
+            let mut meter = Meter::default();
+            let mut cost = 0.0;
+            for share in &self.shares {
+                meter += share.meter;
+                cost += share.meter.cost(&share.cost);
+            }
+            (meter, cost)
+        }
     }
 
     /// Opens the pipeline for `plan` and drives it to completion (or to
@@ -766,8 +818,8 @@ mod engine {
         }
     }
 
-    /// Runs one pipeline segment: open, drive, and absorb stats and
-    /// resilience counters on every exit path. `retry`, `analyzed` and
+    /// Runs one pipeline segment: open, drive, and absorb stats, transfer
+    /// and resilience counters on every exit path. `retry`, `analyzed` and
     /// `track` are the run's modes, read once here — the per-batch path
     /// only sees the [`Extras`] they turn into. Leaf progress lands in
     /// `track` so the caller can still probe the controller after a
@@ -800,6 +852,7 @@ mod engine {
         carried.total.batches += s.batches;
         carried.total.peak_resident_tuples =
             carried.total.peak_resident_tuples.max(s.peak_resident_tuples);
+        carried.charge(source, account.meter);
         outcome
     }
 }
@@ -875,13 +928,20 @@ pub struct StreamRun {
     /// The answer's schema — what every batch carried, known even when the
     /// answer is empty.
     pub schema: Arc<Schema>,
+    /// The run's own transfer, over every segment and source: leaf streams
+    /// opened, tuples the leaves pulled, capability-gate rejections.
+    pub meter: Meter,
+    /// The §6.2 cost of that transfer: each source's share priced at its
+    /// own constants, summed in the order the sources joined the run.
+    pub measured_cost: f64,
 }
 
 /// Streams a concrete plan, handing each answer batch to `sink` as it is
 /// produced (return `false` to stop early). Batches arrive deduplicated —
 /// the concatenation of all sinks' batches is exactly the set the
-/// materialized executor returns, in the same order. The caller meters
-/// sources itself (a splice may involve more than one).
+/// materialized executor returns, in the same order. The run meters
+/// itself ([`StreamRun::meter`]), on every source a splice brings in, so a
+/// concurrent run on the same source never counts into it.
 pub fn execute_stream(
     plan: &Plan,
     source: &Source,
@@ -957,12 +1017,15 @@ pub fn execute_stream(
     // aligned and tail leaves show as `[not executed]`.
     let analysis = analyzed
         .map(|a| PlanAnalysis { subqueries: a.slots.into_iter().map_while(|s| s).collect() });
+    let (meter, measured_cost) = carried.transfer();
     Ok(StreamRun {
         emitted: carried.emitted,
         stats: carried.total,
         splices,
         analysis,
         schema: carried.schema.expect("a finished run opened its first segment"),
+        meter,
+        measured_cost,
     })
 }
 
@@ -1075,6 +1138,8 @@ mod tests {
             let (got, run) = execute_stream_collect(&plan, &s, StreamRequest::new(&cfg)).unwrap();
             assert_eq!(got, want, "stream ≡ materialized for {plan}");
             assert_eq!(s.meter(), want_meter, "meter deltas agree for {plan}");
+            assert_eq!(run.meter, want_meter, "the run meters itself for {plan}");
+            assert_eq!(run.measured_cost, want_meter.cost(s.cost_params()));
             assert!(run.stats.batches > 0);
         }
     }

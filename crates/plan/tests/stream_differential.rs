@@ -256,6 +256,9 @@ fn request_matrix_matches_the_materialized_oracle() {
             if run.splices == 0 && cell.limit.is_none() {
                 assert_eq!(source.meter(), want_meter, "{ctx}");
             }
+            // The source is the cell's own, so the run's meter is all of it.
+            assert_eq!(run.meter, source.meter(), "{ctx}");
+            assert_eq!(run.measured_cost, source.meter().cost(source.cost_params()), "{ctx}");
             if cell.faulty {
                 assert!(res.attempts >= source.meter().queries, "{ctx}");
             }
@@ -422,10 +425,11 @@ proptest! {
         let mut res = ResilienceMeter::default();
         let cfg = StreamConfig::default().with_batch_size(batch);
         let retry = Some(Retry { policy: &policy, meter: &mut res });
-        let (got, _) =
+        let (got, run) =
             execute_stream_collect(&plan, &faulty, StreamRequest { retry, ..StreamRequest::new(&cfg) }).unwrap();
         assert_no_rejections(&faulty);
         let meter = faulty.meter();
+        prop_assert_eq!(run.meter, meter, "the run meters exactly what its source shipped");
         prop_assert_eq!(&got, &want, "faults corrupted the streamed answer");
         prop_assert_eq!(
             meter.queries, oracle.meter().queries,

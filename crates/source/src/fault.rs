@@ -178,13 +178,13 @@ impl FaultProfile {
     }
 }
 
-/// Cumulative resilience metrics, alongside the transfer
+/// One run's resilience metrics, alongside its transfer
 /// [`Meter`](crate::Meter).
 ///
-/// The same struct is used at every layer of the stack: a
-/// [`Source`](crate::Source) fills the injected-fault counters, the
-/// resilient executor adds `attempts`/`retries`/`ticks` (including backoff),
-/// and the federation's member splices add `failovers`.
+/// The run meters itself: the streaming engine counts the attempts,
+/// retries, ticks (source latency plus backoff) and the kinds of the faults
+/// its round-trips received, and the federation's member splices add
+/// `failovers`. A [`Source`](crate::Source) keeps no per-kind fault count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResilienceMeter {
     /// Query attempts issued (executor-side: includes retries).

@@ -7,8 +7,8 @@
 //! some cases and repeats in others. For every non-empty projection and a
 //! random condition, [`Source::answer_stream`] must ship the rows
 //! [`Source::answer`] returns, in the same order, and leave the same
-//! meter and observed cardinality, whether or not the projection keeps a
-//! column the statistics call unique. A stream closed mid-scan must hand
+//! meter, whether or not the projection keeps a column the statistics call
+//! unique. A stream closed mid-scan must hand
 //! back exactly the set it shipped.
 
 use csqp_expr::gen::{CondGen, CondGenConfig, GenAttr};
@@ -124,7 +124,7 @@ proptest! {
             g.tree(&CondGenConfig { n_atoms, max_depth: 2, and_bias: 0.5, eq_bias: 0.5 })
         });
         // One pair of sources serves every projection: both see the same
-        // calls, so their meters and (monotonic) observations stay equal.
+        // calls, so their meters stay equal.
         let (oracle_src, streamed_src) = (source(r.clone()), source(r));
         for mask in 1u32..(1 << COLUMNS.len()) {
             let attrs: BTreeSet<String> = COLUMNS
@@ -137,13 +137,9 @@ proptest! {
             let got = drain(&streamed_src, cond.as_ref(), &attrs, batch);
             prop_assert_eq!(got.as_slice(), oracle.tuples(), "attrs {:?} cond {:?}", attrs, cond);
             prop_assert_eq!(streamed_src.meter(), oracle_src.meter());
-            prop_assert_eq!(
-                streamed_src.observed_cardinality(cond.as_ref()),
-                oracle_src.observed_cardinality(cond.as_ref())
-            );
 
-            // Closed after one pull: the taken set is what shipped. It
-            // records no observation, and the meters restart level.
+            // Closed after one pull: the taken set is what shipped, and the
+            // meters restart level.
             let mut stream = streamed_src.answer_stream(cond.as_ref(), &attrs, batch).unwrap();
             let shipped = stream.next_batch().unwrap().map(|b| b.into_tuples()).unwrap_or_default();
             let set = stream.take_shipped();

