@@ -6,27 +6,24 @@
 //! The federation plans the target query against every member and executes
 //! the cheapest feasible plan — capability-sensitivity applied one level up
 //! from [`crate::mediator::Mediator`]. It keeps one warm mediator per
-//! member; [`Federation::run_stream`] is the one function that executes,
-//! and how a failing member is recovered from is its
-//! [`FederatedOptions`] value.
+//! member; [`Federation::run_stream`] is the one function that executes:
+//! every run is breaker-gated and recovers from a failing member by
+//! splicing the next-cheapest one into the running stream.
 
 use crate::capindex::CapabilityIndex;
 use crate::mediator::{
-    CardKind, Mediator, MediatorError, RunOutcome, Scheme, StreamInput, StreamOptions,
-    StreamOutcome,
+    AdaptiveConfig, CardKind, DriftController, Mediator, MediatorError, RunOutcome, Scheme,
+    StreamInput, StreamOptions, StreamOutcome,
 };
 use crate::plancache::{CacheDecision, Lookup, PlanCache};
 use crate::types::{PlanError, PlannedQuery, TargetQuery};
-use csqp_obs::{names, FlightRecorder, Obs, PlanEvent, QueryFlight};
-use csqp_plan::exec::{ExecError, RetryPolicy};
+use csqp_obs::{names, FlightRecorder, Obs, PlanEvent};
+use csqp_plan::exec::ExecError;
 use csqp_plan::exec_stream::{
-    execute_stream, execute_stream_collect, plan_condition, ReplanController, ReplanProbe, Retry,
-    SpliceAction, StreamConfig, StreamMode, StreamRequest,
+    plan_condition, ReplanController, ReplanProbe, SpliceAction, StreamConfig,
 };
-use csqp_plan::AttrSet;
 use csqp_relation::stream::TupleBatch;
-use csqp_relation::Relation;
-use csqp_source::{ResilienceMeter, Source};
+use csqp_source::Source;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -36,7 +33,7 @@ use std::sync::{Arc, OnceLock};
 pub struct CircuitBreakerConfig {
     /// Consecutive execution failures that open the breaker (quarantine).
     pub failure_threshold: u32,
-    /// Federated runs the member sits out once quarantined; afterwards it
+    /// Federated decisions the member sits out once quarantined; afterwards it
     /// is *half-open* — offered one probe, closing on success and
     /// re-opening on failure.
     pub cooldown_ticks: u64,
@@ -48,9 +45,10 @@ impl Default for CircuitBreakerConfig {
     }
 }
 
-/// Per-member breaker state. The clock is the federation's own run counter
-/// (one tick per [`FederatedOptions::Splice`] run) — no wall-clock, so
-/// quarantine windows replay deterministically.
+/// Per-member breaker state. The clock is the federation's own decision
+/// counter (one tick per [`Federation::plan`] or [`Federation::prepare`]
+/// call, which the decision's run gates at) — no wall-clock, so quarantine
+/// windows replay deterministically.
 #[derive(Debug, Default)]
 struct BreakerState {
     consecutive_failures: AtomicU32,
@@ -58,32 +56,26 @@ struct BreakerState {
     half_open_at: AtomicU64,
 }
 
-/// What the breaker allows a member to do in the current run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BreakerGate {
-    Closed,
-    Quarantined,
-    HalfOpen,
-}
-
 impl BreakerState {
-    fn gate(&self, now: u64) -> BreakerGate {
-        let at = self.half_open_at.load(Ordering::Relaxed);
-        if at == 0 {
-            BreakerGate::Closed
-        } else if now < at {
-            BreakerGate::Quarantined
-        } else {
-            BreakerGate::HalfOpen
+    /// What the breaker allows its member to do in the run at tick `now`.
+    fn gate(&self, now: u64) -> BreakerHealth {
+        match self.half_open_at.load(Ordering::Relaxed) {
+            0 => BreakerHealth::Closed,
+            at if now < at => BreakerHealth::Open,
+            _ => BreakerHealth::HalfOpen,
         }
     }
 
     /// Resets the breaker; returns `true` when this actually closed an
     /// open/half-open breaker (a state transition worth counting), and
-    /// then takes it off the federation's `tripped` count.
+    /// then takes it off the federation's `tripped` count. A closed breaker
+    /// with no failures is only read: every served query ends here.
     fn record_success(&self, tripped: &AtomicUsize) -> bool {
-        self.consecutive_failures.store(0, Ordering::Relaxed);
-        let closed = self.half_open_at.swap(0, Ordering::Relaxed) != 0;
+        if self.consecutive_failures.load(Ordering::Relaxed) != 0 {
+            self.consecutive_failures.store(0, Ordering::Relaxed);
+        }
+        let open = self.half_open_at.load(Ordering::Relaxed) != 0;
+        let closed = open && self.half_open_at.swap(0, Ordering::Relaxed) != 0;
         if closed {
             tripped.fetch_sub(1, Ordering::Relaxed);
         }
@@ -125,7 +117,7 @@ pub struct Federation {
     scheme: Scheme,
     card: CardKind,
     breaker_cfg: CircuitBreakerConfig,
-    /// Virtual clock: one tick per breaker-gated run.
+    /// Virtual clock: one tick per decision.
     clock: AtomicU64,
     obs: Arc<Obs>,
     flight: Arc<FlightRecorder>,
@@ -145,7 +137,7 @@ impl Default for Federation {
 }
 
 /// One entry of a federated failover trace: what happened to a member
-/// during a breaker-gated run, in the order members were considered.
+/// during a run, in the order members were considered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MemberEvent {
     /// Skipped: the circuit breaker is open.
@@ -260,8 +252,10 @@ pub struct FederatedRun {
     /// when splices fired).
     pub source_name: String,
     /// The per-member event trace, for explainability and determinism
-    /// checks. Empty under [`FederatedOptions::Winner`]: no member but the
-    /// winner is touched.
+    /// checks: for a run planned from its query, first the members its
+    /// planning survey ruled out (infeasible or quarantined, in member
+    /// order), then what execution did to each member it touched. A run of
+    /// a prepared decision starts at the execution events.
     pub trace: FailoverTrace,
     /// Per-member planning verdicts — empty after a plan-cache hit, where
     /// no member was planned.
@@ -271,53 +265,23 @@ pub struct FederatedRun {
 }
 
 /// What [`Federation::run_stream`] executes: a query to plan federation-wide
-/// first, or the winner an earlier [`Federation::prepare`] picked — how
+/// first, or the decision an earlier [`Federation::prepare`] made — how
 /// `csqp serve` keeps the cache decision and the flight id in hand before
-/// the first row ships. A prepared winner runs under
-/// [`FederatedOptions::Winner`] only: one member's plan gives a splice
-/// nobody to turn to.
-pub type FederatedInput<'a> = StreamInput<'a, PreparedFederated>;
+/// the first row ships. Either way the run starts on the decision's member.
+pub type FederatedInput<'q> = StreamInput<'q, PreparedFederated<'q>>;
 
-impl From<PreparedFederated> for FederatedInput<'_> {
-    fn from(prepared: PreparedFederated) -> Self {
+impl<'q> From<PreparedFederated<'q>> for FederatedInput<'q> {
+    fn from(prepared: PreparedFederated<'q>) -> Self {
         StreamInput::Prepared(prepared)
     }
 }
 
-/// What [`Federation::run_stream`] does about a member that fails — the
-/// recovery policy is this value, not the method called.
-#[derive(Debug, Clone, Copy)]
-pub enum FederatedOptions<'a> {
-    /// The planning winner serves, on its mediator, the way the inner
-    /// options say — or the run fails. Breakers are neither consulted nor
-    /// moved.
-    Winner(StreamOptions<'a>),
-    /// Member failover by splice, the one way a run moves to another
-    /// member: the cheapest gated member's plan streams, and when a leaf
-    /// dies (per-round-trip retries exhausted) the member's failure counts
-    /// on its breaker and the next-cheapest gated candidate is spliced into
-    /// the running stream. Before the first answer row, or when the
-    /// residual has no condition, the candidate runs its surveyed plan for
-    /// the whole query; otherwise the residual condition is re-planned on
-    /// it, so the work done before the fault is not redone. Already-emitted
-    /// tuples are deduplicated away, so the answer matches a fault-free
-    /// run, and a sink sees each answer row once. A member that fails
-    /// [`CircuitBreakerConfig::failure_threshold`] consecutive runs sits
-    /// `cooldown_ticks` runs out, then gets a half-open probe.
-    Splice {
-        /// Per-round-trip retries applied before a leaf failure counts.
-        policy: &'a RetryPolicy,
-        /// Batch size and row limit.
-        stream: &'a StreamConfig,
-    },
-}
-
 /// A federation planning decision, from [`Federation::plan`] or
 /// [`Federation::prepare`]: the member to execute on, the plan (rebound
-/// from the prepared-plan cache, or cold-planned), and how the cache
-/// answered.
+/// from the prepared-plan cache, or cold-planned), how the cache answered,
+/// and the members a failing run splices to.
 #[derive(Debug)]
-pub struct PreparedFederated {
+pub struct PreparedFederated<'q> {
     /// Index of the winning member in [`Federation::members`].
     pub member: usize,
     /// The winning member.
@@ -334,9 +298,21 @@ pub struct PreparedFederated {
     /// recorder). Captured from the begin handle itself, so it stays
     /// correct when concurrent queries interleave their flights.
     pub flight_id: u64,
+    /// The query decided on (a hit surveys it once a leaf fails).
+    query: &'q TargetQuery,
+    /// The splice queue: the survey's other serviceable members, cheapest
+    /// first, with their surveyed plans (empty on a cache hit).
+    fallbacks: Vec<(usize, PlannedQuery)>,
+    /// Feasible members skipped as quarantined, in member order.
+    quarantined: Vec<usize>,
+    /// The breaker-clock tick this decision took; its run gates at it.
+    now: u64,
+    /// No quarantined member undercuts the winner: this is the decision an
+    /// all-closed federation makes, so it may be cached.
+    cacheable: bool,
 }
 
-impl PreparedFederated {
+impl PreparedFederated<'_> {
     /// `(candidates, total)` of the capability-index decision this
     /// prepare's planning survey made (every member is a candidate without
     /// an index), or `None` on a cache hit, where no survey ran.
@@ -420,7 +396,7 @@ impl Federation {
     /// A point-in-time snapshot of every metric this federation recorded,
     /// plus one `breaker.state.<member>` gauge per member read from the live
     /// breakers, so `/metrics` always shows current health (a pure function
-    /// of the deterministic run clock). The gauges live in the returned
+    /// of the deterministic breaker clock). The gauges live in the returned
     /// snapshot only, never in the registry: registry snapshots, time-series
     /// windows and query profiles do not grow with the federation.
     pub fn metrics_snapshot(&self) -> csqp_obs::MetricsSnapshot {
@@ -435,8 +411,8 @@ impl Federation {
     }
 
     /// Live per-member breaker health, in member order: what the breaker
-    /// would allow each member to do in the next federated run. Reads the
-    /// run clock without advancing it.
+    /// would allow each member to do in the next federated decision. Reads
+    /// the clock without advancing it.
     pub fn breaker_states(&self) -> Vec<(String, BreakerHealth)> {
         self.members.iter().map(|m| m.name.clone()).zip(self.breaker_healths()).collect()
     }
@@ -458,14 +434,17 @@ impl Federation {
         summary
     }
 
-    /// Each member's breaker health for the next run, in member order.
+    /// Each member's breaker health for the next decision, in member order.
     fn breaker_healths(&self) -> impl Iterator<Item = BreakerHealth> + '_ {
         let next = self.clock.load(Ordering::Relaxed) + 1;
-        self.breakers.iter().map(move |b| match b.gate(next) {
-            BreakerGate::Closed => BreakerHealth::Closed,
-            BreakerGate::Quarantined => BreakerHealth::Open,
-            BreakerGate::HalfOpen => BreakerHealth::HalfOpen,
-        })
+        self.breakers.iter().map(move |b| b.gate(next))
+    }
+
+    /// Takes the next tick of the breaker clock. Every decision takes one,
+    /// also one that nothing can serve, so cooldowns elapse while every
+    /// capable member is quarantined.
+    fn tick(&self) -> u64 {
+        self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Adds a member source (and builds its mediator, once).
@@ -481,16 +460,24 @@ impl Federation {
         self.breakers.push(BreakerState::default());
         // Membership changed: any compiled index is stale, and cached
         // prepared plans chose their winner against the old member set.
+        // This is the one place the cache is wiped.
         self.capindex = OnceLock::new();
-        self.plancache_invalidate("membership change");
+        if let Some(cache) = &self.plan_cache {
+            let dropped = cache.invalidate_all();
+            self.obs.metrics.inc(names::PLANCACHE_INVALIDATIONS);
+            self.obs.metrics.gauge_set(names::PLANCACHE_ENTRIES, 0.0);
+            self.obs.tracer.event_with(|| {
+                format!("plan cache invalidated (membership change): {dropped} entries dropped")
+            });
+        }
         self
     }
 
     /// Installs a prepared-plan cache: [`Federation::prepare`] serves
     /// repeat query *shapes* out of it instead of re-running the planning
-    /// survey, and every breaker transition or membership change wipes it
-    /// (the cached winners were chosen against a world that no longer
-    /// holds).
+    /// survey, and a membership change wipes it. Breaker transitions leave
+    /// it alone: every entry is the decision an all-closed federation makes,
+    /// and a hit whose winner is quarantined plans cold.
     pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.plan_cache = Some(cache);
         self
@@ -499,19 +486,6 @@ impl Federation {
     /// The installed prepared-plan cache, if any.
     pub fn plan_cache(&self) -> Option<&Arc<PlanCache>> {
         self.plan_cache.as_ref()
-    }
-
-    /// Wipes the prepared-plan cache (no-op without one): the world the
-    /// cached winners were ranked against changed.
-    fn plancache_invalidate(&self, why: &str) {
-        if let Some(cache) = &self.plan_cache {
-            let dropped = cache.invalidate_all();
-            self.obs.metrics.inc(names::PLANCACHE_INVALIDATIONS);
-            self.obs.metrics.gauge_set(names::PLANCACHE_ENTRIES, 0.0);
-            self.obs.tracer.event_with(|| {
-                format!("plan cache invalidated ({why}): {dropped} entries dropped")
-            });
-        }
     }
 
     /// Enables or disables the compiled capability index pre-filter
@@ -540,8 +514,8 @@ impl Federation {
 
     /// The planning survey every selection starts from: plans `query` on
     /// each member the capability index lets through, in member order,
-    /// into the feasible `(member, plan)` list — plans stamped with
-    /// `flight`'s id — and the planned members' verdicts. A member the
+    /// into the feasible `(member, plan)` list — plans stamped with flight
+    /// record `flight_id` — and the planned members' verdicts. A member the
     /// index pruned is infeasible with certainty: no planning is spent on
     /// it and it is only counted, so the per-query cost scales with the
     /// candidate set, not the federation. Members plan quietly; this loop
@@ -549,7 +523,7 @@ impl Federation {
     fn survey(
         &self,
         query: &TargetQuery,
-        flight: QueryFlight<'_>,
+        flight_id: u64,
     ) -> (Vec<(usize, PlannedQuery)>, Considered) {
         let decision = self.capability_index().map(|idx| {
             let _span = self.obs.tracer.span("capindex select");
@@ -571,7 +545,7 @@ impl Federation {
                     d.pruned
                 )
             });
-            flight.event_with(|| PlanEvent::IndexPrune {
+            self.flight.note(flight_id, || PlanEvent::IndexPrune {
                 total: d.total,
                 candidates: d.candidates.len(),
                 pruned: d.pruned,
@@ -593,7 +567,7 @@ impl Federation {
                 .then(|| self.obs.tracer.span(&format!("member {name}")));
             match self.mediators[idx].plan_quiet(query) {
                 Ok(mut p) => {
-                    p.flight_id = flight.id();
+                    p.flight_id = flight_id;
                     p.report.record_into(&self.obs.metrics);
                     self.obs
                         .tracer
@@ -604,7 +578,7 @@ impl Federation {
                 Err(e) => {
                     self.obs.metrics.inc(names::FEDERATION_INFEASIBLE);
                     self.obs.tracer.event_with(|| format!("member {name}: infeasible ({e})"));
-                    flight.event_with(|| PlanEvent::Note {
+                    self.flight.note(flight_id, || PlanEvent::Note {
                         text: format!("member {name}: infeasible ({e})"),
                     });
                     considered.verdicts.push((name.clone(), Err(e)));
@@ -627,8 +601,7 @@ impl Federation {
         self.map_mediators(|m| m.with_scheme(scheme))
     }
 
-    /// Overrides the circuit-breaker policy of the breaker-gated
-    /// [`FederatedOptions::Splice`] runs.
+    /// Overrides the circuit-breaker policy every run is gated by.
     pub fn with_breaker(mut self, cfg: CircuitBreakerConfig) -> Self {
         self.breaker_cfg = cfg;
         self
@@ -640,18 +613,20 @@ impl Federation {
     }
 
     /// Plans `query` against every member and picks the cheapest feasible
-    /// plan (estimated cost under each member's own cost constants). The
-    /// earliest member wins cost ties.
-    pub fn plan(&self, query: &TargetQuery) -> Result<PreparedFederated, PlanError> {
+    /// plan (estimated cost under each member's own cost constants) among
+    /// the members whose breakers let the next run use them; the earliest
+    /// member wins cost ties. The others stay ranked behind the winner as
+    /// the run's splice queue. Takes a tick of the breaker clock.
+    pub fn plan<'q>(&self, query: &'q TargetQuery) -> Result<PreparedFederated<'q>, PlanError> {
+        let now = self.tick();
         let _span = self.obs.tracer.span("federation plan");
         let flight = self.flight.begin_with(|| (query.to_string(), "Federation".to_string()));
-        let (mut feasible, considered) = self.survey(query, flight);
-        let best = (0..feasible.len()).min_by(|&a, &b| by_cost(&feasible[a], &feasible[b]));
-        let best = best.ok_or_else(|| PlanError::NoFeasiblePlan {
-            query: query.to_string(),
-            scheme: "Federation",
-        })?;
-        let (winner_idx, planned) = &feasible[best];
+        let (mut live, considered) = self.survey(query, flight.id());
+        let quarantined = self.quarantine(&mut live, now, flight.id());
+        let Some(best) = (0..live.len()).min_by(|&a, &b| by_cost(&live[a], &live[b])) else {
+            return Err(no_plan(query, !quarantined.is_empty()));
+        };
+        let (winner_idx, planned) = &live[best];
         let winner = &self.members[*winner_idx];
         self.obs
             .tracer
@@ -662,7 +637,7 @@ impl Federation {
         });
         // Every losing member gets an elimination reason: the winner
         // undercut its estimated cost (earliest member wins ties).
-        for (idx, loser) in feasible.iter().filter(|(idx, _)| idx != winner_idx) {
+        for (idx, loser) in live.iter().filter(|(idx, _)| idx != winner_idx) {
             flight.event_with(|| PlanEvent::Eliminated {
                 rule: "cost",
                 cost: loser.est_cost,
@@ -673,7 +648,11 @@ impl Federation {
                 ),
             });
         }
-        let (member, planned) = feasible.swap_remove(best);
+        let (member, planned) = live.remove(best);
+        let cacheable = quarantined.iter().all(|(idx, q)| {
+            planned.est_cost < q.est_cost || (planned.est_cost == q.est_cost && member < *idx)
+        });
+        live.sort_by(by_cost);
         Ok(PreparedFederated {
             member,
             source: self.members[member].clone(),
@@ -681,70 +660,113 @@ impl Federation {
             decision: CacheDecision::Bypass,
             considered,
             flight_id: flight.id(),
+            query,
+            fallbacks: live,
+            quarantined: quarantined.into_iter().map(|(idx, _)| idx).collect(),
+            cacheable,
+            now,
         })
+    }
+
+    /// Takes the candidates quarantined at tick `now` out of `feasible`,
+    /// booking each one, and returns them in member order.
+    fn quarantine(
+        &self,
+        feasible: &mut Vec<(usize, PlannedQuery)>,
+        now: u64,
+        flight_id: u64,
+    ) -> Vec<(usize, PlannedQuery)> {
+        let quarantined: Vec<_> = feasible
+            .extract_if(.., |(idx, _)| self.breakers[*idx].gate(now) == BreakerHealth::Open)
+            .collect();
+        for (idx, _) in &quarantined {
+            self.sat_out(*idx, flight_id);
+        }
+        quarantined
+    }
+
+    /// Books member `idx` sitting a decision out behind its open breaker.
+    fn sat_out(&self, idx: usize, flight_id: u64) {
+        let name = &self.members[idx].name;
+        self.obs.metrics.inc(names::FEDERATION_QUARANTINED);
+        self.tap(names::MEMBER_QUARANTINED_PREFIX, name, 1);
+        self.obs.tracer.event_with(|| format!("member {name}: quarantined (breaker open)"));
+        self.flight.note(flight_id, || PlanEvent::Breaker {
+            member: name.clone(),
+            transition: "quarantined",
+        });
     }
 
     /// Plans `query`, consulting the prepared-plan cache first (when one
     /// is installed with [`Federation::with_plan_cache`]).
     ///
     /// - **Hit**: the query's parameterized shape matched a cached entry
-    ///   and its constants rebound cleanly — the planning survey is
-    ///   skipped entirely. A fresh flight record still narrates the hit so
+    ///   and its constants rebound cleanly — the planning survey is skipped
+    ///   entirely. A fresh flight record still narrates the hit so
     ///   journal/profile ids stay unique per query.
-    /// - **Miss / rejected**: falls back to [`Federation::plan`]
-    ///   (byte-identical behaviour to calling it directly) and stores the
-    ///   winner for the next query of this shape.
-    pub fn prepare(&self, query: &TargetQuery) -> Result<PreparedFederated, PlanError> {
-        let decision = match &self.plan_cache {
-            None => CacheDecision::Bypass,
-            Some(cache) => match cache.lookup(query, &self.members) {
-                Lookup::Hit { member, mut planned } => {
-                    self.obs.metrics.inc(names::PLANCACHE_HITS);
-                    self.obs.metrics.gauge_set(names::PLANCACHE_ENTRIES, cache.len() as f64);
-                    let flight =
-                        self.flight.begin_with(|| (query.to_string(), "Federation".to_string()));
-                    let name = &self.members[member].name;
-                    self.obs.tracer.event_with(|| {
-                        format!(
-                            "plan cache hit: member {name}, prepared est cost {:.2}",
-                            planned.est_cost
-                        )
-                    });
-                    flight.event_with(|| PlanEvent::Note {
-                        text: format!(
-                            "prepared-plan cache hit on member {name}: constants rebound, \
-                             planner skipped"
-                        ),
-                    });
-                    flight.event_with(|| PlanEvent::Winner {
-                        cost: planned.est_cost,
-                        plan: planned.plan.to_string(),
-                    });
-                    planned.flight_id = flight.id();
-                    return Ok(PreparedFederated {
-                        member,
-                        source: self.members[member].clone(),
-                        planned: *planned,
-                        decision: CacheDecision::Hit,
-                        considered: Considered::default(),
-                        flight_id: flight.id(),
-                    });
-                }
-                Lookup::Miss => {
-                    self.obs.metrics.inc(names::PLANCACHE_MISSES);
-                    CacheDecision::Miss
-                }
-                Lookup::Rejected(reason) => {
-                    self.obs.metrics.inc(names::PLANCACHE_REJECTED);
-                    self.obs.tracer.event_with(|| {
-                        format!("plan cache entry rejected ({reason}); planning cold")
-                    });
-                    CacheDecision::Rejected(reason)
-                }
-            },
+    /// - **Miss / rejected** (also `breaker-open`, a hit whose member is
+    ///   quarantined): falls back to [`Federation::plan`] and stores the
+    ///   winner for the next query of this shape, unless a quarantined
+    ///   member would have won: every entry is an all-closed decision.
+    ///
+    /// Takes one tick of the breaker clock, hit or not; a hit's run
+    /// re-checks its member's breaker at that tick.
+    pub fn prepare<'q>(&self, query: &'q TargetQuery) -> Result<PreparedFederated<'q>, PlanError> {
+        let Some(cache) = &self.plan_cache else { return self.plan(query) };
+        let now = self.clock.load(Ordering::Relaxed) + 1;
+        let serves = |m: usize| self.breakers[m].gate(now) != BreakerHealth::Open;
+        let decision = match cache.lookup_admitting(query, &self.members, serves) {
+            Lookup::Hit { member, mut planned } => {
+                self.obs.metrics.inc(names::PLANCACHE_HITS);
+                self.obs.metrics.gauge_set(names::PLANCACHE_ENTRIES, cache.len() as f64);
+                let flight =
+                    self.flight.begin_with(|| (query.to_string(), "Federation".to_string()));
+                let name = &self.members[member].name;
+                self.obs.tracer.event_with(|| {
+                    format!(
+                        "plan cache hit: member {name}, prepared est cost {:.2}",
+                        planned.est_cost
+                    )
+                });
+                flight.event_with(|| PlanEvent::Note {
+                    text: format!(
+                        "prepared-plan cache hit on member {name}: constants rebound, \
+                         planner skipped"
+                    ),
+                });
+                flight.event_with(|| PlanEvent::Winner {
+                    cost: planned.est_cost,
+                    plan: planned.plan.to_string(),
+                });
+                planned.flight_id = flight.id();
+                return Ok(PreparedFederated {
+                    member,
+                    source: self.members[member].clone(),
+                    planned: *planned,
+                    decision: CacheDecision::Hit,
+                    considered: Considered::default(),
+                    flight_id: flight.id(),
+                    query,
+                    fallbacks: Vec::new(),
+                    quarantined: Vec::new(),
+                    cacheable: true,
+                    now: self.tick(),
+                });
+            }
+            Lookup::Miss => {
+                self.obs.metrics.inc(names::PLANCACHE_MISSES);
+                CacheDecision::Miss
+            }
+            Lookup::Rejected(reason) => {
+                self.obs.metrics.inc(names::PLANCACHE_REJECTED);
+                self.obs
+                    .tracer
+                    .event_with(|| format!("plan cache entry rejected ({reason}); planning cold"));
+                CacheDecision::Rejected(reason)
+            }
         };
         let prepared = self.plan(query)?;
-        if let Some(cache) = &self.plan_cache {
+        if prepared.cacheable {
             let evicted = cache.insert(query, prepared.member, prepared.planned.clone());
             if evicted > 0 {
                 self.obs.metrics.add(names::PLANCACHE_EVICTIONS, evicted);
@@ -754,74 +776,107 @@ impl Federation {
         Ok(PreparedFederated { decision, ..prepared })
     }
 
-    /// Plans and executes on the winning member: [`Federation::run_stream`]
-    /// under [`FederatedOptions::Winner`], collecting.
+    /// Plans and executes `query`: [`Federation::run_stream`] on the plain
+    /// pipeline, collecting.
     pub fn run(&self, query: &TargetQuery) -> Result<FederatedRun, MediatorError> {
-        let stream = StreamConfig::default();
-        self.run_stream(query, FederatedOptions::Winner(StreamOptions::plain(&stream)), None)
+        self.run_stream(query, StreamOptions::plain(&StreamConfig::default()), None)
     }
 
-    /// The one function that executes: plans `input` federation-wide
-    /// (unless it already is a prepared winner) and runs it the way
-    /// `options` says. With a `sink`, each deduplicated answer batch goes
-    /// to it (return `false` to stop early) and the outcome's `rows` stays
-    /// empty; without one the answer accumulates into `rows`.
+    /// The one function that executes: decides on `input` with
+    /// [`Federation::prepare`] (unless it already is a prepared decision)
+    /// and streams it on the decision's member, on that member's mediator,
+    /// the way `options` say ([`StreamOptions::Analyzed`] is one mediator's
+    /// and is rejected). With a `sink`, each deduplicated answer batch goes
+    /// to it (return `false` to stop early) and `rows` stays empty.
     ///
-    /// The decision sequence is deterministic: members are planned in
-    /// member order, execution visits them in cost order with the member
-    /// index as tie-break, and the breaker clock counts runs, not wall
-    /// time — the same seed yields the same [`FederatedRun::trace`].
+    /// A run gates at its decision's tick of the breaker clock, and a
+    /// half-open member's run is its probe. A prepared decision whose
+    /// member another run quarantined since starts on the next-cheapest
+    /// member that may serve. When the serving member's leaf dies
+    /// (retries spent), the failure counts on its breaker and the
+    /// next-cheapest member that may serve is spliced into the stream: its
+    /// surveyed plan before the first row or for a condition-less residual,
+    /// else the residual re-planned on it. Emitted tuples are deduplicated
+    /// away, so the answer matches a fault-free run. Under
+    /// [`StreamOptions::Adaptive`] the serving member's drift controller
+    /// also re-plans at batch boundaries. Members are planned in member
+    /// order and tried in cost order (member index breaks ties), so the
+    /// same seed yields the same [`FederatedRun::trace`].
     pub fn run_stream<'q>(
         &self,
         input: impl Into<FederatedInput<'q>>,
-        options: FederatedOptions<'_>,
-        sink: Option<&mut dyn FnMut(TupleBatch) -> bool>,
-    ) -> Result<FederatedRun, MediatorError> {
-        let (policy, stream) = match options {
-            FederatedOptions::Winner(options) => {
-                let prepared = match input.into() {
-                    StreamInput::Query(query) => self.prepare(query)?,
-                    StreamInput::Prepared(prepared) => prepared,
-                };
-                return self.run_winner(prepared, options, sink);
-            }
-            FederatedOptions::Splice { policy, stream } => (policy, stream),
-        };
-        let StreamInput::Query(query) = input.into() else {
-            return Err(MediatorError::Plan(PlanError::MalformedQuery(
-                "a splice ranks every member: pass the query".into(),
-            )));
-        };
-        let _span = self.obs.tracer.span("federation run (adaptive)");
-        let (candidates, gated) = self.gated_candidates(query)?;
-        self.run_spliced(candidates, gated, policy, stream, sink)
-    }
-
-    /// [`FederatedOptions::Winner`]: the prepared plan streams on the
-    /// winner's mediator — the query is *not* re-planned — and the answer
-    /// is attributed to the member.
-    fn run_winner(
-        &self,
-        prepared: PreparedFederated,
         options: StreamOptions<'_>,
         sink: Option<&mut dyn FnMut(TupleBatch) -> bool>,
     ) -> Result<FederatedRun, MediatorError> {
-        let PreparedFederated { member, planned, considered, flight_id, .. } = prepared;
-        let name = &self.members[member].name;
-        let stream =
-            self.mediators[member].run_stream(planned, options, sink).inspect_err(|_| {
-                // The failure is the winner's: its health signal.
-                self.tap(names::MEMBER_ERRORS_PREFIX, name, 1);
-            })?;
-        self.served(member, &stream.outcome, stream.resilience.retries, stream.splices);
+        if let StreamOptions::Analyzed(_) = options {
+            return Err(MediatorError::Plan(PlanError::MalformedQuery(
+                "EXPLAIN ANALYZE runs on one mediator, not a federation".into(),
+            )));
+        }
+        let (prepared, planned_here) = match input.into() {
+            StreamInput::Query(query) => (self.prepare(query)?, true),
+            StreamInput::Prepared(prepared) => (prepared, false),
+        };
+        let trace = if planned_here { self.ruled_out(&prepared) } else { Vec::new() };
+        let (now, flight_id) = (prepared.now, prepared.flight_id);
+        let mut run = Gated { now, flight_id, trace };
+        let mut ctl = BreakerSpliceController {
+            fed: self,
+            run: &mut run,
+            query: prepared.query,
+            queue: (prepared.decision != CacheDecision::Hit).then(|| prepared.fallbacks.into()),
+            current: prepared.member,
+            drift: None,
+            drift_cfg: if let StreamOptions::Adaptive(cfg) = options { Some(cfg) } else { None },
+            retired_triggers: 0,
+            splices: 0,
+        };
+        let (member, planned) = match self.breakers[prepared.member].gate(now) {
+            BreakerHealth::Open => ctl.stand_in().ok_or_else(|| no_plan(prepared.query, true))?,
+            _ => (prepared.member, prepared.planned),
+        };
+        self.probe(member, ctl.run);
+        ctl.serve_from(member);
+        let result = self.mediators[member].execute(planned, options, Some(&mut ctl), sink);
+        let (serving, splices) = (ctl.current, ctl.splices);
+        // On failure the controller already opened breakers and traced
+        // every member that died; nobody was left to splice to.
+        let mut stream = result?;
+        let name = &self.members[serving].name;
+        self.recovered(serving, &mut run);
+        if splices > 0 {
+            // A mid-stream member switch is a failover, just a cheaper one.
+            stream.resilience.failovers += splices;
+            self.obs.metrics.add(names::RESILIENCE_FAILOVERS, splices);
+            self.flight.note(flight_id, || PlanEvent::Note {
+                text: format!("served by member {name} after {splices} splice(s)"),
+            });
+        }
+        // A breaker splice is charged to the member that died, and after
+        // one the run's retries are mostly that member's too.
+        let retries = if splices == 0 { stream.resilience.retries } else { 0 };
+        self.served(serving, &stream.outcome, retries, stream.splices - splices);
         self.tap(names::MEMBER_DRIFT_PREFIX, name, stream.drift_triggers);
-        Ok(FederatedRun {
-            stream,
-            source_name: name.clone(),
-            trace: Vec::new(),
-            considered,
-            flight_id,
-        })
+        let (source_name, considered) = (name.clone(), prepared.considered);
+        Ok(FederatedRun { stream, source_name, trace: run.trace, considered, flight_id })
+    }
+
+    /// The members a survey ruled out, in member order: infeasible (pruned
+    /// or failed planning) or quarantined; none after a cache hit.
+    /// O(members), so only a run planned from its query narrates it.
+    fn ruled_out(&self, prepared: &PreparedFederated<'_>) -> FailoverTrace {
+        if prepared.decision == CacheDecision::Hit {
+            return Vec::new();
+        }
+        let mut events = vec![Some(MemberEvent::Infeasible); self.members.len()];
+        events[prepared.member] = None;
+        for (idx, _) in &prepared.fallbacks {
+            events[*idx] = None;
+        }
+        for &idx in &prepared.quarantined {
+            events[idx] = Some(MemberEvent::Quarantined);
+        }
+        self.members.iter().zip(events).filter_map(|(m, e)| Some((m.name.clone(), e?))).collect()
     }
 
     /// Books a served answer: the federation counter plus the per-member
@@ -842,179 +897,63 @@ impl Federation {
         }
     }
 
-    /// Books the probe of a cooled-down breaker: candidate `idx` is about
+    /// Books the probe of a cooled-down breaker when member `idx` is about
     /// to run while half-open.
-    fn probe(&self, idx: usize, gated: &mut Gated) {
-        if gated.gates[idx] != BreakerGate::HalfOpen {
+    fn probe(&self, idx: usize, run: &mut Gated) {
+        if self.breakers[idx].gate(run.now) != BreakerHealth::HalfOpen {
             return;
         }
         let name = &self.members[idx].name;
         self.obs.metrics.inc(names::BREAKER_HALF_OPENED);
         self.obs.tracer.event_with(|| format!("member {name}: half-open probe"));
-        self.flight.note(gated.flight_id, || PlanEvent::Breaker {
+        self.flight.note(run.flight_id, || PlanEvent::Breaker {
             member: name.clone(),
             transition: "half-open",
         });
-        gated.trace.push((name.clone(), MemberEvent::Probed));
+        run.trace.push((name.clone(), MemberEvent::Probed));
     }
 
     /// Books member `idx`'s execution failure: its breaker (which may
     /// open), the failure counters, the health taps, the trace entry.
-    fn failed(&self, idx: usize, err: &ExecError, gated: &mut Gated) {
+    fn failed(&self, idx: usize, err: &ExecError, run: &mut Gated) {
         let name = &self.members[idx].name;
-        if self.breakers[idx].record_failure(gated.now, &self.breaker_cfg, &self.tripped) {
+        if self.breakers[idx].record_failure(run.now, &self.breaker_cfg, &self.tripped) {
             self.obs.metrics.inc(names::BREAKER_OPENED);
             self.tap(names::BREAKER_OPENED_PREFIX, name, 1);
             self.obs.tracer.event_with(|| format!("member {name}: breaker opened"));
-            self.flight.note(gated.flight_id, || PlanEvent::Breaker {
+            self.flight.note(run.flight_id, || PlanEvent::Breaker {
                 member: name.clone(),
                 transition: "opened",
             });
-            self.plancache_invalidate("breaker opened");
         }
         self.obs.metrics.inc(names::FEDERATION_EXEC_FAILED);
         self.tap(names::MEMBER_ERRORS_PREFIX, name, 1);
-        gated.trace.push((name.clone(), MemberEvent::ExecFailed(err.to_string())));
+        run.trace.push((name.clone(), MemberEvent::ExecFailed(err.to_string())));
     }
 
     /// Books member `idx`'s success on its breaker, closing it when it was
     /// open or half-open, and the `Served` trace entry.
-    fn recovered(&self, idx: usize, gated: &mut Gated) {
+    fn recovered(&self, idx: usize, run: &mut Gated) {
         let name = &self.members[idx].name;
         if self.breakers[idx].record_success(&self.tripped) {
             self.obs.metrics.inc(names::BREAKER_CLOSED);
-            self.flight.note(gated.flight_id, || PlanEvent::Breaker {
+            self.flight.note(run.flight_id, || PlanEvent::Breaker {
                 member: name.clone(),
                 transition: "closed",
             });
-            self.plancache_invalidate("breaker closed");
         }
-        gated.trace.push((name.clone(), MemberEvent::Served));
+        run.trace.push((name.clone(), MemberEvent::Served));
     }
+}
 
-    /// Opens a breaker-gated run: ticks the breaker clock, snapshots the
-    /// gates, surveys the members, and keeps the non-quarantined feasible
-    /// ones as a cheapest-first candidate list (stable: earliest member
-    /// wins ties; never empty). Infeasible and quarantined members are
-    /// traced and counted here; a member the index pruned is traced
-    /// infeasible like one that failed planning.
-    fn gated_candidates(
-        &self,
-        query: &TargetQuery,
-    ) -> Result<(Vec<(usize, PlannedQuery)>, Gated), PlanError> {
-        let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let flight = self.flight.begin_with(|| (query.to_string(), "Federation".to_string()));
-        // Gate decisions are snapshotted up front so the planning survey
-        // below cannot interleave with breaker updates.
-        let gates: Vec<BreakerGate> = self.breakers.iter().map(|b| b.gate(now)).collect();
-        let (mut candidates, considered) = self.survey(query, flight);
-        let mut scheme = "Federation";
-        let mut trace: FailoverTrace = Vec::new();
-        // The feasible members, in member order: every other member was
-        // pruned or failed planning.
-        let mut feasible = candidates.iter().map(|(idx, _)| *idx).peekable();
-        for (idx, (member, gate)) in self.members.iter().zip(&gates).enumerate() {
-            let name = &member.name;
-            if feasible.next_if_eq(&idx).is_none() {
-                trace.push((name.clone(), MemberEvent::Infeasible));
-            } else if *gate == BreakerGate::Quarantined {
-                scheme = "Federation (all capable members quarantined)";
-                self.obs.metrics.inc(names::FEDERATION_QUARANTINED);
-                self.tap(names::MEMBER_QUARANTINED_PREFIX, name, 1);
-                self.obs.tracer.event_with(|| format!("member {name}: quarantined (breaker open)"));
-                flight.event_with(|| PlanEvent::Breaker {
-                    member: name.clone(),
-                    transition: "quarantined",
-                });
-                trace.push((name.clone(), MemberEvent::Quarantined));
-            }
-        }
-        candidates.retain(|(idx, _)| gates[*idx] != BreakerGate::Quarantined);
-        if candidates.is_empty() {
-            return Err(PlanError::NoFeasiblePlan { query: query.to_string(), scheme });
-        }
-        candidates.sort_by(by_cost);
-        Ok((candidates, Gated { now, flight_id: flight.id(), gates, trace, considered }))
-    }
-
-    /// [`FederatedOptions::Splice`] over the gated `candidates`: the
-    /// cheapest streams, the rest queue up as splice targets.
-    fn run_spliced(
-        &self,
-        mut candidates: Vec<(usize, PlannedQuery)>,
-        mut gated: Gated,
-        policy: &RetryPolicy,
-        cfg: &StreamConfig,
-        sink: Option<&mut dyn FnMut(TupleBatch) -> bool>,
-    ) -> Result<FederatedRun, MediatorError> {
-        let (primary_idx, primary) = candidates.remove(0);
-        self.probe(primary_idx, &mut gated);
-        let mut resilience = ResilienceMeter::default();
-        let mut ctl = BreakerSpliceController {
-            fed: self,
-            gated: &mut gated,
-            queue: candidates.into(),
-            current: primary_idx,
-            attrs: primary.plan.output_attrs().clone(),
-        };
-        let request = StreamRequest {
-            config: cfg,
-            retry: Some(Retry { policy, meter: &mut resilience }),
-            mode: StreamMode::Adaptive(&mut ctl),
-            tracer: Some(&self.obs.tracer),
-        };
-        let source = &self.members[primary_idx];
-        let result = match sink {
-            Some(sink) => execute_stream(&primary.plan, source, request, sink)
-                .map(|run| (Relation::empty(run.schema.clone()), run)),
-            None => execute_stream_collect(&primary.plan, source, request),
-        };
-        let serving_idx = ctl.current;
-        let (rows, run) = result.map_err(|e| {
-            // The controller already opened breakers and traced every
-            // member that died; nobody was left to splice to.
-            resilience.record_into(&self.obs.metrics);
-            self.obs.tracer.event_with(|| format!("adaptive run died: {e}"));
-            MediatorError::Exec(e)
-        })?;
-        let name = &self.members[serving_idx].name;
-        self.recovered(serving_idx, &mut gated);
-        let splices = run.splices;
-        self.obs.tracer.event_with(|| {
-            format!("member {name}: served adaptively ({} rows, {splices} splice(s))", run.emitted)
-        });
-        self.flight.note(gated.flight_id, || PlanEvent::Winner {
-            cost: primary.est_cost,
-            plan: primary.plan.to_string(),
-        });
-        self.flight.note(gated.flight_id, || PlanEvent::Note {
-            text: format!("served by member {name} after {splices} splice(s)"),
-        });
-        let (meter, measured_cost) = (run.meter, run.measured_cost);
-        let outcome = RunOutcome { planned: primary, rows, meter, measured_cost };
-        // A breaker splice is charged to the member that died, and after
-        // one the run's retries are mostly that member's too.
-        self.served(serving_idx, &outcome, 0, 0);
-        outcome.meter.record_into(&self.obs.metrics);
-        run.stats.record_into(&self.obs.metrics);
-        // A mid-stream member switch is a failover, just a cheaper one.
-        resilience.failovers += splices;
-        resilience.record_into(&self.obs.metrics);
-        Ok(FederatedRun {
-            stream: StreamOutcome {
-                outcome,
-                stats: run.stats,
-                resilience,
-                splices,
-                drift_triggers: 0,
-                analysis: None,
-            },
-            source_name: name.clone(),
-            trace: gated.trace,
-            considered: gated.considered,
-            flight_id: gated.flight_id,
-        })
-    }
+/// No member can serve `query`; `quarantined` says whether a capable one
+/// sat the decision out behind its breaker.
+fn no_plan(query: &TargetQuery, quarantined: bool) -> PlanError {
+    let scheme = match quarantined {
+        true => "Federation (all capable members quarantined)",
+        false => "Federation",
+    };
+    PlanError::NoFeasiblePlan { query: query.to_string(), scheme }
 }
 
 /// Cheapest-first order of `(member, plan)` candidates.
@@ -1022,45 +961,86 @@ fn by_cost(a: &(usize, PlannedQuery), b: &(usize, PlannedQuery)) -> std::cmp::Or
     a.1.est_cost.partial_cmp(&b.1.est_cost).expect("finite plan costs")
 }
 
-/// What a breaker-gated run carries from gating to its last bookkeeping
-/// entry.
+/// What a run carries from its start to its last bookkeeping entry.
 struct Gated {
     /// This run's tick of the breaker clock.
     now: u64,
     /// The run's flight record.
     flight_id: u64,
-    /// Breaker gates snapshotted before planning, in member order.
-    gates: Vec<BreakerGate>,
     trace: FailoverTrace,
-    considered: Considered,
 }
 
-/// The breaker-triggered [`ReplanController`] of
-/// [`FederatedOptions::Splice`]: on a terminal leaf failure it counts the
-/// failure on the serving member's breaker and splices the next-cheapest
-/// gated candidate in — with its surveyed plan before the first answer row
-/// or when the residual has no condition, else with the residual condition
-/// re-planned on it. Batch boundaries are left alone — cardinality drift is
-/// the mediator-level controller's job.
+/// The [`ReplanController`] every federated run streams under: a terminal
+/// leaf failure counts on the serving member's breaker and splices the
+/// next-cheapest candidate in (surveyed plan before the first row or for a
+/// condition-less residual, else the re-planned residual). Batch
+/// boundaries go to the serving member's drift controller, if any.
 struct BreakerSpliceController<'a> {
     fed: &'a Federation,
-    gated: &'a mut Gated,
-    /// Remaining gated candidates with their surveyed plans, cheapest-first.
-    queue: VecDeque<(usize, PlannedQuery)>,
+    run: &'a mut Gated,
+    /// The query the run answers.
+    query: &'a TargetQuery,
+    /// Remaining candidates with their surveyed plans, cheapest-first;
+    /// `None` until a run from a cache hit ranks them.
+    queue: Option<VecDeque<(usize, PlannedQuery)>>,
     /// Index of the member currently feeding the pipeline.
     current: usize,
-    attrs: AttrSet,
+    /// The serving member's drift controller, on an adaptive run.
+    drift: Option<DriftController<'a>>,
+    /// What a splice target's drift controller is built with.
+    drift_cfg: Option<&'a AdaptiveConfig>,
+    /// Drift triggers of the controllers retired by member splices.
+    retired_triggers: u64,
+    /// Member splices so far.
+    splices: u64,
+}
+
+impl BreakerSpliceController<'_> {
+    /// The member a prepared decision starts on instead of its own, which
+    /// another run quarantined after the decision was made: the first of
+    /// the splice queue (ranked now when the decision was a cache hit),
+    /// with its surveyed plan.
+    fn stand_in(&mut self) -> Option<(usize, PlannedQuery)> {
+        self.fed.sat_out(self.current, self.run.flight_id);
+        let name = self.fed.members[self.current].name.clone();
+        self.run.trace.push((name, MemberEvent::Quarantined));
+        self.queue().pop_front()
+    }
+
+    /// The splice queue. A run from a cache hit ranks it at first use: the
+    /// skipped survey, minus the current member and the quarantined.
+    fn queue(&mut self) -> &mut VecDeque<(usize, PlannedQuery)> {
+        let (fed, query, current, run) = (self.fed, self.query, self.current, &*self.run);
+        self.queue.get_or_insert_with(|| {
+            let (mut live, _) = fed.survey(query, run.flight_id);
+            live.retain(|(idx, _)| *idx != current);
+            fed.quarantine(&mut live, run.now, run.flight_id);
+            live.sort_by(by_cost);
+            live.into()
+        })
+    }
+
+    /// Makes member `idx` the one feeding the pipeline; on an adaptive run
+    /// its drift controller watches the batch boundaries from here on.
+    fn serve_from(&mut self, idx: usize) {
+        self.current = idx;
+        if let Some(cfg) = self.drift_cfg {
+            let (med, attrs) = (&self.fed.mediators[idx], self.query.attrs.clone());
+            let ctl = DriftController::new(med, attrs, self.run.flight_id, cfg, Default::default());
+            self.retired_triggers += self.drift.replace(ctl).map_or(0, |d| d.drift_triggers());
+        }
+    }
 }
 
 impl ReplanController for BreakerSpliceController<'_> {
-    fn on_batch(&mut self, _probe: &ReplanProbe<'_>) -> Option<SpliceAction> {
-        None
+    fn on_batch(&mut self, probe: &ReplanProbe<'_>) -> Option<SpliceAction> {
+        self.drift.as_mut()?.on_batch(probe)
     }
 
     fn on_leaf_error(&mut self, probe: &ReplanProbe<'_>, err: &ExecError) -> Option<SpliceAction> {
         let fed = self.fed;
         let failed = &fed.members[self.current];
-        fed.failed(self.current, err, self.gated);
+        fed.failed(self.current, err, self.run);
         fed.obs.metrics.inc(names::REPLAN_TRIGGERED);
         fed.obs.metrics.inc(names::REPLAN_BREAKER_TRIGGERS);
         fed.obs.tracer.event_with(|| {
@@ -1072,9 +1052,9 @@ impl ReplanController for BreakerSpliceController<'_> {
         // residual without a condition is the whole query too: either way
         // the next candidate's surveyed plan runs, and nothing is re-planned.
         let residual = if probe.emitted > 0 { plan_condition(&remaining) } else { None };
-        while let Some((idx, surveyed)) = self.queue.pop_front() {
+        while let Some((idx, surveyed)) = self.queue().pop_front() {
             let next = &fed.members[idx];
-            fed.probe(idx, self.gated);
+            fed.probe(idx, self.run);
             let plan = match &residual {
                 None => surveyed.plan,
                 // Re-plan the residual on the splice target — its
@@ -1082,7 +1062,7 @@ impl ReplanController for BreakerSpliceController<'_> {
                 // dead member's did, and the pipeline only needs what has
                 // not been emitted.
                 Some(residual) => {
-                    let q = TargetQuery::new(residual.clone(), self.attrs.clone());
+                    let q = TargetQuery::new(residual.clone(), self.query.attrs.clone());
                     match fed.mediators[idx].plan_quiet(&q) {
                         Ok(p) => {
                             p.report.record_into(&fed.obs.metrics);
@@ -1095,8 +1075,8 @@ impl ReplanController for BreakerSpliceController<'_> {
                             fed.obs.metrics.inc(names::FEDERATION_INFEASIBLE);
                             let text = format!("member {}: residual infeasible", next.name);
                             fed.obs.tracer.event_with(|| text.clone());
-                            fed.flight.note(self.gated.flight_id, || PlanEvent::Note { text });
-                            self.gated.trace.push((next.name.clone(), MemberEvent::Infeasible));
+                            fed.flight.note(self.run.flight_id, || PlanEvent::Note { text });
+                            self.run.trace.push((next.name.clone(), MemberEvent::Infeasible));
                             continue;
                         }
                     }
@@ -1106,7 +1086,7 @@ impl ReplanController for BreakerSpliceController<'_> {
             // The splice is charged to the member that died — it is the
             // health signal, not the rescuer.
             fed.tap(names::MEMBER_SPLICES_PREFIX, &failed.name, 1);
-            fed.flight.note(self.gated.flight_id, || PlanEvent::Replan {
+            fed.flight.note(self.run.flight_id, || PlanEvent::Replan {
                 trigger: "breaker-open",
                 detail: format!("member {} failed: {err}", failed.name),
                 batch: probe.batches,
@@ -1120,11 +1100,16 @@ impl ReplanController for BreakerSpliceController<'_> {
                     next.name, probe.batches, probe.emitted
                 )
             });
-            self.gated.trace.push((next.name.clone(), MemberEvent::Spliced(failed.name.clone())));
-            self.current = idx;
+            self.run.trace.push((next.name.clone(), MemberEvent::Spliced(failed.name.clone())));
+            self.splices += 1;
+            self.serve_from(idx);
             return Some(SpliceAction { plan, source: next.clone() });
         }
         None
+    }
+
+    fn drift_triggers(&self) -> u64 {
+        self.retired_triggers + self.drift.as_ref().map_or(0, |d| d.drift_triggers())
     }
 }
 
@@ -1132,9 +1117,11 @@ impl ReplanController for BreakerSpliceController<'_> {
 mod tests {
     use super::*;
     use csqp_expr::ValueType;
+    use csqp_plan::exec::RetryPolicy;
     use csqp_plan::Plan;
     use csqp_relation::datagen;
     use csqp_relation::stream::DEFAULT_BATCH_SIZE;
+    use csqp_relation::Relation;
     use csqp_source::CostParams;
     use csqp_ssdl::{parse_ssdl, templates};
 
@@ -1193,7 +1180,7 @@ mod tests {
     }
 
     #[test]
-    fn prepare_hits_on_repeat_shapes_and_breaker_transitions_invalidate() {
+    fn prepare_hits_on_repeat_shapes_and_membership_changes_invalidate() {
         let f = mirrors().with_plan_cache(Arc::new(PlanCache::new()));
         let q1 = TargetQuery::parse("make = \"BMW\" ^ price < 40000", &["model", "year"]).unwrap();
         let q2 = TargetQuery::parse("make = \"Audi\" ^ price < 25000", &["model", "year"]).unwrap();
@@ -1211,11 +1198,53 @@ mod tests {
         assert_eq!(warm.surveyed(), None, "no survey ran on a hit");
         // The rebound plan equals what cold planning would have produced.
         assert_eq!(warm.planned.plan, f.plan(&q2).unwrap().planned.plan);
-        // A breaker transition wipes the cache: the next prepare is cold.
-        f.plancache_invalidate("test");
+        // A membership change wipes the cache: the next prepare is cold.
+        let f = f.with_member(mirrors().members()[0].clone());
         assert_eq!(f.prepare(&q2).unwrap().decision, CacheDecision::Miss);
         let stats = f.plan_cache().unwrap().stats();
         assert_eq!((stats.hits, stats.invalidations), (1, 1));
+    }
+
+    /// A fault-free cache hit plans nothing: the query's own metric writes
+    /// hold no `planner.*` or `capindex.*` series. A hit whose member dies
+    /// surveys once, at its first leaf error, and splices the survey's next
+    /// member in. Both federations share one cache and one member layout,
+    /// so the healthy one's entry is the dark one's hit.
+    #[test]
+    fn a_hit_plans_nothing_until_its_member_fails_then_surveys_once() {
+        use csqp_obs::ProfileCapture;
+        use csqp_source::FaultProfile;
+        let cache = Arc::new(PlanCache::new());
+        let [healthy, dark] = [FaultProfile::new(0), FaultProfile::new(0).with_outage(0, u64::MAX)]
+            .map(|p| {
+                faulty_pair(p, CircuitBreakerConfig::default()).with_plan_cache(cache.clone())
+            });
+        let query = |make: &str| {
+            let cond = format!("make = \"{make}\" ^ price < 40000");
+            TargetQuery::parse(&cond, &["model", "year"]).unwrap()
+        };
+        let stream = StreamConfig::default();
+        let served = |f: &Federation, q: &TargetQuery| {
+            let prepared = f.prepare(q).unwrap();
+            assert_eq!(prepared.decision, CacheDecision::Hit);
+            let mark = f.obs().tracer.span_mark();
+            let capture = ProfileCapture::begin(f.obs());
+            let run = f.run_stream(prepared, StreamOptions::plain(&stream), None).unwrap();
+            let written = capture.close();
+            let spans = f.obs().tracer.spans_from(mark);
+            let surveys = spans.iter().filter(|s| s.label == "capindex select").count();
+            (run.source_name, written, surveys)
+        };
+        assert_eq!(healthy.prepare(&query("BMW")).unwrap().decision, CacheDecision::Miss);
+        let (member, written, surveys) = served(&healthy, &query("Audi"));
+        assert_eq!((member.as_str(), surveys), ("car_dealer", 0));
+        let planned = |k: &String| k.starts_with("planner.") || k.starts_with("capindex.");
+        assert!(!written.counters.keys().any(planned), "{}", written.to_json());
+        assert!(!written.gauges.keys().any(planned), "{}", written.to_json());
+        let (member, written, surveys) = served(&dark, &query("Ford"));
+        assert_eq!((member.as_str(), surveys), ("dump", 1));
+        assert!(written.counter(names::PLANNER_CHECK_CALLS) > 0, "{}", written.to_json());
+        assert_eq!(written.counter(names::CAPINDEX_CANDIDATES), 2, "one survey of both members");
     }
 
     #[test]
@@ -1296,10 +1325,10 @@ mod tests {
         Federation::new().with_member(flaky).with_member(dump).with_breaker(cfg)
     }
 
-    /// Breaker-gated splice options at the default batch size.
-    fn splice(policy: &RetryPolicy) -> FederatedOptions<'_> {
+    /// Plain pipeline options under `policy` at the default batch size.
+    fn retried(policy: &RetryPolicy) -> StreamOptions<'_> {
         const STREAM: StreamConfig = StreamConfig { batch_size: DEFAULT_BATCH_SIZE, limit: None };
-        FederatedOptions::Splice { policy, stream: &STREAM }
+        StreamOptions::Plain { stream: &STREAM, policy: Some(policy) }
     }
 
     fn car_query() -> TargetQuery {
@@ -1316,7 +1345,7 @@ mod tests {
         );
         let policy = RetryPolicy { max_retries: 0, ..Default::default() };
         let q = car_query();
-        let run = f.run_stream(&q, splice(&policy), None).unwrap();
+        let run = f.run_stream(&q, retried(&policy), None).unwrap();
         assert_eq!(run.source_name, "dump", "failed over to the expensive mirror");
         assert!(run.stream.resilience.failovers >= 1);
         let want = csqp_relation::ops::project(
@@ -1337,14 +1366,19 @@ mod tests {
             sunk.extend(b.into_tuples());
             true
         };
-        let options = splice(&policy);
+        let options = retried(&policy);
         let run = f.run_stream(&q, options, Some(&mut sink)).unwrap();
         assert!(run.stream.outcome.rows.is_empty(), "the sink consumed the answer");
         assert_eq!(sunk.len(), want.len(), "no row reaches the sink twice");
         assert_eq!(Relation::from_tuples(want.schema().clone(), sunk), want);
-        // One prepared winner gives a splice nobody to turn to.
+        // A prepared decision fails over the same way: the dealer still
+        // wins planning (two failures stay under the threshold of three),
+        // dies, and the dump splices in from the decision's ranking.
         let prepared = f.prepare(&q).unwrap();
-        assert!(matches!(f.run_stream(prepared, options, None), Err(MediatorError::Plan(_))));
+        assert_eq!(f.members()[prepared.member].name, "car_dealer");
+        let run = f.run_stream(prepared, options, None).unwrap();
+        assert_eq!(run.source_name, "dump");
+        assert_eq!(run.stream.outcome.rows, want);
     }
 
     #[test]
@@ -1362,7 +1396,7 @@ mod tests {
             .with_member(dealer)
             .with_flight_recorder(Arc::new(FlightRecorder::new()));
         let policy = RetryPolicy { max_retries: 0, ..Default::default() };
-        let run = f.run_stream(&car_query(), splice(&policy), None).unwrap();
+        let run = f.run_stream(&car_query(), retried(&policy), None).unwrap();
         assert_eq!(run.source_name, "dump");
         let why = f.explain_why();
         let replans: Vec<&str> = why.lines().filter(|l| l.contains("[replan]")).collect();
@@ -1392,7 +1426,7 @@ mod tests {
             side += f.mediators[2].run(&color).unwrap().meter.tuples_shipped;
             true
         };
-        let run = f.run_stream(&car_query(), splice(&policy), Some(&mut sink)).unwrap();
+        let run = f.run_stream(&car_query(), retried(&policy), Some(&mut sink)).unwrap();
         assert_eq!(run.source_name, "dump");
         assert!(side > 0, "the sink shipped tuples from color_only");
         // The hard-down dealer never opened a stream, so the run's transfer
@@ -1409,7 +1443,7 @@ mod tests {
         let policy = RetryPolicy { max_retries: 0, ..Default::default() };
         let check_calls = |profile: FaultProfile| {
             let f = faulty_pair(profile, CircuitBreakerConfig::default());
-            let run = f.run_stream(&car_query(), splice(&policy), None).unwrap();
+            let run = f.run_stream(&car_query(), retried(&policy), None).unwrap();
             (run.source_name, f.metrics_snapshot().counter(names::PLANNER_CHECK_CALLS))
         };
         let (down, healthy) = (
@@ -1425,17 +1459,24 @@ mod tests {
     fn unconditional_residual_splices_the_surveyed_plan() {
         let f = mirrors();
         let q = car_query();
-        let (candidates, mut gated) = f.gated_candidates(&q).unwrap();
-        let names: Vec<&str> =
-            candidates.iter().map(|(i, _)| f.members()[*i].name.as_str()).collect();
+        let p = f.plan(&q).unwrap();
+        let names: Vec<&str> = std::iter::once(p.member)
+            .chain(p.fallbacks.iter().map(|(i, _)| *i))
+            .map(|i| f.members()[i].name.as_str())
+            .collect();
         assert_eq!(names, ["car_dealer", "dump"]);
-        let surveyed = candidates[1].1.plan.clone();
+        let surveyed = p.fallbacks[0].1.plan.clone();
+        let mut run = Gated { now: 1, flight_id: p.flight_id, trace: Vec::new() };
         let mut ctl = BreakerSpliceController {
             fed: &f,
-            gated: &mut gated,
-            queue: candidates.into_iter().skip(1).collect(),
+            run: &mut run,
+            query: &q,
+            queue: Some(p.fallbacks.into()),
             current: 0,
-            attrs: q.attrs.clone(),
+            drift: None,
+            drift_cfg: None,
+            retired_triggers: 0,
+            splices: 0,
         };
         // Rows were emitted, but the dying plan has no condition to re-plan.
         let plan = Plan::source(None, q.attrs.clone());
@@ -1465,23 +1506,23 @@ mod tests {
             run.trace.iter().filter(|(n, _)| n == name).map(|(_, e)| e.clone()).collect()
         };
 
-        let r1 = f.run_stream(&q, splice(&policy), None).unwrap();
+        let r1 = f.run_stream(&q, retried(&policy), None).unwrap();
         assert!(matches!(event_for(&r1, "car_dealer")[..], [MemberEvent::ExecFailed(_)]));
-        let r2 = f.run_stream(&q, splice(&policy), None).unwrap();
+        let r2 = f.run_stream(&q, retried(&policy), None).unwrap();
         assert!(matches!(event_for(&r2, "car_dealer")[..], [MemberEvent::ExecFailed(_)]));
         for _ in 0..2 {
-            let r = f.run_stream(&q, splice(&policy), None).unwrap();
+            let r = f.run_stream(&q, retried(&policy), None).unwrap();
             assert_eq!(event_for(&r, "car_dealer"), vec![MemberEvent::Quarantined]);
             assert_eq!(r.source_name, "dump", "quarantine shields the run from the dealer");
         }
-        let r5 = f.run_stream(&q, splice(&policy), None).unwrap();
+        let r5 = f.run_stream(&q, retried(&policy), None).unwrap();
         assert_eq!(
             event_for(&r5, "car_dealer"),
             vec![MemberEvent::Probed, MemberEvent::Served],
             "half-open probe succeeds"
         );
         assert_eq!(r5.source_name, "car_dealer");
-        let r6 = f.run_stream(&q, splice(&policy), None).unwrap();
+        let r6 = f.run_stream(&q, retried(&policy), None).unwrap();
         assert_eq!(
             event_for(&r6, "car_dealer"),
             vec![MemberEvent::Served],
@@ -1498,14 +1539,64 @@ mod tests {
         );
         let policy = RetryPolicy { max_retries: 0, ..Default::default() };
         let q = car_query();
-        let r1 = f.run_stream(&q, splice(&policy), None).unwrap(); // fails, opens
+        let r1 = f.run_stream(&q, retried(&policy), None).unwrap(); // fails, opens
         assert!(r1.trace.iter().any(|(_, e)| matches!(e, MemberEvent::ExecFailed(_))));
-        let r2 = f.run_stream(&q, splice(&policy), None).unwrap(); // quarantined
+        let r2 = f.run_stream(&q, retried(&policy), None).unwrap(); // quarantined
         assert!(r2.trace.iter().any(|(_, e)| *e == MemberEvent::Quarantined));
-        let r3 = f.run_stream(&q, splice(&policy), None).unwrap(); // probe fails, reopens
+        let r3 = f.run_stream(&q, retried(&policy), None).unwrap(); // probe fails, reopens
         assert!(r3.trace.iter().any(|(_, e)| *e == MemberEvent::Probed));
-        let r4 = f.run_stream(&q, splice(&policy), None).unwrap(); // quarantined again
+        let r4 = f.run_stream(&q, retried(&policy), None).unwrap(); // quarantined again
         assert!(r4.trace.iter().any(|(_, e)| *e == MemberEvent::Quarantined));
+    }
+
+    #[test]
+    fn a_decision_whose_member_was_quarantined_since_starts_on_the_next() {
+        use csqp_source::FaultProfile;
+        let policy = RetryPolicy { max_retries: 0, ..Default::default() };
+        let q = car_query();
+        // Uncached, the stale decision is a survey with the dump queued
+        // behind the dealer; cached, it is a hit that ranks nothing yet.
+        for cached in [false, true] {
+            let f = faulty_pair(
+                FaultProfile::new(0).with_outage(0, u64::MAX),
+                CircuitBreakerConfig { failure_threshold: 1, cooldown_ticks: 1 },
+            );
+            let f = if cached { f.with_plan_cache(Arc::new(PlanCache::new())) } else { f };
+            if cached {
+                f.prepare(&q).unwrap(); // caches the dealer
+            }
+            let stale = f.prepare(&q).unwrap();
+            assert_eq!(stale.source.name, "car_dealer");
+            assert_eq!(stale.decision == CacheDecision::Hit, cached);
+            // Another run opens the dealer's breaker after the decision.
+            let opener = f.run_stream(&q, retried(&policy), None).unwrap();
+            assert!(opener.trace.iter().any(|(_, e)| matches!(e, MemberEvent::ExecFailed(_))));
+            let run = f.run_stream(stale, retried(&policy), None).unwrap();
+            assert_eq!(run.source_name, "dump", "cached {cached}");
+            assert_eq!(
+                run.trace,
+                vec![
+                    ("car_dealer".to_string(), MemberEvent::Quarantined),
+                    ("dump".to_string(), MemberEvent::Served)
+                ],
+                "cached {cached}: the dealer is not tried"
+            );
+            assert_eq!(run.stream.resilience.failovers, 0, "nothing died, nothing spliced");
+            assert_eq!(run.stream.outcome.rows, opener.stream.outcome.rows);
+        }
+        // With every capable member quarantined a stale decision has no
+        // stand-in: a one-member federation reports it infeasible.
+        let lone = Arc::new(
+            Source::new(datagen::cars(3, 400), templates::car_dealer(), CostParams::new(10.0, 1.0))
+                .with_fault_profile(FaultProfile::new(0).with_outage(0, u64::MAX)),
+        );
+        let f = Federation::new()
+            .with_member(lone)
+            .with_breaker(CircuitBreakerConfig { failure_threshold: 1, cooldown_ticks: 1 });
+        let stale = f.prepare(&q).unwrap();
+        assert!(f.run_stream(&q, retried(&policy), None).is_err());
+        let err = f.run_stream(stale, retried(&policy), None).unwrap_err();
+        assert!(err.to_string().contains("all capable members quarantined"), "{err}");
     }
 
     #[test]
@@ -1522,7 +1613,7 @@ mod tests {
             let policy = RetryPolicy { max_retries: 0, ..Default::default() };
             let q = car_query();
             for _ in 0..6 {
-                f.run_stream(&q, splice(&policy), None).unwrap();
+                f.run_stream(&q, retried(&policy), None).unwrap();
             }
             let snap = f.metrics_snapshot();
             if f.obs().enabled() {
@@ -1541,7 +1632,7 @@ mod tests {
                     CircuitBreakerConfig { failure_threshold: 2, cooldown_ticks: 2 },
                 );
                 for _ in 0..6 {
-                    f2.run_stream(&q, splice(&policy), None).unwrap();
+                    f2.run_stream(&q, retried(&policy), None).unwrap();
                 }
                 assert_eq!(f2.obs().tracer.render(), f.obs().tracer.render());
                 assert_eq!(f2.metrics_snapshot(), snap);
@@ -1563,7 +1654,7 @@ mod tests {
         };
         let f = Federation::new().with_member(down(1)).with_member(down(2));
         let policy = RetryPolicy { max_retries: 1, ..Default::default() };
-        match f.run_stream(&car_query(), splice(&policy), None) {
+        match f.run_stream(&car_query(), retried(&policy), None) {
             Err(MediatorError::Exec(e)) => {
                 assert!(e.to_string().contains("unavailable") || e.to_string().contains("retries"))
             }
@@ -1629,8 +1720,8 @@ mod tests {
         // Two failed runs trip the dealer's breaker; the gauge follows.
         let policy = RetryPolicy { max_retries: 0, ..Default::default() };
         let q = car_query();
-        f.run_stream(&q, splice(&policy), None).unwrap();
-        f.run_stream(&q, splice(&policy), None).unwrap();
+        f.run_stream(&q, retried(&policy), None).unwrap();
+        f.run_stream(&q, retried(&policy), None).unwrap();
         let states = f.breaker_states();
         assert_eq!(states.iter().find(|(n, _)| n == "car_dealer").unwrap().1, BreakerHealth::Open);
         assert_eq!(states.iter().find(|(n, _)| n == "dump").unwrap().1, BreakerHealth::Closed);
@@ -1646,7 +1737,7 @@ mod tests {
         // The outage is over: the cooled-down probe closes the breaker, and
         // the sparse view's tripped count is back at zero.
         for _ in 0..4 {
-            f.run_stream(&q, splice(&policy), None).unwrap();
+            f.run_stream(&q, retried(&policy), None).unwrap();
         }
         assert!(f.breaker_states().iter().all(|(_, h)| *h == BreakerHealth::Closed));
         assert_eq!(f.tripped.load(Ordering::Relaxed), 0);
@@ -1667,7 +1758,7 @@ mod tests {
         assert_eq!(all_closed.to_string(), "2 closed");
         let policy = RetryPolicy { max_retries: 0, ..Default::default() };
         for _ in 0..2 {
-            f.run_stream(&car_query(), splice(&policy), None).unwrap();
+            f.run_stream(&car_query(), retried(&policy), None).unwrap();
         }
         let summary = f.breaker_summary();
         assert_eq!(summary.tripped, vec![("car_dealer".to_string(), BreakerHealth::Open)]);
@@ -1687,7 +1778,7 @@ mod tests {
         let q = car_query();
         let policy = RetryPolicy::default();
         let stream = &StreamConfig::default();
-        let run = f.run_stream(&q, FederatedOptions::Splice { policy: &policy, stream }, None);
+        let run = f.run_stream(&q, StreamOptions::Plain { stream, policy: Some(&policy) }, None);
         let run = run.unwrap();
         assert_eq!(run.stream.splices, 0, "healthy federation never splices");
         assert_eq!(run.source_name, "car_dealer");
@@ -1719,7 +1810,8 @@ mod tests {
             )
             .unwrap();
             let stream = &StreamConfig { batch_size: 16, ..StreamConfig::default() };
-            let run = f.run_stream(&q, FederatedOptions::Splice { policy: &policy, stream }, None);
+            let run =
+                f.run_stream(&q, StreamOptions::Plain { stream, policy: Some(&policy) }, None);
             let run = run.unwrap();
             assert!(
                 run.stream.splices >= 1,
@@ -1770,8 +1862,11 @@ mod tests {
         let f = Federation::new().with_member(down(1)).with_member(down(2));
         let policy = RetryPolicy { max_retries: 0, ..Default::default() };
         let stream = &StreamConfig::default();
-        match f.run_stream(&car_query(), FederatedOptions::Splice { policy: &policy, stream }, None)
-        {
+        match f.run_stream(
+            &car_query(),
+            StreamOptions::Plain { stream, policy: Some(&policy) },
+            None,
+        ) {
             Err(MediatorError::Exec(_)) => {}
             other => panic!("expected Exec error, got {other:?}"),
         }

@@ -156,27 +156,7 @@ pub fn plan_compact(
         elapsed: start.elapsed(),
     };
 
-    // Snapshot the candidate list (in CT order) before ranking consumes it,
-    // so every loser's elimination can be recorded — but only when someone
-    // is listening.
-    let provenance: Vec<(String, f64)> = if flight.active() {
-        candidates.iter().map(|(p, c)| (p.to_string(), *c)).collect()
-    } else {
-        Vec::new()
-    };
-    let _rank_span = tracer.map(|t| t.span("rank"));
-    match crate::types::cheapest_candidate(candidates) {
-        Some((plan, est_cost)) => {
-            crate::types::record_ranking_events(flight, &provenance, &plan, est_cost);
-            Ok(PlannedQuery { plan, est_cost, report, flight_id: 0 })
-        }
-        None => {
-            flight.event_with(|| PlanEvent::Note {
-                text: "no feasible plan in any rewriting".to_string(),
-            });
-            Err(PlanError::NoFeasiblePlan { query: query.to_string(), scheme: "GenCompact" })
-        }
-    }
+    crate::types::rank_candidates(candidates, report, query, "GenCompact", flight, tracer)
 }
 
 #[cfg(test)]

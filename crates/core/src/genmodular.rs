@@ -122,24 +122,7 @@ pub fn plan_modular(
         elapsed: start.elapsed(),
     };
 
-    let provenance: Vec<(String, f64)> = if flight.active() {
-        candidates.iter().map(|(p, c)| (p.to_string(), *c)).collect()
-    } else {
-        Vec::new()
-    };
-    let _rank_span = tracer.map(|t| t.span("rank"));
-    match crate::types::cheapest_candidate(candidates) {
-        Some((plan, est_cost)) => {
-            crate::types::record_ranking_events(flight, &provenance, &plan, est_cost);
-            Ok(PlannedQuery { plan, est_cost, report, flight_id: 0 })
-        }
-        None => {
-            flight.event_with(|| PlanEvent::Note {
-                text: "no feasible plan in any rewriting".to_string(),
-            });
-            Err(PlanError::NoFeasiblePlan { query: query.to_string(), scheme: "GenModular" })
-        }
-    }
+    crate::types::rank_candidates(candidates, report, query, "GenModular", flight, tracer)
 }
 
 #[cfg(test)]

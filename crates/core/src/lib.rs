@@ -55,8 +55,8 @@ pub mod types;
 pub use calibrate::CalibratedCard;
 pub use capindex::{CapabilityIndex, IndexDecision};
 pub use federation::{
-    BreakerHealth, CircuitBreakerConfig, FailoverTrace, FederatedInput, FederatedOptions,
-    FederatedRun, Federation, MemberEvent, PreparedFederated,
+    BreakerHealth, CircuitBreakerConfig, FailoverTrace, FederatedInput, FederatedRun, Federation,
+    MemberEvent, PreparedFederated,
 };
 pub use gencompact::{plan_compact, GenCompactConfig};
 pub use genmodular::{plan_modular, GenModularConfig};

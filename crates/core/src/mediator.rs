@@ -260,7 +260,7 @@ impl Default for AdaptiveConfig {
 /// to plan it, once at the first batch boundary), and without any cache
 /// at every batch boundary.
 #[derive(Default)]
-struct EstimateMemo(RefCell<BTreeMap<Fingerprint, f64>>);
+pub(crate) struct EstimateMemo(RefCell<BTreeMap<Fingerprint, f64>>);
 
 /// An estimator answering through a run's [`EstimateMemo`].
 struct Memoized<'c> {
@@ -290,7 +290,7 @@ impl Cardinality for Memoized<'_> {
 /// cardinality against the planner's estimates at every batch boundary,
 /// and when a subquery exits the drift band, re-runs the planner over the
 /// residual condition with estimates floored at the observed counts.
-struct DriftController<'a> {
+pub(crate) struct DriftController<'a> {
     med: &'a Mediator,
     attrs: AttrSet,
     /// The running query's flight record: where splices are narrated.
@@ -311,18 +311,19 @@ struct DriftController<'a> {
 }
 
 impl<'a> DriftController<'a> {
-    /// Re-plans residuals for `planned`'s own output attributes (they are
-    /// the query's) and narrates splices on its flight record.
-    fn new(
+    /// Watches a run on `med`'s source: re-plans residuals for `attrs` (the
+    /// query's) and narrates splices on flight record `flight_id`.
+    pub(crate) fn new(
         med: &'a Mediator,
-        planned: &PlannedQuery,
+        attrs: AttrSet,
+        flight_id: u64,
         cfg: &AdaptiveConfig,
         estimates: EstimateMemo,
     ) -> Self {
         DriftController {
             med,
-            attrs: planned.plan.output_attrs().clone(),
-            flight_id: planned.flight_id,
+            attrs,
+            flight_id,
             drift_factor: cfg.drift_factor.max(1.0),
             max_splices: cfg.max_splices,
             floors: BTreeMap::new(),
@@ -423,8 +424,12 @@ impl ReplanController for DriftController<'_> {
         _err: &ExecError,
     ) -> Option<SpliceAction> {
         // A single-source mediator has nowhere else to send the residual;
-        // member-level recovery is `FederatedOptions::Splice`.
+        // member-level recovery is the federation's breaker splice.
         None
+    }
+
+    fn drift_triggers(&self) -> u64 {
+        self.drift_triggers
     }
 }
 
@@ -804,18 +809,32 @@ impl Mediator {
             }
             StreamInput::Prepared(planned) => planned,
         };
-        let _span = self.obs.tracer.span(options.span_label());
-        let mut resilience = ResilienceMeter::default();
         let mut drift = match options {
             StreamOptions::Adaptive(cfg) => {
-                Some(DriftController::new(self, &planned, cfg, estimates))
+                let attrs = planned.plan.output_attrs().clone();
+                Some(DriftController::new(self, attrs, planned.flight_id, cfg, estimates))
             }
             _ => None,
         };
-        let adaptive = drift.is_some();
+        self.execute(planned, options, drift.as_mut().map(|d| d as _), sink)
+    }
+
+    /// Runs `planned` on the engine the way `options` says, consulting
+    /// `steering` (a drift controller, or the federation's breaker splice)
+    /// at the engine's pause points, and records the run.
+    pub(crate) fn execute(
+        &self,
+        planned: PlannedQuery,
+        options: StreamOptions<'_>,
+        mut steering: Option<&mut (dyn ReplanController + '_)>,
+        sink: Option<&mut dyn FnMut(TupleBatch) -> bool>,
+    ) -> Result<StreamOutcome, MediatorError> {
+        let _span = self.obs.tracer.span(options.span_label());
+        let mut resilience = ResilienceMeter::default();
+        let adaptive = matches!(options, StreamOptions::Adaptive(_));
         let retry = options.policy().map(|policy| Retry { policy, meter: &mut resilience });
         let result = self.with_card(|card| {
-            let mode = match (&mut drift, options) {
+            let mode = match (steering.as_deref_mut(), options) {
                 (Some(ctl), _) => StreamMode::Adaptive(ctl),
                 (None, StreamOptions::Analyzed(_)) => {
                     StreamMode::Analyzed { model: self.active_model(), card }
@@ -835,7 +854,7 @@ impl Mediator {
                     .map(|(rows, run)| (Some(rows), run)),
             }
         });
-        let drift_triggers = drift.map_or(0, |ctl| ctl.drift_triggers);
+        let drift_triggers = steering.map_or(0, |ctl| ctl.drift_triggers());
         if adaptive || options.policy().is_some() {
             // Resilience events always reach the registry — a failed run
             // is exactly when the retry counters matter most.
@@ -1464,11 +1483,9 @@ mod tests {
             .with_member(catalog.get("bookstore").unwrap().clone())
             .with_member(catalog.get("car_dealer").unwrap().clone());
         let q = TargetQuery::parse(EX11, &["isbn", "author", "title"]).unwrap();
-        use crate::federation::FederatedOptions;
         let plain = fed.run(&q).unwrap().stream.outcome;
         let cfg = StreamConfig::default();
-        let options = FederatedOptions::Winner(StreamOptions::plain(&cfg));
-        let streamed = fed.run_stream(&q, options, None).unwrap().stream;
+        let streamed = fed.run_stream(&q, StreamOptions::plain(&cfg), None).unwrap().stream;
         assert_eq!(streamed.outcome.rows, plain.rows, "federation streaming is execution-only");
         assert_eq!(streamed.outcome.planned.plan, plain.planned.plan, "same chosen member plan");
         assert!(streamed.stats.batches > 0);

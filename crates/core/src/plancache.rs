@@ -29,9 +29,10 @@
 //!   source-query condition is re-validated: `Check` must export the
 //!   same sets (under both the planning and the gate view) as the
 //!   prepare-time condition, otherwise the entry is rejected.
-//! - **Stale world**: breaker transitions and membership changes change
-//!   which member/plan *should* win, so both bump the cache epoch
-//!   ([`PlanCache::invalidate_all`]) and every cached entry dies.
+//! - **Stale world**: a membership change wipes the cache
+//!   ([`PlanCache::invalidate_all`]); breaker transitions do not. An entry
+//!   is the decision an all-closed federation makes, and a hit whose member
+//!   is quarantined is rejected (`breaker-open`, [`PlanCache::lookup_admitting`]).
 //!
 //! A cache hit's `est_cost` is the prepare-time estimate — constants
 //! shift selectivities, so the cached plan may be slightly suboptimal
@@ -64,8 +65,6 @@ struct Entry {
     attrs: AttrSet,
     /// The winning plan as planned cold.
     planned: PlannedQuery,
-    /// Epoch stamp; entries from older epochs are dead.
-    epoch: u64,
     /// Monotonic use stamp for least-recently-used eviction.
     last_used: u64,
 }
@@ -92,7 +91,8 @@ pub enum Lookup {
     Miss,
     /// An entry exists but could not be reused; the reason is a stable
     /// label (`slot-conflict`, `shape-mismatch`, `unknown-atom`,
-    /// `const-literal-check`, `attr-mismatch`, `member-gone`).
+    /// `const-literal-check`, `attr-mismatch`, `member-gone`,
+    /// `breaker-open`).
     Rejected(&'static str),
 }
 
@@ -134,20 +134,18 @@ pub struct CacheStats {
     pub rejected: u64,
     /// Entries displaced by capacity.
     pub evictions: u64,
-    /// Epoch bumps that wiped the cache.
+    /// Wipes of the whole cache.
     pub invalidations: u64,
     /// Live entries.
     pub entries: usize,
 }
 
-/// A bounded, epoch-invalidated map from parameterized query shapes to
-/// prepared plans. Thread-safe: probes and inserts take a mutex, epoch
-/// bumps are lock-free on the read side (entries are checked lazily).
+/// A bounded map from parameterized query shapes to prepared plans.
+/// Thread-safe: probes, inserts and wipes take one mutex.
 #[derive(Debug)]
 pub struct PlanCache {
     inner: Mutex<Inner>,
     capacity: usize,
-    epoch: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     rejected: AtomicU64,
@@ -173,7 +171,6 @@ impl PlanCache {
         PlanCache {
             inner: Mutex::new(Inner::default()),
             capacity: capacity.max(1),
-            epoch: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -211,15 +208,21 @@ impl PlanCache {
     /// with the incoming constants rebound; `members` is the federation's
     /// member list (for const-literal revalidation on the cached winner).
     pub fn lookup(&self, query: &TargetQuery, members: &[Arc<Source>]) -> Lookup {
-        let epoch = self.epoch.load(Ordering::Acquire);
+        self.lookup_admitting(query, members, |_| true)
+    }
+
+    /// [`PlanCache::lookup`] that rejects an entry whose member `admit`
+    /// turns away (`breaker-open`) before rebinding anything.
+    pub fn lookup_admitting(
+        &self,
+        query: &TargetQuery,
+        members: &[Arc<Source>],
+        admit: impl Fn(usize) -> bool,
+    ) -> Lookup {
         let key = Self::key(query);
         let mut inner = self.inner.lock().expect("plan cache lock");
         inner.tick += 1;
         let tick = inner.tick;
-        if inner.map.get(&key).is_some_and(|e| e.epoch != epoch) {
-            // Lazily reap an entry that survived an epoch bump.
-            inner.map.remove(&key);
-        }
         let Some(entry) = inner.map.get_mut(&key) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return Lookup::Miss;
@@ -237,6 +240,9 @@ impl PlanCache {
         let Some(source) = members.get(entry.member) else {
             return reject(&self.rejected, "member-gone");
         };
+        if !admit(entry.member) {
+            return reject(&self.rejected, "breaker-open");
+        }
         let map = match rebind_map(&entry.cond, &query.cond) {
             Ok(m) => m,
             Err(RebindError::SlotConflict) => return reject(&self.rejected, "slot-conflict"),
@@ -270,7 +276,6 @@ impl PlanCache {
     /// evicting the least-recently-used entry when full. Returns the
     /// number of entries evicted (0 or 1).
     pub fn insert(&self, query: &TargetQuery, member: usize, planned: PlannedQuery) -> u64 {
-        let epoch = self.epoch.load(Ordering::Acquire);
         let key = Self::key(query);
         let mut inner = self.inner.lock().expect("plan cache lock");
         inner.tick += 1;
@@ -279,11 +284,7 @@ impl PlanCache {
         if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
             // O(capacity) victim scan: at the bounded sizes this cache
             // runs at, a scan beats maintaining an ordered index.
-            if let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| if e.epoch == epoch { e.last_used } else { 0 })
-                .map(|(k, _)| *k)
+            if let Some(victim) = inner.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| *k)
             {
                 inner.map.remove(&victim);
                 evicted = 1;
@@ -297,17 +298,15 @@ impl PlanCache {
                 cond: query.cond.clone(),
                 attrs: query.attrs.clone(),
                 planned,
-                epoch,
                 last_used: tick,
             },
         );
         evicted
     }
 
-    /// Wipes the cache by bumping the epoch (breaker transition,
-    /// membership change). Returns how many live entries were dropped.
+    /// Wipes the cache (a membership change). Returns how many entries
+    /// were dropped.
     pub fn invalidate_all(&self) -> usize {
-        self.epoch.fetch_add(1, Ordering::AcqRel);
         self.invalidations.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock().expect("plan cache lock");
         let n = inner.map.len();
@@ -520,7 +519,7 @@ mod tests {
         assert!(matches!(cache.lookup(&q1, &members), Lookup::Hit { .. }), "recently used kept");
         assert!(matches!(cache.lookup(&q2, &members), Lookup::Miss), "LRU victim evicted");
         assert!(matches!(cache.lookup(&q3, &members), Lookup::Hit { .. }));
-        // Epoch bump kills everything.
+        // A wipe kills everything.
         assert_eq!(cache.invalidate_all(), 2);
         assert!(matches!(cache.lookup(&q1, &members), Lookup::Miss));
         assert_eq!(cache.len(), 0);

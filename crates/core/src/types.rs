@@ -148,56 +148,68 @@ pub struct PlannedQuery {
 /// (`exec_stream`'s `MAX_BATCH_SPANS`).
 pub const MAX_CT_SPANS: u64 = 8;
 
-/// Picks the cheapest planner candidate; on a cost tie the earliest CT
-/// wins, so the pick is independent of scheduling upstream. `None` when
-/// `candidates` is empty.
-pub(crate) fn cheapest_candidate(candidates: Vec<(Plan, f64)>) -> Option<(Plan, f64)> {
-    candidates.into_iter().reduce(|best, c| if c.1 < best.1 { c } else { best })
-}
-
-/// Records the ranking outcome into the flight record: one `Winner` event
-/// plus an `Eliminated` event (rule `"cost"`) for every candidate that lost
-/// the final ranking, so `EXPLAIN WHY` can name a reason for *every* loser.
-/// `provenance` is the pre-ranking candidate list in CT order (rendered
-/// plan, cost), captured only when the flight handle is active.
-pub(crate) fn record_ranking_events(
+/// Ranks a planner's per-CT `candidates` (in CT order) under a `rank`
+/// span: the cheapest wins, the earliest CT on a cost tie, so the pick is
+/// independent of scheduling upstream. An active `flight` records one
+/// `Winner` event plus an `Eliminated` event (rule `"cost"`) for every
+/// candidate that lost, so `EXPLAIN WHY` can name a reason for *every*
+/// loser. No candidate at all is `scheme`'s `NoFeasiblePlan`.
+pub(crate) fn rank_candidates(
+    candidates: Vec<(Plan, f64)>,
+    report: PlannerReport,
+    query: &TargetQuery,
+    scheme: &'static str,
     flight: csqp_obs::QueryFlight<'_>,
-    provenance: &[(String, f64)],
-    winner: &Plan,
-    winner_cost: f64,
-) {
-    if !flight.active() {
-        return;
-    }
-    let winner_plan = winner.to_string();
-    flight.event_with(|| csqp_obs::PlanEvent::Winner {
-        cost: winner_cost,
-        plan: winner_plan.clone(),
-    });
-    let mut winner_seen = false;
-    for (plan, cost) in provenance {
-        let is_winner = *cost == winner_cost && *plan == winner_plan;
-        if is_winner && !winner_seen {
-            winner_seen = true;
-            continue;
-        }
-        let detail = if is_winner {
-            "duplicate of the winning plan (another CT canonicalized to it)".to_string()
-        } else {
-            format!(
-                "est cost {:.2} vs winner {:.2} (Δ {:+.2})",
-                cost,
-                winner_cost,
-                cost - winner_cost
-            )
-        };
-        flight.event_with(|| csqp_obs::PlanEvent::Eliminated {
-            rule: "cost",
-            cost: *cost,
-            plan: plan.clone(),
-            detail,
+    tracer: Option<&csqp_obs::Tracer>,
+) -> Result<PlannedQuery, PlanError> {
+    // Snapshot the candidate list before ranking consumes it, so every
+    // loser's elimination can be recorded — but only when someone is
+    // listening.
+    let provenance: Vec<(String, f64)> = if flight.active() {
+        candidates.iter().map(|(p, c)| (p.to_string(), *c)).collect()
+    } else {
+        Vec::new()
+    };
+    let _rank_span = tracer.map(|t| t.span("rank"));
+    let cheapest = candidates.into_iter().reduce(|best, c| if c.1 < best.1 { c } else { best });
+    let Some((plan, winner_cost)) = cheapest else {
+        flight.event_with(|| csqp_obs::PlanEvent::Note {
+            text: "no feasible plan in any rewriting".to_string(),
         });
+        return Err(PlanError::NoFeasiblePlan { query: query.to_string(), scheme });
+    };
+    if flight.active() {
+        let winner_plan = plan.to_string();
+        flight.event_with(|| csqp_obs::PlanEvent::Winner {
+            cost: winner_cost,
+            plan: winner_plan.clone(),
+        });
+        let mut winner_seen = false;
+        for (plan, cost) in provenance {
+            let is_winner = cost == winner_cost && plan == winner_plan;
+            if is_winner && !winner_seen {
+                winner_seen = true;
+                continue;
+            }
+            let detail = if is_winner {
+                "duplicate of the winning plan (another CT canonicalized to it)".to_string()
+            } else {
+                format!(
+                    "est cost {:.2} vs winner {:.2} (Δ {:+.2})",
+                    cost,
+                    winner_cost,
+                    cost - winner_cost
+                )
+            };
+            flight.event_with(|| csqp_obs::PlanEvent::Eliminated {
+                rule: "cost",
+                cost,
+                plan,
+                detail,
+            });
+        }
     }
+    Ok(PlannedQuery { plan, est_cost: winner_cost, report, flight_id: 0 })
 }
 
 /// Planner errors.

@@ -11,9 +11,7 @@
 //! With `--scheme` you can compare the baselines the paper criticizes, and
 //! `--explain` prints the plan tree and search statistics.
 
-use csqp::core::federation::{
-    CircuitBreakerConfig, Considered, FederatedOptions, Federation, MemberEvent,
-};
+use csqp::core::federation::{CircuitBreakerConfig, Considered, Federation, MemberEvent};
 use csqp::core::mediator::{Mediator, MediatorError, Scheme, StreamOptions};
 use csqp::core::types::{PlanError, PlannedQuery, TargetQuery};
 use csqp::plan::exec::RetryPolicy;
@@ -382,7 +380,7 @@ fn chaos_demo(seed: u64, args: &Args) -> ExitCode {
         .with_obs(obs.clone());
     let policy = RetryPolicy { max_retries: 2, jitter_seed: seed, ..Default::default() };
     let stream = StreamConfig::default();
-    let options = FederatedOptions::Splice { policy: &policy, stream: &stream };
+    let options = StreamOptions::Plain { stream: &stream, policy: Some(&policy) };
 
     println!("chaos storm, seed {seed}: 2 mirrors (cheap flaky form, dear steadier dump)");
     let queries = [
@@ -698,8 +696,7 @@ fn federated_query(args: &Args, sources: Vec<Arc<Source>>, query: &TargetQuery) 
 
     let status = if args.run {
         let stream_cfg = StreamConfig { limit: args.limit, ..StreamConfig::default() };
-        let options = FederatedOptions::Winner(StreamOptions::plain(&stream_cfg));
-        match federation.run_stream(query, options, None) {
+        match federation.run_stream(query, StreamOptions::plain(&stream_cfg), None) {
             Ok(run) => {
                 let out = &run.stream.outcome;
                 print_header(&run.source_name, &out.planned, &run.considered);

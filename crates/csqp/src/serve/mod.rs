@@ -39,7 +39,8 @@
 //! into a cached plan on a hit, skipping the planner fan-out entirely; the
 //! `/query` trailer and the query profile report the decision. The winner
 //! then executes through [`Federation::run_stream`] with the socket as the
-//! sink — the same function every other caller runs.
+//! sink — the same function every other caller runs: breaker-gated, and
+//! spliced onto the next-cheapest member (the trailer's `served by`).
 //!
 //! `/query` responses are **incremental**: rows go out the socket as the
 //! streaming executor produces batches (no `Content-Length`;

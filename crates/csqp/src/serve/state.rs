@@ -4,7 +4,6 @@
 
 use super::admission::Admit;
 use super::{Server, SlowQuery};
-use csqp_core::federation::FederatedOptions;
 use csqp_core::mediator::{AdaptiveConfig, StreamOptions};
 use csqp_core::types::TargetQuery;
 use csqp_obs::{names, AuditRecord, LatencyKey, ProfileCapture, QueryProfile};
@@ -41,8 +40,8 @@ impl Server {
     /// query costs a counter bump, not a parse or a planner fan-out — and
     /// the prepared-plan cache probe (`Federation::prepare`) replaces the
     /// plan-then-find-winner dance, so a cache hit skips planning entirely.
-    /// Execution and the per-member attribution are the federation's
-    /// (`Federation::run_stream`, winner-only); what is left here is the
+    /// Execution, member failover and the per-member attribution are the
+    /// federation's (`Federation::run_stream`); what is left here is the
     /// per-request telemetry around them.
     pub(super) fn serve_query_streamed(
         &self,
@@ -110,16 +109,16 @@ impl Server {
         // splice in a re-planned residual when observed cardinalities drift
         // off the estimates; the answer stays set-identical and the splice
         // count lands in the trailer. Either way the *prepared* plan is
-        // what executes — the winner's mediator never re-plans up front.
+        // what executes, until its member dies and hands the rest of the
+        // answer to the next-cheapest member, which the trailer names.
         let acfg = AdaptiveConfig { stream: cfg, ..Default::default() };
-        let options = FederatedOptions::Winner(if self.cfg.adaptive {
+        let options = if self.cfg.adaptive {
             StreamOptions::Adaptive(&acfg)
         } else {
             StreamOptions::plain(&acfg.stream)
-        });
-        let run = self.federation.run_stream(prepared, options, Some(&mut batch_sink));
-        let (out, replans, drift_triggers) = match run {
-            Ok(run) => (run.stream.outcome, run.stream.splices, run.stream.drift_triggers),
+        };
+        let run = match self.federation.run_stream(prepared, options, Some(&mut batch_sink)) {
+            Ok(run) => run,
             Err(e) => {
                 // Leave an audit record and still close the telemetry
                 // window.
@@ -141,6 +140,8 @@ impl Server {
                 return Err(QueryError::bad_request(format!("execution failed: {e}\n")));
             }
         };
+        let (out, replans, drift_triggers) =
+            (&run.stream.outcome, run.stream.splices, run.stream.drift_triggers);
         let latency_us = start.elapsed().as_micros() as u64;
         // SLO accounting happens before the profile delta is cut so the
         // breach lands in this query's attribution window.
@@ -227,8 +228,9 @@ impl Server {
         Ok(format!(
             "{} rows (est cost {:.2}, measured cost {:.2}, {} source queries, capindex \
              {index_candidates}/{index_total} candidates, {replans} replans, plan cache \
-             {cache_label}, tenant {tenant}, breakers [{breakers}], flight #{flight_id})\n",
-            emitted, out.planned.est_cost, out.measured_cost, out.meter.queries,
+             {cache_label}, tenant {tenant}, breakers [{breakers}], served by {}, flight \
+             #{flight_id})\n",
+            emitted, out.planned.est_cost, out.measured_cost, out.meter.queries, run.source_name,
         ))
     }
 

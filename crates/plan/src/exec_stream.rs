@@ -50,7 +50,7 @@ use csqp_expr::CondTree;
 use csqp_relation::schema::Schema;
 use csqp_relation::stream::{TupleBatch, DEFAULT_BATCH_SIZE};
 use csqp_relation::Relation;
-use csqp_source::{CostParams, Meter, ResilienceMeter, Source, SourceError};
+use csqp_source::{CostParams, Meter, ResilienceMeter, RoundTrip, Source, SourceError};
 use csqp_ssdl::linearize::Fingerprint;
 use std::sync::Arc;
 
@@ -204,6 +204,11 @@ pub trait ReplanController {
     /// Called when a leaf failed terminally. Return a splice to recover on
     /// another plan/source; `None` propagates the error.
     fn on_leaf_error(&mut self, probe: &ReplanProbe<'_>, err: &ExecError) -> Option<SpliceAction>;
+
+    /// Times cardinality drift triggered so far (0 if nothing watches it).
+    fn drift_triggers(&self) -> u64 {
+        0
+    }
 }
 
 /// The condition a concrete plan's answer satisfies, composed structurally:
@@ -352,14 +357,13 @@ mod engine {
         source: &Source,
         ctx: &mut ResilientCtx<'_>,
         open: bool,
-        mut round_trip: impl FnMut() -> Result<T, csqp_source::SourceError>,
+        mut round_trip: impl FnMut() -> RoundTrip<T>,
     ) -> Result<T, ExecError> {
         let mut retry = 0u32;
         loop {
             ctx.res.attempts += u64::from(open);
-            let before = source.fault_ticks();
-            let outcome = round_trip();
-            ctx.charge(source.fault_ticks().saturating_sub(before))?;
+            let (ticks, outcome) = round_trip();
+            ctx.charge(ticks)?;
             match outcome {
                 Ok(v) => return Ok(v),
                 Err(e) if !e.is_retryable() => return Err(ExecError::Source(e)),
@@ -461,7 +465,7 @@ mod engine {
                 Node::Leaf { stream, source, idx, cond, n_attrs, rows_out } => {
                     let pulled = match &mut extras.resilient {
                         None => stream.next_batch().map_err(ExecError::Source)?,
-                        Some(ctx) => with_retry(source, ctx, false, || stream.next_batch())?,
+                        Some(ctx) => with_retry(source, ctx, false, || stream.pull())?,
                     };
                     if let Some(b) = &pulled {
                         account.charge(b.len());
@@ -586,7 +590,7 @@ mod engine {
                         .fix_and_answer_stream(cond.as_ref(), attrs, cfg.batch_size)
                         .map_err(ExecError::Source),
                     Some(ctx) => with_retry(source, ctx, true, || {
-                        source.fix_and_answer_stream(cond.as_ref(), attrs, cfg.batch_size)
+                        source.open_stream(cond.as_ref(), attrs, cfg.batch_size)
                     }),
                 })?;
                 if let Some(a) = &mut extras.analyzed {

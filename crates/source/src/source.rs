@@ -192,9 +192,12 @@ pub struct Source {
     fault: Option<FaultProfile>,
     /// The fault stream's cursor: attempts the fault gate has drawn for.
     fault_attempts: AtomicU64,
-    /// Virtual ticks of simulated latency the fault gate has charged.
-    fault_ticks: AtomicU64,
 }
+
+/// One simulated network round-trip: the virtual ticks of latency its fault
+/// gate drew (0 without a [`FaultProfile`]) and its outcome, so a run
+/// charges its own round-trips, never another run's on the same source.
+pub type RoundTrip<T> = (u64, Result<T, SourceError>);
 
 impl Source {
     /// Builds a source. The planning view is the permutation closure of
@@ -219,7 +222,6 @@ impl Source {
             rejected: AtomicU64::new(0),
             fault: None,
             fault_attempts: AtomicU64::new(0),
-            fault_ticks: AtomicU64::new(0),
         }
     }
 
@@ -228,11 +230,6 @@ impl Source {
     pub fn with_fault_profile(mut self, profile: FaultProfile) -> Self {
         self.fault = Some(profile);
         self
-    }
-
-    /// The attached unreliability model, if any.
-    pub fn fault_profile(&self) -> Option<&FaultProfile> {
-        self.fault.as_ref()
     }
 
     /// The underlying relation (test/experiment oracle access — a real
@@ -300,7 +297,7 @@ impl Source {
         cond: Option<&CondTree>,
         attrs: &BTreeSet<String>,
     ) -> Result<Relation, SourceError> {
-        self.admit(cond, attrs)?;
+        self.admit(cond, attrs).1?;
         let selected = select(&self.relation, cond);
         let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
         let result =
@@ -341,13 +338,13 @@ impl Source {
 
     /// The two gates a query passes before the source does any work: the
     /// fault gate, then the original capability description.
-    fn admit(&self, cond: Option<&CondTree>, attrs: &BTreeSet<String>) -> Result<(), SourceError> {
-        self.fault_gate()?;
-        if self.original.supports(cond, attrs) {
-            Ok(())
-        } else {
-            Err(self.reject(cond, attrs))
-        }
+    fn admit(&self, cond: Option<&CondTree>, attrs: &BTreeSet<String>) -> RoundTrip<()> {
+        let (ticks, gate) = self.fault_gate();
+        let admitted = gate.and_then(|()| match self.original.supports(cond, attrs) {
+            true => Ok(()),
+            false => Err(self.reject(cond, attrs)),
+        });
+        (ticks, admitted)
     }
 
     /// Fault gate: a real Internet source fails before its query engine
@@ -355,12 +352,11 @@ impl Source {
     /// check. Zero-cost when no profile is attached (one `None` branch).
     /// The streaming path draws once per batch pull, so every network
     /// round-trip faces the same weather.
-    fn fault_gate(&self) -> Result<(), SourceError> {
-        let Some(profile) = &self.fault else { return Ok(()) };
+    fn fault_gate(&self) -> RoundTrip<()> {
+        let Some(profile) = &self.fault else { return (0, Ok(())) };
         let fault = profile.decide(self.fault_attempts.fetch_add(1, Ordering::Relaxed));
-        self.fault_ticks.fetch_add(profile.ticks_for(fault), Ordering::Relaxed);
         let source = || self.name.clone();
-        match fault {
+        let outcome = match fault {
             None => Ok(()),
             Some(Fault::Transient) => Err(SourceError::Transient { source: source() }),
             Some(Fault::Timeout) => {
@@ -368,7 +364,8 @@ impl Source {
             }
             Some(Fault::RateLimited) => Err(SourceError::RateLimited { source: source() }),
             Some(Fault::Outage) => Err(SourceError::Unavailable { source: source() }),
-        }
+        };
+        (profile.ticks_for(fault), outcome)
     }
 
     /// Opens a **streaming** answer to a source query: the capability gate
@@ -388,31 +385,36 @@ impl Source {
     /// Fault injection is per *pull*: the gate draws once at open and once
     /// per subsequent batch, so a mid-stream fault surfaces on that pull
     /// while the scan cursor stays put — the consumer can retry the same
-    /// pull without re-shipping earlier tuples.
+    /// pull without re-shipping earlier tuples. The open is a
+    /// [`RoundTrip`]: the stream or the error, with the ticks its fault
+    /// gate drew.
     pub fn answer_stream(
         &self,
         cond: Option<&CondTree>,
         attrs: &BTreeSet<String>,
         batch_size: usize,
-    ) -> Result<SourceStream<'_>, SourceError> {
+    ) -> RoundTrip<SourceStream<'_>> {
         assert!(batch_size > 0, "batch size must be non-zero");
-        self.admit(cond, attrs)?;
-        let schema = self.relation.schema();
-        let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
-        let (out_schema, indices) =
-            project_indices(schema, &attr_refs).map_err(|e| SourceError::Schema(e.to_string()))?;
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let keeps_unique = indices.iter().any(|&i| self.unique[i]);
-        Ok(SourceStream {
-            source: self,
-            fp: cond_fingerprint(cond),
-            cond: cond.map(|c| BoundCond::bind(c, |a| schema.col_index(a))),
-            out_schema,
-            indices,
-            batch_size,
-            cursor: 0,
-            seen: (!keeps_unique).then(FingerprintIndex::default),
-        })
+        let (ticks, admitted) = self.admit(cond, attrs);
+        let stream = admitted.and_then(|()| {
+            let schema = self.relation.schema();
+            let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
+            let (out_schema, indices) = project_indices(schema, &attr_refs)
+                .map_err(|e| SourceError::Schema(e.to_string()))?;
+            self.queries.fetch_add(1, Ordering::Relaxed);
+            let keeps_unique = indices.iter().any(|&i| self.unique[i]);
+            Ok(SourceStream {
+                source: self,
+                fp: cond_fingerprint(cond),
+                cond: cond.map(|c| BoundCond::bind(c, |a| schema.col_index(a))),
+                out_schema,
+                indices,
+                batch_size,
+                cursor: 0,
+                seen: (!keeps_unique).then(FingerprintIndex::default),
+            })
+        });
+        (ticks, stream)
     }
 
     /// Streaming twin of [`Source::fix_and_answer`]: fixes the condition's
@@ -423,17 +425,25 @@ impl Source {
         attrs: &BTreeSet<String>,
         batch_size: usize,
     ) -> Result<SourceStream<'_>, SourceError> {
-        match cond {
-            None => self.answer_stream(None, attrs, batch_size),
-            Some(c) => {
-                let mut stream =
-                    self.answer_stream(Some(&self.fix(c, attrs)?), attrs, batch_size)?;
-                // Key the stream by the caller's ordering, which is the one
-                // the planner's estimates know.
-                stream.fp = cond_fingerprint(Some(c));
-                Ok(stream)
-            }
-        }
+        self.open_stream(cond, attrs, batch_size).1
+    }
+
+    /// [`Source::fix_and_answer_stream`] as a [`RoundTrip`]: how a run opens
+    /// a leaf. An unfixable ordering is rejected before the fault gate draws.
+    pub fn open_stream(
+        &self,
+        cond: Option<&CondTree>,
+        attrs: &BTreeSet<String>,
+        batch_size: usize,
+    ) -> RoundTrip<SourceStream<'_>> {
+        let Some(c) = cond else { return self.answer_stream(None, attrs, batch_size) };
+        let (ticks, stream) = match self.fix(c, attrs) {
+            Ok(fixed) => self.answer_stream(Some(&fixed), attrs, batch_size),
+            Err(e) => return (0, Err(e)),
+        };
+        // Key the stream by the caller's ordering, which is the one the
+        // planner's estimates know.
+        (ticks, stream.map(|s| SourceStream { fp: cond_fingerprint(Some(c)), ..s }))
     }
 
     /// Current transfer metrics.
@@ -450,12 +460,6 @@ impl Source {
         self.queries.store(0, Ordering::Relaxed);
         self.tuples_shipped.store(0, Ordering::Relaxed);
         self.rejected.store(0, Ordering::Relaxed);
-    }
-
-    /// Virtual ticks of simulated latency the fault gate has charged, over
-    /// the source's life (0 without a [`FaultProfile`]).
-    pub fn fault_ticks(&self) -> u64 {
-        self.fault_ticks.load(Ordering::Relaxed)
     }
 }
 
@@ -516,11 +520,20 @@ impl SourceStream<'_> {
 
     /// Pulls the next batch; `Ok(None)` once the scan is exhausted.
     pub fn next_batch(&mut self) -> Result<Option<TupleBatch>, SourceError> {
+        self.pull().1
+    }
+
+    /// [`SourceStream::next_batch`] as a [`RoundTrip`]: an exhausted scan
+    /// answers without one, so it draws no ticks.
+    pub fn pull(&mut self) -> RoundTrip<Option<TupleBatch>> {
         let tuples = self.source.relation.tuples();
         if self.cursor >= tuples.len() {
-            return Ok(None);
+            return (0, Ok(None));
         }
-        self.source.fault_gate()?;
+        let (ticks, gate) = self.source.fault_gate();
+        if let Err(e) = gate {
+            return (ticks, Err(e));
+        }
         let mut fresh = Vec::new();
         while self.cursor < tuples.len() && fresh.len() < self.batch_size {
             let t = &tuples[self.cursor];
@@ -543,10 +556,10 @@ impl SourceStream<'_> {
             }
         }
         if fresh.is_empty() {
-            return Ok(None);
+            return (ticks, Ok(None));
         }
         self.source.tuples_shipped.fetch_add(fresh.len() as u64, Ordering::Relaxed);
-        Ok(Some(TupleBatch::new(self.out_schema.clone(), fresh)))
+        (ticks, Ok(Some(TupleBatch::new(self.out_schema.clone(), fresh))))
     }
 
     /// Closes the stream and returns the set of tuples it shipped, built
@@ -720,9 +733,9 @@ mod tests {
     fn no_profile_keeps_resilience_meter_zero() {
         let s = dealer();
         let c = parse_condition("make = \"BMW\" ^ price < 40000").unwrap();
-        s.answer(Some(&c), &attrs(&["model"])).unwrap();
-        assert_eq!(s.fault_ticks(), 0);
-        assert!(s.fault_profile().is_none());
+        let (ticks, stream) = s.open_stream(Some(&c), &attrs(&["model"]), 8);
+        assert_eq!(ticks, 0);
+        assert_eq!(stream.unwrap().pull().0, 0, "a pull without a profile draws no ticks");
     }
 
     #[test]
@@ -732,7 +745,9 @@ mod tests {
         let c = parse_condition("make = \"BMW\" ^ price < 40000").unwrap();
         let err = s.answer(Some(&c), &attrs(&["model"])).unwrap_err();
         assert!(matches!(err, SourceError::Timeout { ticks: 25, .. }));
-        assert_eq!(s.fault_ticks(), 25);
+        let (ticks, opened) = s.open_stream(Some(&c), &attrs(&["model"]), 8);
+        assert!(matches!(opened, Err(SourceError::Timeout { ticks: 25, .. })));
+        assert_eq!(ticks, 25, "the round-trip carries the ticks its fault gate drew");
     }
 
     #[test]
@@ -744,7 +759,7 @@ mod tests {
         let oracle_meter = s.meter();
         s.reset_meter();
 
-        let mut stream = s.answer_stream(Some(&c), &a, 7).unwrap();
+        let mut stream = s.answer_stream(Some(&c), &a, 7).1.unwrap();
         let mut got = Relation::empty(stream.schema().clone());
         let mut max_batch = 0;
         while let Some(b) = stream.next_batch().unwrap() {
@@ -770,7 +785,7 @@ mod tests {
             let oracle = s.answer(Some(&c), &a).unwrap();
             let oracle_meter = s.meter();
             s.reset_meter();
-            let mut stream = s.answer_stream(Some(&c), &a, 5).unwrap();
+            let mut stream = s.answer_stream(Some(&c), &a, 5).1.unwrap();
             let mut got = Vec::new();
             while let Some(b) = stream.next_batch().unwrap() {
                 got.extend(b.into_tuples());
@@ -795,7 +810,7 @@ mod tests {
         for collide in [false, true] {
             let s = dealer();
             COLLIDE.with(|f| f.set(collide));
-            let mut stream = s.answer_stream(Some(&c), &a, 4).unwrap();
+            let mut stream = s.answer_stream(Some(&c), &a, 4).1.unwrap();
             let mut shipped = Vec::new();
             for _ in 0..3 {
                 shipped.extend(stream.next_batch().unwrap().unwrap().into_tuples());
@@ -822,7 +837,7 @@ mod tests {
             let oracle_meter = s.meter();
             let fresh = dealer();
             COLLIDE.with(|f| f.set(collide));
-            let mut stream = fresh.answer_stream(Some(&c), &a, 5).unwrap();
+            let mut stream = fresh.answer_stream(Some(&c), &a, 5).1.unwrap();
             assert!(stream.seen.is_none(), "a key-keeping stream keeps no seen set");
             let mut got = Vec::new();
             while let Some(b) = stream.next_batch().unwrap() {
@@ -841,7 +856,7 @@ mod tests {
         for collide in [false, true] {
             let s = dealer();
             COLLIDE.with(|f| f.set(collide));
-            let mut stream = s.answer_stream(Some(&c), &a, 4).unwrap();
+            let mut stream = s.answer_stream(Some(&c), &a, 4).1.unwrap();
             assert!(stream.seen.is_none());
             let mut shipped = Vec::new();
             for _ in 0..3 {
@@ -863,7 +878,7 @@ mod tests {
         let s = Source::new(datagen::cars(3, 200), templates::car_dealer(), CostParams::default())
             .with_fault_profile(FaultProfile::new(0).with_outage(2, 1));
         let c = parse_condition("make = \"BMW\" ^ price < 90000").unwrap();
-        let mut stream = s.answer_stream(Some(&c), &attrs(&["model"]), 3).unwrap();
+        let mut stream = s.answer_stream(Some(&c), &attrs(&["model"]), 3).1.unwrap();
         let shipped = stream.next_batch().unwrap().unwrap().into_tuples();
         assert!(stream.next_batch().is_err());
         let set = stream.take_shipped();
@@ -875,12 +890,12 @@ mod tests {
     fn stream_gate_rejects_at_open() {
         let s = dealer();
         let bad = parse_condition("year = 1995").unwrap();
-        assert!(s.answer_stream(Some(&bad), &attrs(&["make"]), 8).is_err());
+        assert!(s.answer_stream(Some(&bad), &attrs(&["make"]), 8).1.is_err());
         assert_eq!(s.meter().rejected, 1);
         assert_eq!(s.meter().queries, 0);
         // fix_and_answer_stream repairs orderings like fix_and_answer.
         let swapped = parse_condition("price < 40000 ^ make = \"BMW\"").unwrap();
-        assert!(s.answer_stream(Some(&swapped), &attrs(&["model"]), 8).is_err());
+        assert!(s.answer_stream(Some(&swapped), &attrs(&["model"]), 8).1.is_err());
         assert!(s.fix_and_answer_stream(Some(&swapped), &attrs(&["model"]), 8).is_ok());
     }
 
@@ -892,7 +907,7 @@ mod tests {
             .with_fault_profile(FaultProfile::new(0).with_outage(1, 3));
         let c = parse_condition("make = \"BMW\" ^ price < 90000").unwrap();
         let a = attrs(&["make", "model"]);
-        let mut stream = s.answer_stream(Some(&c), &a, 4).unwrap();
+        let mut stream = s.answer_stream(Some(&c), &a, 4).1.unwrap();
         let mut rows = Relation::empty(stream.schema().clone());
         let mut faults = 0;
         loop {

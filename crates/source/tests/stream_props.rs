@@ -90,7 +90,7 @@ fn drain(
     attrs: &BTreeSet<String>,
     batch: usize,
 ) -> Vec<Tuple> {
-    let mut stream = s.answer_stream(cond, attrs, batch).unwrap();
+    let mut stream = s.answer_stream(cond, attrs, batch).1.unwrap();
     let mut got = Vec::new();
     while let Some(b) = stream.next_batch().unwrap() {
         got.extend(b.into_tuples());
@@ -140,7 +140,7 @@ proptest! {
 
             // Closed after one pull: the taken set is what shipped, and the
             // meters restart level.
-            let mut stream = streamed_src.answer_stream(cond.as_ref(), &attrs, batch).unwrap();
+            let mut stream = streamed_src.answer_stream(cond.as_ref(), &attrs, batch).1.unwrap();
             let shipped = stream.next_batch().unwrap().map(|b| b.into_tuples()).unwrap_or_default();
             let set = stream.take_shipped();
             prop_assert_eq!(set.len(), shipped.len());

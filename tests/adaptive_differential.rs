@@ -13,7 +13,7 @@
 
 mod common;
 
-use csqp_core::federation::{FederatedOptions, Federation};
+use csqp_core::federation::Federation;
 use csqp_core::gencompact::GenCompactConfig;
 use csqp_core::mediator::{AdaptiveConfig, CardKind, Mediator, StreamOptions};
 use csqp_core::types::TargetQuery;
@@ -339,7 +339,7 @@ fn a_breaker_splice_after_a_key_path_leaf_error_emits_each_row_once() {
                 let run = f
                     .run_stream(
                         &q,
-                        FederatedOptions::Splice { policy: &policy, stream: &stream },
+                        StreamOptions::Plain { stream: &stream, policy: Some(&policy) },
                         Some(&mut |b| {
                             rows.extend(b.into_tuples());
                             true

@@ -13,16 +13,17 @@
 //!    description does not accept.
 //!
 //! Both federation storms recover on another member the one way the
-//! federation has, the breaker splice of `FederatedOptions::Splice`: a
-//! member that dies before its first row hands the rescuer its surveyed
-//! plan, one that dies mid-pipeline hands it the re-planned residual.
+//! federation has, the breaker splice every `Federation::run_stream` runs
+//! under: a member that dies before its first row hands the rescuer its
+//! surveyed plan, one that dies mid-pipeline hands it the re-planned
+//! residual.
 //!
 //! Regenerate the golden trace after an intentional behaviour change with:
 //! `CHAOS_BLESS=1 cargo test -p csqp-core --test chaos`.
 
 mod common;
 
-use csqp_core::federation::{CircuitBreakerConfig, FederatedOptions, Federation, MemberEvent};
+use csqp_core::federation::{CircuitBreakerConfig, Federation, MemberEvent};
 use csqp_core::mediator::{Mediator, MediatorError, StreamOptions};
 use csqp_core::types::TargetQuery;
 use csqp_expr::ValueType;
@@ -235,7 +236,7 @@ fn federation_storm(seed: u64) -> Vec<String> {
     for round in 0..4 {
         for (i, query) in queries.iter().enumerate() {
             let mut line = format!("fed/r{round}q{i} seed={seed}: ");
-            let options = FederatedOptions::Splice { policy: &policy, stream: &stream };
+            let options = StreamOptions::Plain { stream: &stream, policy: Some(&policy) };
             match f.run_stream(query, options, None) {
                 Ok(run) => {
                     let member = f.members().iter().find(|m| m.name == run.source_name).unwrap();
@@ -409,7 +410,7 @@ fn replan_storm(seed: u64) -> Vec<String> {
     for round in 0..2 {
         for (i, query) in queries.iter().enumerate() {
             let mut line = format!("replan/r{round}q{i} seed={seed}: ");
-            let options = FederatedOptions::Splice { policy: &policy, stream: &cfg };
+            let options = StreamOptions::Plain { stream: &cfg, policy: Some(&policy) };
             match f.run_stream(query, options, None) {
                 Ok(run) => {
                     let (splices, rows) = (run.stream.splices, &run.stream.outcome.rows);

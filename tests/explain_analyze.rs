@@ -14,7 +14,7 @@
 //! Regenerate the golden after an intentional change with:
 //! `EXPLAIN_ANALYZE_BLESS=1 cargo test -p csqp-core --test explain_analyze`.
 
-use csqp_core::federation::{CircuitBreakerConfig, FederatedOptions, Federation};
+use csqp_core::federation::{CircuitBreakerConfig, Federation};
 use csqp_core::mediator::{CardKind, Mediator, StreamOptions, StreamOutcome};
 use csqp_core::types::TargetQuery;
 use csqp_obs::Obs;
@@ -142,7 +142,7 @@ fn metrics_snapshot_schema_is_stable() {
         federation
             .run_stream(
                 &e1_query(),
-                FederatedOptions::Splice { policy: &policy, stream: &stream },
+                StreamOptions::Plain { stream: &stream, policy: Some(&policy) },
                 None,
             )
             .expect("steady member serves");

@@ -302,7 +302,7 @@ fn federation_fails_over_when_cheapest_member_dies_at_execution() {
 
     let policy = RetryPolicy::default();
     let stream = csqp_plan::StreamConfig::default();
-    let options = csqp_core::FederatedOptions::Splice { policy: &policy, stream: &stream };
+    let options = csqp_core::StreamOptions::Plain { stream: &stream, policy: Some(&policy) };
     let run = f.run_stream(&q, options, None).unwrap();
     assert_eq!(run.source_name, "dump", "must fail over to the reliable mirror");
     assert!(run.stream.resilience.failovers >= 1);

@@ -13,7 +13,7 @@
 
 mod common;
 
-use csqp::core::federation::{CircuitBreakerConfig, FederatedOptions, FederatedRun, Federation};
+use csqp::core::federation::{CircuitBreakerConfig, FederatedRun, Federation};
 use csqp::core::mediator::{Mediator, MediatorError, Scheme, StreamOptions, StreamOutcome};
 use csqp::core::types::TargetQuery;
 use csqp::expr::ValueType;
@@ -178,8 +178,8 @@ fn the_fedcorpus_federation_is_blind_to_the_recorders() {
             assert_eq!(a.planned.plan, b.planned.plan, "{ctx}: winner's plan");
             assert_eq!(a.planned.est_cost, b.planned.est_cost, "{ctx}: winner's est_cost");
             for options in [
-                FederatedOptions::Winner(StreamOptions::plain(&stream)),
-                FederatedOptions::Splice { policy: &policy, stream: &stream },
+                StreamOptions::plain(&stream),
+                StreamOptions::Plain { stream: &stream, policy: Some(&policy) },
             ] {
                 let run = |f: &Federation| f.run_stream(&query, options, None);
                 assert_same_federated(run(&on), run(&off), &ctx);
@@ -222,7 +222,7 @@ fn breaker_storms_narrate_the_same_trace_without_recorders() {
         q("(make = \"Honda\" _ make = \"BMW\") ^ price < 30000", &["model", "year"]),
         q("year = 1995", &["make", "model"]),
     ];
-    let options = FederatedOptions::Splice { policy: &policy, stream: &stream };
+    let options = StreamOptions::Plain { stream: &stream, policy: Some(&policy) };
     let (on, off) = (federation(true), federation(false));
     let mut eventful = 0;
     for round in 0..4 {

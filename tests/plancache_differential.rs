@@ -14,16 +14,22 @@
 //! served — when the incoming constants change what the source can check,
 //! and the query must fall back to a cold plan with correct answers. No run
 //! may send a member a query its description does not accept.
+//!
+//! Breaker transitions leave the cache alone: every entry is the decision
+//! an all-closed federation makes, a hit on a quarantined member plans
+//! cold around it without caching that decision, and after every
+//! transition a decision whose winner is not quarantined is the cold one.
 
 mod common;
 
-use csqp_core::federation::Federation;
+use csqp_core::federation::{BreakerHealth, CircuitBreakerConfig, Federation};
 use csqp_core::mediator::{Mediator, StreamOptions};
 use csqp_core::plancache::{CacheDecision, PlanCache};
 use csqp_core::types::{PlannedQuery, TargetQuery};
+use csqp_obs::names;
 use csqp_plan::StreamConfig;
 use csqp_relation::datagen;
-use csqp_source::{CostParams, Source};
+use csqp_source::{CostParams, FaultProfile, Source};
 use csqp_ssdl::{parse_ssdl, templates};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -209,4 +215,88 @@ fn different_projection_does_not_hit() {
         "projection change must miss: {:?}",
         p2.decision
     );
+}
+
+/// A car dealer named `name` over the shared car data.
+fn dealer_named(name: &str, cost: CostParams) -> Source {
+    let mut desc = templates::car_dealer();
+    desc.name = name.into();
+    Source::new(datagen::cars(3, 400), desc, cost)
+}
+
+/// Breaker transitions interleaved with prepares: the cheap dealer dies on
+/// its first two attempts (breaker threshold 1, cooldown 1), so the runs
+/// below open its breaker, fail a half-open probe, and close it with a
+/// successful one. Every decision, run or not, takes one tick of the
+/// breaker clock. After each transition a decision whose winner is not
+/// quarantined equals the cold all-closed plan in winner, plan and rows; a
+/// decision the quarantined dealer would win plans around it and is not
+/// cached; and nothing is ever invalidated.
+#[test]
+fn breaker_transitions_keep_cached_decisions_equal_to_cold() {
+    let [dealer, mirror] = [("dealer", 10.0), ("mirror", 50.0)]
+        .map(|(name, k1)| dealer_named(name, CostParams::new(k1, 1.0)));
+    let bmw_only = members().pop().expect("the const-literal member");
+    let cold_members = [Arc::new(dealer), Arc::new(mirror), bmw_only.clone()];
+    let cold = Rig {
+        federation: cold_members.iter().fold(Federation::new(), |f, m| f.with_member(m.clone())),
+        mediators: cold_members.iter().map(|m| Mediator::new(m.clone())).collect(),
+        cache: Arc::new(PlanCache::new()),
+    };
+    let dark = dealer_named("dealer", CostParams::new(10.0, 1.0))
+        .with_fault_profile(FaultProfile::new(0).with_outage(0, 2));
+    let cache = Arc::new(PlanCache::new());
+    let cached = [Arc::new(dark), cold_members[1].clone(), bmw_only]
+        .into_iter()
+        .fold(Federation::new(), Federation::with_member)
+        .with_breaker(CircuitBreakerConfig { failure_threshold: 1, cooldown_ticks: 1 })
+        .with_plan_cache(cache.clone());
+    let stream = StreamConfig::default();
+    let toyota = q("make = \"Toyota\" ^ price < 30000", &["model", "year"]);
+    let run = || {
+        let run = cached.run_stream(&toyota, StreamOptions::plain(&stream), None);
+        common::assert_no_rejections(cached.members());
+        run.expect("a mirror rescues every run").source_name
+    };
+    let dealer_health = || cached.breaker_states()[0].1;
+    // After each transition: the dealer's shape (its all-closed winner) and
+    // a narrower projection, its own shape, that bmw_only wins, against
+    // cold planning.
+    let check = |round: usize| {
+        for (cond, attrs) in [
+            ("make = \"Honda\" ^ price < 20000", &["model", "year"][..]),
+            ("make = \"BMW\" ^ price < 33000", &["model"][..]),
+        ] {
+            let query = q(cond, attrs);
+            let want = cold.federation.plan(&query).expect("cold plan");
+            let (entries, health) = (cache.len(), dealer_health());
+            let got = cached.prepare(&query).expect("prepare");
+            let ctx = format!("round {round}, {query}, {:?}", got.decision);
+            if health == BreakerHealth::Open && want.member == 0 {
+                assert_eq!(got.decision, CacheDecision::Rejected("breaker-open"), "{ctx}");
+                assert_eq!(got.source.name, "mirror", "{ctx}: the mirror stands in");
+                assert_eq!(cache.len(), entries, "{ctx}: the stand-in is not cached");
+                continue;
+            }
+            assert_eq!(got.member, want.member, "{ctx}: winner");
+            assert_eq!(got.planned.plan, want.planned.plan, "{ctx}: plan");
+            let rows = rows_of(&cold, got.member, got.planned);
+            assert_eq!(rows, cold_answer(&cold, &query), "{ctx}: rows");
+        }
+        assert_eq!(cache.stats().invalidations, 0, "round {round}");
+        assert_eq!(cached.metrics_snapshot().counter(names::PLANCACHE_INVALIDATIONS), 0);
+    };
+    // Tick 1: the dealer wins, dies, and its breaker opens until tick 3.
+    assert_eq!((run(), dealer_health()), ("mirror".to_string(), BreakerHealth::Open));
+    // Tick 2 sits the dealer out; tick 3 finds it half-open.
+    check(1);
+    // Tick 4 probes it on a cache hit, and the probe dies: open until 6.
+    assert_eq!((run(), dealer_health()), ("mirror".to_string(), BreakerHealth::Open));
+    check(2);
+    // Tick 7 probes it again; the probe succeeds and closes the breaker.
+    assert_eq!(dealer_health(), BreakerHealth::HalfOpen);
+    assert_eq!((run(), dealer_health()), ("dealer".to_string(), BreakerHealth::Closed));
+    let hit = cached.prepare(&toyota).expect("prepare");
+    assert_eq!((hit.decision, hit.member), (CacheDecision::Hit, 0));
+    check(3);
 }

@@ -19,7 +19,7 @@
 //! memos are warm and each query's footprint no longer depends on which
 //! query ran first.
 
-use csqp_core::federation::{FederatedOptions, Federation};
+use csqp_core::federation::Federation;
 use csqp_core::mediator::{Mediator, StreamOptions};
 use csqp_core::types::TargetQuery;
 use csqp_expr::{Value, ValueType};
@@ -104,7 +104,7 @@ fn domain_query(i: usize) -> TargetQuery {
 fn profiled(fed: &Federation, q: &TargetQuery) -> String {
     let capture = ProfileCapture::begin(fed.obs());
     let stream = StreamConfig::default();
-    let run = fed.run_stream(q, FederatedOptions::Winner(StreamOptions::plain(&stream)), None);
+    let run = fed.run_stream(q, StreamOptions::plain(&stream), None);
     assert!(run.is_ok(), "{q}: {:?}", run.err());
     capture.finish(None).metrics.to_json()
 }
@@ -172,7 +172,7 @@ fn spliced(shared: &Arc<Source>, data: &Relation) -> Transfer {
     let (policy, stream) = (RetryPolicy { max_retries: 0, ..Default::default() }, small_batches());
     let q = TargetQuery::parse("make = \"BMW\" ^ price < 60000", &["model", "year"]).unwrap();
     let run =
-        fed.run_stream(&q, FederatedOptions::Splice { policy: &policy, stream: &stream }, None);
+        fed.run_stream(&q, StreamOptions::Plain { stream: &stream, policy: Some(&policy) }, None);
     let run = run.expect("the shared member rescues the run");
     assert_eq!((run.source_name.as_str(), run.stream.splices), ("shared", 1));
     (run.stream.outcome.meter, run.stream.outcome.measured_cost)
@@ -248,5 +248,66 @@ fn run_meters_are_the_same_on_eight_threads_as_serially() {
             got, serial_splice,
             "the splice run metered differently beside {THREADS} threads"
         );
+    }
+}
+
+/// A round-trip's fault-gate latency is charged to the run that made it:
+/// eight runs under a retry policy, started together on one source with a
+/// fixed latency and no faults, each read `L ×` their own round-trips in
+/// `resilience.ticks` — exactly what the same run reads alone.
+#[test]
+fn retry_ticks_are_each_runs_own_on_eight_threads() {
+    const L: u64 = 3;
+    let data = datagen::cars(11, 6000);
+    let source = dealer("slow", &data, CostParams::new(10.0, 1.0))
+        .with_fault_profile(FaultProfile::new(0).with_latency(L));
+    let mediator = Mediator::new(Arc::new(source));
+    let policy = RetryPolicy::default();
+    let stream = small_batches();
+    let queries: Vec<TargetQuery> = [
+        ("make = \"BMW\" ^ price < 40000", &["model", "year"][..]),
+        ("make = \"Toyota\" ^ price < 90000", &["model"][..]),
+        ("make = \"Ford\" ^ color = \"red\"", &["model", "year"][..]),
+        ("make = \"BMW\" ^ color = \"black\"", &["year"][..]),
+        ("(make = \"Audi\" _ make = \"BMW\") ^ price < 30000", &["model"][..]),
+        ("make = \"Honda\" ^ price < 90000", &["model", "year"][..]),
+        ("make = \"Toyota\" ^ color = \"red\"", &["make", "model"][..]),
+        ("make = \"Ford\" ^ price < 20000", &["model", "color"][..]),
+    ]
+    .into_iter()
+    .map(|(cond, attrs)| TargetQuery::parse(cond, attrs).unwrap())
+    .collect();
+    let ticks = |q: &TargetQuery| {
+        let options = StreamOptions::Plain { stream: &stream, policy: Some(&policy) };
+        let run = mediator.run_stream(q, options, None).unwrap();
+        assert_eq!((run.resilience.faults(), run.resilience.retries), (0, 0));
+        // Each leaf open is a round-trip, and so is each pull after it.
+        assert!(run.resilience.ticks > L * run.outcome.meter.queries, "{q}");
+        run.resilience.ticks
+    };
+    let alone: Vec<u64> = queries.iter().map(ticks).collect();
+    assert!(alone.iter().all(|t| t % L == 0), "alone, a run is charged L per round-trip");
+
+    let start = Barrier::new(THREADS);
+    let together: Vec<(usize, u64)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (ticks, queries, start) = (&ticks, &queries, &start);
+                scope.spawn(move || {
+                    (0..ROUNDS)
+                        .map(|round| {
+                            start.wait();
+                            let i = (t + round) % THREADS;
+                            (i, ticks(&queries[i]))
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers.into_iter().flat_map(|w| w.join().expect("query thread")).collect()
+    });
+    assert_eq!(together.len(), THREADS * ROUNDS);
+    for (i, got) in together {
+        assert_eq!(got, alone[i], "query {i} was charged another run's round-trips");
     }
 }

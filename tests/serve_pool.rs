@@ -7,8 +7,9 @@
 //! records that receive their own query's post-planning notes, served
 //! output that stays small over a 1 000-member federation, every idle
 //! worker waking on `/shutdown`, a multi-flush answer that is byte-exact
-//! over HTTP and the line protocol, and a mid-stream disconnect that frees
-//! its worker and its in-flight slot.
+//! over HTTP and the line protocol, a mid-stream disconnect that frees
+//! its worker and its in-flight slot, and a dark cheap member whose queries
+//! fail over to its mirror until the member's breaker closes again.
 
 use csqp::serve::{ServeConfig, Server};
 use csqp_core::federation::Federation;
@@ -63,6 +64,11 @@ const EVERY_CAR_ATTRS: &str = "make,model,year,color";
 /// `/query` for `cond` over [`EVERY_CAR_ATTRS`], the condition
 /// percent-encoded.
 fn query_path(cond: &str) -> String {
+    query_path_over(cond, EVERY_CAR_ATTRS)
+}
+
+/// `/query` for `cond` over `attrs`, the condition percent-encoded.
+fn query_path_over(cond: &str, attrs: &str) -> String {
     let cond: String = cond
         .bytes()
         .map(|b| match b {
@@ -70,7 +76,7 @@ fn query_path(cond: &str) -> String {
             _ => format!("%{b:02X}"),
         })
         .collect();
-    format!("/query?cond={cond}&attrs={EVERY_CAR_ATTRS}")
+    format!("/query?cond={cond}&attrs={attrs}")
 }
 
 /// Runs a telemetry-reading test over recording recorders — what
@@ -633,4 +639,137 @@ fn mid_stream_disconnect_frees_worker_and_inflight_slot() {
 
     assert!(http_get(addr, "/shutdown").contains("shutting down"));
     handle.join().expect("server thread").expect("accept loop exits cleanly");
+}
+
+/// `name`, a car dealer over `data` at `cost`, optionally faulty.
+fn named_dealer(
+    name: &str,
+    data: &csqp_relation::Relation,
+    cost: CostParams,
+    faults: Option<csqp_source::FaultProfile>,
+) -> Arc<Source> {
+    let mut desc = templates::car_dealer();
+    desc.name = name.into();
+    let source = Source::new(data.clone(), desc, cost);
+    Arc::new(match faults {
+        Some(profile) => source.with_fault_profile(profile),
+        None => source,
+    })
+}
+
+/// The sorted rows of an HTTP `/query` response, and its trailer.
+fn rows_and_trailer(resp: &str) -> (Vec<String>, String) {
+    let body = resp.split_once("\r\n\r\n").expect("header ends").1;
+    let mut lines: Vec<String> = body.lines().map(str::to_string).collect();
+    let trailer = lines.pop().expect("a trailer line");
+    lines.sort();
+    (lines, trailer)
+}
+
+/// A cheap member that is dark for its first `failure_threshold` attempts
+/// beside a dearer healthy mirror, one query shape repeated on 4 workers.
+/// Every query answers with the mirror's rows: the first three are each
+/// spliced onto the mirror as the cheap member dies (the last of them
+/// opens its breaker), the next two plan around the quarantined member
+/// without caching that decision, and once the cooldown has passed the
+/// cheap member is probed on a cache hit, closes, and serves its shape
+/// again. `/status` ranks the dark member below the mirror meanwhile, and
+/// no breaker transition touches the plan cache.
+#[test]
+fn a_dark_cheap_member_fails_over_to_its_mirror_and_recovers() {
+    use csqp_core::federation::CircuitBreakerConfig;
+    let threshold = CircuitBreakerConfig::default().failure_threshold as usize;
+    let data = datagen::cars(3, 400);
+    let dark = csqp_source::FaultProfile::new(0).with_outage(0, threshold as u64);
+    let cheap = named_dealer("cheap", &data, CostParams::new(10.0, 1.0), Some(dark));
+    let mirror = named_dealer("mirror", &data, CostParams::new(50.0, 1.0), None);
+    let alone = Federation::new().with_member(mirror.clone());
+    let cfg = ServeConfig { workers: 4, ..ServeConfig::default() };
+    let server = Arc::new(Server::bind_federation(vec![cheap, mirror], cfg).expect("bind"));
+    let addr = server.local_addr().expect("bound address");
+    let running = std::thread::spawn({
+        let server = server.clone();
+        move || server.run()
+    });
+    // (make, price, plan cache decision, breakers after the query, server):
+    // the breaker opens at tick 3 and turns half-open at tick 6.
+    let expected = [
+        ("BMW", 90000, "miss", "2 closed", "mirror"),
+        ("Toyota", 80000, "hit", "2 closed", "mirror"),
+        ("Honda", 70000, "hit", "cheap:open 1 closed", "mirror"),
+        ("Ford", 90000, "rejected", "cheap:open 1 closed", "mirror"),
+        ("BMW", 60000, "rejected", "cheap:half-open 1 closed", "mirror"),
+        ("Toyota", 50000, "hit", "2 closed", "cheap"),
+        ("Honda", 90000, "hit", "2 closed", "cheap"),
+    ];
+    for (i, (make, price, decision, breakers, member)) in expected.into_iter().enumerate() {
+        let cond = format!("make = \"{make}\" ^ price < {price}");
+        let query = TargetQuery::parse(&cond, &["model", "year"]).expect("query parses");
+        let alone = alone.run(&query).expect("the mirror answers alone").stream.outcome;
+        let mut want: Vec<String> = alone.rows.rows().map(|row| row.to_string()).collect();
+        want.sort();
+        let resp = http_get(addr, &query_path_over(&cond, "model,year"));
+        assert!(resp.starts_with("HTTP/1.1 200"), "query {i}: {resp}");
+        let (rows, trailer) = rows_and_trailer(&resp);
+        assert_eq!(rows, want, "query {i}: the mirror-alone answer");
+        assert!(trailer.starts_with(&format!("{} rows (", want.len())), "{trailer}");
+        assert!(trailer.contains(&format!("plan cache {decision},")), "{i}: {trailer}");
+        let served = format!("breakers [{breakers}], served by {member},");
+        assert!(trailer.contains(&served), "query {i}: {trailer}");
+        if i + 1 == threshold {
+            let metrics = http_get(addr, "/metrics");
+            assert!(metrics.contains("csqp_breaker_opened_total 1"), "{metrics}");
+            let status = http_get(addr, "/status");
+            let at = |name: &str| status.find(&format!("\n{name} ")).expect("member row");
+            assert!(at("cheap") < at("mirror"), "dark member ranks first:\n{status}");
+        }
+    }
+    let metrics = http_get(addr, "/metrics");
+    for transition in ["opened", "half_opened", "closed"] {
+        let line = format!("csqp_breaker_{transition}_total 1");
+        assert!(metrics.contains(&line), "{line}: {metrics}");
+    }
+    assert!(http_get(addr, "/shutdown").contains("shutting down"));
+    running.join().expect("server thread").expect("accept loop exits cleanly");
+    let stats = server.plan_cache().stats();
+    assert_eq!((stats.invalidations, stats.entries), (0, 1), "{stats:?}");
+    assert_eq!(stats.rejected, 2, "two hits met a quarantined member");
+}
+
+/// A lone member that is dark for its first `failure_threshold` queries:
+/// they fail, the last opens its breaker, the queries of the cooldown find
+/// nothing that may serve them, and once the cooldown has passed the
+/// member is probed and answers again — every decision ticks the breaker
+/// clock, also one that nothing can serve.
+#[test]
+fn a_lone_dark_member_answers_again_after_its_cooldown() {
+    use csqp_core::federation::CircuitBreakerConfig;
+    let breaker = CircuitBreakerConfig::default();
+    let data = datagen::cars(3, 400);
+    let dark = csqp_source::FaultProfile::new(0).with_outage(0, breaker.failure_threshold as u64);
+    let lone = named_dealer("lone", &data, CostParams::new(10.0, 1.0), Some(dark));
+    let cfg = ServeConfig { workers: 4, ..ServeConfig::default() };
+    let server = Arc::new(Server::bind_federation(vec![lone], cfg).expect("bind"));
+    let addr = server.local_addr().expect("bound address");
+    let running = std::thread::spawn({
+        let server = server.clone();
+        move || server.run()
+    });
+    let path = query_path_over("make = \"BMW\" ^ price < 90000", "model,year");
+    let mut expected = vec!["execution failed"; breaker.failure_threshold as usize];
+    expected.extend(vec!["all capable members quarantined"; breaker.cooldown_ticks as usize]);
+    expected.extend(["served by lone", "served by lone"]);
+    for (i, want) in expected.into_iter().enumerate() {
+        let resp = http_get(addr, &path);
+        assert!(resp.contains(want), "query {i}: want {want:?} in {resp}");
+        let status = if want.starts_with("served") { "HTTP/1.1 200" } else { "HTTP/1.1 400" };
+        assert!(resp.starts_with(status), "query {i}: {resp}");
+    }
+    let metrics = http_get(addr, "/metrics");
+    for transition in ["opened", "half_opened", "closed"] {
+        let line = format!("csqp_breaker_{transition}_total 1");
+        assert!(metrics.contains(&line), "{line}: {metrics}");
+    }
+    assert!(http_get(addr, "/shutdown").contains("shutting down"));
+    running.join().expect("server thread").expect("accept loop exits cleanly");
 }

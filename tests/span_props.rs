@@ -8,7 +8,7 @@
 //! retry storms, mid-stream outages that force replan splices, failed runs,
 //! and interleaved captures slicing the same tracer with `span_mark`.
 
-use csqp_core::federation::{CircuitBreakerConfig, FederatedOptions, Federation};
+use csqp_core::federation::{CircuitBreakerConfig, Federation};
 use csqp_core::mediator::{AdaptiveConfig, Mediator, StreamOptions};
 use csqp_core::types::TargetQuery;
 use csqp_expr::ValueType;
@@ -106,7 +106,7 @@ proptest! {
         let mut windows = Vec::new();
         for query in &queries {
             let mark = obs.tracer.span_mark();
-            let options = FederatedOptions::Splice { policy: &policy, stream: &cfg };
+            let options = StreamOptions::Plain { stream: &cfg, policy: Some(&policy) };
             let _ = federation.run_stream(query, options, None);
             windows.push((mark, obs.tracer.spans_from(mark)));
         }

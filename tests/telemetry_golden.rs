@@ -249,7 +249,8 @@ fn journal_rotation_bounds_disk_and_stays_parseable() {
 /// reliable expensive mirror keeps serving and stays healthy.
 #[test]
 fn chaos_storm_drives_dark_member_below_healthy() {
-    use csqp_core::federation::{CircuitBreakerConfig, FederatedOptions, Federation};
+    use csqp_core::federation::{CircuitBreakerConfig, Federation};
+    use csqp_core::mediator::StreamOptions;
     use csqp_core::types::TargetQuery;
     use csqp_expr::ValueType;
     use csqp_obs::Obs;
@@ -293,7 +294,11 @@ fn chaos_storm_drives_dark_member_below_healthy() {
         // The dark dealer wins planning, dies, and the dump rescues the
         // answer — errors and breaker opens pile onto the dealer.
         federation
-            .run_stream(&query, FederatedOptions::Splice { policy: &policy, stream: &stream }, None)
+            .run_stream(
+                &query,
+                StreamOptions::Plain { stream: &stream, policy: Some(&policy) },
+                None,
+            )
             .expect("dump must rescue the answer");
     }
     let window = federation.metrics_snapshot();
