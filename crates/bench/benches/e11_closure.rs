@@ -1,10 +1,10 @@
 //! E11 (Table 6): permutation-closure costs — one-time description rewrite
-//! and compile vs the per-plan fix_order step.
+//! and compile vs the per-plan fix step (admission on the gate grammar).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use csqp_expr::parse::parse_condition;
 use csqp_ssdl::check::CompiledSource;
-use csqp_ssdl::closure::{fix_order, permutation_closure, DEFAULT_MAX_SEGMENTS};
+use csqp_ssdl::closure::{permutation_closure, DEFAULT_MAX_SEGMENTS};
 use csqp_ssdl::templates;
 use std::hint::black_box;
 
@@ -24,7 +24,7 @@ fn bench(c: &mut Criterion) {
         let gate = CompiledSource::new(templates::car_dealer());
         let scrambled = parse_condition(r#"price < 40000 ^ make = "BMW""#).unwrap();
         let attrs = ["model".to_string()].into_iter().collect();
-        b.iter(|| black_box(fix_order(&gate, &scrambled, &attrs)))
+        b.iter(|| black_box(gate.admit(Some(&scrambled), &attrs)))
     });
     g.finish();
 }

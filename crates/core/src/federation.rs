@@ -832,7 +832,11 @@ impl Federation {
             splices: 0,
         };
         let (member, planned) = match self.breakers[prepared.member].gate(now) {
-            BreakerHealth::Open => ctl.stand_in().ok_or_else(|| no_plan(prepared.query, true))?,
+            // Another run quarantined the decision's member since.
+            BreakerHealth::Open => {
+                ctl.sit_out(prepared.member);
+                ctl.next_candidate().ok_or_else(|| no_plan(prepared.query, true))?
+            }
             _ => (prepared.member, prepared.planned),
         };
         self.probe(member, ctl.run);
@@ -996,15 +1000,24 @@ struct BreakerSpliceController<'a> {
 }
 
 impl BreakerSpliceController<'_> {
-    /// The member a prepared decision starts on instead of its own, which
-    /// another run quarantined after the decision was made: the first of
-    /// the splice queue (ranked now when the decision was a cache hit),
-    /// with its surveyed plan.
-    fn stand_in(&mut self) -> Option<(usize, PlannedQuery)> {
-        self.fed.sat_out(self.current, self.run.flight_id);
-        let name = self.fed.members[self.current].name.clone();
-        self.run.trace.push((name, MemberEvent::Quarantined));
-        self.queue().pop_front()
+    /// The first candidate of the splice queue (ranked now when the
+    /// decision was a cache hit) whose breaker lets it serve at the run's
+    /// tick, with its surveyed plan. One that another run quarantined since
+    /// the queue was ranked sits this run out, untried.
+    fn next_candidate(&mut self) -> Option<(usize, PlannedQuery)> {
+        while let Some((idx, planned)) = self.queue().pop_front() {
+            if self.fed.breakers[idx].gate(self.run.now) != BreakerHealth::Open {
+                return Some((idx, planned));
+            }
+            self.sit_out(idx);
+        }
+        None
+    }
+
+    /// Books member `idx` sitting the run out behind its open breaker.
+    fn sit_out(&mut self, idx: usize) {
+        self.fed.sat_out(idx, self.run.flight_id);
+        self.run.trace.push((self.fed.members[idx].name.clone(), MemberEvent::Quarantined));
     }
 
     /// The splice queue. A run from a cache hit ranks it at first use: the
@@ -1052,7 +1065,7 @@ impl ReplanController for BreakerSpliceController<'_> {
         // residual without a condition is the whole query too: either way
         // the next candidate's surveyed plan runs, and nothing is re-planned.
         let residual = if probe.emitted > 0 { plan_condition(&remaining) } else { None };
-        while let Some((idx, surveyed)) = self.queue().pop_front() {
+        while let Some((idx, surveyed)) = self.next_candidate() {
             let next = &fed.members[idx];
             fed.probe(idx, self.run);
             let plan = match &residual {
@@ -1108,6 +1121,10 @@ impl ReplanController for BreakerSpliceController<'_> {
         None
     }
 
+    fn on_final_error(&mut self, err: &ExecError) {
+        self.fed.failed(self.current, err, self.run);
+    }
+
     fn drift_triggers(&self) -> u64 {
         self.retired_triggers + self.drift.as_ref().map_or(0, |d| d.drift_triggers())
     }
@@ -1122,8 +1139,8 @@ mod tests {
     use csqp_relation::datagen;
     use csqp_relation::stream::DEFAULT_BATCH_SIZE;
     use csqp_relation::Relation;
-    use csqp_source::CostParams;
-    use csqp_ssdl::{parse_ssdl, templates};
+    use csqp_source::{CostParams, Meter};
+    use csqp_ssdl::{parse_ssdl, templates, SsdlDesc};
 
     /// Three mirrors of the same car data: a form-limited fast one, a
     /// download-only slow one, and one that cannot answer price queries at
@@ -1308,21 +1325,22 @@ mod tests {
             Source::new(data.clone(), templates::car_dealer(), CostParams::new(10.0, 1.0))
                 .with_fault_profile(profile),
         );
-        let dump = Arc::new(Source::new(
-            data,
-            templates::download_only(
-                "dump",
-                &[
-                    ("make", ValueType::Str),
-                    ("model", ValueType::Str),
-                    ("year", ValueType::Int),
-                    ("color", ValueType::Str),
-                    ("price", ValueType::Int),
-                ],
-            ),
-            CostParams::new(200.0, 5.0),
-        ));
+        let dump = Arc::new(Source::new(data, dump_desc(), CostParams::new(200.0, 5.0)));
         Federation::new().with_member(flaky).with_member(dump).with_breaker(cfg)
+    }
+
+    /// A download-only source over the cars.
+    fn dump_desc() -> SsdlDesc {
+        templates::download_only(
+            "dump",
+            &[
+                ("make", ValueType::Str),
+                ("model", ValueType::Str),
+                ("year", ValueType::Int),
+                ("color", ValueType::Str),
+                ("price", ValueType::Int),
+            ],
+        )
     }
 
     /// Plain pipeline options under `policy` at the default batch size.
@@ -1487,6 +1505,70 @@ mod tests {
         assert_eq!(action.source.name, "dump");
         assert_eq!(action.plan, surveyed);
         assert_eq!(ctl.current, 1);
+    }
+
+    /// The consecutive failures member `idx`'s breaker has counted.
+    fn failures(f: &Federation, idx: usize) -> u32 {
+        f.breakers[idx].consecutive_failures.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn a_run_past_the_splice_cap_still_books_every_failure() {
+        use csqp_source::FaultProfile;
+        // 17 dark mirrors: 16 splices reach the last one, which dies after
+        // the run has spent its splices and must still count its failure.
+        let data = datagen::cars(3, 100);
+        let f = (0..17).fold(Federation::new(), |f, i| {
+            let desc = SsdlDesc { name: format!("m{i}"), ..templates::car_dealer() };
+            let dark = Source::new(data.clone(), desc, CostParams::new(10.0 + i as f64, 1.0))
+                .with_fault_profile(FaultProfile::new(0).with_outage(0, u64::MAX));
+            f.with_member(Arc::new(dark))
+        });
+        let policy = RetryPolicy { max_retries: 0, ..Default::default() };
+        assert!(f.run_stream(&car_query(), retried(&policy), None).is_err());
+        let metrics = f.metrics_snapshot();
+        assert_eq!(metrics.counter(names::REPLAN_SPLICES), 16);
+        assert_eq!(metrics.counter(names::FEDERATION_EXEC_FAILED), 17);
+        assert!((0..17).all(|idx| failures(&f, idx) == 1), "every breaker counted its member");
+    }
+
+    #[test]
+    fn a_fallback_quarantined_after_the_decision_is_skipped_untried() {
+        use csqp_source::FaultProfile;
+        // The dealer is dark; the dump fails its first attempt only.
+        let f = Federation::new()
+            .with_member(Arc::new(
+                Source::new(
+                    datagen::cars(3, 400),
+                    templates::car_dealer(),
+                    CostParams::new(10.0, 1.0),
+                )
+                .with_fault_profile(FaultProfile::new(0).with_outage(0, u64::MAX)),
+            ))
+            .with_member(Arc::new(
+                Source::new(datagen::cars(3, 400), dump_desc(), CostParams::new(200.0, 5.0))
+                    .with_fault_profile(FaultProfile::new(0).with_outage(0, 1)),
+            ))
+            .with_breaker(CircuitBreakerConfig { failure_threshold: 1, cooldown_ticks: 100 });
+        let policy = RetryPolicy { max_retries: 0, ..Default::default() };
+        let q = car_query();
+        let decision = f.plan(&q).unwrap();
+        assert_eq!(decision.source.name, "car_dealer");
+        assert_eq!(decision.fallbacks.iter().map(|(idx, _)| *idx).collect::<Vec<_>>(), [1]);
+        // Another run, which only the dump can answer, opens its breaker.
+        let year = TargetQuery::parse("year = 1999", &["model"]).unwrap();
+        assert!(f.run_stream(&year, retried(&policy), None).is_err());
+        assert_eq!((failures(&f, 1), f.breakers[1].gate(decision.now)), (1, BreakerHealth::Open));
+        let quarantined = f.metrics_snapshot().counter(names::FEDERATION_QUARANTINED);
+        // The dealer dies; its fallback sits the run out instead of being
+        // spliced in, so nobody is left to answer.
+        assert!(f.run_stream(decision, retried(&policy), None).is_err());
+        assert_eq!(f.members()[1].meter(), Meter::default(), "the dump was not tried");
+        assert_eq!(failures(&f, 1), 1, "its breaker did not move");
+        assert_eq!(failures(&f, 0), 1, "the dealer's failure counted");
+        let metrics = f.metrics_snapshot();
+        assert_eq!(metrics.counter(names::FEDERATION_QUARANTINED), quarantined + 1);
+        assert_eq!(metrics.counter(names::REPLAN_SPLICES), 0);
     }
 
     #[test]

@@ -373,7 +373,7 @@ fn checks_match(source: &Source, prepared: &Plan, rebound: &Plan) -> bool {
     let after = rebound.source_queries();
     debug_assert_eq!(before.len(), after.len(), "rebind preserves plan structure");
     before.iter().zip(&after).all(|((pc, _), (rc, _))| {
-        source.check(pc.as_ref()) == source.check(rc.as_ref())
+        source.planning_view().check(pc.as_ref()) == source.planning_view().check(rc.as_ref())
             && source.gate_view().check(pc.as_ref()) == source.gate_view().check(rc.as_ref())
     })
 }

@@ -98,6 +98,9 @@ impl Server {
         stream.set_write_timeout(Some(Duration::from_secs(5)))?;
         let mut reader = BufReader::new(stream);
         let mut line = String::new();
+        // The flight of this connection's last line-protocol query: `why`
+        // explains it, not whichever query another worker planned last.
+        let mut last_flight = None;
         loop {
             match next_line(&mut reader, &mut line)? {
                 Line::Read => {}
@@ -176,20 +179,22 @@ impl Server {
             } else {
                 // Line protocol: answer and keep reading — a client can
                 // pipeline `ping` / `query …` lines on one connection.
-                let reply = self.handle_line(&first);
+                let reply = self.handle_line(&first, &mut last_flight);
                 stream.write_all(reply.as_bytes())?;
             }
         }
     }
 
     /// The line protocol: `ping`, `why`, or `query <attrs,csv> <condition>`.
-    fn handle_line(&self, line: &str) -> String {
+    /// `why` explains the connection's last query, whose id `flight` keeps.
+    fn handle_line(&self, line: &str, flight: &mut Option<u64>) -> String {
         let line = line.trim();
         if line == "ping" {
             return "pong\n".to_string();
         }
         if line == "why" {
-            return self.federation.explain_why();
+            let record = flight.and_then(|id| self.flight.record(id));
+            return csqp_plan::why::explain_why(record.as_ref());
         }
         if let Some(rest) = line.strip_prefix("query ") {
             let Some((attrs, cond)) = rest.trim().split_once(' ') else {
@@ -198,8 +203,8 @@ impl Server {
             let attrs: Vec<String> = attrs.split(',').map(|s| s.trim().to_string()).collect();
             let tenant = sanitize_tenant(None);
             let mut body = String::new();
-            return match self.serve_query_streamed(cond, &attrs, None, &tenant, &mut |batch| {
-                write_rows(&batch, &mut body);
+            return match self.serve_query_streamed(cond, &attrs, None, &tenant, flight, &mut |b| {
+                write_rows(&b, &mut body);
                 true
             }) {
                 Ok(trailer) => format!("OK\n{body}{trailer}"),
@@ -292,7 +297,7 @@ impl Server {
                     }
                 }
             };
-            self.serve_query_streamed(&cond, &attrs, limit, &tenant, sink)
+            self.serve_query_streamed(&cond, &attrs, limit, &tenant, &mut None, sink)
         };
         if let Some(e) = io_err {
             return Err(e);

@@ -397,7 +397,9 @@ mod tests {
         let attrs = ["model".to_string(), "year".to_string()];
         for i in 0..10_000u64 {
             let cond = format!("make = \"BMW\" ^ price < {}", 20_000 + i % 64 * 500);
-            server.serve_query_streamed(&cond, &attrs, None, "t", &mut |_| true).expect("served");
+            server
+                .serve_query_streamed(&cond, &attrs, None, "t", &mut None, &mut |_| true)
+                .expect("served");
         }
         let spans = server.obs.tracer.spans();
         assert!(spans.len() <= TRACE_TAIL, "{} spans retained", spans.len());

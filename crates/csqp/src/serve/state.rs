@@ -34,7 +34,8 @@ impl Server {
     /// Admits, prepares and streams one query, feeding each answer batch
     /// to `sink` (return `false` to stop) and recording the serve-mode
     /// wall-clock metrics and the slow-query log. Returns the
-    /// `N rows (est cost …)` summary trailer, or the error.
+    /// `N rows (est cost …)` summary trailer, or the error; `flight_out` is
+    /// set to the query's flight id once it has been planned.
     ///
     /// The order is deliberate: admission control runs **first** — a shed
     /// query costs a counter bump, not a parse or a planner fan-out — and
@@ -49,6 +50,7 @@ impl Server {
         attrs: &[String],
         limit: Option<u64>,
         tenant: &str,
+        flight_out: &mut Option<u64>,
         sink: &mut dyn FnMut(TupleBatch) -> bool,
     ) -> Result<String, QueryError> {
         // Admission: the guard holds this query's in-flight slot until the
@@ -90,6 +92,7 @@ impl Server {
         })?;
         let cache_label = prepared.decision.label();
         let flight_id = prepared.flight_id;
+        *flight_out = Some(flight_id);
         // A miss carries its survey's index decision; a hit planned
         // nothing, so the trailer asks the index what it would have kept.
         let (index_candidates, index_total) = prepared.surveyed().unwrap_or_else(|| {

@@ -1,7 +1,7 @@
 //! The reference executor: the paper's mediator, written down once.
 //!
-//! [`execute`] walks a concrete plan the way §6.1 describes — fix each
-//! source query's order, send it, post-process the results with σ/π/∩/∪ —
+//! [`execute`] walks a concrete plan the way §6.1 describes — admit each
+//! source query (fix its order), send it, post-process with σ/π/∩/∪ —
 //! materializing every intermediate [`Relation`]. It is the **reference**
 //! every differential suite compares against, not an execution path: all
 //! production traffic runs on the engine in [`crate::exec_stream`], which
@@ -23,11 +23,14 @@
 //! dedicated test rather than silently ignored.
 
 use crate::plan::Plan;
+use csqp_expr::CondTree;
 use csqp_relation::ops::{intersect, project, select, union};
 use csqp_relation::Relation;
 use csqp_source::{Meter, ResilienceMeter, Source, SourceError};
+use csqp_ssdl::Admitted;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Errors raised during plan execution.
@@ -87,11 +90,25 @@ impl From<SourceError> for ExecError {
     }
 }
 
+/// Admits a source query on `source`'s gate view: the §6.1 fix step, taken
+/// by the mediator. A query no order admits never reaches the source; it
+/// fails with the rejection the source would have answered.
+pub(crate) fn admit(
+    source: &Source,
+    cond: Option<&CondTree>,
+    attrs: &BTreeSet<String>,
+) -> Result<Admitted, ExecError> {
+    let refused = || ExecError::Source(SourceError::unsupported(&source.name, cond, attrs));
+    source.gate_view().admit(cond, attrs).ok_or_else(refused)
+}
+
 /// Executes a concrete plan against `source`, returning the result relation.
-/// Source queries are order-fixed (§6.1) before hitting the capability gate.
+/// Each source query is admitted (§6.1) before it is sent.
 pub fn execute(plan: &Plan, source: &Source) -> Result<Relation, ExecError> {
     match plan {
-        Plan::SourceQuery { cond, attrs } => Ok(source.fix_and_answer(cond.as_ref(), attrs)?),
+        Plan::SourceQuery { cond, attrs } => {
+            Ok(source.answer(&admit(source, cond.as_ref(), attrs)?)?)
+        }
         Plan::LocalSp { cond, attrs, input } => {
             let base = execute(input, source)?;
             let filtered = select(&base, cond.as_ref());
@@ -317,7 +334,7 @@ mod tests {
         let plan = Plan::source(cond("price < 40000 ^ make = \"BMW\""), attrs(["model"]));
         let got = execute(&plan, &s).unwrap();
         assert!(!got.is_empty());
-        assert_eq!(s.meter().rejected, 0, "fix_order avoided a gate rejection");
+        assert_eq!(s.meter().rejected, 0, "admission avoided a gate rejection");
     }
 
     #[test]
@@ -420,7 +437,8 @@ mod tests {
     fn capability_rejection_fails_fast_without_retry() {
         use csqp_source::FaultProfile;
         // Reliable profile attached (so the fault gate is live) but the
-        // query is unsupported: exactly one attempt, no retries.
+        // query is unsupported: refused at admission, before any attempt,
+        // and never retried.
         let s = faulty_dealer(FaultProfile::new(9));
         let plan = Plan::source(cond("year = 1995"), attrs(["model"]));
         let mut res = ResilienceMeter::default();
@@ -428,8 +446,9 @@ mod tests {
             Err(ExecError::Source(SourceError::Unsupported { .. })) => {}
             other => panic!("expected fail-fast gate rejection, got {other:?}"),
         }
-        assert_eq!(res.attempts, 1);
+        assert_eq!(res.attempts, 0);
         assert_eq!(res.retries, 0);
+        assert_eq!(s.meter(), Meter::default(), "the source never saw it");
     }
 
     #[test]

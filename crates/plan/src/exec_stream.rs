@@ -51,7 +51,7 @@ use csqp_relation::schema::Schema;
 use csqp_relation::stream::{TupleBatch, DEFAULT_BATCH_SIZE};
 use csqp_relation::Relation;
 use csqp_source::{CostParams, Meter, ResilienceMeter, RoundTrip, Source, SourceError};
-use csqp_ssdl::linearize::Fingerprint;
+use csqp_ssdl::linearize::{cond_fingerprint, Fingerprint};
 use std::sync::Arc;
 
 /// Knobs for one streaming execution.
@@ -116,9 +116,9 @@ pub struct LeafProgress {
     pub rendered: String,
     /// The leaf's condition (what the source was asked to satisfy).
     pub cond: Option<CondTree>,
-    /// `cond`'s fingerprint, taken from the leaf's source stream at open:
-    /// a controller keys per-leaf state by it without re-hashing the
-    /// condition at every batch boundary.
+    /// `cond`'s fingerprint, taken at leaf open: a controller keys
+    /// per-leaf state by it without re-hashing the condition at every
+    /// batch boundary.
     pub fp: Fingerprint,
     /// Rows the leaf has shipped so far in the current segment.
     pub rows_out: u64,
@@ -205,6 +205,10 @@ pub trait ReplanController {
     /// another plan/source; `None` propagates the error.
     fn on_leaf_error(&mut self, probe: &ReplanProbe<'_>, err: &ExecError) -> Option<SpliceAction>;
 
+    /// Called instead of `on_leaf_error` once the run has spent its
+    /// splices: the error propagates, and the controller can only book it.
+    fn on_final_error(&mut self, _err: &ExecError) {}
+
     /// Times cardinality drift triggered so far (0 if nothing watches it).
     fn drift_triggers(&self) -> u64 {
         0
@@ -281,7 +285,8 @@ mod engine {
 
     impl Account {
         /// Meters a leaf open: an opened stream is one source query, a
-        /// capability-gate rejection one rejected query.
+        /// capability rejection (refused at admission, or by the source's
+        /// own gate) one rejected query.
         fn opened<T>(&mut self, open: Result<T, ExecError>) -> Result<T, ExecError> {
             match &open {
                 Ok(_) => self.meter.queries += 1,
@@ -345,7 +350,8 @@ mod engine {
     }
 
     /// Runs one source round-trip — a stream open or a batch pull — under
-    /// the run's retry policy: retryable faults back off and repeat, the
+    /// the run's retry policy, if it has one (without, any fault is
+    /// terminal): retryable faults back off and repeat, the
     /// virtual latency the source's fault gate metered is charged against
     /// the deadline budget, and capability rejections and schema errors
     /// fail fast (retrying the identical request cannot succeed). An open
@@ -355,10 +361,11 @@ mod engine {
     /// batches never re-ship.
     fn with_retry<T>(
         source: &Source,
-        ctx: &mut ResilientCtx<'_>,
+        ctx: Option<&mut ResilientCtx<'_>>,
         open: bool,
         mut round_trip: impl FnMut() -> RoundTrip<T>,
     ) -> Result<T, ExecError> {
+        let Some(ctx) = ctx else { return round_trip().1.map_err(ExecError::Source) };
         let mut retry = 0u32;
         loop {
             ctx.res.attempts += u64::from(open);
@@ -463,10 +470,8 @@ mod engine {
         ) -> Result<Option<TupleBatch>, ExecError> {
             match self {
                 Node::Leaf { stream, source, idx, cond, n_attrs, rows_out } => {
-                    let pulled = match &mut extras.resilient {
-                        None => stream.next_batch().map_err(ExecError::Source)?,
-                        Some(ctx) => with_retry(source, ctx, false, || stream.pull())?,
-                    };
+                    let ctx = extras.resilient.as_deref_mut();
+                    let pulled = with_retry(source, ctx, false, || stream.pull())?;
                     if let Some(b) = &pulled {
                         account.charge(b.len());
                         account.emitted();
@@ -585,14 +590,13 @@ mod engine {
                 // Leaf opens are where the capability gate fires and the
                 // first round-trip happens — worth a span of their own.
                 let _open_span = extras.live_tracer().map(|t| t.span(&format!("open leaf {idx}")));
-                let stream = account.opened(match &mut extras.resilient {
-                    None => source
-                        .fix_and_answer_stream(cond.as_ref(), attrs, cfg.batch_size)
-                        .map_err(ExecError::Source),
-                    Some(ctx) => with_retry(source, ctx, true, || {
-                        source.open_stream(cond.as_ref(), attrs, cfg.batch_size)
-                    }),
-                })?;
+                // Admitted once, before any round-trip: a leaf no order
+                // admits is refused here, and never reaches the source.
+                let open = crate::exec::admit(source, cond.as_ref(), attrs).and_then(|q| {
+                    let ctx = extras.resilient.as_deref_mut();
+                    with_retry(source, ctx, true, || source.open(&q, cfg.batch_size))
+                });
+                let stream = account.opened(open)?;
                 if let Some(a) = &mut extras.analyzed {
                     let est_rows = a.card.estimate(cond.as_ref());
                     let est_cost = a.model.source_query_cost(cond.as_ref(), attrs.len(), est_rows);
@@ -609,7 +613,7 @@ mod engine {
                     track.leaves.push(LeafProgress {
                         rendered: plan.to_string(),
                         cond: cond.clone(),
-                        fp: stream.fingerprint(),
+                        fp: cond_fingerprint(cond.as_ref()),
                         rows_out: 0,
                         done: false,
                     });
@@ -992,8 +996,9 @@ pub fn execute_stream(
             Ok(engine::SegmentEnd::Spliced(a)) => a,
             Err(e) => {
                 // The segment died on a leaf. Give the controller one look
-                // (progress state survives in `track`); without a splice
-                // the error propagates as it would non-adaptively.
+                // (progress state survives in `track`), or past the splice
+                // cap only the error; without a splice the error propagates
+                // as it would non-adaptively.
                 let recovery = match (controller.as_deref_mut(), &track) {
                     (Some(c), Some(t)) if allow => {
                         let probe = ReplanProbe {
@@ -1004,6 +1009,10 @@ pub fn execute_stream(
                             emitted: carried.emitted,
                         };
                         c.on_leaf_error(&probe, &e)
+                    }
+                    (Some(c), _) => {
+                        c.on_final_error(&e);
+                        None
                     }
                     _ => None,
                 };

@@ -10,7 +10,7 @@ use csqp_source::Source;
 /// alternative is (Algorithm 5.1 eliminates φ-using combinations).
 pub fn is_feasible(plan: &Plan, source: &Source) -> bool {
     match plan {
-        Plan::SourceQuery { cond, attrs } => source.supports(cond.as_ref(), attrs),
+        Plan::SourceQuery { cond, attrs } => source.planning_view().supports(cond.as_ref(), attrs),
         Plan::LocalSp { input, .. } => is_feasible(input, source),
         Plan::Intersect(cs) | Plan::Union(cs) => cs.iter().all(|c| is_feasible(c, source)),
         Plan::Choice(cs) => cs.iter().any(|c| is_feasible(c, source)),
@@ -22,7 +22,7 @@ pub fn is_feasible(plan: &Plan, source: &Source) -> bool {
 pub fn prune_infeasible(plan: &Plan, source: &Source) -> Option<Plan> {
     match plan {
         Plan::SourceQuery { cond, attrs } => {
-            source.supports(cond.as_ref(), attrs).then(|| plan.clone())
+            source.planning_view().supports(cond.as_ref(), attrs).then(|| plan.clone())
         }
         Plan::LocalSp { cond, attrs, input } => Some(Plan::LocalSp {
             cond: cond.clone(),

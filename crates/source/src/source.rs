@@ -9,9 +9,11 @@
 //! - the **gate** enforces the *original* description — the source really is
 //!   order-sensitive if its grammar says so;
 //! - the **planning view** is the permutation-closed description, letting
-//!   GenCompact drop the commutativity rewrite rule. Before execution the
-//!   mediator *fixes* each source query back to an accepted order
-//!   ([`Source::fix_and_answer`]).
+//!   GenCompact drop the commutativity rewrite rule. The mediator admits
+//!   each source query back into an order the gate accepts
+//!   ([`CompiledSource::admit`]), and the source answers only an
+//!   [`Admitted`] query — still checking its own gate, as a remote source
+//!   would, though an admitted run never trips it.
 
 use crate::cost::CostParams;
 use crate::fault::{Fault, FaultProfile};
@@ -23,10 +25,9 @@ use csqp_relation::schema::Schema;
 use csqp_relation::stream::{project_indices, DedupSketch, TupleBatch};
 use csqp_relation::tuple::Tuple;
 use csqp_relation::{Relation, TableStats};
-use csqp_ssdl::check::{CompiledSource, ExportSet, SharedCheckCache};
-use csqp_ssdl::closure::{fix_order, permutation_closure, DEFAULT_MAX_SEGMENTS};
+use csqp_ssdl::check::{Admitted, CompiledSource, SharedCheckCache};
+use csqp_ssdl::closure::{permutation_closure, DEFAULT_MAX_SEGMENTS};
 use csqp_ssdl::facts::CapabilityFacts;
-use csqp_ssdl::linearize::{cond_fingerprint, Fingerprint};
 use csqp_ssdl::SsdlDesc;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -74,6 +75,15 @@ pub enum SourceError {
 }
 
 impl SourceError {
+    /// Source `source`'s capability description rejects `SP(cond, attrs)`.
+    pub fn unsupported(source: &str, cond: Option<&CondTree>, attrs: &BTreeSet<String>) -> Self {
+        SourceError::Unsupported {
+            source: source.to_string(),
+            condition: cond.map_or_else(|| "true".into(), |c| c.to_string()),
+            attrs: attrs.iter().cloned().collect(),
+        }
+    }
+
     /// Is this failure worth retrying? Injected faults are; capability
     /// rejections and schema errors are deterministic and never are.
     pub fn is_retryable(&self) -> bool {
@@ -272,11 +282,6 @@ impl Source {
         self.facts.get_or_init(|| CapabilityFacts::compile(&self.planning))
     }
 
-    /// `Check(C, R)` against the planning view.
-    pub fn check(&self, cond: Option<&CondTree>) -> ExportSet {
-        self.planning.check(cond)
-    }
-
     /// Does either capability view match literal constants? When `true`,
     /// feasibility depends on constant *values*, so a prepared plan keyed
     /// on the parameterized shape must re-run `Check` on the rebound
@@ -285,21 +290,13 @@ impl Source {
         self.planning.has_const_literals() || self.original.has_const_literals()
     }
 
-    /// Is `SP(C, A, R)` supported (planning view)?
-    pub fn supports(&self, cond: Option<&CondTree>, attrs: &BTreeSet<String>) -> bool {
-        self.planning.supports(cond, attrs)
-    }
-
-    /// Answers a source query, enforcing the **original** capability gate.
+    /// Answers an admitted source query, materialized: the fault gate,
+    /// then the **original** capability gate, then σπ over the relation.
     /// Meters the query and the shipped tuples.
-    pub fn answer(
-        &self,
-        cond: Option<&CondTree>,
-        attrs: &BTreeSet<String>,
-    ) -> Result<Relation, SourceError> {
-        self.admit(cond, attrs).1?;
-        let selected = select(&self.relation, cond);
-        let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
+    pub fn answer(&self, q: &Admitted) -> Result<Relation, SourceError> {
+        self.gates(q).1?;
+        let selected = select(&self.relation, q.cond());
+        let attr_refs: Vec<&str> = q.attrs().iter().map(String::as_str).collect();
         let result =
             project(&selected, &attr_refs).map_err(|e| SourceError::Schema(e.to_string()))?;
         self.queries.fetch_add(1, Ordering::Relaxed);
@@ -307,44 +304,23 @@ impl Source {
         Ok(result)
     }
 
-    /// Answers a source query phrased against the planning view: first fixes
-    /// the condition's ordering to one the gate accepts (§6.1), then answers.
-    pub fn fix_and_answer(
-        &self,
-        cond: Option<&CondTree>,
-        attrs: &BTreeSet<String>,
-    ) -> Result<Relation, SourceError> {
-        match cond {
-            None => self.answer(None, attrs),
-            Some(c) => self.answer(Some(&self.fix(c, attrs)?), attrs),
-        }
-    }
-
-    /// `c` in an order the gate accepts for `attrs` (§6.1), or the gate's
-    /// rejection (metered) when no order is.
-    fn fix(&self, c: &CondTree, attrs: &BTreeSet<String>) -> Result<CondTree, SourceError> {
-        fix_order(&self.original, c, attrs).ok_or_else(|| self.reject(Some(c), attrs))
-    }
-
     /// Meters a capability-gate rejection and names it.
     fn reject(&self, cond: Option<&CondTree>, attrs: &BTreeSet<String>) -> SourceError {
         self.rejected.fetch_add(1, Ordering::Relaxed);
-        SourceError::Unsupported {
-            source: self.name.clone(),
-            condition: cond.map(|c| c.to_string()).unwrap_or_else(|| "true".into()),
-            attrs: attrs.iter().cloned().collect(),
-        }
+        SourceError::unsupported(&self.name, cond, attrs)
     }
 
     /// The two gates a query passes before the source does any work: the
-    /// fault gate, then the original capability description.
-    fn admit(&self, cond: Option<&CondTree>, attrs: &BTreeSet<String>) -> RoundTrip<()> {
+    /// fault gate, then the original capability description. The second
+    /// is the remote source's own check: a query admitted on another
+    /// description can still fail it.
+    fn gates(&self, q: &Admitted) -> RoundTrip<()> {
         let (ticks, gate) = self.fault_gate();
-        let admitted = gate.and_then(|()| match self.original.supports(cond, attrs) {
+        let passed = gate.and_then(|()| match self.original.supports(q.cond(), q.attrs()) {
             true => Ok(()),
-            false => Err(self.reject(cond, attrs)),
+            false => Err(self.reject(q.cond(), q.attrs())),
         });
-        (ticks, admitted)
+        (ticks, passed)
     }
 
     /// Fault gate: a real Internet source fails before its query engine
@@ -368,9 +344,9 @@ impl Source {
         (profile.ticks_for(fault), outcome)
     }
 
-    /// Opens a **streaming** answer to a source query: the capability gate
-    /// runs up front (enforcing the original description, metering
-    /// rejections), then tuples ship in batches of at most `batch_size` as
+    /// Opens a **streaming** answer to an admitted source query: both
+    /// gates run up front (the original description's rejections are
+    /// metered), then tuples ship in batches of at most `batch_size` as
     /// the consumer pulls.
     ///
     /// Metering parity with [`Source::answer`]: `queries` increments once at
@@ -388,25 +364,19 @@ impl Source {
     /// pull without re-shipping earlier tuples. The open is a
     /// [`RoundTrip`]: the stream or the error, with the ticks its fault
     /// gate drew.
-    pub fn answer_stream(
-        &self,
-        cond: Option<&CondTree>,
-        attrs: &BTreeSet<String>,
-        batch_size: usize,
-    ) -> RoundTrip<SourceStream<'_>> {
+    pub fn open(&self, q: &Admitted, batch_size: usize) -> RoundTrip<SourceStream<'_>> {
         assert!(batch_size > 0, "batch size must be non-zero");
-        let (ticks, admitted) = self.admit(cond, attrs);
-        let stream = admitted.and_then(|()| {
+        let (ticks, passed) = self.gates(q);
+        let stream = passed.and_then(|()| {
             let schema = self.relation.schema();
-            let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
+            let attr_refs: Vec<&str> = q.attrs().iter().map(String::as_str).collect();
             let (out_schema, indices) = project_indices(schema, &attr_refs)
                 .map_err(|e| SourceError::Schema(e.to_string()))?;
             self.queries.fetch_add(1, Ordering::Relaxed);
             let keeps_unique = indices.iter().any(|&i| self.unique[i]);
             Ok(SourceStream {
                 source: self,
-                fp: cond_fingerprint(cond),
-                cond: cond.map(|c| BoundCond::bind(c, |a| schema.col_index(a))),
+                cond: q.cond().map(|c| BoundCond::bind(c, |a| schema.col_index(a))),
                 out_schema,
                 indices,
                 batch_size,
@@ -417,33 +387,19 @@ impl Source {
         (ticks, stream)
     }
 
-    /// Streaming twin of [`Source::fix_and_answer`]: fixes the condition's
-    /// ordering to one the gate accepts (§6.1), then opens the stream.
+    /// Admits `SP(cond, attrs)` on this source's gate view, then opens it.
+    /// Kept for callers built against it; the engine admits and opens.
+    #[doc(hidden)]
     pub fn fix_and_answer_stream(
         &self,
         cond: Option<&CondTree>,
         attrs: &BTreeSet<String>,
         batch_size: usize,
     ) -> Result<SourceStream<'_>, SourceError> {
-        self.open_stream(cond, attrs, batch_size).1
-    }
-
-    /// [`Source::fix_and_answer_stream`] as a [`RoundTrip`]: how a run opens
-    /// a leaf. An unfixable ordering is rejected before the fault gate draws.
-    pub fn open_stream(
-        &self,
-        cond: Option<&CondTree>,
-        attrs: &BTreeSet<String>,
-        batch_size: usize,
-    ) -> RoundTrip<SourceStream<'_>> {
-        let Some(c) = cond else { return self.answer_stream(None, attrs, batch_size) };
-        let (ticks, stream) = match self.fix(c, attrs) {
-            Ok(fixed) => self.answer_stream(Some(&fixed), attrs, batch_size),
-            Err(e) => return (0, Err(e)),
-        };
-        // Key the stream by the caller's ordering, which is the one the
-        // planner's estimates know.
-        (ticks, stream.map(|s| SourceStream { fp: cond_fingerprint(Some(c)), ..s }))
+        self.original
+            .admit(cond, attrs)
+            .ok_or_else(|| self.reject(cond, attrs))
+            .and_then(|q| self.open(&q, batch_size).1)
     }
 
     /// Current transfer metrics.
@@ -465,7 +421,7 @@ impl Source {
 
 /// An open streaming answer: a batched scan over one source query's result.
 ///
-/// Created by [`Source::answer_stream`]. Each [`SourceStream::next_batch`]
+/// Created by [`Source::open`]. Each [`SourceStream::pull`]
 /// is one simulated network round-trip: the fault gate draws, then up to
 /// `batch_size` fresh (selected, projected, deduplicated) tuples ship and
 /// are metered. A fault leaves the cursor untouched, so retrying the pull
@@ -473,9 +429,6 @@ impl Source {
 #[derive(Debug)]
 pub struct SourceStream<'a> {
     source: &'a Source,
-    /// The fingerprint of the caller's condition ordering, not the
-    /// gate-fixed one.
-    fp: Fingerprint,
     /// The condition, bound to the relation's column positions at open.
     cond: Option<BoundCond>,
     out_schema: Arc<Schema>,
@@ -512,19 +465,16 @@ impl SourceStream<'_> {
         &self.out_schema
     }
 
-    /// The fingerprint of the caller's condition ([`cond_fingerprint`]),
-    /// which the drift controller keys its estimates by.
-    pub fn fingerprint(&self) -> Fingerprint {
-        self.fp
-    }
-
-    /// Pulls the next batch; `Ok(None)` once the scan is exhausted.
+    /// [`SourceStream::pull`] without its ticks. Kept for callers built
+    /// against it.
+    #[doc(hidden)]
     pub fn next_batch(&mut self) -> Result<Option<TupleBatch>, SourceError> {
         self.pull().1
     }
 
-    /// [`SourceStream::next_batch`] as a [`RoundTrip`]: an exhausted scan
-    /// answers without one, so it draws no ticks.
+    /// Pulls the next batch, `Ok(None)` once the scan is exhausted, as a
+    /// [`RoundTrip`]: an exhausted scan answers without one, so it draws
+    /// no ticks.
     pub fn pull(&mut self) -> RoundTrip<Option<TupleBatch>> {
         let tuples = self.source.relation.tuples();
         if self.cursor >= tuples.len() {
@@ -593,6 +543,7 @@ impl SourceStream<'_> {
 mod tests {
     use super::*;
     use csqp_expr::parse::parse_condition;
+    use csqp_expr::ValueType;
     use csqp_relation::datagen;
     use csqp_ssdl::templates;
 
@@ -610,25 +561,52 @@ mod tests {
         Source::new(datagen::cars(3, 500), templates::car_dealer(), CostParams::default())
     }
 
+    const CARS: [(&str, ValueType); 5] = [
+        ("make", ValueType::Str),
+        ("model", ValueType::Str),
+        ("year", ValueType::Int),
+        ("color", ValueType::Str),
+        ("price", ValueType::Int),
+    ];
+
+    fn parsed(cond: Option<&str>) -> Option<CondTree> {
+        cond.map(|c| parse_condition(c).unwrap())
+    }
+
+    /// `SP(cond, names)` as `s`'s own gate view admits it.
+    fn admit(s: &Source, cond: &str, names: &[&str]) -> Admitted {
+        s.gate_view().admit(parsed(Some(cond)).as_ref(), &attrs(names)).expect("admitted")
+    }
+
+    /// `SP(cond, names)` admitted on a grammar that accepts every query over
+    /// the cars: a condition in its raw order, which only the source's own
+    /// gate then judges.
+    fn foreign(cond: Option<&str>, names: &[&str]) -> Admitted {
+        let permissive = CompiledSource::new(templates::full_relational("any", &CARS));
+        permissive.admit(parsed(cond).as_ref(), &attrs(names)).expect("accepts every query")
+    }
+
     #[test]
     fn gate_enforces_original_order() {
         let s = dealer();
-        let ok = parse_condition("make = \"BMW\" ^ price < 40000").unwrap();
+        let a = attrs(&["model", "year"]);
         let swapped = parse_condition("price < 40000 ^ make = \"BMW\"").unwrap();
-        assert!(s.answer(Some(&ok), &attrs(&["model", "year"])).is_ok());
+        assert!(s.answer(&admit(&s, "make = \"BMW\" ^ price < 40000", &["model", "year"])).is_ok());
         // The gate rejects the swapped order even though planning accepts it.
-        assert!(s.supports(Some(&swapped), &attrs(&["model", "year"])));
-        let err = s.answer(Some(&swapped), &attrs(&["model", "year"])).unwrap_err();
-        assert!(matches!(err, SourceError::Unsupported { .. }));
-        // fix_and_answer repairs the order.
-        assert!(s.fix_and_answer(Some(&swapped), &attrs(&["model", "year"])).is_ok());
+        assert!(s.planning_view().supports(Some(&swapped), &a));
+        let err = s.answer(&foreign(Some("price < 40000 ^ make = \"BMW\""), &["model", "year"]));
+        assert!(matches!(err.unwrap_err(), SourceError::Unsupported { .. }));
+        // Admission on the gate view repairs the order.
+        let fixed = s.gate_view().admit(Some(&swapped), &a).unwrap();
+        assert_eq!(fixed.cond(), parsed(Some("make = \"BMW\" ^ price < 40000")).as_ref());
+        assert!(s.answer(&fixed).is_ok());
     }
 
     #[test]
     fn answers_are_selected_and_projected() {
         let s = dealer();
         let c = parse_condition("make = \"BMW\" ^ price < 40000").unwrap();
-        let r = s.answer(Some(&c), &attrs(&["model", "year"])).unwrap();
+        let r = s.answer(&admit(&s, "make = \"BMW\" ^ price < 40000", &["model", "year"])).unwrap();
         assert_eq!(r.schema().columns.len(), 2);
         let oracle = csqp_relation::ops::select(s.relation(), Some(&c));
         // Projection may collapse duplicates but never invent rows.
@@ -640,17 +618,18 @@ mod tests {
     fn projection_beyond_exports_rejected() {
         let s = dealer();
         // s2 (make ^ color) exports {make, model, year}: price refused.
-        let c = parse_condition("make = \"BMW\" ^ color = \"red\"").unwrap();
-        assert!(s.answer(Some(&c), &attrs(&["model"])).is_ok());
-        assert!(s.answer(Some(&c), &attrs(&["price"])).is_err());
+        let c = "make = \"BMW\" ^ color = \"red\"";
+        assert!(s.answer(&admit(&s, c, &["model"])).is_ok());
+        assert!(s.gate_view().admit(parsed(Some(c)).as_ref(), &attrs(&["price"])).is_none());
+        assert!(s.answer(&foreign(Some(c), &["price"])).is_err());
     }
 
     #[test]
     fn metering_counts_queries_and_tuples() {
         let s = dealer();
-        let c = parse_condition("make = \"BMW\" ^ price < 90000").unwrap();
-        let r1 = s.answer(Some(&c), &attrs(&["make", "model"])).unwrap();
-        let r2 = s.answer(Some(&c), &attrs(&["make", "model"])).unwrap();
+        let q = admit(&s, "make = \"BMW\" ^ price < 90000", &["make", "model"]);
+        let r1 = s.answer(&q).unwrap();
+        let r2 = s.answer(&q).unwrap();
         let m = s.meter();
         assert_eq!(m.queries, 2);
         assert_eq!(m.tuples_shipped, (r1.len() + r2.len()) as u64);
@@ -663,16 +642,32 @@ mod tests {
     #[test]
     fn rejected_queries_are_metered() {
         let s = dealer();
-        let bad = parse_condition("year = 1995").unwrap();
-        assert!(s.answer(Some(&bad), &attrs(&["make"])).is_err());
+        assert!(s.answer(&foreign(Some("year = 1995"), &["make"])).is_err());
         assert_eq!(s.meter().rejected, 1);
         assert_eq!(s.meter().queries, 0);
     }
 
     #[test]
+    fn a_foreign_admission_meets_the_sources_own_gate() {
+        // Admitted on a permissive grammar, opened on the strict dealer:
+        // the dealer's own gate rejects it and meters the rejection.
+        let s = dealer();
+        let q = foreign(Some("year = 1995"), &["make"]);
+        assert!(s.gate_view().admit(q.cond(), q.attrs()).is_none(), "the dealer never admits it");
+        let err = s.open(&q, 8).1.unwrap_err();
+        assert!(matches!(&err, SourceError::Unsupported { source, .. } if source == "car_dealer"));
+        assert_eq!((s.meter().rejected, s.meter().queries), (1, 0));
+        // Behind a fault, the fault gate still fires first.
+        let faulty = dealer().with_fault_profile(FaultProfile::new(1).with_transient(1.0));
+        assert!(matches!(faulty.open(&q, 8).1, Err(SourceError::Transient { .. })));
+        assert_eq!(faulty.meter(), Meter::default(), "the capability gate never saw it");
+    }
+
+    #[test]
     fn download_refused_without_true_rule() {
         let s = dealer();
-        assert!(s.answer(None, &attrs(&["make"])).is_err());
+        assert!(s.gate_view().admit(None, &attrs(&["make"])).is_none());
+        assert!(s.answer(&foreign(None, &["make"])).is_err());
         // A download-only source accepts it.
         let dl = Source::new(
             datagen::cars(3, 50),
@@ -682,9 +677,9 @@ mod tests {
             ),
             CostParams::default(),
         );
-        let r = dl.answer(None, &attrs(&["make", "price"])).unwrap();
-        assert!(!r.is_empty());
-        assert!(dl.fix_and_answer(None, &attrs(&["make"])).is_ok());
+        let q = dl.gate_view().admit(None, &attrs(&["make", "price"])).unwrap();
+        assert_eq!(q.cond(), None);
+        assert!(!dl.answer(&q).unwrap().is_empty());
     }
 
     #[test]
@@ -693,8 +688,7 @@ mod tests {
         // (the network fails before the source sees the query).
         let s = Source::new(datagen::cars(3, 50), templates::car_dealer(), CostParams::default())
             .with_fault_profile(FaultProfile::new(1).with_transient(1.0));
-        let bad = parse_condition("year = 1995").unwrap();
-        let err = s.answer(Some(&bad), &attrs(&["make"])).unwrap_err();
+        let err = s.answer(&foreign(Some("year = 1995"), &["make"])).unwrap_err();
         assert!(matches!(err, SourceError::Transient { .. }));
         assert!(err.is_retryable());
         assert_eq!(s.meter().rejected, 0, "gate never consulted");
@@ -708,8 +702,8 @@ mod tests {
             let s =
                 Source::new(datagen::cars(3, 100), templates::car_dealer(), CostParams::default())
                     .with_fault_profile(profile);
-            let c = parse_condition("make = \"BMW\" ^ price < 40000").unwrap();
-            (0..40).map(|_| s.answer(Some(&c), &attrs(&["model"])).is_ok()).collect()
+            let q = admit(&s, "make = \"BMW\" ^ price < 40000", &["model"]);
+            (0..40).map(|_| s.answer(&q).is_ok()).collect()
         };
         let a = run(profile.clone());
         let b = run(profile);
@@ -721,8 +715,8 @@ mod tests {
     fn outage_window_downs_then_recovers() {
         let s = Source::new(datagen::cars(3, 50), templates::car_dealer(), CostParams::default())
             .with_fault_profile(FaultProfile::new(0).with_outage(0, 3));
-        let c = parse_condition("make = \"BMW\" ^ price < 40000").unwrap();
-        let outcomes: Vec<_> = (0..4).map(|_| s.answer(Some(&c), &attrs(&["model"]))).collect();
+        let q = admit(&s, "make = \"BMW\" ^ price < 40000", &["model"]);
+        let outcomes: Vec<_> = (0..4).map(|_| s.answer(&q)).collect();
         let outages =
             outcomes.iter().filter(|o| matches!(o, Err(SourceError::Unavailable { .. }))).count();
         assert_eq!(outages, 3);
@@ -732,8 +726,8 @@ mod tests {
     #[test]
     fn no_profile_keeps_resilience_meter_zero() {
         let s = dealer();
-        let c = parse_condition("make = \"BMW\" ^ price < 40000").unwrap();
-        let (ticks, stream) = s.open_stream(Some(&c), &attrs(&["model"]), 8);
+        let q = admit(&s, "make = \"BMW\" ^ price < 40000", &["model"]);
+        let (ticks, stream) = s.open(&q, 8);
         assert_eq!(ticks, 0);
         assert_eq!(stream.unwrap().pull().0, 0, "a pull without a profile draws no ticks");
     }
@@ -742,10 +736,10 @@ mod tests {
     fn timeout_burns_ticks() {
         let s = Source::new(datagen::cars(3, 50), templates::car_dealer(), CostParams::default())
             .with_fault_profile(FaultProfile::new(3).with_timeout(1.0, 25));
-        let c = parse_condition("make = \"BMW\" ^ price < 40000").unwrap();
-        let err = s.answer(Some(&c), &attrs(&["model"])).unwrap_err();
+        let q = admit(&s, "make = \"BMW\" ^ price < 40000", &["model"]);
+        let err = s.answer(&q).unwrap_err();
         assert!(matches!(err, SourceError::Timeout { ticks: 25, .. }));
-        let (ticks, opened) = s.open_stream(Some(&c), &attrs(&["model"]), 8);
+        let (ticks, opened) = s.open(&q, 8);
         assert!(matches!(opened, Err(SourceError::Timeout { ticks: 25, .. })));
         assert_eq!(ticks, 25, "the round-trip carries the ticks its fault gate drew");
     }
@@ -753,13 +747,12 @@ mod tests {
     #[test]
     fn stream_matches_materialized_answer_and_meter() {
         let s = dealer();
-        let c = parse_condition("make = \"BMW\" ^ price < 90000").unwrap();
-        let a = attrs(&["make", "model"]);
-        let oracle = s.answer(Some(&c), &a).unwrap();
+        let q = admit(&s, "make = \"BMW\" ^ price < 90000", &["make", "model"]);
+        let oracle = s.answer(&q).unwrap();
         let oracle_meter = s.meter();
         s.reset_meter();
 
-        let mut stream = s.answer_stream(Some(&c), &a, 7).1.unwrap();
+        let mut stream = s.open(&q, 7).1.unwrap();
         let mut got = Relation::empty(stream.schema().clone());
         let mut max_batch = 0;
         while let Some(b) = stream.next_batch().unwrap() {
@@ -782,10 +775,11 @@ mod tests {
         for collide in [false, true] {
             COLLIDE.with(|f| f.set(collide));
             let s = dealer();
-            let oracle = s.answer(Some(&c), &a).unwrap();
+            let q = s.gate_view().admit(Some(&c), &a).unwrap();
+            let oracle = s.answer(&q).unwrap();
             let oracle_meter = s.meter();
             s.reset_meter();
-            let mut stream = s.answer_stream(Some(&c), &a, 5).1.unwrap();
+            let mut stream = s.open(&q, 5).1.unwrap();
             let mut got = Vec::new();
             while let Some(b) = stream.next_batch().unwrap() {
                 got.extend(b.into_tuples());
@@ -810,7 +804,7 @@ mod tests {
         for collide in [false, true] {
             let s = dealer();
             COLLIDE.with(|f| f.set(collide));
-            let mut stream = s.answer_stream(Some(&c), &a, 4).1.unwrap();
+            let mut stream = s.open(&s.gate_view().admit(Some(&c), &a).unwrap(), 4).1.unwrap();
             let mut shipped = Vec::new();
             for _ in 0..3 {
                 shipped.extend(stream.next_batch().unwrap().unwrap().into_tuples());
@@ -833,11 +827,12 @@ mod tests {
         for collide in [false, true] {
             let s = dealer();
             assert!(s.stats().is_unique("model") && !s.stats().is_unique("make"));
-            let oracle = s.answer(Some(&c), &a).unwrap();
+            let q = s.gate_view().admit(Some(&c), &a).unwrap();
+            let oracle = s.answer(&q).unwrap();
             let oracle_meter = s.meter();
             let fresh = dealer();
             COLLIDE.with(|f| f.set(collide));
-            let mut stream = fresh.answer_stream(Some(&c), &a, 5).1.unwrap();
+            let mut stream = fresh.open(&q, 5).1.unwrap();
             assert!(stream.seen.is_none(), "a key-keeping stream keeps no seen set");
             let mut got = Vec::new();
             while let Some(b) = stream.next_batch().unwrap() {
@@ -856,7 +851,7 @@ mod tests {
         for collide in [false, true] {
             let s = dealer();
             COLLIDE.with(|f| f.set(collide));
-            let mut stream = s.answer_stream(Some(&c), &a, 4).1.unwrap();
+            let mut stream = s.open(&s.gate_view().admit(Some(&c), &a).unwrap(), 4).1.unwrap();
             assert!(stream.seen.is_none());
             let mut shipped = Vec::new();
             for _ in 0..3 {
@@ -877,8 +872,8 @@ mod tests {
         // failed pull would have scanned are not in the shipped set.
         let s = Source::new(datagen::cars(3, 200), templates::car_dealer(), CostParams::default())
             .with_fault_profile(FaultProfile::new(0).with_outage(2, 1));
-        let c = parse_condition("make = \"BMW\" ^ price < 90000").unwrap();
-        let mut stream = s.answer_stream(Some(&c), &attrs(&["model"]), 3).1.unwrap();
+        let q = admit(&s, "make = \"BMW\" ^ price < 90000", &["model"]);
+        let mut stream = s.open(&q, 3).1.unwrap();
         let shipped = stream.next_batch().unwrap().unwrap().into_tuples();
         assert!(stream.next_batch().is_err());
         let set = stream.take_shipped();
@@ -889,14 +884,14 @@ mod tests {
     #[test]
     fn stream_gate_rejects_at_open() {
         let s = dealer();
-        let bad = parse_condition("year = 1995").unwrap();
-        assert!(s.answer_stream(Some(&bad), &attrs(&["make"]), 8).1.is_err());
+        assert!(s.open(&foreign(Some("year = 1995"), &["make"]), 8).1.is_err());
         assert_eq!(s.meter().rejected, 1);
         assert_eq!(s.meter().queries, 0);
-        // fix_and_answer_stream repairs orderings like fix_and_answer.
-        let swapped = parse_condition("price < 40000 ^ make = \"BMW\"").unwrap();
-        assert!(s.answer_stream(Some(&swapped), &attrs(&["model"]), 8).1.is_err());
-        assert!(s.fix_and_answer_stream(Some(&swapped), &attrs(&["model"]), 8).is_ok());
+        // The raw swapped order fails the gate; admitted on the gate view,
+        // it opens.
+        let swapped = "price < 40000 ^ make = \"BMW\"";
+        assert!(s.open(&foreign(Some(swapped), &["model"]), 8).1.is_err());
+        assert!(s.open(&admit(&s, swapped, &["model"]), 8).1.is_ok());
     }
 
     #[test]
@@ -905,9 +900,8 @@ mod tests {
         // three pulls fault, then the scan resumes where it left off.
         let s = Source::new(datagen::cars(3, 200), templates::car_dealer(), CostParams::default())
             .with_fault_profile(FaultProfile::new(0).with_outage(1, 3));
-        let c = parse_condition("make = \"BMW\" ^ price < 90000").unwrap();
-        let a = attrs(&["make", "model"]);
-        let mut stream = s.answer_stream(Some(&c), &a, 4).1.unwrap();
+        let q = admit(&s, "make = \"BMW\" ^ price < 90000", &["make", "model"]);
+        let mut stream = s.open(&q, 4).1.unwrap();
         let mut rows = Relation::empty(stream.schema().clone());
         let mut faults = 0;
         loop {
@@ -928,7 +922,7 @@ mod tests {
         assert_eq!(faults, 3);
         let oracle =
             Source::new(datagen::cars(3, 200), templates::car_dealer(), CostParams::default());
-        assert_eq!(rows, oracle.answer(Some(&c), &a).unwrap());
+        assert_eq!(rows, oracle.answer(&q).unwrap());
         assert_eq!(s.meter().tuples_shipped, rows.len() as u64);
     }
 

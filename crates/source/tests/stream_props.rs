@@ -5,17 +5,17 @@
 //! `0.0` and `-0.0`, two NaN bit patterns, and an `Int` beside a `Float` of
 //! equal numeric value, a string column, and a column that is unique in
 //! some cases and repeats in others. For every non-empty projection and a
-//! random condition, [`Source::answer_stream`] must ship the rows
+//! random condition, admitted, [`Source::open`] must ship the rows
 //! [`Source::answer`] returns, in the same order, and leave the same
 //! meter, whether or not the projection keeps a column the statistics call
 //! unique. A stream closed mid-scan must hand
 //! back exactly the set it shipped.
 
 use csqp_expr::gen::{CondGen, CondGenConfig, GenAttr};
-use csqp_expr::{CondTree, Value, ValueType};
+use csqp_expr::{Value, ValueType};
 use csqp_relation::{Relation, Schema, TableStats, Tuple};
 use csqp_source::{CostParams, Source};
-use csqp_ssdl::templates;
+use csqp_ssdl::{templates, Admitted};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -84,13 +84,8 @@ fn gen_attrs() -> Vec<GenAttr> {
     ]
 }
 
-fn drain(
-    s: &Source,
-    cond: Option<&CondTree>,
-    attrs: &BTreeSet<String>,
-    batch: usize,
-) -> Vec<Tuple> {
-    let mut stream = s.answer_stream(cond, attrs, batch).1.unwrap();
+fn drain(s: &Source, q: &Admitted, batch: usize) -> Vec<Tuple> {
+    let mut stream = s.open(q, batch).1.unwrap();
     let mut got = Vec::new();
     while let Some(b) = stream.next_batch().unwrap() {
         got.extend(b.into_tuples());
@@ -133,14 +128,15 @@ proptest! {
                 .filter(|(i, _)| mask & (1 << i) != 0)
                 .map(|(_, (n, _))| n.to_string())
                 .collect();
-            let oracle = oracle_src.answer(cond.as_ref(), &attrs).unwrap();
-            let got = drain(&streamed_src, cond.as_ref(), &attrs, batch);
+            let q = oracle_src.gate_view().admit(cond.as_ref(), &attrs).expect("accepts all");
+            let oracle = oracle_src.answer(&q).unwrap();
+            let got = drain(&streamed_src, &q, batch);
             prop_assert_eq!(got.as_slice(), oracle.tuples(), "attrs {:?} cond {:?}", attrs, cond);
             prop_assert_eq!(streamed_src.meter(), oracle_src.meter());
 
             // Closed after one pull: the taken set is what shipped, and the
             // meters restart level.
-            let mut stream = streamed_src.answer_stream(cond.as_ref(), &attrs, batch).1.unwrap();
+            let mut stream = streamed_src.open(&q, batch).1.unwrap();
             let shipped = stream.next_batch().unwrap().map(|b| b.into_tuples()).unwrap_or_default();
             let set = stream.take_shipped();
             prop_assert_eq!(set.len(), shipped.len());

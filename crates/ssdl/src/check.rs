@@ -14,6 +14,7 @@
 //! (see DESIGN.md, "Implementation notes: interning & bitsets").
 
 use crate::ast::SsdlDesc;
+use crate::closure::{orderings, FIX_ORDER_BUDGET};
 use crate::earley::{matching_condition_nts, recognize, ParseStats};
 use crate::grammar::Grammar;
 use crate::linearize::linearize;
@@ -190,6 +191,28 @@ impl SharedCheckCache {
     }
 }
 
+/// A source query the mediator may send: a condition in an order the gate
+/// grammar accepts, with a projection that grammar exports. Only
+/// [`CompiledSource::admit`] mints one, so a query that reaches a source
+/// has been through the §6.1 fix step.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Admitted {
+    cond: Option<CondTree>,
+    attrs: BTreeSet<String>,
+}
+
+impl Admitted {
+    /// The condition, in the accepted order (`None` = download).
+    pub fn cond(&self) -> Option<&CondTree> {
+        self.cond.as_ref()
+    }
+
+    /// The projection.
+    pub fn attrs(&self) -> &BTreeSet<String> {
+        &self.attrs
+    }
+}
+
 /// A source description compiled for fast `Check` calls (grammar built once,
 /// when the source joins the system — §6.1).
 #[derive(Debug, Clone)]
@@ -287,6 +310,23 @@ impl CompiledSource {
     /// notation, i.e. covered by some matching form.)
     pub fn supports(&self, cond: Option<&CondTree>, attrs: &BTreeSet<String>) -> bool {
         self.check(cond).covers(attrs)
+    }
+
+    /// Admits `SP(C, A, R)` for execution: `cond` reordered, by permuting
+    /// the children of its `^`/`_` nodes, into an order this grammar
+    /// accepts with `attrs` exported (§6.1: the mediator "only fixes the
+    /// source queries of just one plan"). `None` when no order within
+    /// [`FIX_ORDER_BUDGET`] is accepted.
+    pub fn admit(&self, cond: Option<&CondTree>, attrs: &BTreeSet<String>) -> Option<Admitted> {
+        let accepted = |c: Option<&CondTree>| self.supports(c, attrs);
+        let cond = match cond {
+            c if accepted(c) => c.cloned(),
+            None => return None,
+            Some(c) => {
+                Some(orderings(c, FIX_ORDER_BUDGET).into_iter().find(|o| accepted(Some(o)))?)
+            }
+        };
+        Some(Admitted { cond, attrs: attrs.clone() })
     }
 
     /// Names of condition nonterminals matching `cond` (diagnostics).

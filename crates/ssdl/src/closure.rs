@@ -7,14 +7,13 @@
 //! The description then appears order-insensitive to the planner.
 //!
 //! When the mediator finally executes a plan it must "fix" each source query
-//! back to an order the *original* grammar accepts ([`fix_order`]); the
+//! back to an order the *original* grammar accepts
+//! ([`CompiledSource::admit`](crate::check::CompiledSource::admit)); the
 //! overhead is low because only the one chosen plan is fixed.
 
 use crate::ast::{Rule, SsdlDesc, Sym};
-use crate::check::CompiledSource;
 use crate::token::Term;
 use csqp_expr::CondTree;
-use std::collections::BTreeSet;
 use std::collections::HashSet;
 
 /// Result of the permutation closure.
@@ -150,60 +149,13 @@ fn heap_permute<T: Clone>(work: &mut Vec<T>, k: usize, out: &mut Vec<Vec<T>>) {
     }
 }
 
-/// Cap on the number of orderings [`fix_order`] will try before giving up.
+/// Cap on the number of orderings
+/// [`CompiledSource::admit`](crate::check::CompiledSource::admit) tries.
 pub const FIX_ORDER_BUDGET: usize = 100_000;
 
-/// Reorders `cond` (by permuting children of its `^`/`_` nodes, recursively)
-/// into a form the **original** (pre-closure) source accepts while exporting
-/// `attrs`. Returns `None` if no ordering within budget is accepted.
-///
-/// Executed once, on the chosen plan's source queries (§6.1: "the mediator
-/// only fixes the source queries of just one plan").
-pub fn fix_order(
-    original: &CompiledSource,
-    cond: &CondTree,
-    attrs: &BTreeSet<String>,
-) -> Option<CondTree> {
-    // Fast path: already accepted.
-    if original.supports(Some(cond), attrs) {
-        return Some(cond.clone());
-    }
-    let mut budget = FIX_ORDER_BUDGET;
-    let mut found = None;
-    for_each_ordering(cond, &mut budget, &mut |candidate| {
-        if found.is_none() && original.supports(Some(candidate), attrs) {
-            found = Some(candidate.clone());
-            true // stop
-        } else {
-            false
-        }
-    });
-    found
-}
-
-/// Enumerates orderings of `t` (all child permutations at every node),
-/// invoking `visit` on each; `visit` returns `true` to stop. `budget` bounds
-/// the number of visits.
-fn for_each_ordering(
-    t: &CondTree,
-    budget: &mut usize,
-    visit: &mut impl FnMut(&CondTree) -> bool,
-) -> bool {
-    let variants = orderings(t, budget);
-    for v in variants {
-        if *budget == 0 {
-            return true;
-        }
-        *budget -= 1;
-        if visit(&v) {
-            return true;
-        }
-    }
-    false
-}
-
-/// Materializes orderings of `t` up to the remaining budget.
-fn orderings(t: &CondTree, budget: &mut usize) -> Vec<CondTree> {
+/// Orderings of `t` (child permutations at every `^`/`_` node, `t` itself
+/// first), at most `budget` of them.
+pub(crate) fn orderings(t: &CondTree, budget: usize) -> Vec<CondTree> {
     match t {
         CondTree::Leaf(_) => vec![t.clone()],
         CondTree::Node(conn, children) => {
@@ -216,7 +168,7 @@ fn orderings(t: &CondTree, budget: &mut usize) -> Vec<CondTree> {
                 let mut next = Vec::new();
                 for base in &combos {
                     for v in cv {
-                        if next.len() >= *budget {
+                        if next.len() >= budget {
                             break;
                         }
                         let mut b = base.clone();
@@ -236,7 +188,7 @@ fn orderings(t: &CondTree, budget: &mut usize) -> Vec<CondTree> {
                     continue;
                 }
                 for perm in permutations(&combo) {
-                    if out.len() >= *budget {
+                    if out.len() >= budget {
                         return out;
                     }
                     out.push(CondTree::Node(*conn, perm));
@@ -250,8 +202,10 @@ fn orderings(t: &CondTree, budget: &mut usize) -> Vec<CondTree> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::CompiledSource;
     use crate::parser::parse_ssdl;
     use csqp_expr::parse::parse_condition;
+    use std::collections::BTreeSet;
 
     fn attrs(names: &[&str]) -> BTreeSet<String> {
         names.iter().map(|s| s.to_string()).collect()
@@ -355,22 +309,23 @@ mod tests {
         let original = CompiledSource::new(car_dealer());
         let reversed = parse_condition("price < 40000 ^ make = \"BMW\"").unwrap();
         assert!(!original.supports(Some(&reversed), &attrs(&["model"])));
-        let fixed = fix_order(&original, &reversed, &attrs(&["model"])).unwrap();
-        assert_eq!(fixed, parse_condition("make = \"BMW\" ^ price < 40000").unwrap());
+        let fixed = original.admit(Some(&reversed), &attrs(&["model"])).unwrap();
+        assert_eq!(fixed.cond(), Some(&parse_condition("make = \"BMW\" ^ price < 40000").unwrap()));
     }
 
     #[test]
     fn fix_order_identity_when_already_accepted() {
         let original = CompiledSource::new(car_dealer());
         let ok = parse_condition("make = \"BMW\" ^ price < 40000").unwrap();
-        assert_eq!(fix_order(&original, &ok, &attrs(&["model"])), Some(ok));
+        let admitted = original.admit(Some(&ok), &attrs(&["model"])).unwrap();
+        assert_eq!(admitted.cond(), Some(&ok));
     }
 
     #[test]
     fn fix_order_fails_for_truly_unsupported() {
         let original = CompiledSource::new(car_dealer());
         let c = parse_condition("year = 1999").unwrap();
-        assert_eq!(fix_order(&original, &c, &attrs(&["model"])), None);
+        assert_eq!(original.admit(Some(&c), &attrs(&["model"])), None);
     }
 
     #[test]
@@ -385,10 +340,10 @@ mod tests {
         // Both the outer order and the inner disjunct order are wrong.
         let c = parse_condition("(size = \"midsize\" _ size = \"compact\") ^ style = \"sedan\"")
             .unwrap();
-        let fixed = fix_order(&original, &c, &attrs(&["style"])).unwrap();
+        let fixed = original.admit(Some(&c), &attrs(&["style"])).unwrap();
         assert_eq!(
-            fixed,
-            parse_condition("style = \"sedan\" ^ (size = \"compact\" _ size = \"midsize\")")
+            fixed.cond().unwrap(),
+            &parse_condition("style = \"sedan\" ^ (size = \"compact\" _ size = \"midsize\")")
                 .unwrap()
         );
     }

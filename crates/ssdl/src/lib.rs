@@ -13,7 +13,8 @@
 //! - [`check`] — the paper's `Check(C, R)` function and [`check::ExportSet`]
 //!   antichains;
 //! - [`closure`] — §6.1's commutativity elimination (permutation closure of
-//!   the description) and the run-time `fix_order` step;
+//!   the description), whose run-time fix step is
+//!   [`CompiledSource::admit`], minting an [`Admitted`] source query;
 //! - [`form`] — web-form–style capability construction;
 //! - [`templates`] — bookstore / car guide / car dealer / bank / flights /
 //!   full-relational / conjunctive-only / download-only sources.
@@ -57,7 +58,7 @@ pub mod templates;
 pub mod token;
 
 pub use ast::SsdlDesc;
-pub use check::{CompiledSource, ExportSet, SharedCheckCache};
+pub use check::{Admitted, CompiledSource, ExportSet, SharedCheckCache};
 pub use error::SsdlError;
 pub use facts::{AtomClass, CapabilityFacts, FormFacts};
 pub use linearize::{

@@ -1,10 +1,10 @@
 //! Property tests for SSDL: capability-class acceptance, permutation-closure
-//! soundness, and `fix_order` recovery.
+//! soundness, and recovery of a gate-accepted order by admission.
 
 use csqp_expr::gen::{CondGen, CondGenConfig, GenAttr};
 use csqp_expr::{CondTree, Connector, ValueType};
 use csqp_ssdl::check::CompiledSource;
-use csqp_ssdl::closure::{fix_order, permutation_closure, DEFAULT_MAX_SEGMENTS};
+use csqp_ssdl::closure::{permutation_closure, DEFAULT_MAX_SEGMENTS};
 use csqp_ssdl::templates;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -94,9 +94,9 @@ proptest! {
         }
     }
 
-    /// For any condition the *closed* grammar accepts, `fix_order` finds an
-    /// ordering the original grammar accepts — and the fixed condition has
-    /// the same atom multiset.
+    /// For any condition the *closed* grammar accepts, admission on the
+    /// original grammar finds an ordering it accepts — and the admitted
+    /// condition has the same atom multiset.
     #[test]
     fn fix_order_recovers_gate_acceptance(seed in 0u64..100_000) {
         let desc = templates::car_dealer();
@@ -111,10 +111,12 @@ proptest! {
         let t = g.tree(&CondGenConfig { n_atoms: 2, max_depth: 2, and_bias: 1.0, eq_bias: 0.5 });
         let attrs: BTreeSet<String> = ["model".to_string()].into_iter().collect();
         if closed.supports(Some(&t), &attrs) {
-            let fixed = fix_order(&orig, &t, &attrs);
-            prop_assert!(fixed.is_some(), "fix_order failed for {}", t);
-            let fixed = fixed.unwrap();
-            prop_assert!(orig.supports(Some(&fixed), &attrs));
+            let admitted = orig.admit(Some(&t), &attrs);
+            prop_assert!(admitted.is_some(), "admission failed for {}", t);
+            let admitted = admitted.unwrap();
+            prop_assert_eq!(admitted.attrs(), &attrs);
+            let fixed = admitted.cond().expect("a condition stays a condition");
+            prop_assert!(orig.supports(Some(fixed), &attrs));
             // Same atoms, possibly different order.
             let mut a1: Vec<String> = t.atoms().iter().map(|a| a.to_string()).collect();
             let mut a2: Vec<String> = fixed.atoms().iter().map(|a| a.to_string()).collect();

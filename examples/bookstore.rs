@@ -30,13 +30,14 @@ fn main() {
     .unwrap();
     println!("target query:\n  {query}\n");
 
-    // The capability gate rejects the raw query.
-    let raw = source.answer(Some(&query.cond), &query.attrs);
+    // No order of the raw query is one the source's grammar accepts, so
+    // the mediator cannot admit it: it never reaches the source.
+    let raw = source.gate_view().admit(Some(&query.cond), &query.attrs);
     println!(
-        "sending the raw query to the source: {}\n",
+        "admitting the raw query for the source: {}\n",
         match raw {
-            Err(e) => format!("REJECTED — {e}"),
-            Ok(_) => "accepted (unexpected!)".to_string(),
+            None => "REFUSED — no order of it is one the grammar accepts",
+            Some(_) => "admitted (unexpected!)",
         }
     );
 

@@ -9,6 +9,10 @@ use csqp_core::mediator::MediatorError;
 use csqp_core::types::PlanError;
 use csqp_core::Federation;
 use csqp_plan::exec::{ExecError, RetryPolicy};
+use csqp_plan::exec_stream::{
+    execute_stream, execute_stream_collect, ReplanController, ReplanProbe, SpliceAction,
+    StreamConfig, StreamMode, StreamRequest,
+};
 use csqp_source::{FaultProfile, SourceError};
 use std::sync::Arc;
 
@@ -34,20 +38,46 @@ fn unsupported_source_query_error_carries_context() {
     }
 }
 
+/// Hands a dying run, once, to a fixed fallback plan.
+struct SpliceOnce(Option<SpliceAction>);
+
+impl ReplanController for SpliceOnce {
+    fn on_batch(&mut self, _: &ReplanProbe<'_>) -> Option<SpliceAction> {
+        None
+    }
+
+    fn on_leaf_error(&mut self, _: &ReplanProbe<'_>, _: &ExecError) -> Option<SpliceAction> {
+        self.0.take()
+    }
+}
+
 #[test]
 fn executor_surfaces_gate_rejections() {
     let s = dealer();
-    // Hand-built plan whose source query the gate cannot accept in any
-    // ordering (year is not a grammar token at all).
+    // Hand-built plan whose source query no ordering admits (year is not
+    // a grammar token at all).
     let bad = Plan::source(Some(parse_condition("year = 1995").unwrap()), attrs(["model"]));
-    match execute(&bad, &s) {
-        Err(ExecError::Source(SourceError::Unsupported { source, condition, .. })) => {
-            assert_eq!(source, "car_dealer");
-            assert!(condition.contains("year"));
+    let cfg = StreamConfig::default();
+    let streamed = execute_stream_collect(&bad, &s, StreamRequest::new(&cfg)).map(|(r, _)| r);
+    for outcome in [execute(&bad, &s), streamed] {
+        match outcome {
+            Err(ExecError::Source(e @ SourceError::Unsupported { .. })) => assert_eq!(
+                e.to_string(),
+                "source `car_dealer` does not support SP(year = 1995, {model})"
+            ),
+            other => panic!("expected gate rejection, got {other:?}"),
         }
-        other => panic!("expected gate rejection, got {other:?}"),
     }
-    assert_eq!(s.meter().rejected, 1, "rejections are metered");
+    assert_eq!(s.meter().rejected, 0, "refused at admission: the source never saw it");
+    // The run that met the refusal still counts it in its own meter.
+    let good =
+        Plan::source(parse_condition("make = \"BMW\" ^ price < 40000").ok(), attrs(["model"]));
+    let mut ctl = SpliceOnce(Some(SpliceAction { plan: good, source: s.clone() }));
+    let request =
+        StreamRequest { mode: StreamMode::Adaptive(&mut ctl), ..StreamRequest::new(&cfg) };
+    let run = execute_stream(&bad, &s, request, &mut |_| true).unwrap();
+    assert_eq!((run.meter.rejected, run.meter.queries), (1, 1));
+    assert_eq!(s.meter().rejected, 0);
 }
 
 #[test]

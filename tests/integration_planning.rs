@@ -98,7 +98,7 @@ fn plans_never_contain_unsupported_source_queries() {
             if let Ok(planned) = mediator.plan(&q) {
                 for (sq_cond, sq_attrs) in planned.plan.source_queries() {
                     assert!(
-                        source.supports(sq_cond.as_ref(), sq_attrs),
+                        source.planning_view().supports(sq_cond.as_ref(), sq_attrs),
                         "{scheme} on {source_name} emitted unsupported query"
                     );
                 }

@@ -159,7 +159,8 @@ fn assert_analysis_matches_oracle(source: &Source, run: &StreamOutcome, ctx: &st
         .into_iter()
         .map(|(cond, leaf_attrs)| {
             let est_rows = card.estimate(cond.as_ref());
-            let observed_rows = source.fix_and_answer(cond.as_ref(), leaf_attrs).expect(ctx).len();
+            let admitted = source.gate_view().admit(cond.as_ref(), leaf_attrs).expect(ctx);
+            let observed_rows = source.answer(&admitted).expect(ctx).len();
             SubQueryObs {
                 rendered: Plan::source(cond.clone(), leaf_attrs.clone()).to_string(),
                 est_rows,

@@ -8,8 +8,9 @@
 //! output that stays small over a 1 000-member federation, every idle
 //! worker waking on `/shutdown`, a multi-flush answer that is byte-exact
 //! over HTTP and the line protocol, a mid-stream disconnect that frees
-//! its worker and its in-flight slot, and a dark cheap member whose queries
-//! fail over to its mirror until the member's breaker closes again.
+//! its worker and its in-flight slot, a dark cheap member whose queries
+//! fail over to its mirror until the member's breaker closes again, and a
+//! line-protocol `why` that explains its own connection's last query.
 
 use csqp::serve::{ServeConfig, Server};
 use csqp_core::federation::Federation;
@@ -498,6 +499,61 @@ fn flight_records_receive_their_own_stream_notes_over(obs: Obs, flight: FlightRe
             assert_eq!(notes, 1, "flight {id} must hold exactly its own stream note:\n{replay}");
         }
     }
+
+    let bye = http_get(addr, "/shutdown");
+    assert!(bye.contains("shutting down"), "{bye}");
+    handle.join().expect("server thread").expect("accept loop exits cleanly");
+}
+
+/// A line-protocol connection, read a line at a time.
+struct LineConn {
+    reader: BufReader<TcpStream>,
+}
+
+impl LineConn {
+    fn open(addr: SocketAddr) -> Self {
+        LineConn { reader: BufReader::new(connect(addr)) }
+    }
+
+    /// Sends a `query` line and reads its answer up to the trailer.
+    fn query(&mut self, attrs: &str, cond: &str) -> String {
+        writeln!(self.reader.get_mut(), "query {attrs} {cond}").unwrap();
+        let mut reply = String::new();
+        while !reply.contains(" flight #") {
+            assert!(self.reader.read_line(&mut reply).expect("reply line") > 0, "{reply}");
+        }
+        reply
+    }
+
+    /// Sends `why`, closes its side, and reads the report to EOF.
+    fn why(mut self) -> String {
+        writeln!(self.reader.get_mut(), "why").unwrap();
+        self.reader.get_ref().shutdown(std::net::Shutdown::Write).unwrap();
+        let mut report = String::new();
+        self.reader.read_to_string(&mut report).expect("why report");
+        report
+    }
+}
+
+/// `why` on the line protocol explains the connection's own last query,
+/// not whichever query another worker planned last; a connection that
+/// sent none gets the no-flight notice.
+#[test]
+fn line_protocol_why_explains_its_own_connections_query() {
+    let server = Server::bind_federation(vec![dealer()], ServeConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("bound address");
+    let handle = std::thread::spawn(move || server.run());
+
+    let (mut a, mut b) = (LineConn::open(addr), LineConn::open(addr));
+    let bmw = a.query("model,year", "make = \"BMW\" ^ price < 40000");
+    assert!(bmw.starts_with("OK\n"), "{bmw}");
+    let toyota = b.query("model,year", "make = \"Toyota\" ^ price < 30000");
+    assert!(toyota.starts_with("OK\n"), "{toyota}");
+    let (why_a, why_b) = (a.why(), b.why());
+    assert!(why_a.contains("EXPLAIN WHY"), "{why_a}");
+    assert!(why_a.contains("\"BMW\"") && !why_a.contains("Toyota"), "{why_a}");
+    assert!(why_b.contains("\"Toyota\"") && !why_b.contains("BMW"), "{why_b}");
+    assert!(LineConn::open(addr).why().contains("flight recorder disabled"));
 
     let bye = http_get(addr, "/shutdown");
     assert!(bye.contains("shutting down"), "{bye}");

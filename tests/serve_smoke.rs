@@ -74,11 +74,15 @@ fn serve_smoke_over(obs: Obs, flight: FlightRecorder) {
     assert!(q.starts_with("HTTP/1.1 200"), "{q}");
     assert!(q.contains("rows (est cost"), "{q}");
 
-    // The same query over the line protocol, plus ping and why.
+    // The same query over the line protocol, plus ping and why: `why`
+    // explains the connection's own last query, so a connection that sent
+    // none gets the recorder's no-flight notice.
     assert_eq!(line(addr, "ping"), "pong\n");
-    let lp = line(addr, "query model,year make = \"Toyota\" ^ price < 30000");
+    let lp = line(addr, "query model,year make = \"Toyota\" ^ price < 30000\nwhy");
     assert!(lp.starts_with("OK\n"), "{lp}");
-    let why = line(addr, "why");
+    let why = lp.split_once(" flight #").and_then(|(_, rest)| rest.split_once('\n'));
+    let why = why.expect("a trailer, then why").1;
+    assert!(line(addr, "why").contains("flight recorder disabled"));
     if obs_on {
         assert!(why.contains("EXPLAIN WHY"), "{why}");
         assert!(why.contains("winner (cost"), "{why}");
