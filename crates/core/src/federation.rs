@@ -1021,13 +1021,16 @@ impl BreakerSpliceController<'_> {
     }
 
     /// The splice queue. A run from a cache hit ranks it at first use: the
-    /// skipped survey, minus the current member and the quarantined.
+    /// skipped survey, minus the current member and the quarantined, each
+    /// of which the run's trace names as sitting out.
     fn queue(&mut self) -> &mut VecDeque<(usize, PlannedQuery)> {
-        let (fed, query, current, run) = (self.fed, self.query, self.current, &*self.run);
+        let (fed, query, current, run) = (self.fed, self.query, self.current, &mut *self.run);
         self.queue.get_or_insert_with(|| {
             let (mut live, _) = fed.survey(query, run.flight_id);
             live.retain(|(idx, _)| *idx != current);
-            fed.quarantine(&mut live, run.now, run.flight_id);
+            for (idx, _) in fed.quarantine(&mut live, run.now, run.flight_id) {
+                run.trace.push((fed.members[idx].name.clone(), MemberEvent::Quarantined));
+            }
             live.sort_by(by_cost);
             live.into()
         })
@@ -1262,6 +1265,47 @@ mod tests {
         assert_eq!((member.as_str(), surveys), ("dump", 1));
         assert!(written.counter(names::PLANNER_CHECK_CALLS) > 0, "{}", written.to_json());
         assert_eq!(written.counter(names::CAPINDEX_CANDIDATES), 2, "one survey of both members");
+    }
+
+    #[test]
+    fn a_hits_splice_queue_traces_the_members_it_quarantines() {
+        use csqp_source::FaultProfile;
+        // The cached winner is dark; a second dealer sits behind an open
+        // breaker when the hit's splice queue is ranked; the dump answers.
+        let data = datagen::cars(3, 400);
+        let dealer = |name: &str, k1: f64| {
+            let desc = SsdlDesc { name: name.into(), ..templates::car_dealer() };
+            Source::new(data.clone(), desc, CostParams::new(k1, 1.0))
+        };
+        let f = Federation::new()
+            .with_member(Arc::new(
+                dealer("dark", 10.0)
+                    .with_fault_profile(FaultProfile::new(0).with_outage(0, u64::MAX)),
+            ))
+            .with_member(Arc::new(dealer("benched", 20.0)))
+            .with_member(Arc::new(Source::new(
+                data.clone(),
+                dump_desc(),
+                CostParams::new(200.0, 5.0),
+            )))
+            .with_breaker(CircuitBreakerConfig { failure_threshold: 1, cooldown_ticks: 100 })
+            .with_plan_cache(Arc::new(PlanCache::new()));
+        let q = car_query();
+        assert_eq!(f.prepare(&q).unwrap().decision, CacheDecision::Miss);
+        let prepared = f.prepare(&q).unwrap();
+        assert_eq!(
+            (prepared.decision, prepared.source.name.as_str()),
+            (CacheDecision::Hit, "dark")
+        );
+        f.breakers[1].record_failure(prepared.now, &f.breaker_cfg, &f.tripped);
+        assert_eq!(f.breakers[1].gate(prepared.now), BreakerHealth::Open);
+        let policy = RetryPolicy { max_retries: 0, ..Default::default() };
+        let run = f.run_stream(prepared, retried(&policy), None).unwrap();
+        assert_eq!(run.source_name, "dump");
+        let benched: Vec<&MemberEvent> =
+            run.trace.iter().filter(|(n, _)| n == "benched").map(|(_, e)| e).collect();
+        assert_eq!(benched, [&MemberEvent::Quarantined], "{:?}", run.trace);
+        assert_eq!(f.members()[1].meter(), Meter::default(), "the benched dealer was not tried");
     }
 
     #[test]

@@ -50,4 +50,4 @@ pub mod value;
 pub use atom::{Atom, CmpOp};
 pub use intern::{Interner, Sym, SymSet};
 pub use tree::{CondTree, Connector};
-pub use value::{Value, ValueType};
+pub use value::{Text, Value, ValueType};

@@ -47,11 +47,14 @@ pub fn eval(tree: &CondTree, row: &impl AttrLookup) -> bool {
 
 /// A condition tree bound to column positions: every atom's attribute is
 /// resolved once, when a scan or operator opens, so evaluating a row is a
-/// walk over slots instead of a name lookup per atom per row.
+/// walk over slots instead of a name lookup per atom per row. An atom
+/// with an integer constant over a resolved slot binds to a typed test,
+/// and a conjunction of only such atoms to one flat loop over them.
 ///
 /// Same answers as [`eval`] over the same row: an atom whose attribute the
 /// schema lacks binds to "absent" and evaluates to `false` (the
-/// [`eval_atom`] rule), empty `And` is `true` and empty `Or` is `false`.
+/// [`eval_atom`] rule), empty `And` is `true` and empty `Or` is `false`,
+/// and a typed test decides every cell as [`CmpOp::eval`] does.
 /// [`eval`] stays the by-name oracle.
 #[derive(Debug, Clone)]
 pub struct BoundCond(Bound);
@@ -64,8 +67,42 @@ enum Bound {
         op: CmpOp,
         value: Value,
     },
+    Int(IntTest),
+    /// A conjunction whose every member is an [`IntTest`].
+    IntAnd(Vec<IntTest>),
     And(Vec<Bound>),
     Or(Vec<Bound>),
+}
+
+/// `values[slot] op c` for an integer constant `c`.
+#[derive(Debug, Clone, Copy)]
+struct IntTest {
+    slot: usize,
+    op: CmpOp,
+    c: i64,
+}
+
+impl IntTest {
+    fn eval<'v>(&self, get: &impl Fn(usize) -> Option<&'v Value>) -> bool {
+        use std::cmp::Ordering::*;
+        // The numeric cells order as `Value::total_cmp` orders them; any
+        // other cell takes the generic path and its type-mismatch rules.
+        let ord = match get(self.slot) {
+            None => return false,
+            Some(Value::Int(x)) => x.cmp(&self.c),
+            Some(Value::Float(f)) => f.total_cmp(&(self.c as f64)),
+            Some(other) => return self.op.eval(other, &Value::Int(self.c)),
+        };
+        match self.op {
+            CmpOp::Eq => ord == Equal,
+            CmpOp::Ne => ord != Equal,
+            CmpOp::Lt => ord == Less,
+            CmpOp::Le => ord != Greater,
+            CmpOp::Gt => ord == Greater,
+            CmpOp::Ge => ord != Less,
+            CmpOp::Contains => false,
+        }
+    }
 }
 
 impl BoundCond {
@@ -74,11 +111,20 @@ impl BoundCond {
     pub fn bind(tree: &CondTree, resolve: impl Fn(&str) -> Option<usize>) -> BoundCond {
         fn go(t: &CondTree, resolve: &dyn Fn(&str) -> Option<usize>) -> Bound {
             match t {
-                CondTree::Leaf(a) => {
-                    Bound::Atom { slot: resolve(&a.attr), op: a.op, value: a.value.clone() }
-                }
+                CondTree::Leaf(a) => match (resolve(&a.attr), &a.value) {
+                    (Some(slot), Value::Int(c)) => Bound::Int(IntTest { slot, op: a.op, c: *c }),
+                    (slot, value) => Bound::Atom { slot, op: a.op, value: value.clone() },
+                },
                 CondTree::Node(Connector::And, cs) => {
-                    Bound::And(cs.iter().map(|c| go(c, resolve)).collect())
+                    let bound: Vec<Bound> = cs.iter().map(|c| go(c, resolve)).collect();
+                    let tests: Option<Vec<IntTest>> = bound
+                        .iter()
+                        .map(|b| match b {
+                            Bound::Int(t) => Some(*t),
+                            _ => None,
+                        })
+                        .collect();
+                    tests.map_or(Bound::And(bound), Bound::IntAnd)
                 }
                 CondTree::Node(Connector::Or, cs) => {
                     Bound::Or(cs.iter().map(|c| go(c, resolve)).collect())
@@ -91,16 +137,24 @@ impl BoundCond {
     /// Evaluates the bound condition against a row's values, in schema
     /// order. A slot past the end of `values` counts as absent.
     pub fn eval(&self, values: &[Value]) -> bool {
-        fn go(b: &Bound, values: &[Value]) -> bool {
+        self.eval_with(|i| values.get(i))
+    }
+
+    /// Evaluates the bound condition against a row whose value at slot `i`
+    /// is `get(i)` (`None` = absent) — a row seen through a projection.
+    pub fn eval_with<'v>(&self, get: impl Fn(usize) -> Option<&'v Value>) -> bool {
+        fn go<'v>(b: &Bound, get: &impl Fn(usize) -> Option<&'v Value>) -> bool {
             match b {
                 Bound::Atom { slot, op, value } => {
-                    slot.and_then(|i| values.get(i)).is_some_and(|stored| op.eval(stored, value))
+                    slot.and_then(get).is_some_and(|stored| op.eval(stored, value))
                 }
-                Bound::And(cs) => cs.iter().all(|c| go(c, values)),
-                Bound::Or(cs) => cs.iter().any(|c| go(c, values)),
+                Bound::Int(t) => t.eval(get),
+                Bound::IntAnd(ts) => ts.iter().all(|t| t.eval(get)),
+                Bound::And(cs) => cs.iter().all(|c| go(c, get)),
+                Bound::Or(cs) => cs.iter().any(|c| go(c, get)),
             }
         }
-        go(&self.0, values)
+        go(&self.0, &get)
     }
 }
 

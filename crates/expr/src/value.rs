@@ -4,6 +4,9 @@
 //! constants (`$c`, `$m`) and numeric constants (`$p`). We support integers,
 //! floats, strings and booleans with a *total* order so values can live in
 //! ordered collections and be compared by range predicates deterministically.
+//! A string's bytes are a [`Text`]: inline in the value when short, shared
+//! when long, so the values of a relation's rows are cheap to clone and
+//! read in place.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -35,6 +38,123 @@ impl fmt::Display for ValueType {
     }
 }
 
+/// Longest string, in bytes, that a [`Text`] stores inline.
+pub const INLINE_TEXT: usize = 22;
+
+/// The payload of a [`Value::Str`]: a string of at most [`INLINE_TEXT`]
+/// bytes sits in the value itself, so cloning, comparing or rendering it
+/// follows no pointer and touches no reference count; a longer one is a
+/// shared `Arc<str>`, whose clone bumps a count instead of copying bytes.
+///
+/// `Text` hashes, compares, `Debug`s and renders exactly as the `str` it
+/// holds, so fingerprints and rendered bytes do not depend on where the
+/// bytes live.
+#[derive(Clone)]
+pub struct Text(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `bytes[..len]` is valid UTF-8: only [`Text::from`] a `str` fills it.
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_TEXT],
+    },
+    Shared(Arc<str>),
+}
+
+impl Text {
+    /// The string.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { len, bytes } => {
+                std::str::from_utf8(&bytes[..*len as usize]).expect("inline text is a whole str")
+            }
+            Repr::Shared(s) => s,
+        }
+    }
+
+    /// The string's bytes, without re-checking UTF-8: equality and order
+    /// of `str` are those of its bytes.
+    fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..*len as usize],
+            Repr::Shared(s) => s.as_bytes(),
+        }
+    }
+
+    #[cfg(test)]
+    fn is_inline(&self) -> bool {
+        matches!(self.0, Repr::Inline { .. })
+    }
+}
+
+impl std::ops::Deref for Text {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&str> for Text {
+    fn from(s: &str) -> Self {
+        if s.len() > INLINE_TEXT {
+            return Text(Repr::Shared(s.into()));
+        }
+        let mut bytes = [0u8; INLINE_TEXT];
+        bytes[..s.len()].copy_from_slice(s.as_bytes());
+        Text(Repr::Inline { len: s.len() as u8, bytes })
+    }
+}
+
+impl From<String> for Text {
+    fn from(s: String) -> Self {
+        if s.len() > INLINE_TEXT {
+            Text(Repr::Shared(s.into()))
+        } else {
+            Text::from(s.as_str())
+        }
+    }
+}
+
+impl PartialEq for Text {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Text {}
+
+impl PartialOrd for Text {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Text {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl Hash for Text {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state)
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
 /// A typed constant.
 ///
 /// `Value` implements [`Eq`], [`Ord`] and [`Hash`] with a total order:
@@ -46,10 +166,9 @@ pub enum Value {
     Int(i64),
     /// Float constant.
     Float(f64),
-    /// String constant, e.g. `"BMW"` in `make = "BMW"`. The payload is
-    /// shared: cloning the value (shipping or projecting a row) bumps a
-    /// reference count instead of copying the bytes.
-    Str(Arc<str>),
+    /// String constant, e.g. `"BMW"` in `make = "BMW"`. A short payload
+    /// lives inline in the value, a long one is shared (see [`Text`]).
+    Str(Text),
     /// Boolean constant.
     Bool(bool),
 }
@@ -65,9 +184,9 @@ impl Value {
         }
     }
 
-    /// Convenience constructor: a `&str` is copied once into a shared
-    /// payload, a `String` or `Arc<str>` is taken over.
-    pub fn str(s: impl Into<Arc<str>>) -> Self {
+    /// Convenience constructor: a string of at most [`INLINE_TEXT`] bytes
+    /// is copied inline, a longer one into (or as) a shared payload.
+    pub fn str(s: impl Into<Text>) -> Self {
         Value::Str(s.into())
     }
 
@@ -86,6 +205,7 @@ impl Value {
                 }
             }
             Value::Str(s) => {
+                let s = s.as_str();
                 // Escapes `\` and `"` while writing: the unescaped runs
                 // between them go out as borrowed slices, so rendering a
                 // value allocates nothing.
@@ -319,6 +439,64 @@ mod tests {
         ] {
             assert_eq!(Value::str(s).to_string(), replace_rendering(s), "{s:?}");
         }
+    }
+
+    fn hash_str(s: &str) -> u64 {
+        let mut h = DefaultHasher::new();
+        s.hash(&mut h);
+        h.finish()
+    }
+
+    fn hash_text(t: &Text) -> u64 {
+        let mut h = DefaultHasher::new();
+        t.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn text_stores_up_to_22_bytes_inline() {
+        let at_limit = "a".repeat(INLINE_TEXT);
+        let over = "b".repeat(INLINE_TEXT + 1);
+        for (s, inline) in [("", true), (at_limit.as_str(), true), (over.as_str(), false)] {
+            for t in [Text::from(s), Text::from(s.to_string())] {
+                assert_eq!(t.is_inline(), inline, "{} bytes", s.len());
+                assert_eq!(t.as_str(), s);
+                assert_eq!(&*t, s);
+            }
+        }
+        // A multi-byte char whose bytes straddle byte 22 cannot be split:
+        // 21 ASCII bytes plus a 2-byte 'é' is 23 bytes, so it is shared.
+        let straddle = format!("{}é", "x".repeat(21));
+        assert_eq!(straddle.len(), 23);
+        assert!(!Text::from(straddle.as_str()).is_inline());
+        assert_eq!(Text::from(straddle.as_str()).as_str(), straddle);
+        let fits = format!("{}é", "x".repeat(20));
+        assert!(Text::from(fits.as_str()).is_inline());
+        assert_eq!(Text::from(fits.as_str()).as_str(), fits);
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+    }
+
+    #[test]
+    fn text_hashes_orders_and_renders_as_str() {
+        let long = "a long string that is shared \"quoted\" é 日本";
+        let all =
+            ["", "a", "ab", "b", "BMW", "é", "日本語", "a\"b\\", "aaaaaaaaaaaaaaaaaaaaaa", long];
+        for x in all {
+            let tx = Text::from(x);
+            assert_eq!(hash_text(&tx), hash_str(x), "{x:?}");
+            assert_eq!(format!("{tx:?}"), format!("{x:?}"));
+            assert_eq!(format!("{tx}"), x);
+            assert_eq!(format!("{:?}", Value::str(x)), format!("Str({x:?})"));
+            for y in all {
+                let ty = Text::from(y);
+                assert_eq!(tx.cmp(&ty), x.cmp(y), "{x:?} vs {y:?}");
+                assert_eq!(tx == ty, x == y);
+            }
+        }
+        // Inline against shared, same bytes: equal, in both directions.
+        let shared = Text(Repr::Shared("BMW".into()));
+        assert_eq!(shared, Text::from("BMW"));
+        assert_eq!(hash_text(&shared), hash_text(&Text::from("BMW")));
     }
 
     #[test]

@@ -44,18 +44,26 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Integers at the edge of `f64`'s exact range: `2^53 + 1` rounds to
+/// `2^53` as a float, so a typed test that compared a float cell against
+/// the constant any other way than `c as f64` would disagree here.
+const EDGE_INTS: [i64; 8] =
+    [1 << 53, (1 << 53) + 1, (1 << 53) - 1, -(1 << 53), -(1 << 53) - 1, i64::MAX, i64::MIN, 0];
+
 /// `t` with every atom's operator drawn from all seven (so `Ne`,
-/// `Contains` and string ordering appear) and some integer constants turned
-/// into floats, integral or not (Int/Float cross-type comparisons).
+/// `Contains` and string ordering appear), some integer constants turned
+/// into floats, integral or not (Int/Float cross-type comparisons), and
+/// some into integers at the edge of `f64`'s exact range.
 fn diversify(t: &CondTree, seed: u64) -> CondTree {
     fn go(t: &CondTree, k: &mut u64) -> CondTree {
         match t {
             CondTree::Leaf(a) => {
                 *k = splitmix(*k);
                 let op = CmpOp::ALL[(*k % 7) as usize];
-                let value = match (&a.value, *k / 7 % 3) {
+                let value = match (&a.value, *k / 7 % 4) {
                     (Value::Int(i), 0) => Value::Float(*i as f64 + 0.5),
                     (Value::Int(i), 1) => Value::Float(*i as f64),
+                    (Value::Int(_), 2) => Value::Int(EDGE_INTS[(*k / 28 % 8) as usize]),
                     (v, _) => v.clone(),
                 };
                 CondTree::leaf(Atom { attr: a.attr.clone(), op, value })
@@ -68,17 +76,21 @@ fn diversify(t: &CondTree, seed: u64) -> CondTree {
 
 /// A row in schema order over `delta, alpha, gamma, beta`: `omega`, which
 /// the bound generator also references, is absent. Cells draw across types
-/// (float and NaN in numeric columns, an int in a string column) and case
-/// variants for `contains`.
+/// (floats, NaN, a bool and floats and ints next to ±2^53 in a numeric
+/// column, an int in a string column) and case variants for `contains`.
 fn mixed_row(seed: u64) -> Vec<(&'static str, Value)> {
     let mut k = seed;
     let mut pick = |n: u64| {
         k = splitmix(k);
         k % n
     };
-    let alpha = match pick(4) {
+    let alpha = match pick(8) {
         0 => Value::Float(pick(6) as f64 + 0.5),
         1 => Value::Float(f64::NAN),
+        2 => Value::Bool(pick(2) == 0),
+        3 => Value::Float(EDGE_INTS[pick(8) as usize] as f64),
+        4 => Value::Float(-0.0),
+        5 => Value::Int(EDGE_INTS[pick(8) as usize]),
         _ => Value::Int(pick(6) as i64),
     };
     let gamma = match pick(6) {
@@ -98,7 +110,7 @@ fn mixed_row(seed: u64) -> Vec<(&'static str, Value)> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(1024))]
 
     /// A tree bound to column slots evaluates every row exactly as the
     /// by-name oracle does, absent attributes included.
@@ -121,6 +133,10 @@ proptest! {
         let bound = BoundCond::bind(&t, |a| cols.iter().position(|(name, _)| *name == a));
         prop_assert_eq!(bound.eval(&values), eval(&t, &by_name), "{}", t);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Rendered trees re-parse to the identical tree.
     #[test]

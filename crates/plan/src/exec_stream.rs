@@ -7,6 +7,10 @@
 //! intermediate [`Relation`] in full, this module runs the same plans as
 //! Volcano-style pull pipelines exchanging bounded [`TupleBatch`]es:
 //!
+//! - **Rows shipped once** — a batch is a view over its source relation's
+//!   shared rows ([`TupleBatch`]): operators filter its selection and
+//!   compose its projection, so no row is copied between the scan and the
+//!   sink (only [`execute_stream_collect`] copies the answer it keeps).
 //! - **Bounded memory** — pipeline-resident tuples are proportional to
 //!   `batch_size × pipeline depth`, not `|result|`. Set-semantics state
 //!   (dedup sketches, intersect membership sides) is accounted separately
@@ -262,8 +266,7 @@ mod engine {
     use csqp_expr::semantics::BoundCond;
     use csqp_expr::CondTree;
     use csqp_relation::schema::Schema;
-    use csqp_relation::stream::{project_indices, select_project_batch, DedupSketch};
-    use csqp_relation::tuple::Tuple;
+    use csqp_relation::stream::{project_indices, DedupSketch};
     use csqp_source::SourceStream;
     use std::sync::Arc;
 
@@ -501,9 +504,12 @@ mod engine {
                 Node::Local { input, cond, out_schema, indices } => {
                     match input.next(account, extras)? {
                         None => Ok(None),
-                        Some(b) => {
+                        Some(mut b) => {
                             let n = b.len();
-                            let out = select_project_batch(&b, cond.as_ref(), out_schema, indices);
+                            if let Some(c) = cond {
+                                b.filter(c);
+                            }
+                            let out = b.project_columns(out_schema, indices);
                             account.release(n);
                             account.charge(out.len());
                             account.emitted();
@@ -513,18 +519,15 @@ mod engine {
                 }
                 Node::Inter { probe, members, sketch } => match probe.next(account, extras)? {
                     None => Ok(None),
-                    Some(b) => {
+                    Some(mut b) => {
                         let n = b.len();
-                        let schema = b.schema().clone();
-                        let kept: Vec<Tuple> = b
-                            .into_tuples()
-                            .into_iter()
-                            .filter(|t| members.iter().all(|m| m.contains(t)) && sketch.insert(t))
-                            .collect();
+                        b.retain(|row| {
+                            members.iter().all(|m| m.contains_row(row)) && sketch.insert_row(row)
+                        });
                         account.release(n);
-                        account.charge(kept.len());
+                        account.charge(b.len());
                         account.emitted();
-                        Ok(Some(TupleBatch::new(schema, kept)))
+                        Ok(Some(b))
                     }
                 },
                 Node::Union { children, current, sketch, schema } => {
@@ -532,15 +535,12 @@ mod engine {
                         match children[*current].next(account, extras)? {
                             Some(b) => {
                                 let n = b.len();
-                                let fresh: Vec<Tuple> = b
-                                    .into_tuples()
-                                    .into_iter()
-                                    .filter(|t| sketch.insert(t))
-                                    .collect();
+                                let mut b = b.with_schema(schema.clone());
+                                b.retain(|row| sketch.insert_row(row));
                                 account.release(n);
-                                account.charge(fresh.len());
+                                account.charge(b.len());
                                 account.emitted();
-                                return Ok(Some(TupleBatch::new(schema.clone(), fresh)));
+                                return Ok(Some(b));
                             }
                             None => *current += 1,
                         }
@@ -559,11 +559,10 @@ mod engine {
     ) -> Result<DedupSketch, ExecError> {
         let mut m = DedupSketch::new();
         while let Some(b) = node.next(account, extras)? {
-            let n = b.len();
-            for t in b.tuples() {
-                m.insert(t);
+            for row in b.rows() {
+                m.insert_row(row);
             }
-            account.release(n);
+            account.release(b.len());
         }
         Ok(m)
     }
@@ -789,21 +788,19 @@ mod engine {
                     return Err(e);
                 }
             };
-            let Some(b) = pulled else { return Ok(SegmentEnd::Done) };
+            let Some(mut b) = pulled else { return Ok(SegmentEnd::Done) };
             let n = b.len();
-            let schema = b.schema().clone();
-            let mut tuples = b.into_tuples();
             if inserts {
-                tuples.retain(|t| carried.emitted_sketch.insert(t));
+                b.retain(|row| carried.emitted_sketch.insert_row(row));
             } else if !carried.emitted_sketch.is_empty() {
-                tuples.retain(|t| !carried.emitted_sketch.contains(t));
+                b.retain(|row| !carried.emitted_sketch.contains_row(row));
             }
             if let Some(l) = limit {
-                tuples.truncate((l - carried.emitted) as usize);
+                b.truncate((l - carried.emitted) as usize);
             }
             account.release(n);
-            carried.emitted += tuples.len() as u64;
-            if !tuples.is_empty() && !sink(TupleBatch::new(schema, tuples)) {
+            carried.emitted += b.len() as u64;
+            if !b.is_empty() && !sink(b) {
                 return Ok(SegmentEnd::Done);
             }
             let Some(controller) = controller.as_deref_mut() else { continue };
@@ -1053,9 +1050,7 @@ pub fn execute_stream_collect(
     let mut answer: Option<Relation> = None;
     let run = execute_stream(plan, source, request, &mut |batch| {
         let rel = answer.get_or_insert_with(|| Relation::empty(batch.schema().clone()));
-        for t in batch.into_tuples() {
-            rel.insert(t);
-        }
+        batch.insert_into(rel);
         true
     })?;
     let rows = answer.unwrap_or_else(|| Relation::empty(run.schema.clone()));
@@ -1154,6 +1149,79 @@ mod tests {
             assert_eq!(run.meter, want_meter, "the run meters itself for {plan}");
             assert_eq!(run.measured_cost, want_meter.cost(s.cost_params()));
             assert!(run.stats.batches > 0);
+        }
+    }
+
+    /// Every operator works on view batches: each answer batch selects
+    /// over the source relation's own rows, and the rows come out in the
+    /// materialized oracle's order.
+    #[test]
+    fn view_batches_match_the_materialized_oracle_in_order() {
+        let toyota = Plan::source(
+            cond("make = \"Toyota\" ^ price < 30000"),
+            attrs(["model", "year", "color"]),
+        );
+        let plans = [
+            union_plan(),
+            nested_plan(),
+            intersect_plan(),
+            Plan::local(cond("year > 1990"), attrs(["model"]), union_plan()),
+            Plan::union(vec![
+                nested_plan(),
+                Plan::local(cond("year < 1995"), attrs(["model", "year"]), toyota),
+            ]),
+        ];
+        for plan in plans {
+            let s = dealer();
+            let want = execute(&plan, &dealer()).unwrap();
+            let mut rows = Vec::new();
+            let cfg = StreamConfig::default().with_batch_size(5);
+            execute_stream(&plan, &s, StreamRequest::new(&cfg), &mut |b| {
+                assert!(Arc::ptr_eq(b.store(), s.relation().shared_tuples()), "{plan}");
+                rows.extend(b.rows().map(|row| row.to_tuple()));
+                true
+            })
+            .unwrap();
+            assert!(!rows.is_empty(), "{plan}");
+            assert_eq!(rows, want.tuples(), "{plan}");
+        }
+    }
+
+    /// A splice takes a leaf root's shipped set off its view stream: the
+    /// same plan run again after it emits nothing twice and drops nothing.
+    #[test]
+    fn a_splice_over_view_batches_emits_each_row_once() {
+        struct Once(Option<SpliceAction>);
+        impl ReplanController for Once {
+            fn on_batch(&mut self, _: &ReplanProbe<'_>) -> Option<SpliceAction> {
+                self.0.take()
+            }
+            fn on_leaf_error(
+                &mut self,
+                _: &ReplanProbe<'_>,
+                _: &ExecError,
+            ) -> Option<SpliceAction> {
+                None
+            }
+        }
+        // {model, year} keeps the unique model; {make, year} has a seen set.
+        for names in [["model", "year"], ["make", "year"]] {
+            let s = Arc::new(dealer());
+            let plan = Plan::source(cond("make = \"BMW\" ^ price < 90000"), attrs(names));
+            let want = execute(&plan, &dealer()).unwrap();
+            let mut ctl = Once(Some(SpliceAction { plan: plan.clone(), source: s.clone() }));
+            let cfg = StreamConfig::default().with_batch_size(4);
+            let request =
+                StreamRequest { mode: StreamMode::Adaptive(&mut ctl), ..StreamRequest::new(&cfg) };
+            let mut rows = Vec::new();
+            let run = execute_stream(&plan, &s, request, &mut |b| {
+                rows.extend(b.rows().map(|row| row.to_tuple()));
+                true
+            })
+            .unwrap();
+            assert_eq!(run.splices, 1, "{names:?}");
+            assert!(want.len() > 4, "the splice happens mid-answer");
+            assert_eq!(rows, want.tuples(), "{names:?}");
         }
     }
 

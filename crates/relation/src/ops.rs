@@ -17,7 +17,7 @@ pub fn select(r: &Relation, cond: Option<&CondTree>) -> Relation {
             Some(c) => eval(c, &row),
         };
         if keep {
-            out.insert(row.tuple.clone());
+            out.insert(row.to_tuple());
         }
     }
     out

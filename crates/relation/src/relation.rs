@@ -150,17 +150,23 @@ impl<V> FingerprintIndex<V> {
 /// Dedup runs on a [`FingerprintIndex`] of positions in `tuples`, so each
 /// tuple is stored once; colliding fingerprints fall back to an exact
 /// comparison against the indexed tuples.
+///
+/// The tuples and their index are shared: a clone shares both, and
+/// [`Relation::insert`] copies them first only while another clone holds
+/// them (copy-on-write). So mirrors built from one relation hold its rows
+/// once, and a source stream's batches select over the very rows the
+/// relation stores ([`Relation::shared_tuples`]).
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: Arc<Schema>,
-    tuples: Vec<Tuple>,
-    index: FingerprintIndex<u32>,
+    tuples: Arc<Vec<Tuple>>,
+    index: Arc<FingerprintIndex<u32>>,
 }
 
 impl Relation {
     /// An empty relation with the given schema.
     pub fn empty(schema: Arc<Schema>) -> Self {
-        Relation { schema, tuples: Vec::new(), index: FingerprintIndex::default() }
+        Relation { schema, tuples: Arc::default(), index: Arc::default() }
     }
 
     /// Builds a relation from rows, deduplicating.
@@ -190,7 +196,7 @@ impl Relation {
             tuple.arity(),
             self.schema
         );
-        let Relation { tuples, index, .. } = self;
+        let (tuples, index) = (Arc::make_mut(&mut self.tuples), Arc::make_mut(&mut self.index));
         let next = tuples.len() as u32;
         let fresh =
             index.insert_with(tuple_fingerprint(&tuple), |&i| tuples[i as usize] == tuple, || next);
@@ -220,10 +226,10 @@ impl Relation {
         &self.tuples
     }
 
-    /// Consumes the relation, yielding its tuples in insertion order (the
-    /// streaming scan uses this to avoid a second copy).
-    pub fn into_tuples(self) -> Vec<Tuple> {
-        self.tuples
+    /// The tuples, in insertion order, in the store this relation shares
+    /// with its clones: a batch that selects over them holds this `Arc`.
+    pub fn shared_tuples(&self) -> &Arc<Vec<Tuple>> {
+        &self.tuples
     }
 
     /// Membership test.
@@ -233,7 +239,7 @@ impl Relation {
 
     /// Iterates schema-aware rows.
     pub fn rows(&self) -> impl Iterator<Item = Row<'_>> {
-        self.tuples.iter().map(move |t| Row { schema: &self.schema, tuple: t })
+        self.tuples.iter().map(move |t| Row::new(&self.schema, t))
     }
 
     /// Checks that `other` can be combined with `self` (same column list).
@@ -320,6 +326,19 @@ mod tests {
             assert!(!r.contains(&Tuple::new(v(0, "absent"))));
         }
         COLLIDE.with(|f| f.set(false));
+    }
+
+    #[test]
+    fn clones_share_rows_and_insert_copies_on_write() {
+        let r = Relation::from_rows(schema(), vec![v(1, "x"), v(2, "y")]);
+        let mut c = r.clone();
+        assert!(Arc::ptr_eq(r.shared_tuples(), c.shared_tuples()), "a clone shares the rows");
+        assert!(!c.insert(Tuple::new(v(1, "x"))), "a duplicate changes nothing");
+        assert!(c.insert(Tuple::new(v(3, "z"))));
+        assert!(!Arc::ptr_eq(r.shared_tuples(), c.shared_tuples()));
+        assert_eq!((r.len(), c.len()), (2, 3));
+        assert!(!r.contains(&Tuple::new(v(3, "z"))), "the original is unchanged");
+        assert_eq!(r.tuples(), &c.tuples()[..2]);
     }
 
     #[test]

@@ -46,17 +46,70 @@ impl From<Vec<Value>> for Tuple {
 
 /// A tuple paired with its schema: supports attribute lookup by name, so
 /// condition trees evaluate directly against it.
+///
+/// A row may see its tuple through a projection — the column positions,
+/// in schema order, of the tuple values it shows — so a batch that
+/// selects and projects over shared rows hands out rows without building
+/// a projected tuple. Every method reads the row as the tuple
+/// [`Row::to_tuple`] would build.
 #[derive(Debug, Clone, Copy)]
 pub struct Row<'a> {
-    /// The schema.
-    pub schema: &'a Schema,
-    /// The tuple.
-    pub tuple: &'a Tuple,
+    schema: &'a Schema,
+    tuple: &'a Tuple,
+    cols: Option<&'a [usize]>,
+}
+
+impl<'a> Row<'a> {
+    /// The whole tuple as a row of `schema`.
+    pub fn new(schema: &'a Schema, tuple: &'a Tuple) -> Self {
+        Row { schema, tuple, cols: None }
+    }
+
+    /// `tuple` seen through `cols` (`None`: the whole tuple).
+    pub fn projected(schema: &'a Schema, tuple: &'a Tuple, cols: Option<&'a [usize]>) -> Self {
+        Row { schema, tuple, cols }
+    }
+
+    /// The value in column `i` of the row's schema.
+    pub fn get(&self, i: usize) -> Option<&'a Value> {
+        match self.cols {
+            None => self.tuple.get(i),
+            Some(cols) => cols.get(i).and_then(|&j| self.tuple.get(j)),
+        }
+    }
+
+    /// [`tuple_fingerprint`](crate::relation::tuple_fingerprint) of
+    /// [`Row::to_tuple`], computed without building it.
+    pub fn fingerprint(&self) -> u64 {
+        match self.cols {
+            None => crate::relation::tuple_fingerprint(self.tuple),
+            Some(cols) => crate::relation::projected_fingerprint(self.tuple, cols),
+        }
+    }
+
+    /// Does the row hold exactly `t`'s values?
+    pub fn matches(&self, t: &Tuple) -> bool {
+        match self.cols {
+            None => self.tuple == t,
+            Some(cols) => {
+                cols.len() == t.arity()
+                    && cols.iter().zip(t.values()).all(|(&j, v)| self.tuple.values()[j] == *v)
+            }
+        }
+    }
+
+    /// The row as an owned tuple.
+    pub fn to_tuple(&self) -> Tuple {
+        match self.cols {
+            None => self.tuple.clone(),
+            Some(cols) => self.tuple.project(cols),
+        }
+    }
 }
 
 impl AttrLookup for Row<'_> {
     fn get_attr(&self, attr: &str) -> Option<&Value> {
-        self.schema.col_index(attr).and_then(|i| self.tuple.get(i))
+        self.schema.col_index(attr).and_then(|i| self.get(i))
     }
 }
 
@@ -72,7 +125,7 @@ impl Row<'_> {
                 w.write_str(", ")?;
             }
             w.write_str(&c.name)?;
-            match self.tuple.get(i) {
+            match self.get(i) {
                 Some(v) => {
                     w.write_char('=')?;
                     v.write_to(w)?;
@@ -114,7 +167,7 @@ mod tests {
     fn lookup_by_name() {
         let s = schema();
         let t = bmw();
-        let row = Row { schema: &s, tuple: &t };
+        let row = Row::new(&s, &t);
         assert_eq!(row.get_attr("make"), Some(&Value::str("BMW")));
         assert_eq!(row.get_attr("price"), Some(&Value::Int(35000)));
         assert_eq!(row.get_attr("missing"), None);
@@ -124,7 +177,7 @@ mod tests {
     fn condition_evaluates_against_row() {
         let s = schema();
         let t = bmw();
-        let row = Row { schema: &s, tuple: &t };
+        let row = Row::new(&s, &t);
         let cond = CondTree::and(vec![
             CondTree::leaf(Atom::eq("make", "BMW")),
             CondTree::leaf(Atom::new("price", csqp_expr::CmpOp::Lt, 40000i64)),
@@ -143,9 +196,6 @@ mod tests {
     fn display() {
         let s = schema();
         let t = bmw();
-        assert_eq!(
-            Row { schema: &s, tuple: &t }.to_string(),
-            "(vin=\"v1\", make=\"BMW\", price=35000)"
-        );
+        assert_eq!(Row::new(&s, &t).to_string(), "(vin=\"v1\", make=\"BMW\", price=35000)");
     }
 }

@@ -1,12 +1,13 @@
 //! Property tests for the relational substrate: operator algebra,
-//! statistics bounds, the fused local σπ batch operator, and the row writer.
+//! statistics bounds, the local σπ view operators, and the row writer.
 
 use csqp_expr::gen::{CondGen, CondGenConfig, GenAttr};
+use csqp_expr::semantics::eval;
 use csqp_expr::semantics::BoundCond;
 use csqp_expr::{Atom, CondTree};
 use csqp_expr::{Value, ValueType};
 use csqp_relation::ops::{difference, intersect, project, select, union};
-use csqp_relation::stream::{project_batch, project_indices, select_batch, select_project_batch};
+use csqp_relation::stream::project_indices;
 use csqp_relation::{DedupSketch, Relation, Row, Schema, TableStats, Tuple, TupleBatch};
 use proptest::prelude::*;
 
@@ -104,11 +105,13 @@ fn oracle_value(v: &Value) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Local σπ in one pass equals σ then π on every batch, as a bag in
-    /// order; deduplicated first-seen across batches it equals the
-    /// materialized `project(select(..))`.
+    /// Local σπ over view batches — a filter, then a composed projection,
+    /// then a filter through that projection — equals the materialized
+    /// σ then π on every batch, as a bag in order, without copying a row;
+    /// deduplicated first-seen across batches it equals the materialized
+    /// `project(select(..))`.
     #[test]
-    fn fused_local_sp_matches_select_then_project(
+    fn view_local_sp_matches_select_then_project(
         seed in 1u64..10_000,
         s1 in 0u64..10_000,
         n in 1usize..5,
@@ -120,14 +123,37 @@ proptest! {
         let attrs: &[&str] = [&["a", "c"][..], &["c", "k"], &["b"], &["k", "a", "b", "c"]][which];
         let (out_schema, indices) = project_indices(r.schema(), attrs).unwrap();
         let bound = c.as_ref().map(|c| BoundCond::bind(c, |a| r.schema().col_index(a)));
+        let after = c.as_ref().map(|c| BoundCond::bind(c, |a| out_schema.col_index(a)));
         let (mut fused, mut sketch) = (Vec::new(), DedupSketch::new());
-        for chunk in r.tuples().chunks(batch) {
-            let b = TupleBatch::new(r.schema().clone(), chunk.to_vec());
-            let one_pass = select_project_batch(&b, bound.as_ref(), &out_schema, &indices);
-            let two_pass = project_batch(&select_batch(&b, c.as_ref()), &out_schema, &indices);
-            prop_assert_eq!(one_pass.schema(), two_pass.schema());
-            prop_assert_eq!(one_pass.tuples(), two_pass.tuples());
-            fused.extend(one_pass.into_tuples().into_iter().filter(|t| sketch.insert(t)));
+        let positions: Vec<u32> = (0..r.len() as u32).collect();
+        for chunk in positions.chunks(batch) {
+            let b = TupleBatch::view(r.schema().clone(), r.shared_tuples().clone(), chunk.to_vec(), None);
+            let mut view = b.clone();
+            if let Some(bc) = &bound {
+                view.filter(bc);
+            }
+            let view = view.project_columns(&out_schema, &indices);
+            prop_assert!(std::sync::Arc::ptr_eq(view.store(), r.shared_tuples()));
+            prop_assert_eq!(view.schema(), &out_schema);
+            let rows = &r.tuples()[chunk[0] as usize..][..chunk.len()];
+            let oracle: Vec<Tuple> = rows
+                .iter()
+                .filter(|t| c.as_ref().is_none_or(|c| eval(c, &Row::new(r.schema(), t))))
+                .map(|t| t.project(&indices))
+                .collect();
+            prop_assert_eq!(view.tuples(), &oracle[..]);
+            // A filter through the composed projection reads projected slots.
+            let mut twice = b.project_columns(&out_schema, &indices);
+            let projected: Vec<Tuple> = rows.iter().map(|t| t.project(&indices)).collect();
+            let want: Vec<&Tuple> = projected
+                .iter()
+                .filter(|t| c.as_ref().is_none_or(|c| eval(c, &Row::new(&out_schema, t))))
+                .collect();
+            if let Some(ac) = &after {
+                twice.filter(ac);
+            }
+            prop_assert_eq!(twice.rows().map(|row| row.to_tuple()).collect::<Vec<_>>().iter().collect::<Vec<_>>(), want);
+            fused.extend(view.rows().filter(|row| sketch.insert_row(*row)).map(|row| row.to_tuple()));
         }
         let oracle = project(&select(&r, c.as_ref()), attrs).unwrap();
         prop_assert_eq!(&fused[..], oracle.tuples());
@@ -150,7 +176,7 @@ proptest! {
             })
             .collect();
         let tuple = Tuple::new(values);
-        let row = Row { schema: &schema, tuple: &tuple };
+        let row = Row::new(&schema, &tuple);
         let mut written = String::new();
         row.write_to(&mut written).unwrap();
         let cells: Vec<String> = names

@@ -23,7 +23,7 @@ use csqp_relation::ops::{project, select};
 use csqp_relation::relation::{projected_fingerprint, FingerprintIndex};
 use csqp_relation::schema::Schema;
 use csqp_relation::stream::{project_indices, DedupSketch, TupleBatch};
-use csqp_relation::tuple::Tuple;
+use csqp_relation::tuple::{Row, Tuple};
 use csqp_relation::{Relation, TableStats};
 use csqp_ssdl::check::{Admitted, CompiledSource, SharedCheckCache};
 use csqp_ssdl::closure::{permutation_closure, DEFAULT_MAX_SEGMENTS};
@@ -378,7 +378,7 @@ impl Source {
                 source: self,
                 cond: q.cond().map(|c| BoundCond::bind(c, |a| schema.col_index(a))),
                 out_schema,
-                indices,
+                indices: indices.into(),
                 batch_size,
                 cursor: 0,
                 seen: (!keeps_unique).then(FingerprintIndex::default),
@@ -424,15 +424,18 @@ impl Source {
 /// Created by [`Source::open`]. Each [`SourceStream::pull`]
 /// is one simulated network round-trip: the fault gate draws, then up to
 /// `batch_size` fresh (selected, projected, deduplicated) tuples ship and
-/// are metered. A fault leaves the cursor untouched, so retrying the pull
-/// resumes the scan without double-shipping.
+/// are metered. A shipped batch is a view: the positions of the kept rows
+/// in the relation's own shared tuples, seen through the projection, so
+/// shipping copies no row. A fault leaves the cursor untouched, so
+/// retrying the pull resumes the scan without double-shipping.
 #[derive(Debug)]
 pub struct SourceStream<'a> {
     source: &'a Source,
     /// The condition, bound to the relation's column positions at open.
     cond: Option<BoundCond>,
     out_schema: Arc<Schema>,
-    indices: Vec<usize>,
+    /// The projection every shipped batch sees its rows through.
+    indices: Arc<[usize]>,
     batch_size: usize,
     cursor: usize,
     /// The projections shipped so far, each as the position of the first
@@ -476,7 +479,8 @@ impl SourceStream<'_> {
     /// [`RoundTrip`]: an exhausted scan answers without one, so it draws
     /// no ticks.
     pub fn pull(&mut self) -> RoundTrip<Option<TupleBatch>> {
-        let tuples = self.source.relation.tuples();
+        let store = self.source.relation.shared_tuples();
+        let tuples = &store[..];
         if self.cursor >= tuples.len() {
             return (0, Ok(None));
         }
@@ -487,34 +491,36 @@ impl SourceStream<'_> {
         let mut fresh = Vec::new();
         while self.cursor < tuples.len() && fresh.len() < self.batch_size {
             let t = &tuples[self.cursor];
+            let at = self.cursor as u32;
             self.cursor += 1;
             if !keeps(self.cond.as_ref(), t) {
                 continue;
             }
-            let indices = &self.indices;
+            let indices = &self.indices[..];
             let Some(seen) = &mut self.seen else {
-                fresh.push(t.project(indices));
+                fresh.push(at);
                 continue;
             };
             let same = |&first: &u32| {
                 let u = &tuples[first as usize];
                 indices.iter().all(|&i| u.values()[i] == t.values()[i])
             };
-            let at = (self.cursor - 1) as u32;
             if seen.insert_with(seen_fingerprint(t, indices), same, || at) {
-                fresh.push(t.project(indices));
+                fresh.push(at);
             }
         }
         if fresh.is_empty() {
             return (ticks, Ok(None));
         }
         self.source.tuples_shipped.fetch_add(fresh.len() as u64, Ordering::Relaxed);
-        (ticks, Ok(Some(TupleBatch::new(self.out_schema.clone(), fresh))))
+        let cols = Some(self.indices.clone());
+        let batch = TupleBatch::view(self.out_schema.clone(), store.clone(), fresh, cols);
+        (ticks, Ok(Some(batch)))
     }
 
     /// Closes the stream and returns the set of tuples it shipped, built
-    /// from the seen set's row positions, or, without a seen set, by
-    /// projecting every row the scan kept so far (a fault leaves the
+    /// from the seen set's row positions, or, without a seen set, from
+    /// every row the scan kept so far (a fault leaves the
     /// cursor where it was, so each of those rows shipped). A later pull
     /// returns `Ok(None)`. The engine calls this only when a segment ends
     /// in a splice or a leaf error, so the per-row path never builds the
@@ -522,16 +528,17 @@ impl SourceStream<'_> {
     pub fn take_shipped(&mut self) -> DedupSketch {
         let rows = self.source.relation.tuples();
         let scanned = std::mem::replace(&mut self.cursor, rows.len());
+        let row = |t| Row::projected(&self.out_schema, t, Some(&self.indices));
         let mut shipped = DedupSketch::new();
         match self.seen.take() {
             Some(seen) => {
                 for (_, &at) in seen.iter() {
-                    shipped.insert(&rows[at as usize].project(&self.indices));
+                    shipped.insert_row(row(&rows[at as usize]));
                 }
             }
             None => {
                 for t in rows[..scanned].iter().filter(|t| keeps(self.cond.as_ref(), t)) {
-                    shipped.insert(&t.project(&self.indices));
+                    shipped.insert_row(row(t));
                 }
             }
         }
@@ -841,6 +848,23 @@ mod tests {
             COLLIDE.with(|f| f.set(false));
             assert_eq!(got, oracle.tuples(), "same rows in the same order, collide={collide}");
             assert_eq!(fresh.meter(), oracle_meter, "collide={collide}");
+        }
+    }
+
+    #[test]
+    fn shipped_batches_select_over_the_relations_own_rows() {
+        // {make, model} keeps a unique column, {make, year} has a seen set.
+        for names in [&["make", "model"][..], &["make", "year"]] {
+            let s = dealer();
+            let q = admit(&s, "make = \"BMW\" ^ price < 90000", names);
+            let oracle = s.answer(&q).unwrap();
+            let mut stream = s.open(&q, 6).1.unwrap();
+            let mut got = Vec::new();
+            while let Some(b) = stream.pull().1.unwrap() {
+                assert!(Arc::ptr_eq(b.store(), s.relation().shared_tuples()), "{names:?}");
+                got.extend(b.rows().map(|row| row.to_tuple()));
+            }
+            assert_eq!(got, oracle.tuples(), "{names:?}");
         }
     }
 
