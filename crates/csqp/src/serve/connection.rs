@@ -23,8 +23,8 @@ use std::time::Duration;
 const TEXT: &str = "text/plain; charset=utf-8";
 
 /// The status line and headers of a streamed `/query` answer.
-const QUERY_OK_HEADER: &str =
-    "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\nConnection: close\r\n\r\n";
+const QUERY_OK_HEADER: &[u8] =
+    b"HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\nConnection: close\r\n\r\n";
 
 /// A streamed answer goes to the socket once this many bytes of rows have
 /// accumulated (and at the first batch, and at the end).
@@ -41,14 +41,6 @@ fn framed_response(status: &str, ctype: &str, body: &str, keep_alive: bool) -> S
     )
 }
 
-/// Appends `batch` to `out`, one line per row in `Display` form.
-fn write_rows(batch: &TupleBatch, out: &mut String) {
-    for row in batch.rows() {
-        let _ = row.write_to(out);
-        out.push('\n');
-    }
-}
-
 /// The longest request, header or command line read, newline included. A
 /// peer that sends more without a newline gets an error and the
 /// connection closes, so the read buffer never outgrows this.
@@ -58,8 +50,12 @@ const MAX_LINE: u64 = 8 * 1024;
 enum Line {
     /// A line of at most [`MAX_LINE`] bytes.
     Read,
-    /// No newline within [`MAX_LINE`] bytes; the buffer holds what was read.
+    /// No newline within [`MAX_LINE`] bytes; the buffer holds what was
+    /// read, with invalid UTF-8 replaced.
     TooLong,
+    /// A line that is not UTF-8; the buffer holds it with the invalid
+    /// bytes replaced.
+    NotUtf8,
     /// EOF or an idle read timeout — both just mean "the client is done
     /// with this connection".
     Done,
@@ -71,19 +67,41 @@ fn next_line(reader: &mut BufReader<&TcpStream>, buf: &mut String) -> io::Result
     bytes.clear();
     match reader.by_ref().take(MAX_LINE + 1).read_until(b'\n', &mut bytes) {
         Ok(0) => Ok(Line::Done),
-        Ok(n) if n as u64 > MAX_LINE => {
-            *buf = String::from_utf8_lossy(&bytes).into_owned();
-            Ok(Line::TooLong)
-        }
-        Ok(_) => {
-            *buf = String::from_utf8(bytes)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            Ok(Line::Read)
+        Ok(n) => {
+            let (text, utf8) = match String::from_utf8(bytes) {
+                Ok(s) => (s, true),
+                Err(e) => (String::from_utf8_lossy(e.as_bytes()).into_owned(), false),
+            };
+            *buf = text;
+            Ok(match (n as u64 > MAX_LINE, utf8) {
+                (true, _) => Line::TooLong,
+                (false, false) => Line::NotUtf8,
+                (false, true) => Line::Read,
+            })
         }
         Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
             Ok(Line::Done)
         }
         Err(e) => Err(e),
+    }
+}
+
+/// The reply to a line [`next_line`] refused, after which the connection
+/// closes: to an HTTP request line (`http`) or header (`header`), `414` /
+/// `431` when it is too long and `400` when it is not UTF-8; on the line
+/// protocol, an `ERR` line.
+fn refusal(bad: &Line, http: bool, header: bool) -> String {
+    let too_long = matches!(bad, Line::TooLong);
+    let (status, body) = match (header, too_long) {
+        (false, true) => ("414 URI Too Long", "request line too long\n"),
+        (true, true) => ("431 Request Header Fields Too Large", "header line too long\n"),
+        (false, false) => ("400 Bad Request", "request line is not UTF-8\n"),
+        (true, false) => ("400 Bad Request", "header line is not UTF-8\n"),
+    };
+    match (http, too_long) {
+        (true, _) => framed_response(status, TEXT, body, false),
+        (false, true) => "ERR line too long\n".to_string(),
+        (false, false) => "ERR line is not UTF-8\n".to_string(),
     }
 }
 
@@ -105,14 +123,10 @@ impl Server {
             match next_line(&mut reader, &mut line)? {
                 Line::Read => {}
                 Line::Done => return Ok(false),
-                Line::TooLong => {
+                bad @ (Line::TooLong | Line::NotUtf8) => {
                     self.obs.metrics.inc(names::SERVE_REQUESTS);
                     self.obs.metrics.inc(names::SERVE_ERRORS);
-                    let reply = if starts_like_http(&line) {
-                        framed_response("414 URI Too Long", TEXT, "request line too long\n", false)
-                    } else {
-                        "ERR line too long\n".to_string()
-                    };
+                    let reply = refusal(&bad, starts_like_http(&line), false);
                     stream.write_all(reply.as_bytes())?;
                     return Ok(false);
                 }
@@ -135,15 +149,9 @@ impl Server {
                     match next_line(&mut reader, &mut hdr)? {
                         Line::Read if !hdr.trim_end().is_empty() => {}
                         Line::Read | Line::Done => break,
-                        Line::TooLong => {
+                        bad @ (Line::TooLong | Line::NotUtf8) => {
                             self.obs.metrics.inc(names::SERVE_ERRORS);
-                            let reply = framed_response(
-                                "431 Request Header Fields Too Large",
-                                TEXT,
-                                "header line too long\n",
-                                false,
-                            );
-                            stream.write_all(reply.as_bytes())?;
+                            stream.write_all(refusal(&bad, true, true).as_bytes())?;
                             return Ok(false);
                         }
                     }
@@ -180,39 +188,43 @@ impl Server {
                 // Line protocol: answer and keep reading — a client can
                 // pipeline `ping` / `query …` lines on one connection.
                 let reply = self.handle_line(&first, &mut last_flight);
-                stream.write_all(reply.as_bytes())?;
+                stream.write_all(&reply)?;
             }
         }
     }
 
     /// The line protocol: `ping`, `why`, or `query <attrs,csv> <condition>`.
     /// `why` explains the connection's last query, whose id `flight` keeps.
-    fn handle_line(&self, line: &str, flight: &mut Option<u64>) -> String {
+    /// The reply is bytes: a query's rows render straight into it.
+    fn handle_line(&self, line: &str, flight: &mut Option<u64>) -> Vec<u8> {
         let line = line.trim();
         if line == "ping" {
-            return "pong\n".to_string();
+            return b"pong\n".to_vec();
         }
         if line == "why" {
             let record = flight.and_then(|id| self.flight.record(id));
-            return csqp_plan::why::explain_why(record.as_ref());
+            return csqp_plan::why::explain_why(record.as_ref()).into_bytes();
         }
         if let Some(rest) = line.strip_prefix("query ") {
             let Some((attrs, cond)) = rest.trim().split_once(' ') else {
-                return "ERR usage: query <attrs,csv> <condition>\n".to_string();
+                return b"ERR usage: query <attrs,csv> <condition>\n".to_vec();
             };
             let attrs: Vec<String> = attrs.split(',').map(|s| s.trim().to_string()).collect();
             let tenant = sanitize_tenant(None);
-            let mut body = String::new();
+            let mut body = b"OK\n".to_vec();
             return match self.serve_query_streamed(cond, &attrs, None, &tenant, flight, &mut |b| {
-                write_rows(&b, &mut body);
+                b.write_rows(&mut body);
                 true
             }) {
-                Ok(trailer) => format!("OK\n{body}{trailer}"),
-                Err(e) => format!("ERR {}", e.body),
+                Ok(trailer) => {
+                    body.extend_from_slice(trailer.as_bytes());
+                    body
+                }
+                Err(e) => format!("ERR {}", e.body).into_bytes(),
             };
         }
         self.obs.metrics.inc(names::SERVE_ERRORS);
-        "ERR unknown command (try: ping | why | query <attrs,csv> <condition>)\n".to_string()
+        b"ERR unknown command (try: ping | why | query <attrs,csv> <condition>)\n".to_vec()
     }
 
     /// Serves `/query` with an incremental response: the 200 header goes
@@ -273,21 +285,21 @@ impl Server {
             },
         };
         let attrs: Vec<String> = attrs.split(',').map(|s| s.trim().to_string()).collect();
-        let mut out = String::new();
+        let mut out = Vec::new();
         let mut wrote_header = false;
         let mut io_err: Option<io::Error> = None;
         let outcome = {
             let sink = &mut |batch: TupleBatch| {
                 let first = !wrote_header;
                 if first {
-                    out.push_str(QUERY_OK_HEADER);
+                    out.extend_from_slice(QUERY_OK_HEADER);
                     wrote_header = true;
                 }
-                write_rows(&batch, &mut out);
+                batch.write_rows(&mut out);
                 if !first && out.len() < QUERY_FLUSH_BYTES {
                     return true;
                 }
-                let written = stream.write_all(out.as_bytes());
+                let written = stream.write_all(&out);
                 out.clear();
                 match written {
                     Ok(()) => true,
@@ -307,16 +319,16 @@ impl Server {
                 if !wrote_header {
                     // Empty result: nothing streamed yet, the trailer is
                     // the whole body.
-                    out.push_str(QUERY_OK_HEADER);
+                    out.extend_from_slice(QUERY_OK_HEADER);
                 }
-                out.push_str(&trailer);
-                stream.write_all(out.as_bytes())
+                out.extend_from_slice(trailer.as_bytes());
+                stream.write_all(&out)
             }
             Err(QueryError { status, body }) => {
                 if wrote_header {
-                    out.push_str("ERR ");
-                    out.push_str(&body);
-                    stream.write_all(out.as_bytes())
+                    out.extend_from_slice(b"ERR ");
+                    out.extend_from_slice(body.as_bytes());
+                    stream.write_all(&out)
                 } else {
                     respond_err(stream, status, &body)
                 }

@@ -78,9 +78,10 @@ impl CmpOp {
                 }
             }
             CmpOp::Contains => match (lhs, rhs) {
-                (Value::Str(haystack), Value::Str(needle)) => {
-                    haystack.to_ascii_lowercase().contains(&needle.to_ascii_lowercase())
-                }
+                (Value::Str(haystack), Value::Str(needle)) => haystack
+                    .as_str()
+                    .to_ascii_lowercase()
+                    .contains(&needle.as_str().to_ascii_lowercase()),
                 _ => false,
             },
         }

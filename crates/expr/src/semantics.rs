@@ -49,7 +49,9 @@ pub fn eval(tree: &CondTree, row: &impl AttrLookup) -> bool {
 /// resolved once, when a scan or operator opens, so evaluating a row is a
 /// walk over slots instead of a name lookup per atom per row. An atom
 /// with an integer constant over a resolved slot binds to a typed test,
-/// and a conjunction of only such atoms to one flat loop over them.
+/// and a conjunction of only such atoms to one flat loop over them — or,
+/// when they are all `=`, `<`, `<=`, `>`, `>=` on one slot, to one
+/// interval test.
 ///
 /// Same answers as [`eval`] over the same row: an atom whose attribute the
 /// schema lacks binds to "absent" and evaluates to `false` (the
@@ -70,6 +72,8 @@ enum Bound {
     Int(IntTest),
     /// A conjunction whose every member is an [`IntTest`].
     IntAnd(Vec<IntTest>),
+    /// A conjunction of range [`IntTest`]s on one slot, folded.
+    IntRange(IntRange),
     And(Vec<Bound>),
     Or(Vec<Bound>),
 }
@@ -105,6 +109,50 @@ impl IntTest {
     }
 }
 
+/// A conjunction of `=`, `<`, `<=`, `>`, `>=` integer tests on one slot:
+/// an `Int` cell passes when `lo <= x <= hi` (`lo > hi` is empty); any
+/// other cell, or an absent one, runs the member tests.
+#[derive(Debug, Clone)]
+struct IntRange {
+    slot: usize,
+    lo: i64,
+    hi: i64,
+    tests: Vec<IntTest>,
+}
+
+impl IntRange {
+    /// Folds `tests` into one interval, or `None` when they are not all
+    /// range tests on one slot.
+    fn fold(tests: &[IntTest]) -> Option<IntRange> {
+        let slot = tests.first()?.slot;
+        let (mut lo, mut hi) = (i64::MIN, i64::MAX);
+        for t in tests {
+            if t.slot != slot {
+                return None;
+            }
+            // `x < i64::MIN` and `x > i64::MAX` hold for no integer.
+            let (l, h) = match t.op {
+                CmpOp::Eq => (t.c, t.c),
+                CmpOp::Lt => t.c.checked_sub(1).map_or((i64::MAX, i64::MIN), |h| (i64::MIN, h)),
+                CmpOp::Le => (i64::MIN, t.c),
+                CmpOp::Gt => t.c.checked_add(1).map_or((i64::MAX, i64::MIN), |l| (l, i64::MAX)),
+                CmpOp::Ge => (t.c, i64::MAX),
+                CmpOp::Ne | CmpOp::Contains => return None,
+            };
+            lo = lo.max(l);
+            hi = hi.min(h);
+        }
+        Some(IntRange { slot, lo, hi, tests: tests.to_vec() })
+    }
+
+    fn eval<'v>(&self, get: &impl Fn(usize) -> Option<&'v Value>) -> bool {
+        match get(self.slot) {
+            Some(Value::Int(x)) => self.lo <= *x && *x <= self.hi,
+            _ => self.tests.iter().all(|t| t.eval(get)),
+        }
+    }
+}
+
 impl BoundCond {
     /// Binds `tree` against a schema given as a name → position resolver
     /// (`|a| schema.col_index(a)`).
@@ -124,7 +172,10 @@ impl BoundCond {
                             _ => None,
                         })
                         .collect();
-                    tests.map_or(Bound::And(bound), Bound::IntAnd)
+                    match tests {
+                        None => Bound::And(bound),
+                        Some(ts) => IntRange::fold(&ts).map_or(Bound::IntAnd(ts), Bound::IntRange),
+                    }
                 }
                 CondTree::Node(Connector::Or, cs) => {
                     Bound::Or(cs.iter().map(|c| go(c, resolve)).collect())
@@ -150,6 +201,7 @@ impl BoundCond {
                 }
                 Bound::Int(t) => t.eval(get),
                 Bound::IntAnd(ts) => ts.iter().all(|t| t.eval(get)),
+                Bound::IntRange(r) => r.eval(get),
                 Bound::And(cs) => cs.iter().all(|c| go(c, get)),
                 Bound::Or(cs) => cs.iter().any(|c| go(c, get)),
             }
@@ -264,6 +316,52 @@ mod tests {
         assert!(!BoundCond::bind(&t, resolve).eval(&values[..2]));
         assert!(BoundCond::bind(&CondTree::and(vec![]), resolve).eval(&[]));
         assert!(!BoundCond::bind(&CondTree::or(vec![]), resolve).eval(&[]));
+    }
+
+    #[test]
+    fn one_column_range_binds_to_one_interval() {
+        let resolve = |a: &str| ["x", "y"].iter().position(|n| *n == a);
+        let bind =
+            |cond: &str| BoundCond::bind(&crate::parse::parse_condition(cond).unwrap(), resolve);
+        let interval = |cond: &str| match bind(cond).0 {
+            Bound::IntRange(r) => Some((r.lo, r.hi)),
+            _ => None,
+        };
+        assert_eq!(interval("x >= 3 ^ x <= 5"), Some((3, 5)));
+        assert_eq!(interval("x > 3 ^ x < 5 ^ x = 4"), Some((4, 4)));
+        assert_eq!(interval("x > 5 ^ x < 3"), Some((6, 2)));
+        let (lo, hi) = interval("x < -9223372036854775808 ^ x <= 0").unwrap();
+        assert!(lo > hi);
+        let (lo, hi) = interval("x > 9223372036854775807 ^ x >= 0").unwrap();
+        assert!(lo > hi);
+        // `!=` and two slots keep the flat loop.
+        assert!(interval("x >= 3 ^ x != 4").is_none());
+        assert!(interval("x >= 3 ^ y <= 4").is_none());
+        let cells = [
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Int(4),
+            Value::Float(4.0),
+            Value::Float(4.5),
+            Value::Float(f64::NAN),
+            Value::str("4"),
+            Value::Bool(true),
+        ];
+        for cond in [
+            "x >= 3 ^ x <= 5",
+            "x > 3 ^ x < 5",
+            "x > 5 ^ x < 3",
+            "x < -9223372036854775808 ^ x <= 0",
+            "x > 9223372036854775807 ^ x >= 0",
+            "x <= 9223372036854775807 ^ x >= -9223372036854775808",
+        ] {
+            let t = crate::parse::parse_condition(cond).unwrap();
+            for cell in &cells {
+                let want = eval(&t, &row(&[("x", cell.clone())]));
+                assert_eq!(bind(cond).eval(std::slice::from_ref(cell)), want, "{cond} on {cell}");
+            }
+            assert!(!bind(cond).eval(&[]), "{cond} on an absent cell");
+        }
     }
 
     #[test]

@@ -46,9 +46,10 @@ pub const INLINE_TEXT: usize = 22;
 /// follows no pointer and touches no reference count; a longer one is a
 /// shared `Arc<str>`, whose clone bumps a count instead of copying bytes.
 ///
-/// `Text` hashes, compares, `Debug`s and renders exactly as the `str` it
-/// holds, so fingerprints and rendered bytes do not depend on where the
-/// bytes live.
+/// Its UTF-8 is checked once, when it is built from a `str`; rendering,
+/// hashing and comparing then read its bytes. `Text` hashes, compares,
+/// `Debug`s and renders exactly as the `str` it holds, so fingerprints and
+/// rendered bytes do not depend on where the bytes live.
 #[derive(Clone)]
 pub struct Text(Repr);
 
@@ -63,7 +64,8 @@ enum Repr {
 }
 
 impl Text {
-    /// The string.
+    /// The string. An inline payload re-checks its UTF-8 on every call;
+    /// rendering, hashing and comparing read [`Text::as_bytes`] instead.
     pub fn as_str(&self) -> &str {
         match &self.0 {
             Repr::Inline { len, bytes } => {
@@ -73,26 +75,27 @@ impl Text {
         }
     }
 
-    /// The string's bytes, without re-checking UTF-8: equality and order
-    /// of `str` are those of its bytes.
-    fn as_bytes(&self) -> &[u8] {
+    /// The string's UTF-8 bytes, checked once when the text was built.
+    pub fn as_bytes(&self) -> &[u8] {
         match &self.0 {
             Repr::Inline { len, bytes } => &bytes[..*len as usize],
             Repr::Shared(s) => s.as_bytes(),
         }
     }
 
+    /// Length in bytes.
+    pub fn len(&self) -> usize {
+        self.as_bytes().len()
+    }
+
+    /// Is the string empty?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     #[cfg(test)]
     fn is_inline(&self) -> bool {
         matches!(self.0, Repr::Inline { .. })
-    }
-}
-
-impl std::ops::Deref for Text {
-    type Target = str;
-
-    fn deref(&self) -> &str {
-        self.as_str()
     }
 }
 
@@ -138,8 +141,11 @@ impl Ord for Text {
 }
 
 impl Hash for Text {
+    /// What `Hash for str` writes: the bytes, then `0xff` (a byte no UTF-8
+    /// string holds), so the encoding stays prefix-free.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_str().hash(state)
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
     }
 }
 
@@ -190,39 +196,40 @@ impl Value {
         Value::Str(s.into())
     }
 
-    /// Writes the value's rendering — the exact bytes of its `Display` —
-    /// into any [`fmt::Write`] sink. `Display` delegates here, so the two
-    /// can never disagree. Integers, strings and booleans go out without a
-    /// `format_args` round; only floats use the standard formatter.
-    pub fn write_to<W: fmt::Write>(&self, w: &mut W) -> fmt::Result {
+    /// Appends the value's rendering — the exact bytes of its `Display`,
+    /// which delegates here — to `out`. Integers, strings and booleans go
+    /// out as bytes with no UTF-8 check; only floats use the standard
+    /// formatter. A string with nothing to escape is one copy.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        use std::io::Write as _;
         match self {
-            Value::Int(i) => write_int(*i, w),
+            Value::Int(i) => write_int(*i, out),
             Value::Float(x) => {
-                if x.fract() == 0.0 && x.is_finite() {
-                    write!(w, "{x:.1}")
+                let written = if x.fract() == 0.0 && x.is_finite() {
+                    write!(out, "{x:.1}")
                 } else {
-                    write!(w, "{x}")
-                }
+                    write!(out, "{x}")
+                };
+                written.expect("writing to a Vec cannot fail");
             }
             Value::Str(s) => {
-                let s = s.as_str();
-                // Escapes `\` and `"` while writing: the unescaped runs
-                // between them go out as borrowed slices, so rendering a
-                // value allocates nothing.
-                w.write_char('"')?;
-                let mut run = 0;
-                // Both are ASCII, so a byte match is always a char boundary.
-                for (i, b) in s.bytes().enumerate() {
-                    if b == b'\\' || b == b'"' {
-                        w.write_str(&s[run..i])?;
-                        w.write_char('\\')?;
-                        run = i;
+                let s = s.as_bytes();
+                out.push(b'"');
+                if s.iter().any(|&b| b == b'\\' || b == b'"') {
+                    // Both are ASCII and no byte of a multi-byte char is,
+                    // so escaping byte by byte keeps every char whole.
+                    for &b in s {
+                        if b == b'\\' || b == b'"' {
+                            out.push(b'\\');
+                        }
+                        out.push(b);
                     }
+                } else {
+                    out.extend_from_slice(s);
                 }
-                w.write_str(&s[run..])?;
-                w.write_char('"')
+                out.push(b'"');
             }
-            Value::Bool(b) => w.write_str(if *b { "true" } else { "false" }),
+            Value::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
         }
     }
 
@@ -301,12 +308,34 @@ impl Hash for Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.write_to(f)
+        display_bytes(f, |out| self.write_to(out))
     }
 }
 
-/// Writes `i` in decimal, as `{i}` would, from a stack buffer.
-fn write_int<W: fmt::Write>(i: i64, w: &mut W) -> fmt::Result {
+/// Writes what `render` appends to a byte buffer into `f` as one `str`,
+/// checking its UTF-8 once: how `Display` runs a byte writer
+/// ([`Value::write_to`], a relation row's `write_to`), so the displayed and
+/// the written bytes are the same. The buffer is kept per thread and
+/// reused, so a `Display` allocates nothing once it is warm.
+pub fn display_bytes(f: &mut fmt::Formatter<'_>, render: impl FnOnce(&mut Vec<u8>)) -> fmt::Result {
+    thread_local! {
+        static BUF: std::cell::Cell<Vec<u8>> = const { std::cell::Cell::new(Vec::new()) };
+    }
+    // Taken, not borrowed: a `Display` nested inside `f` gets a fresh
+    // buffer instead of a conflict.
+    let mut buf = BUF.take();
+    buf.clear();
+    render(&mut buf);
+    let written = f.write_str(std::str::from_utf8(&buf).expect("a rendering is UTF-8"));
+    // A rare huge rendering is not kept for the thread's lifetime.
+    if buf.capacity() <= 4096 {
+        BUF.set(buf);
+    }
+    written
+}
+
+/// Appends `i` in decimal, as `{i}` would, from a stack buffer.
+fn write_int(i: i64, out: &mut Vec<u8>) {
     // 19 digits for |i64::MIN| plus a sign.
     let mut buf = [0u8; 20];
     let mut at = buf.len();
@@ -323,7 +352,7 @@ fn write_int<W: fmt::Write>(i: i64, w: &mut W) -> fmt::Result {
         at -= 1;
         buf[at] = b'-';
     }
-    w.write_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
+    out.extend_from_slice(&buf[at..]);
 }
 
 impl From<i64> for Value {
@@ -411,6 +440,9 @@ mod tests {
     #[test]
     fn display_forms() {
         assert_eq!(Value::Int(42).to_string(), "42");
+        for i in [0, 7, -7, 10, 99, 100, -101, 1_000_000, i64::MIN, i64::MAX] {
+            assert_eq!(Value::Int(i).to_string(), format!("{i}"));
+        }
         assert_eq!(Value::str("BMW").to_string(), "\"BMW\"");
         assert_eq!(Value::str("a\"b").to_string(), "\"a\\\"b\"");
         assert_eq!(Value::Bool(true).to_string(), "true");
@@ -461,7 +493,8 @@ mod tests {
             for t in [Text::from(s), Text::from(s.to_string())] {
                 assert_eq!(t.is_inline(), inline, "{} bytes", s.len());
                 assert_eq!(t.as_str(), s);
-                assert_eq!(&*t, s);
+                assert_eq!(t.as_bytes(), s.as_bytes());
+                assert_eq!((t.len(), t.is_empty()), (s.len(), s.is_empty()));
             }
         }
         // A multi-byte char whose bytes straddle byte 22 cannot be split:
@@ -497,6 +530,18 @@ mod tests {
         let shared = Text(Repr::Shared("BMW".into()));
         assert_eq!(shared, Text::from("BMW"));
         assert_eq!(hash_text(&shared), hash_text(&Text::from("BMW")));
+    }
+
+    #[test]
+    fn text_hashes_as_its_str_inline_and_shared() {
+        let long = "x".repeat(INLINE_TEXT + 1);
+        for s in ["", "BMW", "日本語", "a\"b\\", long.as_str()] {
+            for t in [Text::from(s), Text(Repr::Shared(s.into()))] {
+                assert_eq!(hash_text(&t), hash_str(s), "{s:?}");
+            }
+        }
+        assert!(Text::from("BMW").is_inline());
+        assert!(!Text::from(long.as_str()).is_inline());
     }
 
     #[test]

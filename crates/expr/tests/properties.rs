@@ -109,11 +109,44 @@ fn mixed_row(seed: u64) -> Vec<(&'static str, Value)> {
     ]
 }
 
+/// A conjunction of 2–3 integer range atoms on one column — `alpha`
+/// (int, float, NaN and bool cells), `gamma` (string or int cells) or the
+/// absent `omega` — with constants that give empty intervals and
+/// `< i64::MIN` / `> i64::MAX`, sometimes with a `!=` on the same column or
+/// an atom on another column mixed in.
+fn one_column_range(seed: u64) -> CondTree {
+    let mut k = seed;
+    let mut pick = |n: u64| {
+        k = splitmix(k);
+        k % n
+    };
+    let col = ["alpha", "alpha", "gamma", "omega"][pick(4) as usize];
+    let range = [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+    let mut atoms: Vec<CondTree> = (0..2 + pick(2))
+        .map(|_| {
+            let op = range[pick(5) as usize];
+            let c = match pick(4) {
+                0 => EDGE_INTS[pick(8) as usize],
+                _ => pick(8) as i64 - 1,
+            };
+            CondTree::leaf(Atom::new(col, op, c))
+        })
+        .collect();
+    match pick(4) {
+        0 => atoms.push(CondTree::leaf(Atom::new(col, CmpOp::Ne, pick(6) as i64))),
+        1 => atoms.push(CondTree::leaf(Atom::new("beta", CmpOp::Le, pick(4) as i64))),
+        _ => {}
+    }
+    CondTree::and(atoms)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
     /// A tree bound to column slots evaluates every row exactly as the
-    /// by-name oracle does, absent attributes included.
+    /// by-name oracle does, absent attributes included. A quarter of the
+    /// trees are one-column integer ranges, the shape that binds to one
+    /// interval test.
     #[test]
     fn bound_eval_matches_by_name_eval(
         seed in 0u64..100_000,
@@ -125,7 +158,11 @@ proptest! {
         gen_attrs.push(GenAttr::strings("omega", &["w"]));
         let mut g = CondGen::new(seed, gen_attrs);
         let cfg = CondGenConfig { n_atoms: n, max_depth: 4, and_bias: 0.5, eq_bias: 0.5 };
-        let t = diversify(&g.tree(&cfg), opseed);
+        let t = if opseed % 4 == 0 {
+            one_column_range(opseed)
+        } else {
+            diversify(&g.tree(&cfg), opseed)
+        };
         let cols = mixed_row(rowseed);
         let by_name: BTreeMap<String, Value> =
             cols.iter().map(|(name, v)| (name.to_string(), v.clone())).collect();

@@ -25,7 +25,7 @@
 
 use crate::relation::{tuple_fingerprint, FingerprintIndex, Relation};
 use crate::schema::{Schema, SchemaError};
-use crate::tuple::{Row, Tuple};
+use crate::tuple::{column_prefix, Row, Tuple};
 use csqp_expr::semantics::BoundCond;
 use csqp_expr::CondTree;
 use std::fmt;
@@ -94,6 +94,22 @@ impl TupleBatch {
     pub fn rows(&self) -> impl Iterator<Item = Row<'_>> {
         let cols = self.cols.as_deref();
         self.sel.iter().map(move |&i| Row::projected(&self.schema, &self.store[i as usize], cols))
+    }
+
+    /// Appends every row to `out` as its `Display` plus `\n`, building the
+    /// schema's column prefixes (`model=`, `, year=`, …) once for the batch.
+    pub fn write_rows(&self, out: &mut Vec<u8>) {
+        let prefixes: Vec<Vec<u8>> = (0..self.schema.columns.len())
+            .map(|i| {
+                let mut p = Vec::new();
+                column_prefix(&self.schema, i, &mut p);
+                p
+            })
+            .collect();
+        for row in self.rows() {
+            row.write_with(out, |i, out| out.extend_from_slice(&prefixes[i]));
+            out.push(b'\n');
+        }
     }
 
     /// Keeps the rows `keep` accepts, in order.

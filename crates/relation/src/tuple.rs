@@ -2,6 +2,7 @@
 
 use crate::schema::Schema;
 use csqp_expr::semantics::AttrLookup;
+use csqp_expr::value::display_bytes;
 use csqp_expr::Value;
 use std::fmt;
 
@@ -114,32 +115,43 @@ impl AttrLookup for Row<'_> {
 }
 
 impl Row<'_> {
-    /// Writes the row as `(name=value, …)` — the exact bytes of its
-    /// `Display`, which delegates here — into any [`fmt::Write`] sink,
-    /// each value through [`Value::write_to`]. Serve renders its answer
-    /// chunks through this, so no `format_args` runs per value.
-    pub fn write_to<W: fmt::Write>(&self, w: &mut W) -> fmt::Result {
-        w.write_char('(')?;
-        for (i, c) in self.schema.columns.iter().enumerate() {
-            if i > 0 {
-                w.write_str(", ")?;
-            }
-            w.write_str(&c.name)?;
+    /// Appends the row as `(name=value, …)` — the exact bytes of its
+    /// `Display`, which delegates here — to `out`, each value through
+    /// [`Value::write_to`]. A batch renders its rows through
+    /// [`TupleBatch::write_rows`](crate::TupleBatch::write_rows), which
+    /// builds the column prefixes once for all of them.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        self.write_with(out, |i, out| column_prefix(self.schema, i, out));
+    }
+
+    /// The one row writer: `(`, then per column `prefix(i)` and its value
+    /// (`?` when missing), then `)`.
+    pub(crate) fn write_with(&self, out: &mut Vec<u8>, prefix: impl Fn(usize, &mut Vec<u8>)) {
+        out.push(b'(');
+        for i in 0..self.schema.columns.len() {
+            prefix(i, out);
             match self.get(i) {
-                Some(v) => {
-                    w.write_char('=')?;
-                    v.write_to(w)?;
-                }
-                None => w.write_str("=?")?,
+                Some(v) => v.write_to(out),
+                None => out.push(b'?'),
             }
         }
-        w.write_char(')')
+        out.push(b')');
     }
+}
+
+/// Appends what a row of `schema` renders before its value in column `i`:
+/// `name=` for the first column, `, name=` for each later one.
+pub(crate) fn column_prefix(schema: &Schema, i: usize, out: &mut Vec<u8>) {
+    if i > 0 {
+        out.extend_from_slice(b", ");
+    }
+    out.extend_from_slice(schema.columns[i].name.as_bytes());
+    out.push(b'=');
 }
 
 impl fmt::Display for Row<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.write_to(f)
+        display_bytes(f, |out| self.write_to(out))
     }
 }
 

@@ -58,11 +58,23 @@ fn splitmix(mut z: u64) -> u64 {
 }
 
 /// A value drawn to hit every rendering edge: `"` and `\` in strings,
-/// negative and extreme ints, integral, fractional, NaN, ±inf and −0.0
-/// floats, and both bools.
+/// inline and shared strings (a multi-byte char straddling byte 22 makes
+/// one shared), negative, zero and extreme ints, integral, fractional,
+/// NaN, ±inf and −0.0 floats, and both bools.
 fn edge_value(k: u64) -> Value {
-    const STRS: [&str; 8] =
-        ["", "plain", "a\"b", "a\\b", "\\\"", "trailing\\", "ünï\"cødé 🚗", "é\\"];
+    const STRS: [&str; 11] = [
+        "",
+        "plain",
+        "a\"b",
+        "a\\b",
+        "\\\"",
+        "trailing\\",
+        "ünï\"cødé 🚗",
+        "é\\",
+        "xxxxxxxxxxxxxxxxxxxxxé",
+        "a shared string of more than 22 bytes",
+        "shared, with \"quotes\" and \\ too",
+    ];
     const FLOATS: [f64; 12] = [
         0.0,
         -0.0,
@@ -78,11 +90,12 @@ fn edge_value(k: u64) -> Value {
         f64::NEG_INFINITY,
     ];
     match k % 4 {
-        0 => Value::str(STRS[(k / 4 % 8) as usize]),
-        1 => Value::Int(match k / 4 % 4 {
+        0 => Value::str(STRS[(k / 4 % 11) as usize]),
+        1 => Value::Int(match k / 4 % 5 {
             0 => i64::MIN,
             1 => i64::MAX,
-            2 => -((k >> 8) as i64 % 100_000),
+            2 => 0,
+            3 => -((k >> 8) as i64 % 100_000),
             _ => (k >> 8) as i64 % 100_000,
         }),
         2 => Value::Float(FLOATS[(k / 4 % 12) as usize]),
@@ -97,7 +110,7 @@ fn oracle_value(v: &Value) -> String {
         Value::Int(i) => format!("{i}"),
         Value::Float(x) if x.fract() == 0.0 && x.is_finite() => format!("{x:.1}"),
         Value::Float(x) => format!("{x}"),
-        Value::Str(s) => format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\"")),
+        Value::Str(s) => format!("\"{}\"", s.as_str().replace('\\', "\\\\").replace('"', "\\\"")),
         Value::Bool(b) => format!("{b}"),
     }
 }
@@ -161,7 +174,8 @@ proptest! {
 
     /// One writer, identical bytes: a row written through `write_to` equals
     /// its `Display` and the `format!` oracle, value by value, including a
-    /// tuple shorter than its schema (`name=?`).
+    /// tuple shorter than its schema (`name=?`); a batch of such rows, as
+    /// serve sends it, equals `format!("{row}\n")` over its rows.
     #[test]
     fn row_writer_is_byte_identical_to_display(seed in 0u64..1_000_000, arity in 0usize..7) {
         let names = ["k", "name", "x", "y", "flag", "z"];
@@ -177,8 +191,9 @@ proptest! {
             .collect();
         let tuple = Tuple::new(values);
         let row = Row::new(&schema, &tuple);
-        let mut written = String::new();
-        row.write_to(&mut written).unwrap();
+        let mut written = Vec::new();
+        row.write_to(&mut written);
+        let written = String::from_utf8(written).unwrap();
         let cells: Vec<String> = names
             .iter()
             .enumerate()
@@ -190,9 +205,23 @@ proptest! {
         prop_assert_eq!(&written, &format!("{row}"));
         prop_assert_eq!(&written, &format!("({})", cells.join(", ")));
         for v in tuple.values() {
-            let mut one = String::new();
-            v.write_to(&mut one).unwrap();
-            prop_assert_eq!(&one, &oracle_value(v));
+            let mut one = Vec::new();
+            v.write_to(&mut one);
+            prop_assert_eq!(&String::from_utf8(one).unwrap(), &oracle_value(v));
+        }
+        // The served chunk, over every prefix of the cells (shorter
+        // tuples miss their tail), whole and through a reversing projection.
+        let store: std::sync::Arc<Vec<Tuple>> = std::sync::Arc::new(
+            (0..=tuple.arity()).map(|n| Tuple::new(tuple.values()[..n].to_vec())).collect(),
+        );
+        let sel: Vec<u32> = (0..store.len() as u32).rev().collect();
+        let reversed: std::sync::Arc<[usize]> = (0..names.len()).rev().collect();
+        for cols in [None, Some(reversed)] {
+            let batch = TupleBatch::view(schema.clone(), store.clone(), sel.clone(), cols);
+            let mut chunk = Vec::new();
+            batch.write_rows(&mut chunk);
+            let lines: String = batch.rows().map(|row| format!("{row}\n")).collect();
+            prop_assert_eq!(String::from_utf8(chunk).unwrap(), lines);
         }
     }
 

@@ -335,6 +335,64 @@ fn serve_caps_line_length() {
     handle.join().expect("server thread").expect("accept loop exits cleanly");
 }
 
+/// Sends `bytes` as they are, closes the write side, and reads the reply
+/// to the server's close.
+fn send_raw(addr: SocketAddr, bytes: &[u8]) -> Vec<u8> {
+    let mut s = connect(addr);
+    s.write_all(bytes).unwrap();
+    s.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut reply = Vec::new();
+    s.read_to_end(&mut reply).expect("read reply");
+    reply
+}
+
+/// The value of the unlabeled series `name` in a `/metrics` scrape; 0 for
+/// a counter not yet written.
+fn scraped(metrics: &str, name: &str) -> f64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.trim().parse().ok())
+        .unwrap_or(0.0)
+}
+
+/// A request line, a header or a command that is not UTF-8 is answered and
+/// counted like an over-long one: `400` to an HTTP-looking line or header,
+/// `ERR line is not UTF-8` on the line protocol, each closing the
+/// connection. A fresh connection is served as before.
+#[test]
+fn serve_answers_lines_that_are_not_utf8() {
+    let source = Arc::new(Source::new(
+        datagen::cars(3, 400),
+        templates::car_dealer(),
+        CostParams::default(),
+    ));
+    let server = Server::bind_federation(vec![source], ServeConfig::default())
+        .expect("bind an ephemeral port");
+    let addr = server.local_addr().expect("bound address");
+    let handle = std::thread::spawn(move || server.run());
+
+    let before = http_get(addr, "/metrics");
+    let request_line = send_raw(addr, b"GET /healthz\xff HTTP/1.1\r\n\r\n");
+    let header = send_raw(addr, b"GET /healthz HTTP/1.1\r\nX-Tenant: \xff\r\n\r\n");
+    for reply in [&request_line, &header] {
+        let reply = String::from_utf8_lossy(reply);
+        assert!(reply.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{reply}");
+        assert!(reply.contains("Connection: close\r\n"), "{reply}");
+        assert!(reply.contains("is not UTF-8\n"), "{reply}");
+    }
+    assert_eq!(send_raw(addr, b"ping\xff\nping\n"), b"ERR line is not UTF-8\n");
+    let after = http_get(addr, "/metrics");
+    // The three refused requests, plus the second scrape itself.
+    for (series, grew) in [("csqp_serve_requests_total", 4.0), ("csqp_serve_errors_total", 3.0)] {
+        assert_eq!(scraped(&after, series) - scraped(&before, series), grew, "{series}");
+    }
+    assert_eq!(line(addr, "ping"), "pong\n");
+
+    let bye = http_get(addr, "/shutdown");
+    assert!(bye.contains("shutting down"), "{bye}");
+    handle.join().expect("server thread").expect("accept loop exits cleanly");
+}
+
 /// `adaptive: false` serves the plain pipeline — the same engine on the
 /// same schedule, minus the controller. With no drift to splice on, both
 /// settings must stream the same rows in the same order and charge the
