@@ -1,96 +1,28 @@
 //! E13: end-to-end planner throughput (queries/sec) on the bookstore and
-//! carguide workloads, GenCompact vs GenModular, plus the scaling family.
+//! carguide workloads, GenCompact vs GenModular.
 //!
-//! Unlike the criterion benches this is a plain harness that emits
-//! machine-readable results to `BENCH_hotpath.json` at the repo root, so the
-//! perf trajectory of the planner hot path is recorded commit over commit.
+//! Prints one line per workload and scheme, then asserts the hot-path
+//! floor: GenCompact plans at least 1.6× as many queries per second as
+//! GenModular on each workload, with metrics and tracing recording. A
+//! breach exits non-zero.
 //!
 //! Run with `cargo bench -p csqp-bench --bench e13_hotpath`.
 
+use csqp_bench::floors::{hotpath_workloads, Workload};
 use csqp_core::genmodular::GenModularConfig;
 use csqp_core::mediator::{Mediator, Scheme};
-use csqp_core::types::TargetQuery;
 use csqp_expr::rewrite::RewriteBudget;
-use csqp_source::{Catalog, Source};
-use std::fmt::Write as _;
+use csqp_source::Source;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
-
-const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
 
 /// GenModular is only run on queries at or below this size; its rewrite set
 /// explodes beyond it (that explosion is E3's story, not this bench's).
 const MODULAR_MAX_ATOMS: usize = 4;
 
-struct Workload {
-    name: &'static str,
-    source: Arc<Source>,
-    queries: Vec<TargetQuery>,
-}
-
-fn q(cond: &str, attrs: &[&str]) -> TargetQuery {
-    TargetQuery::parse(cond, attrs).unwrap_or_else(|e| panic!("bad bench query {cond:?}: {e}"))
-}
-
-fn workloads() -> Vec<Workload> {
-    let catalog = Catalog::demo_small(7);
-    let bookstore = catalog.get("bookstore").unwrap().clone();
-    let car_guide = catalog.get("car_guide").unwrap().clone();
-
-    // Example 1.1 shapes and variations: author disjunctions with title /
-    // subject conjuncts — the forms where capability-sensitive splitting and
-    // the Check cache do real work.
-    let book_attrs = ["isbn", "title", "author"];
-    let bookstore_queries = vec![
-        q(
-            "(author = \"Sigmund Freud\" _ author = \"Carl Jung\") ^ title contains \"dreams\"",
-            &book_attrs,
-        ),
-        q("author = \"Sigmund Freud\"", &book_attrs),
-        q("title contains \"history\" ^ subject = \"science\"", &book_attrs),
-        q(
-            "(author = \"A. Author\" _ author = \"B. Author\" _ author = \"C. Author\")",
-            &book_attrs,
-        ),
-        q(
-            "(subject = \"fiction\" _ subject = \"poetry\") ^ title contains \"sea\"",
-            &book_attrs,
-        ),
-        q(
-            "(author = \"X\" ^ title contains \"war\") _ (author = \"Y\" ^ title contains \"peace\")",
-            &book_attrs,
-        ),
-        q("subject = \"history\" ^ author = \"Edward Gibbon\"", &book_attrs),
-        q(
-            "(title contains \"intro\" _ title contains \"primer\") ^ subject = \"math\"",
-            &book_attrs,
-        ),
-    ];
-
-    // Example 1.2 shapes: style/size/make/price combinations including the
-    // full six-atom paper query (GenCompact only at that size).
-    let car_attrs = ["listing_id", "model", "price"];
-    let carguide_queries = vec![
-        q(
-            "style = \"sedan\" ^ (size = \"compact\" _ size = \"midsize\") ^ \
-             ((make = \"Toyota\" ^ price <= 20000) _ (make = \"BMW\" ^ price <= 40000))",
-            &car_attrs,
-        ),
-        q("make = \"Toyota\" ^ price <= 15000", &car_attrs),
-        q("style = \"suv\" ^ (size = \"midsize\" _ size = \"fullsize\")", &car_attrs),
-        q("(make = \"Honda\" _ make = \"Toyota\") ^ price <= 25000", &car_attrs),
-        q("style = \"coupe\" ^ make = \"BMW\" ^ price <= 60000", &car_attrs),
-        q("(size = \"compact\" _ size = \"subcompact\") ^ price <= 12000", &car_attrs),
-        q("make = \"Ford\" ^ style = \"truck\"", &car_attrs),
-        q("(make = \"Audi\" ^ price <= 50000) _ (make = \"BMW\" ^ price <= 45000)", &car_attrs),
-    ];
-
-    vec![
-        Workload { name: "bookstore", source: bookstore, queries: bookstore_queries },
-        Workload { name: "carguide", source: car_guide, queries: carguide_queries },
-    ]
-}
+/// The least GenCompact/GenModular throughput ratio on any workload.
+const FLOOR: f64 = 1.6;
 
 fn mediator_for(scheme: Scheme, source: Arc<Source>, n_atoms: usize) -> Mediator {
     match scheme {
@@ -123,18 +55,10 @@ fn pass(scheme: Scheme, w: &Workload) -> usize {
     n
 }
 
-struct Measurement {
-    workload: &'static str,
-    scheme: &'static str,
-    queries_per_pass: usize,
-    passes: usize,
-    elapsed_s: f64,
-    qps: f64,
-}
-
-fn measure(scheme: Scheme, scheme_name: &'static str, w: &Workload) -> Measurement {
-    // Warm-up pass (fills per-source caches shared across mediators, pages
-    // in the grammar machinery) — then size the run to ~0.5s wall.
+/// Queries per second over a run sized to ~0.5 s of wall clock, after a
+/// warm-up pass (which fills the per-source caches shared across
+/// mediators and pages in the grammar machinery).
+fn queries_per_sec(scheme: Scheme, w: &Workload) -> f64 {
     let t0 = Instant::now();
     let queries_per_pass = pass(scheme, w);
     let warm = t0.elapsed().as_secs_f64();
@@ -146,40 +70,26 @@ fn measure(scheme: Scheme, scheme_name: &'static str, w: &Workload) -> Measureme
     }
     let elapsed_s = t1.elapsed().as_secs_f64();
     let qps = (passes * queries_per_pass) as f64 / elapsed_s;
-    Measurement { workload: w.name, scheme: scheme_name, queries_per_pass, passes, elapsed_s, qps }
+    println!(
+        "e13_hotpath {:<10} {:<11} {qps:>9.1} queries/s  ({queries_per_pass} queries x \
+         {passes} passes in {elapsed_s:.3}s)",
+        w.name,
+        format!("{scheme:?}")
+    );
+    qps
 }
 
 fn main() {
-    let mut results: Vec<Measurement> = Vec::new();
-    for w in workloads() {
-        for (scheme, name) in
-            [(Scheme::GenCompact, "GenCompact"), (Scheme::GenModular, "GenModular")]
-        {
-            let m = measure(scheme, name, &w);
-            println!(
-                "e13_hotpath {:<10} {:<11} {:>9.1} queries/s  ({} queries x {} passes in {:.3}s)",
-                m.workload, m.scheme, m.qps, m.queries_per_pass, m.passes, m.elapsed_s
-            );
-            results.push(m);
-        }
+    let mut ratios = Vec::new();
+    for w in hotpath_workloads() {
+        let compact = queries_per_sec(Scheme::GenCompact, &w);
+        let modular = queries_per_sec(Scheme::GenModular, &w);
+        ratios.push((w.name, compact / modular));
     }
-
-    let mut json = String::from("{\n  \"bench\": \"e13_hotpath\",\n  \"results\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"workload\": \"{}\", \"scheme\": \"{}\", \"queries_per_pass\": {}, \
-             \"passes\": {}, \"elapsed_s\": {:.6}, \"queries_per_sec\": {:.2}}}{}",
-            m.workload,
-            m.scheme,
-            m.queries_per_pass,
-            m.passes,
-            m.elapsed_s,
-            m.qps,
-            if i + 1 < results.len() { ",\n" } else { "\n" }
-        );
+    for &(workload, ratio) in &ratios {
+        println!("e13_hotpath {workload:<10} GenCompact/GenModular {ratio:.2}x (floor {FLOOR}x)");
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write(OUT_PATH, &json).expect("write BENCH_hotpath.json");
-    println!("wrote {OUT_PATH}");
+    for (workload, ratio) in ratios {
+        assert!(ratio >= FLOOR, "{workload}: hot-path floor broken ({ratio:.2}x < {FLOOR}x)");
+    }
 }

@@ -4,88 +4,17 @@
 //! ring). The delta is the price of full provenance; the disarmed leg
 //! should track e13's GenCompact numbers.
 //!
-//! Emits machine-readable results to `BENCH_obs.json` at the repo root so
-//! recorder overhead is tracked commit over commit alongside the hot-path
-//! trajectory.
+//! Prints the two throughputs and the overhead per workload. It asserts
+//! nothing: the armed recorder is opt-in, so its cost is informational.
 //!
 //! Run with `cargo bench -p csqp-bench --bench e14_obs`.
 
+use csqp_bench::floors::{hotpath_workloads, Workload};
 use csqp_core::mediator::{Mediator, Scheme};
-use csqp_core::types::TargetQuery;
 use csqp_obs::FlightRecorder;
-use csqp_source::{Catalog, Source};
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
-
-const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-
-struct Workload {
-    name: &'static str,
-    source: Arc<Source>,
-    queries: Vec<TargetQuery>,
-}
-
-fn q(cond: &str, attrs: &[&str]) -> TargetQuery {
-    TargetQuery::parse(cond, attrs).unwrap_or_else(|e| panic!("bad bench query {cond:?}: {e}"))
-}
-
-/// The e13 GenCompact workloads, verbatim: the recorder's cost must be
-/// measured on the same queries whose throughput e13 tracks.
-fn workloads() -> Vec<Workload> {
-    let catalog = Catalog::demo_small(7);
-    let bookstore = catalog.get("bookstore").unwrap().clone();
-    let car_guide = catalog.get("car_guide").unwrap().clone();
-
-    let book_attrs = ["isbn", "title", "author"];
-    let bookstore_queries = vec![
-        q(
-            "(author = \"Sigmund Freud\" _ author = \"Carl Jung\") ^ title contains \"dreams\"",
-            &book_attrs,
-        ),
-        q("author = \"Sigmund Freud\"", &book_attrs),
-        q("title contains \"history\" ^ subject = \"science\"", &book_attrs),
-        q(
-            "(author = \"A. Author\" _ author = \"B. Author\" _ author = \"C. Author\")",
-            &book_attrs,
-        ),
-        q(
-            "(subject = \"fiction\" _ subject = \"poetry\") ^ title contains \"sea\"",
-            &book_attrs,
-        ),
-        q(
-            "(author = \"X\" ^ title contains \"war\") _ (author = \"Y\" ^ title contains \"peace\")",
-            &book_attrs,
-        ),
-        q("subject = \"history\" ^ author = \"Edward Gibbon\"", &book_attrs),
-        q(
-            "(title contains \"intro\" _ title contains \"primer\") ^ subject = \"math\"",
-            &book_attrs,
-        ),
-    ];
-
-    let car_attrs = ["listing_id", "model", "price"];
-    let carguide_queries = vec![
-        q(
-            "style = \"sedan\" ^ (size = \"compact\" _ size = \"midsize\") ^ \
-             ((make = \"Toyota\" ^ price <= 20000) _ (make = \"BMW\" ^ price <= 40000))",
-            &car_attrs,
-        ),
-        q("make = \"Toyota\" ^ price <= 15000", &car_attrs),
-        q("style = \"suv\" ^ (size = \"midsize\" _ size = \"fullsize\")", &car_attrs),
-        q("(make = \"Honda\" _ make = \"Toyota\") ^ price <= 25000", &car_attrs),
-        q("style = \"coupe\" ^ make = \"BMW\" ^ price <= 60000", &car_attrs),
-        q("(size = \"compact\" _ size = \"subcompact\") ^ price <= 12000", &car_attrs),
-        q("make = \"Ford\" ^ style = \"truck\"", &car_attrs),
-        q("(make = \"Audi\" ^ price <= 50000) _ (make = \"BMW\" ^ price <= 45000)", &car_attrs),
-    ];
-
-    vec![
-        Workload { name: "bookstore", source: bookstore, queries: bookstore_queries },
-        Workload { name: "carguide", source: car_guide, queries: carguide_queries },
-    ]
-}
 
 /// One full pass: plan every query through a mediator carrying `recorder`.
 fn pass(recorder: &Arc<FlightRecorder>, w: &Workload) -> usize {
@@ -100,17 +29,9 @@ fn pass(recorder: &Arc<FlightRecorder>, w: &Workload) -> usize {
     n
 }
 
-struct Measurement {
-    workload: &'static str,
-    recorder: &'static str,
-    queries_per_pass: usize,
-    passes: usize,
-    elapsed_s: f64,
-    qps: f64,
-}
-
-fn measure(recorder: &Arc<FlightRecorder>, label: &'static str, w: &Workload) -> Measurement {
-    // Warm-up pass, then size the run to ~0.5s wall (the e13 protocol).
+/// Queries per second over a run sized to ~0.5 s of wall clock, after a
+/// warm-up pass (the e13 protocol).
+fn queries_per_sec(recorder: &Arc<FlightRecorder>, label: &str, w: &Workload) -> f64 {
     let t0 = Instant::now();
     let queries_per_pass = pass(recorder, w);
     let warm = t0.elapsed().as_secs_f64();
@@ -122,57 +43,30 @@ fn measure(recorder: &Arc<FlightRecorder>, label: &'static str, w: &Workload) ->
     }
     let elapsed_s = t1.elapsed().as_secs_f64();
     let qps = (passes * queries_per_pass) as f64 / elapsed_s;
-    Measurement { workload: w.name, recorder: label, queries_per_pass, passes, elapsed_s, qps }
+    println!(
+        "e14_obs {:<10} recorder {label:<3} {qps:>9.1} queries/s  ({queries_per_pass} queries x \
+         {passes} passes in {elapsed_s:.3}s)",
+        w.name
+    );
+    qps
 }
 
 fn main() {
-    let mut results: Vec<Measurement> = Vec::new();
-    for w in workloads() {
+    let mut overheads = Vec::new();
+    for w in hotpath_workloads() {
         // Disarmed: the shipping default — `begin_with` returns a disabled
         // handle and every event closure is skipped unevaluated.
-        let off = Arc::new(FlightRecorder::off());
+        let off = queries_per_sec(&Arc::new(FlightRecorder::off()), "off", &w);
         // Armed: every decision recorded. The ring is sized so steady-state
         // planning also pays the eviction path, as a long-running `csqp
         // serve` would.
-        let on = Arc::new(FlightRecorder::new());
-        for (rec, label) in [(&off, "off"), (&on, "on")] {
-            let m = measure(rec, label, &w);
-            println!(
-                "e14_obs {:<10} recorder {:<3} {:>9.1} queries/s  ({} queries x {} passes in {:.3}s)",
-                m.workload, m.recorder, m.qps, m.queries_per_pass, m.passes, m.elapsed_s
-            );
-            results.push(m);
-        }
+        let on = queries_per_sec(&Arc::new(FlightRecorder::new()), "on", &w);
+        overheads.push((w.name, off, on));
     }
-
-    for pair in results.chunks(2) {
-        if let [off, on] = pair {
-            println!(
-                "e14_obs {:<10} overhead: {:.1}% (off {:.1} -> on {:.1} queries/s)",
-                off.workload,
-                (off.qps / on.qps - 1.0) * 100.0,
-                off.qps,
-                on.qps
-            );
-        }
-    }
-
-    let mut json = String::from("{\n  \"bench\": \"e14_obs\",\n  \"results\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"workload\": \"{}\", \"recorder\": \"{}\", \"queries_per_pass\": {}, \
-             \"passes\": {}, \"elapsed_s\": {:.6}, \"queries_per_sec\": {:.2}}}{}",
-            m.workload,
-            m.recorder,
-            m.queries_per_pass,
-            m.passes,
-            m.elapsed_s,
-            m.qps,
-            if i + 1 < results.len() { ",\n" } else { "\n" }
+    for (workload, off, on) in overheads {
+        println!(
+            "e14_obs {workload:<10} overhead: {:.1}% (off {off:.1} -> on {on:.1} queries/s)",
+            (off / on - 1.0) * 100.0
         );
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write(OUT_PATH, &json).expect("write BENCH_obs.json");
-    println!("wrote {OUT_PATH}");
 }

@@ -7,22 +7,19 @@
 //! intersections, while index-off cost grows linearly with the federation —
 //! so the on/off speedup grows with scale and the on-cost stays near-flat.
 //!
-//! Like e13/e15 this is a plain harness emitting machine-readable results
-//! to `BENCH_capindex.json` at the repo root; CI gates a ≥10× speedup at
-//! 10k sources and a soft flatness bound on the pure-selection cost
-//! (`select_only` — the index lookup alone, without planning the
-//! surviving candidates).
+//! It prints one line per scale and leg, then asserts two floors: planning
+//! with the index is at least 10× faster than without it at 10k sources,
+//! and the pure-selection cost (`select_only` — the index lookup alone,
+//! without planning the surviving candidates) grows at most 5× over the
+//! 10× scale-up from 1k to 10k. A breach exits non-zero.
 //!
 //! Run with `cargo bench -p csqp-bench --bench e16_capindex`.
 
 use csqp_bench::fedcorpus::{corpus_federation, corpus_members, domain_query, FedCorpusConfig};
 use csqp_core::types::TargetQuery;
 use csqp_core::Federation;
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
-
-const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_capindex.json");
 
 /// Federation scales (members). Domains grow with scale; mirrors per
 /// domain — and therefore per-query feasible sources — stay fixed.
@@ -30,6 +27,12 @@ const SCALES: &[usize] = &[1_000, 4_000, 10_000];
 
 /// Queries per pass, spread across domains.
 const QUERIES: usize = 12;
+
+/// The least `index_off/index_on` planning-time ratio at the top scale.
+const SPEEDUP_FLOOR: f64 = 10.0;
+
+/// The most `select_only` may grow from the bottom scale to the top.
+const SELECT_GROWTH_CEILING: f64 = 5.0;
 
 struct Measurement {
     n_sources: usize,
@@ -135,8 +138,8 @@ fn measure(
 }
 
 fn main() {
-    let mut results: Vec<Measurement> = Vec::new();
-    let mut build_lines: Vec<String> = Vec::new();
+    // Per scale: (n, index_off, index_on, select_only) ms per query.
+    let mut per_query: Vec<(usize, f64, f64, f64)> = Vec::new();
     for &n in SCALES {
         let cfg = FedCorpusConfig { n_sources: n, ..Default::default() };
         let t_corpus = Instant::now();
@@ -146,13 +149,9 @@ fn main() {
 
         let on = corpus_federation(&members, true);
         let t_build = Instant::now();
-        let idx = on.capability_index().expect("index enabled");
+        // The first access compiles the index.
+        on.capability_index().expect("index enabled");
         let build_s = t_build.elapsed().as_secs_f64();
-        build_lines.push(format!(
-            "    {{\"n_sources\": {n}, \"corpus_s\": {corpus_s:.3}, \"index_build_s\": \
-             {build_s:.6}, \"indexed\": {}}}",
-            idx.len()
-        ));
         println!(
             "e16_capindex n={n:<6} corpus built in {corpus_s:.2}s, index compiled in {build_s:.4}s"
         );
@@ -162,6 +161,7 @@ fn main() {
         drop(on);
         let off = corpus_federation(&members, false);
         let m_off = measure(&off, &queries, n, "index_off", 20);
+        per_query.push((n, m_off.per_query_ms, m_on.per_query_ms, m_sel.per_query_ms));
         for m in [m_off, m_on, m_sel] {
             println!(
                 "e16_capindex n={:<6} {:<10} {:>9.3} ms/query  avg {:>7.1} candidates, \
@@ -174,31 +174,25 @@ fn main() {
                 m.passes,
                 m.elapsed_s
             );
-            results.push(m);
         }
     }
 
-    let mut json = String::from("{\n  \"bench\": \"e16_capindex\",\n");
-    let _ = write!(json, "  \"queries_per_pass\": {QUERIES},\n  \"builds\": [\n");
-    json.push_str(&build_lines.join(",\n"));
-    json.push_str("\n  ],\n  \"results\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"n_sources\": {}, \"scheme\": \"{}\", \"passes\": {}, \"elapsed_s\": \
-             {:.6}, \"per_query_ms\": {:.6}, \"candidates_avg\": {:.2}, \"pruned_avg\": \
-             {:.2}}}{}",
-            m.n_sources,
-            m.scheme,
-            m.passes,
-            m.elapsed_s,
-            m.per_query_ms,
-            m.candidates_avg,
-            m.pruned_avg,
-            if i + 1 < results.len() { ",\n" } else { "\n" }
-        );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(OUT_PATH, &json).expect("write BENCH_capindex.json");
-    println!("wrote {OUT_PATH}");
+    let (base, _, _, base_select) = per_query[0];
+    let (top, top_off, top_on, top_select) = per_query[per_query.len() - 1];
+    let speedup = top_off / top_on;
+    let growth = top_select / base_select;
+    println!(
+        "e16_capindex index_off/index_on {speedup:.1}x at {top} sources (floor \
+         {SPEEDUP_FLOOR}x), select_only growth {growth:.2}x {base}->{top} (ceiling \
+         {SELECT_GROWTH_CEILING}x)"
+    );
+    assert!(
+        speedup >= SPEEDUP_FLOOR,
+        "capability-index floor broken at {top} sources ({speedup:.1}x < {SPEEDUP_FLOOR}x)"
+    );
+    assert!(
+        growth <= SELECT_GROWTH_CEILING,
+        "selection cost is not sublinear ({growth:.1}x growth {base}->{top} > \
+         {SELECT_GROWTH_CEILING}x)"
+    );
 }

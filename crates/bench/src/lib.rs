@@ -10,6 +10,7 @@
 
 pub mod experiments;
 pub mod fedcorpus;
+pub mod floors;
 pub mod par;
 pub mod table;
 pub mod workload;

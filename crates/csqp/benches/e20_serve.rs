@@ -12,9 +12,12 @@
 //!
 //! Both legs execute identical queries against identical members (the
 //! differential suite pins answer parity), so the throughput ratio
-//! isolates what the front door buys. Emits `BENCH_serve.json` at the
-//! repo root; CI gates pooled/baseline throughput, the plan-cache hit
-//! rate on the repeat corpus, and the pooled p99 latency.
+//! isolates what the front door buys. The bench prints both legs, then
+//! asserts the front-door floors: the pooled leg served at least 10k
+//! connections at ≥ 5× the baseline's throughput, hit the plan cache on
+//! ≥ 90% of the repeat corpus, and kept its p99 within 500 ms (generous
+//! against shared-runner noise; locally it is ~10 ms). A breach exits
+//! non-zero.
 //!
 //! Run with `cargo bench -p csqp --bench e20_serve` (the generator lives
 //! in this crate because `csqp-bench` is a dependency of `csqp`'s dev
@@ -29,8 +32,6 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
 
 /// Connections driven at the worker-pool leg (the acceptance floor is
 /// 10k) and at the serial baseline (enough for stable percentiles without
@@ -245,25 +246,17 @@ fn main() {
     let speedup = pooled.qps() / baseline.qps();
     println!("  throughput speedup over single-threaded baseline: {speedup:.2}x");
 
-    let mut json = String::from("{\n  \"bench\": \"e20_serve\",\n");
-    let _ = writeln!(json, "  \"workers\": {workers},");
-    let _ = writeln!(json, "  \"client_threads\": {CLIENT_THREADS},");
-    let _ = writeln!(json, "  \"speedup_qps\": {speedup:.4},");
-    json.push_str("  \"results\": [\n");
-    for (name, leg) in [("baseline_single_thread", &baseline), ("worker_pool_cached", &pooled)] {
-        let _ = writeln!(
-            json,
-            "    {{\"leg\": \"{name}\", \"connections\": {}, \"qps\": {:.2}, \
-             \"p50_us\": {}, \"p99_us\": {}, \"plan_cache_hit_rate\": {:.4}}}{}",
-            leg.connections,
-            leg.qps(),
-            leg.percentile(0.5),
-            leg.percentile(0.99),
-            leg.hit_rate,
-            if name == "baseline_single_thread" { "," } else { "" }
-        );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(OUT_PATH, &json).expect("write BENCH_serve.json");
-    println!("wrote {OUT_PATH}");
+    let p99_us = pooled.percentile(0.99);
+    assert!(
+        pooled.connections >= 10_000,
+        "load floor broken ({} connections < 10k)",
+        pooled.connections
+    );
+    assert!(speedup >= 5.0, "front-door throughput floor broken ({speedup:.2}x < 5x)");
+    assert!(
+        pooled.hit_rate >= 0.90,
+        "plan-cache hit-rate floor broken ({:.3} < 0.90)",
+        pooled.hit_rate
+    );
+    assert!(p99_us <= 500_000, "pooled p99 out of bounds ({p99_us} us > 500 ms)");
 }
