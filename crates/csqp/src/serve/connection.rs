@@ -236,7 +236,8 @@ impl Server {
     ///
     /// The response is built in one buffer that rows render straight
     /// into: the header and the first batch leave in one write (time to
-    /// first row), then a write happens each time [`QUERY_FLUSH_BYTES`]
+    /// first row), the worker yields its core once if a second batch
+    /// follows, then a write happens each time [`QUERY_FLUSH_BYTES`]
     /// have accumulated, and the last write carries the trailer or the
     /// `ERR` line. A failed write stops the run at that flush.
     fn handle_query_http(
@@ -287,6 +288,7 @@ impl Server {
         let attrs: Vec<String> = attrs.split(',').map(|s| s.trim().to_string()).collect();
         let mut out = Vec::new();
         let mut wrote_header = false;
+        let mut yielded = false;
         let mut io_err: Option<io::Error> = None;
         let outcome = {
             let sink = &mut |batch: TupleBatch| {
@@ -294,6 +296,14 @@ impl Server {
                 if first {
                     out.extend_from_slice(QUERY_OK_HEADER);
                     wrote_header = true;
+                } else if !yielded {
+                    // The answer goes on past the write that carried its
+                    // first row, which woke the reader. A reader on this
+                    // worker's core would otherwise wait out the worker's
+                    // time slice — up to the whole answer's render — for
+                    // that row, so give up the core once before going on.
+                    std::thread::yield_now();
+                    yielded = true;
                 }
                 batch.write_rows(&mut out);
                 if !first && out.len() < QUERY_FLUSH_BYTES {

@@ -47,15 +47,18 @@ pub const INLINE_TEXT: usize = 22;
 /// shared `Arc<str>`, whose clone bumps a count instead of copying bytes.
 ///
 /// Its UTF-8 is checked once, when it is built from a `str`; rendering,
-/// hashing and comparing then read its bytes. `Text` hashes, compares,
-/// `Debug`s and renders exactly as the `str` it holds, so fingerprints and
-/// rendered bytes do not depend on where the bytes live.
+/// hashing and comparing then read its bytes. An inline text also decides
+/// then, once, whether its rendering escapes anything (a `"` or `\`), so
+/// rendering it is one copy. `Text` hashes, compares, `Debug`s and renders
+/// exactly as the `str` it holds, so fingerprints and rendered bytes do
+/// not depend on where the bytes live.
 #[derive(Clone)]
 pub struct Text(Repr);
 
 #[derive(Clone)]
 enum Repr {
-    /// `bytes[..len]` is valid UTF-8: only [`Text::from`] a `str` fills it.
+    /// `bytes[..len & LEN]` is valid UTF-8 and `len & ESCAPES` says
+    /// whether it holds a `"` or `\`: only [`Text::from`] a `str` fills it.
     Inline {
         len: u8,
         bytes: [u8; INLINE_TEXT],
@@ -63,14 +66,26 @@ enum Repr {
     Shared(Arc<str>),
 }
 
+/// The bits of an inline `len` byte that hold the length (a length of
+/// at most [`INLINE_TEXT`] needs 5).
+const LEN: u8 = 0x7f;
+/// The spare high bit of an inline `len` byte: set when the string holds
+/// a byte that renders escaped.
+const ESCAPES: u8 = 0x80;
+
+/// Does a rendering escape `b`? Both such bytes are ASCII, and no byte of
+/// a multi-byte char is, so escaping byte by byte keeps every char whole.
+fn escaped(b: u8) -> bool {
+    b == b'"' || b == b'\\'
+}
+
 impl Text {
     /// The string. An inline payload re-checks its UTF-8 on every call;
     /// rendering, hashing and comparing read [`Text::as_bytes`] instead.
     pub fn as_str(&self) -> &str {
         match &self.0 {
-            Repr::Inline { len, bytes } => {
-                std::str::from_utf8(&bytes[..*len as usize]).expect("inline text is a whole str")
-            }
+            Repr::Inline { len, bytes } => std::str::from_utf8(&bytes[..(len & LEN) as usize])
+                .expect("inline text is a whole str"),
             Repr::Shared(s) => s,
         }
     }
@@ -78,8 +93,17 @@ impl Text {
     /// The string's UTF-8 bytes, checked once when the text was built.
     pub fn as_bytes(&self) -> &[u8] {
         match &self.0 {
-            Repr::Inline { len, bytes } => &bytes[..*len as usize],
+            Repr::Inline { len, bytes } => &bytes[..(len & LEN) as usize],
             Repr::Shared(s) => s.as_bytes(),
+        }
+    }
+
+    /// Does the string hold a `"` or `\`? An inline text answers from the
+    /// bit [`Text::from`] set; a shared one, longer and rare, scans.
+    fn escapes(&self) -> bool {
+        match &self.0 {
+            Repr::Inline { len, .. } => len & ESCAPES != 0,
+            Repr::Shared(s) => s.bytes().any(escaped),
         }
     }
 
@@ -106,7 +130,8 @@ impl From<&str> for Text {
         }
         let mut bytes = [0u8; INLINE_TEXT];
         bytes[..s.len()].copy_from_slice(s.as_bytes());
-        Text(Repr::Inline { len: s.len() as u8, bytes })
+        let escapes = if s.bytes().any(escaped) { ESCAPES } else { 0 };
+        Text(Repr::Inline { len: s.len() as u8 | escapes, bytes })
     }
 }
 
@@ -199,7 +224,10 @@ impl Value {
     /// Appends the value's rendering — the exact bytes of its `Display`,
     /// which delegates here — to `out`. Integers, strings and booleans go
     /// out as bytes with no UTF-8 check; only floats use the standard
-    /// formatter. A string with nothing to escape is one copy.
+    /// formatter. An integer takes two digits per step. A string with
+    /// nothing to escape is one copy: whether it has something to escape
+    /// was decided once, when it became a [`Text`], and is not scanned
+    /// for here.
     pub fn write_to(&self, out: &mut Vec<u8>) {
         use std::io::Write as _;
         match self {
@@ -213,19 +241,11 @@ impl Value {
                 written.expect("writing to a Vec cannot fail");
             }
             Value::Str(s) => {
-                let s = s.as_bytes();
                 out.push(b'"');
-                if s.iter().any(|&b| b == b'\\' || b == b'"') {
-                    // Both are ASCII and no byte of a multi-byte char is,
-                    // so escaping byte by byte keeps every char whole.
-                    for &b in s {
-                        if b == b'\\' || b == b'"' {
-                            out.push(b'\\');
-                        }
-                        out.push(b);
-                    }
+                if s.escapes() {
+                    write_escaped(s.as_bytes(), out);
                 } else {
-                    out.extend_from_slice(s);
+                    out.extend_from_slice(s.as_bytes());
                 }
                 out.push(b'"');
             }
@@ -334,19 +354,49 @@ pub fn display_bytes(f: &mut fmt::Formatter<'_>, render: impl FnOnce(&mut Vec<u8
     written
 }
 
-/// Appends `i` in decimal, as `{i}` would, from a stack buffer.
+/// Appends `s` with a `\` before each `"` and `\`.
+fn write_escaped(s: &[u8], out: &mut Vec<u8>) {
+    for &b in s {
+        if escaped(b) {
+            out.push(b'\\');
+        }
+        out.push(b);
+    }
+}
+
+/// `00`, `01`, …, `99`: the two digits of `n < 100` are
+/// `DIGIT_PAIRS[2 * n..2 * n + 2]`.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut n = 0;
+    while n < 100 {
+        pairs[2 * n] = b'0' + (n / 10) as u8;
+        pairs[2 * n + 1] = b'0' + (n % 10) as u8;
+        n += 1;
+    }
+    pairs
+};
+
+/// Appends `i` in decimal, as `{i}` would, from a stack buffer, two
+/// digits per step.
 fn write_int(i: i64, out: &mut Vec<u8>) {
     // 19 digits for |i64::MIN| plus a sign.
     let mut buf = [0u8; 20];
     let mut at = buf.len();
     let mut n = i.unsigned_abs();
-    loop {
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
         at -= 1;
-        buf[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
+        buf[at] = b'0' + n as u8;
     }
     if i < 0 {
         at -= 1;
@@ -542,6 +592,132 @@ mod tests {
         }
         assert!(Text::from("BMW").is_inline());
         assert!(!Text::from(long.as_str()).is_inline());
+    }
+
+    /// The renderer `write_to` ran before a text decided its escapes
+    /// once, kept as the oracle: it scans every string for `"` and `\`.
+    fn scanning_rendering(s: &str) -> Vec<u8> {
+        let s = s.as_bytes();
+        let mut out = vec![b'"'];
+        if s.iter().any(|&b| b == b'\\' || b == b'"') {
+            for &b in s {
+                if b == b'\\' || b == b'"' {
+                    out.push(b'\\');
+                }
+                out.push(b);
+            }
+        } else {
+            out.extend_from_slice(s);
+        }
+        out.push(b'"');
+        out
+    }
+
+    fn splitmix(mut z: u64) -> u64 {
+        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A string of exactly `len` bytes, its chars drawn from `seed`: ASCII,
+    /// `"`, `\` and 2-, 3- and 4-byte chars, padded with `x` where the
+    /// next drawn char would not fit.
+    fn drawn_str(seed: u64, len: usize) -> String {
+        const CHARS: [char; 7] = ['x', '"', '\\', 'é', '日', '🚗', ' '];
+        let mut k = seed;
+        let mut s = String::new();
+        while s.len() < len {
+            k = splitmix(k);
+            let c = CHARS[(k % CHARS.len() as u64) as usize];
+            s.push(if s.len() + c.len_utf8() <= len { c } else { 'x' });
+        }
+        s
+    }
+
+    /// Every way a `Text` is built from a `str`, by value and cloned.
+    fn texts_of(s: &str) -> [Text; 4] {
+        let (borrowed, owned) = (Text::from(s), Text::from(s.to_string()));
+        [borrowed.clone(), owned.clone(), borrowed, owned]
+    }
+
+    fn rendered(t: &Text) -> Vec<u8> {
+        let mut out = Vec::new();
+        Value::Str(t.clone()).write_to(&mut out);
+        out
+    }
+
+    /// The escape decision `Text::from` keeps renders the bytes the
+    /// scanning renderer did, and never shows in a text's bytes, length,
+    /// order or hash: for `"`, `\` and each multi-byte char alone at
+    /// every position of every length up to twice the inline limit.
+    #[test]
+    fn escapes_decided_once_render_as_the_scan_did_at_every_position() {
+        for n in 0..=2 * INLINE_TEXT {
+            for p in 0..n {
+                for c in ['"', '\\', 'é', '日', '🚗'] {
+                    if p + c.len_utf8() > n {
+                        continue;
+                    }
+                    let s = format!("{}{c}{}", "x".repeat(p), "x".repeat(n - p - c.len_utf8()));
+                    let shared = Text(Repr::Shared(s.as_str().into()));
+                    for t in texts_of(&s) {
+                        assert_eq!(t.is_inline(), n <= INLINE_TEXT, "{s:?}");
+                        assert_eq!(t.escapes(), c == '"' || c == '\\', "{s:?}");
+                        assert_eq!(rendered(&t), scanning_rendering(&s), "{s:?}");
+                        assert_eq!((t.as_bytes(), t.as_str(), t.len()), (s.as_bytes(), &s[..], n));
+                        assert_eq!((&t, t.cmp(&shared)), (&shared, Ordering::Equal));
+                        assert_eq!(hash_text(&t), hash_str(&s));
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// `write_to` is byte-identical to the scanning renderer on drawn
+        /// strings of 0..=2×`INLINE_TEXT` bytes, however the text was built.
+        #[test]
+        fn string_rendering_is_byte_identical_to_the_scanning_oracle(
+            seed in 0u64..u64::MAX,
+            len in 0usize..=2 * INLINE_TEXT,
+        ) {
+            let s = drawn_str(seed, len);
+            for t in texts_of(&s) {
+                proptest::prop_assert_eq!(rendered(&t), scanning_rendering(&s), "{:?}", s);
+                proptest::prop_assert_eq!(Value::Str(t).to_string().as_bytes(), &scanning_rendering(&s)[..]);
+            }
+        }
+    }
+
+    /// Two digits per step, checked where a digit pair can go wrong: each
+    /// power of ten and its neighbours, both signs, the extremes, and a
+    /// spread of drawn values.
+    #[test]
+    fn write_int_matches_format_at_every_power_of_ten() {
+        let mut cases = vec![0, i64::MIN, i64::MAX, i64::MIN + 1, i64::MAX - 1];
+        let mut p = 1i64;
+        loop {
+            for i in [p - 1, p, p + 1] {
+                cases.extend([i, -i]);
+            }
+            match p.checked_mul(10) {
+                Some(next) => p = next,
+                None => break,
+            }
+        }
+        let mut k = 7;
+        for _ in 0..10_000 {
+            k = splitmix(k);
+            // Any width: shift the draw by 0..64 bits.
+            cases.push((k as i64) >> (k % 64));
+        }
+        let mut out = Vec::new();
+        for i in cases {
+            out.clear();
+            write_int(i, &mut out);
+            assert_eq!(out, format!("{i}").into_bytes(), "{i}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use csqp_expr::ValueType;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One column of a schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,7 +19,7 @@ pub struct Column {
 }
 
 /// A relation schema.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Schema {
     /// Relation name.
     pub name: String,
@@ -28,6 +28,41 @@ pub struct Schema {
     /// Names of the key columns (unique row identity). May be empty for
     /// keyless intermediate results.
     pub key: Vec<String>,
+    /// What a row renders before each value, built on the first render.
+    prefixes: RowPrefixes,
+}
+
+/// The bytes a row of a schema renders before its value in each column —
+/// `name=` for the first, `, name=` for each later one — built once, on
+/// the schema's first rendered row, and read by every row after it. A
+/// clone starts empty, so it is built from the clone's own columns.
+#[derive(Default)]
+struct RowPrefixes(OnceLock<Box<[Box<[u8]>]>>);
+
+impl Clone for RowPrefixes {
+    fn clone(&self) -> Self {
+        RowPrefixes::default()
+    }
+}
+
+// The prefixes are derived from `columns`: equality and `Debug` leave
+// them out, as the derived impls before them did.
+impl PartialEq for Schema {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.columns == other.columns && self.key == other.key
+    }
+}
+
+impl Eq for Schema {}
+
+impl fmt::Debug for Schema {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Schema")
+            .field("name", &self.name)
+            .field("columns", &self.columns)
+            .field("key", &self.key)
+            .finish()
+    }
 }
 
 /// Errors raised by schema operations.
@@ -86,6 +121,7 @@ impl Schema {
             name: name.clone(),
             columns,
             key: key.iter().map(|s| s.to_string()).collect(),
+            prefixes: RowPrefixes::default(),
         };
         for k in &schema.key {
             if schema.col_index(k).is_none() {
@@ -133,7 +169,25 @@ impl Schema {
         } else {
             Vec::new()
         };
-        Ok(Arc::new(Schema { name: format!("{}_proj", self.name), columns, key }))
+        Ok(Arc::new(Schema {
+            name: format!("{}_proj", self.name),
+            columns,
+            key,
+            prefixes: RowPrefixes::default(),
+        }))
+    }
+
+    /// What a row renders before its value in each column, in order:
+    /// `name=` for the first column, `, name=` for each later one. Built
+    /// on the first call; every later call, from any thread, reads it.
+    pub(crate) fn row_prefixes(&self) -> &[Box<[u8]>] {
+        self.prefixes.0.get_or_init(|| {
+            let prefix = |(i, c): (usize, &Column)| {
+                let sep: &[u8] = if i == 0 { b"" } else { b", " };
+                [sep, c.name.as_bytes(), b"="].concat().into_boxed_slice()
+            };
+            self.columns.iter().enumerate().map(prefix).collect()
+        })
     }
 
     /// Structural compatibility for union/intersection: same column names

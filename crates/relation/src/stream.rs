@@ -25,7 +25,7 @@
 
 use crate::relation::{tuple_fingerprint, FingerprintIndex, Relation};
 use crate::schema::{Schema, SchemaError};
-use crate::tuple::{column_prefix, Row, Tuple};
+use crate::tuple::{write_row, Row, Tuple};
 use csqp_expr::semantics::BoundCond;
 use csqp_expr::CondTree;
 use std::fmt;
@@ -96,18 +96,15 @@ impl TupleBatch {
         self.sel.iter().map(move |&i| Row::projected(&self.schema, &self.store[i as usize], cols))
     }
 
-    /// Appends every row to `out` as its `Display` plus `\n`, building the
-    /// schema's column prefixes (`model=`, `, year=`, …) once for the batch.
+    /// Appends every row to `out` as its `Display` plus `\n`, walking the
+    /// selection and the projection directly. The column prefixes
+    /// (`model=`, `, year=`, …) are the schema's, built once for it, not
+    /// per batch, so into a buffer with room this allocates nothing.
     pub fn write_rows(&self, out: &mut Vec<u8>) {
-        let prefixes: Vec<Vec<u8>> = (0..self.schema.columns.len())
-            .map(|i| {
-                let mut p = Vec::new();
-                column_prefix(&self.schema, i, &mut p);
-                p
-            })
-            .collect();
-        for row in self.rows() {
-            row.write_with(out, |i, out| out.extend_from_slice(&prefixes[i]));
+        let prefixes = self.schema.row_prefixes();
+        let cols = self.cols.as_deref();
+        for &at in &self.sel {
+            write_row(prefixes, self.store[at as usize].values(), cols, out);
             out.push(b'\n');
         }
     }

@@ -117,36 +117,37 @@ impl AttrLookup for Row<'_> {
 impl Row<'_> {
     /// Appends the row as `(name=value, …)` — the exact bytes of its
     /// `Display`, which delegates here — to `out`, each value through
-    /// [`Value::write_to`]. A batch renders its rows through
-    /// [`TupleBatch::write_rows`](crate::TupleBatch::write_rows), which
-    /// builds the column prefixes once for all of them.
+    /// [`Value::write_to`] and each `name=` from the prefixes its schema
+    /// builds once. A batch renders its rows through
+    /// [`TupleBatch::write_rows`](crate::TupleBatch::write_rows), the same
+    /// writer.
     pub fn write_to(&self, out: &mut Vec<u8>) {
-        self.write_with(out, |i, out| column_prefix(self.schema, i, out));
-    }
-
-    /// The one row writer: `(`, then per column `prefix(i)` and its value
-    /// (`?` when missing), then `)`.
-    pub(crate) fn write_with(&self, out: &mut Vec<u8>, prefix: impl Fn(usize, &mut Vec<u8>)) {
-        out.push(b'(');
-        for i in 0..self.schema.columns.len() {
-            prefix(i, out);
-            match self.get(i) {
-                Some(v) => v.write_to(out),
-                None => out.push(b'?'),
-            }
-        }
-        out.push(b')');
+        write_row(self.schema.row_prefixes(), self.tuple.values(), self.cols, out);
     }
 }
 
-/// Appends what a row of `schema` renders before its value in column `i`:
-/// `name=` for the first column, `, name=` for each later one.
-pub(crate) fn column_prefix(schema: &Schema, i: usize, out: &mut Vec<u8>) {
-    if i > 0 {
-        out.extend_from_slice(b", ");
+/// The one row writer: `(`, then per column its prefix and its value —
+/// `values[i]`, or `values[cols[i]]` through a projection, `?` when
+/// missing — then `)`. It allocates nothing beyond `out`'s growth.
+pub(crate) fn write_row(
+    prefixes: &[Box<[u8]>],
+    values: &[Value],
+    cols: Option<&[usize]>,
+    out: &mut Vec<u8>,
+) {
+    out.push(b'(');
+    for (i, prefix) in prefixes.iter().enumerate() {
+        out.extend_from_slice(prefix);
+        let value = match cols {
+            None => values.get(i),
+            Some(cols) => cols.get(i).and_then(|&j| values.get(j)),
+        };
+        match value {
+            Some(v) => v.write_to(out),
+            None => out.push(b'?'),
+        }
     }
-    out.extend_from_slice(schema.columns[i].name.as_bytes());
-    out.push(b'=');
+    out.push(b')');
 }
 
 impl fmt::Display for Row<'_> {

@@ -4,6 +4,7 @@
 use csqp_expr::gen::{CondGen, CondGenConfig, GenAttr};
 use csqp_expr::semantics::eval;
 use csqp_expr::semantics::BoundCond;
+use csqp_expr::value::INLINE_TEXT;
 use csqp_expr::{Atom, CondTree};
 use csqp_expr::{Value, ValueType};
 use csqp_relation::ops::{difference, intersect, project, select, union};
@@ -90,7 +91,8 @@ fn edge_value(k: u64) -> Value {
         f64::NEG_INFINITY,
     ];
     match k % 4 {
-        0 => Value::str(STRS[(k / 4 % 11) as usize]),
+        0 if k & 4 == 0 => Value::str(STRS[(k / 8 % 11) as usize]),
+        0 => Value::str(boundary_str(k / 8)),
         1 => Value::Int(match k / 4 % 5 {
             0 => i64::MIN,
             1 => i64::MAX,
@@ -101,6 +103,30 @@ fn edge_value(k: u64) -> Value {
         2 => Value::Float(FLOATS[(k / 4 % 12) as usize]),
         _ => Value::Bool(k & 4 != 0),
     }
+}
+
+/// A string of 21, 22 or 23 bytes — just inside, at and just past the
+/// inline limit — with a `"` or `\` at a drawn position.
+fn boundary_str(k: u64) -> String {
+    let len = INLINE_TEXT - 1 + (k % 3) as usize;
+    let mut s = "x".repeat(len - 1);
+    s.insert((k / 3) as usize % len, if k & 64 == 0 { '"' } else { '\\' });
+    s
+}
+
+/// A string of exactly `len` bytes, its chars drawn from `seed`: ASCII,
+/// `"`, `\`, `,` and 2-, 3- and 4-byte chars, padded with `x` where the
+/// next drawn char would not fit.
+fn drawn_str(seed: u64, len: usize) -> String {
+    const CHARS: [char; 8] = ['x', '"', '\\', 'é', '日', '🚗', ' ', ','];
+    let mut k = seed;
+    let mut s = String::new();
+    while s.len() < len {
+        k = splitmix(k);
+        let c = CHARS[(k % CHARS.len() as u64) as usize];
+        s.push(if s.len() + c.len_utf8() <= len { c } else { 'x' });
+    }
+    s
 }
 
 /// The rendering `Display` produced through `format!` before rows were
@@ -174,8 +200,9 @@ proptest! {
 
     /// One writer, identical bytes: a row written through `write_to` equals
     /// its `Display` and the `format!` oracle, value by value, including a
-    /// tuple shorter than its schema (`name=?`); a batch of such rows, as
-    /// serve sends it, equals `format!("{row}\n")` over its rows.
+    /// tuple shorter than its schema (`name=?`) and strings with a `"` or
+    /// `\` at the 22-byte inline boundary; a batch of such rows, as serve
+    /// sends it, equals `format!("{row}\n")` over its rows.
     #[test]
     fn row_writer_is_byte_identical_to_display(seed in 0u64..1_000_000, arity in 0usize..7) {
         let names = ["k", "name", "x", "y", "flag", "z"];
@@ -222,6 +249,38 @@ proptest! {
             batch.write_rows(&mut chunk);
             let lines: String = batch.rows().map(|row| format!("{row}\n")).collect();
             prop_assert_eq!(String::from_utf8(chunk).unwrap(), lines);
+        }
+    }
+
+    /// A string read from CSV renders as one built in code: drawn strings
+    /// with `"`, `\`, `,` and multi-byte chars at any position, of
+    /// 0..=2×`INLINE_TEXT` bytes, quoted into a CSV file and parsed back,
+    /// render as the `format!` oracle, cloned or not.
+    #[test]
+    fn csv_strings_render_as_the_oracle(seed in 0u64..u64::MAX) {
+        let mut k = seed;
+        let drawn: Vec<String> = (0..=2 * INLINE_TEXT)
+            .map(|len| {
+                k = splitmix(k);
+                drawn_str(k, len)
+            })
+            .collect();
+        // A first row that is no number keeps the column a string column.
+        let mut text = String::from("s\nnot a number\n");
+        for s in &drawn {
+            text.push_str(&format!("\"{}\"\n", s.replace('"', "\"\"")));
+        }
+        let rel = csqp_relation::csv::load_csv("t", &text, &[]).unwrap();
+        let rows: Vec<&Tuple> = rel.tuples().iter().skip(1).collect();
+        prop_assert_eq!(rows.len(), drawn.len());
+        for (t, s) in rows.into_iter().zip(&drawn) {
+            let v = &t.values()[0];
+            prop_assert_eq!(v, &Value::str(s.as_str()));
+            for v in [v, &v.clone()] {
+                let mut one = Vec::new();
+                v.write_to(&mut one);
+                prop_assert_eq!(String::from_utf8(one).unwrap(), oracle_value(&Value::str(s.as_str())));
+            }
         }
     }
 

@@ -488,7 +488,8 @@ impl SourceStream<'_> {
         if let Err(e) = gate {
             return (ticks, Err(e));
         }
-        let mut fresh = Vec::new();
+        // A batch is at most `batch_size` rows, and at most what is left.
+        let mut fresh = Vec::with_capacity(self.batch_size.min(tuples.len() - self.cursor));
         while self.cursor < tuples.len() && fresh.len() < self.batch_size {
             let t = &tuples[self.cursor];
             let at = self.cursor as u32;
